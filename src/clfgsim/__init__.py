@@ -9,13 +9,14 @@ oracle and tank-circuit readout), `thermal` (power and cooling budget),
 
 __version__ = "0.1.0"
 
-from .analog import ClfgCell, Level, SupplyRails
+from .analog import CellParams, ClfgCell, Level, SupplyRails
 from .device import DotDevice, TankReadout
 from .fsm import ChipState, Mode, SwitchEvent
 from .protocol import Frame, Opcode, RegisterFile
 from .thermal import CoolingBudget, PowerModel, ThermalCalibration
 
 __all__ = [
+    "CellParams",
     "ChipState",
     "ClfgCell",
     "CoolingBudget",

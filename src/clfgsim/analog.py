@@ -19,6 +19,8 @@ with a first-order transient of time constant
     tau = r_switch * c_pulse * c_p / (c_pulse + c_p)
 
 All operations are pure: they take a cell value and return a new one.
+The element values live in a `CellParams` that every state of a cell
+shares, so an event copies only the few state fields.
 """
 from __future__ import annotations
 
@@ -72,16 +74,8 @@ class SupplyRails:
 
 
 @dataclass(frozen=True)
-class ClfgCell:
-    """One cell: fixed element values plus the evolving analog state.
-
-    `v_base` is the asymptotic floating voltage (lock value plus injection
-    plus coupling, decayed by leakage); `v_target` additionally carries the
-    pulse contribution of the current fast-gate level relative to `fg_ref`,
-    the level the charge was referenced to when the lock last opened.
-    `v_start` is the instantaneous output at `t_last`, from which any
-    pending RC transient relaxes toward `v_target`.
-    """
+class CellParams:
+    """Fixed element values of one cell, checked once when built."""
 
     c_pulse: float = 1e-12
     c_p: float = 1e-12
@@ -89,15 +83,6 @@ class ClfgCell:
     r_switch: float = 2e3
     leak_rate: float = LEAK_RATE_TENS_OF_MICROVOLTS_PER_HOUR
     q_inj: float = 2e-15
-
-    lock_closed: bool = False
-    fg_level: Level = Level.LOW
-    fg_ref: Level = Level.LOW
-    v_hold_seen: float = 0.0
-    v_base: float = 0.0
-    v_start: float = 0.0
-    v_target: float = 0.0
-    t_last: float = 0.0
 
     def __post_init__(self) -> None:
         if self.c_pulse <= 0 or self.c_p <= 0:
@@ -110,45 +95,67 @@ class ClfgCell:
             raise ValueError("leak_rate must be non-negative")
 
 
-def series_capacitance(cell: ClfgCell) -> float:
+@dataclass(frozen=True)
+class ClfgCell:
+    """Evolving analog state of one cell, with its element values by reference.
+
+    `v_base` is the asymptotic floating voltage (lock value plus injection
+    plus coupling, decayed by leakage); `v_target` additionally carries the
+    pulse contribution of the current fast-gate level relative to `fg_ref`,
+    the level the charge was referenced to when the lock last opened.
+    `v_start` is the instantaneous output at `t_last`, from which any
+    pending RC transient relaxes toward `v_target`.
+    """
+
+    params: CellParams = CellParams()
+    lock_closed: bool = False
+    fg_level: Level = Level.LOW
+    fg_ref: Level = Level.LOW
+    v_hold_seen: float = 0.0
+    v_base: float = 0.0
+    v_start: float = 0.0
+    v_target: float = 0.0
+    t_last: float = 0.0
+
+
+def series_capacitance(p: CellParams) -> float:
     """Series combination c_pulse*c_p/(c_pulse+c_p) seen by the switch."""
-    return cell.c_pulse * cell.c_p / (cell.c_pulse + cell.c_p)
+    return p.c_pulse * p.c_p / (p.c_pulse + p.c_p)
 
 
-def time_constant(cell: ClfgCell) -> float:
+def time_constant(p: CellParams) -> float:
     """RC time constant of a fast-gate transition."""
-    return cell.r_switch * series_capacitance(cell)
+    return p.r_switch * series_capacitance(p)
 
 
-def injection_offset(cell: ClfgCell) -> float:
+def injection_offset(p: CellParams) -> float:
     """Voltage step left on the node when the lock switch opens."""
-    return cell.q_inj / (cell.c_p + cell.c_pulse)
+    return p.q_inj / (p.c_p + p.c_pulse)
 
 
-def coupling_ratio(cell: ClfgCell) -> float:
+def coupling_ratio(p: CellParams) -> float:
     """Fraction of a hold-rail move that reaches a floating output."""
-    return cell.c_ds / (cell.c_ds + cell.c_pulse + cell.c_p)
+    return p.c_ds / (p.c_ds + p.c_pulse + p.c_p)
 
 
-def pulse_amplitude(cell: ClfgCell, rails: SupplyRails) -> float:
+def pulse_amplitude(p: CellParams, rails: SupplyRails) -> float:
     """Output step when the bottom plate toggles between the rails."""
-    return cell.c_pulse / (cell.c_p + cell.c_pulse) * rails.swing
+    return p.c_pulse / (p.c_p + p.c_pulse) * rails.swing
 
 
-def lock(cell: ClfgCell, rails: SupplyRails) -> ClfgCell:
-    """Close the lock switch: the output is pinned to the hold rail.
+def lock(cell: ClfgCell, v_hold: float) -> ClfgCell:
+    """Close the lock switch: the output is pinned to the hold rail at `v_hold`.
 
     Idempotent; any pending transient is discarded because the rail now
     drives the node directly.
     """
-    v = rails.v_hold
     return replace(
         cell,
         lock_closed=True,
-        v_hold_seen=v,
-        v_base=v,
-        v_start=v,
-        v_target=v,
+        v_hold_seen=v_hold,
+        v_base=v_hold,
+        v_start=v_hold,
+        v_target=v_hold,
     )
 
 
@@ -161,7 +168,7 @@ def unlock(cell: ClfgCell) -> ClfgCell:
     """
     if not cell.lock_closed:
         raise AlreadyUnlocked("lock switch is already open")
-    v = cell.v_hold_seen + injection_offset(cell)
+    v = cell.v_hold_seen + injection_offset(cell.params)
     return replace(
         cell,
         lock_closed=False,
@@ -180,7 +187,7 @@ def couple_hold(cell: ClfgCell, dv_hold: float) -> ClfgCell:
     """
     if cell.lock_closed:
         raise LockClosed("output tracks the hold rail directly while locked")
-    dv = coupling_ratio(cell) * dv_hold
+    dv = coupling_ratio(cell.params) * dv_hold
     return replace(
         cell,
         v_hold_seen=cell.v_hold_seen + dv_hold,
@@ -219,8 +226,8 @@ def settle(cell: ClfgCell, t: float) -> ClfgCell:
         raise ValueError(f"time {t} precedes last event at {cell.t_last}")
     if cell.lock_closed or dt == 0.0:
         return replace(cell, t_last=t)
-    rc = math.exp(-dt / time_constant(cell))
-    decay = math.exp(-cell.leak_rate * dt)
+    rc = math.exp(-dt / time_constant(cell.params))
+    decay = math.exp(-cell.params.leak_rate * dt)
     v_inst = cell.v_target + (cell.v_start - cell.v_target) * rc
     return replace(
         cell,
@@ -246,7 +253,7 @@ def apply_fg(cell: ClfgCell, level: Level, t: float, rails: SupplyRails) -> Clfg
     cell = settle(cell, t)
     if level == cell.fg_level:
         return cell
-    pulse = pulse_amplitude(cell, rails) * (int(level) - int(cell.fg_ref))
+    pulse = pulse_amplitude(cell.params, rails) * (int(level) - int(cell.fg_ref))
     return replace(cell, fg_level=level, v_target=cell.v_base + pulse)
 
 
@@ -257,8 +264,8 @@ def output_voltage(cell: ClfgCell, t: float) -> float:
     dt = t - cell.t_last
     if dt < 0:
         raise ValueError(f"sample time {t} precedes last event at {cell.t_last}")
-    rc = math.exp(-dt / time_constant(cell))
-    decay = math.exp(-cell.leak_rate * dt)
+    rc = math.exp(-dt / time_constant(cell.params))
+    decay = math.exp(-cell.params.leak_rate * dt)
     return (cell.v_target + (cell.v_start - cell.v_target) * rc) * decay
 
 
@@ -270,6 +277,6 @@ def sample_output(cell: ClfgCell, times: np.ndarray) -> np.ndarray:
     dt = times - cell.t_last
     if np.any(dt < 0):
         raise ValueError("sample times precede the cell's last event")
-    rc = np.exp(-dt / time_constant(cell))
-    decay = np.exp(-cell.leak_rate * dt)
+    rc = np.exp(-dt / time_constant(cell.params))
+    decay = np.exp(-cell.params.leak_rate * dt)
     return (cell.v_target + (cell.v_start - cell.v_target) * rc) * decay

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__, engine, protocol, thermal
 from .errors import SimulationError
-from .figures import DRIVERS
+from .figures import DRIVERS, require_sections
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -188,11 +188,10 @@ def _cmd_replay(args) -> int:
 def _cmd_budget(args) -> int:
     path = args.scenario or bundled_scenario_path("fig4e")
     scenario = engine.load_scenario(path, args.override)
-    from . import figures
-
-    model = figures._power_model(scenario)
-    budget = figures._budget(scenario)
-    result = thermal.feasible(args.cells, args.freq, args.swing, model, budget)
+    require_sections(scenario, ("power", "budget"))
+    result = thermal.feasible(
+        args.cells, args.freq, args.swing, scenario.power, scenario.budget
+    )
     print(json.dumps({
         "n_cells": args.cells,
         "f_hz": args.freq,

@@ -104,20 +104,26 @@ def _low_pass(x: np.ndarray, tank: TankReadout) -> np.ndarray:
     return y
 
 
-def readout(
-    device: DotDevice, tank: TankReadout, v_gate_trace: Mapping[str, np.ndarray]
-) -> np.ndarray:
-    """Readout signal for uniformly sampled gate-voltage traces.
+def require_sample_rate(tank: TankReadout) -> None:
+    """Raise SampleRateTooLow unless traces reach the tank at >= 10x its bandwidth.
 
-    Pointwise conductance mapped through the tank's first-order low-pass.
-    The trace must be sampled at >= 10x the tank bandwidth so the filter
-    shape is faithful.
+    Below that the sampled one-pole filter no longer has the tank's shape.
     """
     if tank.sample_rate_hz < 10.0 * tank.bandwidth_hz:
         raise SampleRateTooLow(
             f"sample rate {tank.sample_rate_hz:g} Hz < 10 x bandwidth "
             f"{tank.bandwidth_hz:g} Hz"
         )
+
+
+def readout(
+    device: DotDevice, tank: TankReadout, v_gate_trace: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Readout signal for uniformly sampled gate-voltage traces.
+
+    Pointwise conductance mapped through the tank's first-order low-pass.
+    """
+    require_sample_rate(tank)
     g = np.asarray(conductance(device, v_gate_trace), dtype=float)
     if g.ndim == 0:
         raise ValueError("v_gate_trace must contain at least one sampled array")

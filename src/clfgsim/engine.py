@@ -17,7 +17,8 @@ import json
 import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -49,16 +50,6 @@ class UnknownAxis(SimulationError):
 
 
 @dataclass(frozen=True)
-class AnalogConfig:
-    c_pulse: float = 1e-12
-    c_p: float = 1e-12
-    c_ds: float = 10e-15
-    r_switch: float = 2e3
-    leak_rate: float = analog.LEAK_RATE_TENS_OF_MICROVOLTS_PER_HOUR
-    q_inj: float = 2e-15
-
-
-@dataclass(frozen=True)
 class ChipConfig:
     master_freq_hz: float = 35.84e6
     # Host-side calibration: aim the hold DAC below the target by the known
@@ -66,49 +57,9 @@ class ChipConfig:
     # autonomous (REFRESH) locking only; explicit LOCKING uses the DAC as-is.
     compensate_injection: bool = True
 
-
-@dataclass(frozen=True)
-class RailsConfig:
-    v_high: float = 0.1
-    v_low: float = -0.1
-    v_hold: float = 0.0
-
-
-@dataclass(frozen=True)
-class DeviceConfig:
-    levers: dict[str, float] = field(default_factory=dict)
-    gate_sources: dict[str, dict] = field(default_factory=dict)
-    peak_spacing: float = 0.010
-    peak_width: float = 0.0008
-    g_max: float = devmod.CONDUCTANCE_QUANTUM_S
-    v_offset: float = 0.0
-    bandwidth_hz: float = 10e6
-    axis_gate: str | None = None
-
-
-@dataclass(frozen=True)
-class CalibrationConfig:
-    points: tuple[tuple[float, float], ...]
-    base_temperature_k: float = 0.036
-
-
-@dataclass(frozen=True)
-class BudgetConfig:
-    budget_watts_at_100mk: float = 400e-6
-    coax_power_per_line: float | None = None
-
-
-@dataclass(frozen=True)
-class PowerConfig:
-    # Cell capacitances default to the analog section's values at build time.
-    c_pulse: float | None = None
-    c_p: float | None = None
-    fsm_energy_per_cycle: float = 0.0
-    clock_energy_per_cycle: float = 0.0
-    static_floor_w: float = 0.0
-    master_freq_hz: float | None = None
-    calibration: CalibrationConfig | None = None
-    budget: BudgetConfig | None = None
+    def __post_init__(self) -> None:
+        if not self.master_freq_hz > 0:
+            raise ValueError("master_freq_hz must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,12 +78,25 @@ class ScheduleItem:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario: each hardware block as its own parameter type.
+
+    `device` and `tank` come from the `device` section, whose `gate_sources`
+    and `axis_gate` wire the dot's gates to cells, DACs or constants.
+    `calibration` and `budget` come from `power.calibration` and
+    `power.budget`.
+    """
+
     name: str
     chip: ChipConfig
-    analog: AnalogConfig
-    rails: RailsConfig
-    device: DeviceConfig | None
-    power: PowerConfig | None
+    analog: analog.CellParams
+    rails: analog.SupplyRails
+    device: devmod.DotDevice | None
+    tank: devmod.TankReadout | None
+    gate_sources: dict[str, dict]
+    axis_gate: str | None
+    power: thermal.PowerModel | None
+    calibration: thermal.ThermalCalibration | None
+    budget: thermal.CoolingBudget | None
     schedule: tuple[ScheduleItem, ...]
     duration_s: float
     traces: TraceConfig
@@ -145,13 +109,30 @@ class Scenario:
 
 _TRACE_KINDS = ("cells", "hold", "conductance", "readout", "power", "temperature")
 
+# Keys of the `device` section that do not belong to the dot itself.
+_DEVICE_WIRING = ("gate_sources", "axis_gate")
+_TANK_KEYS = ("bandwidth_hz",)
 
-def _build_section(cls, raw: Mapping, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - names
+
+@contextmanager
+def _section(where: str):
+    """Report a parameter type's own check failing as a ScenarioError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _build_section(cls, raw, where: str, renames: Mapping[str, str] = {}):
+    """Build parameter type `cls` from a section; `renames` maps keys to fields."""
+    if not isinstance(raw, Mapping):
+        raise ScenarioError(f"{where}: expected an object")
+    names = {f.name for f in dataclasses.fields(cls)} - set(renames.values())
+    unknown = set(raw) - names - set(renames)
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
-    return cls(**raw)
+    with _section(where):
+        return cls(**{renames.get(k, k): v for k, v in raw.items()})
 
 
 def _parse_register(ref) -> int:
@@ -213,50 +194,8 @@ def build_scenario(raw: Mapping) -> Scenario:
         raise ScenarioError(f"unknown top-level key(s) {sorted(unknown)}")
 
     chip = _build_section(ChipConfig, raw.get("chip", {}), "chip")
-    acfg = _build_section(AnalogConfig, raw.get("analog", {}), "analog")
-    rails = _build_section(RailsConfig, raw.get("rails", {}), "rails")
-    if rails.v_high < rails.v_low:
-        raise ScenarioError("rails: v_high must be >= v_low")
-
-    device_cfg = None
-    if "device" in raw:
-        device_cfg = _build_section(DeviceConfig, raw["device"], "device")
-        for gate, source in device_cfg.gate_sources.items():
-            if gate not in device_cfg.levers:
-                raise ScenarioError(f"device: source for gate {gate!r} has no lever arm")
-            if set(source) not in ({"cell"}, {"dac"}, {"const"}):
-                raise ScenarioError(f"device: gate {gate!r} needs one of cell/dac/const")
-            if "cell" in source and not 0 <= int(source["cell"]) < N_CELLS:
-                raise ScenarioError(f"device: gate {gate!r} references cell >= {N_CELLS}")
-
-    power_cfg = None
-    if "power" in raw:
-        praw = dict(raw["power"])
-        cal_raw = praw.pop("calibration", None)
-        bud_raw = praw.pop("budget", None)
-        power_cfg = _build_section(PowerConfig, praw, "power")
-        if cal_raw is not None:
-            cal = CalibrationConfig(
-                points=tuple((float(p), float(t)) for p, t in cal_raw["points"]),
-                base_temperature_k=float(cal_raw.get("base_temperature_k", 0.036)),
-            )
-            power_cfg = dataclasses.replace(power_cfg, calibration=cal)
-        if bud_raw is not None:
-            power_cfg = dataclasses.replace(
-                power_cfg, budget=_build_section(BudgetConfig, bud_raw, "power.budget")
-            )
-
-    schedule = tuple(
-        _parse_schedule_item(item, i) for i, item in enumerate(raw.get("schedule", ()))
-    )
-    for prev, item in zip(schedule, schedule[1:]):
-        if item.time_s < prev.time_s:
-            raise ScenarioError("schedule times must be nondecreasing")
-    duration = float(raw.get("duration_s", 0.0))
-    if duration < 0:
-        raise ScenarioError("duration_s must be non-negative")
-    if schedule and schedule[-1].time_s > duration:
-        raise ScenarioError("schedule extends past duration_s")
+    cell = _build_section(analog.CellParams, raw.get("analog", {}), "analog")
+    rails = _build_section(analog.SupplyRails, raw.get("rails", {}), "rails")
 
     traw = raw.get("traces", {})
     traces = TraceConfig(
@@ -272,27 +211,97 @@ def build_scenario(raw: Mapping) -> Scenario:
     for c in traces.cells:
         if not 0 <= c < N_CELLS:
             raise ScenarioError(f"traces: cell {c} outside 0..{N_CELLS - 1}")
-    if {"conductance", "readout"} & set(traces.kinds) and device_cfg is None:
+
+    dot = tank = axis_gate = None
+    gate_sources: dict[str, dict] = {}
+    if "device" in raw:
+        draw = raw["device"]
+        if not isinstance(draw, Mapping):
+            raise ScenarioError("device: expected an object")
+        dot = _build_section(
+            devmod.DotDevice,
+            {k: v for k, v in draw.items() if k not in _DEVICE_WIRING + _TANK_KEYS},
+            "device",
+            renames={"levers": "gate_levers"},
+        )
+        tank = _build_section(
+            devmod.TankReadout,
+            {k: v for k, v in draw.items() if k in _TANK_KEYS}
+            | {"sample_rate_hz": traces.sample_rate_hz},
+            "device",
+        )
+        gate_sources = draw.get("gate_sources", {})
+        axis_gate = draw.get("axis_gate")
+        with _section("device"):
+            for gate, source in gate_sources.items():
+                if gate not in dot.gate_levers:
+                    raise ScenarioError(f"device: source for gate {gate!r} has no lever arm")
+                if set(source) not in ({"cell"}, {"dac"}, {"const"}):
+                    raise ScenarioError(f"device: gate {gate!r} needs one of cell/dac/const")
+                if "cell" in source and not 0 <= int(source["cell"]) < N_CELLS:
+                    raise ScenarioError(f"device: gate {gate!r} references cell >= {N_CELLS}")
+        if axis_gate is not None and axis_gate not in gate_sources:
+            raise ScenarioError(f"device: axis_gate {axis_gate!r} has no gate source")
+
+    power = calibration = budget = None
+    if "power" in raw:
+        with _section("power"):
+            praw = dict(raw["power"])
+        cal_raw = praw.pop("calibration", None)
+        bud_raw = praw.pop("budget", None)
+        # The pulsing capacitances default to the analog section's.
+        for key in ("c_pulse", "c_p"):
+            if praw.get(key) is None:
+                praw[key] = getattr(cell, key)
+        power = _build_section(thermal.PowerModel, praw, "power")
+        if cal_raw is not None:
+            with _section("power.calibration"):
+                cal_raw = dict(cal_raw)
+                cal_raw["points"] = tuple(
+                    (float(p), float(t)) for p, t in cal_raw.get("points", ())
+                )
+            calibration = _build_section(
+                thermal.ThermalCalibration, cal_raw, "power.calibration"
+            )
+        if bud_raw is not None:
+            budget = _build_section(thermal.CoolingBudget, bud_raw, "power.budget")
+
+    if {"conductance", "readout"} & set(traces.kinds) and dot is None:
         raise ScenarioError("conductance/readout traces need a device section")
-    if {"power", "temperature"} & set(traces.kinds) and power_cfg is None:
+    if {"power", "temperature"} & set(traces.kinds) and power is None:
         raise ScenarioError("power/temperature traces need a power section")
-    if "temperature" in traces.kinds and (
-        power_cfg is None or power_cfg.calibration is None
-    ):
+    if "temperature" in traces.kinds and calibration is None:
         raise ScenarioError("temperature trace needs power.calibration")
+
+    schedule = tuple(
+        _parse_schedule_item(item, i) for i, item in enumerate(raw.get("schedule", ()))
+    )
+    for prev, item in zip(schedule, schedule[1:]):
+        if item.time_s < prev.time_s:
+            raise ScenarioError("schedule times must be nondecreasing")
+    duration = float(raw.get("duration_s", 0.0))
+    if duration < 0:
+        raise ScenarioError("duration_s must be non-negative")
+    if schedule and schedule[-1].time_s > duration:
+        raise ScenarioError("schedule extends past duration_s")
 
     targets = {int(k): float(v) for k, v in raw.get("cell_targets", {}).items()}
     for c in targets:
         if not 0 <= c < N_CELLS:
             raise ScenarioError(f"cell_targets: cell {c} outside 0..{N_CELLS - 1}")
 
-    return Scenario(
+    scenario = Scenario(
         name=str(raw.get("name", "scenario")),
         chip=chip,
-        analog=acfg,
+        analog=cell,
         rails=rails,
-        device=device_cfg,
-        power=power_cfg,
+        device=dot,
+        tank=tank,
+        gate_sources=gate_sources,
+        axis_gate=axis_gate,
+        power=power,
+        calibration=calibration,
+        budget=budget,
         schedule=schedule,
         duration_s=duration,
         traces=traces,
@@ -302,6 +311,11 @@ def build_scenario(raw: Mapping) -> Scenario:
         sweep=raw.get("sweep"),
         raw=_as_plain_dict(raw),
     )
+    if scenario.figure is not None:
+        from . import figures
+
+        figures.check_sections(scenario)
+    return scenario
 
 
 def load_scenario_dict(path: str | Path) -> dict:
@@ -427,10 +441,6 @@ class Table:
     header: tuple[str, ...]
     rows: list[tuple]
 
-    def column(self, name: str) -> np.ndarray:
-        idx = self.header.index(name)
-        return np.asarray([row[idx] for row in self.rows])
-
 
 @dataclass
 class TraceBundle:
@@ -520,6 +530,12 @@ class _Timeline:
 
 def _expand_schedule(scenario: Scenario):
     """Walk the schedule through the FSM, expanding all switch activity.
+
+    REFRESH re-locks the masked cells one at a time in ascending index
+    order, round robin, in slots of REFRESH_PERIOD / n seconds counted from
+    the EXEC that started it.  Each slot boundary opens the previous cell
+    before closing the next, so at most one lock switch is closed at any
+    instant.
 
     Returns the ordered action timeline, the mode segments (for the power
     trace) and the READ responses.
@@ -637,50 +653,41 @@ def _gate_voltage(source: dict, cells, dacs, t: float) -> float:
     return float(source["const"])
 
 
+def _segment_power(scenario: Scenario, seg: _Segment) -> float:
+    """Chip dissipation under one segment's register state and mode."""
+    regs = seg.regs
+    f_master = scenario.chip.master_freq_hz
+    pulsing = seg.mode == fsm.Mode.PULSING
+    return thermal.total_power(
+        len(fsm.mask_cells(regs.pulse_mask)) if pulsing else 0,
+        f_master / (1 << regs.divider),
+        scenario.rails.swing,
+        scenario.power,
+        f_clock=f_master,
+        clock_on=regs.clock_enabled,
+        fsm_on=regs.fsm_enabled,
+    )
+
+
 def run_generic(scenario: Scenario) -> TraceBundle:
     """Execute a time-domain scenario and collect the requested traces."""
     timeline, segments, responses = _expand_schedule(scenario)
 
-    a = scenario.analog
-    cells = [
-        analog.ClfgCell(
-            c_pulse=a.c_pulse, c_p=a.c_p, c_ds=a.c_ds, r_switch=a.r_switch,
-            leak_rate=a.leak_rate, q_inj=a.q_inj,
-        )
-        for _ in range(N_CELLS)
-    ]
-    v_hold = scenario.rails.v_hold
-    dacs: dict[str, float] = {}
-    dot = None
-    if scenario.device is not None:
-        dot = devmod.DotDevice(
-            gate_levers=dict(scenario.device.levers),
-            peak_spacing=scenario.device.peak_spacing,
-            peak_width=scenario.device.peak_width,
-            g_max=scenario.device.g_max,
-            v_offset=scenario.device.v_offset,
-        )
-
     kinds = scenario.traces.kinds
     if "readout" in kinds:
-        assert scenario.device is not None
-        tank = devmod.TankReadout(
-            bandwidth_hz=scenario.device.bandwidth_hz,
-            sample_rate_hz=scenario.traces.sample_rate_hz,
-        )
-        if tank.sample_rate_hz < 10.0 * tank.bandwidth_hz:
-            raise devmod.SampleRateTooLow(
-                "trace sample rate must be >= 10 x readout bandwidth"
-            )
+        devmod.require_sample_rate(scenario.tank)
+
+    # Cell states are immutable, so all 32 can start as one value.
+    cells = [analog.ClfgCell(scenario.analog)] * N_CELLS
+    rails = scenario.rails
+    v_hold = rails.v_hold
+    dacs: dict[str, float] = {}
 
     rate = scenario.traces.sample_rate_hz
     n_samples = math.floor(scenario.duration_s * rate) + 1
     sample_times = [k / rate for k in range(n_samples)]
 
     seg_bounds = [s.t_start for s in segments]
-
-    def rails_now() -> analog.SupplyRails:
-        return analog.SupplyRails(scenario.rails.v_high, scenario.rails.v_low, v_hold)
 
     def move_dac(value: float) -> None:
         nonlocal v_hold
@@ -689,33 +696,12 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 cells[i] = analog.set_hold(cells[i], value)
             v_hold = value
 
-    def instantaneous_power(seg: _Segment) -> float:
-        p = scenario.power
-        assert p is not None
-        regs = seg.regs
-        c_pulse = p.c_pulse if p.c_pulse is not None else a.c_pulse
-        c_p = p.c_p if p.c_p is not None else a.c_p
-        total = p.static_floor_w
-        if regs.clock_enabled:
-            f_master = (
-                p.master_freq_hz if p.master_freq_hz is not None
-                else scenario.chip.master_freq_hz
-            )
-            total += p.clock_energy_per_cycle * f_master
-            f_div = scenario.chip.master_freq_hz / (1 << regs.divider)
-            if regs.fsm_enabled:
-                total += p.fsm_energy_per_cycle * f_div
-            if seg.mode == fsm.Mode.PULSING:
-                n_active = len(fsm.mask_cells(regs.pulse_mask))
-                swing = scenario.rails.v_high - scenario.rails.v_low
-                total += n_active * thermal.pulse_power(c_pulse, c_p, swing, 0.0, f_div)
-        return total
-
     # sample buffers
     want_cells = "cells" in kinds
     want_hold = "hold" in kinds
     want_g = "conductance" in kinds or "readout" in kinds
     want_power = "power" in kinds or "temperature" in kinds
+    seg_power = [_segment_power(scenario, seg) for seg in segments] if want_power else []
     cell_rows: list[tuple] = []
     hold_rows: list[tuple] = []
     g_samples: list[float] = []
@@ -729,17 +715,16 @@ def run_generic(scenario: Scenario) -> TraceBundle:
         if want_hold:
             hold_rows.append((t, v_hold))
         if want_g:
-            assert dot is not None and scenario.device is not None
             volts = {
                 gate: _gate_voltage(src, cells, dacs, t)
-                for gate, src in scenario.device.gate_sources.items()
+                for gate, src in scenario.gate_sources.items()
             }
-            g_samples.append(devmod.conductance(dot, volts))
-            axis = scenario.device.axis_gate
+            g_samples.append(devmod.conductance(scenario.device, volts))
+            axis = scenario.axis_gate
             axis_samples.append(volts.get(axis, 0.0) if axis else 0.0)
         if want_power:
             idx = min(bisect_right(seg_bounds, t) - 1, len(segments) - 1)
-            power_samples.append(instantaneous_power(segments[max(idx, 0)]))
+            power_samples.append(seg_power[max(idx, 0)])
 
     events_log: list[fsm.SwitchEvent] = []
     si = 0
@@ -759,15 +744,15 @@ def run_generic(scenario: Scenario) -> TraceBundle:
         i = ev.cell
         cells[i] = analog.settle(cells[i], t)
         if kind == "fg":
-            cells[i] = analog.apply_fg(cells[i], ev.fg_level, t, rails_now())
+            cells[i] = analog.apply_fg(cells[i], ev.fg_level, t, rails)
         elif kind == "close":
             target = scenario.cell_targets.get(i)
             if target is not None:
                 v_cmd = target
                 if scenario.chip.compensate_injection:
-                    v_cmd = target - analog.injection_offset(cells[i])
+                    v_cmd = target - analog.injection_offset(scenario.analog)
                 move_dac(v_cmd)
-            cells[i] = analog.lock(cells[i], rails_now())
+            cells[i] = analog.lock(cells[i], v_hold)
         else:  # open
             cells[i] = analog.unlock(cells[i])
     while si < n_samples:
@@ -789,11 +774,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             list(zip(sample_times, g_samples)),
         )
     if "readout" in kinds:
-        assert scenario.device is not None
-        tank = devmod.TankReadout(
-            bandwidth_hz=scenario.device.bandwidth_hz, sample_rate_hz=rate
-        )
-        signal = devmod._low_pass(np.asarray(g_samples, dtype=float), tank)
+        signal = devmod._low_pass(np.asarray(g_samples, dtype=float), scenario.tank)
         tables["readout"] = Table(
             ("time_s", "v_sdp_volts", "signal"),
             list(zip(sample_times, axis_samples, signal.tolist())),
@@ -803,12 +784,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             ("time_s", "power_watts"), list(zip(sample_times, power_samples))
         )
     if "temperature" in kinds:
-        assert scenario.power is not None and scenario.power.calibration is not None
-        cal = thermal.ThermalCalibration(
-            points=scenario.power.calibration.points,
-            base_temperature_k=scenario.power.calibration.base_temperature_k,
-        )
-        temps = [thermal.temperature(p, cal) for p in power_samples]
+        temps = [thermal.temperature(p, scenario.calibration) for p in power_samples]
         tables["temperature"] = Table(
             ("time_s", "temperature_k"), list(zip(sample_times, temps))
         )

@@ -13,30 +13,6 @@ from . import analog, device as devmod, engine, thermal
 from .engine import Scenario, Table, TraceBundle
 
 
-def _power_model(scenario: Scenario) -> thermal.PowerModel:
-    p = scenario.power
-    if p is None:
-        raise engine.ScenarioError("figure needs a power section")
-    return thermal.PowerModel(
-        c_pulse=p.c_pulse if p.c_pulse is not None else scenario.analog.c_pulse,
-        c_p=p.c_p if p.c_p is not None else scenario.analog.c_p,
-        fsm_energy_per_cycle=p.fsm_energy_per_cycle,
-        clock_energy_per_cycle=p.clock_energy_per_cycle,
-        static_floor_w=p.static_floor_w,
-        master_freq_hz=p.master_freq_hz,
-    )
-
-
-def _budget(scenario: Scenario) -> thermal.CoolingBudget:
-    p = scenario.power
-    if p is None or p.budget is None:
-        raise engine.ScenarioError("figure needs power.budget")
-    return thermal.CoolingBudget(
-        budget_watts_at_100mk=p.budget.budget_watts_at_100mk,
-        coax_power_per_line=p.budget.coax_power_per_line,
-    )
-
-
 def _bundle(scenario: Scenario, tables: dict[str, Table], summary: dict) -> TraceBundle:
     return TraceBundle(
         tables=tables, events=[], summary=summary, manifest=engine._manifest(scenario)
@@ -110,31 +86,13 @@ def fig3f(scenario: Scenario) -> TraceBundle:
     pairs = [(t, v) for t, c, v in cells_table.rows if c == cell_idx and t >= pulse_start]
     v_out = np.asarray([v for _, v in pairs])
 
-    dcfg = scenario.device
-    assert dcfg is not None
-    dot = devmod.DotDevice(
-        gate_levers=dict(dcfg.levers),
-        peak_spacing=dcfg.peak_spacing,
-        peak_width=dcfg.peak_width,
-        g_max=dcfg.g_max,
-        v_offset=dcfg.v_offset,
-    )
-    tank = devmod.TankReadout(
-        bandwidth_hz=dcfg.bandwidth_hz, sample_rate_hz=scenario.traces.sample_rate_hz
-    )
+    dot = scenario.device
 
     # Static references: the output parked at the released hold voltage
     # (fast gate LOW) and one pulse amplitude above it (fast gate HIGH).
-    a = scenario.analog
-    cell = analog.ClfgCell(
-        c_pulse=a.c_pulse, c_p=a.c_p, c_ds=a.c_ds, r_switch=a.r_switch,
-        leak_rate=a.leak_rate, q_inj=a.q_inj,
-    )
-    rails = analog.SupplyRails(
-        scenario.rails.v_high, scenario.rails.v_low, scenario.rails.v_hold
-    )
-    v_low_ref = rails.v_hold + analog.injection_offset(cell)
-    v_high_ref = v_low_ref + analog.pulse_amplitude(cell, rails)
+    rails = scenario.rails
+    v_low_ref = rails.v_hold + analog.injection_offset(scenario.analog)
+    v_high_ref = v_low_ref + analog.pulse_amplitude(scenario.analog, rails)
     g_low = np.asarray(
         devmod.conductance(dot, {sweep_gate: v_sweep, pulse_gate: v_low_ref})
     )
@@ -146,7 +104,7 @@ def fig3f(scenario: Scenario) -> TraceBundle:
             dot, {sweep_gate: v_sweep[:, None], pulse_gate: v_out[None, :]}
         )
     )
-    report = devmod.envelope_check(dot, tank, pulsed, g_low, g_high, settle)
+    report = devmod.envelope_check(dot, scenario.tank, pulsed, g_low, g_high, settle)
     rows = list(
         zip(v_sweep.tolist(), g_low.tolist(), g_high.tolist(),
             report.env_min.tolist(), report.env_max.tolist())
@@ -168,7 +126,7 @@ def fig3g(scenario: Scenario) -> TraceBundle:
 def fig4b(scenario: Scenario) -> TraceBundle:
     """Per-cell pulsing cost for 1..6 simultaneously pulsed cells."""
     params = scenario.figure_params
-    model = _power_model(scenario)
+    model = scenario.power
     swing = float(params.get("swing", 0.1))
     rows = []
     for n in [int(v) for v in params.get("n_cells", range(1, 7))]:
@@ -182,7 +140,7 @@ def fig4b(scenario: Scenario) -> TraceBundle:
 def fig4d(scenario: Scenario) -> TraceBundle:
     """Quadratic dependence of pulsing power on drive amplitude."""
     params = scenario.figure_params
-    model = _power_model(scenario)
+    model = scenario.power
     rows = []
     for swing in [float(v) for v in params["swing_values"]]:
         for f in [float(v) for v in params["f_values"]]:
@@ -196,8 +154,8 @@ def fig4d(scenario: Scenario) -> TraceBundle:
 def fig4e(scenario: Scenario) -> TraceBundle:
     """Total-system power vs gate count and frequency, with feasibility."""
     params = scenario.figure_params
-    model = _power_model(scenario)
-    budget = _budget(scenario)
+    model = scenario.power
+    budget = scenario.budget
     swing = float(params.get("swing", 0.1))
     rows = thermal.feasibility_map(
         [int(v) for v in params["n_values"]],
@@ -223,7 +181,33 @@ DRIVERS = {
 }
 
 
-def run_figure(scenario: Scenario) -> TraceBundle:
+# Scenario sections each driver reads beyond the always-present ones.
+_NEEDS = {
+    "fig3f": ("device",),
+    "fig4b": ("power",),
+    "fig4d": ("power",),
+    "fig4e": ("power", "budget"),
+}
+_MISSING = {
+    "device": "figure needs a device section",
+    "power": "figure needs a power section",
+    "budget": "figure needs power.budget",
+}
+
+
+def require_sections(scenario: Scenario, sections) -> None:
+    """Raise ScenarioError for the first of `sections` the scenario lacks."""
+    for section in sections:
+        if getattr(scenario, section) is None:
+            raise engine.ScenarioError(_MISSING[section])
+
+
+def check_sections(scenario: Scenario) -> None:
+    """Reject an unknown figure or one whose driver lacks a section it reads."""
     if scenario.figure not in DRIVERS:
         raise engine.ScenarioError(f"unknown figure {scenario.figure!r}")
+    require_sections(scenario, _NEEDS.get(scenario.figure, ()))
+
+
+def run_figure(scenario: Scenario) -> TraceBundle:
     return DRIVERS[scenario.figure](scenario)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .analog import Level
 from .errors import SimulationError
@@ -163,42 +163,6 @@ def playback(
         pattern_cursor=(state.pattern_cursor + n_ticks) % plen,
     )
     return new_state, events
-
-
-def refresh_schedule(
-    state: ChipState,
-    n_cells: int,
-    now_s: float = 0.0,
-    cells: Sequence[int] | None = None,
-) -> list[SwitchEvent]:
-    """One round-robin refresh pass starting at `now_s`.
-
-    Cells are re-locked one at a time in ascending index order, in
-    contiguous slots of REFRESH_PERIOD / n seconds, so exactly one lock
-    switch is closed at any instant.  Events at a shared timestamp are
-    ordered OPEN before CLOSE (slot handover).
-    """
-    period = state.regs.refresh_period
-    if period <= 0:
-        raise ValueError("REFRESH_PERIOD must be positive")
-    selected = sorted(cells) if cells is not None else list(range(n_cells))
-    if not selected:
-        return []
-    if selected[0] < 0 or selected[-1] >= N_CELLS:
-        raise ValueError("cell index outside 0..31")
-    slot = period / len(selected)
-    events: list[SwitchEvent] = []
-    for k, cell in enumerate(selected):
-        events.append(
-            SwitchEvent(time_s=now_s + k * slot, cell=cell, lock_action=LockAction.CLOSE)
-        )
-        events.append(
-            SwitchEvent(
-                time_s=now_s + (k + 1) * slot, cell=cell, lock_action=LockAction.OPEN
-            )
-        )
-    events.sort(key=lambda e: (e.time_s, e.lock_action is LockAction.CLOSE))
-    return events
 
 
 def event_csv_row(event: SwitchEvent) -> tuple[float, int, str, str]:

@@ -32,8 +32,9 @@ class PowerModel:
     quadratically with drive swing.  FSM and clock energies default to 0:
     no trustworthy per-cycle numbers exist for those blocks, so non-zero
     values must come from configuration.  When `master_freq_hz` is set the
-    clock block runs at that fixed rate; otherwise it follows the
-    operating frequency.
+    clock block runs at that fixed rate; otherwise it follows the clock
+    rate `total_power` is given (a run passes the chip's master clock),
+    else the operating frequency.
     """
 
     c_pulse: float = 1e-12
@@ -64,10 +65,6 @@ class PowerModel:
         c_series = watts_per_hz_per_cell / ref_swing**2
         return cls(c_pulse=2.0 * c_series, c_p=2.0 * c_series, **kwargs)
 
-    def cell_energy_per_cycle(self, swing: float) -> float:
-        """Energy one cell burns per pulse cycle at the given swing."""
-        return pulse_power(self.c_pulse, self.c_p, swing, 0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class ThermalCalibration:
@@ -90,7 +87,7 @@ class ThermalCalibration:
 class CoolingBudget:
     """Refrigerator cooling power at the qubit operating temperature."""
 
-    budget_watts_at_100mk: float
+    budget_watts_at_100mk: float = 400e-6
     coax_power_per_line: float | None = None
 
     def __post_init__(self) -> None:
@@ -118,21 +115,35 @@ def pulse_power(c_pulse: float, c_p: float, v_high: float, v_low: float, f: floa
     return c_pulse * c_p / (c_p + c_pulse) * (swing * swing) * f
 
 
-def total_power(n_cells: float, f: float, swing: float, model: PowerModel) -> float:
+def total_power(
+    n_cells: float,
+    f: float,
+    swing: float,
+    model: PowerModel,
+    *,
+    f_clock: float | None = None,
+    clock_on: bool = True,
+    fsm_on: bool = True,
+) -> float:
     """System power: static floor + clock + FSM + n_cells pulsing cells.
 
-    Monotone nondecreasing in every argument.  `n_cells` may be fractional
-    for projections (crossover roots, contour lines).
+    The cells and the FSM run at `f`.  The clock block runs at
+    `model.master_freq_hz` when that is set, else at `f_clock` when given,
+    else at `f`.  A gated clock leaves only the static floor; a gated FSM
+    drops its term.  Monotone nondecreasing in every argument.  `n_cells`
+    may be fractional for projections (crossover roots, contour lines).
     """
     if n_cells < 0:
         raise ValueError("n_cells must be non-negative")
-    f_clock = model.master_freq_hz if model.master_freq_hz is not None else f
-    return (
-        model.static_floor_w
-        + model.clock_energy_per_cycle * f_clock
-        + model.fsm_energy_per_cycle * f
-        + n_cells * pulse_power(model.c_pulse, model.c_p, swing, 0.0, f)
-    )
+    total = model.static_floor_w
+    if not clock_on:
+        return total
+    if model.master_freq_hz is not None:
+        f_clock = model.master_freq_hz
+    total += model.clock_energy_per_cycle * (f if f_clock is None else f_clock)
+    if fsm_on:
+        total += model.fsm_energy_per_cycle * f
+    return total + n_cells * pulse_power(model.c_pulse, model.c_p, swing, 0.0, f)
 
 
 def temperature(p_watts: float, cal: ThermalCalibration) -> float:

@@ -39,7 +39,7 @@ def test_01_pulse_amplitude_matches_charge_redistribution_oracle():
 
     model_dv = np.array([
         analog.pulse_amplitude(
-            analog.ClfgCell(c_pulse=c_pulse[i], c_p=c_p[i]),
+            analog.CellParams(c_pulse=c_pulse[i], c_p=c_p[i]),
             analog.SupplyRails(v_high=v_high[i], v_low=v_low[i]),
         )
         for i in range(n)
@@ -63,11 +63,11 @@ def test_02_pulse_power_matches_integrated_dissipation():
         r = rng.uniform(0.5e3, 10e3)
         swing = rng.uniform(0.05, 0.5)
         f = rng.uniform(1e5, 1e7)
-        cell = analog.ClfgCell(c_pulse=c_pulse, c_p=c_p, r_switch=r,
-                               leak_rate=0.0, q_inj=0.0)
-        cell = analog.unlock(analog.lock(cell, analog.SupplyRails(v_hold=0.0)))
+        params = analog.CellParams(c_pulse=c_pulse, c_p=c_p, r_switch=r,
+                                   leak_rate=0.0, q_inj=0.0)
+        cell = analog.unlock(analog.lock(analog.ClfgCell(params), 0.0))
         rails = analog.SupplyRails(v_high=swing, v_low=0.0)
-        tau = analog.time_constant(cell)
+        tau = analog.time_constant(params)
         dt = tau / 1000.0
         half = 20_000  # 20 tau per half cycle
         energy = 0.0
@@ -157,8 +157,8 @@ def test_06_leakage_benchmark_and_flank_recovery():
 
     # Flank-slope recovery of the programmed rate through the dot oracle.
     dot = device.DotDevice(gate_levers={"lw": 1.0}, v_offset=1.1003)
-    cell = analog.ClfgCell(q_inj=0.0, leak_rate=lam)
-    cell = analog.unlock(analog.lock(cell, analog.SupplyRails(v_hold=-1.1)))
+    cell = analog.ClfgCell(analog.CellParams(q_inj=0.0, leak_rate=lam))
+    cell = analog.unlock(analog.lock(cell, -1.1))
     times = np.arange(0.0, 201.0, 1.0)
     g = np.asarray(device.conductance(dot, {"lw": analog.sample_output(cell, times)}))
     drift_rate = device.infer_gate_drift_rate(dot, "lw", {"lw": -1.1}, times, g)

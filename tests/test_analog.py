@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from clfgsim.analog import (
     AlreadyUnlocked,
+    CellParams,
     ClfgCell,
     Level,
     LockClosed,
@@ -31,28 +32,28 @@ finite_volts = st.floats(-2.0, 2.0, allow_nan=False)
 
 def floating_cell(v: float, **params) -> ClfgCell:
     """Cell released at voltage `v` with no injection offset."""
-    cell = ClfgCell(q_inj=0.0, **params)
-    cell = lock(cell, SupplyRails(v_hold=v))
+    cell = ClfgCell(CellParams(q_inj=0.0, **params))
+    cell = lock(cell, v)
     return unlock(cell)
 
 
 class TestLock:
     def test_lock_sets_output_to_hold(self, default_cell):
-        cell = lock(default_cell, SupplyRails(v_hold=-1.1))
+        cell = lock(default_cell, -1.1)
         assert cell.lock_closed
         assert output_voltage(cell, 0.0) == -1.1
 
     def test_lock_at_zero(self, default_cell):
-        cell = lock(default_cell, SupplyRails(v_hold=0.0))
+        cell = lock(default_cell, 0.0)
         assert output_voltage(cell, 5.0) == 0.0
 
     def test_lock_idempotent(self, default_cell, rails):
-        once = lock(default_cell, rails)
-        assert lock(once, rails) == once
+        once = lock(default_cell, rails.v_hold)
+        assert lock(once, rails.v_hold) == once
 
     def test_locked_output_ignores_fg_history(self, default_cell, rails):
         cell = apply_fg(default_cell, Level.HIGH, 0.0, rails)
-        cell = lock(cell, rails)
+        cell = lock(cell, rails.v_hold)
         cell = apply_fg(cell, Level.LOW, 1.0, rails)
         cell = apply_fg(cell, Level.HIGH, 2.0, rails)
         assert output_voltage(cell, 3.0) == rails.v_hold
@@ -60,19 +61,19 @@ class TestLock:
 
 class TestUnlock:
     def test_no_injection_no_offset(self):
-        cell = ClfgCell(q_inj=0.0)
-        cell = unlock(lock(cell, SupplyRails(v_hold=-1.1)))
+        cell = ClfgCell(CellParams(q_inj=0.0))
+        cell = unlock(lock(cell, -1.1))
         assert output_voltage(cell, 0.0) == -1.1
 
     def test_injection_offset_value(self):
         # 2 fC onto 2 pF of node capacitance is a 1 mV step.
-        cell = ClfgCell(c_pulse=1e-12, c_p=1e-12, q_inj=2e-15)
-        assert injection_offset(cell) == pytest.approx(1e-3, rel=1e-12)
-        cell = unlock(lock(cell, SupplyRails(v_hold=-1.1)))
+        params = CellParams(c_pulse=1e-12, c_p=1e-12, q_inj=2e-15)
+        assert injection_offset(params) == pytest.approx(1e-3, rel=1e-12)
+        cell = unlock(lock(ClfgCell(params), -1.1))
         assert output_voltage(cell, 0.0) == pytest.approx(-1.099, rel=1e-12)
 
     def test_double_unlock(self, default_cell, rails):
-        cell = unlock(lock(default_cell, rails))
+        cell = unlock(lock(default_cell, rails.v_hold))
         with pytest.raises(AlreadyUnlocked):
             unlock(cell)
 
@@ -101,10 +102,10 @@ class TestCoupleHold:
 
     def test_rejected_while_locked(self, default_cell, rails):
         with pytest.raises(LockClosed):
-            couple_hold(lock(default_cell, rails), 0.1)
+            couple_hold(lock(default_cell, rails.v_hold), 0.1)
 
     def test_set_hold_tracks_when_locked(self, default_cell, rails):
-        cell = lock(default_cell, rails)
+        cell = lock(default_cell, rails.v_hold)
         cell = set_hold(cell, -0.7)
         assert output_voltage(cell, 0.0) == -0.7
 
@@ -136,19 +137,19 @@ class TestLeak:
             leak(floating_cell(0.0), -1.0)
 
     def test_noop_while_locked(self, default_cell, rails):
-        cell = lock(default_cell, rails)
+        cell = lock(default_cell, rails.v_hold)
         after = leak(cell, 1e6)
         assert output_voltage(after, after.t_last) == rails.v_hold
 
 
 class TestPulseAmplitude:
     def test_equal_caps_halve_the_swing(self):
-        cell = ClfgCell(c_pulse=1e-12, c_p=1e-12)
-        assert pulse_amplitude(cell, SupplyRails(v_high=0.1, v_low=-0.1)) == 0.1
+        params = CellParams(c_pulse=1e-12, c_p=1e-12)
+        assert pulse_amplitude(params, SupplyRails(v_high=0.1, v_low=-0.1)) == 0.1
 
     def test_vanishing_parasitic_gives_full_swing(self):
-        cell = ClfgCell(c_pulse=1e-12, c_p=1e-18)
-        dv = pulse_amplitude(cell, SupplyRails(v_high=0.1, v_low=-0.1))
+        params = CellParams(c_pulse=1e-12, c_p=1e-18)
+        dv = pulse_amplitude(params, SupplyRails(v_high=0.1, v_low=-0.1))
         assert dv == pytest.approx(0.2, rel=1e-5)
 
     def test_against_charge_redistribution_solve(self):
@@ -163,15 +164,14 @@ class TestPulseAmplitude:
             a = np.array([[c_pulse + c_p, -1.0], [0.0, 1.0]])
             b = np.array([c_pulse * v_high, c_pulse * (v0 - v_low) + c_p * v0])
             v1, _ = np.linalg.solve(a, b)
-            cell = ClfgCell(c_pulse=c_pulse, c_p=c_p)
-            dv = pulse_amplitude(cell, SupplyRails(v_high=v_high, v_low=v_low))
+            params = CellParams(c_pulse=c_pulse, c_p=c_p)
+            dv = pulse_amplitude(params, SupplyRails(v_high=v_high, v_low=v_low))
             assert abs((v1 - v0) - dv) <= 1e-12 * abs(dv)
 
 
 class TestFastGateTransient:
     def test_time_constant_and_rise_time(self):
-        cell = ClfgCell(c_pulse=1e-12, c_p=1e-12, r_switch=2e3)
-        tau = time_constant(cell)
+        tau = time_constant(CellParams(c_pulse=1e-12, c_p=1e-12, r_switch=2e3))
         assert tau == pytest.approx(1e-9, rel=1e-12)
         # 10-90% rise of the simulated step is ln(9) tau ~ 2.2 ns.
         cell = floating_cell(0.0, r_switch=2e3)
@@ -179,7 +179,7 @@ class TestFastGateTransient:
         cell = apply_fg(cell, Level.HIGH, 0.0, rails)
         times = np.linspace(0.0, 10e-9, 10001)
         v = sample_output(cell, times)
-        dv = pulse_amplitude(cell, rails)
+        dv = pulse_amplitude(cell.params, rails)
         t10 = times[np.searchsorted(v, 0.1 * dv)]
         t90 = times[np.searchsorted(v, 0.9 * dv)]
         assert t90 - t10 == pytest.approx(math.log(9) * 1e-9, abs=0.01e-9)
@@ -205,8 +205,8 @@ class TestFastGateTransient:
     def test_step_settles_within_5e5_relative_at_10_tau(self):
         cell = floating_cell(0.0)
         rails = SupplyRails(v_high=0.1, v_low=-0.1)
-        dv = pulse_amplitude(cell, rails)
-        tau = time_constant(cell)
+        dv = pulse_amplitude(cell.params, rails)
+        tau = time_constant(cell.params)
         cell = apply_fg(cell, Level.HIGH, 0.0, rails)
         v = output_voltage(cell, 10 * tau)
         assert abs(v - dv) / dv <= 5e-5
@@ -220,12 +220,12 @@ class TestFastGateTransient:
         # Charge stored while the fast gate is HIGH: dropping to LOW
         # afterwards steps the output down by one pulse amplitude.
         rails = SupplyRails(v_high=0.1, v_low=-0.1, v_hold=-1.1)
-        cell = ClfgCell(q_inj=0.0, leak_rate=0.0)
+        cell = ClfgCell(CellParams(q_inj=0.0, leak_rate=0.0))
         cell = apply_fg(cell, Level.HIGH, 0.0, rails)
-        cell = unlock(lock(cell, rails))
+        cell = unlock(lock(cell, rails.v_hold))
         cell = apply_fg(cell, Level.LOW, 1.0, rails)
         v = output_voltage(cell, 1.0 + 1e-6)
-        assert v == pytest.approx(-1.1 - pulse_amplitude(cell, rails), rel=1e-9)
+        assert v == pytest.approx(-1.1 - pulse_amplitude(cell.params, rails), rel=1e-9)
 
     def test_sample_rejects_times_before_last_event(self):
         cell = settle(floating_cell(0.0), 1.0)
@@ -246,7 +246,7 @@ class TestEnergyOracle:
             cell = floating_cell(0.0, c_pulse=c_pulse, c_p=c_p,
                                  r_switch=r, leak_rate=0.0)
             rails = SupplyRails(v_high=swing, v_low=0.0)
-            tau = time_constant(cell)
+            tau = time_constant(cell.params)
             dt = tau / 1000.0
             half = 20000  # 20 tau per half cycle
             energy = 0.0
@@ -258,5 +258,5 @@ class TestEnergyOracle:
                 i = c_p * np.gradient(v, dt)
                 energy += np.trapezoid(i * i * r, dx=dt)
                 t0 = times[-1]
-            expected = series_capacitance(cell) * swing**2
+            expected = series_capacitance(cell.params) * swing**2
             assert energy == pytest.approx(expected, rel=5e-3)

@@ -21,6 +21,42 @@ MINIMAL = {
 }
 
 
+def _mini(**sections) -> dict:
+    doc = json.loads(json.dumps(MINIMAL))
+    doc.update(sections)
+    return doc
+
+
+def _without(name: str, section: str) -> dict:
+    doc = json.loads(cli.bundled_scenario_path(name).read_text())
+    del doc[section]
+    return doc
+
+
+_DOT = {"levers": {"lw": 0.2}, "gate_sources": {"lw": {"cell": 0}}}
+
+
+def _traced(kind: str) -> dict:
+    return {"sample_rate_hz": 10.0, "kinds": [kind]}
+
+
+# One malformed section per document; each must be refused at load.
+MALFORMED = {
+    "c_pulse_text": _mini(analog={"c_pulse": "abc"}),
+    "c_p_negative": _mini(analog={"c_p": -1e-12}),
+    "peak_width_zero": _mini(device=dict(_DOT, peak_width=0), traces=_traced("readout")),
+    "bandwidth_zero": _mini(device=dict(_DOT, bandwidth_hz=0), traces=_traced("readout")),
+    "calibration_not_increasing": _mini(
+        power={"calibration": {"points": [[1e-6, 0.1], [2e-6, 0.05]]}},
+        traces=_traced("temperature"),
+    ),
+    "static_floor_negative": _mini(power={"static_floor_w": -1}, traces=_traced("power")),
+    "budget_negative": _mini(power={"budget": {"budget_watts_at_100mk": -1}}),
+    "master_freq_zero": _mini(chip={"master_freq_hz": 0}),
+    "fig3f_without_device": _without("fig3f", "device"),
+}
+
+
 @pytest.fixture
 def mini_scn(tmp_path):
     path = tmp_path / "mini.scn"
@@ -40,6 +76,16 @@ class TestValidate:
 
     def test_invalid_override(self, mini_scn, capsys):
         assert cli.main(["validate", str(mini_scn), "--override", "nope.x=1"]) == 1
+
+    @pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_section_exits_1(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "Traceback" not in err
 
 
 class TestRun:

@@ -161,8 +161,8 @@ class TestDriftRecovery:
         # gate relaxes: slope / (dG/dV) returns the voltage drift rate.
         lam = 1e-8
         dot = DotDevice(gate_levers={"lw": 1.0}, v_offset=1.1003)
-        cell = analog.ClfgCell(q_inj=0.0, leak_rate=lam)
-        cell = analog.unlock(analog.lock(cell, analog.SupplyRails(v_hold=-1.1)))
+        cell = analog.ClfgCell(analog.CellParams(q_inj=0.0, leak_rate=lam))
+        cell = analog.unlock(analog.lock(cell, -1.1))
         times = np.arange(0.0, 201.0, 1.0)
         v = analog.sample_output(cell, times)
         g = np.asarray(conductance(dot, {"lw": v}))

@@ -128,11 +128,10 @@ class TestGenericRun:
             traces={"sample_rate_hz": 2.0, "kinds": ["cells", "hold"], "cells": [0]},
         )
         bundle = engine.run_generic(scenario)
-        cell = analog.ClfgCell()
-        alpha = analog.coupling_ratio(cell)
+        alpha = analog.coupling_ratio(analog.CellParams())
         v_final = bundle.summary["v_out_final"][0]
         assert v_final == pytest.approx(-1.1 + alpha * 0.3, rel=1e-12)
-        hold = bundle.tables["hold"].column("v_hold_volts")
+        hold = [v for _, v in bundle.tables["hold"].rows]
         assert hold[-1] == pytest.approx(-0.8, rel=1e-12)
 
     def test_locked_cell_tracks_dac(self):

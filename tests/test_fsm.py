@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clfgsim import protocol
+from clfgsim import engine, protocol
 from clfgsim.analog import Level
 from clfgsim.fsm import (
     ChipState,
@@ -13,11 +13,12 @@ from clfgsim.fsm import (
     NotInPlayback,
     divided_frequency,
     playback,
-    refresh_schedule,
     step,
     tick_time,
 )
 from clfgsim.protocol import Frame, Opcode
+
+from conftest import make_scenario
 
 
 def write(reg: int, value: int) -> Frame:
@@ -206,26 +207,47 @@ class TestPlayback:
         assert levels[plen:] == levels[:-plen]
 
 
+def refresh_pass(cells: list[int], period_s: int) -> list:
+    """Lock actions of one round-robin REFRESH pass, run through the engine.
+
+    The host starts refresh at t=0 and ends it one period later by clearing
+    the lock mask, which opens the last cell's lock.
+    """
+    mask = sum(1 << c for c in cells)
+    end = float(period_s)
+    scenario = make_scenario(
+        duration_s=end,
+        schedule=[
+            {"t": 0.0, "write": ["CTRL", 2]},
+            {"t": 0.0, "write": ["LOCK_MASK_LO", mask & 0xFFFF]},
+            {"t": 0.0, "write": ["LOCK_MASK_HI", mask >> 16]},
+            {"t": 0.0, "write": ["REFRESH_PERIOD", period_s]},
+            {"t": 0.0, "exec": True},
+            {"t": end, "write": ["LOCK_MASK_LO", 0]},
+            {"t": end, "write": ["LOCK_MASK_HI", 0]},
+            {"t": end, "exec": True},
+        ],
+    )
+    return engine.run_generic(scenario).events
+
+
 class TestRefreshSchedule:
     def test_even_spacing_32_cells(self):
-        state = configured(REFRESH_PERIOD=120)
-        events = refresh_schedule(state, 32, now_s=0.0)
+        events = refresh_pass(list(range(32)), 120)
         closes = [e for e in events if e.lock_action == LockAction.CLOSE]
         assert [e.cell for e in closes] == list(range(32))
         for k, e in enumerate(closes):
             assert e.time_s == k * 3.75
 
     def test_single_cell_uses_whole_period(self):
-        state = configured(REFRESH_PERIOD=120)
-        events = refresh_schedule(state, 1)
+        events = refresh_pass([0], 120)
         assert [(e.time_s, e.lock_action) for e in events] == [
             (0.0, LockAction.CLOSE),
             (120.0, LockAction.OPEN),
         ]
 
     def test_exactly_one_closed_at_any_instant(self):
-        state = configured(REFRESH_PERIOD=120)
-        events = refresh_schedule(state, 32)
+        events = refresh_pass(list(range(32)), 120)
         closed: set[int] = set()
         seen_nonempty = False
         for e in events:
@@ -238,11 +260,6 @@ class TestRefreshSchedule:
         assert seen_nonempty and len(closed) == 0
 
     def test_fairness_one_refresh_per_cell_per_pass(self):
-        state = configured(REFRESH_PERIOD=60)
-        events = refresh_schedule(state, 7, cells=[3, 9, 11, 20, 25, 30, 31])
+        events = refresh_pass([3, 9, 11, 20, 25, 30, 31], 60)
         closes = [e.cell for e in events if e.lock_action == LockAction.CLOSE]
         assert closes == [3, 9, 11, 20, 25, 30, 31]
-
-    def test_requires_period(self):
-        with pytest.raises(ValueError):
-            refresh_schedule(configured(), 4)
