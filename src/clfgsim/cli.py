@@ -117,18 +117,18 @@ def _cmd_sweep(args) -> int:
         axis = args.axis
         if args.values is None:
             raise engine.ScenarioError("--values required when --axis is given")
-        values = [float(v) for v in args.values.split(",")]
+        # Parsed like --override: after the value the axis holds now.
+        current = engine._get_axis(scenario.raw, axis)
+        values = [engine._coerce_like(current, v) for v in args.values.split(",")]
+    elif scenario.sweep is not None:
+        axis, values = scenario.sweep.axis, scenario.sweep.values
     else:
-        if not scenario.sweep:
-            raise engine.ScenarioError("scenario has no sweep block and no --axis given")
-        axis = scenario.sweep["axis"]
-        values = list(scenario.sweep["values"])
+        raise engine.ScenarioError("scenario has no sweep block and no --axis given")
     bundles = engine.sweep(scenario, axis, values, jobs=args.jobs)
     rows = []
     for value, bundle in zip(values, bundles):
-        row = [value]
-        for cell in scenario.traces.cells:
-            row.append(bundle.summary["v_out_final"][cell])
+        # Each run's traced cells, in order (a sweep may move them).
+        row = [value, *bundle.summary["v_out_final"].values()]
         if "conductance_final_s" in bundle.summary:
             row.append(bundle.summary["conductance_final_s"])
         rows.append(tuple(row))
@@ -160,12 +160,7 @@ def _cmd_replay(args) -> int:
         "traces": {"sample_rate_hz": 1e3},
     }
     raw = engine.apply_overrides(raw, args.override)
-    try:
-        scenario = engine.build_scenario(raw)
-        bundle = engine.run_generic(scenario)
-    except SimulationError as exc:
-        print(f"replay failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    bundle = engine.run_generic(engine.build_scenario(raw))
     outdir = _out_dir(args)
     written = engine.export(bundle, outdir)
     state = {

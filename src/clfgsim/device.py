@@ -13,6 +13,7 @@ matters to the verification signatures this oracle is used for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Mapping
 
 import numpy as np
@@ -47,6 +48,10 @@ class DotDevice:
     v_offset: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.gate_levers, Mapping) or not all(
+            isinstance(lever, Real) for lever in self.gate_levers.values()
+        ):
+            raise TypeError("gate_levers must map gate names to real numbers")
         if self.peak_spacing <= 0 or self.peak_width <= 0 or self.g_max <= 0:
             raise ValueError("peak_spacing, peak_width and g_max must be positive")
 

@@ -62,11 +62,38 @@ class ChipConfig:
             raise ValueError("master_freq_hz must be positive")
 
 
+_TRACE_KINDS = ("cells", "hold", "conductance", "readout", "power", "temperature")
+
+
 @dataclass(frozen=True)
 class TraceConfig:
     sample_rate_hz: float = 1e3
     kinds: tuple[str, ...] = ()
     cells: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.sample_rate_hz > 0:
+            raise ValueError("sample_rate_hz must be positive")
+        object.__setattr__(self, "kinds", tuple(self.kinds))
+        object.__setattr__(self, "cells", tuple(self.cells))
+        for kind in self.kinds:
+            if kind not in _TRACE_KINDS:
+                raise ValueError(f"unknown kind {kind!r}")
+        for c in self.cells:
+            if not (isinstance(c, int) and 0 <= c < N_CELLS):
+                raise ValueError(f"cell {c!r} outside 0..{N_CELLS - 1}")
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """The scenario's own sweep: a dotted config path and the values it takes."""
+
+    axis: str
+    values: list
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.axis, str) or not isinstance(self.values, list):
+            raise TypeError("expected a string axis and a list of values")
 
 
 @dataclass(frozen=True)
@@ -92,7 +119,7 @@ class Scenario:
     rails: analog.SupplyRails
     device: devmod.DotDevice | None
     tank: devmod.TankReadout | None
-    gate_sources: dict[str, dict]
+    gate_sources: Mapping[str, Mapping]
     axis_gate: str | None
     power: thermal.PowerModel | None
     calibration: thermal.ThermalCalibration | None
@@ -102,12 +129,10 @@ class Scenario:
     traces: TraceConfig
     cell_targets: dict[int, float]
     figure: str | None
-    figure_params: dict
-    sweep: dict | None
-    raw: dict  # resolved source document, for sweeps and hashing
+    figure_params: Mapping
+    sweep: SweepConfig | None
+    raw: Mapping  # the document as given, for sweeps and hashing
 
-
-_TRACE_KINDS = ("cells", "hold", "conductance", "readout", "power", "temperature")
 
 # Keys of the `device` section that do not belong to the dot itself.
 _DEVICE_WIRING = ("gate_sources", "axis_gate")
@@ -123,12 +148,16 @@ def _section(where: str):
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def _build_section(cls, raw, where: str, renames: Mapping[str, str] = {}):
-    """Build parameter type `cls` from a section; `renames` maps keys to fields."""
+def _object(raw, where: str) -> Mapping:
     if not isinstance(raw, Mapping):
         raise ScenarioError(f"{where}: expected an object")
+    return raw
+
+
+def _build_section(cls, raw, where: str, renames: Mapping[str, str] = {}):
+    """Build parameter type `cls` from a section; `renames` maps keys to fields."""
     names = {f.name for f in dataclasses.fields(cls)} - set(renames.values())
-    unknown = set(raw) - names - set(renames)
+    unknown = set(_object(raw, where)) - names - set(renames)
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
     with _section(where):
@@ -149,36 +178,43 @@ def _parse_int(value) -> int:
     return int(value)
 
 
-def _parse_schedule_item(raw: Mapping, index: int) -> ScheduleItem:
+def _parse_schedule_item(raw, index: int) -> ScheduleItem:
     where = f"schedule[{index}]"
-    if "t" not in raw:
+    if "t" not in _object(raw, where):
         raise ScenarioError(f"{where}: missing time key 't'")
-    t = float(raw["t"])
-    keys = set(raw) - {"t"}
-    if keys == {"write"}:
-        reg, value = raw["write"]
-        frame = protocol.Frame(protocol.Opcode.WRITE, _parse_register(reg), _parse_int(value))
-    elif keys == {"read"}:
-        frame = protocol.Frame(protocol.Opcode.READ, _parse_register(raw["read"]))
-    elif keys == {"exec"}:
-        frame = protocol.Frame(protocol.Opcode.EXEC)
-    elif keys == {"nop"}:
-        frame = protocol.Frame(protocol.Opcode.NOP)
-    elif keys == {"word"}:
-        try:
-            frame = protocol.decode_frame(_parse_int(raw["word"]))
-        except SimulationError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-    elif keys == {"dac"}:
-        moves = tuple(sorted((str(k), float(v)) for k, v in raw["dac"].items()))
-        return ScheduleItem(time_s=t, dac=moves)
-    else:
-        raise ScenarioError(f"{where}: expected one of write/read/exec/nop/word/dac")
+    with _section(where):
+        t = float(raw["t"])
+        keys = set(raw) - {"t"}
+        if keys == {"write"}:
+            reg, value = raw["write"]
+            frame = protocol.Frame(
+                protocol.Opcode.WRITE, _parse_register(reg), _parse_int(value)
+            )
+        elif keys == {"read"}:
+            frame = protocol.Frame(protocol.Opcode.READ, _parse_register(raw["read"]))
+        elif keys == {"exec"}:
+            frame = protocol.Frame(protocol.Opcode.EXEC)
+        elif keys == {"nop"}:
+            frame = protocol.Frame(protocol.Opcode.NOP)
+        elif keys == {"word"}:
+            try:
+                frame = protocol.decode_frame(_parse_int(raw["word"]))
+            except SimulationError as exc:
+                raise ScenarioError(f"{where}: {exc}") from exc
+        elif keys == {"dac"}:
+            moves = _object(raw["dac"], where).items()
+            return ScheduleItem(t, dac=tuple(sorted((str(k), float(v)) for k, v in moves)))
+        else:
+            raise ScenarioError(f"{where}: expected one of write/read/exec/nop/word/dac")
     return ScheduleItem(time_s=t, frame=frame)
 
 
 def build_scenario(raw: Mapping) -> Scenario:
-    """Validate a scenario document and build the typed configuration."""
+    """Validate a scenario document and build the typed configuration.
+
+    Each section goes through `_build_section` or `_section`, so a
+    malformed one is a ScenarioError naming it.
+    """
     if not isinstance(raw, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
     version = raw.get("schema_version")
@@ -196,28 +232,12 @@ def build_scenario(raw: Mapping) -> Scenario:
     chip = _build_section(ChipConfig, raw.get("chip", {}), "chip")
     cell = _build_section(analog.CellParams, raw.get("analog", {}), "analog")
     rails = _build_section(analog.SupplyRails, raw.get("rails", {}), "rails")
-
-    traw = raw.get("traces", {})
-    traces = TraceConfig(
-        sample_rate_hz=float(traw.get("sample_rate_hz", 1e3)),
-        kinds=tuple(traw.get("kinds", ())),
-        cells=tuple(int(c) for c in traw.get("cells", ())),
-    )
-    if traces.sample_rate_hz <= 0:
-        raise ScenarioError("traces.sample_rate_hz must be positive")
-    for kind in traces.kinds:
-        if kind not in _TRACE_KINDS:
-            raise ScenarioError(f"traces: unknown kind {kind!r}")
-    for c in traces.cells:
-        if not 0 <= c < N_CELLS:
-            raise ScenarioError(f"traces: cell {c} outside 0..{N_CELLS - 1}")
+    traces = _build_section(TraceConfig, raw.get("traces", {}), "traces")
 
     dot = tank = axis_gate = None
-    gate_sources: dict[str, dict] = {}
+    gate_sources: Mapping = {}
     if "device" in raw:
-        draw = raw["device"]
-        if not isinstance(draw, Mapping):
-            raise ScenarioError("device: expected an object")
+        draw = _object(raw["device"], "device")
         dot = _build_section(
             devmod.DotDevice,
             {k: v for k, v in draw.items() if k not in _DEVICE_WIRING + _TANK_KEYS},
@@ -230,23 +250,25 @@ def build_scenario(raw: Mapping) -> Scenario:
             | {"sample_rate_hz": traces.sample_rate_hz},
             "device",
         )
-        gate_sources = draw.get("gate_sources", {})
+        gate_sources = _object(draw.get("gate_sources", {}), "device.gate_sources")
         axis_gate = draw.get("axis_gate")
         with _section("device"):
             for gate, source in gate_sources.items():
                 if gate not in dot.gate_levers:
                     raise ScenarioError(f"device: source for gate {gate!r} has no lever arm")
-                if set(source) not in ({"cell"}, {"dac"}, {"const"}):
+                if not isinstance(source, Mapping) or set(source) not in (
+                    {"cell"}, {"dac"}, {"const"}
+                ):
                     raise ScenarioError(f"device: gate {gate!r} needs one of cell/dac/const")
                 if "cell" in source and not 0 <= int(source["cell"]) < N_CELLS:
                     raise ScenarioError(f"device: gate {gate!r} references cell >= {N_CELLS}")
-        if axis_gate is not None and axis_gate not in gate_sources:
-            raise ScenarioError(f"device: axis_gate {axis_gate!r} has no gate source")
+                float(source.get("const", 0.0))  # a constant source must be a number
+            if axis_gate is not None and axis_gate not in gate_sources:
+                raise ScenarioError(f"device: axis_gate {axis_gate!r} has no gate source")
 
     power = calibration = budget = None
     if "power" in raw:
-        with _section("power"):
-            praw = dict(raw["power"])
+        praw = dict(_object(raw["power"], "power"))
         cal_raw = praw.pop("calibration", None)
         bud_raw = praw.pop("budget", None)
         # The pulsing capacitances default to the analog section's.
@@ -255,8 +277,8 @@ def build_scenario(raw: Mapping) -> Scenario:
                 praw[key] = getattr(cell, key)
         power = _build_section(thermal.PowerModel, praw, "power")
         if cal_raw is not None:
+            cal_raw = dict(_object(cal_raw, "power.calibration"))
             with _section("power.calibration"):
-                cal_raw = dict(cal_raw)
                 cal_raw["points"] = tuple(
                     (float(p), float(t)) for p, t in cal_raw.get("points", ())
                 )
@@ -273,19 +295,23 @@ def build_scenario(raw: Mapping) -> Scenario:
     if "temperature" in traces.kinds and calibration is None:
         raise ScenarioError("temperature trace needs power.calibration")
 
-    schedule = tuple(
-        _parse_schedule_item(item, i) for i, item in enumerate(raw.get("schedule", ()))
-    )
+    items = raw.get("schedule", [])
+    if not isinstance(items, (list, tuple)):
+        raise ScenarioError("schedule: expected a list")
+    schedule = tuple(_parse_schedule_item(item, i) for i, item in enumerate(items))
     for prev, item in zip(schedule, schedule[1:]):
         if item.time_s < prev.time_s:
             raise ScenarioError("schedule times must be nondecreasing")
-    duration = float(raw.get("duration_s", 0.0))
-    if duration < 0:
-        raise ScenarioError("duration_s must be non-negative")
+    with _section("duration_s"):
+        duration = float(raw.get("duration_s", 0.0))
+    if not 0 <= duration < math.inf:
+        raise ScenarioError("duration_s must be finite and non-negative")
     if schedule and schedule[-1].time_s > duration:
         raise ScenarioError("schedule extends past duration_s")
 
-    targets = {int(k): float(v) for k, v in raw.get("cell_targets", {}).items()}
+    targets = _object(raw.get("cell_targets", {}), "cell_targets")
+    with _section("cell_targets"):
+        targets = {int(k): float(v) for k, v in targets.items()}
     for c in targets:
         if not 0 <= c < N_CELLS:
             raise ScenarioError(f"cell_targets: cell {c} outside 0..{N_CELLS - 1}")
@@ -307,9 +333,9 @@ def build_scenario(raw: Mapping) -> Scenario:
         traces=traces,
         cell_targets=targets,
         figure=raw.get("figure"),
-        figure_params=dict(raw.get("figure_params", {})),
-        sweep=raw.get("sweep"),
-        raw=_as_plain_dict(raw),
+        figure_params=_object(raw.get("figure_params", {}), "figure_params"),
+        sweep=_build_section(SweepConfig, raw["sweep"], "sweep") if "sweep" in raw else None,
+        raw=raw,
     )
     if scenario.figure is not None:
         from . import figures
@@ -330,14 +356,6 @@ def load_scenario(path: str | Path, overrides: Iterable[str] = ()) -> Scenario:
     raw = load_scenario_dict(path)
     raw = apply_overrides(raw, overrides)
     return build_scenario(raw)
-
-
-def _as_plain_dict(obj):
-    if isinstance(obj, Mapping):
-        return {k: _as_plain_dict(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_as_plain_dict(v) for v in obj]
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -366,37 +384,56 @@ def _coerce_like(existing, text: str):
     raise UnknownAxis(f"cannot override structured value with {text!r}")
 
 
+def _key(node, part: str, axis: str):
+    """Object key or existing list index that `part` names in `node`."""
+    if isinstance(node, list):
+        try:
+            node[int(part)]
+        except (ValueError, IndexError) as exc:
+            raise UnknownAxis(f"axis {axis!r}: bad list index {part!r}") from exc
+        return int(part)
+    if isinstance(node, dict):
+        return part
+    raise UnknownAxis(f"axis {axis!r}: {part!r} is not a container")
+
+
+def _walk(doc, axis: str, create: bool = False):
+    """Follow the dotted `axis` to the container of its last component.
+
+    Returns (container, key).  Integer components index into lists and
+    must exist; other components index into objects.  A missing object
+    on the way is created when `create`, else read as an empty one.
+    """
+    node = doc
+    *path, last = axis.split(".")
+    for part in path:
+        key = _key(node, part, axis)
+        if isinstance(node, list):
+            node = node[key]
+        elif create:
+            node = node.setdefault(key, {})
+        elif (node := node.get(key)) is None:
+            return {}, last
+    return node, _key(node, last, axis)
+
+
 def set_axis(raw: dict, axis: str, value) -> dict:
     """Return a copy of the document with the dotted `axis` set to `value`.
 
-    Path components index into nested objects; integer components index
-    into lists.  Missing object keys are created (so defaults-only
-    sections can be overridden); misspelled keys are still rejected when
-    the resulting document is validated.  List indices must exist.
+    Missing object keys are created (so defaults-only sections can be
+    overridden); misspelled keys are still rejected when the resulting
+    document is validated.  List indices must exist.
     """
     doc = json.loads(json.dumps(raw))  # deep copy of plain data
-    node = doc
-    parts = axis.split(".")
-    for i, part in enumerate(parts):
-        last = i == len(parts) - 1
-        if isinstance(node, list):
-            try:
-                idx = int(part)
-                node[idx]
-            except (ValueError, IndexError) as exc:
-                raise UnknownAxis(f"axis {axis!r}: bad list index {part!r}") from exc
-            if last:
-                node[idx] = value
-            else:
-                node = node[idx]
-        elif isinstance(node, dict):
-            if last:
-                node[part] = value
-            else:
-                node = node.setdefault(part, {})
-        else:
-            raise UnknownAxis(f"axis {axis!r}: {part!r} is not a container")
+    node, key = _walk(doc, axis, create=True)
+    node[key] = value
     return doc
+
+
+def _get_axis(raw: dict, axis: str):
+    """Value at the dotted `axis`, or None where the document leaves it out."""
+    node, key = _walk(raw, axis)
+    return node[key] if isinstance(node, list) else node.get(key)
 
 
 def apply_overrides(raw: dict, overrides: Iterable[str]) -> dict:
@@ -413,23 +450,6 @@ def apply_overrides(raw: dict, overrides: Iterable[str]) -> dict:
         doc = dict(doc)
         doc["_overrides"] = applied  # recorded for the run manifest
     return doc
-
-
-def _get_axis(raw: dict, axis: str):
-    node = raw
-    for part in axis.split("."):
-        if isinstance(node, list):
-            try:
-                node = node[int(part)]
-            except (ValueError, IndexError) as exc:
-                raise UnknownAxis(f"axis {axis!r}: bad list index {part!r}") from exc
-        elif isinstance(node, dict):
-            node = node.get(part)
-        elif node is None:
-            return None
-        else:
-            raise UnknownAxis(f"axis {axis!r}: {part!r} is not a container")
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +471,7 @@ class TraceBundle:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):  # bool too, as 0/1
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -524,6 +542,14 @@ class _Timeline:
         self.entries.append((t, prio, self._seq, kind, payload))
         self._seq += 1
 
+    def open(self, t: float, cell: int) -> None:
+        event = fsm.SwitchEvent(t, cell, lock_action=fsm.LockAction.OPEN)
+        self.add(t, _PRIO_OPEN, "open", event)
+
+    def close(self, t: float, cell: int) -> None:
+        event = fsm.SwitchEvent(t, cell, lock_action=fsm.LockAction.CLOSE)
+        self.add(t, _PRIO_CLOSE, "close", event)
+
     def sorted(self):
         return sorted(self.entries, key=lambda e: (e[0], e[1], e[2]))
 
@@ -533,9 +559,11 @@ def _expand_schedule(scenario: Scenario):
 
     REFRESH re-locks the masked cells one at a time in ascending index
     order, round robin, in slots of REFRESH_PERIOD / n seconds counted from
-    the EXEC that started it.  Each slot boundary opens the previous cell
-    before closing the next, so at most one lock switch is closed at any
-    instant.
+    the EXEC that started it; slot j starts at j * REFRESH_PERIOD / n,
+    computed from the integer period, so slot n lands exactly on the
+    period.  Each slot boundary opens the previous cell before closing the
+    next, so at most one lock switch is closed at any instant.  Only WRITE
+    and EXEC split playback: READ, NOP and DAC items leave it running.
 
     Returns the ordered action timeline, the mode segments (for the power
     trace) and the READ responses.
@@ -546,7 +574,7 @@ def _expand_schedule(scenario: Scenario):
     responses: list[tuple[float, protocol.Frame]] = []
 
     locked_cells: list[int] = []      # closed via LOCKING, in close order
-    refresh: dict | None = None       # anchor/cells/slot/next_j/closed
+    refresh: dict | None = None       # anchor/cells/period/next_j/closed
     seg_start = 0.0
     cursor = 0.0
 
@@ -559,23 +587,14 @@ def _expand_schedule(scenario: Scenario):
             for ev in events:
                 timeline.add(ev.time_s, _PRIO_FG, "fg", ev)
         elif chip.mode == fsm.Mode.REFRESH and refresh is not None:
-            cells, slot, anchor = refresh["cells"], refresh["slot"], refresh["anchor"]
+            cells, period, anchor = refresh["cells"], refresh["period"], refresh["anchor"]
             j = refresh["next_j"]
-            while anchor + j * slot < b:
-                t = anchor + j * slot
+            while (t := anchor + j * period / len(cells)) < b:
                 if t >= a:
                     if refresh["closed"] is not None:
-                        timeline.add(
-                            t, _PRIO_OPEN, "open",
-                            fsm.SwitchEvent(t, refresh["closed"],
-                                            lock_action=fsm.LockAction.OPEN),
-                        )
-                    cell = cells[j % len(cells)]
-                    timeline.add(
-                        t, _PRIO_CLOSE, "close",
-                        fsm.SwitchEvent(t, cell, lock_action=fsm.LockAction.CLOSE),
-                    )
-                    refresh["closed"] = cell
+                        timeline.open(t, refresh["closed"])
+                    refresh["closed"] = cells[j % len(cells)]
+                    timeline.close(t, refresh["closed"])
                 j += 1
             refresh["next_j"] = j
 
@@ -589,26 +608,20 @@ def _expand_schedule(scenario: Scenario):
         nonlocal locked_cells, refresh
         if chip.mode == fsm.Mode.LOCKING:
             for cell in locked_cells:
-                timeline.add(
-                    t, _PRIO_OPEN, "open",
-                    fsm.SwitchEvent(t, cell, lock_action=fsm.LockAction.OPEN),
-                )
+                timeline.open(t, cell)
             locked_cells = []
         elif chip.mode == fsm.Mode.REFRESH and refresh is not None:
             if refresh["closed"] is not None:
-                timeline.add(
-                    t, _PRIO_OPEN, "open",
-                    fsm.SwitchEvent(t, refresh["closed"],
-                                    lock_action=fsm.LockAction.OPEN),
-                )
+                timeline.open(t, refresh["closed"])
             refresh = None
 
     for index, item in enumerate(scenario.schedule):
-        emit_periodic(cursor, item.time_s)
-        cursor = item.time_s
         if item.frame is None:
             timeline.add(item.time_s, _PRIO_DAC, "dac", item.dac)
             continue
+        if item.frame.opcode in (protocol.Opcode.WRITE, protocol.Opcode.EXEC):
+            emit_periodic(cursor, item.time_s)
+            cursor = item.time_s
         try:
             new_chip, response = fsm.step(chip, item.frame)
         except SimulationError as exc:
@@ -622,17 +635,13 @@ def _expand_schedule(scenario: Scenario):
             if chip.mode == fsm.Mode.LOCKING:
                 locked_cells = fsm.mask_cells(chip.regs.lock_mask)
                 for cell in locked_cells:
-                    timeline.add(
-                        item.time_s, _PRIO_CLOSE, "close",
-                        fsm.SwitchEvent(item.time_s, cell,
-                                        lock_action=fsm.LockAction.CLOSE),
-                    )
+                    timeline.close(item.time_s, cell)
             elif chip.mode == fsm.Mode.REFRESH:
                 cells = fsm.mask_cells(chip.regs.lock_mask)
                 refresh = {
                     "anchor": item.time_s,
                     "cells": cells,
-                    "slot": chip.regs.refresh_period / len(cells),
+                    "period": chip.regs.refresh_period,
                     "next_j": 0,
                     "closed": None,
                 }
@@ -822,11 +831,6 @@ def run_scenario(scenario: Scenario) -> TraceBundle:
 # sweeps
 
 
-def _sweep_worker(args: tuple[dict, str, object]) -> TraceBundle:
-    raw, axis, value = args
-    return run_generic(build_scenario(set_axis(raw, axis, value)))
-
-
 def sweep(
     scenario: Scenario, axis: str, values: Iterable, jobs: int = 1
 ) -> list[TraceBundle]:
@@ -835,16 +839,13 @@ def sweep(
     Results depend only on (scenario, axis, value), so parallel execution
     returns exactly the sequential result.
     """
-    values = list(values)
-    if values:
-        # The base scenario already validated, so a build failure here is
-        # the axis (or its value) breaking the document.
-        try:
-            build_scenario(set_axis(scenario.raw, axis, values[0]))
-        except ScenarioError as exc:
-            raise UnknownAxis(f"axis {axis!r}: {exc}") from exc
-    work = [(scenario.raw, axis, v) for v in values]
-    if jobs > 1 and len(values) > 1:
+    # The base scenario already validated, so a build failure here is the
+    # axis (or one of its values) breaking the document.
+    try:
+        points = [build_scenario(set_axis(scenario.raw, axis, v)) for v in values]
+    except ScenarioError as exc:
+        raise UnknownAxis(f"axis {axis!r}: {exc}") from exc
+    if jobs > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_worker, work))
-    return [_sweep_worker(w) for w in work]
+            return list(pool.map(run_generic, points))
+    return [run_generic(point) for point in points]

@@ -19,16 +19,10 @@ def _bundle(scenario: Scenario, tables: dict[str, Table], summary: dict) -> Trac
     )
 
 
-def _sweep_values(scenario: Scenario) -> tuple[str, list]:
-    if not scenario.sweep or "axis" not in scenario.sweep or "values" not in scenario.sweep:
-        raise engine.ScenarioError("figure needs a sweep block with axis and values")
-    return scenario.sweep["axis"], list(scenario.sweep["values"])
-
-
 def fig3b(scenario: Scenario) -> TraceBundle:
     """Coulomb oscillations vs the charge-locked plunger voltage."""
-    axis, values = _sweep_values(scenario)
-    bundles = engine.sweep(scenario, axis, values)
+    values = scenario.sweep.values
+    bundles = engine.sweep(scenario, scenario.sweep.axis, values)
     rows = [
         (float(v), b.summary["conductance_final_s"]) for v, b in zip(values, bundles)
     ]
@@ -38,10 +32,10 @@ def fig3b(scenario: Scenario) -> TraceBundle:
 
 def fig3c(scenario: Scenario) -> TraceBundle:
     """Held-voltage drift over an hour for several hold voltages."""
-    axis, values = _sweep_values(scenario)
+    values = scenario.sweep.values
     cell = int(scenario.figure_params.get("cell", 0))
     open_time = float(scenario.figure_params.get("open_time_s", 0.0))
-    bundles = engine.sweep(scenario, axis, values)
+    bundles = engine.sweep(scenario, scenario.sweep.axis, values)
     rows = []
     for v_hold, bundle in zip(values, bundles):
         table = bundle.tables["cells"]
@@ -183,6 +177,8 @@ DRIVERS = {
 
 # Scenario sections each driver reads beyond the always-present ones.
 _NEEDS = {
+    "fig3b": ("sweep",),
+    "fig3c": ("sweep",),
     "fig3f": ("device",),
     "fig4b": ("power",),
     "fig4d": ("power",),
@@ -192,6 +188,7 @@ _MISSING = {
     "device": "figure needs a device section",
     "power": "figure needs a power section",
     "budget": "figure needs power.budget",
+    "sweep": "figure needs a sweep block with axis and values",
 }
 
 

@@ -54,6 +54,33 @@ MALFORMED = {
     "budget_negative": _mini(power={"budget": {"budget_watts_at_100mk": -1}}),
     "master_freq_zero": _mini(chip={"master_freq_hz": 0}),
     "fig3f_without_device": _without("fig3f", "device"),
+    "lever_text": _mini(
+        device={"levers": {"lw": "x"}, "gate_sources": {"lw": {"cell": 0}}},
+        traces=_traced("conductance"),
+    ),
+}
+
+# A section of the wrong JSON type, or a malformed entry inside one; each
+# must be refused at load with a message, never a traceback.
+_SECTIONS = (
+    "chip", "analog", "rails", "device", "power", "traces", "schedule",
+    "cell_targets", "figure_params", "sweep",
+)
+_WRONG = {"number": 5, "text": "x", "null": None}
+WRONG_TYPE = {
+    f"{section}_{name}": _mini(**{section: value})
+    for section in _SECTIONS
+    for name, value in _WRONG.items()
+}
+WRONG_TYPE |= {
+    "duration_s_text": _mini(duration_s="x"),
+    "duration_s_null": _mini(duration_s=None),
+    "duration_s_infinite": _mini(duration_s=float("inf")),
+    "gate_sources_number": _mini(device={"levers": {"lw": 0.2}, "gate_sources": 5}),
+    "schedule_item_number": _mini(schedule=[5]),
+    "write_without_value": _mini(schedule=[{"t": 0.0, "write": ["CTRL"]}]),
+    "cell_target_text": _mini(cell_targets={"a": 1}),
+    "sweep_without_axis": _mini(sweep={"values": [1]}),
 }
 
 
@@ -86,6 +113,15 @@ class TestValidate:
             err = capsys.readouterr().err
             assert err.startswith("error:")
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())
+    def test_wrong_type_exits_1(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.scn"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestRun:
@@ -137,6 +173,16 @@ class TestSweepCommand:
         assert lines[0].startswith("value,v_out_final_cell0")
         assert len(lines) == 4
 
+    def test_values_parsed_like_the_axis(self, mini_scn, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main([
+            "sweep", str(mini_scn), "--axis", "traces.cells.0",
+            "--values=0,1", "--out", str(out),
+        ])
+        assert code == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
 
 class TestReplay:
     STREAM = """
@@ -169,6 +215,15 @@ class TestReplay:
         stream = tmp_path / "bad.txt"
         stream.write_text("zzz")
         assert cli.main(["replay", str(stream)]) == 1
+
+    # An unknown opcode, and an EXEC while fsm-enable is clear: exit 1, as
+    # under `run`.
+    @pytest.mark.parametrize("word", ["FF000000", "03000000"])
+    def test_replay_bad_frame_exits_1(self, word, tmp_path, capsys):
+        stream = tmp_path / "bad.txt"
+        stream.write_text(word + "\n")
+        assert cli.main(["replay", str(stream), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestBudget:

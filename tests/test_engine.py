@@ -168,6 +168,29 @@ class TestGenericRun:
         rows = {t: v for t, _, v in bundle.tables["cells"].rows}
         assert rows[0.501] > 0.09  # first HIGH tick has happened
 
+    @pytest.mark.parametrize(
+        "item", [{"read": "CTRL"}, {"nop": True}, {"dac": {"v_hold": -0.5}}],
+        ids=["read", "nop", "dac"],
+    )
+    def test_read_nop_dac_leave_playback_running(self, item):
+        tick = 2**15 / 35.84e6
+        schedule = [
+            {"t": 0.0, "write": ["CTRL", 7]},
+            {"t": 0.0, "write": ["DIVIDER", 15]},
+            {"t": 0.0, "write": ["PULSE_MASK_LO", 1]},
+            {"t": 0.0, "write": ["PATTERN0", 0xAAAA]},
+            {"t": 0.0, "write": ["PATTERN_LEN", 16]},
+            {"t": 0.0, "exec": True},
+        ]
+
+        def events(extra: list) -> list:
+            scenario = make_scenario(schedule=schedule + extra, duration_s=10.5 * tick)
+            return engine.run_generic(scenario).events
+
+        plain = events([])
+        assert len(plain) == 10
+        assert events([dict(item, t=2.5 * tick)]) == plain
+
     def test_power_and_temperature_traces(self):
         scenario = make_scenario(
             rails={"v_high": 0.05, "v_low": 0.0},

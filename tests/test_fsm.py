@@ -259,7 +259,19 @@ class TestRefreshSchedule:
             seen_nonempty = True
         assert seen_nonempty and len(closed) == 0
 
-    def test_fairness_one_refresh_per_cell_per_pass(self):
-        events = refresh_pass([3, 9, 11, 20, 25, 30, 31], 60)
+    @pytest.mark.parametrize(
+        "cells, period_s",
+        [
+            ([3, 9, 11, 20, 25, 30, 31], 60),
+            # n * (period / n) rounds below the period for these.
+            (list(range(11)), 60),
+            (list(range(13)), 120),
+            (list(range(22)), 60),
+            (list(range(26)), 120),
+        ],
+        ids=["7-cells-60s", "11-cells-60s", "13-cells-120s", "22-cells-60s", "26-cells-120s"],
+    )
+    def test_fairness_one_refresh_per_cell_per_pass(self, cells, period_s):
+        events = refresh_pass(cells, period_s)
         closes = [e.cell for e in events if e.lock_action == LockAction.CLOSE]
-        assert closes == [3, 9, 11, 20, 25, 30, 31]
+        assert closes == cells
