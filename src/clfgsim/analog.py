@@ -20,7 +20,9 @@ with a first-order transient of time constant
 
 All operations are pure: they take a cell value and return a new one.
 The element values live in a `CellParams` that every state of a cell
-shares, so an event copies only the few state fields.
+shares, so an event copies only the few state fields.  `apply_fg_run`
+applies a whole playback run in one step; `settle` and `apply_fg`, one
+edge at a time, are its test oracle.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .errors import SimulationError
 
@@ -255,6 +258,59 @@ def apply_fg(cell: ClfgCell, level: Level, t: float, rails: SupplyRails) -> Clfg
         return cell
     pulse = pulse_amplitude(cell.params, rails) * (int(level) - int(cell.fg_ref))
     return replace(cell, fg_level=level, v_target=cell.v_base + pulse)
+
+
+def apply_fg_run(
+    cell: ClfgCell,
+    times: np.ndarray,
+    levels: np.ndarray,
+    period_s: float,
+    rails: SupplyRails,
+) -> ClfgCell:
+    """Drive the fast-gate switch to `levels[k]` (0 LOW, 1 HIGH) at `times[k]`.
+
+    The result is that of `settle` and `apply_fg` edge by edge.  The
+    first edge goes through `apply_fg`; the later ones are `period_s`
+    apart (the nominal tick period, not differences of the rounded
+    times).  Between them a floating cell is a first-order linear
+    recurrence with a = exp(-T/tau) and d = exp(-leak_rate*T):
+
+    - `v_base` decays by d per tick;
+    - `v_target` is set by the last level change and decays by d from
+      there (a repeated level moves nothing);
+    - `v_start[k] = a*d*v_start[k-1] + (1-a)*d*v_target[k-1]`, one
+      `lfilter` call.
+
+    A locked cell only records the last level.
+    """
+    if cell.lock_closed:
+        return replace(cell, fg_level=Level(int(levels[-1])), t_last=float(times[-1]))
+    cell = apply_fg(cell, Level(int(levels[0])), float(times[0]), rails)
+    if len(times) == 1:
+        return cell
+    p = cell.params
+    a = math.exp(-period_s / time_constant(p))
+    d = math.exp(-p.leak_rate * period_s)
+    k = np.arange(1, len(times))
+    changed = levels[1:] != levels[:-1]
+    base = cell.v_base * d**k
+    # Target at each level change, with index 0 standing for the first edge.
+    anchors = np.concatenate((
+        [cell.v_target],
+        base + pulse_amplitude(p, rails) * (levels[1:] - float(cell.fg_ref)),
+    ))
+    last = np.maximum.accumulate(np.where(changed, k, 0))
+    target = anchors[last] * d ** (k - last)
+    previous = np.concatenate(([cell.v_target], target[:-1]))
+    start, _ = lfilter([(1.0 - a) * d], [1.0, -a * d], previous, zi=[a * d * cell.v_start])
+    return replace(
+        cell,
+        fg_level=Level(int(levels[-1])),
+        v_base=float(base[-1]),
+        v_target=float(target[-1]),
+        v_start=float(start[-1]),
+        t_last=float(times[-1]),
+    )
 
 
 def output_voltage(cell: ClfgCell, t: float) -> float:

@@ -125,17 +125,16 @@ def _cmd_sweep(args) -> int:
     else:
         raise engine.ScenarioError("scenario has no sweep block and no --axis given")
     bundles = engine.sweep(scenario, axis, values, jobs=args.jobs)
-    rows = []
-    for value, bundle in zip(values, bundles):
-        # Each run's traced cells, in order (a sweep may move them).
-        row = [value, *bundle.summary["v_out_final"].values()]
-        if "conductance_final_s" in bundle.summary:
-            row.append(bundle.summary["conductance_final_s"])
-        rows.append(tuple(row))
-    header = ["value"] + [f"v_out_final_cell{c}" for c in scenario.traces.cells]
-    if rows and len(rows[0]) > len(header):
+    # One column per cell any run traced (a sweep may move them), in
+    # first-seen order; a run that did not trace a cell leaves it empty.
+    finals = [bundle.summary["v_out_final"] for bundle in bundles]
+    cells = list(dict.fromkeys(c for final in finals for c in final))
+    columns = [list(values)] + [[final.get(c, "") for final in finals] for c in cells]
+    header = ["value"] + [f"v_out_final_cell{c}" for c in cells]
+    if any("conductance_final_s" in bundle.summary for bundle in bundles):
         header.append("conductance_final_s")
-    table = engine.Table(tuple(header), rows)
+        columns.append([bundle.summary.get("conductance_final_s", "") for bundle in bundles])
+    table = engine.Table(tuple(header), tuple(columns))
     bundle = engine.TraceBundle(
         tables={"sweep": table}, events=[], summary={"axis": axis, "n": len(values)},
         manifest=dict(engine._manifest(scenario), axis=axis),
@@ -169,7 +168,7 @@ def _cmd_replay(args) -> int:
         "responses": [
             {"time_s": t, "address": a, "data": d}
             for t, _op, a, d in bundle.tables.get(
-                "responses", engine.Table((), [])
+                "responses", engine.Table((), ())
             ).rows
         ],
     }

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -184,6 +185,8 @@ def _parse_schedule_item(raw, index: int) -> ScheduleItem:
         raise ScenarioError(f"{where}: missing time key 't'")
     with _section(where):
         t = float(raw["t"])
+        if not math.isfinite(t):
+            raise ScenarioError(f"{where}: time must be finite, got {raw['t']!r}")
         keys = set(raw) - {"t"}
         if keys == {"write"}:
             reg, value = raw["write"]
@@ -458,14 +461,51 @@ def apply_overrides(raw: dict, overrides: Iterable[str]) -> dict:
 
 @dataclass
 class Table:
+    """A CSV table held column by column: `columns[i]` holds the values under `header[i]`."""
+
     header: tuple[str, ...]
-    rows: list[tuple]
+    columns: tuple[list, ...]
+
+    @classmethod
+    def from_rows(cls, header: Iterable[str], rows: list[tuple]) -> Table:
+        header = tuple(header)
+        return cls(header, tuple(map(list, zip(*rows))) or tuple([] for _ in header))
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*self.columns))
+
+
+class EventLog(Sequence):
+    """A run's switch events, read from the columns of its `events` table.
+
+    One entry per lock action and per tick of each pulsed cell, each
+    built as a `fsm.SwitchEvent` only when read.
+    """
+
+    def __init__(self, table: Table) -> None:
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table.columns[0])
+
+    def __getitem__(self, index):
+        fields = [column[index] for column in self.table.columns]
+        if isinstance(index, slice):
+            return list(map(fsm.event_from_row, *fields))
+        return fsm.event_from_row(*fields)
+
+    def __iter__(self):
+        return map(fsm.event_from_row, *self.table.columns)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 @dataclass
 class TraceBundle:
     tables: dict[str, Table]
-    events: list[fsm.SwitchEvent]
+    events: Sequence[fsm.SwitchEvent]
     summary: dict
     manifest: dict
 
@@ -478,6 +518,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _format_column(values: list) -> list[str]:
+    """`_format_cell` of every value, in one pass for a column of one plain type."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return list(map(float.__repr__, values))
+    if kinds <= {int}:
+        return list(map(int.__repr__, values))
+    if kinds <= {str}:
+        return values
+    return [_format_cell(v) for v in values]
+
+
 def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
     """Write one CSV per table plus the JSON run manifest."""
     outdir = Path(outdir)
@@ -486,8 +538,8 @@ def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
     for key in sorted(bundle.tables):
         table = bundle.tables[key]
         path = outdir / f"{key}.csv"
-        lines = [",".join(table.header)]
-        lines += [",".join(_format_cell(v) for v in row) for row in table.rows]
+        columns = [_format_column(column) for column in table.columns]
+        lines = [",".join(table.header), *map(",".join, zip(*columns))]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
     manifest = dict(bundle.manifest)
@@ -532,7 +584,11 @@ class _Segment:
 
 
 class _Timeline:
-    """Chronological stream of prioritized actions plus mode segments."""
+    """Chronological stream of prioritized actions plus mode segments.
+
+    Lock actions and DAC moves are single entries; a playback run is one
+    entry, at its first tick, holding all its ticks in columns.
+    """
 
     def __init__(self) -> None:
         self.entries: list[tuple[float, int, int, str, object]] = []
@@ -550,6 +606,10 @@ class _Timeline:
         event = fsm.SwitchEvent(t, cell, lock_action=fsm.LockAction.CLOSE)
         self.add(t, _PRIO_CLOSE, "close", event)
 
+    def play(self, run: fsm.TickRun) -> None:
+        if len(run):
+            self.add(float(run.times[0]), _PRIO_FG, "fg", run)
+
     def sorted(self):
         return sorted(self.entries, key=lambda e: (e[0], e[1], e[2]))
 
@@ -564,9 +624,11 @@ def _expand_schedule(scenario: Scenario):
     period.  Each slot boundary opens the previous cell before closing the
     next, so at most one lock switch is closed at any instant.  Only WRITE
     and EXEC split playback: READ, NOP and DAC items leave it running.
+    Each stretch of playback between two such items goes on the timeline
+    as one columnar `fsm.TickRun`, so no lock action falls inside a run.
 
-    Returns the ordered action timeline, the mode segments (for the power
-    trace) and the READ responses.
+    Returns the action timeline, the mode segments (for the power trace)
+    and the READ responses.
     """
     chip = fsm.ChipState(master_freq_hz=scenario.chip.master_freq_hz)
     timeline = _Timeline()
@@ -583,9 +645,8 @@ def _expand_schedule(scenario: Scenario):
         if b <= a:
             return
         if chip.mode == fsm.Mode.PULSING:
-            chip, events = fsm.playback(chip, b - a, a)
-            for ev in events:
-                timeline.add(ev.time_s, _PRIO_FG, "fg", ev)
+            chip, run = fsm.playback(chip, b - a, a)
+            timeline.play(run)
         elif chip.mode == fsm.Mode.REFRESH and refresh is not None:
             cells, period, anchor = refresh["cells"], refresh["period"], refresh["anchor"]
             j = refresh["next_j"]
@@ -679,7 +740,14 @@ def _segment_power(scenario: Scenario, seg: _Segment) -> float:
 
 
 def run_generic(scenario: Scenario) -> TraceBundle:
-    """Execute a time-domain scenario and collect the requested traces."""
+    """Execute a time-domain scenario and collect the requested traces.
+
+    Lock actions and DAC moves are applied in timeline order.  A playback
+    run only queues its ticks on its cells: a cell's queued edges are
+    applied in one `analog.apply_fg_run` call when something reads or
+    changes that cell (a lock action on it, a hold-DAC move, a sample of
+    it) and at the end of the run.
+    """
     timeline, segments, responses = _expand_schedule(scenario)
 
     kinds = scenario.traces.kinds
@@ -691,6 +759,28 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     rails = scenario.rails
     v_hold = rails.v_hold
     dacs: dict[str, float] = {}
+    # Per cell: [run, first tick not yet applied] of each queued run, in
+    # time order, and the time of the first queued edge.
+    queued: list[list[list]] = [[] for _ in range(N_CELLS)]
+    next_edge = [math.inf] * N_CELLS
+
+    def flush(c: int, t: float, inclusive: bool) -> None:
+        """Apply cell `c`'s queued edges before `t`, or up to `t` when `inclusive`."""
+        side = "right" if inclusive else "left"
+        queue = queued[c]
+        while queue:
+            run, k = queue[0]
+            j = int(np.searchsorted(run.times, t, side))
+            if j > k:
+                cells[c] = analog.apply_fg_run(
+                    cells[c], run.times[k:j], run.levels[k:j], run.period_s, rails
+                )
+            if j < len(run.times):
+                queue[0][1] = j
+                next_edge[c] = float(run.times[j])
+                return
+            queue.pop(0)
+        next_edge[c] = math.inf
 
     rate = scenario.traces.sample_rate_hz
     n_samples = math.floor(scenario.duration_s * rate) + 1
@@ -698,10 +788,12 @@ def run_generic(scenario: Scenario) -> TraceBundle:
 
     seg_bounds = [s.t_start for s in segments]
 
-    def move_dac(value: float) -> None:
+    def move_dac(value: float, t: float) -> None:
         nonlocal v_hold
         if value != v_hold:
             for i in range(N_CELLS):
+                if next_edge[i] < t:
+                    flush(i, t, False)
                 cells[i] = analog.set_hold(cells[i], value)
             v_hold = value
 
@@ -711,18 +803,24 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     want_g = "conductance" in kinds or "readout" in kinds
     want_power = "power" in kinds or "temperature" in kinds
     seg_power = [_segment_power(scenario, seg) for seg in segments] if want_power else []
-    cell_rows: list[tuple] = []
-    hold_rows: list[tuple] = []
+    sampled = set(scenario.traces.cells) if want_cells else set()
+    if want_g:
+        sampled |= {int(src["cell"]) for src in scenario.gate_sources.values() if "cell" in src}
+    cell_volts: list[float] = []  # sample by sample, traces.cells in order
+    hold_volts: list[float] = []
     g_samples: list[float] = []
     axis_samples: list[float] = []
     power_samples: list[float] = []
 
     def take_sample(t: float) -> None:
+        for c in sampled:
+            if next_edge[c] <= t:
+                flush(c, t, True)
         if want_cells:
             for c in scenario.traces.cells:
-                cell_rows.append((t, c, analog.output_voltage(cells[c], t)))
+                cell_volts.append(analog.output_voltage(cells[c], t))
         if want_hold:
-            hold_rows.append((t, v_hold))
+            hold_volts.append(v_hold)
         if want_g:
             volts = {
                 gate: _gate_voltage(src, cells, dacs, t)
@@ -735,7 +833,8 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             idx = min(bisect_right(seg_bounds, t) - 1, len(segments) - 1)
             power_samples.append(seg_power[max(idx, 0)])
 
-    events_log: list[fsm.SwitchEvent] = []
+    # The events table, built column by column in timeline order.
+    log: tuple[list, ...] = ([], [], [], [])
     si = 0
     for t, _prio, _seq, kind, payload in timeline.sorted():
         while si < n_samples and sample_times[si] < t:
@@ -744,61 +843,67 @@ def run_generic(scenario: Scenario) -> TraceBundle:
         if kind == "dac":
             for name, value in payload:  # type: ignore[union-attr]
                 if name == "v_hold":
-                    move_dac(value)
+                    move_dac(value, t)
                 else:
                     dacs[name] = value
             continue
-        ev: fsm.SwitchEvent = payload  # type: ignore[assignment]
-        events_log.append(ev)
-        i = ev.cell
-        cells[i] = analog.settle(cells[i], t)
         if kind == "fg":
-            cells[i] = analog.apply_fg(cells[i], ev.fg_level, t, rails)
-        elif kind == "close":
+            run: fsm.TickRun = payload  # type: ignore[assignment]
+            for column, values in zip(log, run.csv_columns()):
+                column += values
+            for c in run.cells:
+                queued[c].append([run, 0])
+                next_edge[c] = min(next_edge[c], t)
+            continue
+        ev: fsm.SwitchEvent = payload  # type: ignore[assignment]
+        for column, value in zip(log, fsm.event_csv_row(ev)):
+            column.append(value)
+        i = ev.cell
+        if next_edge[i] < t:
+            flush(i, t, False)
+        cells[i] = analog.settle(cells[i], t)
+        if kind == "close":
             target = scenario.cell_targets.get(i)
             if target is not None:
                 v_cmd = target
                 if scenario.chip.compensate_injection:
                     v_cmd = target - analog.injection_offset(scenario.analog)
-                move_dac(v_cmd)
+                move_dac(v_cmd, t)
             cells[i] = analog.lock(cells[i], v_hold)
         else:  # open
             cells[i] = analog.unlock(cells[i])
     while si < n_samples:
         take_sample(sample_times[si])
         si += 1
+    for c in range(N_CELLS):
+        if queued[c]:
+            flush(c, math.inf, True)
 
     tables: dict[str, Table] = {}
-    tables["events"] = Table(
-        header=("time_s", "cell", "action", "level"),
-        rows=[fsm.event_csv_row(ev) for ev in events_log],
-    )
+    tables["events"] = Table(("time_s", "cell", "action", "level"), log)
     if want_cells:
-        tables["cells"] = Table(("time_s", "cell", "v_out_volts"), cell_rows)
-    if want_hold:
-        tables["hold"] = Table(("time_s", "v_hold_volts"), hold_rows)
-    if "conductance" in kinds:
-        tables["conductance"] = Table(
-            ("time_s", "conductance_s"),
-            list(zip(sample_times, g_samples)),
+        traced = scenario.traces.cells
+        tables["cells"] = Table(
+            ("time_s", "cell", "v_out_volts"),
+            ([t for t in sample_times for _ in traced], list(traced) * n_samples, cell_volts),
         )
+    if want_hold:
+        tables["hold"] = Table(("time_s", "v_hold_volts"), (sample_times, hold_volts))
+    if "conductance" in kinds:
+        tables["conductance"] = Table(("time_s", "conductance_s"), (sample_times, g_samples))
     if "readout" in kinds:
         signal = devmod._low_pass(np.asarray(g_samples, dtype=float), scenario.tank)
         tables["readout"] = Table(
             ("time_s", "v_sdp_volts", "signal"),
-            list(zip(sample_times, axis_samples, signal.tolist())),
+            (sample_times, axis_samples, signal.tolist()),
         )
     if "power" in kinds:
-        tables["power"] = Table(
-            ("time_s", "power_watts"), list(zip(sample_times, power_samples))
-        )
+        tables["power"] = Table(("time_s", "power_watts"), (sample_times, power_samples))
     if "temperature" in kinds:
         temps = [thermal.temperature(p, scenario.calibration) for p in power_samples]
-        tables["temperature"] = Table(
-            ("time_s", "temperature_k"), list(zip(sample_times, temps))
-        )
+        tables["temperature"] = Table(("time_s", "temperature_k"), (sample_times, temps))
     if responses:
-        tables["responses"] = Table(
+        tables["responses"] = Table.from_rows(
             ("time_s", "opcode", "address", "data"),
             [(t, int(f.opcode), f.address, f.data) for t, f in responses],
         )
@@ -809,12 +914,15 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             c: analog.output_voltage(cells[c], scenario.duration_s)
             for c in scenario.traces.cells
         },
-        "n_events": len(events_log),
+        "n_events": len(log[0]),
     }
     if g_samples:
         summary["conductance_final_s"] = g_samples[-1]
     return TraceBundle(
-        tables=tables, events=events_log, summary=summary, manifest=_manifest(scenario)
+        tables=tables,
+        events=EventLog(tables["events"]),
+        summary=summary,
+        manifest=_manifest(scenario),
     )
 
 

@@ -26,7 +26,7 @@ def fig3b(scenario: Scenario) -> TraceBundle:
     rows = [
         (float(v), b.summary["conductance_final_s"]) for v, b in zip(values, bundles)
     ]
-    table = Table(("v_lp_volts", "g_siemens"), rows)
+    table = Table.from_rows(("v_lp_volts", "g_siemens"), rows)
     return _bundle(scenario, {"fig3b": table}, {"n_points": len(rows)})
 
 
@@ -47,7 +47,7 @@ def fig3c(scenario: Scenario) -> TraceBundle:
         rows.append(
             (float(v_hold), v0, drift / (t1 - t0) * 3600.0 * 1e6, rate)
         )
-    table = Table(
+    table = Table.from_rows(
         ("v_hold_volts", "v_held_volts", "drift_uv_per_hr", "leak_rate_per_s"), rows
     )
     return _bundle(scenario, {"fig3c": table}, {"n_points": len(rows)})
@@ -61,7 +61,7 @@ def fig3e(scenario: Scenario) -> TraceBundle:
     rows = [
         (t, hold[t], v) for t, c, v in run.tables["cells"].rows if c == cell
     ]
-    table = Table(("time_s", "v_hold_volts", "v_out_volts"), rows)
+    table = Table.from_rows(("time_s", "v_hold_volts", "v_out_volts"), rows)
     return _bundle(scenario, {"fig3e": table}, run.summary)
 
 
@@ -99,22 +99,21 @@ def fig3f(scenario: Scenario) -> TraceBundle:
         )
     )
     report = devmod.envelope_check(dot, scenario.tank, pulsed, g_low, g_high, settle)
-    rows = list(
-        zip(v_sweep.tolist(), g_low.tolist(), g_high.tolist(),
-            report.env_min.tolist(), report.env_max.tolist())
+    table = Table(
+        ("v_sdp_volts", "g_low", "g_high", "g_env_min", "g_env_max"),
+        (v_sweep.tolist(), g_low.tolist(), g_high.tolist(),
+         report.env_min.tolist(), report.env_max.tolist()),
     )
-    table = Table(("v_sdp_volts", "g_low", "g_high", "g_env_min", "g_env_max"), rows)
     return _bundle(
         scenario, {"fig3f": table},
-        {"max_rel_deviation": report.max_rel_deviation, "n_points": len(rows)},
+        {"max_rel_deviation": report.max_rel_deviation, "n_points": len(v_sweep)},
     )
 
 
 def fig3g(scenario: Scenario) -> TraceBundle:
     """Square-wave readout at divider-stepped pulse frequencies."""
     run = engine.run_generic(scenario)
-    table = Table(run.tables["readout"].header, run.tables["readout"].rows)
-    return _bundle(scenario, {"fig3g": table}, run.summary)
+    return _bundle(scenario, {"fig3g": run.tables["readout"]}, run.summary)
 
 
 def fig4b(scenario: Scenario) -> TraceBundle:
@@ -127,7 +126,7 @@ def fig4b(scenario: Scenario) -> TraceBundle:
         for f in [float(v) for v in params["f_values"]]:
             watts = n * thermal.pulse_power(model.c_pulse, model.c_p, swing, 0.0, f)
             rows.append((n, f, watts, watts / n / f * 1e15 if f else 0.0))
-    table = Table(("n_cells", "f_hz", "cells_watts", "nw_per_mhz_per_cell"), rows)
+    table = Table.from_rows(("n_cells", "f_hz", "cells_watts", "nw_per_mhz_per_cell"), rows)
     return _bundle(scenario, {"fig4b": table}, {"n_points": len(rows)})
 
 
@@ -141,7 +140,7 @@ def fig4d(scenario: Scenario) -> TraceBundle:
             rows.append(
                 (swing, f, thermal.pulse_power(model.c_pulse, model.c_p, swing, 0.0, f))
             )
-    table = Table(("swing_volts", "f_hz", "pulse_watts"), rows)
+    table = Table.from_rows(("swing_volts", "f_hz", "pulse_watts"), rows)
     return _bundle(scenario, {"fig4d": table}, {"n_points": len(rows)})
 
 
@@ -156,7 +155,7 @@ def fig4e(scenario: Scenario) -> TraceBundle:
         [float(v) for v in params["f_values"]],
         swing, model, budget,
     )
-    table = Table(("n_cells", "f_hz", "total_watts", "feasible"), rows)
+    table = Table.from_rows(("n_cells", "f_hz", "total_watts", "feasible"), rows)
     return _bundle(
         scenario, {"fig4e": table},
         {"budget_watts": budget.budget_watts_at_100mk, "n_points": len(rows)},
@@ -184,6 +183,13 @@ _NEEDS = {
     "fig4d": ("power",),
     "fig4e": ("power", "budget"),
 }
+# `figure_params` keys each driver reads without a default.
+_PARAMS = {
+    "fig3f": ("cell", "pulse_gate", "sweep_gate", "v_sdp_values", "pulse_start_s"),
+    "fig4b": ("f_values",),
+    "fig4d": ("swing_values", "f_values"),
+    "fig4e": ("n_values", "f_values"),
+}
 _MISSING = {
     "device": "figure needs a device section",
     "power": "figure needs a power section",
@@ -200,10 +206,16 @@ def require_sections(scenario: Scenario, sections) -> None:
 
 
 def check_sections(scenario: Scenario) -> None:
-    """Reject an unknown figure or one whose driver lacks a section it reads."""
+    """Reject an unknown figure or one whose driver lacks a section or
+    `figure_params` key it reads."""
     if scenario.figure not in DRIVERS:
         raise engine.ScenarioError(f"unknown figure {scenario.figure!r}")
     require_sections(scenario, _NEEDS.get(scenario.figure, ()))
+    for key in _PARAMS.get(scenario.figure, ()):
+        if key not in scenario.figure_params:
+            raise engine.ScenarioError(
+                f"figure_params: {scenario.figure} needs key {key!r}"
+            )
 
 
 def run_figure(scenario: Scenario) -> TraceBundle:

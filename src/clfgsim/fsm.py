@@ -13,6 +13,8 @@ internal states are not public.
 Tick timing is exact: tick k of a playback run happens at
 `start + k * 2**n / master_freq_hz`, computed from the integer tick
 index each time, so a million ticks accumulate no floating-point drift.
+Playback returns its ticks in columns (`TickRun`), not one object per
+edge.
 """
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
 
 from .analog import Level
 from .errors import SimulationError
@@ -47,6 +51,37 @@ class SwitchEvent(NamedTuple):
     cell: int
     fg_level: Level | None = None
     lock_action: LockAction | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class TickRun:
+    """One playback run in columns: at `times[k]` every cell in `cells` goes to `levels[k]`.
+
+    `levels` holds 0 (LOW) or 1 (HIGH); `period_s` is the nominal tick
+    period.  `len()` is the event count, ticks x cells.
+    """
+
+    times: np.ndarray
+    levels: np.ndarray
+    cells: tuple[int, ...]
+    period_s: float
+
+    def __len__(self) -> int:
+        return len(self.times) * len(self.cells)
+
+    def csv_columns(self) -> tuple[list, list, list, list]:
+        """The run's `event_csv_row` rows as columns: tick by tick, cells ascending."""
+        n = len(self.cells)
+        levels = np.repeat(self.levels, n).tolist()
+        return (
+            np.repeat(self.times, n).tolist(),
+            list(self.cells) * len(self.times),
+            ["FG"] * len(levels),
+            [_LEVEL_NAMES[b] for b in levels],
+        )
+
+
+_LEVEL_NAMES = tuple(level.name for level in Level)
 
 
 class IllegalTransition(SimulationError):
@@ -134,13 +169,15 @@ def tick_time(state: ChipState, k: int, start_s: float = 0.0) -> float:
 
 def playback(
     state: ChipState, duration_s: float, start_s: float = 0.0
-) -> tuple[ChipState, list[SwitchEvent]]:
+) -> tuple[ChipState, TickRun]:
     """Play the loaded pattern for `duration_s`, one bit per divided tick.
 
-    Each tick emits one event per pulse-enabled cell, all at the same
-    level (the cells share the pattern).  The cursor wraps modulo
-    PATTERN_LEN and keeps running across calls, so segmented playback is
-    seamless.  Event count is floor(duration * f_div) * popcount(mask).
+    Returns the new state and the run's ticks in columns: tick k is at
+    `tick_time(state, k, start_s)`, bit for bit, and every pulse-enabled
+    cell takes the same level on it (the cells share the pattern).  The
+    cursor wraps modulo PATTERN_LEN and keeps running across calls, so
+    segmented playback is seamless.  Event count (`len` of the run) is
+    floor(duration * f_div) * popcount(mask).
     """
     if state.mode != Mode.PULSING:
         raise NotInPlayback(f"mode is {state.mode.name}")
@@ -148,21 +185,21 @@ def playback(
         raise ValueError("duration_s must be non-negative")
     f_div = divided_frequency(state)
     n_ticks = math.floor(duration_s * f_div)
-    cells = mask_cells(state.regs.pulse_mask)
     plen = state.regs.pattern_len
-    events: list[SwitchEvent] = []
-    for k in range(n_ticks):
-        t = tick_time(state, k, start_s)
-        bit = state.regs.pattern_bit((state.pattern_cursor + k) % plen)
-        level = Level.HIGH if bit else Level.LOW
-        for cell in cells:
-            events.append(SwitchEvent(time_s=t, cell=cell, fg_level=level))
+    k = np.arange(n_ticks, dtype=np.int64)
+    pattern = np.array([state.regs.pattern_bit(i) for i in range(plen)], dtype=np.uint8)
+    run = TickRun(
+        times=start_s + (k << state.regs.divider) / state.master_freq_hz,
+        levels=pattern[(state.pattern_cursor + k) % plen],
+        cells=tuple(mask_cells(state.regs.pulse_mask)),
+        period_s=(1 << state.regs.divider) / state.master_freq_hz,
+    )
     new_state = replace(
         state,
         tick_count=state.tick_count + n_ticks,
         pattern_cursor=(state.pattern_cursor + n_ticks) % plen,
     )
-    return new_state, events
+    return new_state, run
 
 
 def event_csv_row(event: SwitchEvent) -> tuple[float, int, str, str]:
@@ -171,3 +208,10 @@ def event_csv_row(event: SwitchEvent) -> tuple[float, int, str, str]:
         return (event.time_s, event.cell, event.lock_action.value, "")
     assert event.fg_level is not None
     return (event.time_s, event.cell, "FG", event.fg_level.name)
+
+
+def event_from_row(time_s: float, cell: int, action: str, level: str) -> SwitchEvent:
+    """The event an `event_csv_row` row stands for."""
+    if action == "FG":
+        return SwitchEvent(time_s, cell, fg_level=Level[level])
+    return SwitchEvent(time_s, cell, lock_action=LockAction(action))

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clfgsim import fsm, protocol
 from clfgsim.analog import (
     AlreadyUnlocked,
     CellParams,
@@ -13,6 +14,7 @@ from clfgsim.analog import (
     LockClosed,
     SupplyRails,
     apply_fg,
+    apply_fg_run,
     couple_hold,
     injection_offset,
     leak,
@@ -260,3 +262,101 @@ class TestEnergyOracle:
                 t0 = times[-1]
             expected = series_capacitance(cell.params) * swing**2
             assert energy == pytest.approx(expected, rel=5e-3)
+
+
+# Absolute tolerance of the run kernel against the edge-by-edge oracle.
+KERNEL_TOL_V = 1e-12
+
+
+def edge_by_edge(cell: ClfgCell, times, levels, rails: SupplyRails) -> ClfgCell:
+    """The scalar oracle: settle to each edge, then drive the level."""
+    for t, level in zip(np.asarray(times).tolist(), np.asarray(levels).tolist()):
+        cell = apply_fg(settle(cell, t), Level(level), t, rails)
+    return cell
+
+
+def playback_run(words, plen: int, divider: int, mask: int, n_ticks: int, start_s: float):
+    """The columnar run the controller plays for `n_ticks` ticks from `start_s`."""
+    state = fsm.ChipState()
+    frames = [(protocol.PATTERN_BASE + i, w) for i, w in enumerate(words)] + [
+        (protocol.PATTERN_LEN, plen),
+        (protocol.DIVIDER, divider),
+        (protocol.PULSE_MASK_LO, mask & 0xFFFF),
+        (protocol.PULSE_MASK_HI, mask >> 16),
+        (protocol.CTRL, 0b111),
+    ]
+    for address, value in frames:
+        state, _ = fsm.step(state, protocol.Frame(protocol.Opcode.WRITE, address, value))
+    state, _ = fsm.step(state, protocol.Frame(protocol.Opcode.EXEC))
+    period = (1 << divider) / state.master_freq_hz
+    _, run = fsm.playback(state, (n_ticks + 0.5) * period, start_s)
+    assert len(run.times) == n_ticks
+    return run
+
+
+class TestRunKernel:
+    """`apply_fg_run` against `settle` + `apply_fg` edge by edge.
+
+    Element values put the tick period between 0.1 and 100 time constants,
+    so transients overlap the next edges (with the default values
+    exp(-T/tau) underflows to 0).  Times stay within a few ms of zero: the
+    oracle sees each period as a difference of rounded absolute times,
+    which at large times alone moves it by more than the tolerance.
+    """
+
+    @given(
+        words=st.lists(st.integers(0, 0xFFFF), min_size=8, max_size=8),
+        plen=st.integers(1, 128),
+        n_ticks=st.integers(1, 128),
+        divider=st.integers(0, 15),
+        mask=st.integers(1, 2**32 - 1),
+        periods_per_tau=st.floats(0.1, 100.0),
+        c_pulse=st.floats(0.1e-12, 10e-12),
+        c_p=st.floats(0.1e-12, 10e-12),
+        leak_rate=st.floats(0.0, 1e3),
+        v_hold=st.floats(-1.5, 1.5),
+        swing=st.tuples(st.floats(-0.2, 0.0), st.floats(0.0, 0.2)),
+        t_open=st.floats(0.0, 1e-6),
+        at_open=st.booleans(),
+        locked=st.booleans(),
+        cuts=st.lists(st.integers(1, 127), max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_edge_by_edge(
+        self, words, plen, n_ticks, divider, mask, periods_per_tau, c_pulse, c_p,
+        leak_rate, v_hold, swing, t_open, at_open, locked, cuts,
+    ):
+        period = (1 << divider) / fsm.ChipState().master_freq_hz
+        series = c_pulse * c_p / (c_pulse + c_p)
+        params = CellParams(
+            c_pulse=c_pulse, c_p=c_p, r_switch=period / periods_per_tau / series,
+            leak_rate=leak_rate,
+        )
+        rails = SupplyRails(v_low=swing[0], v_high=swing[1], v_hold=v_hold)
+        start = t_open if at_open else t_open + 0.37 * period
+        run = playback_run(words, plen, divider, mask, n_ticks, start)
+        assert run.cells == tuple(fsm.mask_cells(mask))
+        assert run.period_s == period
+
+        cell = lock(ClfgCell(params), v_hold)
+        if not locked:
+            cell = unlock(settle(cell, t_open))
+        expected = edge_by_edge(cell, run.times, run.levels, rails)
+        # A run flushed at arbitrary cut points and then continued.
+        got = cell
+        bounds = [0, *sorted(c for c in set(cuts) if c < n_ticks), n_ticks]
+        for a, b in zip(bounds, bounds[1:]):
+            got = apply_fg_run(got, run.times[a:b], run.levels[a:b], run.period_s, rails)
+
+        assert (got.fg_level, got.fg_ref, got.lock_closed, got.t_last) == (
+            expected.fg_level, expected.fg_ref, expected.lock_closed, expected.t_last
+        )
+        later = expected.t_last + 0.5 * period
+        for value_got, value_expected in [
+            (got.v_base, expected.v_base),
+            (got.v_start, expected.v_start),
+            (got.v_target, expected.v_target),
+            (got.v_hold_seen, expected.v_hold_seen),
+            (output_voltage(got, later), output_voltage(expected, later)),
+        ]:
+            assert abs(value_got - value_expected) <= KERNEL_TOL_V

@@ -58,6 +58,10 @@ MALFORMED = {
         device={"levers": {"lw": "x"}, "gate_sources": {"lw": {"cell": 0}}},
         traces=_traced("conductance"),
     ),
+    "t_nan": _mini(schedule=[{"t": "nan", "write": ["CTRL", 2]}]),
+    "t_inf": _mini(schedule=[{"t": "inf", "write": ["CTRL", 2]}]),
+    "t_minus_infinity": _mini(schedule=[{"t": "-Infinity", "write": ["CTRL", 2]}]),
+    "t_nan_number": _mini(schedule=[{"t": float("nan"), "exec": True}]),
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each
@@ -112,6 +116,20 @@ class TestValidate:
             assert cli.main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:")
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key", ["cell", "pulse_gate", "sweep_gate", "v_sdp_values", "pulse_start_s"]
+    )
+    def test_fig3f_figure_param_missing_exits_1(self, key, tmp_path, capsys):
+        doc = json.loads(cli.bundled_scenario_path("fig3f").read_text())
+        del doc["figure_params"][key]
+        path = tmp_path / "bad.scn"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and repr(key) in err
             assert "Traceback" not in err
 
     @pytest.mark.parametrize("doc", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())
@@ -182,6 +200,21 @@ class TestSweepCommand:
         assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+
+    def test_columns_follow_each_runs_traced_cells(self, mini_scn, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main([
+            "sweep", str(mini_scn), "--axis", "traces.cells.0",
+            "--values=0,1", "--out", str(out),
+        ])
+        assert code == 0
+        header, first, second = (out / "sweep.csv").read_text().splitlines()
+        assert header == "value,v_out_final_cell0,v_out_final_cell1"
+        # Cell 0 is locked and released, so it ends near the hold voltage;
+        # cell 1 is never touched.
+        assert first.split(",")[0] == "0" and float(first.split(",")[1]) < -1.0
+        assert first.split(",")[2] == ""
+        assert second.split(",") == ["1", "", "0.0"]
 
 
 class TestReplay:

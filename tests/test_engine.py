@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clfgsim import analog, device, engine
+from clfgsim import analog, device, engine, fsm
 from clfgsim.engine import ScenarioError, UnknownAxis, build_scenario
 
 from conftest import lock_then_open_schedule, make_scenario
@@ -241,6 +243,109 @@ class TestGenericRun:
         files_b = engine.export(b, tmp_path / "b")
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
+
+
+def replay_cells_edge_by_edge(scenario, bundle, moves) -> list[tuple]:
+    """The `cells` table rebuilt from `bundle.events` and hold-DAC `moves`
+    (time, volts), one scalar call per event; no move shares an event's time."""
+    cells = [analog.ClfgCell(scenario.analog)] * engine.N_CELLS
+    actions = sorted([(ev.time_s, ev) for ev in bundle.events] + list(moves),
+                     key=lambda action: action[0])
+    v_hold = scenario.rails.v_hold
+    rows = []
+    i = 0
+    for t_sample in bundle.tables["cells"].columns[0][:: len(scenario.traces.cells)]:
+        while i < len(actions) and actions[i][0] <= t_sample:
+            t, ev = actions[i]
+            i += 1
+            if not isinstance(ev, fsm.SwitchEvent):
+                v_hold = ev
+                cells = [analog.set_hold(cell, v_hold) for cell in cells]
+                continue
+            cell = analog.settle(cells[ev.cell], t)
+            if ev.lock_action == fsm.LockAction.CLOSE:
+                cell = analog.lock(cell, v_hold)
+            elif ev.lock_action == fsm.LockAction.OPEN:
+                cell = analog.unlock(cell)
+            else:
+                cell = analog.apply_fg(cell, ev.fg_level, t, scenario.rails)
+            cells[ev.cell] = cell
+        rows += [(t_sample, c, analog.output_voltage(cells[c], t_sample))
+                 for c in scenario.traces.cells]
+    return rows
+
+
+class TestQueuedEdges:
+    """Queued fast-gate edges, applied per cell when read, match applying each edge."""
+
+    @given(
+        pattern=st.integers(0, 0xFFFF),
+        plen=st.integers(1, 16),
+        n_ticks=st.integers(1, 128),
+        divider=st.integers(0, 15),
+        pulse_mask=st.integers(1, 0xFF),
+        lock_mask=st.integers(0, 0xFF),
+        periods_per_tau=st.floats(0.1, 100.0),
+        leak_rate=st.floats(0.0, 1e3),
+        t_open=st.one_of(st.just(0.0), st.floats(1e-9, 1e-6)),
+        n_samples=st.integers(1, 40),
+        ticks_per_sample=st.one_of(st.none(), st.sampled_from([1, 2, 4, 64])),
+        dac_tick=st.one_of(st.none(), st.integers(0, 127)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cells_trace_matches_edge_by_edge(
+        self, pattern, plen, n_ticks, divider, pulse_mask, lock_mask,
+        periods_per_tau, leak_rate, t_open, n_samples, ticks_per_sample, dac_tick,
+    ):
+        period = (1 << divider) / 35.84e6
+        # Lock some cells, then release them as playback starts, so their
+        # first edge falls on the lock-open instant.
+        if t_open == 0.0:
+            lock_mask = 0
+        schedule = [
+            {"t": 0.0, "write": ["CTRL", 3]},
+            {"t": 0.0, "write": ["LOCK_MASK_LO", lock_mask]},
+            {"t": 0.0, "exec": True},
+        ] if lock_mask else []
+        schedule += [
+            {"t": t_open, "write": ["LOCK_MASK_LO", 0]},
+            {"t": t_open, "write": ["PATTERN0", pattern]},
+            {"t": t_open, "write": ["PATTERN_LEN", plen]},
+            {"t": t_open, "write": ["DIVIDER", divider]},
+            {"t": t_open, "write": ["PULSE_MASK_LO", pulse_mask]},
+            {"t": t_open, "write": ["CTRL", 7]},
+            {"t": t_open, "exec": True},
+        ]
+        duration = t_open + (n_ticks + 0.5) * period
+        # A hold-DAC move halfway between two ticks couples into every cell.
+        moves = []
+        if dac_tick is not None and dac_tick < n_ticks:
+            moves = [(t_open + (dac_tick + 0.5) * period, -0.7)]
+            schedule.append({"t": moves[0][0], "dac": {"v_hold": moves[0][1]}})
+        rate = n_samples / duration
+        if ticks_per_sample and t_open == 0.0:
+            # Power-of-two multiples of the tick period: samples fall exactly
+            # on ticks, and must see the edge at their own time.
+            rate = 35.84e6 / (ticks_per_sample << divider)
+        scenario = make_scenario(
+            analog={"r_switch": period / periods_per_tau / 0.5e-12, "leak_rate": leak_rate},
+            rails={"v_high": 0.1, "v_low": -0.1, "v_hold": -1.1},
+            schedule=schedule,
+            duration_s=duration,
+            traces={
+                "sample_rate_hz": rate,
+                "kinds": ["cells"],
+                "cells": list(range(8)),
+            },
+        )
+        bundle = engine.run_generic(scenario)
+        pulsed = bin(pulse_mask).count("1")
+        assert len(bundle.events) == n_ticks * pulsed + 2 * bin(lock_mask).count("1")
+        expected = replay_cells_edge_by_edge(scenario, bundle, moves)
+        got = bundle.tables["cells"].rows
+        assert [(t, c) for t, c, _ in got] == [(t, c) for t, c, _ in expected]
+        for (_, _, v_got), (_, _, v_expected) in zip(got, expected):
+            assert abs(v_got - v_expected) <= 1e-12  # volts, as for the run kernel
 
 
 class TestSweep:

@@ -138,73 +138,83 @@ class TestDividedFrequency:
 class TestPlayback:
     def test_alternating_pattern_counts(self):
         state = pulsing()  # "10", 1 cell, 140 kHz
-        _, events = playback(state, 1e-3)
-        assert len(events) == 140
-        levels = [e.fg_level for e in events]
-        assert levels == [Level.HIGH, Level.LOW] * 70
+        _, run = playback(state, 1e-3)
+        assert len(run) == 140
+        assert run.levels.tolist() == [Level.HIGH, Level.LOW] * 70
 
     def test_multi_cell_same_level(self):
         state = pulsing(pulse_mask=0b111111)
-        _, events = playback(state, 1e-3)
-        assert len(events) == 6 * 140
-        first_tick = events[:6]
-        assert [e.cell for e in first_tick] == [0, 1, 2, 3, 4, 5]
-        assert len({e.fg_level for e in first_tick}) == 1
-        assert len({e.time_s for e in first_tick}) == 1
+        _, run = playback(state, 1e-3)
+        assert len(run) == 6 * 140
+        assert len(run.times) == len(run.levels) == 140
+        # Each tick is one time and one level for all pulsed cells, in order.
+        assert run.cells == (0, 1, 2, 3, 4, 5)
+        times, cells, actions, levels = run.csv_columns()
+        assert cells[:6] == [0, 1, 2, 3, 4, 5]
+        assert len(set(levels[:6])) == 1
+        assert len(set(times[:6])) == 1
+        assert set(actions) == {"FG"}
 
     def test_zero_duration(self):
-        _, events = playback(pulsing(), 0.0)
-        assert events == []
+        _, run = playback(pulsing(), 0.0)
+        assert len(run) == 0
 
     def test_not_in_playback(self):
         with pytest.raises(NotInPlayback):
             playback(configured(), 1.0)
 
     def test_determinism(self):
-        a = playback(pulsing(), 1e-3, 0.25)
-        b = playback(pulsing(), 1e-3, 0.25)
-        assert a == b
+        state_a, a = playback(pulsing(), 1e-3, 0.25)
+        state_b, b = playback(pulsing(), 1e-3, 0.25)
+        assert state_a == state_b
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.levels.tobytes() == b.levels.tobytes()
+        assert (a.cells, a.period_s) == (b.cells, b.period_s)
 
     def test_cursor_continuity_across_calls(self):
         state = pulsing(pattern0=0xB000, pattern_len=4)  # "1011"
         whole_state, whole = playback(state, 1e-3)
         state2, part1 = playback(state, 0.5e-3)
         state2, part2 = playback(state2, 0.5e-3, tick_time(state, len(part1)))
-        assert [e.fg_level for e in part1 + part2] == [e.fg_level for e in whole]
+        joined = part1.levels.tolist() + part2.levels.tolist()
+        assert joined == whole.levels.tolist()
         assert state2.pattern_cursor == whole_state.pattern_cursor
 
     def test_tick_times_are_exact_over_1e6_ticks(self):
         state = pulsing(divider=0)
         n = 10**6
         duration = (n + 0.5) / state.master_freq_hz
-        new_state, events = playback(state, duration)
-        assert len(events) == n
+        new_state, run = playback(state, duration)
+        assert len(run) == n
         assert new_state.tick_count == n
         # Times come from the integer tick index, so the millionth tick is
         # bit-identical to the direct expression, with no accumulated drift.
-        assert events[-1].time_s == (n - 1) / 35.84e6
-        assert events[-1].time_s == tick_time(state, n - 1)
+        assert run.times[-1] == (n - 1) / 35.84e6
+        assert run.times[-1] == tick_time(state, n - 1)
 
     @given(
         words=st.lists(st.integers(0, 0xFFFF), min_size=8, max_size=8),
         plen=st.integers(1, 128),
         periods=st.integers(2, 4),
+        divider=st.integers(0, 15),
+        start_s=st.floats(0.0, 10.0),
     )
     @settings(max_examples=50, deadline=None)
-    def test_waveform_period_is_pattern_length(self, words, plen, periods):
+    def test_waveform_period_is_pattern_length(self, words, plen, periods, divider, start_s):
         state = ChipState()
         state, _ = step(state, write(protocol.CTRL, 0b111))
         for i, w in enumerate(words):
             state, _ = step(state, write(protocol.PATTERN_BASE + i, w))
         state, _ = step(state, write(protocol.PATTERN_LEN, plen))
         state, _ = step(state, write(protocol.PULSE_MASK_LO, 1))
-        state, _ = step(state, write(protocol.DIVIDER, 0))
+        state, _ = step(state, write(protocol.DIVIDER, divider))
         state, _ = step(state, EXEC)
         n = periods * plen
-        _, events = playback(state, (n + 0.5) / state.master_freq_hz)
-        levels = [e.fg_level for e in events]
+        _, run = playback(state, (n + 0.5) * (1 << divider) / state.master_freq_hz, start_s)
+        levels = run.levels.tolist()
         assert len(levels) == n
         assert levels[plen:] == levels[:-plen]
+        assert run.times.tolist() == [tick_time(state, k, start_s) for k in range(n)]
 
 
 def refresh_pass(cells: list[int], period_s: int) -> list:
