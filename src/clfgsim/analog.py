@@ -22,13 +22,16 @@ All operations are pure: they take a cell value and return a new one.
 The element values live in a `CellParams` that every state of a cell
 shares, so an event copies only the few state fields.  `apply_fg_run`
 applies a whole playback run in one step; `settle` and `apply_fg`, one
-edge at a time, are its test oracle.
+edge at a time, are its test oracle.  Likewise `sample_output` reads many
+states (as their `output_fields`) at many times in one array step, and
+`output_voltage`, one state at one time, is its oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from operator import attrgetter
 
 import numpy as np
 from scipy.signal import lfilter
@@ -325,14 +328,28 @@ def output_voltage(cell: ClfgCell, t: float) -> float:
     return (cell.v_target + (cell.v_start - cell.v_target) * rc) * decay
 
 
-def sample_output(cell: ClfgCell, times: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`output_voltage` over an array of sample times."""
+# The state fields `sample_output` reads, in the order of its `fields` rows.
+OUTPUT_FIELDS = ("lock_closed", "t_last", "v_target", "v_start", "v_hold_seen")
+output_fields = attrgetter(*OUTPUT_FIELDS)
+
+
+def sample_output(params: CellParams, fields, times) -> np.ndarray:
+    """Output voltage at `times[i]` of the state whose `output_fields` are
+    `fields[i]`, for every i, as one array; every state has `params`.
+
+    The array form of `output_voltage`, which stays as its scalar oracle.
+    It takes the states' fields, not the states, so a caller that samples
+    many states need not keep them alive until it evaluates them.
+    """
     times = np.asarray(times, dtype=float)
-    if cell.lock_closed:
-        return np.full(times.shape, cell.v_hold_seen)
-    dt = times - cell.t_last
+    fields = np.asarray(fields, dtype=float).reshape(-1, len(OUTPUT_FIELDS))
+    if len(fields) != len(times):
+        raise ValueError("need one cell state per sample time")
+    locked, t_last, target, start, hold = fields.T
+    locked = locked != 0.0
+    dt = np.where(locked, 0.0, times - t_last)
     if np.any(dt < 0):
         raise ValueError("sample times precede the cell's last event")
-    rc = np.exp(-dt / time_constant(cell.params))
-    decay = np.exp(-cell.params.leak_rate * dt)
-    return (cell.v_target + (cell.v_start - cell.v_target) * rc) * decay
+    rc = np.exp(-dt / time_constant(params))
+    decay = np.exp(-params.leak_rate * dt)
+    return np.where(locked, hold, (target + (start - target) * rc) * decay)

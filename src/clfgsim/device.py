@@ -93,17 +93,13 @@ def conductance(device: DotDevice, gate_voltages: Mapping[str, object]):
     return g
 
 
-def _one_pole_coeff(tank: TankReadout) -> float:
-    return 1.0 - float(np.exp(-2.0 * np.pi * tank.bandwidth_hz / tank.sample_rate_hz))
-
-
 def _low_pass(x: np.ndarray, tank: TankReadout) -> np.ndarray:
     """One-pole low-pass along the last axis, started settled at x[..., 0].
 
     Discrete form y[n] = (1-a) y[n-1] + a x[n] with a chosen so the
     continuous-time bandwidth is `bandwidth_hz`; DC gain is exactly 1.
     """
-    a = _one_pole_coeff(tank)
+    a = 1.0 - float(np.exp(-2.0 * np.pi * tank.bandwidth_hz / tank.sample_rate_hz))
     zi = (1.0 - a) * x[..., :1]
     y, _ = lfilter([a], [1.0, -(1.0 - a)], x, axis=-1, zi=zi)
     return y
@@ -121,18 +117,22 @@ def require_sample_rate(tank: TankReadout) -> None:
         )
 
 
+def tank_signal(tank: TankReadout, g: np.ndarray) -> np.ndarray:
+    """Readout signal for a uniformly sampled conductance trace `g`: the
+    tank's first-order low-pass, after `require_sample_rate`."""
+    require_sample_rate(tank)
+    g = np.asarray(g, dtype=float)
+    if g.ndim == 0:
+        raise ValueError("the conductance trace must be a sampled array")
+    return _low_pass(g, tank)
+
+
 def readout(
     device: DotDevice, tank: TankReadout, v_gate_trace: Mapping[str, np.ndarray]
 ) -> np.ndarray:
-    """Readout signal for uniformly sampled gate-voltage traces.
-
-    Pointwise conductance mapped through the tank's first-order low-pass.
-    """
-    require_sample_rate(tank)
-    g = np.asarray(conductance(device, v_gate_trace), dtype=float)
-    if g.ndim == 0:
-        raise ValueError("v_gate_trace must contain at least one sampled array")
-    return _low_pass(g, tank)
+    """Readout signal for uniformly sampled gate-voltage traces: their
+    pointwise conductance through `tank_signal`."""
+    return tank_signal(tank, conductance(device, v_gate_trace))
 
 
 @dataclass(frozen=True)

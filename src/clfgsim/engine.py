@@ -15,11 +15,13 @@ import dataclasses
 import hashlib
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -32,10 +34,13 @@ from .errors import SimulationError
 SCHEMA_VERSION = 1
 N_CELLS = fsm.N_CELLS
 
-# Ordering of coincident timeline entries: releases first, then host DAC
-# moves, then lock closures, then fast-gate edges; samples observe the
-# post-event state at their own timestamp.
-_PRIO_OPEN, _PRIO_DAC, _PRIO_CLOSE, _PRIO_FG = 0, 1, 2, 3
+# A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
+# lock action with the cell as payload; DAC, host DAC moves; FG, a whole
+# playback run as one `fsm.TickRun` at its first tick.  Coincident entries
+# apply releases first, then host DAC moves, then lock closures, then
+# fast-gate edges; samples observe the post-event state at their own
+# timestamp.
+_PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3}
 
 
 class ScenarioError(SimulationError):
@@ -111,7 +116,8 @@ class Scenario:
     `device` and `tank` come from the `device` section, whose `gate_sources`
     and `axis_gate` wire the dot's gates to cells, DACs or constants.
     `calibration` and `budget` come from `power.calibration` and
-    `power.budget`.
+    `power.budget`.  For a figure scenario, `figure_params` holds the
+    values its driver reads, converted to their types, defaults filled in.
     """
 
     name: str
@@ -291,8 +297,11 @@ def build_scenario(raw: Mapping) -> Scenario:
         if bud_raw is not None:
             budget = _build_section(thermal.CoolingBudget, bud_raw, "power.budget")
 
-    if {"conductance", "readout"} & set(traces.kinds) and dot is None:
-        raise ScenarioError("conductance/readout traces need a device section")
+    if {"conductance", "readout"} & set(traces.kinds):
+        if dot is None:
+            raise ScenarioError("conductance/readout traces need a device section")
+        if not gate_sources:
+            raise ScenarioError("conductance/readout traces need device.gate_sources")
     if {"power", "temperature"} & set(traces.kinds) and power is None:
         raise ScenarioError("power/temperature traces need a power section")
     if "temperature" in traces.kinds and calibration is None:
@@ -343,22 +352,18 @@ def build_scenario(raw: Mapping) -> Scenario:
     if scenario.figure is not None:
         from . import figures
 
-        figures.check_sections(scenario)
+        params = figures.check_sections(scenario)
+        scenario = dataclasses.replace(scenario, figure_params=params)
     return scenario
 
 
-def load_scenario_dict(path: str | Path) -> dict:
+def load_scenario(path: str | Path, overrides: Iterable[str] = ()) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
-
-
-def load_scenario(path: str | Path, overrides: Iterable[str] = ()) -> Scenario:
-    raw = load_scenario_dict(path)
-    raw = apply_overrides(raw, overrides)
-    return build_scenario(raw)
+    return build_scenario(apply_overrides(raw, overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -578,40 +583,8 @@ def _manifest(scenario: Scenario) -> dict:
 @dataclass
 class _Segment:
     t_start: float
-    t_end: float
     mode: fsm.Mode
     regs: protocol.RegisterFile
-
-
-class _Timeline:
-    """Chronological stream of prioritized actions plus mode segments.
-
-    Lock actions and DAC moves are single entries; a playback run is one
-    entry, at its first tick, holding all its ticks in columns.
-    """
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[float, int, int, str, object]] = []
-        self._seq = 0
-
-    def add(self, t: float, prio: int, kind: str, payload) -> None:
-        self.entries.append((t, prio, self._seq, kind, payload))
-        self._seq += 1
-
-    def open(self, t: float, cell: int) -> None:
-        event = fsm.SwitchEvent(t, cell, lock_action=fsm.LockAction.OPEN)
-        self.add(t, _PRIO_OPEN, "open", event)
-
-    def close(self, t: float, cell: int) -> None:
-        event = fsm.SwitchEvent(t, cell, lock_action=fsm.LockAction.CLOSE)
-        self.add(t, _PRIO_CLOSE, "close", event)
-
-    def play(self, run: fsm.TickRun) -> None:
-        if len(run):
-            self.add(float(run.times[0]), _PRIO_FG, "fg", run)
-
-    def sorted(self):
-        return sorted(self.entries, key=lambda e: (e[0], e[1], e[2]))
 
 
 def _expand_schedule(scenario: Scenario):
@@ -627,11 +600,12 @@ def _expand_schedule(scenario: Scenario):
     Each stretch of playback between two such items goes on the timeline
     as one columnar `fsm.TickRun`, so no lock action falls inside a run.
 
-    Returns the action timeline, the mode segments (for the power trace)
-    and the READ responses.
+    Returns the timeline entries in the order they apply (by time, then
+    priority; the sort is stable, so ties keep insertion order), the mode
+    segments (for the power trace) and the READ responses.
     """
     chip = fsm.ChipState(master_freq_hz=scenario.chip.master_freq_hz)
-    timeline = _Timeline()
+    timeline: list[tuple[float, int, str, object]] = []
     segments: list[_Segment] = []
     responses: list[tuple[float, protocol.Frame]] = []
 
@@ -640,45 +614,49 @@ def _expand_schedule(scenario: Scenario):
     seg_start = 0.0
     cursor = 0.0
 
+    def add(t: float, kind: str, payload) -> None:
+        timeline.append((t, _PRIO[kind], kind, payload))
+
     def emit_periodic(a: float, b: float) -> None:
         nonlocal chip, refresh
         if b <= a:
             return
         if chip.mode == fsm.Mode.PULSING:
             chip, run = fsm.playback(chip, b - a, a)
-            timeline.play(run)
+            if len(run):
+                add(float(run.times[0]), "FG", run)
         elif chip.mode == fsm.Mode.REFRESH and refresh is not None:
             cells, period, anchor = refresh["cells"], refresh["period"], refresh["anchor"]
             j = refresh["next_j"]
             while (t := anchor + j * period / len(cells)) < b:
                 if t >= a:
                     if refresh["closed"] is not None:
-                        timeline.open(t, refresh["closed"])
+                        add(t, "OPEN", refresh["closed"])
                     refresh["closed"] = cells[j % len(cells)]
-                    timeline.close(t, refresh["closed"])
+                    add(t, "CLOSE", refresh["closed"])
                 j += 1
             refresh["next_j"] = j
 
     def close_segment(t_end: float) -> None:
         nonlocal seg_start
         if t_end > seg_start or not segments:
-            segments.append(_Segment(seg_start, t_end, chip.mode, chip.regs))
+            segments.append(_Segment(seg_start, chip.mode, chip.regs))
         seg_start = t_end
 
     def leave_mode(t: float) -> None:
         nonlocal locked_cells, refresh
         if chip.mode == fsm.Mode.LOCKING:
             for cell in locked_cells:
-                timeline.open(t, cell)
+                add(t, "OPEN", cell)
             locked_cells = []
         elif chip.mode == fsm.Mode.REFRESH and refresh is not None:
             if refresh["closed"] is not None:
-                timeline.open(t, refresh["closed"])
+                add(t, "OPEN", refresh["closed"])
             refresh = None
 
     for index, item in enumerate(scenario.schedule):
         if item.frame is None:
-            timeline.add(item.time_s, _PRIO_DAC, "dac", item.dac)
+            add(item.time_s, "DAC", item.dac)
             continue
         if item.frame.opcode in (protocol.Opcode.WRITE, protocol.Opcode.EXEC):
             emit_periodic(cursor, item.time_s)
@@ -696,7 +674,7 @@ def _expand_schedule(scenario: Scenario):
             if chip.mode == fsm.Mode.LOCKING:
                 locked_cells = fsm.mask_cells(chip.regs.lock_mask)
                 for cell in locked_cells:
-                    timeline.close(item.time_s, cell)
+                    add(item.time_s, "CLOSE", cell)
             elif chip.mode == fsm.Mode.REFRESH:
                 cells = fsm.mask_cells(chip.regs.lock_mask)
                 refresh = {
@@ -712,15 +690,7 @@ def _expand_schedule(scenario: Scenario):
             chip = new_chip
     emit_periodic(cursor, scenario.duration_s)
     close_segment(scenario.duration_s)
-    return timeline, segments, responses
-
-
-def _gate_voltage(source: dict, cells, dacs, t: float) -> float:
-    if "cell" in source:
-        return analog.output_voltage(cells[int(source["cell"])], t)
-    if "dac" in source:
-        return dacs.get(source["dac"], 0.0)
-    return float(source["const"])
+    return sorted(timeline, key=itemgetter(0, 1)), segments, responses
 
 
 def _segment_power(scenario: Scenario, seg: _Segment) -> float:
@@ -746,13 +716,22 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     run only queues its ticks on its cells: a cell's queued edges are
     applied in one `analog.apply_fg_run` call when something reads or
     changes that cell (a lock action on it, a hold-DAC move, a sample of
-    it) and at the end of the run.
+    it) and at the end of the run.  The loop only records the cell-state
+    fields, hold rail and gate DACs each block of samples sees; the traces
+    are then evaluated as arrays (see README, "How a run executes").
     """
+    kinds = scenario.traces.kinds
+    if "readout" in kinds:  # fail before simulating anything
+        devmod.require_sample_rate(scenario.tank)
     timeline, segments, responses = _expand_schedule(scenario)
 
-    kinds = scenario.traces.kinds
-    if "readout" in kinds:
-        devmod.require_sample_rate(scenario.tank)
+    traced = scenario.traces.cells if "cells" in kinds else ()
+    sources = scenario.gate_sources if {"conductance", "readout"} & set(kinds) else {}
+    # The cells the samples read, each once: traced cells, then gate sources.
+    sampled = list(dict.fromkeys(
+        [*traced, *(int(src["cell"]) for src in sources.values() if "cell" in src)]
+    ))
+    dac_names = list(dict.fromkeys(src["dac"] for src in sources.values() if "dac" in src))
 
     # Cell states are immutable, so all 32 can start as one value.
     cells = [analog.ClfgCell(scenario.analog)] * N_CELLS
@@ -782,12 +761,6 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             queue.pop(0)
         next_edge[c] = math.inf
 
-    rate = scenario.traces.sample_rate_hz
-    n_samples = math.floor(scenario.duration_s * rate) + 1
-    sample_times = [k / rate for k in range(n_samples)]
-
-    seg_bounds = [s.t_start for s in segments]
-
     def move_dac(value: float, t: float) -> None:
         nonlocal v_hold
         if value != v_hold:
@@ -797,57 +770,49 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 cells[i] = analog.set_hold(cells[i], value)
             v_hold = value
 
-    # sample buffers
-    want_cells = "cells" in kinds
-    want_hold = "hold" in kinds
-    want_g = "conductance" in kinds or "readout" in kinds
-    want_power = "power" in kinds or "temperature" in kinds
-    seg_power = [_segment_power(scenario, seg) for seg in segments] if want_power else []
-    sampled = set(scenario.traces.cells) if want_cells else set()
-    if want_g:
-        sampled |= {int(src["cell"]) for src in scenario.gate_sources.values() if "cell" in src}
-    cell_volts: list[float] = []  # sample by sample, traces.cells in order
-    hold_volts: list[float] = []
-    g_samples: list[float] = []
-    axis_samples: list[float] = []
-    power_samples: list[float] = []
+    rate = scenario.traces.sample_rate_hz
+    times = np.arange(math.floor(scenario.duration_s * rate) + 1) / rate
+    sample_times = times.tolist()
+    n_samples = len(sample_times)
+    # What each block of samples sees: the sampled cells' `output_fields`
+    # (floats, so no state outlives its block), the hold rail and the gate
+    # DACs, and the block's length.
+    fields: list[float] = []
+    holds: list[float] = []
+    dac_seen: dict[str, list[float]] = {name: [] for name in dac_names}
+    counts: list[int] = []
+    si = 0
 
-    def take_sample(t: float) -> None:
-        for c in sampled:
-            if next_edge[c] <= t:
-                flush(c, t, True)
-        if want_cells:
-            for c in scenario.traces.cells:
-                cell_volts.append(analog.output_voltage(cells[c], t))
-        if want_hold:
-            hold_volts.append(v_hold)
-        if want_g:
-            volts = {
-                gate: _gate_voltage(src, cells, dacs, t)
-                for gate, src in scenario.gate_sources.items()
-            }
-            g_samples.append(devmod.conductance(scenario.device, volts))
-            axis = scenario.axis_gate
-            axis_samples.append(volts.get(axis, 0.0) if axis else 0.0)
-        if want_power:
-            idx = min(bisect_right(seg_bounds, t) - 1, len(segments) - 1)
-            power_samples.append(seg_power[max(idx, 0)])
+    def sample_until(stop: int) -> None:
+        """Record what samples si..stop-1 see: the sampled cells after their
+        edges at or before each sample's time, so a block ends at an edge."""
+        nonlocal si
+        while si < stop:
+            t = sample_times[si]
+            for c in sampled:
+                if next_edge[c] <= t:
+                    flush(c, t, True)
+                fields.extend(analog.output_fields(cells[c]))
+            edge = min([next_edge[c] for c in sampled], default=math.inf)
+            end = bisect_left(sample_times, edge, si, stop)
+            counts.append(end - si)
+            holds.append(v_hold)
+            for name in dac_names:
+                dac_seen[name].append(dacs.get(name, 0.0))
+            si = end
 
     # The events table, built column by column in timeline order.
     log: tuple[list, ...] = ([], [], [], [])
-    si = 0
-    for t, _prio, _seq, kind, payload in timeline.sorted():
-        while si < n_samples and sample_times[si] < t:
-            take_sample(sample_times[si])
-            si += 1
-        if kind == "dac":
+    for t, _prio, kind, payload in timeline:
+        sample_until(bisect_left(sample_times, t, si))
+        if kind == "DAC":
             for name, value in payload:  # type: ignore[union-attr]
                 if name == "v_hold":
                     move_dac(value, t)
                 else:
                     dacs[name] = value
             continue
-        if kind == "fg":
+        if kind == "FG":
             run: fsm.TickRun = payload  # type: ignore[assignment]
             for column, values in zip(log, run.csv_columns()):
                 column += values
@@ -855,14 +820,13 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 queued[c].append([run, 0])
                 next_edge[c] = min(next_edge[c], t)
             continue
-        ev: fsm.SwitchEvent = payload  # type: ignore[assignment]
-        for column, value in zip(log, fsm.event_csv_row(ev)):
+        i: int = payload  # type: ignore[assignment]
+        for column, value in zip(log, (t, i, kind, "")):
             column.append(value)
-        i = ev.cell
         if next_edge[i] < t:
             flush(i, t, False)
         cells[i] = analog.settle(cells[i], t)
-        if kind == "close":
+        if kind == "CLOSE":
             target = scenario.cell_targets.get(i)
             if target is not None:
                 v_cmd = target
@@ -870,44 +834,29 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                     v_cmd = target - analog.injection_offset(scenario.analog)
                 move_dac(v_cmd, t)
             cells[i] = analog.lock(cells[i], v_hold)
-        else:  # open
+        else:  # OPEN
             cells[i] = analog.unlock(cells[i])
-    while si < n_samples:
-        take_sample(sample_times[si])
-        si += 1
+    sample_until(n_samples)
     for c in range(N_CELLS):
         if queued[c]:
             flush(c, math.inf, True)
 
+    # The sampled cells' fields sample by sample, evaluated in one call.
+    per_sample = np.repeat(np.reshape(fields, (len(counts), -1)), counts, axis=0)
+    volts = analog.sample_output(
+        scenario.analog, per_sample, np.repeat(times, len(sampled))
+    ).reshape(n_samples, len(sampled))
+
     tables: dict[str, Table] = {}
     tables["events"] = Table(("time_s", "cell", "action", "level"), log)
-    if want_cells:
-        traced = scenario.traces.cells
-        tables["cells"] = Table(
-            ("time_s", "cell", "v_out_volts"),
-            ([t for t in sample_times for _ in traced], list(traced) * n_samples, cell_volts),
-        )
-    if want_hold:
-        tables["hold"] = Table(("time_s", "v_hold_volts"), (sample_times, hold_volts))
-    if "conductance" in kinds:
-        tables["conductance"] = Table(("time_s", "conductance_s"), (sample_times, g_samples))
-    if "readout" in kinds:
-        signal = devmod._low_pass(np.asarray(g_samples, dtype=float), scenario.tank)
-        tables["readout"] = Table(
-            ("time_s", "v_sdp_volts", "signal"),
-            (sample_times, axis_samples, signal.tolist()),
-        )
-    if "power" in kinds:
-        tables["power"] = Table(("time_s", "power_watts"), (sample_times, power_samples))
-    if "temperature" in kinds:
-        temps = [thermal.temperature(p, scenario.calibration) for p in power_samples]
-        tables["temperature"] = Table(("time_s", "temperature_k"), (sample_times, temps))
-    if responses:
-        tables["responses"] = Table.from_rows(
-            ("time_s", "opcode", "address", "data"),
-            [(t, int(f.opcode), f.address, f.data) for t, f in responses],
-        )
-
+    if traced:
+        v_out = volts[:, [sampled.index(c) for c in traced]].ravel().tolist()
+        tables["cells"] = Table(("time_s", "cell", "v_out_volts"), (
+            [t for t in sample_times for _ in traced], list(traced) * n_samples, v_out
+        ))
+    if "hold" in kinds:
+        holds = list(chain.from_iterable(map(repeat, holds, counts)))
+        tables["hold"] = Table(("time_s", "v_hold_volts"), (sample_times, holds))
     summary: dict[str, Any] = {
         "final_time_s": scenario.duration_s,
         "v_out_final": {
@@ -916,8 +865,40 @@ def run_generic(scenario: Scenario) -> TraceBundle:
         },
         "n_events": len(log[0]),
     }
-    if g_samples:
-        summary["conductance_final_s"] = g_samples[-1]
+    if sources:
+        gates = {
+            gate: volts[:, sampled.index(int(src["cell"]))] if "cell" in src
+            else np.repeat(dac_seen[src["dac"]], counts) if "dac" in src
+            else np.full(n_samples, float(src["const"]))
+            for gate, src in sources.items()
+        }
+        g = devmod.conductance(scenario.device, gates)
+        summary["conductance_final_s"] = float(g[-1])
+        if "conductance" in kinds:
+            tables["conductance"] = Table(("time_s", "conductance_s"), (sample_times, g.tolist()))
+        if "readout" in kinds:
+            axis = scenario.axis_gate
+            signal = devmod.tank_signal(scenario.tank, g).tolist()
+            tables["readout"] = Table(("time_s", "v_sdp_volts", "signal"), (
+                sample_times, gates[axis].tolist() if axis else [0.0] * n_samples, signal
+            ))
+    if "power" in kinds or "temperature" in kinds:
+        index = np.searchsorted([seg.t_start for seg in segments], times, "right") - 1
+        index = np.clip(index, 0, len(segments) - 1).tolist()
+        seg_power = [_segment_power(scenario, seg) for seg in segments]
+        if "power" in kinds:
+            power = list(map(seg_power.__getitem__, index))
+            tables["power"] = Table(("time_s", "power_watts"), (sample_times, power))
+        if "temperature" in kinds:
+            seg_temp = [thermal.temperature(p, scenario.calibration) for p in seg_power]
+            temps = list(map(seg_temp.__getitem__, index))
+            tables["temperature"] = Table(("time_s", "temperature_k"), (sample_times, temps))
+    if responses:
+        tables["responses"] = Table.from_rows(
+            ("time_s", "opcode", "address", "data"),
+            [(t, int(f.opcode), f.address, f.data) for t, f in responses],
+        )
+
     return TraceBundle(
         tables=tables,
         events=EventLog(tables["events"]),

@@ -33,8 +33,8 @@ def fig3b(scenario: Scenario) -> TraceBundle:
 def fig3c(scenario: Scenario) -> TraceBundle:
     """Held-voltage drift over an hour for several hold voltages."""
     values = scenario.sweep.values
-    cell = int(scenario.figure_params.get("cell", 0))
-    open_time = float(scenario.figure_params.get("open_time_s", 0.0))
+    cell = scenario.figure_params["cell"]
+    open_time = scenario.figure_params["open_time_s"]
     bundles = engine.sweep(scenario, scenario.sweep.axis, values)
     rows = []
     for v_hold, bundle in zip(values, bundles):
@@ -56,7 +56,7 @@ def fig3c(scenario: Scenario) -> TraceBundle:
 def fig3e(scenario: Scenario) -> TraceBundle:
     """Floating output tracking a swept hold rail through c_ds."""
     run = engine.run_generic(scenario)
-    cell = int(scenario.figure_params.get("cell", 0))
+    cell = scenario.figure_params["cell"]
     hold = {t: v for t, v in run.tables["hold"].rows}
     rows = [
         (t, hold[t], v) for t, c, v in run.tables["cells"].rows if c == cell
@@ -68,12 +68,12 @@ def fig3e(scenario: Scenario) -> TraceBundle:
 def fig3f(scenario: Scenario) -> TraceBundle:
     """Pulsed-readout envelope against the two static reference sweeps."""
     params = scenario.figure_params
-    cell_idx = int(params["cell"])
-    pulse_gate = str(params["pulse_gate"])
-    sweep_gate = str(params["sweep_gate"])
-    v_sweep = np.asarray([float(v) for v in params["v_sdp_values"]])
-    pulse_start = float(params["pulse_start_s"])
-    settle = float(params.get("settle_fraction", 0.5))
+    cell_idx = params["cell"]
+    pulse_gate = params["pulse_gate"]
+    sweep_gate = params["sweep_gate"]
+    v_sweep = np.asarray(params["v_sdp_values"])
+    pulse_start = params["pulse_start_s"]
+    settle = params["settle_fraction"]
 
     run = engine.run_generic(scenario)
     cells_table = run.tables["cells"]
@@ -120,10 +120,10 @@ def fig4b(scenario: Scenario) -> TraceBundle:
     """Per-cell pulsing cost for 1..6 simultaneously pulsed cells."""
     params = scenario.figure_params
     model = scenario.power
-    swing = float(params.get("swing", 0.1))
+    swing = params["swing"]
     rows = []
-    for n in [int(v) for v in params.get("n_cells", range(1, 7))]:
-        for f in [float(v) for v in params["f_values"]]:
+    for n in params["n_cells"]:
+        for f in params["f_values"]:
             watts = n * thermal.pulse_power(model.c_pulse, model.c_p, swing, 0.0, f)
             rows.append((n, f, watts, watts / n / f * 1e15 if f else 0.0))
     table = Table.from_rows(("n_cells", "f_hz", "cells_watts", "nw_per_mhz_per_cell"), rows)
@@ -135,8 +135,8 @@ def fig4d(scenario: Scenario) -> TraceBundle:
     params = scenario.figure_params
     model = scenario.power
     rows = []
-    for swing in [float(v) for v in params["swing_values"]]:
-        for f in [float(v) for v in params["f_values"]]:
+    for swing in params["swing_values"]:
+        for f in params["f_values"]:
             rows.append(
                 (swing, f, thermal.pulse_power(model.c_pulse, model.c_p, swing, 0.0, f))
             )
@@ -149,11 +149,8 @@ def fig4e(scenario: Scenario) -> TraceBundle:
     params = scenario.figure_params
     model = scenario.power
     budget = scenario.budget
-    swing = float(params.get("swing", 0.1))
     rows = thermal.feasibility_map(
-        [int(v) for v in params["n_values"]],
-        [float(v) for v in params["f_values"]],
-        swing, model, budget,
+        params["n_values"], params["f_values"], params["swing"], model, budget
     )
     table = Table.from_rows(("n_cells", "f_hz", "total_watts", "feasible"), rows)
     return _bundle(
@@ -183,12 +180,29 @@ _NEEDS = {
     "fig4d": ("power",),
     "fig4e": ("power", "budget"),
 }
-# `figure_params` keys each driver reads without a default.
+
+
+def _list_of(convert):
+    def convert_list(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return [convert(v) for v in value]
+    return convert_list
+
+
+_FLOATS, _INTS = _list_of(float), _list_of(int)
+# `figure_params` each driver reads: key -> (conversion, default); a key
+# with no default (None) must be given.
 _PARAMS = {
-    "fig3f": ("cell", "pulse_gate", "sweep_gate", "v_sdp_values", "pulse_start_s"),
-    "fig4b": ("f_values",),
-    "fig4d": ("swing_values", "f_values"),
-    "fig4e": ("n_values", "f_values"),
+    "fig3c": {"cell": (int, 0), "open_time_s": (float, 0.0)},
+    "fig3e": {"cell": (int, 0)},
+    "fig3f": {"cell": (int, None), "pulse_gate": (str, None), "sweep_gate": (str, None),
+              "v_sdp_values": (_FLOATS, None), "pulse_start_s": (float, None),
+              "settle_fraction": (float, 0.5)},
+    "fig4b": {"swing": (float, 0.1), "n_cells": (_INTS, (1, 2, 3, 4, 5, 6)),
+              "f_values": (_FLOATS, None)},
+    "fig4d": {"swing_values": (_FLOATS, None), "f_values": (_FLOATS, None)},
+    "fig4e": {"swing": (float, 0.1), "n_values": (_INTS, None), "f_values": (_FLOATS, None)},
 }
 _MISSING = {
     "device": "figure needs a device section",
@@ -205,17 +219,25 @@ def require_sections(scenario: Scenario, sections) -> None:
             raise engine.ScenarioError(_MISSING[section])
 
 
-def check_sections(scenario: Scenario) -> None:
+def check_sections(scenario: Scenario) -> dict:
     """Reject an unknown figure or one whose driver lacks a section or
-    `figure_params` key it reads."""
+    `figure_params` key it reads; return the `figure_params` the driver
+    reads, each converted once to its type, with defaults filled in."""
     if scenario.figure not in DRIVERS:
         raise engine.ScenarioError(f"unknown figure {scenario.figure!r}")
     require_sections(scenario, _NEEDS.get(scenario.figure, ()))
-    for key in _PARAMS.get(scenario.figure, ()):
-        if key not in scenario.figure_params:
-            raise engine.ScenarioError(
-                f"figure_params: {scenario.figure} needs key {key!r}"
-            )
+    params = {}
+    for key, (convert, default) in _PARAMS.get(scenario.figure, {}).items():
+        if key in scenario.figure_params:
+            with engine._section(f"figure_params: {key}"):
+                params[key] = convert(scenario.figure_params[key])
+        elif default is None:
+            raise engine.ScenarioError(f"figure_params: {scenario.figure} needs key {key!r}")
+        else:
+            params[key] = default
+    if "cell" in params and params["cell"] not in scenario.traces.cells:
+        raise engine.ScenarioError(f"figure_params: cell {params['cell']} is not in traces.cells")
+    return params
 
 
 def run_figure(scenario: Scenario) -> TraceBundle:

@@ -70,7 +70,8 @@ class TickRun:
         return len(self.times) * len(self.cells)
 
     def csv_columns(self) -> tuple[list, list, list, list]:
-        """The run's `event_csv_row` rows as columns: tick by tick, cells ascending."""
+        """The run's rows of the `time_s,cell,action,level` event table, as
+        columns: tick by tick, cells ascending."""
         n = len(self.cells)
         levels = np.repeat(self.levels, n).tolist()
         return (
@@ -202,16 +203,8 @@ def playback(
     return new_state, run
 
 
-def event_csv_row(event: SwitchEvent) -> tuple[float, int, str, str]:
-    """Row for the `time_s,cell,action,level` event dump."""
-    if event.lock_action is not None:
-        return (event.time_s, event.cell, event.lock_action.value, "")
-    assert event.fg_level is not None
-    return (event.time_s, event.cell, "FG", event.fg_level.name)
-
-
 def event_from_row(time_s: float, cell: int, action: str, level: str) -> SwitchEvent:
-    """The event an `event_csv_row` row stands for."""
+    """The event a row of the `time_s,cell,action,level` event table stands for."""
     if action == "FG":
         return SwitchEvent(time_s, cell, fg_level=Level[level])
     return SwitchEvent(time_s, cell, lock_action=LockAction(action))

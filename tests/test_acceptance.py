@@ -75,7 +75,9 @@ def test_02_pulse_power_matches_integrated_dissipation():
         for level in (analog.Level.HIGH, analog.Level.LOW):
             cell = analog.apply_fg(cell, level, t_edge, rails)
             times = t_edge + np.arange(half + 1) * dt
-            v = analog.sample_output(cell, times)
+            v = analog.sample_output(
+                cell.params, [analog.output_fields(cell)] * len(times), times
+            )
             current = c_p * np.gradient(v, dt)  # all switch current flows into c_p
             energy += np.trapezoid(current * current * r, dx=dt)
             t_edge = times[-1]
@@ -160,7 +162,8 @@ def test_06_leakage_benchmark_and_flank_recovery():
     cell = analog.ClfgCell(analog.CellParams(q_inj=0.0, leak_rate=lam))
     cell = analog.unlock(analog.lock(cell, -1.1))
     times = np.arange(0.0, 201.0, 1.0)
-    g = np.asarray(device.conductance(dot, {"lw": analog.sample_output(cell, times)}))
+    v = analog.sample_output(cell.params, [analog.output_fields(cell)] * len(times), times)
+    g = np.asarray(device.conductance(dot, {"lw": v}))
     drift_rate = device.infer_gate_drift_rate(dot, "lw", {"lw": -1.1}, times, g)
     lam_rec = drift_rate / 1.1
     lam_ok = abs(lam_rec - lam) / lam <= 0.05

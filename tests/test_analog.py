@@ -19,6 +19,7 @@ from clfgsim.analog import (
     injection_offset,
     leak,
     lock,
+    output_fields,
     output_voltage,
     pulse_amplitude,
     sample_output,
@@ -180,7 +181,7 @@ class TestFastGateTransient:
         rails = SupplyRails(v_high=0.1, v_low=-0.1)
         cell = apply_fg(cell, Level.HIGH, 0.0, rails)
         times = np.linspace(0.0, 10e-9, 10001)
-        v = sample_output(cell, times)
+        v = sample_output(cell.params, [output_fields(cell)] * len(times), times)
         dv = pulse_amplitude(cell.params, rails)
         t10 = times[np.searchsorted(v, 0.1 * dv)]
         t90 = times[np.searchsorted(v, 0.9 * dv)]
@@ -256,7 +257,7 @@ class TestEnergyOracle:
             for level in (Level.HIGH, Level.LOW):
                 cell = apply_fg(cell, level, t0, rails)
                 times = t0 + np.arange(half + 1) * dt
-                v = sample_output(cell, times)
+                v = sample_output(cell.params, [output_fields(cell)] * len(times), times)
                 i = c_p * np.gradient(v, dt)
                 energy += np.trapezoid(i * i * r, dx=dt)
                 t0 = times[-1]
@@ -360,3 +361,75 @@ class TestRunKernel:
             (output_voltage(got, later), output_voltage(expected, later)),
         ]:
             assert abs(value_got - value_expected) <= KERNEL_TOL_V
+
+
+# Absolute tolerance of `sample_output` against `output_voltage`.
+SAMPLE_TOL_V = 1e-12
+
+
+cell_params = st.builds(
+    CellParams,
+    r_switch=st.floats(1e2, 1e5),
+    leak_rate=st.floats(0.0, 1e3),
+    q_inj=st.floats(-5e-15, 5e-15),
+)
+
+
+@st.composite
+def cell_states(draw, params: CellParams) -> ClfgCell:
+    """A locked cell, or a floating one mid-transient after a fast-gate edge.
+
+    A locked state is drawn field by field, so its transient fields need
+    not equal the hold voltage it reads.
+    """
+    t_last = draw(st.floats(0.0, 1e-3))
+    if draw(st.booleans()):
+        return ClfgCell(
+            params, lock_closed=True, v_hold_seen=draw(finite_volts),
+            v_start=draw(finite_volts), v_target=draw(finite_volts), t_last=t_last,
+        )
+    cell = unlock(lock(ClfgCell(params), draw(finite_volts)))
+    rails = SupplyRails(v_high=draw(st.floats(0.0, 0.5)), v_low=draw(st.floats(-0.5, 0.0)))
+    return apply_fg(cell, draw(st.sampled_from(Level)), t_last, rails)
+
+
+class TestSampleOutput:
+    """`sample_output` reads the state of `fields[i]` at `times[i]`, as
+    `output_voltage` does."""
+
+    @given(
+        states=cell_params.flatmap(
+            lambda params: st.lists(cell_states(params), min_size=1, max_size=6)
+        ),
+        # (state index, delay after its last event in RC time constants);
+        # runs of one state and interleaved states both occur.
+        reads=st.lists(
+            st.tuples(st.integers(0, 5), st.floats(0.0, 50.0)), min_size=1, max_size=60
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_output_voltage(self, states, reads):
+        cells = [states[i % len(states)] for i, _ in reads]
+        times = [
+            cell.t_last + delay * time_constant(cell.params)
+            for cell, (_, delay) in zip(cells, reads)
+        ]
+        got = sample_output(states[0].params, list(map(output_fields, cells)), np.array(times))
+        assert got.shape == (len(cells),)
+        for cell, t, v in zip(cells, times, got.tolist()):
+            assert abs(v - output_voltage(cell, t)) <= SAMPLE_TOL_V
+
+    def test_locked_cell_reads_hold_at_any_time(self):
+        cell = lock(ClfgCell(), -1.1)
+        got = sample_output(cell.params, [output_fields(cell)] * 3, [-1.0, 0.0, 5.0])
+        assert got.tolist() == [-1.1] * 3
+
+    def test_time_before_last_event_rejected(self):
+        cell = settle(floating_cell(-1.1), 1.0)
+        with pytest.raises(ValueError, match="precede"):
+            sample_output(cell.params, [output_fields(cell)] * 2, [1.0, 0.5])
+
+    def test_one_state_per_time(self):
+        cell = ClfgCell()
+        with pytest.raises(ValueError, match="one cell state per sample time"):
+            sample_output(cell.params, [output_fields(cell)], [0.0, 1.0])

@@ -132,6 +132,28 @@ class TestValidate:
             assert err.startswith("error:") and repr(key) in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "figure, key, value",
+        [
+            ("fig3f", "cell", "x"),
+            ("fig3c", "cell", "x"),
+            ("fig4b", "f_values", ["x"]),
+            ("fig4e", "n_values", 5),
+            ("fig3f", "v_sdp_values", "abc"),
+            ("fig3e", "cell", 3),  # a cell the scenario does not trace
+        ],
+    )
+    def test_figure_param_of_wrong_type_exits_1(self, figure, key, value, tmp_path, capsys):
+        doc = json.loads(cli.bundled_scenario_path(figure).read_text())
+        doc["figure_params"][key] = value
+        path = tmp_path / "bad.scn"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: figure_params: " + key)
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("doc", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())
     def test_wrong_type_exits_1(self, doc, tmp_path, capsys):
         path = tmp_path / "bad.scn"
@@ -171,6 +193,18 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "runtime error" in capsys.readouterr().err
+
+    def test_readout_below_ten_times_bandwidth_exits_2(self, tmp_path, capsys):
+        doc = _mini(
+            device=dict(_DOT, bandwidth_hz=1e6),
+            traces={"sample_rate_hz": 9.9e6, "kinds": ["readout"]},
+        )
+        path = tmp_path / "slow.scn"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "sample rate" in err and "Traceback" not in err
 
     def test_out_dir_from_environment(self, mini_scn, tmp_path, monkeypatch):
         out = tmp_path / "envout"

@@ -164,7 +164,7 @@ class TestDriftRecovery:
         cell = analog.ClfgCell(analog.CellParams(q_inj=0.0, leak_rate=lam))
         cell = analog.unlock(analog.lock(cell, -1.1))
         times = np.arange(0.0, 201.0, 1.0)
-        v = analog.sample_output(cell, times)
+        v = analog.sample_output(cell.params, [analog.output_fields(cell)] * len(times), times)
         g = np.asarray(conductance(dot, {"lw": v}))
         drift = infer_gate_drift_rate(dot, "lw", {"lw": -1.1}, times, g)
         assert drift == pytest.approx(lam * 1.1, rel=0.05)

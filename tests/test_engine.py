@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -395,3 +396,140 @@ class TestExport:
         manifest = json.loads((tmp_path / "manifest_test.json").read_text())
         assert manifest["schema_version"] == 1
         assert "config_sha256" in manifest
+
+
+# Absolute tolerance of the conductance and readout traces against the
+# scalar `output_voltage` + `conductance` oracle.
+SIEMENS_TOL = 1e-13
+
+
+class TestGateSources:
+    """Conductance and readout traces from cell, DAC and constant gate sources."""
+
+    LEVERS = {"lw": 0.2, "aux": 0.5, "sdp": 1.0}
+
+    @given(
+        pattern=st.integers(0, 0xFFFF),
+        plen=st.integers(1, 16),
+        n_ticks=st.integers(1, 64),
+        divider=st.integers(0, 15),
+        periods_per_tau=st.floats(0.1, 100.0),
+        v_hold=st.floats(-0.02, 0.02),
+        sdp=st.floats(-0.02, 0.02),
+        aux=st.floats(-0.02, 0.02),
+        dac_fraction=st.floats(0.0, 1.0),
+        n_samples=st.integers(2, 200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_traces_match_scalar_oracle(
+        self, pattern, plen, n_ticks, divider, periods_per_tau, v_hold, sdp, aux,
+        dac_fraction, n_samples,
+    ):
+        period = (1 << divider) / 35.84e6
+        t_open = 1e-9  # cell 3 is locked at 0 and released as playback starts
+        duration = t_open + (n_ticks + 0.5) * period
+        t_dac = t_open + dac_fraction * (duration - t_open)
+        rate = n_samples / duration
+        scenario = make_scenario(
+            analog={"r_switch": period / periods_per_tau / 0.5e-12},
+            rails={"v_high": 0.004, "v_low": 0.0, "v_hold": v_hold},
+            device={
+                "levers": self.LEVERS,
+                "bandwidth_hz": rate / 20.0,
+                "gate_sources": {
+                    "lw": {"cell": 3}, "aux": {"dac": "aux"}, "sdp": {"const": sdp},
+                },
+                "axis_gate": "sdp",
+            },
+            schedule=[
+                {"t": 0.0, "write": ["CTRL", 2]},
+                {"t": 0.0, "write": ["LOCK_MASK_LO", 1 << 3]},
+                {"t": 0.0, "exec": True},
+                {"t": t_open, "write": ["LOCK_MASK_LO", 0]},
+                {"t": t_open, "write": ["PATTERN0", pattern]},
+                {"t": t_open, "write": ["PATTERN_LEN", plen]},
+                {"t": t_open, "write": ["DIVIDER", divider]},
+                {"t": t_open, "write": ["PULSE_MASK_LO", 1 << 3]},
+                {"t": t_open, "write": ["CTRL", 7]},
+                {"t": t_open, "exec": True},
+                {"t": t_dac, "dac": {"aux": aux}},
+            ],
+            duration_s=duration,
+            traces={
+                "sample_rate_hz": rate,
+                "kinds": ["cells", "conductance", "readout"],
+                "cells": [3],
+            },
+        )
+        bundle = engine.run_generic(scenario)
+        cells = replay_cells_edge_by_edge(scenario, bundle, [])
+        expected = [
+            device.conductance(scenario.device, {
+                "lw": v, "aux": aux if t >= t_dac else 0.0, "sdp": sdp,
+            })
+            for t, _, v in cells
+        ]
+        times, g = bundle.tables["conductance"].columns
+        assert times == [t for t, _, _ in cells]
+        for got, want in zip(g, expected):
+            assert abs(got - want) <= SIEMENS_TOL
+        assert bundle.summary["conductance_final_s"] == g[-1]
+
+        # The tank: y[0] = x[0], then y[k] = (1 - a) y[k-1] + a x[k].
+        a = 1.0 - math.exp(-2.0 * math.pi / 20.0)
+        signal = [expected[0]]
+        for x in expected[1:]:
+            signal.append((1.0 - a) * signal[-1] + a * x)
+        times, v_sdp, got_signal = bundle.tables["readout"].columns
+        assert v_sdp == [sdp] * len(times)
+        for got, want in zip(got_signal, signal):
+            assert abs(got - want) <= SIEMENS_TOL
+
+    def test_constant_gates_give_one_row_per_sample(self):
+        scenario = make_scenario(
+            device={"levers": {"sdp": 1.0}, "gate_sources": {"sdp": {"const": 0.0021}}},
+            duration_s=1e-6,
+            traces={"sample_rate_hz": 1e9, "kinds": ["conductance", "readout"]},
+        )
+        bundle = engine.run_generic(scenario)
+        g = device.conductance(scenario.device, {"sdp": 0.0021})
+        n_samples = 1001
+        assert bundle.tables["conductance"].columns[1] == [g] * n_samples
+        assert len(bundle.tables["readout"].rows) == n_samples
+        assert bundle.summary["conductance_final_s"] == g
+
+    def test_gates_sharing_a_dac(self):
+        scenario = make_scenario(
+            device={
+                "levers": {"lw": 0.2, "rw": 0.3, "sdp": 1.0},
+                "gate_sources": {
+                    "lw": {"dac": "aux"}, "rw": {"dac": "aux"}, "sdp": {"cell": 0},
+                },
+            },
+            schedule=[{"t": 0.5e-6, "dac": {"aux": 0.01}}],
+            duration_s=1e-6,
+            traces={"sample_rate_hz": 1e7, "kinds": ["conductance"]},
+        )
+        times, g = engine.run_generic(scenario).tables["conductance"].columns
+        assert len(g) == 11
+        for t, got in zip(times, g):
+            aux = 0.01 if t >= 0.5e-6 else 0.0
+            want = device.conductance(scenario.device, {"lw": aux, "rw": aux, "sdp": 0.0})
+            assert abs(got - want) <= SIEMENS_TOL
+
+    def test_slow_readout_rejected_before_simulating(self, monkeypatch):
+        scenario = make_scenario(
+            device={"levers": {"sdp": 1.0}, "bandwidth_hz": 1e6,
+                    "gate_sources": {"sdp": {"const": 0.0}}},
+            traces={"sample_rate_hz": 9.9e6, "kinds": ["readout"]},
+        )
+        monkeypatch.setattr(engine, "_expand_schedule", None)  # never reached
+        with pytest.raises(device.SampleRateTooLow, match="sample rate"):
+            engine.run_generic(scenario)
+
+    def test_gate_sources_required(self):
+        with pytest.raises(ScenarioError, match="gate_sources"):
+            make_scenario(
+                device={"levers": {"sdp": 1.0}},
+                traces={"sample_rate_hz": 1e9, "kinds": ["conductance"]},
+            )
