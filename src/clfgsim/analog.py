@@ -212,21 +212,10 @@ def set_hold(cell: ClfgCell, v_hold: float) -> ClfgCell:
     return couple_hold(cell, v_hold - cell.v_hold_seen)
 
 
-def leak(cell: ClfgCell, dt: float) -> ClfgCell:
-    """Advance a floating cell by `dt`: leakage decay plus RC relaxation.
-
-    The held voltage relaxes exponentially toward 0 V at `leak_rate`, so
-    the drift rate is proportional to the held voltage.  Composes as a
-    semigroup: leak(t1) then leak(t2) equals leak(t1+t2).  No-op while the
-    lock switch pins the node (only the local clock advances).
-    """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    return settle(cell, cell.t_last + dt)
-
-
 def settle(cell: ClfgCell, t: float) -> ClfgCell:
-    """Advance the cell's internal time to `t` (t >= t_last)."""
+    """Advance the cell's internal time to `t` (t >= t_last): a floating
+    output leaks toward 0 V at `leak_rate` (a semigroup in t) and relaxes
+    any RC transient; a locked one only advances its clock."""
     dt = t - cell.t_last
     if dt < 0:
         raise ValueError(f"time {t} precedes last event at {cell.t_last}")

@@ -118,21 +118,13 @@ def require_sample_rate(tank: TankReadout) -> None:
 
 
 def tank_signal(tank: TankReadout, g: np.ndarray) -> np.ndarray:
-    """Readout signal for a uniformly sampled conductance trace `g`: the
-    tank's first-order low-pass, after `require_sample_rate`."""
+    """Readout signal for uniformly sampled conductance traces `g` (one per
+    row): the tank's first-order low-pass, after `require_sample_rate`."""
     require_sample_rate(tank)
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
         raise ValueError("the conductance trace must be a sampled array")
     return _low_pass(g, tank)
-
-
-def readout(
-    device: DotDevice, tank: TankReadout, v_gate_trace: Mapping[str, np.ndarray]
-) -> np.ndarray:
-    """Readout signal for uniformly sampled gate-voltage traces: their
-    pointwise conductance through `tank_signal`."""
-    return tank_signal(tank, conductance(device, v_gate_trace))
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ def envelope_check(
 
     `pulsed_trace` holds one conductance time series per sweep point
     (shape n_sweep x n_time, uniformly sampled at the tank sample rate);
-    it is low-pass filtered here, the first `settle_fraction` of each
+    it goes through `tank_signal` here, the first `settle_fraction` of each
     series is discarded as filter settling, and the per-point max/min are
     compared with the pointwise max/min of the two static traces.
     Deviations are normalized by g_max (full scale) so valleys with
@@ -176,7 +168,7 @@ def envelope_check(
         )
     if not 0.0 <= settle_fraction < 1.0:
         raise ValueError("settle_fraction must be in [0, 1)")
-    filtered = _low_pass(pulsed, tank)
+    filtered = tank_signal(tank, pulsed)
     start = int(round(settle_fraction * pulsed.shape[1]))
     settled = filtered[:, start:]
     env_min = settled.min(axis=1)

@@ -103,6 +103,14 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
+class GateSource:
+    """A dot gate's voltage: a cell's output, a DAC's value or a constant."""
+
+    kind: str
+    value: int | str | float
+
+
+@dataclass(frozen=True)
 class ScheduleItem:
     time_s: float
     frame: protocol.Frame | None = None
@@ -126,7 +134,7 @@ class Scenario:
     rails: analog.SupplyRails
     device: devmod.DotDevice | None
     tank: devmod.TankReadout | None
-    gate_sources: Mapping[str, Mapping]
+    gate_sources: Mapping[str, GateSource]
     axis_gate: str | None
     power: thermal.PowerModel | None
     calibration: thermal.ThermalCalibration | None
@@ -169,6 +177,23 @@ def _build_section(cls, raw, where: str, renames: Mapping[str, str] = {}):
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
     with _section(where):
         return cls(**{renames.get(k, k): v for k, v in raw.items()})
+
+
+def _gate_source(dot: devmod.DotDevice, gate: str, raw) -> GateSource:
+    """Check one `device.gate_sources` entry and give it its type."""
+    if gate not in dot.gate_levers:
+        raise ScenarioError(f"device: source for gate {gate!r} has no lever arm")
+    if not isinstance(raw, Mapping) or set(raw) not in ({"cell"}, {"dac"}, {"const"}):
+        raise ScenarioError(f"device: gate {gate!r} needs one of cell/dac/const")
+    (kind, value), = raw.items()
+    with _section(f"device: gate {gate!r}"):
+        if kind == "cell" and not (isinstance(value, int) and 0 <= value < N_CELLS):
+            raise ValueError(f"cell {value!r} outside 0..{N_CELLS - 1}")
+        if kind == "dac" and not isinstance(value, str):
+            raise TypeError(f"dac {value!r} is not a name")
+        if kind == "const" and not math.isfinite(value := float(value)):
+            raise ValueError(f"const {value!r} is not finite")
+    return GateSource(kind, value)
 
 
 def _parse_register(ref) -> int:
@@ -244,7 +269,7 @@ def build_scenario(raw: Mapping) -> Scenario:
     traces = _build_section(TraceConfig, raw.get("traces", {}), "traces")
 
     dot = tank = axis_gate = None
-    gate_sources: Mapping = {}
+    gate_sources: dict[str, GateSource] = {}
     if "device" in raw:
         draw = _object(raw["device"], "device")
         dot = _build_section(
@@ -259,21 +284,11 @@ def build_scenario(raw: Mapping) -> Scenario:
             | {"sample_rate_hz": traces.sample_rate_hz},
             "device",
         )
-        gate_sources = _object(draw.get("gate_sources", {}), "device.gate_sources")
+        sources = _object(draw.get("gate_sources", {}), "device.gate_sources")
+        gate_sources = {gate: _gate_source(dot, gate, src) for gate, src in sources.items()}
         axis_gate = draw.get("axis_gate")
-        with _section("device"):
-            for gate, source in gate_sources.items():
-                if gate not in dot.gate_levers:
-                    raise ScenarioError(f"device: source for gate {gate!r} has no lever arm")
-                if not isinstance(source, Mapping) or set(source) not in (
-                    {"cell"}, {"dac"}, {"const"}
-                ):
-                    raise ScenarioError(f"device: gate {gate!r} needs one of cell/dac/const")
-                if "cell" in source and not 0 <= int(source["cell"]) < N_CELLS:
-                    raise ScenarioError(f"device: gate {gate!r} references cell >= {N_CELLS}")
-                float(source.get("const", 0.0))  # a constant source must be a number
-            if axis_gate is not None and axis_gate not in gate_sources:
-                raise ScenarioError(f"device: axis_gate {axis_gate!r} has no gate source")
+        if not (axis_gate is None or isinstance(axis_gate, str) and axis_gate in gate_sources):
+            raise ScenarioError(f"device: axis_gate {axis_gate!r} has no gate source")
 
     power = calibration = budget = None
     if "power" in raw:
@@ -717,8 +732,8 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     applied in one `analog.apply_fg_run` call when something reads or
     changes that cell (a lock action on it, a hold-DAC move, a sample of
     it) and at the end of the run.  The loop only records the cell-state
-    fields, hold rail and gate DACs each block of samples sees; the traces
-    are then evaluated as arrays (see README, "How a run executes").
+    fields and DACs (the hold rail is DAC "v_hold") each block of samples
+    sees; the traces are then evaluated as arrays (README, "How a run executes").
     """
     kinds = scenario.traces.kinds
     if "readout" in kinds:  # fail before simulating anything
@@ -727,17 +742,16 @@ def run_generic(scenario: Scenario) -> TraceBundle:
 
     traced = scenario.traces.cells if "cells" in kinds else ()
     sources = scenario.gate_sources if {"conductance", "readout"} & set(kinds) else {}
-    # The cells the samples read, each once: traced cells, then gate sources.
-    sampled = list(dict.fromkeys(
-        [*traced, *(int(src["cell"]) for src in sources.values() if "cell" in src)]
-    ))
-    dac_names = list(dict.fromkeys(src["dac"] for src in sources.values() if "dac" in src))
+    cell_gates = [src.value for src in sources.values() if src.kind == "cell"]
+    dac_gates = [src.value for src in sources.values() if src.kind == "dac"]
+    # What the samples read, each once: traced cells or hold rail, then gate sources.
+    sampled = list(dict.fromkeys([*traced, *cell_gates]))
+    dac_names = list(dict.fromkeys(["v_hold", *dac_gates]))
 
     # Cell states are immutable, so all 32 can start as one value.
     cells = [analog.ClfgCell(scenario.analog)] * N_CELLS
     rails = scenario.rails
-    v_hold = rails.v_hold
-    dacs: dict[str, float] = {}
+    dacs: dict[str, float] = {"v_hold": rails.v_hold}
     # Per cell: [run, first tick not yet applied] of each queued run, in
     # time order, and the time of the first queued edge.
     queued: list[list[list]] = [[] for _ in range(N_CELLS)]
@@ -761,24 +775,22 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             queue.pop(0)
         next_edge[c] = math.inf
 
-    def move_dac(value: float, t: float) -> None:
-        nonlocal v_hold
-        if value != v_hold:
+    def move_dac(name: str, value: float, t: float) -> None:
+        """Set DAC `name`; a hold-rail move couples into all 32 cells."""
+        if name == "v_hold" and value != dacs[name]:
             for i in range(N_CELLS):
                 if next_edge[i] < t:
                     flush(i, t, False)
                 cells[i] = analog.set_hold(cells[i], value)
-            v_hold = value
+        dacs[name] = value
 
     rate = scenario.traces.sample_rate_hz
     times = np.arange(math.floor(scenario.duration_s * rate) + 1) / rate
     sample_times = times.tolist()
     n_samples = len(sample_times)
     # What each block of samples sees: the sampled cells' `output_fields`
-    # (floats, so no state outlives its block), the hold rail and the gate
-    # DACs, and the block's length.
+    # (floats, so no state outlives its block), the DACs, and its length.
     fields: list[float] = []
-    holds: list[float] = []
     dac_seen: dict[str, list[float]] = {name: [] for name in dac_names}
     counts: list[int] = []
     si = 0
@@ -796,7 +808,6 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             edge = min([next_edge[c] for c in sampled], default=math.inf)
             end = bisect_left(sample_times, edge, si, stop)
             counts.append(end - si)
-            holds.append(v_hold)
             for name in dac_names:
                 dac_seen[name].append(dacs.get(name, 0.0))
             si = end
@@ -807,10 +818,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
         sample_until(bisect_left(sample_times, t, si))
         if kind == "DAC":
             for name, value in payload:  # type: ignore[union-attr]
-                if name == "v_hold":
-                    move_dac(value, t)
-                else:
-                    dacs[name] = value
+                move_dac(name, value, t)
             continue
         if kind == "FG":
             run: fsm.TickRun = payload  # type: ignore[assignment]
@@ -832,8 +840,8 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 v_cmd = target
                 if scenario.chip.compensate_injection:
                     v_cmd = target - analog.injection_offset(scenario.analog)
-                move_dac(v_cmd, t)
-            cells[i] = analog.lock(cells[i], v_hold)
+                move_dac("v_hold", v_cmd, t)
+            cells[i] = analog.lock(cells[i], dacs["v_hold"])
         else:  # OPEN
             cells[i] = analog.unlock(cells[i])
     sample_until(n_samples)
@@ -855,7 +863,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             [t for t in sample_times for _ in traced], list(traced) * n_samples, v_out
         ))
     if "hold" in kinds:
-        holds = list(chain.from_iterable(map(repeat, holds, counts)))
+        holds = list(chain.from_iterable(map(repeat, dac_seen["v_hold"], counts)))
         tables["hold"] = Table(("time_s", "v_hold_volts"), (sample_times, holds))
     summary: dict[str, Any] = {
         "final_time_s": scenario.duration_s,
@@ -867,9 +875,9 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     }
     if sources:
         gates = {
-            gate: volts[:, sampled.index(int(src["cell"]))] if "cell" in src
-            else np.repeat(dac_seen[src["dac"]], counts) if "dac" in src
-            else np.full(n_samples, float(src["const"]))
+            gate: volts[:, sampled.index(src.value)] if src.kind == "cell"
+            else np.repeat(dac_seen[src.value], counts) if src.kind == "dac"
+            else np.full(n_samples, src.value)
             for gate, src in sources.items()
         }
         g = devmod.conductance(scenario.device, gates)

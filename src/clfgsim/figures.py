@@ -237,6 +237,11 @@ def check_sections(scenario: Scenario) -> dict:
             params[key] = default
     if "cell" in params and params["cell"] not in scenario.traces.cells:
         raise engine.ScenarioError(f"figure_params: cell {params['cell']} is not in traces.cells")
+    if scenario.figure == "fig3c":  # its drift needs two samples after open_time_s
+        rate = scenario.traces.sample_rate_hz
+        n = int(scenario.duration_s * rate)  # the last sample is at n / rate
+        if n < 1 or (n - 1) / rate <= params["open_time_s"]:
+            raise engine.ScenarioError("figure_params: open_time_s leaves fewer than two samples")
     return params
 
 

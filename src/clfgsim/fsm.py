@@ -111,7 +111,6 @@ class ChipState:
     mode: Mode = Mode.IDLE
     # Default master so the 2**8 divider lands on a 140 kHz switch rate.
     master_freq_hz: float = 35.84e6
-    tick_count: int = 0
     pattern_cursor: int = 0
 
     def __post_init__(self) -> None:
@@ -195,12 +194,7 @@ def playback(
         cells=tuple(mask_cells(state.regs.pulse_mask)),
         period_s=(1 << state.regs.divider) / state.master_freq_hz,
     )
-    new_state = replace(
-        state,
-        tick_count=state.tick_count + n_ticks,
-        pattern_cursor=(state.pattern_cursor + n_ticks) % plen,
-    )
-    return new_state, run
+    return replace(state, pattern_cursor=(state.pattern_cursor + n_ticks) % plen), run
 
 
 def event_from_row(time_s: float, cell: int, action: str, level: str) -> SwitchEvent:

@@ -3,7 +3,9 @@
 Command words are 32 bits, most significant bit first: an 8-bit opcode,
 an 8-bit register address and 16 bits of immediate data.  The register
 map is a behavioural reconstruction of a minimal host interface for this
-kind of control chip (see README.md); real silicon will differ.
+kind of control chip (see README.md); real silicon will differ.  It is
+written once, in the table `REGISTERS`, which `RegisterFile.read`,
+`apply_write` and `NAME_TO_ADDRESS` read.
 """
 from __future__ import annotations
 
@@ -61,20 +63,24 @@ CTRL_PLAYBACK_ENABLE = 1 << 2
 N_PATTERN_WORDS = 8
 PATTERN_BITS = 16 * N_PATTERN_WORDS
 
-REGISTER_NAMES: dict[int, str] = {
-    CTRL: "CTRL",
-    DIVIDER: "DIVIDER",
-    LOCK_MASK_LO: "LOCK_MASK_LO",
-    LOCK_MASK_HI: "LOCK_MASK_HI",
-    PULSE_MASK_LO: "PULSE_MASK_LO",
-    PULSE_MASK_HI: "PULSE_MASK_HI",
-    PATTERN_LEN: "PATTERN_LEN",
-    REFRESH_PERIOD: "REFRESH_PERIOD",
+# address -> (RegisterFile field, lowest, highest value).  A register is
+# named after its field, upper-cased; PATTERN0..7 are the `pattern` words.
+REGISTERS: dict[int, tuple[str, int, int]] = {
+    CTRL: ("ctrl", 0, 0b111),
+    DIVIDER: ("divider", 0, 15),
+    LOCK_MASK_LO: ("lock_mask_lo", 0, 0xFFFF),
+    LOCK_MASK_HI: ("lock_mask_hi", 0, 0xFFFF),
+    PULSE_MASK_LO: ("pulse_mask_lo", 0, 0xFFFF),
+    PULSE_MASK_HI: ("pulse_mask_hi", 0, 0xFFFF),
+    PATTERN_LEN: ("pattern_len", 1, PATTERN_BITS),
+    REFRESH_PERIOD: ("refresh_period", 0, 0xFFFF),
 }
 for _i in range(N_PATTERN_WORDS):
-    REGISTER_NAMES[PATTERN_BASE + _i] = f"PATTERN{_i}"
-
-NAME_TO_ADDRESS: dict[str, int] = {name: addr for addr, name in REGISTER_NAMES.items()}
+    REGISTERS[PATTERN_BASE + _i] = ("pattern", 0, 0xFFFF)
+NAME_TO_ADDRESS: dict[str, int] = {
+    f"PATTERN{addr - PATTERN_BASE}" if field == "pattern" else field.upper(): addr
+    for addr, (field, _lo, _hi) in REGISTERS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -162,25 +168,10 @@ class RegisterFile:
         return (self.pattern_int >> (PATTERN_BITS - 1 - cursor)) & 1
 
     def read(self, address: int) -> int:
-        if address == CTRL:
-            return self.ctrl
-        if address == DIVIDER:
-            return self.divider
-        if address == LOCK_MASK_LO:
-            return self.lock_mask_lo
-        if address == LOCK_MASK_HI:
-            return self.lock_mask_hi
-        if address == PULSE_MASK_LO:
-            return self.pulse_mask_lo
-        if address == PULSE_MASK_HI:
-            return self.pulse_mask_hi
-        if PATTERN_BASE <= address < PATTERN_BASE + N_PATTERN_WORDS:
-            return self.pattern[address - PATTERN_BASE]
-        if address == PATTERN_LEN:
-            return self.pattern_len
-        if address == REFRESH_PERIOD:
-            return self.refresh_period
-        raise UnknownAddress(address)
+        if address not in REGISTERS:
+            raise UnknownAddress(address)
+        value = getattr(self, REGISTERS[address][0])
+        return value[address - PATTERN_BASE] if isinstance(value, tuple) else value
 
 
 def _check_range(register: str, value: int, lo: int, hi: int) -> None:
@@ -195,30 +186,14 @@ def apply_write(regs: RegisterFile, address: int, data: int) -> RegisterFile:
     changes; the input register file is never touched.
     """
     _check_range("data", data, 0, 0xFFFF)
-    if address == CTRL:
-        _check_range("CTRL", data, 0, 0b111)
-        return replace(regs, ctrl=data)
-    if address == DIVIDER:
-        _check_range("DIVIDER", data, 0, 15)
-        return replace(regs, divider=data)
-    if address == LOCK_MASK_LO:
-        return replace(regs, lock_mask_lo=data)
-    if address == LOCK_MASK_HI:
-        return replace(regs, lock_mask_hi=data)
-    if address == PULSE_MASK_LO:
-        return replace(regs, pulse_mask_lo=data)
-    if address == PULSE_MASK_HI:
-        return replace(regs, pulse_mask_hi=data)
-    if PATTERN_BASE <= address < PATTERN_BASE + N_PATTERN_WORDS:
-        words = list(regs.pattern)
-        words[address - PATTERN_BASE] = data
-        return replace(regs, pattern=tuple(words))
-    if address == PATTERN_LEN:
-        _check_range("PATTERN_LEN", data, 1, PATTERN_BITS)
-        return replace(regs, pattern_len=data)
-    if address == REFRESH_PERIOD:
-        return replace(regs, refresh_period=data)
-    raise UnknownAddress(address)
+    if address not in REGISTERS:
+        raise UnknownAddress(address)
+    field, lo, hi = REGISTERS[address]
+    _check_range(field.upper(), data, lo, hi)
+    if field == "pattern":
+        i = address - PATTERN_BASE
+        data = (*regs.pattern[:i], data, *regs.pattern[i + 1:])
+    return replace(regs, **{field: data})
 
 
 def parse_stream(text: str) -> list[int]:

@@ -17,12 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import SimulationError
-
-
-class NotConfigured(SimulationError):
-    pass
-
 
 @dataclass(frozen=True)
 class PowerModel:
@@ -88,13 +82,10 @@ class CoolingBudget:
     """Refrigerator cooling power at the qubit operating temperature."""
 
     budget_watts_at_100mk: float = 400e-6
-    coax_power_per_line: float | None = None
 
     def __post_init__(self) -> None:
         if self.budget_watts_at_100mk <= 0:
             raise ValueError("budget must be positive")
-        if self.coax_power_per_line is not None and self.coax_power_per_line <= 0:
-            raise ValueError("coax_power_per_line must be positive")
 
 
 @dataclass(frozen=True)
@@ -177,19 +168,6 @@ def feasible(
         feasible=total <= budget.budget_watts_at_100mk,
         headroom_watts=budget.budget_watts_at_100mk - total,
     )
-
-
-def coax_comparison(n_lines: int, budget: CoolingBudget) -> float:
-    """Effective dissipation of `n_lines` conventional coaxial control lines.
-
-    No representative per-line figure ships with the package; it must be
-    configured explicitly.
-    """
-    if budget.coax_power_per_line is None:
-        raise NotConfigured("coax_power_per_line is not configured")
-    if n_lines < 0:
-        raise ValueError("n_lines must be non-negative")
-    return n_lines * budget.coax_power_per_line
 
 
 def feasibility_map(

@@ -17,7 +17,6 @@ from clfgsim.analog import (
     apply_fg_run,
     couple_hold,
     injection_offset,
-    leak,
     lock,
     output_fields,
     output_voltage,
@@ -116,11 +115,11 @@ class TestCoupleHold:
 class TestLeak:
     def test_zero_dt_unchanged(self):
         cell = floating_cell(-1.1)
-        assert leak(cell, 0.0) == cell
+        assert settle(cell, cell.t_last) == cell
 
     def test_hour_drift_matches_tens_of_microvolts(self):
         cell = floating_cell(-1.1, leak_rate=1e-8)
-        drifted = leak(cell, 3600.0)
+        drifted = settle(cell, cell.t_last + 3600.0)
         drift = output_voltage(drifted, drifted.t_last) - (-1.1)
         expected = -1.1 * math.exp(-1e-8 * 3600.0) + 1.1
         assert drift == pytest.approx(expected, rel=1e-12)
@@ -129,19 +128,19 @@ class TestLeak:
     @given(t1=st.floats(0, 1e5), t2=st.floats(0, 1e5))
     def test_semigroup(self, t1, t2):
         cell = floating_cell(-1.1)
-        split = leak(leak(cell, t1), t2)
-        joined = leak(cell, t1 + t2)
+        split = settle(settle(cell, cell.t_last + t1), cell.t_last + t1 + t2)
+        joined = settle(cell, cell.t_last + (t1 + t2))
         assert output_voltage(split, split.t_last) == pytest.approx(
             output_voltage(joined, joined.t_last), rel=1e-12
         )
 
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError):
-            leak(floating_cell(0.0), -1.0)
+            settle(floating_cell(0.0), -1.0)
 
     def test_noop_while_locked(self, default_cell, rails):
         cell = lock(default_cell, rails.v_hold)
-        after = leak(cell, 1e6)
+        after = settle(cell, cell.t_last + 1e6)
         assert output_voltage(after, after.t_last) == rails.v_hold
 
 

@@ -62,6 +62,18 @@ MALFORMED = {
     "t_inf": _mini(schedule=[{"t": "inf", "write": ["CTRL", 2]}]),
     "t_minus_infinity": _mini(schedule=[{"t": "-Infinity", "write": ["CTRL", 2]}]),
     "t_nan_number": _mini(schedule=[{"t": float("nan"), "exec": True}]),
+    "gate_dac_list": _mini(
+        device={"levers": {"lw": 0.2}, "gate_sources": {"lw": {"dac": ["x"]}}},
+        traces=_traced("conductance"),
+    ),
+    "gate_cell_float": _mini(
+        device={"levers": {"lw": 0.2}, "gate_sources": {"lw": {"cell": 1.7}}},
+        traces=_traced("conductance"),
+    ),
+    "gate_const_nan": _mini(
+        device={"levers": {"lw": 0.2}, "gate_sources": {"lw": {"const": "nan"}}},
+        traces=_traced("conductance"),
+    ),
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each
@@ -141,6 +153,8 @@ class TestValidate:
             ("fig4e", "n_values", 5),
             ("fig3f", "v_sdp_values", "abc"),
             ("fig3e", "cell", 3),  # a cell the scenario does not trace
+            ("fig3c", "open_time_s", 4000),  # past the last sample
+            ("fig3c", "open_time_s", 3540.0),  # only the last sample after it
         ],
     )
     def test_figure_param_of_wrong_type_exits_1(self, figure, key, value, tmp_path, capsys):
@@ -203,6 +217,13 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert cli.main(["validate", str(path)]) == 0
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "sample rate" in err and "Traceback" not in err
+
+    def test_fig3f_below_ten_times_bandwidth_exits_2(self, tmp_path, capsys):
+        argv = ["run", str(cli.bundled_scenario_path("fig3f")), "--out", str(tmp_path),
+                "--override", "traces.sample_rate_hz=2e7"]
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "sample rate" in err and "Traceback" not in err
 

@@ -15,7 +15,7 @@ from clfgsim.device import (
     conductance,
     envelope_check,
     infer_gate_drift_rate,
-    readout,
+    tank_signal,
 )
 
 
@@ -70,14 +70,14 @@ class TestConductance:
 class TestReadout:
     def test_constant_input_passes_unchanged(self, dot, tank):
         v = np.full(1000, 0.0021)
-        y = readout(dot, tank, {"sdp": v})
+        y = tank_signal(tank, conductance(dot, {"sdp": v}))
         g = conductance(dot, {"sdp": 0.0021})
         assert np.allclose(y, g, rtol=1e-12)
 
     def test_sample_rate_guard(self, dot):
         slow = TankReadout(bandwidth_hz=10e6, sample_rate_hz=50e6)
         with pytest.raises(SampleRateTooLow):
-            readout(dot, slow, {"sdp": np.zeros(10)})
+            tank_signal(slow, conductance(dot, {"sdp": np.zeros(10)}))
 
     def test_edge_rise_time_set_by_bandwidth(self, dot, tank):
         # A sharp step in conductance comes out with a 10-90% rise of
@@ -86,7 +86,7 @@ class TestReadout:
         n = 40000
         # Gate jumps from mid-valley to a peak: conductance step 0 -> g_max.
         v = np.where(np.arange(n) < n // 2, dot.peak_spacing / 2, 0.0)
-        y = readout(dot, tank, {"sdp": v})
+        y = tank_signal(tank, conductance(dot, {"sdp": v}))
         t = np.arange(n) / fs
         seg = slice(n // 2 - 1, None)
         t10 = np.interp(0.1 * dot.g_max, y[seg], t[seg])
@@ -101,7 +101,7 @@ class TestReadout:
         # 100 MHz square in effective gate volts, way above the 10 MHz tank.
         square = np.where((np.arange(n) // 5) % 2 == 0, 0.0, 0.005)
         g = conductance(dot, {"sdp": square})
-        y = readout(dot, tank, {"sdp": square})
+        y = tank_signal(tank, g)
         settled = y[n // 2:]
         assert np.ptp(settled) < 0.4 * np.ptp(g)
         assert np.mean(settled) == pytest.approx(np.mean(g[n // 2:]), rel=1e-3)
@@ -115,7 +115,7 @@ class TestReadout:
             (np.arange(period * n_periods) // (period // 2)) % 2 == 0, 0.0, 0.005
         )
         g = conductance(dot, {"sdp": square})
-        y = readout(dot, tank, {"sdp": square})
+        y = tank_signal(tank, g)
         tail = slice(period * n_periods // 2, None)  # integer period count
         assert np.mean(y[tail]) == pytest.approx(np.mean(g[tail]), rel=1e-6)
 

@@ -517,6 +517,26 @@ class TestGateSources:
             want = device.conductance(scenario.device, {"lw": aux, "rw": aux, "sdp": 0.0})
             assert abs(got - want) <= SIEMENS_TOL
 
+    def test_gate_on_the_hold_rail(self):
+        # The hold rail is the DAC "v_hold": a gate wired to it reads what
+        # the hold trace reads, across a move.
+        scenario = make_scenario(
+            rails={"v_hold": -1.103},
+            device={"levers": {"g": 1.0}, "bandwidth_hz": 0.1, "axis_gate": "g",
+                    "gate_sources": {"g": {"dac": "v_hold"}}},
+            schedule=[{"t": 1.0, "dac": {"v_hold": -0.8}}],
+            duration_s=2.0,
+            traces={"sample_rate_hz": 1.0, "kinds": ["hold", "conductance", "readout"]},
+        )
+        bundle = engine.run_generic(scenario)
+        _, holds = bundle.tables["hold"].columns
+        assert holds == [-1.103, -0.8, -0.8]
+        _, v_sdp, _ = bundle.tables["readout"].columns
+        assert v_sdp == holds
+        _, g = bundle.tables["conductance"].columns
+        for got, v in zip(g, holds):
+            assert abs(got - device.conductance(scenario.device, {"g": v})) <= SIEMENS_TOL
+
     def test_slow_readout_rejected_before_simulating(self, monkeypatch):
         scenario = make_scenario(
             device={"levers": {"sdp": 1.0}, "bandwidth_hz": 1e6,

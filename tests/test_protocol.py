@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,27 @@ from clfgsim.protocol import (
     encode_frame,
     parse_stream,
 )
+
+# The register map as README.md lists it, written out apart from
+# `protocol.REGISTERS`: address -> (name, lowest, highest value).
+REGISTER_SPEC = {
+    0x00: ("CTRL", 0, 7),
+    0x01: ("DIVIDER", 0, 15),
+    0x02: ("LOCK_MASK_LO", 0, 0xFFFF),
+    0x03: ("LOCK_MASK_HI", 0, 0xFFFF),
+    0x04: ("PULSE_MASK_LO", 0, 0xFFFF),
+    0x05: ("PULSE_MASK_HI", 0, 0xFFFF),
+    0x10: ("PATTERN0", 0, 0xFFFF),
+    0x11: ("PATTERN1", 0, 0xFFFF),
+    0x12: ("PATTERN2", 0, 0xFFFF),
+    0x13: ("PATTERN3", 0, 0xFFFF),
+    0x14: ("PATTERN4", 0, 0xFFFF),
+    0x15: ("PATTERN5", 0, 0xFFFF),
+    0x16: ("PATTERN6", 0, 0xFFFF),
+    0x17: ("PATTERN7", 0, 0xFFFF),
+    0x20: ("PATTERN_LEN", 1, 128),
+    0x21: ("REFRESH_PERIOD", 0, 0xFFFF),
+}
 
 valid_frames = st.builds(
     Frame,
@@ -64,10 +87,30 @@ class TestCodec:
 
 
 class TestRegisterFile:
-    def test_read_after_write(self):
-        regs = apply_write(RegisterFile(), protocol.DIVIDER, 8)
-        assert regs.read(protocol.DIVIDER) == 8
-        assert regs.divider == 8
+    @pytest.mark.parametrize("address", range(256))
+    def test_read_after_write(self, address):
+        regs = apply_write(RegisterFile(), protocol.DIVIDER, 3)
+        before = replace(regs)
+        if address not in REGISTER_SPEC:
+            with pytest.raises(UnknownAddress):
+                apply_write(regs, address, 0)
+            assert regs == before
+            assert address not in protocol.NAME_TO_ADDRESS.values()
+            return
+        name, lo, hi = REGISTER_SPEC[address]
+        assert protocol.NAME_TO_ADDRESS[name] == address
+        for value in (lo, hi):
+            written = apply_write(regs, address, value)
+            assert written.read(address) == value
+            word = name.removeprefix("PATTERN")
+            if word.isdigit():
+                assert written.pattern[int(word)] == value
+            else:
+                assert getattr(written, name.lower()) == value
+        for value in (lo - 1, hi + 1):
+            with pytest.raises(ValueOutOfRange):
+                apply_write(regs, address, value)
+            assert regs == before
 
     def test_pattern_bit_order(self):
         # PATTERN0 holds bits 127..112 and bit 127 plays first, so filling
@@ -90,11 +133,16 @@ class TestRegisterFile:
         with pytest.raises(ValueOutOfRange):
             apply_write(RegisterFile(), protocol.DIVIDER, 16)
 
-    def test_unknown_address_rejected(self):
+    @pytest.mark.parametrize("address", range(256))
+    def test_unknown_address_rejected(self, address):
+        if address in REGISTER_SPEC:
+            _name, lo, hi = REGISTER_SPEC[address]
+            assert lo <= RegisterFile().read(address) <= hi
+            return
         with pytest.raises(UnknownAddress):
-            apply_write(RegisterFile(), 0x99, 1)
+            apply_write(RegisterFile(), address, 1)
         with pytest.raises(UnknownAddress):
-            RegisterFile().read(0x99)
+            RegisterFile().read(address)
 
     def test_masks_combine(self):
         regs = apply_write(RegisterFile(), protocol.LOCK_MASK_LO, 0xBEEF)

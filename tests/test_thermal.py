@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from clfgsim.thermal import (
     CoolingBudget,
-    NotConfigured,
     PowerModel,
     ThermalCalibration,
-    coax_comparison,
     feasibility_map,
     feasible,
     pulse_power,
@@ -170,33 +168,3 @@ class TestFeasibility:
         assert (n, f) == (1000, 1e6)
         assert ok == 1 and watts < 400e-6
 
-
-class TestCoax:
-    def test_requires_configuration(self):
-        budget = CoolingBudget(budget_watts_at_100mk=400e-6)
-        with pytest.raises(NotConfigured):
-            coax_comparison(10, budget)
-
-    def test_linear(self):
-        budget = CoolingBudget(budget_watts_at_100mk=400e-6, coax_power_per_line=1e-6)
-        assert coax_comparison(0, budget) == 0.0
-        assert coax_comparison(7, budget) == 7e-6
-
-    def test_crossover_with_cell_model(self):
-        # With a per-line cost above the per-cell cost, the gate count where
-        # n lines dissipate as much as the whole controller is the root of a
-        # linear equation: n (P0 - p_cell) = overhead.
-        model = PowerModel.from_cell_coefficient(
-            18e-15, ref_swing=0.1, static_floor_w=1e-6
-        )
-        budget = CoolingBudget(budget_watts_at_100mk=400e-6, coax_power_per_line=1e-7)
-        p_cell = pulse_power(model.c_pulse, model.c_p, 0.1, 0.0, 1e6)
-        n_star = model.static_floor_w / (budget.coax_power_per_line - p_cell)
-        coax_side = n_star * budget.coax_power_per_line
-        assert coax_side == pytest.approx(total_power(n_star, 1e6, 0.1, model), rel=1e-12)
-        # Integer line counts bracket the crossover.
-        import math
-
-        below, above = math.floor(n_star), math.ceil(n_star)
-        assert coax_comparison(below, budget) <= total_power(below, 1e6, 0.1, model)
-        assert coax_comparison(above, budget) >= total_power(above, 1e6, 0.1, model)

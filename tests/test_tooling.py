@@ -1,11 +1,18 @@
-"""The benchmark's trace mode wraps clfgsim functions by name; each must exist."""
+"""Checks that tools and documents outside the package stay in step with it:
+the benchmark's trace mode wraps clfgsim functions by name, and README.md
+lists each scenario section's keys."""
+import dataclasses
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+from clfgsim import analog, device, engine, thermal
+
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _traced() -> tuple:
@@ -19,3 +26,45 @@ def _traced() -> tuple:
 def test_traced_function_exists(pair):
     module, name = pair
     assert callable(getattr(importlib.import_module(f"clfgsim.{module}"), name, None))
+
+
+def _fields(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+# The keys `build_scenario` accepts in each section: the parameter type's
+# fields, with `device` renaming `gate_levers` to `levers`, taking the
+# tank's sample rate from `traces` and adding its wiring, and `power`
+# adding its two subsections.
+SCHEMA_KEYS = {
+    "chip": _fields(engine.ChipConfig),
+    "analog": _fields(analog.CellParams),
+    "rails": _fields(analog.SupplyRails),
+    "device": (_fields(device.DotDevice) - {"gate_levers"} | {"levers"})
+    | (_fields(device.TankReadout) - {"sample_rate_hz"})
+    | {"gate_sources", "axis_gate"},
+    "power": _fields(thermal.PowerModel) | {"calibration", "budget"},
+    "power.calibration": _fields(thermal.ThermalCalibration),
+    "power.budget": _fields(thermal.CoolingBudget),
+    "traces": _fields(engine.TraceConfig),
+}
+
+
+def _readme_tables() -> dict[str, set[str]]:
+    """Backticked keys in the first column of the table under each section:
+    a `### `name`` heading or a line that starts with `name` in backticks."""
+    tables: dict[str, set[str]] = {}
+    section = None
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("#") or (line.startswith("`") and not line.startswith("```")):
+            match = re.match(r"(?:#+ )?`([\w.]+)`", line)
+            section = match.group(1) if match else None
+        elif line.startswith("| `") and section is not None:
+            first = line.split("|")[1]
+            tables.setdefault(section, set()).update(re.findall(r"`([^`]+)`", first))
+    return tables
+
+
+@pytest.mark.parametrize("section", SCHEMA_KEYS)
+def test_readme_schema_table_lists_the_accepted_keys(section):
+    assert _readme_tables().get(section) == SCHEMA_KEYS[section]
