@@ -158,8 +158,7 @@ def _cmd_replay(args) -> int:
         "duration_s": args.duration,
         "traces": {"sample_rate_hz": 1e3},
     }
-    raw = engine.apply_overrides(raw, args.override)
-    bundle = engine.run_generic(engine.build_scenario(raw))
+    bundle = engine.run_scenario(engine.with_overrides(raw, args.override))
     outdir = _out_dir(args)
     written = engine.export(bundle, outdir)
     state = {

@@ -12,9 +12,9 @@ matters to the verification signatures this oracle is used for.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Mapping
 
 import numpy as np
 from scipy.signal import lfilter

@@ -16,14 +16,14 @@ import hashlib
 import json
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 import numpy as np
 import scipy
@@ -147,6 +147,7 @@ class Scenario:
     figure_params: Mapping
     sweep: SweepConfig | None
     raw: Mapping  # the document as given, for sweeps and hashing
+    overrides: tuple[str, ...] = ()  # the `--override` texts applied to `raw`
 
 
 # Keys of the `device` section that do not belong to the dot itself.
@@ -257,7 +258,7 @@ def build_scenario(raw: Mapping) -> Scenario:
     known = {
         "schema_version", "name", "seed", "chip", "analog", "rails", "device",
         "power", "schedule", "duration_s", "traces", "cell_targets", "figure",
-        "figure_params", "sweep", "_overrides",
+        "figure_params", "sweep",
     }
     unknown = set(raw) - known
     if unknown:
@@ -372,13 +373,13 @@ def build_scenario(raw: Mapping) -> Scenario:
     return scenario
 
 
-def load_scenario(path: str | Path, overrides: Iterable[str] = ()) -> Scenario:
+def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
-    return build_scenario(apply_overrides(raw, overrides))
+    return with_overrides(raw, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -420,59 +421,60 @@ def _key(node, part: str, axis: str):
     raise UnknownAxis(f"axis {axis!r}: {part!r} is not a container")
 
 
-def _walk(doc, axis: str, create: bool = False):
-    """Follow the dotted `axis` to the container of its last component.
+def _get_axis(raw: Mapping, axis: str):
+    """Value at the dotted `axis`, or None where the document leaves it out.
 
-    Returns (container, key).  Integer components index into lists and
-    must exist; other components index into objects.  A missing object
-    on the way is created when `create`, else read as an empty one.
+    Integer components index into lists and must exist; other components
+    index into objects.
     """
-    node = doc
-    *path, last = axis.split(".")
-    for part in path:
+    node = raw
+    for part in axis.split("."):
         key = _key(node, part, axis)
         if isinstance(node, list):
             node = node[key]
-        elif create:
-            node = node.setdefault(key, {})
         elif (node := node.get(key)) is None:
-            return {}, last
-    return node, _key(node, last, axis)
+            return None
+    return node
 
 
-def set_axis(raw: dict, axis: str, value) -> dict:
-    """Return a copy of the document with the dotted `axis` set to `value`.
+def _copy(node):
+    return node.copy() if isinstance(node, (dict, list)) else node
 
-    Missing object keys are created (so defaults-only sections can be
-    overridden); misspelled keys are still rejected when the resulting
-    document is validated.  List indices must exist.
+
+def set_axis(raw: Mapping, axis: str, value) -> dict:
+    """Return the document with the dotted `axis` set to `value`.
+
+    Only the objects and lists on the axis path are copied; the rest is
+    shared with `raw`, which is left as it was.  Missing object keys are
+    created (so defaults-only sections can be overridden); misspelled keys
+    are still rejected when the resulting document is validated.  List
+    indices must exist.
     """
-    doc = json.loads(json.dumps(raw))  # deep copy of plain data
-    node, key = _walk(doc, axis, create=True)
-    node[key] = value
+    doc = node = _copy(raw)
+    *path, last = axis.split(".")
+    for part in path:
+        key = _key(node, part, axis)
+        child = _copy(node[key] if isinstance(node, list) else node.get(key, {}))
+        node[key] = child
+        node = child
+    node[_key(node, last, axis)] = value
     return doc
 
 
-def _get_axis(raw: dict, axis: str):
-    """Value at the dotted `axis`, or None where the document leaves it out."""
-    node, key = _walk(raw, axis)
-    return node[key] if isinstance(node, list) else node.get(key)
-
-
-def apply_overrides(raw: dict, overrides: Iterable[str]) -> dict:
+def apply_overrides(raw: Mapping, overrides: Iterable[str]) -> Mapping:
     doc = raw
-    applied = []
     for text in overrides:
         if "=" not in text:
             raise UnknownAxis(f"override {text!r} is not KEY=VALUE")
         axis, value_text = text.split("=", 1)
-        current = _get_axis(doc, axis)
-        doc = set_axis(doc, axis, _coerce_like(current, value_text))
-        applied.append(text)
-    if applied:
-        doc = dict(doc)
-        doc["_overrides"] = applied  # recorded for the run manifest
+        doc = set_axis(doc, axis, _coerce_like(_get_axis(doc, axis), value_text))
     return doc
+
+
+def with_overrides(raw: Mapping, overrides: Sequence[str]) -> Scenario:
+    """Build the document with `overrides` applied; the scenario records them."""
+    scenario = build_scenario(apply_overrides(raw, overrides))
+    return dataclasses.replace(scenario, overrides=tuple(overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +529,7 @@ class TraceBundle:
     tables: dict[str, Table]
     events: Sequence[fsm.SwitchEvent]
     summary: dict
-    manifest: dict
+    manifest: dict | None = None  # set by `run_scenario`, once per run
 
 
 def _format_cell(value) -> str:
@@ -551,7 +553,7 @@ def _format_column(values: list) -> list[str]:
 
 
 def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
-    """Write one CSV per table plus the JSON run manifest."""
+    """Write one CSV per table plus the JSON run manifest that `run_scenario` set."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -571,17 +573,13 @@ def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
 
 
 def _manifest(scenario: Scenario) -> dict:
-    canonical = json.dumps(
-        {k: v for k, v in scenario.raw.items() if k != "_overrides"},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    canonical = json.dumps(scenario.raw, sort_keys=True, separators=(",", ":"))
     return {
         "name": scenario.name,
         "figure": scenario.figure,
         "schema_version": SCHEMA_VERSION,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        "overrides": scenario.raw.get("_overrides", []),
+        "overrides": list(scenario.overrides),
         "seed": scenario.raw.get("seed"),
         "versions": {
             "clfgsim": __version__,
@@ -610,7 +608,10 @@ def _expand_schedule(scenario: Scenario):
     the EXEC that started it; slot j starts at j * REFRESH_PERIOD / n,
     computed from the integer period, so slot n lands exactly on the
     period.  Each slot boundary opens the previous cell before closing the
-    next, so at most one lock switch is closed at any instant.  Only WRITE
+    next, so at most one lock switch is closed at any instant.  Before it
+    closes a cell with a `cell_targets` entry, a DAC entry at the same time
+    moves the hold DAC to that target (less the injection offset under
+    `compensate_injection`); LOCKING uses the DAC as it is.  Only WRITE
     and EXEC split playback: READ, NOP and DAC items leave it running.
     Each stretch of playback between two such items goes on the timeline
     as one columnar `fsm.TickRun`, so no lock action falls inside a run.
@@ -626,6 +627,10 @@ def _expand_schedule(scenario: Scenario):
 
     locked_cells: list[int] = []      # closed via LOCKING, in close order
     refresh: dict | None = None       # anchor/cells/period/next_j/closed
+    # The hold DAC move that goes before a REFRESH close of a targeted cell.
+    compensate = scenario.chip.compensate_injection
+    offset = analog.injection_offset(scenario.analog) if compensate else 0.0
+    holds = {c: (("v_hold", v - offset),) for c, v in scenario.cell_targets.items()}
     seg_start = 0.0
     cursor = 0.0
 
@@ -647,8 +652,10 @@ def _expand_schedule(scenario: Scenario):
                 if t >= a:
                     if refresh["closed"] is not None:
                         add(t, "OPEN", refresh["closed"])
-                    refresh["closed"] = cells[j % len(cells)]
-                    add(t, "CLOSE", refresh["closed"])
+                    refresh["closed"] = cell = cells[j % len(cells)]
+                    if cell in holds:
+                        add(t, "DAC", holds[cell])
+                    add(t, "CLOSE", cell)
                 j += 1
             refresh["next_j"] = j
 
@@ -734,6 +741,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     it) and at the end of the run.  The loop only records the cell-state
     fields and DACs (the hold rail is DAC "v_hold") each block of samples
     sees; the traces are then evaluated as arrays (README, "How a run executes").
+    The bundle carries no manifest: `run_scenario` adds one per top-level run.
     """
     kinds = scenario.traces.kinds
     if "readout" in kinds:  # fail before simulating anything
@@ -835,12 +843,6 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             flush(i, t, False)
         cells[i] = analog.settle(cells[i], t)
         if kind == "CLOSE":
-            target = scenario.cell_targets.get(i)
-            if target is not None:
-                v_cmd = target
-                if scenario.chip.compensate_injection:
-                    v_cmd = target - analog.injection_offset(scenario.analog)
-                move_dac("v_hold", v_cmd, t)
             cells[i] = analog.lock(cells[i], dacs["v_hold"])
         else:  # OPEN
             cells[i] = analog.unlock(cells[i])
@@ -907,30 +909,26 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             [(t, int(f.opcode), f.address, f.data) for t, f in responses],
         )
 
-    return TraceBundle(
-        tables=tables,
-        events=EventLog(tables["events"]),
-        summary=summary,
-        manifest=_manifest(scenario),
-    )
+    return TraceBundle(tables=tables, events=EventLog(tables["events"]), summary=summary)
 
 
 def run_scenario(scenario: Scenario) -> TraceBundle:
-    """Run a scenario, dispatching to its figure driver when it names one."""
+    """Run a scenario (through its figure driver if it names one); add its manifest."""
     if scenario.figure is not None:
         from . import figures
 
-        return figures.run_figure(scenario)
-    return run_generic(scenario)
+        bundle = figures.run_figure(scenario)
+    else:
+        bundle = run_generic(scenario)
+    bundle.manifest = _manifest(scenario)
+    return bundle
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-def sweep(
-    scenario: Scenario, axis: str, values: Iterable, jobs: int = 1
-) -> list[TraceBundle]:
+def sweep(scenario: Scenario, axis: str, values: Iterable, jobs: int = 1) -> list[TraceBundle]:
     """Independent generic runs with `axis` set to each value, in order.
 
     Results depend only on (scenario, axis, value), so parallel execution

@@ -3,7 +3,7 @@
 Each driver consumes a scenario whose `figure` field names it, executes
 the underlying runs/sweeps through the engine, and returns a bundle whose
 tables are keyed by the figure name so a shared output directory holds
-one CSV per figure.
+one CSV per figure.  `engine.run_scenario` adds the run's manifest.
 """
 from __future__ import annotations
 
@@ -11,12 +11,6 @@ import numpy as np
 
 from . import analog, device as devmod, engine, thermal
 from .engine import Scenario, Table, TraceBundle
-
-
-def _bundle(scenario: Scenario, tables: dict[str, Table], summary: dict) -> TraceBundle:
-    return TraceBundle(
-        tables=tables, events=[], summary=summary, manifest=engine._manifest(scenario)
-    )
 
 
 def fig3b(scenario: Scenario) -> TraceBundle:
@@ -27,7 +21,7 @@ def fig3b(scenario: Scenario) -> TraceBundle:
         (float(v), b.summary["conductance_final_s"]) for v, b in zip(values, bundles)
     ]
     table = Table.from_rows(("v_lp_volts", "g_siemens"), rows)
-    return _bundle(scenario, {"fig3b": table}, {"n_points": len(rows)})
+    return TraceBundle({"fig3b": table}, [], {"n_points": len(rows)})
 
 
 def fig3c(scenario: Scenario) -> TraceBundle:
@@ -50,7 +44,7 @@ def fig3c(scenario: Scenario) -> TraceBundle:
     table = Table.from_rows(
         ("v_hold_volts", "v_held_volts", "drift_uv_per_hr", "leak_rate_per_s"), rows
     )
-    return _bundle(scenario, {"fig3c": table}, {"n_points": len(rows)})
+    return TraceBundle({"fig3c": table}, [], {"n_points": len(rows)})
 
 
 def fig3e(scenario: Scenario) -> TraceBundle:
@@ -62,7 +56,7 @@ def fig3e(scenario: Scenario) -> TraceBundle:
         (t, hold[t], v) for t, c, v in run.tables["cells"].rows if c == cell
     ]
     table = Table.from_rows(("time_s", "v_hold_volts", "v_out_volts"), rows)
-    return _bundle(scenario, {"fig3e": table}, run.summary)
+    return TraceBundle({"fig3e": table}, [], run.summary)
 
 
 def fig3f(scenario: Scenario) -> TraceBundle:
@@ -104,8 +98,8 @@ def fig3f(scenario: Scenario) -> TraceBundle:
         (v_sweep.tolist(), g_low.tolist(), g_high.tolist(),
          report.env_min.tolist(), report.env_max.tolist()),
     )
-    return _bundle(
-        scenario, {"fig3f": table},
+    return TraceBundle(
+        {"fig3f": table}, [],
         {"max_rel_deviation": report.max_rel_deviation, "n_points": len(v_sweep)},
     )
 
@@ -113,7 +107,7 @@ def fig3f(scenario: Scenario) -> TraceBundle:
 def fig3g(scenario: Scenario) -> TraceBundle:
     """Square-wave readout at divider-stepped pulse frequencies."""
     run = engine.run_generic(scenario)
-    return _bundle(scenario, {"fig3g": run.tables["readout"]}, run.summary)
+    return TraceBundle({"fig3g": run.tables["readout"]}, [], run.summary)
 
 
 def fig4b(scenario: Scenario) -> TraceBundle:
@@ -127,7 +121,7 @@ def fig4b(scenario: Scenario) -> TraceBundle:
             watts = n * thermal.pulse_power(model.c_pulse, model.c_p, swing, 0.0, f)
             rows.append((n, f, watts, watts / n / f * 1e15 if f else 0.0))
     table = Table.from_rows(("n_cells", "f_hz", "cells_watts", "nw_per_mhz_per_cell"), rows)
-    return _bundle(scenario, {"fig4b": table}, {"n_points": len(rows)})
+    return TraceBundle({"fig4b": table}, [], {"n_points": len(rows)})
 
 
 def fig4d(scenario: Scenario) -> TraceBundle:
@@ -141,7 +135,7 @@ def fig4d(scenario: Scenario) -> TraceBundle:
                 (swing, f, thermal.pulse_power(model.c_pulse, model.c_p, swing, 0.0, f))
             )
     table = Table.from_rows(("swing_volts", "f_hz", "pulse_watts"), rows)
-    return _bundle(scenario, {"fig4d": table}, {"n_points": len(rows)})
+    return TraceBundle({"fig4d": table}, [], {"n_points": len(rows)})
 
 
 def fig4e(scenario: Scenario) -> TraceBundle:
@@ -153,8 +147,8 @@ def fig4e(scenario: Scenario) -> TraceBundle:
         params["n_values"], params["f_values"], params["swing"], model, budget
     )
     table = Table.from_rows(("n_cells", "f_hz", "total_watts", "feasible"), rows)
-    return _bundle(
-        scenario, {"fig4e": table},
+    return TraceBundle(
+        {"fig4e": table}, [],
         {"budget_watts": budget.budget_watts_at_100mk, "n_points": len(rows)},
     )
 
@@ -180,6 +174,9 @@ _NEEDS = {
     "fig4d": ("power",),
     "fig4e": ("power", "budget"),
 }
+# Trace kinds each time-domain driver reads from its runs.
+_TRACES = {"fig3b": ("conductance",), "fig3c": ("cells",), "fig3e": ("cells", "hold"),
+           "fig3f": ("cells",), "fig3g": ("readout",)}
 
 
 def _list_of(convert):
@@ -220,12 +217,15 @@ def require_sections(scenario: Scenario, sections) -> None:
 
 
 def check_sections(scenario: Scenario) -> dict:
-    """Reject an unknown figure or one whose driver lacks a section or
-    `figure_params` key it reads; return the `figure_params` the driver
-    reads, each converted once to its type, with defaults filled in."""
+    """Reject an unknown figure or one whose driver lacks a section, trace
+    kind or `figure_params` key it reads; return the `figure_params` the
+    driver reads, each converted once to its type, with defaults filled in."""
     if scenario.figure not in DRIVERS:
         raise engine.ScenarioError(f"unknown figure {scenario.figure!r}")
     require_sections(scenario, _NEEDS.get(scenario.figure, ()))
+    for kind in _TRACES.get(scenario.figure, ()):
+        if kind not in scenario.traces.kinds:
+            raise engine.ScenarioError(f"traces: {scenario.figure} needs kind {kind!r}")
     params = {}
     for key, (convert, default) in _PARAMS.get(scenario.figure, {}).items():
         if key in scenario.figure_params:

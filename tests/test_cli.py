@@ -33,6 +33,12 @@ def _without(name: str, section: str) -> dict:
     return doc
 
 
+def _without_kind(name: str, kind: str) -> dict:
+    doc = json.loads(cli.bundled_scenario_path(name).read_text())
+    doc["traces"]["kinds"].remove(kind)
+    return doc
+
+
 _DOT = {"levers": {"lw": 0.2}, "gate_sources": {"lw": {"cell": 0}}}
 
 
@@ -74,6 +80,12 @@ MALFORMED = {
         device={"levers": {"lw": 0.2}, "gate_sources": {"lw": {"const": "nan"}}},
         traces=_traced("conductance"),
     ),
+    "fig3b_without_conductance": _without_kind("fig3b", "conductance"),
+    "fig3c_without_cells": _without_kind("fig3c", "cells"),
+    "fig3e_without_hold": _without_kind("fig3e", "hold"),
+    "fig3f_without_cells": _without_kind("fig3f", "cells"),
+    "fig3g_without_readout": _without_kind("fig3g", "readout"),
+    "overrides_key": _mini(_overrides=["analog.c_pulse=9e-12"]),
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each
@@ -298,6 +310,18 @@ class TestReplay:
         state = json.loads((out / "replay_state.json").read_text())
         assert state["words"] == 7
         assert state["responses"][0]["data"] == 7
+
+    def test_replay_manifest_records_override(self, tmp_path, capsys):
+        stream = tmp_path / "cmds.txt"
+        stream.write_text(self.STREAM)
+        out = tmp_path / "out"
+        code = cli.main([
+            "replay", str(stream), "--duration", "0.01", "--out", str(out),
+            "--override", "analog.c_pulse=2e-12",
+        ])
+        assert code == 0
+        manifest = json.loads((out / "manifest_replay.json").read_text())
+        assert manifest["overrides"] == ["analog.c_pulse=2e-12"]
 
     def test_replay_bad_stream(self, tmp_path, capsys):
         stream = tmp_path / "bad.txt"

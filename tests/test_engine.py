@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clfgsim import analog, device, engine, fsm
+from clfgsim import analog, cli, device, engine, fsm
 from clfgsim.engine import ScenarioError, UnknownAxis, build_scenario
 
 from conftest import lock_then_open_schedule, make_scenario
@@ -58,14 +59,58 @@ class TestValidation:
             engine.run_generic(scenario)
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("ab0", min_size=1, max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _documents_with_axis(draw):
+    """A JSON object and a dotted axis that `set_axis` accepts in it: a
+    path through existing containers, then an existing key or index, or
+    one to three keys that the object at the end does not have."""
+    doc = draw(st.dictionaries(st.text("ab0", min_size=1, max_size=2), _JSON, max_size=4))
+    parts, node = [], doc
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        inner = [k for k in keys
+                 if isinstance(node[k], dict) or isinstance(node[k], list) and node[k]]
+        if not inner or draw(st.booleans()):
+            break
+        key = draw(st.sampled_from(inner))
+        parts.append(str(key))
+        node = node[key]
+    if isinstance(node, list):
+        parts.append(str(draw(st.integers(0, len(node) - 1))))
+    elif node and draw(st.booleans()):
+        parts.append(draw(st.sampled_from(sorted(node))))
+    else:
+        parts += draw(st.lists(st.text("xyz", min_size=1, max_size=2), min_size=1, max_size=3))
+    return doc, ".".join(parts)
+
+
+def _round_trip_set_axis(raw, axis, value):
+    """The former `set_axis`: a deep copy through JSON, then a write in place."""
+    doc = json.loads(json.dumps(raw))
+    *path, last = axis.split(".")
+    node = doc
+    for part in path:
+        node = node[int(part)] if isinstance(node, list) else node.setdefault(part, {})
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
 class TestOverrides:
     def test_override_applies_and_is_recorded(self):
         raw = {"schema_version": 1, "name": "x", "duration_s": 0.0,
                "analog": {"c_pulse": 1e-12}}
-        doc = engine.apply_overrides(raw, ["analog.c_pulse=2e-12"])
-        scenario = build_scenario(doc)
+        scenario = engine.with_overrides(raw, ["analog.c_pulse=2e-12"])
         assert scenario.analog.c_pulse == 2e-12
-        assert scenario.raw["_overrides"] == ["analog.c_pulse=2e-12"]
+        assert scenario.overrides == ("analog.c_pulse=2e-12",)
         assert engine._manifest(scenario)["overrides"] == ["analog.c_pulse=2e-12"]
 
     def test_misspelled_override_rejected_at_validation(self):
@@ -88,11 +133,37 @@ class TestOverrides:
         with pytest.raises(UnknownAxis):
             engine.set_axis(raw, "schedule.5.dac.v_hold", -2.0)
 
+    def test_step_into_a_value_is_unknown_axis(self):
+        raw = {"schema_version": 1, "duration_s": 1.0, "rails": {"v_hold": -1.0}}
+        snapshot = copy.deepcopy(raw)
+        for axis in ("duration_s.x", "rails.v_hold.x", "rails.v_hold.x.y"):
+            with pytest.raises(UnknownAxis, match="not a container"):
+                engine.set_axis(raw, axis, 1.0)
+        assert raw == snapshot
+
     def test_bool_coercion(self):
         raw = {"schema_version": 1, "name": "x", "duration_s": 0.0,
                "chip": {"compensate_injection": True}}
         doc = engine.apply_overrides(raw, ["chip.compensate_injection=false"])
         assert doc["chip"]["compensate_injection"] is False
+
+    @given(case=st.data(), value=_JSON)
+    @settings(max_examples=200, deadline=None)
+    def test_set_axis_matches_json_round_trip(self, case, value):
+        raw, axis = case.draw(_documents_with_axis())
+        snapshot = copy.deepcopy(raw)
+        assert engine.set_axis(raw, axis, value) == _round_trip_set_axis(raw, axis, value)
+        assert raw == snapshot
+
+    @pytest.mark.parametrize("name", cli.BUNDLED)
+    def test_build_leaves_bundled_document_unchanged(self, name):
+        raw = json.loads(cli.bundled_scenario_path(name).read_text())
+        snapshot = copy.deepcopy(raw)
+        scenario = build_scenario(raw)
+        # Sweep points share every subtree off the axis path with `raw`.
+        for value in scenario.sweep.values if scenario.sweep else ():
+            build_scenario(engine.set_axis(raw, scenario.sweep.axis, value))
+        assert raw == snapshot
 
 
 class TestGenericRun:
@@ -230,6 +301,50 @@ class TestGenericRun:
         temps = dict(bundle.tables["temperature"].rows)
         assert temps[0.5] > temps[0.0] > 0.036
 
+    def test_locking_uses_the_dac_as_is(self):
+        # `cell_targets` aims the hold DAC under REFRESH only.
+        scenario = make_scenario(
+            rails={"v_hold": -1.0},
+            cell_targets={"0": 0.5},
+            schedule=lock_then_open_schedule(0b1, 1.0),
+            duration_s=1.0,
+            traces={"sample_rate_hz": 2.0, "kinds": ["cells", "hold"], "cells": [0]},
+        )
+        bundle = engine.run_generic(scenario)
+        assert bundle.tables["hold"].columns[1] == [-1.0, -1.0, -1.0]
+        assert bundle.tables["cells"].columns[2][:2] == [-1.0, -1.0]
+
+    def test_refresh_moves_the_dac_before_each_targeted_close(self):
+        scenario = make_scenario(
+            cell_targets={"1": 0.25},
+            schedule=[
+                {"t": 0.0, "write": ["CTRL", 2]},
+                {"t": 0.0, "write": ["LOCK_MASK_LO", 0b11]},
+                {"t": 0.0, "write": ["REFRESH_PERIOD", 2]},
+                {"t": 0.0, "exec": True},
+            ],
+            duration_s=4.0,
+        )
+        timeline, _, _ = engine._expand_schedule(scenario)
+        aim = 0.25 - analog.injection_offset(scenario.analog)
+        assert [entry[2:] for entry in timeline] == [
+            ("CLOSE", 0),
+            ("OPEN", 0), ("DAC", (("v_hold", aim),)), ("CLOSE", 1),
+            ("OPEN", 1), ("CLOSE", 0),
+            ("OPEN", 0), ("DAC", (("v_hold", aim),)), ("CLOSE", 1),
+        ]
+        assert [entry[0] for entry in timeline] == [0.0] + [1.0] * 3 + [2.0] * 2 + [3.0] * 3
+
+    def test_one_manifest_per_run(self, monkeypatch):
+        made = []
+        manifest = engine._manifest
+        monkeypatch.setattr(engine, "_manifest", lambda s: made.append(s) or manifest(s))
+        scenario = engine.load_scenario(cli.bundled_scenario_path("fig3c"))
+        bundle = engine.run_scenario(scenario)
+        assert len(made) == 1 and made[0] is scenario
+        assert bundle.manifest == manifest(scenario)
+        assert engine.run_generic(scenario).manifest is None
+
     def test_run_twice_identical(self, tmp_path):
         scenario = make_scenario(
             rails={"v_hold": -1.1},
@@ -237,8 +352,8 @@ class TestGenericRun:
             duration_s=1.0,
             traces={"sample_rate_hz": 50.0, "kinds": ["cells"], "cells": [0, 1]},
         )
-        a = engine.run_generic(scenario)
-        b = engine.run_generic(scenario)
+        a = engine.run_scenario(scenario)
+        b = engine.run_scenario(scenario)
         assert a.tables["cells"].rows == b.tables["cells"].rows
         files_a = engine.export(a, tmp_path / "a")
         files_b = engine.export(b, tmp_path / "b")
@@ -386,7 +501,7 @@ class TestExport:
             duration_s=1.0,
             traces={"sample_rate_hz": 10.0, "kinds": ["cells"], "cells": [0]},
         )
-        bundle = engine.run_generic(scenario)
+        bundle = engine.run_scenario(scenario)
         engine.export(bundle, tmp_path)
         lines = (tmp_path / "events.csv").read_text().splitlines()
         assert lines[0] == "time_s,cell,action,level"
