@@ -184,34 +184,3 @@ def envelope_check(
         deviation_max=dev_max,
         max_rel_deviation=float(max(dev_max.max(), dev_min.max())),
     )
-
-
-def infer_gate_drift_rate(
-    device: DotDevice,
-    gate: str,
-    static_gates: Mapping[str, float],
-    times_s: np.ndarray,
-    g_trace: np.ndarray,
-    probe_dv: float = 1e-6,
-) -> float:
-    """Recover a gate's drift rate (V/s) from a conductance time series.
-
-    The flank-slope method: bias on the flank of a peak, fit dG/dt from
-    the measured trace, convert with a numerically probed dG/dV at the
-    bias point.  This is the in-model analogue of watching the transport
-    current while a held gate voltage leaks.
-    """
-    times_s = np.asarray(times_s, dtype=float)
-    g_trace = np.asarray(g_trace, dtype=float)
-    if times_s.shape != g_trace.shape:
-        raise AxisMismatch("times and conductance trace differ in length")
-    if gate not in device.gate_levers:
-        raise UnknownGate(f"no lever arm for gate {gate!r}")
-    slope = np.polyfit(times_s, g_trace, 1)[0]
-    v0 = float(static_gates[gate])
-    up = dict(static_gates, **{gate: v0 + probe_dv})
-    dn = dict(static_gates, **{gate: v0 - probe_dv})
-    dg_dv = (conductance(device, up) - conductance(device, dn)) / (2.0 * probe_dv)
-    if dg_dv == 0.0:
-        raise ValueError("dG/dV is zero at the bias point; not on a flank")
-    return float(slope / dg_dv)

@@ -15,11 +15,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -35,8 +37,9 @@ SCHEMA_VERSION = 1
 N_CELLS = fsm.N_CELLS
 
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
-# lock action with the cell as payload; DAC, host DAC moves; FG, a whole
-# playback run as one `fsm.TickRun` at its first tick.  Coincident entries
+# lock action with the cell as payload; DAC, host DAC moves; FG, a playback
+# run (or, after `_cut_runs`, a slice of one) as one `fsm.TickRun` at its
+# first tick.  Coincident entries
 # apply releases first, then host DAC moves, then lock closures, then
 # fast-gate edges; samples observe the post-event state at their own
 # timestamp.
@@ -160,8 +163,34 @@ def _section(where: str):
     """Report a parameter type's own check failing as a ScenarioError."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _finite(value) -> bool:
+    """Whether `value` holds no bool and no float that is not finite (JSON's
+    NaN and Infinity), at any depth: what a number field may hold."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (dict, list, tuple)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, bool)
+
+
+def _number(value, convert=float):
+    """`convert(value)`, for a number parsed outside a parameter type; a
+    value or result that `_finite` refuses is a ValueError."""
+    if _finite(value) and _finite(number := convert(value)):
+        return number
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+@cache
+def _number_fields(cls) -> frozenset[str]:
+    """The fields of parameter type `cls` typed with `float` or `int`."""
+    return frozenset(
+        f.name for f in dataclasses.fields(cls) if re.search(r"\b(float|int)\b", f.type)
+    )
 
 
 def _object(raw, where: str) -> Mapping:
@@ -171,11 +200,17 @@ def _object(raw, where: str) -> Mapping:
 
 
 def _build_section(cls, raw, where: str, renames: Mapping[str, str] = {}):
-    """Build parameter type `cls` from a section; `renames` maps keys to fields."""
+    """Build parameter type `cls` from a section; `renames` maps keys to fields.
+
+    A field typed with `float` or `int` holds only what `_finite` accepts.
+    """
     names = {f.name for f in dataclasses.fields(cls)} - set(renames.values())
     unknown = set(_object(raw, where)) - names - set(renames)
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
+    for key, value in raw.items():
+        if renames.get(key, key) in _number_fields(cls) and not _finite(value):
+            raise ScenarioError(f"{where}.{key}: expected finite numbers, got {value!r}")
     with _section(where):
         return cls(**{renames.get(k, k): v for k, v in raw.items()})
 
@@ -188,12 +223,13 @@ def _gate_source(dot: devmod.DotDevice, gate: str, raw) -> GateSource:
         raise ScenarioError(f"device: gate {gate!r} needs one of cell/dac/const")
     (kind, value), = raw.items()
     with _section(f"device: gate {gate!r}"):
-        if kind == "cell" and not (isinstance(value, int) and 0 <= value < N_CELLS):
-            raise ValueError(f"cell {value!r} outside 0..{N_CELLS - 1}")
+        if kind == "cell" and not (isinstance(value, int) and _finite(value)
+                                   and 0 <= value < N_CELLS):
+            raise ValueError(f"cell {value!r} is not an index 0..{N_CELLS - 1}")
         if kind == "dac" and not isinstance(value, str):
             raise TypeError(f"dac {value!r} is not a name")
-        if kind == "const" and not math.isfinite(value := float(value)):
-            raise ValueError(f"const {value!r} is not finite")
+        if kind == "const":
+            value = _number(value)
     return GateSource(kind, value)
 
 
@@ -202,13 +238,13 @@ def _parse_register(ref) -> int:
         if ref in protocol.NAME_TO_ADDRESS:
             return protocol.NAME_TO_ADDRESS[ref]
         raise ScenarioError(f"unknown register name {ref!r}")
-    return int(ref)
+    return _number(ref, int)
 
 
 def _parse_int(value) -> int:
     if isinstance(value, str):
         return int(value, 0)
-    return int(value)
+    return _number(value, int)
 
 
 def _parse_schedule_item(raw, index: int) -> ScheduleItem:
@@ -216,9 +252,7 @@ def _parse_schedule_item(raw, index: int) -> ScheduleItem:
     if "t" not in _object(raw, where):
         raise ScenarioError(f"{where}: missing time key 't'")
     with _section(where):
-        t = float(raw["t"])
-        if not math.isfinite(t):
-            raise ScenarioError(f"{where}: time must be finite, got {raw['t']!r}")
+        t = _number(raw["t"])
         keys = set(raw) - {"t"}
         if keys == {"write"}:
             reg, value = raw["write"]
@@ -238,7 +272,7 @@ def _parse_schedule_item(raw, index: int) -> ScheduleItem:
                 raise ScenarioError(f"{where}: {exc}") from exc
         elif keys == {"dac"}:
             moves = _object(raw["dac"], where).items()
-            return ScheduleItem(t, dac=tuple(sorted((str(k), float(v)) for k, v in moves)))
+            return ScheduleItem(t, dac=tuple(sorted((str(k), _number(v)) for k, v in moves)))
         else:
             raise ScenarioError(f"{where}: expected one of write/read/exec/nop/word/dac")
     return ScheduleItem(time_s=t, frame=frame)
@@ -305,7 +339,7 @@ def build_scenario(raw: Mapping) -> Scenario:
             cal_raw = dict(_object(cal_raw, "power.calibration"))
             with _section("power.calibration"):
                 cal_raw["points"] = tuple(
-                    (float(p), float(t)) for p, t in cal_raw.get("points", ())
+                    (_number(p), _number(t)) for p, t in cal_raw.get("points", ())
                 )
             calibration = _build_section(
                 thermal.ThermalCalibration, cal_raw, "power.calibration"
@@ -331,21 +365,24 @@ def build_scenario(raw: Mapping) -> Scenario:
         if item.time_s < prev.time_s:
             raise ScenarioError("schedule times must be nondecreasing")
     with _section("duration_s"):
-        duration = float(raw.get("duration_s", 0.0))
-    if not 0 <= duration < math.inf:
+        duration = _number(raw.get("duration_s", 0.0))
+    if duration < 0:
         raise ScenarioError("duration_s must be finite and non-negative")
     if schedule and schedule[-1].time_s > duration:
         raise ScenarioError("schedule extends past duration_s")
 
     targets = _object(raw.get("cell_targets", {}), "cell_targets")
     with _section("cell_targets"):
-        targets = {int(k): float(v) for k, v in targets.items()}
+        targets = {int(k): _number(v) for k, v in targets.items()}
     for c in targets:
         if not 0 <= c < N_CELLS:
             raise ScenarioError(f"cell_targets: cell {c} outside 0..{N_CELLS - 1}")
 
+    name = raw.get("name", "scenario")
+    if not isinstance(name, str) or set(name) & set("/\\\0"):
+        raise ScenarioError(f"name {name!r} must be a string with no path separator")
     scenario = Scenario(
-        name=str(raw.get("name", "scenario")),
+        name=name,
         chip=chip,
         analog=cell,
         rails=rails,
@@ -614,7 +651,8 @@ def _expand_schedule(scenario: Scenario):
     `compensate_injection`); LOCKING uses the DAC as it is.  Only WRITE
     and EXEC split playback: READ, NOP and DAC items leave it running.
     Each stretch of playback between two such items goes on the timeline
-    as one columnar `fsm.TickRun`, so no lock action falls inside a run.
+    as one columnar `fsm.TickRun`, so no lock action falls inside a run;
+    `run_generic` then cuts the runs where they are read (`_cut_runs`).
 
     Returns the timeline entries in the order they apply (by time, then
     priority; the sort is stable, so ties keep insertion order), the mode
@@ -731,17 +769,53 @@ def _segment_power(scenario: Scenario, seg: _Segment) -> float:
     )
 
 
+def _cut_runs(timeline: list, sample_times: np.ndarray, sampled: set[int], v_hold: float):
+    """The timeline with each tick run cut where the cells it pulses are read.
+
+    A run is cut before its first tick at or after each hold-rail move
+    that changes the rail, and, when it pulses a sampled cell, after its
+    last tick at or before each sample time.  Each slice (views of the
+    run's columns) goes on the timeline at its first tick.
+    """
+    moves = []  # times of the hold-rail moves that change the rail
+    for t, _prio, kind, payload in timeline:
+        if kind == "DAC" and (value := dict(payload).get("v_hold", v_hold)) != v_hold:
+            moves.append(t)
+            v_hold = value
+    moves = np.asarray(moves, dtype=float)
+    out = [entry for entry in timeline if entry[2] != "FG"]
+    for run in (entry[3] for entry in timeline if entry[2] == "FG"):
+        # starts[k]: a slice starts at tick k; starts[len] closes the last one.
+        starts = np.zeros(len(run.times) + 1, dtype=bool)
+        starts[[0, -1]] = True
+        lo, hi = np.searchsorted(moves, run.times[[0, -1]], "right")
+        starts[np.searchsorted(run.times, moves[lo:hi])] = True
+        if sampled.intersection(run.cells):
+            first = np.searchsorted(sample_times, run.times)  # first sample at or after
+            starts[1:-1] |= first[:-1] < first[1:]
+        bounds = np.flatnonzero(starts).tolist()
+        out += [
+            (float(run.times[k]), _PRIO["FG"], "FG",
+             fsm.TickRun(run.times[k:j], run.levels[k:j], run.cells, run.period_s))
+            for k, j in zip(bounds, bounds[1:])
+        ]
+    return sorted(out, key=itemgetter(0, 1))
+
+
 def run_generic(scenario: Scenario) -> TraceBundle:
     """Execute a time-domain scenario and collect the requested traces.
 
-    Lock actions and DAC moves are applied in timeline order.  A playback
-    run only queues its ticks on its cells: a cell's queued edges are
-    applied in one `analog.apply_fg_run` call when something reads or
-    changes that cell (a lock action on it, a hold-DAC move, a sample of
-    it) and at the end of the run.  The loop only records the cell-state
-    fields and DACs (the hold rail is DAC "v_hold") each block of samples
-    sees; the traces are then evaluated as arrays (README, "How a run executes").
-    The bundle carries no manifest: `run_scenario` adds one per top-level run.
+    Every timeline entry is applied eagerly, in order.  First `_cut_runs`
+    cuts each tick run where it is read: at each hold-rail move that
+    changes the rail (which couples into all 32 cells) and at each sample
+    of a cell it pulses.  A slice is one `analog.apply_fg_run` call per
+    pulsed cell.  This relies on one invariant: only WRITE and EXEC split
+    playback and lock actions happen only at EXEC, so no lock action falls
+    inside a run.  Before each entry the loop records one block, the
+    samples before that entry: the sampled cells' `output_fields` and the
+    DACs (the hold rail is DAC "v_hold") they see; the traces are then
+    evaluated as arrays (README, "How a run executes").  The bundle
+    carries no manifest: `run_scenario` adds one per top-level run.
     """
     kinds = scenario.traces.kinds
     if "readout" in kinds:  # fail before simulating anything
@@ -756,100 +830,55 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     sampled = list(dict.fromkeys([*traced, *cell_gates]))
     dac_names = list(dict.fromkeys(["v_hold", *dac_gates]))
 
-    # Cell states are immutable, so all 32 can start as one value.
-    cells = [analog.ClfgCell(scenario.analog)] * N_CELLS
-    rails = scenario.rails
-    dacs: dict[str, float] = {"v_hold": rails.v_hold}
-    # Per cell: [run, first tick not yet applied] of each queued run, in
-    # time order, and the time of the first queued edge.
-    queued: list[list[list]] = [[] for _ in range(N_CELLS)]
-    next_edge = [math.inf] * N_CELLS
-
-    def flush(c: int, t: float, inclusive: bool) -> None:
-        """Apply cell `c`'s queued edges before `t`, or up to `t` when `inclusive`."""
-        side = "right" if inclusive else "left"
-        queue = queued[c]
-        while queue:
-            run, k = queue[0]
-            j = int(np.searchsorted(run.times, t, side))
-            if j > k:
-                cells[c] = analog.apply_fg_run(
-                    cells[c], run.times[k:j], run.levels[k:j], run.period_s, rails
-                )
-            if j < len(run.times):
-                queue[0][1] = j
-                next_edge[c] = float(run.times[j])
-                return
-            queue.pop(0)
-        next_edge[c] = math.inf
-
-    def move_dac(name: str, value: float, t: float) -> None:
-        """Set DAC `name`; a hold-rail move couples into all 32 cells."""
-        if name == "v_hold" and value != dacs[name]:
-            for i in range(N_CELLS):
-                if next_edge[i] < t:
-                    flush(i, t, False)
-                cells[i] = analog.set_hold(cells[i], value)
-        dacs[name] = value
-
     rate = scenario.traces.sample_rate_hz
     times = np.arange(math.floor(scenario.duration_s * rate) + 1) / rate
     sample_times = times.tolist()
     n_samples = len(sample_times)
+    rails = scenario.rails
+    timeline = _cut_runs(timeline, times, set(sampled), rails.v_hold)
+
+    # Cell states are immutable, so all 32 can start as one value.
+    cells = [analog.ClfgCell(scenario.analog)] * N_CELLS
+    dacs: dict[str, float] = {"v_hold": rails.v_hold}
     # What each block of samples sees: the sampled cells' `output_fields`
     # (floats, so no state outlives its block), the DACs, and its length.
     fields: list[float] = []
     dac_seen: dict[str, list[float]] = {name: [] for name in dac_names}
     counts: list[int] = []
     si = 0
-
-    def sample_until(stop: int) -> None:
-        """Record what samples si..stop-1 see: the sampled cells after their
-        edges at or before each sample's time, so a block ends at an edge."""
-        nonlocal si
-        while si < stop:
-            t = sample_times[si]
-            for c in sampled:
-                if next_edge[c] <= t:
-                    flush(c, t, True)
-                fields.extend(analog.output_fields(cells[c]))
-            edge = min([next_edge[c] for c in sampled], default=math.inf)
-            end = bisect_left(sample_times, edge, si, stop)
-            counts.append(end - si)
-            for name in dac_names:
-                dac_seen[name].append(dacs.get(name, 0.0))
-            si = end
-
     # The events table, built column by column in timeline order.
     log: tuple[list, ...] = ([], [], [], [])
-    for t, _prio, kind, payload in timeline:
-        sample_until(bisect_left(sample_times, t, si))
+    # The last entry only closes the block of the samples after the timeline.
+    for t, _prio, kind, payload in chain(timeline, [(math.inf, None, "END", None)]):
+        if (end := bisect_left(sample_times, t, si)) > si:
+            for c in sampled:
+                fields.extend(analog.output_fields(cells[c]))
+            for name in dac_names:
+                dac_seen[name].append(dacs.get(name, 0.0))
+            counts.append(end - si)
+            si = end
         if kind == "DAC":
             for name, value in payload:  # type: ignore[union-attr]
-                move_dac(name, value, t)
-            continue
-        if kind == "FG":
+                if name == "v_hold" and value != dacs[name]:
+                    cells = [analog.set_hold(cell, value) for cell in cells]
+                dacs[name] = value
+        elif kind == "FG":
             run: fsm.TickRun = payload  # type: ignore[assignment]
             for column, values in zip(log, run.csv_columns()):
                 column += values
             for c in run.cells:
-                queued[c].append([run, 0])
-                next_edge[c] = min(next_edge[c], t)
-            continue
-        i: int = payload  # type: ignore[assignment]
-        for column, value in zip(log, (t, i, kind, "")):
-            column.append(value)
-        if next_edge[i] < t:
-            flush(i, t, False)
-        cells[i] = analog.settle(cells[i], t)
-        if kind == "CLOSE":
-            cells[i] = analog.lock(cells[i], dacs["v_hold"])
-        else:  # OPEN
-            cells[i] = analog.unlock(cells[i])
-    sample_until(n_samples)
-    for c in range(N_CELLS):
-        if queued[c]:
-            flush(c, math.inf, True)
+                cells[c] = analog.apply_fg_run(
+                    cells[c], run.times, run.levels, run.period_s, rails
+                )
+        elif kind != "END":
+            i: int = payload  # type: ignore[assignment]
+            for column, value in zip(log, (t, i, kind, "")):
+                column.append(value)
+            cells[i] = analog.settle(cells[i], t)
+            if kind == "CLOSE":
+                cells[i] = analog.lock(cells[i], dacs["v_hold"])
+            else:  # OPEN
+                cells[i] = analog.unlock(cells[i])
 
     # The sampled cells' fields sample by sample, evaluated in one call.
     per_sample = np.repeat(np.reshape(fields, (len(counts), -1)), counts, axis=0)

@@ -7,6 +7,9 @@ one CSV per figure.  `engine.run_scenario` adds the run's manifest.
 """
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import numpy as np
 
 from . import analog, device as devmod, engine, thermal
@@ -187,19 +190,20 @@ def _list_of(convert):
     return convert_list
 
 
-_FLOATS, _INTS = _list_of(float), _list_of(int)
+_FLOAT, _INT = engine._number, partial(engine._number, convert=int)
+_FLOATS, _INTS = _list_of(_FLOAT), _list_of(_INT)
 # `figure_params` each driver reads: key -> (conversion, default); a key
 # with no default (None) must be given.
 _PARAMS = {
-    "fig3c": {"cell": (int, 0), "open_time_s": (float, 0.0)},
-    "fig3e": {"cell": (int, 0)},
-    "fig3f": {"cell": (int, None), "pulse_gate": (str, None), "sweep_gate": (str, None),
-              "v_sdp_values": (_FLOATS, None), "pulse_start_s": (float, None),
-              "settle_fraction": (float, 0.5)},
-    "fig4b": {"swing": (float, 0.1), "n_cells": (_INTS, (1, 2, 3, 4, 5, 6)),
+    "fig3c": {"cell": (_INT, 0), "open_time_s": (_FLOAT, 0.0)},
+    "fig3e": {"cell": (_INT, 0)},
+    "fig3f": {"cell": (_INT, None), "pulse_gate": (str, None), "sweep_gate": (str, None),
+              "v_sdp_values": (_FLOATS, None), "pulse_start_s": (_FLOAT, None),
+              "settle_fraction": (_FLOAT, 0.5)},
+    "fig4b": {"swing": (_FLOAT, 0.1), "n_cells": (_INTS, (1, 2, 3, 4, 5, 6)),
               "f_values": (_FLOATS, None)},
     "fig4d": {"swing_values": (_FLOATS, None), "f_values": (_FLOATS, None)},
-    "fig4e": {"swing": (float, 0.1), "n_values": (_INTS, None), "f_values": (_FLOATS, None)},
+    "fig4e": {"swing": (_FLOAT, 0.1), "n_values": (_INTS, None), "f_values": (_FLOATS, None)},
 }
 _MISSING = {
     "device": "figure needs a device section",
@@ -237,11 +241,20 @@ def check_sections(scenario: Scenario) -> dict:
             params[key] = default
     if "cell" in params and params["cell"] not in scenario.traces.cells:
         raise engine.ScenarioError(f"figure_params: cell {params['cell']} is not in traces.cells")
+    rate = scenario.traces.sample_rate_hz
+    n = math.floor(scenario.duration_s * rate)  # the last sample is at n / rate
     if scenario.figure == "fig3c":  # its drift needs two samples after open_time_s
-        rate = scenario.traces.sample_rate_hz
-        n = int(scenario.duration_s * rate)  # the last sample is at n / rate
         if n < 1 or (n - 1) / rate <= params["open_time_s"]:
             raise engine.ScenarioError("figure_params: open_time_s leaves fewer than two samples")
+    if scenario.figure == "fig3f":  # its envelope needs a settled sample from pulse_start_s on
+        settle = params["settle_fraction"]
+        if not 0 <= settle < 1:
+            raise engine.ScenarioError("figure_params: settle_fraction must be in [0, 1)")
+        m = np.count_nonzero(np.arange(n + 1) / rate >= params["pulse_start_s"])
+        if round(settle * m) >= m:
+            raise engine.ScenarioError(
+                "figure_params: pulse_start_s and settle_fraction leave no sample to compare"
+            )
     return params
 
 

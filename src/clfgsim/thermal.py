@@ -45,19 +45,6 @@ class PowerModel:
                self.static_floor_w) < 0:
             raise ValueError("power coefficients must be non-negative")
 
-    @classmethod
-    def from_cell_coefficient(
-        cls, watts_per_hz_per_cell: float, ref_swing: float, **kwargs
-    ) -> "PowerModel":
-        """Build from a measured per-cell cost (W/Hz) at a reference swing.
-
-        Example: 18 nW/MHz at 0.1 V pulsing is 18e-15 W/Hz, giving a
-        1.8 pF series capacitance, split here as two equal capacitors.
-        """
-        if ref_swing <= 0:
-            raise ValueError("ref_swing must be positive")
-        c_series = watts_per_hz_per_cell / ref_swing**2
-        return cls(c_pulse=2.0 * c_series, c_p=2.0 * c_series, **kwargs)
 
 
 @dataclass(frozen=True)

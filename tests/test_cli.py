@@ -39,7 +39,14 @@ def _without_kind(name: str, kind: str) -> dict:
     return doc
 
 
+def _with_param(name: str, key: str, value) -> dict:
+    doc = json.loads(cli.bundled_scenario_path(name).read_text())
+    doc["figure_params"][key] = value
+    return doc
+
+
 _DOT = {"levers": {"lw": 0.2}, "gate_sources": {"lw": {"cell": 0}}}
+_NAN, _INF = float("nan"), float("inf")
 
 
 def _traced(kind: str) -> dict:
@@ -86,6 +93,30 @@ MALFORMED = {
     "fig3f_without_cells": _without_kind("fig3f", "cells"),
     "fig3g_without_readout": _without_kind("fig3g", "readout"),
     "overrides_key": _mini(_overrides=["analog.c_pulse=9e-12"]),
+    # A number must be finite, and a bool is no number outside a bool field.
+    "c_pulse_nan": _mini(analog={"c_pulse": _NAN}),
+    "v_high_nan": _mini(rails={"v_high": _NAN}),
+    "v_hold_infinite": _mini(rails={"v_hold": _INF}),
+    "lever_nan": _mini(device=dict(_DOT, levers={"lw": _NAN}), traces=_traced("conductance")),
+    "bandwidth_nan": _mini(device=dict(_DOT, bandwidth_hz=_NAN), traces=_traced("readout")),
+    "dac_nan": _mini(schedule=[{"t": 0, "dac": {"v_hold": _NAN}}]),
+    "fig4b_swing_nan": _with_param("fig4b", "swing", _NAN),
+    "fig4e_swing_nan": _with_param("fig4e", "swing", _NAN),
+    "master_freq_infinite": _mini(chip={"master_freq_hz": _INF}),
+    "sample_rate_infinite": _mini(traces={"sample_rate_hz": _INF, "kinds": ["cells"], "cells": [0]}),
+    "fig3c_open_time_nan": _with_param("fig3c", "open_time_s", _NAN),
+    "traced_cell_bool": _mini(traces={"sample_rate_hz": 10.0, "kinds": ["cells"], "cells": [True]}),
+    "gate_cell_bool": _mini(
+        device={"levers": {"lw": 0.2}, "gate_sources": {"lw": {"cell": True}}},
+        traces=_traced("conductance"),
+    ),
+    "c_pulse_bool": _mini(analog={"c_pulse": True}),
+    "write_value_bool": _mini(schedule=[{"t": 0.0, "write": ["CTRL", True]}]),
+    # Figure parameters and names that used to fail only at run time.
+    "fig3f_settle_fraction_2": _with_param("fig3f", "settle_fraction", 2.0),
+    "fig3f_pulse_start_after_samples": _with_param("fig3f", "pulse_start_s", 1.0),
+    "name_with_separator": _mini(name="a/b"),
+    "name_list": _mini(name=["x"]),
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each

@@ -363,10 +363,17 @@ class TestGenericRun:
 
 def replay_cells_edge_by_edge(scenario, bundle, moves) -> list[tuple]:
     """The `cells` table rebuilt from `bundle.events` and hold-DAC `moves`
-    (time, volts), one scalar call per event; no move shares an event's time."""
+    (time, volts), one scalar call per event, in the engine's order: by
+    time, then `engine._PRIO` (a move before a tick at its own time)."""
     cells = [analog.ClfgCell(scenario.analog)] * engine.N_CELLS
-    actions = sorted([(ev.time_s, ev) for ev in bundle.events] + list(moves),
-                     key=lambda action: action[0])
+
+    def order(action):
+        t, ev = action
+        if not isinstance(ev, fsm.SwitchEvent):
+            return t, engine._PRIO["DAC"]
+        return t, engine._PRIO["FG" if ev.lock_action is None else ev.lock_action.value]
+
+    actions = sorted([(ev.time_s, ev) for ev in bundle.events] + list(moves), key=order)
     v_hold = scenario.rails.v_hold
     rows = []
     i = 0
@@ -392,7 +399,8 @@ def replay_cells_edge_by_edge(scenario, bundle, moves) -> list[tuple]:
 
 
 class TestQueuedEdges:
-    """Queued fast-gate edges, applied per cell when read, match applying each edge."""
+    """Tick runs, cut where they are read and applied in timeline order,
+    match applying each edge."""
 
     @given(
         pattern=st.integers(0, 0xFFFF),
@@ -407,11 +415,15 @@ class TestQueuedEdges:
         n_samples=st.integers(1, 40),
         ticks_per_sample=st.one_of(st.none(), st.sampled_from([1, 2, 4, 64])),
         dac_tick=st.one_of(st.none(), st.integers(0, 127)),
+        dac_on_tick=st.booleans(),
+        split_tick=st.one_of(st.none(), st.integers(1, 127)),
+        traced_mask=st.one_of(st.none(), st.integers(1, 0xFF)),
     )
     @settings(max_examples=100, deadline=None)
     def test_cells_trace_matches_edge_by_edge(
         self, pattern, plen, n_ticks, divider, pulse_mask, lock_mask,
         periods_per_tau, leak_rate, t_open, n_samples, ticks_per_sample, dac_tick,
+        dac_on_tick, split_tick, traced_mask,
     ):
         period = (1 << divider) / 35.84e6
         # Lock some cells, then release them as playback starts, so their
@@ -433,16 +445,37 @@ class TestQueuedEdges:
             {"t": t_open, "exec": True},
         ]
         duration = t_open + (n_ticks + 0.5) * period
-        # A hold-DAC move halfway between two ticks couples into every cell.
+        # A WRITE a quarter period past the time of tick `split_tick` splits
+        # playback in two runs (ticks 0..split_tick-1, then the rest from the
+        # WRITE on) and inverts the pattern; the tick count stays n_ticks.
+        starts = [(0, t_open)]  # (first tick, start time) of each run
+        if split_tick is not None and split_tick < n_ticks:
+            t_split = t_open + (split_tick + 0.25) * period
+            schedule.append({"t": t_split, "write": ["PATTERN0", pattern ^ 0xFFFF]})
+            starts.append((split_tick, t_split))
+        # A hold-DAC move couples into every cell: halfway between two
+        # ticks, or on tick `dac_tick` itself (the time playback gives it,
+        # bit for bit), where it must apply before that tick.
         moves = []
         if dac_tick is not None and dac_tick < n_ticks:
-            moves = [(t_open + (dac_tick + 0.5) * period, -0.7)]
-            schedule.append({"t": moves[0][0], "dac": {"v_hold": moves[0][1]}})
+            if dac_on_tick:
+                first, start = max(run for run in starts if run[0] <= dac_tick)
+                t_move = start + ((dac_tick - first) << divider) / 35.84e6
+            else:
+                t_move = t_open + (dac_tick + 0.5) * period
+            moves = [(t_move, -0.7)]
+            schedule.append({"t": t_move, "dac": {"v_hold": -0.7}})
+        schedule.sort(key=lambda item: item["t"])
         rate = n_samples / duration
         if ticks_per_sample and t_open == 0.0:
             # Power-of-two multiples of the tick period: samples fall exactly
             # on ticks, and must see the edge at their own time.
             rate = 35.84e6 / (ticks_per_sample << divider)
+        # All of the first 8 cells, or some pulsed cells only: a run is then
+        # cut where its traced cells are read, with its other cells.
+        traced = list(range(8)) if traced_mask is None else (
+            fsm.mask_cells(traced_mask & pulse_mask) or fsm.mask_cells(pulse_mask)[:1]
+        )
         scenario = make_scenario(
             analog={"r_switch": period / periods_per_tau / 0.5e-12, "leak_rate": leak_rate},
             rails={"v_high": 0.1, "v_low": -0.1, "v_hold": -1.1},
@@ -451,7 +484,7 @@ class TestQueuedEdges:
             traces={
                 "sample_rate_hz": rate,
                 "kinds": ["cells"],
-                "cells": list(range(8)),
+                "cells": traced,
             },
         )
         bundle = engine.run_generic(scenario)

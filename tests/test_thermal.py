@@ -14,6 +14,10 @@ from clfgsim.thermal import (
     total_power,
 )
 
+# The measured 18 nW/MHz per cell at 0.1 V is a 1.8 pF series
+# capacitance, split as two equal capacitors.
+C_SERIES_18NW = 18e-15 / 0.1**2
+
 
 class TestPulsePower:
     def test_default_point(self):
@@ -52,7 +56,7 @@ class TestTotalPower:
 
     def test_measured_coefficient_projection(self):
         # 18 nW/MHz per cell at 0.1 V: 1000 cells at 1 MHz cost 18 uW.
-        model = PowerModel.from_cell_coefficient(18e-15, ref_swing=0.1)
+        model = PowerModel(c_pulse=2.0 * C_SERIES_18NW, c_p=2.0 * C_SERIES_18NW)
         assert total_power(1000, 1e6, 0.1, model) == pytest.approx(18e-6, rel=1e-12)
 
     def test_cell_staircase_increments_equally(self):
@@ -129,8 +133,8 @@ class TestTemperature:
 
 class TestFeasibility:
     def model(self) -> PowerModel:
-        return PowerModel.from_cell_coefficient(
-            18e-15, ref_swing=0.1,
+        return PowerModel(
+            c_pulse=2.0 * C_SERIES_18NW, c_p=2.0 * C_SERIES_18NW,
             fsm_energy_per_cycle=2e-14, clock_energy_per_cycle=1e-14,
         )
 
