@@ -37,14 +37,6 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get("CLFGSIM_OUT", "out"))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="output directory (default: $CLFGSIM_OUT or ./out)")
-    parser.add_argument(
-        "--override", action="append", default=[], metavar="K=V",
-        help="dotted-path config override, repeatable (e.g. analog.c_pulse=2e-12)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clfgsim",
@@ -56,28 +48,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a scenario file and exit")
     p.add_argument("scenario")
-    p.add_argument(
-        "--override", action="append", default=[], metavar="K=V",
-        help="dotted-path config override, repeatable",
-    )
 
     p = sub.add_parser("run", help="run a scenario and write its CSV outputs")
     p.add_argument("scenario")
-    _add_common(p)
 
     p = sub.add_parser("sweep", help="run a scenario once per value of an axis")
     p.add_argument("scenario")
     p.add_argument("--axis", help="dotted config path (default: scenario sweep block)")
     p.add_argument("--values", help="comma-separated values (default: sweep block)")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    _add_common(p)
 
     p = sub.add_parser("replay", help="feed a raw hex command stream to the chip")
     p.add_argument("stream", help="file of 8-hex-digit words, one per line")
     p.add_argument("--duration", type=float, default=0.0,
                    help="seconds of autonomous operation after the stream")
     p.add_argument("--master-freq", type=float, default=35.84e6)
-    _add_common(p)
 
     p = sub.add_parser("budget", help="power/cooling feasibility for one operating point")
     p.add_argument("--scenario", default=None,
@@ -85,14 +70,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", type=int, required=True)
     p.add_argument("--freq", type=float, required=True)
     p.add_argument("--swing", type=float, default=0.1)
-    p.add_argument(
-        "--override", action="append", default=[], metavar="K=V",
-        help="dotted-path config override, repeatable",
-    )
 
     p = sub.add_parser("figures", help="regenerate figure CSVs from bundled scenarios")
     p.add_argument("name", choices=BUNDLED + ["all"])
-    _add_common(p)
+
+    for name, p in sub.choices.items():  # last, after each subcommand's own options
+        if name not in ("validate", "budget"):  # the commands that write files
+            p.add_argument("--out", help="output directory (default: $CLFGSIM_OUT or ./out)")
+        p.add_argument(
+            "--override", action="append", default=[], metavar="K=V",
+            help="dotted-path config override, repeatable (e.g. analog.c_pulse=2e-12)",
+        )
     return parser
 
 
@@ -136,7 +124,7 @@ def _cmd_sweep(args) -> int:
         columns.append([bundle.summary.get("conductance_final_s", "") for bundle in bundles])
     table = engine.Table(tuple(header), tuple(columns))
     bundle = engine.TraceBundle(
-        tables={"sweep": table}, events=[], summary={"axis": axis, "n": len(values)},
+        tables={"sweep": table}, summary={"axis": axis, "n": len(values)},
         manifest=dict(engine._manifest(scenario), axis=axis),
     )
     for path in engine.export(bundle, _out_dir(args)):
@@ -163,7 +151,7 @@ def _cmd_replay(args) -> int:
     written = engine.export(bundle, outdir)
     state = {
         "words": len(words),
-        "events": len(bundle.events),
+        "events": len(bundle.tables["events"].columns[0]),
         "responses": [
             {"time_s": t, "address": a, "data": d}
             for t, _op, a, d in bundle.tables.get(

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
@@ -69,6 +70,8 @@ class ChipConfig:
     def __post_init__(self) -> None:
         if not self.master_freq_hz > 0:
             raise ValueError("master_freq_hz must be positive")
+        if not isinstance(self.compensate_injection, bool):
+            raise TypeError("compensate_injection must be true or false")
 
 
 _TRACE_KINDS = ("cells", "hold", "conductance", "readout", "power", "temperature")
@@ -179,10 +182,13 @@ def _finite(value) -> bool:
 
 def _number(value, convert=float):
     """`convert(value)`, for a number parsed outside a parameter type; a
-    value or result that `_finite` refuses is a ValueError."""
-    if _finite(value) and _finite(number := convert(value)):
+    value or result that `_finite` refuses, or a float that `convert`
+    changes (5.9 where an int is due), is a ValueError."""
+    if _finite(value) and _finite(number := convert(value)) and (
+        number == value or not isinstance(value, float)
+    ):
         return number
-    raise ValueError(f"expected a finite number, got {value!r}")
+    raise ValueError(f"expected a finite {convert.__name__}, got {value!r}")
 
 
 @cache
@@ -535,38 +541,19 @@ class Table:
         return list(zip(*self.columns))
 
 
-class EventLog(Sequence):
-    """A run's switch events, read from the columns of its `events` table.
-
-    One entry per lock action and per tick of each pulsed cell, each
-    built as a `fsm.SwitchEvent` only when read.
-    """
-
-    def __init__(self, table: Table) -> None:
-        self.table = table
-
-    def __len__(self) -> int:
-        return len(self.table.columns[0])
-
-    def __getitem__(self, index):
-        fields = [column[index] for column in self.table.columns]
-        if isinstance(index, slice):
-            return list(map(fsm.event_from_row, *fields))
-        return fsm.event_from_row(*fields)
-
-    def __iter__(self):
-        return map(fsm.event_from_row, *self.table.columns)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-
 @dataclass
 class TraceBundle:
     tables: dict[str, Table]
-    events: Sequence[fsm.SwitchEvent]
     summary: dict
     manifest: dict | None = None  # set by `run_scenario`, once per run
+
+    @property
+    def events(self) -> list[fsm.SwitchEvent]:
+        """The run's switch events, one per row of its `events` table: one
+        per lock action and per tick of each pulsed cell."""
+        if "events" not in self.tables:
+            return []
+        return list(map(fsm.event_from_row, *self.tables["events"].columns))
 
 
 def _format_cell(value) -> str:
@@ -640,19 +627,21 @@ class _Segment:
 def _expand_schedule(scenario: Scenario):
     """Walk the schedule through the FSM, expanding all switch activity.
 
-    REFRESH re-locks the masked cells one at a time in ascending index
-    order, round robin, in slots of REFRESH_PERIOD / n seconds counted from
-    the EXEC that started it; slot j starts at j * REFRESH_PERIOD / n,
-    computed from the integer period, so slot n lands exactly on the
-    period.  Each slot boundary opens the previous cell before closing the
-    next, so at most one lock switch is closed at any instant.  Before it
-    closes a cell with a `cell_targets` entry, a DAC entry at the same time
-    moves the hold DAC to that target (less the injection offset under
-    `compensate_injection`); LOCKING uses the DAC as it is.  Only WRITE
-    and EXEC split playback: READ, NOP and DAC items leave it running.
-    Each stretch of playback between two such items goes on the timeline
-    as one columnar `fsm.TickRun`, so no lock action falls inside a run;
-    `run_generic` then cuts the runs where they are read (`_cut_runs`).
+    One loop over the schedule, then an end item at `duration_s`.  Only
+    WRITE and EXEC split playback: before each (and at the end) the ticks
+    or REFRESH slots since the last one go on the timeline, the ticks as
+    one columnar `fsm.TickRun`, so no lock action falls inside a run
+    (`run_generic` cuts runs where they are read, `_cut_runs`).  `closed`
+    holds the cells the mode keeps closed, every masked cell under
+    LOCKING and the slot's cell under REFRESH; leaving a mode opens them.
+    REFRESH re-locks the masked cells one at a time, ascending, round
+    robin: slot j starts j * REFRESH_PERIOD / n after the EXEC that
+    started it (from the integer period, so slot n lands exactly on the
+    period) and opens the previous cell before closing the next, so at
+    most one lock switch is closed at any instant.  A cell with a
+    `cell_targets` entry gets a DAC entry at its close that moves the hold
+    DAC to the target (less the injection offset under
+    `compensate_injection`); LOCKING uses the DAC as it is.
 
     Returns the timeline entries in the order they apply (by time, then
     priority; the sort is stable, so ties keep insertion order), the mode
@@ -662,94 +651,59 @@ def _expand_schedule(scenario: Scenario):
     timeline: list[tuple[float, int, str, object]] = []
     segments: list[_Segment] = []
     responses: list[tuple[float, protocol.Frame]] = []
-
-    locked_cells: list[int] = []      # closed via LOCKING, in close order
-    refresh: dict | None = None       # anchor/cells/period/next_j/closed
     # The hold DAC move that goes before a REFRESH close of a targeted cell.
     compensate = scenario.chip.compensate_injection
     offset = analog.injection_offset(scenario.analog) if compensate else 0.0
     holds = {c: (("v_hold", v - offset),) for c, v in scenario.cell_targets.items()}
-    seg_start = 0.0
-    cursor = 0.0
-
-    def add(t: float, kind: str, payload) -> None:
-        timeline.append((t, _PRIO[kind], kind, payload))
-
-    def emit_periodic(a: float, b: float) -> None:
-        nonlocal chip, refresh
-        if b <= a:
-            return
-        if chip.mode == fsm.Mode.PULSING:
-            chip, run = fsm.playback(chip, b - a, a)
-            if len(run):
-                add(float(run.times[0]), "FG", run)
-        elif chip.mode == fsm.Mode.REFRESH and refresh is not None:
-            cells, period, anchor = refresh["cells"], refresh["period"], refresh["anchor"]
-            j = refresh["next_j"]
-            while (t := anchor + j * period / len(cells)) < b:
-                if t >= a:
-                    if refresh["closed"] is not None:
-                        add(t, "OPEN", refresh["closed"])
-                    refresh["closed"] = cell = cells[j % len(cells)]
-                    if cell in holds:
-                        add(t, "DAC", holds[cell])
-                    add(t, "CLOSE", cell)
-                j += 1
-            refresh["next_j"] = j
-
-    def close_segment(t_end: float) -> None:
-        nonlocal seg_start
-        if t_end > seg_start or not segments:
-            segments.append(_Segment(seg_start, chip.mode, chip.regs))
-        seg_start = t_end
-
-    def leave_mode(t: float) -> None:
-        nonlocal locked_cells, refresh
-        if chip.mode == fsm.Mode.LOCKING:
-            for cell in locked_cells:
-                add(t, "OPEN", cell)
-            locked_cells = []
-        elif chip.mode == fsm.Mode.REFRESH and refresh is not None:
-            if refresh["closed"] is not None:
-                add(t, "OPEN", refresh["closed"])
-            refresh = None
-
-    for index, item in enumerate(scenario.schedule):
-        if item.frame is None:
-            add(item.time_s, "DAC", item.dac)
+    closed: list[int] = []
+    anchor, cells, period, j = 0.0, [], 0, 0  # set on entering REFRESH
+    seg_start = cursor = 0.0
+    end = ScheduleItem(scenario.duration_s)
+    for index, item in enumerate([*scenario.schedule, end]):
+        t, frame = item.time_s, item.frame
+        if item is not end and frame is None:
+            timeline.append((t, _PRIO["DAC"], "DAC", item.dac))
             continue
-        if item.frame.opcode in (protocol.Opcode.WRITE, protocol.Opcode.EXEC):
-            emit_periodic(cursor, item.time_s)
-            cursor = item.time_s
-        try:
-            new_chip, response = fsm.step(chip, item.frame)
-        except SimulationError as exc:
-            raise ScenarioError(f"schedule[{index}] at t={item.time_s}: {exc}") from exc
-        if response is not None:
-            responses.append((item.time_s, response))
-        if new_chip.mode != chip.mode:
-            close_segment(item.time_s)
-            leave_mode(item.time_s)
-            chip = new_chip
-            if chip.mode == fsm.Mode.LOCKING:
-                locked_cells = fsm.mask_cells(chip.regs.lock_mask)
-                for cell in locked_cells:
-                    add(item.time_s, "CLOSE", cell)
+        if item is end or frame.opcode in (protocol.Opcode.WRITE, protocol.Opcode.EXEC):
+            if chip.mode == fsm.Mode.PULSING and t > cursor:
+                chip, run = fsm.playback(chip, t - cursor, cursor)
+                if len(run):
+                    timeline.append((float(run.times[0]), _PRIO["FG"], "FG", run))
             elif chip.mode == fsm.Mode.REFRESH:
-                cells = fsm.mask_cells(chip.regs.lock_mask)
-                refresh = {
-                    "anchor": item.time_s,
-                    "cells": cells,
-                    "period": chip.regs.refresh_period,
-                    "next_j": 0,
-                    "closed": None,
-                }
-        else:
-            if new_chip.regs != chip.regs:
-                close_segment(item.time_s)
-            chip = new_chip
-    emit_periodic(cursor, scenario.duration_s)
-    close_segment(scenario.duration_s)
+                while (slot := anchor + j * period / len(cells)) < t:
+                    for cell in closed:
+                        timeline.append((slot, _PRIO["OPEN"], "OPEN", cell))
+                    cell = cells[j % len(cells)]
+                    closed = [cell]
+                    if cell in holds:
+                        timeline.append((slot, _PRIO["DAC"], "DAC", holds[cell]))
+                    timeline.append((slot, _PRIO["CLOSE"], "CLOSE", cell))
+                    j += 1
+            cursor = t
+        new_chip = chip
+        if item is not end:
+            try:
+                new_chip, response = fsm.step(chip, frame)
+            except SimulationError as exc:
+                raise ScenarioError(f"schedule[{index}] at t={t}: {exc}") from exc
+            if response is not None:
+                responses.append((t, response))
+        if item is end or new_chip.mode != chip.mode or new_chip.regs != chip.regs:
+            if t > seg_start or not segments:
+                segments.append(_Segment(seg_start, chip.mode, chip.regs))
+            seg_start = t
+        if new_chip.mode != chip.mode:
+            for cell in closed:
+                timeline.append((t, _PRIO["OPEN"], "OPEN", cell))
+            closed = []
+            if new_chip.mode == fsm.Mode.LOCKING:
+                closed = fsm.mask_cells(new_chip.regs.lock_mask)
+                for cell in closed:
+                    timeline.append((t, _PRIO["CLOSE"], "CLOSE", cell))
+            elif new_chip.mode == fsm.Mode.REFRESH:
+                anchor, period, j = t, new_chip.regs.refresh_period, 0
+                cells = fsm.mask_cells(new_chip.regs.lock_mask)
+        chip = new_chip
     return sorted(timeline, key=itemgetter(0, 1)), segments, responses
 
 
@@ -938,7 +892,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             [(t, int(f.opcode), f.address, f.data) for t, f in responses],
         )
 
-    return TraceBundle(tables=tables, events=EventLog(tables["events"]), summary=summary)
+    return TraceBundle(tables=tables, summary=summary)
 
 
 def run_scenario(scenario: Scenario) -> TraceBundle:
@@ -969,7 +923,8 @@ def sweep(scenario: Scenario, axis: str, values: Iterable, jobs: int = 1) -> lis
         points = [build_scenario(set_axis(scenario.raw, axis, v)) for v in values]
     except ScenarioError as exc:
         raise UnknownAxis(f"axis {axis!r}: {exc}") from exc
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A fork pool starts all its workers at once, so ask for no more than can run.
+    if (workers := min(jobs, len(points), os.cpu_count() or 1)) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_generic, points))
     return [run_generic(point) for point in points]

@@ -24,7 +24,7 @@ def fig3b(scenario: Scenario) -> TraceBundle:
         (float(v), b.summary["conductance_final_s"]) for v, b in zip(values, bundles)
     ]
     table = Table.from_rows(("v_lp_volts", "g_siemens"), rows)
-    return TraceBundle({"fig3b": table}, [], {"n_points": len(rows)})
+    return TraceBundle({"fig3b": table}, {"n_points": len(rows)})
 
 
 def fig3c(scenario: Scenario) -> TraceBundle:
@@ -47,7 +47,7 @@ def fig3c(scenario: Scenario) -> TraceBundle:
     table = Table.from_rows(
         ("v_hold_volts", "v_held_volts", "drift_uv_per_hr", "leak_rate_per_s"), rows
     )
-    return TraceBundle({"fig3c": table}, [], {"n_points": len(rows)})
+    return TraceBundle({"fig3c": table}, {"n_points": len(rows)})
 
 
 def fig3e(scenario: Scenario) -> TraceBundle:
@@ -59,7 +59,7 @@ def fig3e(scenario: Scenario) -> TraceBundle:
         (t, hold[t], v) for t, c, v in run.tables["cells"].rows if c == cell
     ]
     table = Table.from_rows(("time_s", "v_hold_volts", "v_out_volts"), rows)
-    return TraceBundle({"fig3e": table}, [], run.summary)
+    return TraceBundle({"fig3e": table}, run.summary)
 
 
 def fig3f(scenario: Scenario) -> TraceBundle:
@@ -102,7 +102,7 @@ def fig3f(scenario: Scenario) -> TraceBundle:
          report.env_min.tolist(), report.env_max.tolist()),
     )
     return TraceBundle(
-        {"fig3f": table}, [],
+        {"fig3f": table},
         {"max_rel_deviation": report.max_rel_deviation, "n_points": len(v_sweep)},
     )
 
@@ -110,7 +110,7 @@ def fig3f(scenario: Scenario) -> TraceBundle:
 def fig3g(scenario: Scenario) -> TraceBundle:
     """Square-wave readout at divider-stepped pulse frequencies."""
     run = engine.run_generic(scenario)
-    return TraceBundle({"fig3g": run.tables["readout"]}, [], run.summary)
+    return TraceBundle({"fig3g": run.tables["readout"]}, run.summary)
 
 
 def fig4b(scenario: Scenario) -> TraceBundle:
@@ -124,7 +124,7 @@ def fig4b(scenario: Scenario) -> TraceBundle:
             watts = n * thermal.pulse_power(model.c_pulse, model.c_p, swing, 0.0, f)
             rows.append((n, f, watts, watts / n / f * 1e15 if f else 0.0))
     table = Table.from_rows(("n_cells", "f_hz", "cells_watts", "nw_per_mhz_per_cell"), rows)
-    return TraceBundle({"fig4b": table}, [], {"n_points": len(rows)})
+    return TraceBundle({"fig4b": table}, {"n_points": len(rows)})
 
 
 def fig4d(scenario: Scenario) -> TraceBundle:
@@ -138,7 +138,7 @@ def fig4d(scenario: Scenario) -> TraceBundle:
                 (swing, f, thermal.pulse_power(model.c_pulse, model.c_p, swing, 0.0, f))
             )
     table = Table.from_rows(("swing_volts", "f_hz", "pulse_watts"), rows)
-    return TraceBundle({"fig4d": table}, [], {"n_points": len(rows)})
+    return TraceBundle({"fig4d": table}, {"n_points": len(rows)})
 
 
 def fig4e(scenario: Scenario) -> TraceBundle:
@@ -151,7 +151,7 @@ def fig4e(scenario: Scenario) -> TraceBundle:
     )
     table = Table.from_rows(("n_cells", "f_hz", "total_watts", "feasible"), rows)
     return TraceBundle(
-        {"fig4e": table}, [],
+        {"fig4e": table},
         {"budget_watts": budget.budget_watts_at_100mk, "n_points": len(rows)},
     )
 
@@ -190,20 +190,30 @@ def _list_of(convert):
     return convert_list
 
 
+def _at_least(low, convert):
+    """`convert`, refusing a result below `low` as a float (so past float range too)."""
+    def checked(value):
+        if not float(number := convert(value)) >= low:
+            raise ValueError(f"expected at least {low}, got {value!r}")
+        return number
+    return checked
+
+
 _FLOAT, _INT = engine._number, partial(engine._number, convert=int)
-_FLOATS, _INTS = _list_of(_FLOAT), _list_of(_INT)
+_FLOATS = _list_of(_FLOAT)
+_FREQS, _COUNTS = _list_of(_at_least(0, _FLOAT)), _list_of(_at_least(0, _INT))
 # `figure_params` each driver reads: key -> (conversion, default); a key
-# with no default (None) must be given.
+# with no default (None) must be given, and no other key is read.
 _PARAMS = {
     "fig3c": {"cell": (_INT, 0), "open_time_s": (_FLOAT, 0.0)},
     "fig3e": {"cell": (_INT, 0)},
     "fig3f": {"cell": (_INT, None), "pulse_gate": (str, None), "sweep_gate": (str, None),
               "v_sdp_values": (_FLOATS, None), "pulse_start_s": (_FLOAT, None),
               "settle_fraction": (_FLOAT, 0.5)},
-    "fig4b": {"swing": (_FLOAT, 0.1), "n_cells": (_INTS, (1, 2, 3, 4, 5, 6)),
-              "f_values": (_FLOATS, None)},
-    "fig4d": {"swing_values": (_FLOATS, None), "f_values": (_FLOATS, None)},
-    "fig4e": {"swing": (_FLOAT, 0.1), "n_values": (_INTS, None), "f_values": (_FLOATS, None)},
+    "fig4b": {"swing": (_FLOAT, 0.1), "n_cells": (_list_of(_at_least(1, _INT)), (1, 2, 3, 4, 5, 6)),
+              "f_values": (_FREQS, None)},
+    "fig4d": {"swing_values": (_FLOATS, None), "f_values": (_FREQS, None)},
+    "fig4e": {"swing": (_FLOAT, 0.1), "n_values": (_COUNTS, None), "f_values": (_FREQS, None)},
 }
 _MISSING = {
     "device": "figure needs a device section",
@@ -221,17 +231,22 @@ def require_sections(scenario: Scenario, sections) -> None:
 
 
 def check_sections(scenario: Scenario) -> dict:
-    """Reject an unknown figure or one whose driver lacks a section, trace
-    kind or `figure_params` key it reads; return the `figure_params` the
-    driver reads, each converted once to its type, with defaults filled in."""
+    """Reject an unknown figure, one whose driver lacks a section, trace
+    kind or `figure_params` key it reads, and a `figure_params` key it does
+    not read; return the `figure_params` the driver reads, each converted
+    once to its type and range, with defaults filled in."""
     if scenario.figure not in DRIVERS:
         raise engine.ScenarioError(f"unknown figure {scenario.figure!r}")
     require_sections(scenario, _NEEDS.get(scenario.figure, ()))
     for kind in _TRACES.get(scenario.figure, ()):
         if kind not in scenario.traces.kinds:
             raise engine.ScenarioError(f"traces: {scenario.figure} needs kind {kind!r}")
+    table = _PARAMS.get(scenario.figure, {})
+    unknown = set(scenario.figure_params) - set(table)
+    if unknown:
+        raise engine.ScenarioError(f"figure_params: unknown key(s) {sorted(unknown)}")
     params = {}
-    for key, (convert, default) in _PARAMS.get(scenario.figure, {}).items():
+    for key, (convert, default) in table.items():
         if key in scenario.figure_params:
             with engine._section(f"figure_params: {key}"):
                 params[key] = convert(scenario.figure_params[key])
@@ -246,7 +261,12 @@ def check_sections(scenario: Scenario) -> dict:
     if scenario.figure == "fig3c":  # its drift needs two samples after open_time_s
         if n < 1 or (n - 1) / rate <= params["open_time_s"]:
             raise engine.ScenarioError("figure_params: open_time_s leaves fewer than two samples")
-    if scenario.figure == "fig3f":  # its envelope needs a settled sample from pulse_start_s on
+    if scenario.figure == "fig3f":  # its envelope needs both gates, a sweep and a settled sample
+        for key in ("pulse_gate", "sweep_gate"):
+            if params[key] not in scenario.device.gate_levers:
+                raise engine.ScenarioError(f"figure_params: {key} {params[key]!r} has no lever arm")
+        if not params["v_sdp_values"]:
+            raise engine.ScenarioError("figure_params: v_sdp_values must not be empty")
         settle = params["settle_fraction"]
         if not 0 <= settle < 1:
             raise engine.ScenarioError("figure_params: settle_fraction must be in [0, 1)")

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clfgsim import cli
+from clfgsim import cli, figures
 
 
 MINIMAL = {
@@ -117,6 +123,10 @@ MALFORMED = {
     "fig3f_pulse_start_after_samples": _with_param("fig3f", "pulse_start_s", 1.0),
     "name_with_separator": _mini(name="a/b"),
     "name_list": _mini(name=["x"]),
+    # Values that load used to narrow or ignore without a word.
+    "write_value_fraction": _mini(schedule=[{"t": 0.0, "write": ["DIVIDER", 3.7]}]),
+    "compensate_injection_text": _mini(chip={"compensate_injection": "no"}),
+    "fig4b_unknown_param": _with_param("fig4b", "swingg", 0.2),
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each
@@ -198,6 +208,17 @@ class TestValidate:
             ("fig3e", "cell", 3),  # a cell the scenario does not trace
             ("fig3c", "open_time_s", 4000),  # past the last sample
             ("fig3c", "open_time_s", 3540.0),  # only the last sample after it
+            ("fig3e", "cell", 5.9),  # not an int: it was read as cell 5
+            ("fig4b", "n_cells", [0]),
+            ("fig4b", "n_cells", [-2]),
+            ("fig4b", "f_values", [-1.0]),
+            ("fig4d", "f_values", [-1.0]),
+            ("fig4e", "f_values", [-1.0]),
+            ("fig4e", "n_values", [-1]),
+            ("fig4e", "n_values", [10**400]),  # past float range
+            ("fig3f", "v_sdp_values", []),
+            ("fig3f", "pulse_gate", "nope"),  # a gate with no lever arm
+            ("fig3f", "sweep_gate", "nope"),
         ],
     )
     def test_figure_param_of_wrong_type_exits_1(self, figure, key, value, tmp_path, capsys):
@@ -219,6 +240,38 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+# A JSON value of each kind: null, bool, an int past float range either
+# way, a finite float, a short string, or a short list of these.
+_SCALARS = (st.none() | st.booleans() | st.integers(-10**400, 10**400)
+            | st.floats(-1e308, 1e308) | st.text(max_size=5))
+_JSON_VALUES = _SCALARS | st.lists(_SCALARS, max_size=5)
+
+
+class TestFigureParamsContract:
+    """One `figure_params` key, known or not, set to any JSON value: each
+    command exits 0, 1 or 2 without a traceback, and a document that
+    validates never fails to load under `run`.  Nothing that sizes a run
+    is drawn."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes(self, data):
+        figure = data.draw(st.sampled_from(["fig3c", "fig3e", "fig3f", "fig4b", "fig4d", "fig4e"]))
+        key = data.draw(st.sampled_from([*figures._PARAMS[figure], "extra"]))
+        doc = _with_param(figure, key, data.draw(_JSON_VALUES))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.scn"
+            path.write_text(json.dumps(doc))
+            codes = []
+            for argv in (["validate", str(path)], ["run", str(path), "--out", tmp]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(cli.main(argv))
+                assert codes[-1] in (0, 1, 2)
+                assert "Traceback" not in err.getvalue()
+        assert codes != [0, 1]
 
 
 class TestRun:

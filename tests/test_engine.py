@@ -177,6 +177,9 @@ class TestGenericRun:
         assert all(v == 0.0 for _, _, v in bundle.tables["cells"].rows)
         assert len(bundle.tables["cells"].rows) == 2 * 11
 
+    def test_bundle_without_events_table_has_no_events(self):
+        assert engine.TraceBundle({}, {}).events == []
+
     def test_lock_release_injection_visible(self):
         scenario = make_scenario(
             rails={"v_hold": -1.1},
@@ -521,6 +524,32 @@ class TestSweep:
         for a, b in zip(seq, par):
             assert a.tables["cells"].rows == b.tables["cells"].rows
             assert a.summary == b.summary
+
+    @pytest.mark.parametrize("jobs, cores, workers", [(8, 4, 3), (2, 4, 2), (8, 2, 2)])
+    def test_pool_size_bounded_by_points_and_cores(self, monkeypatch, jobs, cores, workers):
+        asked = []
+
+        class InProcessPool:  # records its size and starts no process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cores)
+        scenario = self._scenario()
+        values = [-1.2, -1.1, -1.0]
+        bundles = engine.sweep(scenario, "rails.v_hold", values, jobs=jobs)
+        assert asked == [workers]
+        assert [b.summary for b in bundles] == [
+            b.summary for b in engine.sweep(scenario, "rails.v_hold", values)
+        ]
 
     def test_unknown_axis(self):
         with pytest.raises(UnknownAxis):
