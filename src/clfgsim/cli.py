@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from . import __version__, engine, protocol, thermal
 from .errors import SimulationError
-from .figures import DRIVERS, require_sections
+from .figures import DRIVERS, _at_least, require_sections
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -106,8 +107,7 @@ def _cmd_sweep(args) -> int:
         if args.values is None:
             raise engine.ScenarioError("--values required when --axis is given")
         # Parsed like --override: after the value the axis holds now.
-        current = engine._get_axis(scenario.raw, axis)
-        values = [engine._coerce_like(current, v) for v in args.values.split(",")]
+        values = [engine._coerce_like(scenario.raw, axis, v) for v in args.values.split(",")]
     elif scenario.sweep is not None:
         axis, values = scenario.sweep.axis, scenario.sweep.values
     else:
@@ -170,9 +170,17 @@ def _cmd_budget(args) -> int:
     path = args.scenario or bundled_scenario_path("fig4e")
     scenario = engine.load_scenario(path, args.override)
     require_sections(scenario, ("power", "budget"))
+    for flag, value in (("--cells", args.cells), ("--freq", args.freq)):
+        with engine._section(flag):
+            _at_least(0, engine._number)(value)
     result = thermal.feasible(
         args.cells, args.freq, args.swing, scenario.power, scenario.budget
     )
+    if not math.isfinite(result.total_watts):
+        raise engine.ScenarioError(
+            f"--cells {args.cells}, --freq {args.freq} and --swing {args.swing}"
+            " give a power that is not finite"
+        )
     print(json.dumps({
         "n_cells": args.cells,
         "f_hz": args.freq,

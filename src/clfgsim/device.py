@@ -133,8 +133,6 @@ class EnvelopeReport:
 
     env_min: np.ndarray
     env_max: np.ndarray
-    deviation_min: np.ndarray
-    deviation_max: np.ndarray
     max_rel_deviation: float
 
 
@@ -180,7 +178,5 @@ def envelope_check(
     return EnvelopeReport(
         env_min=env_min,
         env_max=env_max,
-        deviation_min=dev_min,
-        deviation_max=dev_max,
         max_rel_deviation=float(max(dev_max.max(), dev_min.max())),
     )

@@ -20,7 +20,7 @@ import re
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, repeat
@@ -40,11 +40,11 @@ N_CELLS = fsm.N_CELLS
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
 # lock action with the cell as payload; DAC, host DAC moves; FG, a playback
 # run (or, after `_cut_runs`, a slice of one) as one `fsm.TickRun` at its
-# first tick.  Coincident entries
-# apply releases first, then host DAC moves, then lock closures, then
-# fast-gate edges; samples observe the post-event state at their own
-# timestamp.
-_PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3}
+# first tick; MODE, the chip's (mode, regs) from then on, for the power
+# and temperature traces.  Coincident entries apply releases first, then
+# host DAC moves, then lock closures, then fast-gate edges, then the new
+# mode; samples observe the post-event state at their own timestamp.
+_PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3, "MODE": 4}
 
 
 class ScenarioError(SimulationError):
@@ -192,11 +192,15 @@ def _number(value, convert=float):
 
 
 @cache
-def _number_fields(cls) -> frozenset[str]:
-    """The fields of parameter type `cls` typed with `float` or `int`."""
-    return frozenset(
-        f.name for f in dataclasses.fields(cls) if re.search(r"\b(float|int)\b", f.type)
-    )
+def _number_fields(cls) -> dict[str, tuple[type, ...]]:
+    """The fields of parameter type `cls` typed with `float` or `int`, each
+    with the types it takes: a sequence or object for a collection, else a
+    number, or None too where the field's type allows it."""
+    return {
+        f.name: (list, tuple, dict) if re.search(r"tuple|Mapping", f.type)
+        else (int, float, type(None)) if "None" in f.type else (int, float)
+        for f in dataclasses.fields(cls) if re.search(r"\b(float|int)\b", f.type)
+    }
 
 
 def _object(raw, where: str) -> Mapping:
@@ -208,14 +212,16 @@ def _object(raw, where: str) -> Mapping:
 def _build_section(cls, raw, where: str, renames: Mapping[str, str] = {}):
     """Build parameter type `cls` from a section; `renames` maps keys to fields.
 
-    A field typed with `float` or `int` holds only what `_finite` accepts.
+    A field typed with `float` or `int` holds only what `_finite` accepts,
+    of the JSON types `_number_fields` gives it.
     """
     names = {f.name for f in dataclasses.fields(cls)} - set(renames.values())
     unknown = set(_object(raw, where)) - names - set(renames)
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
     for key, value in raw.items():
-        if renames.get(key, key) in _number_fields(cls) and not _finite(value):
+        types = _number_fields(cls).get(renames.get(key, key))
+        if types and not (_finite(value) and isinstance(value, types)):
             raise ScenarioError(f"{where}.{key}: expected finite numbers, got {value!r}")
     with _section(where):
         return cls(**{renames.get(k, k): v for k, v in raw.items()})
@@ -429,26 +435,27 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
 # overrides / sweep axes
 
 
-def _coerce_like(existing, text: str):
-    if isinstance(existing, bool):
-        if text.lower() in ("true", "1"):
-            return True
-        if text.lower() in ("false", "0"):
-            return False
-        raise UnknownAxis(f"cannot parse {text!r} as a boolean")
-    if isinstance(existing, int) and not isinstance(existing, bool):
-        try:
-            return int(text, 0)
-        except ValueError:
-            return float(text)
-    if isinstance(existing, float):
-        return float(text)
+def _coerce_like(raw: Mapping, axis: str, text: str):
+    """`text` parsed like the value at `axis` in `raw`: as a bool, an int
+    (else a float) or a float, or as JSON (else kept as text) where the
+    value is a string or missing.  Text that does not parse is an UnknownAxis."""
+    existing = _get_axis(raw, axis)
+    if isinstance(existing, (dict, list)):
+        raise UnknownAxis(f"axis {axis!r}: cannot override structured value with {text!r}")
     if isinstance(existing, str) or existing is None:
         try:
             return json.loads(text)
         except json.JSONDecodeError:
             return text
-    raise UnknownAxis(f"cannot override structured value with {text!r}")
+    try:
+        if isinstance(existing, bool):
+            return {"true": True, "1": True, "false": False, "0": False}[text.lower()]
+        if isinstance(existing, int):
+            with suppress(ValueError):
+                return int(text, 0)
+        return float(text)
+    except (KeyError, ValueError) as exc:
+        raise UnknownAxis(f"axis {axis!r}: cannot parse {text!r} like its value {existing!r}") from exc
 
 
 def _key(node, part: str, axis: str):
@@ -510,7 +517,7 @@ def apply_overrides(raw: Mapping, overrides: Iterable[str]) -> Mapping:
         if "=" not in text:
             raise UnknownAxis(f"override {text!r} is not KEY=VALUE")
         axis, value_text = text.split("=", 1)
-        doc = set_axis(doc, axis, _coerce_like(_get_axis(doc, axis), value_text))
+        doc = set_axis(doc, axis, _coerce_like(doc, axis, value_text))
     return doc
 
 
@@ -617,13 +624,6 @@ def _manifest(scenario: Scenario) -> dict:
 # execution
 
 
-@dataclass
-class _Segment:
-    t_start: float
-    mode: fsm.Mode
-    regs: protocol.RegisterFile
-
-
 def _expand_schedule(scenario: Scenario):
     """Walk the schedule through the FSM, expanding all switch activity.
 
@@ -641,15 +641,16 @@ def _expand_schedule(scenario: Scenario):
     most one lock switch is closed at any instant.  A cell with a
     `cell_targets` entry gets a DAC entry at its close that moves the hold
     DAC to the target (less the injection offset under
-    `compensate_injection`); LOCKING uses the DAC as it is.
+    `compensate_injection`); LOCKING uses the DAC as it is.  MODE entries hold
+    the chip's (mode, regs): the initial one at -inf, then one per time it changes.
 
     Returns the timeline entries in the order they apply (by time, then
-    priority; the sort is stable, so ties keep insertion order), the mode
-    segments (for the power trace) and the READ responses.
+    priority; the sort is stable, so ties keep insertion order) and the
+    READ responses.
     """
     chip = fsm.ChipState(master_freq_hz=scenario.chip.master_freq_hz)
     timeline: list[tuple[float, int, str, object]] = []
-    segments: list[_Segment] = []
+    modes = {-math.inf: (chip.mode, chip.regs)}  # before any item: times may be negative
     responses: list[tuple[float, protocol.Frame]] = []
     # The hold DAC move that goes before a REFRESH close of a targeted cell.
     compensate = scenario.chip.compensate_injection
@@ -657,7 +658,7 @@ def _expand_schedule(scenario: Scenario):
     holds = {c: (("v_hold", v - offset),) for c, v in scenario.cell_targets.items()}
     closed: list[int] = []
     anchor, cells, period, j = 0.0, [], 0, 0  # set on entering REFRESH
-    seg_start = cursor = 0.0
+    cursor = 0.0
     end = ScheduleItem(scenario.duration_s)
     for index, item in enumerate([*scenario.schedule, end]):
         t, frame = item.time_s, item.frame
@@ -688,10 +689,8 @@ def _expand_schedule(scenario: Scenario):
                 raise ScenarioError(f"schedule[{index}] at t={t}: {exc}") from exc
             if response is not None:
                 responses.append((t, response))
-        if item is end or new_chip.mode != chip.mode or new_chip.regs != chip.regs:
-            if t > seg_start or not segments:
-                segments.append(_Segment(seg_start, chip.mode, chip.regs))
-            seg_start = t
+        if new_chip.mode != chip.mode or new_chip.regs != chip.regs:
+            modes[t] = (new_chip.mode, new_chip.regs)
         if new_chip.mode != chip.mode:
             for cell in closed:
                 timeline.append((t, _PRIO["OPEN"], "OPEN", cell))
@@ -704,14 +703,15 @@ def _expand_schedule(scenario: Scenario):
                 anchor, period, j = t, new_chip.regs.refresh_period, 0
                 cells = fsm.mask_cells(new_chip.regs.lock_mask)
         chip = new_chip
-    return sorted(timeline, key=itemgetter(0, 1)), segments, responses
+    timeline += [(t, _PRIO["MODE"], "MODE", state) for t, state in modes.items()]
+    return sorted(timeline, key=itemgetter(0, 1)), responses
 
 
-def _segment_power(scenario: Scenario, seg: _Segment) -> float:
-    """Chip dissipation under one segment's register state and mode."""
-    regs = seg.regs
+def _segment_power(scenario: Scenario, state: tuple[fsm.Mode, protocol.RegisterFile]) -> float:
+    """Chip dissipation under one (mode, regs) state, a MODE entry's payload."""
+    mode, regs = state
     f_master = scenario.chip.master_freq_hz
-    pulsing = seg.mode == fsm.Mode.PULSING
+    pulsing = mode == fsm.Mode.PULSING
     return thermal.total_power(
         len(fsm.mask_cells(regs.pulse_mask)) if pulsing else 0,
         f_master / (1 << regs.divider),
@@ -721,6 +721,13 @@ def _segment_power(scenario: Scenario, seg: _Segment) -> float:
         clock_on=regs.clock_enabled,
         fsm_on=regs.fsm_enabled,
     )
+
+
+def sample_grid(scenario: Scenario) -> np.ndarray:
+    """The sample times of a run: k / rate for k = 0 ... floor(duration_s * rate)."""
+    rate = scenario.traces.sample_rate_hz
+    with _section("duration_s"):  # a grid past numpy's size limit
+        return np.arange(math.floor(scenario.duration_s * rate) + 1) / rate
 
 
 def _cut_runs(timeline: list, sample_times: np.ndarray, sampled: set[int], v_hold: float):
@@ -766,15 +773,16 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     pulsed cell.  This relies on one invariant: only WRITE and EXEC split
     playback and lock actions happen only at EXEC, so no lock action falls
     inside a run.  Before each entry the loop records one block, the
-    samples before that entry: the sampled cells' `output_fields` and the
-    DACs (the hold rail is DAC "v_hold") they see; the traces are then
-    evaluated as arrays (README, "How a run executes").  The bundle
+    samples before that entry: the sampled cells' `output_fields`, the
+    DACs (the hold rail is DAC "v_hold") and the chip's (mode, regs) they
+    see; the traces are then evaluated as arrays, power and temperature
+    once per distinct mode (README, "How a run executes").  The bundle
     carries no manifest: `run_scenario` adds one per top-level run.
     """
     kinds = scenario.traces.kinds
     if "readout" in kinds:  # fail before simulating anything
         devmod.require_sample_rate(scenario.tank)
-    timeline, segments, responses = _expand_schedule(scenario)
+    timeline, responses = _expand_schedule(scenario)
 
     traced = scenario.traces.cells if "cells" in kinds else ()
     sources = scenario.gate_sources if {"conductance", "readout"} & set(kinds) else {}
@@ -784,8 +792,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     sampled = list(dict.fromkeys([*traced, *cell_gates]))
     dac_names = list(dict.fromkeys(["v_hold", *dac_gates]))
 
-    rate = scenario.traces.sample_rate_hz
-    times = np.arange(math.floor(scenario.duration_s * rate) + 1) / rate
+    times = sample_grid(scenario)
     sample_times = times.tolist()
     n_samples = len(sample_times)
     rails = scenario.rails
@@ -794,10 +801,12 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     # Cell states are immutable, so all 32 can start as one value.
     cells = [analog.ClfgCell(scenario.analog)] * N_CELLS
     dacs: dict[str, float] = {"v_hold": rails.v_hold}
+    mode = None  # the chip's (mode, regs); the first MODE entry, at -inf, sets it
     # What each block of samples sees: the sampled cells' `output_fields`
-    # (floats, so no state outlives its block), the DACs, and its length.
+    # (floats, so no state outlives its block), the DACs, the mode, and its length.
     fields: list[float] = []
     dac_seen: dict[str, list[float]] = {name: [] for name in dac_names}
+    modes: list[tuple[fsm.Mode, protocol.RegisterFile]] = []
     counts: list[int] = []
     si = 0
     # The events table, built column by column in timeline order.
@@ -809,6 +818,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 fields.extend(analog.output_fields(cells[c]))
             for name in dac_names:
                 dac_seen[name].append(dacs.get(name, 0.0))
+            modes.append(mode)
             counts.append(end - si)
             si = end
         if kind == "DAC":
@@ -824,6 +834,8 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 cells[c] = analog.apply_fg_run(
                     cells[c], run.times, run.levels, run.period_s, rails
                 )
+        elif kind == "MODE":
+            mode = payload
         elif kind != "END":
             i: int = payload  # type: ignore[assignment]
             for column, value in zip(log, (t, i, kind, "")):
@@ -876,16 +888,14 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 sample_times, gates[axis].tolist() if axis else [0.0] * n_samples, signal
             ))
     if "power" in kinds or "temperature" in kinds:
-        index = np.searchsorted([seg.t_start for seg in segments], times, "right") - 1
-        index = np.clip(index, 0, len(segments) - 1).tolist()
-        seg_power = [_segment_power(scenario, seg) for seg in segments]
+        power = {state: _segment_power(scenario, state) for state in dict.fromkeys(modes)}
         if "power" in kinds:
-            power = list(map(seg_power.__getitem__, index))
-            tables["power"] = Table(("time_s", "power_watts"), (sample_times, power))
+            watts = list(chain.from_iterable(map(repeat, map(power.get, modes), counts)))
+            tables["power"] = Table(("time_s", "power_watts"), (sample_times, watts))
         if "temperature" in kinds:
-            seg_temp = [thermal.temperature(p, scenario.calibration) for p in seg_power]
-            temps = list(map(seg_temp.__getitem__, index))
-            tables["temperature"] = Table(("time_s", "temperature_k"), (sample_times, temps))
+            temp = {state: thermal.temperature(p, scenario.calibration) for state, p in power.items()}
+            kelvin = list(chain.from_iterable(map(repeat, map(temp.get, modes), counts)))
+            tables["temperature"] = Table(("time_s", "temperature_k"), (sample_times, kelvin))
     if responses:
         tables["responses"] = Table.from_rows(
             ("time_s", "opcode", "address", "data"),

@@ -7,6 +7,7 @@ one CSV per figure.  `engine.run_scenario` adds the run's manifest.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from functools import partial
 
@@ -121,7 +122,7 @@ def fig4b(scenario: Scenario) -> TraceBundle:
     rows = []
     for n in params["n_cells"]:
         for f in params["f_values"]:
-            watts = n * thermal.pulse_power(model.c_pulse, model.c_p, swing, 0.0, f)
+            watts = n * thermal.pulse_power(model.c_pulse, model.c_p, swing, f)
             rows.append((n, f, watts, watts / n / f * 1e15 if f else 0.0))
     table = Table.from_rows(("n_cells", "f_hz", "cells_watts", "nw_per_mhz_per_cell"), rows)
     return TraceBundle({"fig4b": table}, {"n_points": len(rows)})
@@ -134,9 +135,7 @@ def fig4d(scenario: Scenario) -> TraceBundle:
     rows = []
     for swing in params["swing_values"]:
         for f in params["f_values"]:
-            rows.append(
-                (swing, f, thermal.pulse_power(model.c_pulse, model.c_p, swing, 0.0, f))
-            )
+            rows.append((swing, f, thermal.pulse_power(model.c_pulse, model.c_p, swing, f)))
     table = Table.from_rows(("swing_volts", "f_hz", "pulse_watts"), rows)
     return TraceBundle({"fig4d": table}, {"n_points": len(rows)})
 
@@ -232,10 +231,11 @@ def require_sections(scenario: Scenario, sections) -> None:
 
 def check_sections(scenario: Scenario) -> dict:
     """Reject an unknown figure, one whose driver lacks a section, trace
-    kind or `figure_params` key it reads, and a `figure_params` key it does
-    not read; return the `figure_params` the driver reads, each converted
+    kind or `figure_params` key it reads, a `figure_params` key it does not
+    read, and fig4 values whose table would hold a number that is not
+    finite; return the `figure_params` the driver reads, each converted
     once to its type and range, with defaults filled in."""
-    if scenario.figure not in DRIVERS:
+    if not isinstance(scenario.figure, str) or scenario.figure not in DRIVERS:
         raise engine.ScenarioError(f"unknown figure {scenario.figure!r}")
     require_sections(scenario, _NEEDS.get(scenario.figure, ()))
     for kind in _TRACES.get(scenario.figure, ()):
@@ -256,10 +256,8 @@ def check_sections(scenario: Scenario) -> dict:
             params[key] = default
     if "cell" in params and params["cell"] not in scenario.traces.cells:
         raise engine.ScenarioError(f"figure_params: cell {params['cell']} is not in traces.cells")
-    rate = scenario.traces.sample_rate_hz
-    n = math.floor(scenario.duration_s * rate)  # the last sample is at n / rate
     if scenario.figure == "fig3c":  # its drift needs two samples after open_time_s
-        if n < 1 or (n - 1) / rate <= params["open_time_s"]:
+        if np.count_nonzero(engine.sample_grid(scenario) > params["open_time_s"]) < 2:
             raise engine.ScenarioError("figure_params: open_time_s leaves fewer than two samples")
     if scenario.figure == "fig3f":  # its envelope needs both gates, a sweep and a settled sample
         for key in ("pulse_gate", "sweep_gate"):
@@ -270,11 +268,19 @@ def check_sections(scenario: Scenario) -> dict:
         settle = params["settle_fraction"]
         if not 0 <= settle < 1:
             raise engine.ScenarioError("figure_params: settle_fraction must be in [0, 1)")
-        m = np.count_nonzero(np.arange(n + 1) / rate >= params["pulse_start_s"])
+        m = np.count_nonzero(engine.sample_grid(scenario) >= params["pulse_start_s"])
         if round(settle * m) >= m:
             raise engine.ScenarioError(
                 "figure_params: pulse_start_s and settle_fraction leave no sample to compare"
             )
+    if scenario.figure in ("fig4b", "fig4d", "fig4e"):  # closed form: check what it writes
+        run = DRIVERS[scenario.figure](dataclasses.replace(scenario, figure_params=params))
+        table = run.tables[scenario.figure]
+        for row in table.rows:
+            if not all(map(math.isfinite, row)):
+                values = ", ".join(map("{}={!r}".format, table.header, row))
+                at = f" at swing={params['swing']!r}" if "swing" in params else ""
+                raise engine.ScenarioError(f"figure_params: {values}{at} is not finite")
     return params
 
 

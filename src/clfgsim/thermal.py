@@ -2,7 +2,7 @@
 
 Per-cell pulsing dissipation follows the switched-capacitor law
 
-    p_pulse = c_pulse * c_p / (c_p + c_pulse) * (v_high - v_low)**2 * f
+    p_pulse = c_pulse * c_p / (c_p + c_pulse) * swing**2 * f
 
 (the full swing's worth of series-capacitance energy is burned in the
 switch resistance each cycle, independent of its value).  Block powers
@@ -83,13 +83,12 @@ class FeasibilityResult:
     headroom_watts: float
 
 
-def pulse_power(c_pulse: float, c_p: float, v_high: float, v_low: float, f: float) -> float:
-    """Dissipation of one pulsing cell at frequency `f` (exact closed form)."""
+def pulse_power(c_pulse: float, c_p: float, swing: float, f: float) -> float:
+    """Dissipation of one cell pulsing by `swing` at frequency `f` (exact closed form)."""
     if c_pulse <= 0 or c_p <= 0:
         raise ValueError("capacitances must be positive")
     if f < 0:
         raise ValueError("frequency must be non-negative")
-    swing = v_high - v_low
     return c_pulse * c_p / (c_p + c_pulse) * (swing * swing) * f
 
 
@@ -121,7 +120,7 @@ def total_power(
     total += model.clock_energy_per_cycle * (f if f_clock is None else f_clock)
     if fsm_on:
         total += model.fsm_energy_per_cycle * f
-    return total + n_cells * pulse_power(model.c_pulse, model.c_p, swing, 0.0, f)
+    return total + n_cells * pulse_power(model.c_pulse, model.c_p, swing, f)
 
 
 def temperature(p_watts: float, cal: ThermalCalibration) -> float:

@@ -81,7 +81,7 @@ def test_02_pulse_power_matches_integrated_dissipation():
             current = c_p * np.gradient(v, dt)  # all switch current flows into c_p
             energy += np.trapezoid(current * current * r, dx=dt)
             t_edge = times[-1]
-        closed_form = thermal.pulse_power(c_pulse, c_p, swing, 0.0, f)
+        closed_form = thermal.pulse_power(c_pulse, c_p, swing, f)
         worst = max(worst, abs(energy * f / closed_form - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst <= 5e-3 and elapsed < 10.0
@@ -92,7 +92,7 @@ def test_02_pulse_power_matches_integrated_dissipation():
 
 
 def test_03_default_cell_cost_brackets_measured_coefficient():
-    watts = thermal.pulse_power(1e-12, 1e-12, 0.2, 0.0, 1e6)
+    watts = thermal.pulse_power(1e-12, 1e-12, 0.2, 1e6)
     nw_per_mhz = watts / 1e6 * 1e15  # W at 1 MHz -> nW/MHz
     ok = 18.0 <= nw_per_mhz <= 22.0 and abs(nw_per_mhz - 18.0) / 18.0 <= 0.25
     report(3, "per-cell cost vs measured 18 nW/MHz", ok,
@@ -109,8 +109,8 @@ def test_04_quadratic_amplitude_law_exact():
         c2 = rng.uniform(0.1e-12, 10e-12)
         s = rng.uniform(1e-6, 5.0)
         f = rng.uniform(1.0, 1e8)
-        if thermal.pulse_power(c1, c2, 2 * s, 0.0, f) != 4.0 * thermal.pulse_power(
-            c1, c2, s, 0.0, f
+        if thermal.pulse_power(c1, c2, 2 * s, f) != 4.0 * thermal.pulse_power(
+            c1, c2, s, f
         ):
             ok = False
             break

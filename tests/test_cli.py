@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clfgsim import cli, figures
+from clfgsim import cli, figures, protocol
 
 
 MINIMAL = {
@@ -127,6 +128,16 @@ MALFORMED = {
     "write_value_fraction": _mini(schedule=[{"t": 0.0, "write": ["DIVIDER", 3.7]}]),
     "compensate_injection_text": _mini(chip={"compensate_injection": "no"}),
     "fig4b_unknown_param": _with_param("fig4b", "swingg", 0.2),
+    # A field that holds one number, given text or a list: it broke the run.
+    "v_hold_text": _mini(rails={"v_hold": "x"}),
+    "q_inj_numeric_text": _mini(analog={"q_inj": "1"}),
+    "v_offset_text": _mini(device=dict(_DOT, v_offset="x"), traces=_traced("conductance")),
+    "power_master_freq_list": _mini(power={"master_freq_hz": [1]}, traces=_traced("power")),
+    "figure_list": _mini(figure=["fig4b"]),
+    # A sample grid past numpy's size limit, which fig3c works out at load.
+    "fig3c_duration_past_grid": {
+        **json.loads(cli.bundled_scenario_path("fig3c").read_text()), "duration_s": 1e300
+    },
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each
@@ -151,6 +162,40 @@ WRONG_TYPE |= {
     "cell_target_text": _mini(cell_targets={"a": 1}),
     "sweep_without_axis": _mini(sweep={"values": [1]}),
 }
+
+
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    """`cli.main(argv)`'s exit code, stdout and stderr; argparse's own
+    refusal (a SystemExit) counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _no_constant(name: str):
+    raise AssertionError(f"{name} in JSON output")
+
+
+def _assert_contract(code: int, err: str, outdir: Path | None = None, stdout: str = "") -> None:
+    """Exit 0, 1 or 2 with no traceback; on exit 0, every number in the
+    CSVs and JSON files under `outdir` and in JSON on stdout is finite."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code != 0:
+        return
+    if stdout.startswith("{"):
+        json.loads(stdout, parse_constant=_no_constant)
+    for path in Path(outdir).glob("*.csv") if outdir else ():
+        for line in path.read_text().splitlines()[1:]:
+            for field in line.split(","):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(field)), f"{path.name}: {line}"
+    for path in Path(outdir).glob("*.json") if outdir else ():
+        json.loads(path.read_text(), parse_constant=_no_constant)
 
 
 @pytest.fixture
@@ -266,12 +311,124 @@ class TestFigureParamsContract:
             path.write_text(json.dumps(doc))
             codes = []
             for argv in (["validate", str(path)], ["run", str(path), "--out", tmp]):
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    codes.append(cli.main(argv))
-                assert codes[-1] in (0, 1, 2)
-                assert "Traceback" not in err.getvalue()
+                code, _, err = _main(argv)
+                _assert_contract(code, err, Path(tmp))
+                codes.append(code)
         assert codes != [0, 1]
+
+
+# Override text: what does not parse as a number, and numbers of every size.
+_TEXT = (st.sampled_from(["", "abc", "0x10", "true", "false", "null", "[1]"])
+         | st.integers(-2**70, 2**70).map(str) | st.floats().map(repr))
+# The keys that size a run, which the override test leaves alone.
+_SIZING = {"duration_s", "traces.sample_rate_hz", "chip.master_freq_hz"}
+_FIG4E = json.loads(cli.bundled_scenario_path("fig4e").read_text())
+
+
+def _leaf_paths(node, path: tuple = ()) -> list[str]:
+    """The dotted path of every value in a JSON document that is not an object or list."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items for leaf in _leaf_paths(child, (*path, str(key)))]
+    return [".".join(path)]
+
+
+_REGISTER = st.sampled_from(sorted(protocol.REGISTERS)) | st.integers(0, 0xFF)
+_WORD = st.builds(
+    lambda opcode, address, data: opcode << 24 | address << 16 | data,
+    st.sampled_from(list(protocol.Opcode)) | st.integers(0, 0xFF), _REGISTER,
+    st.integers(0, 0x20) | st.integers(0, 0xFFFF),
+)
+
+
+class TestDrawnInputContract:
+    """One drawn input to `run --override`, `budget` or `replay`: each exits
+    0, 1 or 2 with no traceback, and on exit 0 writes and prints only
+    finite numbers."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_override(self, data):
+        doc = data.draw(st.sampled_from([MINIMAL, _FIG4E]))
+        key = data.draw(st.sampled_from([k for k in _leaf_paths(doc) if k not in _SIZING]))
+        text = data.draw(_TEXT)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.scn"
+            path.write_text(json.dumps(doc))
+            code, out, err = _main(["run", str(path), "--out", tmp, "--override", f"{key}={text}"])
+            _assert_contract(code, err, Path(tmp))
+
+    @settings(max_examples=80, deadline=None)
+    @given(cells=st.integers(-10, 10**400), freq=st.floats(), swing=st.floats())
+    def test_budget(self, cells, freq, swing):
+        argv = ["budget", f"--cells={cells}", f"--freq={freq!r}", f"--swing={swing!r}"]
+        code, out, err = _main(argv)
+        _assert_contract(code, err, stdout=out)
+
+    @settings(max_examples=80, deadline=None)
+    @given(words=st.lists(_WORD, max_size=16))
+    def test_replay(self, words):
+        with tempfile.TemporaryDirectory() as tmp:
+            stream = Path(tmp) / "words.txt"
+            stream.write_text("".join(f"{w:08X}\n" for w in words))
+            argv = ["replay", str(stream), "--duration", "1e-5", "--out", tmp]
+            code, out, err = _main(argv)
+            _assert_contract(code, err, Path(tmp))
+
+
+class TestRefusedText:
+    """Override and sweep text that does not parse like the value it
+    replaces is exit 1, naming the axis and the text."""
+
+    @pytest.mark.parametrize("argv, axis, text", [
+        (["validate", "fig3c", "--override", "rails.v_hold=abc"], "rails.v_hold", "abc"),
+        (["run", "fig3e", "--override", "figure_params.cell=true"], "figure_params.cell", "true"),
+        (["run", "fig3e", "--override", "rails.v_hold=0x10"], "rails.v_hold", "0x10"),
+        (["sweep", "fig3c", "--axis", "rails.v_hold", "--values="], "rails.v_hold", ""),
+        (["sweep", "fig3c", "--axis", "traces.cells.0", "--values=abc"], "traces.cells.0", "abc"),
+    ])
+    def test_exits_1(self, argv, axis, text, tmp_path):
+        command, name, *rest = argv
+        argv = [command, str(cli.bundled_scenario_path(name)), *rest]
+        if command != "validate":
+            argv += ["--out", str(tmp_path)]
+        code, _, err = _main(argv)
+        assert code == 1
+        assert err.startswith("error:") and repr(axis) in err and repr(text) in err
+        assert "Traceback" not in err
+
+
+class TestNonFinitePower:
+    """A fig4 table value or a `budget` result that would not be finite is
+    exit 1 with a message naming the value."""
+
+    @pytest.mark.parametrize("figure, params, named", [
+        ("fig4b", {"swing": 1e300, "f_values": [0.0, 1e6]}, "1e+300"),
+        ("fig4e", {"swing": 1e300, "f_values": [0.0, 1e6]}, "1e+300"),
+        ("fig4d", {"swing_values": [1e300], "f_values": [0.0, 1e6]}, "1e+300"),
+        ("fig4b", {"swing": 1e154}, "1e+154"),  # finite watts, but not their nW/MHz
+    ])
+    def test_figure_exits_1(self, figure, params, named, tmp_path):
+        doc = json.loads(cli.bundled_scenario_path(figure).read_text())
+        doc["figure_params"].update(params)
+        path = tmp_path / "big.scn"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            code, _, err = _main(argv)
+            assert code == 1
+            assert err.startswith("error: figure_params:") and "not finite" in err
+            assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--cells", "-5", "--freq", "1e6"], "-5"),
+        (["--cells", "5", "--freq", "-1"], "-1.0"),
+        (["--cells", "5", "--freq", "nan"], "nan"),
+        (["--cells", "5", "--freq", "1e6", "--swing", "1e200"], "1e+200"),
+    ])
+    def test_budget_exits_1(self, flags, named):
+        code, out, err = _main(["budget", *flags])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
 class TestRun:
@@ -322,6 +479,11 @@ class TestRun:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "sample rate" in err and "Traceback" not in err
+
+    def test_sample_grid_past_numpy_limit_exits_1(self, mini_scn, tmp_path):
+        argv = ["run", str(mini_scn), "--out", str(tmp_path), "--override", "duration_s=1e300"]
+        code, _, err = _main(argv)
+        assert code == 1 and err.startswith("error: duration_s:") and "Traceback" not in err
 
     def test_out_dir_from_environment(self, mini_scn, tmp_path, monkeypatch):
         out = tmp_path / "envout"

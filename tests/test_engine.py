@@ -298,11 +298,47 @@ class TestGenericRun:
 
         f_div = 35.84e6 / 2**8
         idle = 1e-9 + 1e-14 * 35.84e6 + 2e-14 * f_div
-        pulsing = idle + 6 * thermal.pulse_power(1e-12, 1e-12, 0.05, 0.0, f_div)
+        pulsing = idle + 6 * thermal.pulse_power(1e-12, 1e-12, 0.05, f_div)
         assert power[0.0] == pytest.approx(idle, rel=1e-12)
         assert power[0.5] == pytest.approx(pulsing, rel=1e-12)
         temps = dict(bundle.tables["temperature"].rows)
         assert temps[0.5] > temps[0.0] > 0.036
+
+    def test_register_write_at_the_end_shows_in_the_last_sample(self):
+        # A sample sees every entry at its own time, a write at duration_s too.
+        scenario = make_scenario(
+            power={"static_floor_w": 1e-9, "clock_energy_per_cycle": 1e-14},
+            schedule=[{"t": 0.5, "write": ["CTRL", 1]}, {"t": 1.0, "write": ["CTRL", 0]},
+                      {"t": 1.0, "dac": {"v_hold": -0.5}}],
+            traces={"sample_rate_hz": 2.0, "kinds": ["power", "hold"]},
+        )
+        bundle = engine.run_generic(scenario)
+        on = 1e-9 + 1e-14 * 35.84e6
+        assert bundle.tables["power"].columns[1] == [1e-9, on, 1e-9]
+        assert bundle.tables["hold"].columns[1][-1] == -0.5
+
+    def test_register_write_before_zero_shows_from_the_first_sample(self):
+        # Load takes a negative schedule time; the initial chip goes before it.
+        scenario = make_scenario(
+            power={"static_floor_w": 1e-9, "clock_energy_per_cycle": 1e-14},
+            schedule=[{"t": -1.0, "write": ["CTRL", 1]}],
+            traces={"sample_rate_hz": 2.0, "kinds": ["power"]},
+        )
+        on = 1e-9 + 1e-14 * 35.84e6
+        assert engine.run_generic(scenario).tables["power"].columns[1] == [on] * 3
+
+    def test_power_computed_once_per_distinct_mode(self, monkeypatch):
+        calls = []
+        power = engine._segment_power
+        monkeypatch.setattr(engine, "_segment_power", lambda s, m: calls.append(m) or power(s, m))
+        scenario = make_scenario(
+            power={"static_floor_w": 1e-9},
+            schedule=[{"t": 0.2, "write": ["CTRL", 1]}, {"t": 0.4, "write": ["CTRL", 0]},
+                      {"t": 0.6, "write": ["CTRL", 1]}],
+            traces={"sample_rate_hz": 10.0, "kinds": ["power"]},
+        )
+        assert len(engine.run_generic(scenario).tables["power"].rows) == 11
+        assert len(calls) == 2
 
     def test_locking_uses_the_dac_as_is(self):
         # `cell_targets` aims the hold DAC under REFRESH only.
@@ -328,7 +364,8 @@ class TestGenericRun:
             ],
             duration_s=4.0,
         )
-        timeline, _, _ = engine._expand_schedule(scenario)
+        timeline, _ = engine._expand_schedule(scenario)
+        timeline = [entry for entry in timeline if entry[2] != "MODE"]
         aim = 0.25 - analog.injection_offset(scenario.analog)
         assert [entry[2:] for entry in timeline] == [
             ("CLOSE", 0),

@@ -22,14 +22,14 @@ C_SERIES_18NW = 18e-15 / 0.1**2
 class TestPulsePower:
     def test_default_point(self):
         # 1 pF against 1 pF at 0.2 V and 1 MHz burns 20 nW.
-        assert pulse_power(1e-12, 1e-12, 0.2, 0.0, 1e6) == pytest.approx(20e-9, rel=1e-12)
+        assert pulse_power(1e-12, 1e-12, 0.2, 1e6) == pytest.approx(20e-9, rel=1e-12)
 
     def test_zero_frequency(self):
-        assert pulse_power(1e-12, 1e-12, 0.2, 0.0, 0.0) == 0.0
+        assert pulse_power(1e-12, 1e-12, 0.2, 0.0) == 0.0
 
     def test_doubling_swing_quadruples_power(self):
-        p1 = pulse_power(1e-12, 2e-12, 0.1, 0.0, 1e6)
-        p2 = pulse_power(1e-12, 2e-12, 0.2, 0.0, 1e6)
+        p1 = pulse_power(1e-12, 2e-12, 0.1, 1e6)
+        p2 = pulse_power(1e-12, 2e-12, 0.2, 1e6)
         assert p2 == 4.0 * p1
 
     @given(
@@ -40,13 +40,13 @@ class TestPulsePower:
     )
     def test_quadratic_law_exact(self, s, c1, c2, f):
         # Doubling is an exact exponent bump, so the 4x law holds to the bit.
-        assert pulse_power(c1, c2, 2 * s, 0.0, f) == 4.0 * pulse_power(c1, c2, s, 0.0, f)
+        assert pulse_power(c1, c2, 2 * s, f) == 4.0 * pulse_power(c1, c2, s, f)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            pulse_power(0.0, 1e-12, 0.1, 0.0, 1.0)
+            pulse_power(0.0, 1e-12, 0.1, 1.0)
         with pytest.raises(ValueError):
-            pulse_power(1e-12, 1e-12, 0.1, 0.0, -1.0)
+            pulse_power(1e-12, 1e-12, 0.1, -1.0)
 
 
 class TestTotalPower:
@@ -63,7 +63,7 @@ class TestTotalPower:
         model = PowerModel()
         steps = [total_power(n, 1e6, 0.1, model) for n in range(1, 7)]
         increments = np.diff(steps)
-        p_cell = pulse_power(1e-12, 1e-12, 0.1, 0.0, 1e6)
+        p_cell = pulse_power(1e-12, 1e-12, 0.1, 1e6)
         assert np.allclose(increments, p_cell, rtol=1e-12)
 
     def test_linear_in_frequency(self):

@@ -1,6 +1,6 @@
 """Checks that tools and documents outside the package stay in step with it:
 the benchmark's trace mode wraps clfgsim functions by name, and README.md
-lists each scenario section's keys."""
+lists each scenario section's keys and each figure's `figure_params`."""
 import dataclasses
 import importlib
 import importlib.util
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from clfgsim import analog, device, engine, thermal
+from clfgsim import analog, device, engine, figures, thermal
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -68,3 +68,25 @@ def _readme_tables() -> dict[str, set[str]]:
 @pytest.mark.parametrize("section", SCHEMA_KEYS)
 def test_readme_schema_table_lists_the_accepted_keys(section):
     assert _readme_tables().get(section) == SCHEMA_KEYS[section]
+
+
+def _readme_figure_params() -> dict[str, dict[str, str]]:
+    """figure -> key -> default column, from the README's `figure_params`
+    table, whose rows start with the figure's name."""
+    listed: dict[str, dict[str, str]] = {}
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if re.match(r"\| fig\w+ \|", line):
+            _, figure, keys, _type, default, _ = (cell.strip() for cell in line.split("|"))
+            for key in re.findall(r"`([^`]+)`", keys):
+                listed.setdefault(figure, {})[key] = default
+    return listed
+
+
+def test_readme_figure_params_table_matches_the_drivers():
+    listed = _readme_figure_params()
+    assert {figure: set(keys) for figure, keys in listed.items()} == {
+        figure: set(table) for figure, table in figures._PARAMS.items()
+    }
+    for figure, table in figures._PARAMS.items():
+        for key, (_convert, default) in table.items():
+            assert (listed[figure][key] == "required") == (default is None), (figure, key)
