@@ -22,9 +22,11 @@ All operations are pure: they take a cell value and return a new one.
 The element values live in a `CellParams` that every state of a cell
 shares, so an event copies only the few state fields.  `apply_fg_run`
 applies a whole playback run in one step; `settle` and `apply_fg`, one
-edge at a time, are its test oracle.  Likewise `sample_output` reads many
-states (as their `output_fields`) at many times in one array step, and
-`output_voltage`, one state at one time, is its oracle.
+edge at a time, are its test oracle.  Its RC transient is `one_pole`, the
+first-order recurrence the tank readout in `device` filters with too.
+Likewise `sample_output` reads many states (as their `output_fields`) at
+many times in one array step, and `output_voltage`, one state at one
+time, is its oracle.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ from enum import IntEnum
 from operator import attrgetter
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import SimulationError
 
@@ -271,7 +272,7 @@ def apply_fg_run(
     - `v_target` is set by the last level change and decays by d from
       there (a repeated level moves nothing);
     - `v_start[k] = a*d*v_start[k-1] + (1-a)*d*v_target[k-1]`, one
-      `lfilter` call.
+      `one_pole` call.
 
     A locked cell only records the last level.
     """
@@ -294,7 +295,7 @@ def apply_fg_run(
     last = np.maximum.accumulate(np.where(changed, k, 0))
     target = anchors[last] * d ** (k - last)
     previous = np.concatenate(([cell.v_target], target[:-1]))
-    start, _ = lfilter([(1.0 - a) * d], [1.0, -a * d], previous, zi=[a * d * cell.v_start])
+    start = one_pole((1.0 - a) * d, a * d, previous, a * d * cell.v_start)
     return replace(
         cell,
         fg_level=Level(int(levels[-1])),
@@ -303,6 +304,33 @@ def apply_fg_run(
         v_start=float(start[-1]),
         t_last=float(times[-1]),
     )
+
+
+def one_pole(b0: float, c: float, x, z0) -> np.ndarray:
+    """The first-order recurrence y[n] = z + b0*x[n], then z = 0*x[n] + c*y[n],
+    along the last axis of `x`, from z = `z0` (one value per row of `x`).
+
+    These are the operations of `scipy.signal.lfilter([b0], [1, -c], x,
+    zi=z0)` in its transposed form and order, whose second tap is 0: the
+    `0*x[n]` term only gives a zero z the sign lfilter gives it.  So the
+    result has lfilter's bits, which the tests check.  A 1-D `x` is looped
+    over as Python floats; an N-D one over its last axis, a column of all
+    rows at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        z, out = float(z0), []
+        for xn in x.tolist():
+            y = z + b0 * xn
+            out.append(y)
+            z = 0.0 * xn + c * y
+        return np.array(out, dtype=float)
+    y = np.empty_like(x)
+    z = np.asarray(z0, dtype=float)
+    for n in range(x.shape[-1]):
+        y[..., n] = z + b0 * x[..., n]
+        z = 0.0 * x[..., n] + c * y[..., n]
+    return y
 
 
 def output_voltage(cell: ClfgCell, t: float) -> float:

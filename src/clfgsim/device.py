@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
-from scipy.signal import lfilter
 
+from .analog import one_pole
 from .errors import SimulationError
 
 # 2 e^2 / h, the natural conductance scale for a near-open dot.
@@ -98,11 +98,10 @@ def _low_pass(x: np.ndarray, tank: TankReadout) -> np.ndarray:
 
     Discrete form y[n] = (1-a) y[n-1] + a x[n] with a chosen so the
     continuous-time bandwidth is `bandwidth_hz`; DC gain is exactly 1.
+    It is `analog.one_pole` with b0 = a, c = 1-a and z0 = (1-a) x[..., 0].
     """
     a = 1.0 - float(np.exp(-2.0 * np.pi * tank.bandwidth_hz / tank.sample_rate_hz))
-    zi = (1.0 - a) * x[..., :1]
-    y, _ = lfilter([a], [1.0, -(1.0 - a)], x, axis=-1, zi=zi)
-    return y
+    return one_pole(a, 1.0 - a, x, (1.0 - a) * x[..., 0])
 
 
 def require_sample_rate(tank: TankReadout) -> None:

@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-import scipy
 
 from . import __version__, analog, device as devmod, fsm, protocol, thermal
 from .errors import SimulationError
@@ -571,15 +570,28 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _format_distinct(bits: np.ndarray, dtype, fmt) -> list[str]:
+    """`fmt` of every value whose int64 bit pattern is in `bits`, called once
+    per distinct pattern (so -0.0 and 0.0 stay apart) and indexed back."""
+    unique, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(fmt, unique.view(dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _format_column(values: list) -> list[str]:
-    """`_format_cell` of every value, in one pass for a column of one plain type."""
+    """`_format_cell` of every value: for a column of floats, or of ints in
+    int64 range, one call per distinct value; for other plain types one
+    pass; else value by value."""
     kinds = set(map(type, values))
-    if kinds <= {float}:
-        return list(map(float.__repr__, values))
-    if kinds <= {int}:
-        return list(map(int.__repr__, values))
-    if kinds <= {str}:
+    if kinds <= {str}:  # an empty column too
         return values
+    if kinds <= {float}:
+        return _format_distinct(np.array(values, dtype=float).view(np.int64), float, float.__repr__)
+    if kinds <= {int}:
+        try:
+            return _format_distinct(np.array(values, dtype=np.int64), np.int64, int.__repr__)
+        except OverflowError:
+            return list(map(int.__repr__, values))
     return [_format_cell(v) for v in values]
 
 
@@ -612,11 +624,7 @@ def _manifest(scenario: Scenario) -> dict:
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "overrides": list(scenario.overrides),
         "seed": scenario.raw.get("seed"),
-        "versions": {
-            "clfgsim": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": {"clfgsim": __version__, "numpy": np.__version__},
     }
 
 
@@ -723,11 +731,20 @@ def _segment_power(scenario: Scenario, state: tuple[fsm.Mode, protocol.RegisterF
     )
 
 
+def sample_count(scenario: Scenario) -> int:
+    """The length of `sample_grid`, floor(duration_s * rate) + 1; a grid
+    of more float64s than numpy can address is a ScenarioError."""
+    duration, rate = scenario.duration_s, scenario.traces.sample_rate_hz
+    with _section("duration_s"):  # duration_s * rate past float range
+        n = math.floor(duration * rate) + 1
+    if n > np.iinfo(np.intp).max // 8:
+        raise ScenarioError(f"duration_s: {duration!r} s at {rate!r} Hz is past numpy's size limit")
+    return n
+
+
 def sample_grid(scenario: Scenario) -> np.ndarray:
     """The sample times of a run: k / rate for k = 0 ... floor(duration_s * rate)."""
-    rate = scenario.traces.sample_rate_hz
-    with _section("duration_s"):  # a grid past numpy's size limit
-        return np.arange(math.floor(scenario.duration_s * rate) + 1) / rate
+    return np.arange(sample_count(scenario)) / scenario.traces.sample_rate_hz
 
 
 def _cut_runs(timeline: list, sample_times: np.ndarray, sampled: set[int], v_hold: float):
@@ -798,8 +815,10 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     rails = scenario.rails
     timeline = _cut_runs(timeline, times, set(sampled), rails.v_hold)
 
-    # Cell states are immutable, so all 32 can start as one value.
-    cells = [analog.ClfgCell(scenario.analog)] * N_CELLS
+    # Cell states are immutable, so all 32 can start as one value: at t = 0,
+    # or at the first schedule item if that is earlier (load allows t < 0).
+    start = min(0.0, scenario.schedule[0].time_s) if scenario.schedule else 0.0
+    cells = [analog.ClfgCell(scenario.analog, t_last=start)] * N_CELLS
     dacs: dict[str, float] = {"v_hold": rails.v_hold}
     mode = None  # the chip's (mode, regs); the first MODE entry, at -inf, sets it
     # What each block of samples sees: the sampled cells' `output_fields`

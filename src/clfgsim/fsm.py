@@ -177,7 +177,8 @@ def playback(
     cell takes the same level on it (the cells share the pattern).  The
     cursor wraps modulo PATTERN_LEN and keeps running across calls, so
     segmented playback is seamless.  Event count (`len` of the run) is
-    floor(duration * f_div) * popcount(mask).
+    floor(duration * f_div) * popcount(mask).  With no cell in the mask the
+    run has no ticks; the cursor still advances by floor(duration * f_div).
     """
     if state.mode != Mode.PULSING:
         raise NotInPlayback(f"mode is {state.mode.name}")
@@ -186,12 +187,13 @@ def playback(
     f_div = divided_frequency(state)
     n_ticks = math.floor(duration_s * f_div)
     plen = state.regs.pattern_len
-    k = np.arange(n_ticks, dtype=np.int64)
+    cells = tuple(mask_cells(state.regs.pulse_mask))
+    k = np.arange(n_ticks if cells else 0, dtype=np.int64)
     pattern = np.array([state.regs.pattern_bit(i) for i in range(plen)], dtype=np.uint8)
     run = TickRun(
         times=start_s + (k << state.regs.divider) / state.master_freq_hz,
         levels=pattern[(state.pattern_cursor + k) % plen],
-        cells=tuple(mask_cells(state.regs.pulse_mask)),
+        cells=cells,
         period_s=(1 << state.regs.divider) / state.master_freq_hz,
     )
     return replace(state, pattern_cursor=(state.pattern_cursor + n_ticks) % plen), run

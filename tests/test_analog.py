@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from clfgsim import fsm, protocol
 from clfgsim.analog import (
@@ -18,6 +19,7 @@ from clfgsim.analog import (
     couple_hold,
     injection_offset,
     lock,
+    one_pole,
     output_fields,
     output_voltage,
     pulse_amplitude,
@@ -432,3 +434,45 @@ class TestSampleOutput:
         cell = ClfgCell()
         with pytest.raises(ValueError, match="one cell state per sample time"):
             sample_output(cell.params, [output_fields(cell)], [0.0, 1.0])
+
+
+# Inputs of the one-pole filter: ordinary values, and the zeros and
+# subnormals whose signs and roundings a reordered recurrence would change.
+_filter_values = st.floats(-1e6, 1e6) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0]
+)
+_filter_taps = st.floats(-1.5, 1.5) | st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0])
+
+
+class TestOnePole:
+    """`one_pole` against `scipy.signal.lfilter`, bit for bit."""
+
+    @given(
+        b0=_filter_taps,
+        c=_filter_taps,
+        x=st.lists(_filter_values, max_size=40),
+        z0=_filter_values,
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_1d_matches_lfilter_bits(self, b0, c, x, z0):
+        x = np.array(x, dtype=float)
+        expected, _ = lfilter([b0], [1.0, -c], x, zi=[z0])
+        assert one_pole(b0, c, x, z0).tobytes() == expected.tobytes()
+
+    @given(
+        b0=_filter_taps,
+        c=_filter_taps,
+        rows=st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.tuples(_filter_values, st.lists(_filter_values, min_size=n, max_size=n)),
+                min_size=1,
+                max_size=4,
+            )
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_2d_matches_lfilter_bits_row_by_row(self, b0, c, rows):
+        z0 = np.array([z for z, _ in rows])
+        x = np.array([row for _, row in rows])
+        expected, _ = lfilter([b0], [1.0, -c], x, axis=-1, zi=z0[:, None])
+        assert one_pole(b0, c, x, z0).tobytes() == expected.tobytes()

@@ -485,6 +485,17 @@ class TestRun:
         code, _, err = _main(argv)
         assert code == 1 and err.startswith("error: duration_s:") and "Traceback" not in err
 
+    def test_lock_at_a_negative_time_runs(self, tmp_path):
+        # Load takes t < 0; the cells start there, so the lock is no traceback.
+        doc = _mini(schedule=[{"t": -1.0, "write": ["CTRL", 2]},
+                              {"t": -1.0, "write": ["LOCK_MASK_LO", 1]}, {"t": -1.0, "exec": True}])
+        path = tmp_path / "early.scn"
+        path.write_text(json.dumps(doc))
+        code, _, err = _main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert code == 0, err
+        rows = (tmp_path / "o" / "cells.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["-1.1"] * 6
+
     def test_out_dir_from_environment(self, mini_scn, tmp_path, monkeypatch):
         out = tmp_path / "envout"
         monkeypatch.setenv("CLFGSIM_OUT", str(out))

@@ -1,12 +1,15 @@
 import copy
 import json
 import math
+from bisect import bisect_left, bisect_right
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clfgsim import analog, cli, device, engine, fsm
+from clfgsim import analog, cli, device, engine, figures, fsm
 from clfgsim.engine import ScenarioError, UnknownAxis, build_scenario
 
 from conftest import lock_then_open_schedule, make_scenario
@@ -327,6 +330,18 @@ class TestGenericRun:
         on = 1e-9 + 1e-14 * 35.84e6
         assert engine.run_generic(scenario).tables["power"].columns[1] == [on] * 3
 
+    def test_lock_before_zero_holds_from_the_first_sample(self):
+        # The cells start at the first schedule time, so a lock there settles.
+        scenario = make_scenario(
+            rails={"v_hold": -1.1},
+            schedule=[{"t": -1.0, "write": ["CTRL", 2]},
+                      {"t": -1.0, "write": ["LOCK_MASK_LO", 1]}, {"t": -1.0, "exec": True}],
+            traces={"sample_rate_hz": 2.0, "kinds": ["cells"], "cells": [0]},
+        )
+        bundle = engine.run_generic(scenario)
+        assert bundle.tables["cells"].columns[2] == [-1.1] * 3
+        assert bundle.tables["events"].rows == [(-1.0, 0, "CLOSE", "")]
+
     def test_power_computed_once_per_distinct_mode(self, monkeypatch):
         calls = []
         power = engine._segment_power
@@ -610,6 +625,48 @@ class TestExport:
         manifest = json.loads((tmp_path / "manifest_test.json").read_text())
         assert manifest["schema_version"] == 1
         assert "config_sha256" in manifest
+
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_format_column_matches_format_cell(self, data):
+        # Repeats, both zeros, subnormals and ints past int64, in columns of
+        # one type and of mixed types.
+        floats = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308])
+        ints = st.integers() | st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1])
+        kind = data.draw(st.sampled_from([floats, ints, floats | ints | st.booleans() | st.text()]))
+        pool = data.draw(st.lists(kind, min_size=1, max_size=6))
+        values = data.draw(st.lists(st.sampled_from(pool), max_size=40))
+        assert engine._format_column(values) == [engine._format_cell(v) for v in values]
+
+
+class TestSampleCount:
+    """`figures._samples_from`, the closed-form count that `check_sections`
+    uses, against the sample grid it stands for."""
+
+    @given(
+        duration=st.floats(0.0, 10.0),
+        rate=st.floats(0.1, 1e3),
+        t=st.floats(-1.0, 11.0),
+        k=st.integers(0, 10_000),
+        on_grid=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_count_matches_the_grid(self, duration, rate, t, k, on_grid):
+        scenario = make_scenario(duration_s=duration, traces={"sample_rate_hz": rate})
+        t = k / rate if on_grid else t  # a sample time itself, for the ties
+        grid = engine.sample_grid(scenario)
+        assert figures._samples_from(scenario, t, bisect_right) == np.count_nonzero(grid > t)
+        assert figures._samples_from(scenario, t, bisect_left) == np.count_nonzero(grid >= t)
+
+    @pytest.mark.parametrize("name", ["fig3c", "fig3f"])
+    def test_figures_validate_without_the_grid(self, name, monkeypatch):
+        def refuse(scenario):
+            raise AssertionError("sample_grid called at load")
+
+        monkeypatch.setattr(engine, "sample_grid", refuse)
+        doc = json.loads(cli.bundled_scenario_path(name).read_text())
+        assert engine.build_scenario(doc).figure == name
 
 
 # Absolute tolerance of the conductance and readout traces against the

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +160,12 @@ class TestPlayback:
     def test_zero_duration(self):
         _, run = playback(pulsing(), 0.0)
         assert len(run) == 0
+
+    def test_empty_mask_builds_no_ticks_but_advances_the_cursor(self):
+        state = pulsing(pattern_len=9, divider=0, pulse_mask=0)
+        after, run = playback(state, 1e-3)
+        assert len(run.times) == len(run.levels) == 0 and run.cells == ()
+        assert after.pattern_cursor == math.floor(1e-3 * state.master_freq_hz) % 9 == 2
 
     def test_not_in_playback(self):
         with pytest.raises(NotInPlayback):

@@ -4,7 +4,10 @@ lists each scenario section's keys and each figure's `figure_params`."""
 import dataclasses
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,15 @@ def _traced() -> tuple:
 def test_traced_function_exists(pair):
     module, name = pair
     assert callable(getattr(importlib.import_module(f"clfgsim.{module}"), name, None))
+
+
+def test_cli_import_leaves_scipy_out():
+    # SciPy is a test dependency only: the program must not load it.
+    code = "import sys, clfgsim.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def _fields(cls) -> set[str]:
