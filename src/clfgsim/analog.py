@@ -306,31 +306,22 @@ def apply_fg_run(
     )
 
 
-def one_pole(b0: float, c: float, x, z0) -> np.ndarray:
+def one_pole(b0: float, c: float, x, z0: float) -> np.ndarray:
     """The first-order recurrence y[n] = z + b0*x[n], then z = 0*x[n] + c*y[n],
-    along the last axis of `x`, from z = `z0` (one value per row of `x`).
+    over the 1-D `x`, from z = `z0`.
 
     These are the operations of `scipy.signal.lfilter([b0], [1, -c], x,
-    zi=z0)` in its transposed form and order, whose second tap is 0: the
+    zi=[z0])` in its transposed form and order, whose second tap is 0: the
     `0*x[n]` term only gives a zero z the sign lfilter gives it.  So the
-    result has lfilter's bits, which the tests check.  A 1-D `x` is looped
-    over as Python floats; an N-D one over its last axis, a column of all
-    rows at a time.
+    result has lfilter's bits, which the tests check.  `x` is looped over
+    as Python floats, which is about 10x faster than over numpy scalars.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        z, out = float(z0), []
-        for xn in x.tolist():
-            y = z + b0 * xn
-            out.append(y)
-            z = 0.0 * xn + c * y
-        return np.array(out, dtype=float)
-    y = np.empty_like(x)
-    z = np.asarray(z0, dtype=float)
-    for n in range(x.shape[-1]):
-        y[..., n] = z + b0 * x[..., n]
-        z = 0.0 * x[..., n] + c * y[..., n]
-    return y
+    z, out = float(z0), []
+    for xn in np.asarray(x, dtype=float).tolist():
+        y = z + b0 * xn
+        out.append(y)
+        z = 0.0 * xn + c * y
+    return np.array(out, dtype=float)
 
 
 def output_voltage(cell: ClfgCell, t: float) -> float:

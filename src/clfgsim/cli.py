@@ -63,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("stream", help="file of 8-hex-digit words, one per line")
     p.add_argument("--duration", type=float, default=0.0,
                    help="seconds of autonomous operation after the stream")
-    p.add_argument("--master-freq", type=float, default=35.84e6)
 
     p = sub.add_parser("budget", help="power/cooling feasibility for one operating point")
     p.add_argument("--scenario", default=None,
@@ -141,7 +140,6 @@ def _cmd_replay(args) -> int:
     raw = {
         "schema_version": engine.SCHEMA_VERSION,
         "name": "replay",
-        "chip": {"master_freq_hz": args.master_freq},
         "schedule": [{"t": 0.0, "word": w} for w in words],
         "duration_s": args.duration,
         "traces": {"sample_rate_hz": 1e3},

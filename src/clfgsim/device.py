@@ -41,17 +41,17 @@ class AxisMismatch(SimulationError):
 class DotDevice:
     """Coulomb-blockade conductance model for one dot."""
 
-    gate_levers: Mapping[str, float] = field(default_factory=dict)
+    levers: Mapping[str, float] = field(default_factory=dict)
     peak_spacing: float = 0.010
     peak_width: float = 0.0008
     g_max: float = CONDUCTANCE_QUANTUM_S
     v_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.gate_levers, Mapping) or not all(
-            isinstance(lever, Real) for lever in self.gate_levers.values()
+        if not isinstance(self.levers, Mapping) or not all(
+            isinstance(lever, Real) for lever in self.levers.values()
         ):
-            raise TypeError("gate_levers must map gate names to real numbers")
+            raise TypeError("levers must map gate names to real numbers")
         if self.peak_spacing <= 0 or self.peak_width <= 0 or self.g_max <= 0:
             raise ValueError("peak_spacing, peak_width and g_max must be positive")
 
@@ -70,38 +70,37 @@ class TankReadout:
 
 def effective_voltage(device: DotDevice, gate_voltages: Mapping[str, object]):
     """Lever-arm weighted sum of the supplied gate voltages."""
-    unknown = set(gate_voltages) - set(device.gate_levers)
+    unknown = set(gate_voltages) - set(device.levers)
     if unknown:
         raise UnknownGate(f"no lever arm for gate(s) {sorted(unknown)}")
     v_eff = device.v_offset
     for gate, voltage in gate_voltages.items():
-        v_eff = v_eff + device.gate_levers[gate] * np.asarray(voltage)
+        v_eff = v_eff + device.levers[gate] * np.asarray(voltage)
     return v_eff
 
 
 def conductance(device: DotDevice, gate_voltages: Mapping[str, object]):
-    """Dot conductance in siemens; scalar or array depending on input.
+    """Dot conductance in siemens, broadcast over the gate voltages.
 
     Periodic in v_eff with period `peak_spacing`; maximal (g_max) on a
     peak and suppressed as cosh**-2 away from it.
     """
     v_eff = effective_voltage(device, gate_voltages)
     d = v_eff - device.peak_spacing * np.round(v_eff / device.peak_spacing)
-    g = device.g_max / np.cosh(d / device.peak_width) ** 2
-    if np.ndim(g) == 0:
-        return float(g)
-    return g
+    return device.g_max / np.cosh(d / device.peak_width) ** 2
 
 
 def _low_pass(x: np.ndarray, tank: TankReadout) -> np.ndarray:
-    """One-pole low-pass along the last axis, started settled at x[..., 0].
+    """One-pole low-pass along the last axis, each row started settled at its x[0].
 
     Discrete form y[n] = (1-a) y[n-1] + a x[n] with a chosen so the
     continuous-time bandwidth is `bandwidth_hz`; DC gain is exactly 1.
-    It is `analog.one_pole` with b0 = a, c = 1-a and z0 = (1-a) x[..., 0].
+    Each row is one `analog.one_pole` call with b0 = a, c = 1-a and
+    z0 = (1-a) x[0].
     """
     a = 1.0 - float(np.exp(-2.0 * np.pi * tank.bandwidth_hz / tank.sample_rate_hz))
-    return one_pole(a, 1.0 - a, x, (1.0 - a) * x[..., 0])
+    rows = [one_pole(a, 1.0 - a, row, (1.0 - a) * row[0]) for row in x.reshape(-1, x.shape[-1])]
+    return np.array(rows).reshape(x.shape)
 
 
 def require_sample_rate(tank: TankReadout) -> None:

@@ -35,6 +35,9 @@ from .errors import SimulationError
 
 SCHEMA_VERSION = 1
 N_CELLS = fsm.N_CELLS
+# The most samples a run may take (`sample_count`), checked at load: a
+# grid of 2**24 times is 128 MiB of float64, before any trace is made.
+MAX_SAMPLES = 2**24
 
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
 # lock action with the cell as payload; DAC, host DAC moves; FG, a playback
@@ -61,16 +64,10 @@ class UnknownAxis(SimulationError):
 @dataclass(frozen=True)
 class ChipConfig:
     master_freq_hz: float = 35.84e6
-    # Host-side calibration: aim the hold DAC below the target by the known
-    # injection offset so the released voltage lands on target.  Applies to
-    # autonomous (REFRESH) locking only; explicit LOCKING uses the DAC as-is.
-    compensate_injection: bool = True
 
     def __post_init__(self) -> None:
         if not self.master_freq_hz > 0:
             raise ValueError("master_freq_hz must be positive")
-        if not isinstance(self.compensate_injection, bool):
-            raise TypeError("compensate_injection must be true or false")
 
 
 _TRACE_KINDS = ("cells", "hold", "conductance", "readout", "power", "temperature")
@@ -208,27 +205,26 @@ def _object(raw, where: str) -> Mapping:
     return raw
 
 
-def _build_section(cls, raw, where: str, renames: Mapping[str, str] = {}):
-    """Build parameter type `cls` from a section; `renames` maps keys to fields.
+def _build_section(cls, raw, where: str):
+    """Build parameter type `cls` from a section, whose keys are its fields.
 
     A field typed with `float` or `int` holds only what `_finite` accepts,
     of the JSON types `_number_fields` gives it.
     """
-    names = {f.name for f in dataclasses.fields(cls)} - set(renames.values())
-    unknown = set(_object(raw, where)) - names - set(renames)
+    unknown = set(_object(raw, where)) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
     for key, value in raw.items():
-        types = _number_fields(cls).get(renames.get(key, key))
+        types = _number_fields(cls).get(key)
         if types and not (_finite(value) and isinstance(value, types)):
             raise ScenarioError(f"{where}.{key}: expected finite numbers, got {value!r}")
     with _section(where):
-        return cls(**{renames.get(k, k): v for k, v in raw.items()})
+        return cls(**raw)
 
 
 def _gate_source(dot: devmod.DotDevice, gate: str, raw) -> GateSource:
     """Check one `device.gate_sources` entry and give it its type."""
-    if gate not in dot.gate_levers:
+    if gate not in dot.levers:
         raise ScenarioError(f"device: source for gate {gate!r} has no lever arm")
     if not isinstance(raw, Mapping) or set(raw) not in ({"cell"}, {"dac"}, {"const"}):
         raise ScenarioError(f"device: gate {gate!r} needs one of cell/dac/const")
@@ -293,7 +289,8 @@ def build_scenario(raw: Mapping) -> Scenario:
     """Validate a scenario document and build the typed configuration.
 
     Each section goes through `_build_section` or `_section`, so a
-    malformed one is a ScenarioError naming it.
+    malformed one is a ScenarioError naming it; so is a run of more than
+    `MAX_SAMPLES` samples.
     """
     if not isinstance(raw, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
@@ -322,7 +319,6 @@ def build_scenario(raw: Mapping) -> Scenario:
             devmod.DotDevice,
             {k: v for k, v in draw.items() if k not in _DEVICE_WIRING + _TANK_KEYS},
             "device",
-            renames={"levers": "gate_levers"},
         )
         tank = _build_section(
             devmod.TankReadout,
@@ -413,6 +409,7 @@ def build_scenario(raw: Mapping) -> Scenario:
         sweep=_build_section(SweepConfig, raw["sweep"], "sweep") if "sweep" in raw else None,
         raw=raw,
     )
+    sample_count(scenario)  # refuses a grid past the budget
     if scenario.figure is not None:
         from . import figures
 
@@ -648,8 +645,8 @@ def _expand_schedule(scenario: Scenario):
     period) and opens the previous cell before closing the next, so at
     most one lock switch is closed at any instant.  A cell with a
     `cell_targets` entry gets a DAC entry at its close that moves the hold
-    DAC to the target (less the injection offset under
-    `compensate_injection`); LOCKING uses the DAC as it is.  MODE entries hold
+    DAC to the target less the injection offset, so the released voltage
+    lands on the target; LOCKING uses the DAC as it is.  MODE entries hold
     the chip's (mode, regs): the initial one at -inf, then one per time it changes.
 
     Returns the timeline entries in the order they apply (by time, then
@@ -661,8 +658,7 @@ def _expand_schedule(scenario: Scenario):
     modes = {-math.inf: (chip.mode, chip.regs)}  # before any item: times may be negative
     responses: list[tuple[float, protocol.Frame]] = []
     # The hold DAC move that goes before a REFRESH close of a targeted cell.
-    compensate = scenario.chip.compensate_injection
-    offset = analog.injection_offset(scenario.analog) if compensate else 0.0
+    offset = analog.injection_offset(scenario.analog)
     holds = {c: (("v_hold", v - offset),) for c, v in scenario.cell_targets.items()}
     closed: list[int] = []
     anchor, cells, period, j = 0.0, [], 0, 0  # set on entering REFRESH
@@ -733,12 +729,15 @@ def _segment_power(scenario: Scenario, state: tuple[fsm.Mode, protocol.RegisterF
 
 def sample_count(scenario: Scenario) -> int:
     """The length of `sample_grid`, floor(duration_s * rate) + 1; a grid
-    of more float64s than numpy can address is a ScenarioError."""
+    of more than `MAX_SAMPLES` samples is a ScenarioError."""
     duration, rate = scenario.duration_s, scenario.traces.sample_rate_hz
     with _section("duration_s"):  # duration_s * rate past float range
         n = math.floor(duration * rate) + 1
-    if n > np.iinfo(np.intp).max // 8:
-        raise ScenarioError(f"duration_s: {duration!r} s at {rate!r} Hz is past numpy's size limit")
+    if n > MAX_SAMPLES:
+        raise ScenarioError(
+            f"duration_s: {duration!r} s at {rate!r} Hz is {n} samples,"
+            f" past the budget of {MAX_SAMPLES}"
+        )
     return n
 
 

@@ -86,17 +86,9 @@ def fig3f(scenario: Scenario) -> TraceBundle:
     rails = scenario.rails
     v_low_ref = rails.v_hold + analog.injection_offset(scenario.analog)
     v_high_ref = v_low_ref + analog.pulse_amplitude(scenario.analog, rails)
-    g_low = np.asarray(
-        devmod.conductance(dot, {sweep_gate: v_sweep, pulse_gate: v_low_ref})
-    )
-    g_high = np.asarray(
-        devmod.conductance(dot, {sweep_gate: v_sweep, pulse_gate: v_high_ref})
-    )
-    pulsed = np.asarray(
-        devmod.conductance(
-            dot, {sweep_gate: v_sweep[:, None], pulse_gate: v_out[None, :]}
-        )
-    )
+    g_low = devmod.conductance(dot, {sweep_gate: v_sweep, pulse_gate: v_low_ref})
+    g_high = devmod.conductance(dot, {sweep_gate: v_sweep, pulse_gate: v_high_ref})
+    pulsed = devmod.conductance(dot, {sweep_gate: v_sweep[:, None], pulse_gate: v_out[None, :]})
     report = devmod.envelope_check(dot, scenario.tank, pulsed, g_low, g_high, settle)
     table = Table(
         ("v_sdp_volts", "g_low", "g_high", "g_env_min", "g_env_max"),
@@ -271,7 +263,7 @@ def check_sections(scenario: Scenario) -> dict:
             raise engine.ScenarioError("figure_params: open_time_s leaves fewer than two samples")
     if scenario.figure == "fig3f":  # its envelope needs both gates, a sweep and a settled sample
         for key in ("pulse_gate", "sweep_gate"):
-            if params[key] not in scenario.device.gate_levers:
+            if params[key] not in scenario.device.levers:
                 raise engine.ScenarioError(f"figure_params: {key} {params[key]!r} has no lever arm")
         if not params["v_sdp_values"]:
             raise engine.ScenarioError("figure_params: v_sdp_values must not be empty")

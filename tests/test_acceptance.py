@@ -158,7 +158,7 @@ def test_06_leakage_benchmark_and_flank_recovery():
     drift_ok = abs(drift - 39.6e-6) <= 0.1e-6
 
     # Flank-slope recovery of the programmed rate through the dot oracle.
-    dot = device.DotDevice(gate_levers={"lw": 1.0}, v_offset=1.1003)
+    dot = device.DotDevice(levers={"lw": 1.0}, v_offset=1.1003)
     cell = analog.ClfgCell(analog.CellParams(q_inj=0.0, leak_rate=lam))
     cell = analog.unlock(analog.lock(cell, -1.1))
     times = np.arange(0.0, 201.0, 1.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from clfgsim import fsm, protocol
+from clfgsim.device import TankReadout, _low_pass
 from clfgsim.analog import (
     AlreadyUnlocked,
     CellParams,
@@ -445,7 +446,8 @@ _filter_taps = st.floats(-1.5, 1.5) | st.sampled_from([0.0, -0.0, 5e-324, 1e-300
 
 
 class TestOnePole:
-    """`one_pole` against `scipy.signal.lfilter`, bit for bit."""
+    """`one_pole`, and the tank low-pass that runs it along each row,
+    against `scipy.signal.lfilter`, bit for bit."""
 
     @given(
         b0=_filter_taps,
@@ -460,19 +462,18 @@ class TestOnePole:
         assert one_pole(b0, c, x, z0).tobytes() == expected.tobytes()
 
     @given(
-        b0=_filter_taps,
-        c=_filter_taps,
-        rows=st.integers(1, 4).flatmap(
+        ratio=st.floats(10.0, 1e4),
+        rows=st.integers(1, 40).flatmap(
             lambda n: st.lists(
-                st.tuples(_filter_values, st.lists(_filter_values, min_size=n, max_size=n)),
-                min_size=1,
-                max_size=4,
+                st.lists(_filter_values, min_size=n, max_size=n), min_size=1, max_size=4
             )
         ),
     )
     @settings(max_examples=300, deadline=None)
-    def test_2d_matches_lfilter_bits_row_by_row(self, b0, c, rows):
-        z0 = np.array([z for z, _ in rows])
-        x = np.array([row for _, row in rows])
-        expected, _ = lfilter([b0], [1.0, -c], x, axis=-1, zi=z0[:, None])
-        assert one_pole(b0, c, x, z0).tobytes() == expected.tobytes()
+    def test_2d_matches_lfilter_bits_row_by_row(self, ratio, rows):
+        # `device._low_pass` on 2-D input: each row settled at its first value.
+        tank = TankReadout(bandwidth_hz=1e6, sample_rate_hz=ratio * 1e6)
+        x = np.array(rows, dtype=float)
+        a = 1.0 - float(np.exp(-2.0 * np.pi * tank.bandwidth_hz / tank.sample_rate_hz))
+        expected, _ = lfilter([a], [1.0, -(1.0 - a)], x, axis=-1, zi=(1.0 - a) * x[:, :1])
+        assert _low_pass(x, tank).tobytes() == expected.tobytes()

@@ -126,7 +126,8 @@ MALFORMED = {
     "name_list": _mini(name=["x"]),
     # Values that load used to narrow or ignore without a word.
     "write_value_fraction": _mini(schedule=[{"t": 0.0, "write": ["DIVIDER", 3.7]}]),
-    "compensate_injection_text": _mini(chip={"compensate_injection": "no"}),
+    # REFRESH always aims below the target by the injection offset; no key turns that off.
+    "compensate_injection_key": _mini(chip={"compensate_injection": True}),
     "fig4b_unknown_param": _with_param("fig4b", "swingg", 0.2),
     # A field that holds one number, given text or a list: it broke the run.
     "v_hold_text": _mini(rails={"v_hold": "x"}),
@@ -138,6 +139,8 @@ MALFORMED = {
     "fig3c_duration_past_grid": {
         **json.loads(cli.bundled_scenario_path("fig3c").read_text()), "duration_s": 1e300
     },
+    # 1e14 samples at 10 Hz: addressable, but past memory and the sample budget.
+    "duration_past_sample_budget": _mini(duration_s=1e13),
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each

@@ -20,7 +20,7 @@ from clfgsim.device import (
 
 @pytest.fixture
 def dot() -> DotDevice:
-    return DotDevice(gate_levers={"sdp": 1.0, "lw": 0.2})
+    return DotDevice(levers={"sdp": 1.0, "lw": 0.2})
 
 
 @pytest.fixture
@@ -43,7 +43,7 @@ class TestConductance:
 
     @given(v=st.floats(-0.05, 0.05), k=st.integers(-3, 3))
     def test_periodic_in_gate_over_lever(self, v, k):
-        dot = DotDevice(gate_levers={"lw": 0.2})
+        dot = DotDevice(levers={"lw": 0.2})
         shifted = v + k * dot.peak_spacing / 0.2
         a = conductance(dot, {"lw": v})
         b = conductance(dot, {"lw": shifted})
@@ -159,7 +159,7 @@ class TestDriftRecovery:
         # Bias on a peak flank and watch the conductance drift as the held
         # gate relaxes: slope / (dG/dV) returns the voltage drift rate.
         lam = 1e-8
-        dot = DotDevice(gate_levers={"lw": 1.0}, v_offset=1.1003)
+        dot = DotDevice(levers={"lw": 1.0}, v_offset=1.1003)
         cell = analog.ClfgCell(analog.CellParams(q_inj=0.0, leak_rate=lam))
         cell = analog.unlock(analog.lock(cell, -1.1))
         times = np.arange(0.0, 201.0, 1.0)

@@ -146,9 +146,9 @@ class TestOverrides:
 
     def test_bool_coercion(self):
         raw = {"schema_version": 1, "name": "x", "duration_s": 0.0,
-               "chip": {"compensate_injection": True}}
-        doc = engine.apply_overrides(raw, ["chip.compensate_injection=false"])
-        assert doc["chip"]["compensate_injection"] is False
+               "schedule": [{"t": 0.0, "exec": True}]}
+        doc = engine.apply_overrides(raw, ["schedule.0.exec=false"])
+        assert doc["schedule"][0]["exec"] is False
 
     @given(case=st.data(), value=_JSON)
     @settings(max_examples=200, deadline=None)
@@ -658,6 +658,14 @@ class TestSampleCount:
         grid = engine.sample_grid(scenario)
         assert figures._samples_from(scenario, t, bisect_right) == np.count_nonzero(grid > t)
         assert figures._samples_from(scenario, t, bisect_left) == np.count_nonzero(grid >= t)
+
+    def test_budget_is_checked_at_load(self):
+        # At 1 Hz, duration d gives d + 1 samples; neither grid is built.
+        at = make_scenario(duration_s=engine.MAX_SAMPLES - 1.0, traces={"sample_rate_hz": 1.0})
+        assert engine.sample_count(at) == engine.MAX_SAMPLES
+        budget = f"{engine.MAX_SAMPLES + 1} samples, past the budget of {engine.MAX_SAMPLES}"
+        with pytest.raises(ScenarioError, match=budget):
+            make_scenario(duration_s=float(engine.MAX_SAMPLES), traces={"sample_rate_hz": 1.0})
 
     @pytest.mark.parametrize("name", ["fig3c", "fig3f"])
     def test_figures_validate_without_the_grid(self, name, monkeypatch):

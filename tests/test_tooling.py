@@ -45,14 +45,13 @@ def _fields(cls) -> set[str]:
 
 
 # The keys `build_scenario` accepts in each section: the parameter type's
-# fields, with `device` renaming `gate_levers` to `levers`, taking the
-# tank's sample rate from `traces` and adding its wiring, and `power`
-# adding its two subsections.
+# fields, with `device` taking the tank's sample rate from `traces` and
+# adding its wiring, and `power` adding its two subsections.
 SCHEMA_KEYS = {
     "chip": _fields(engine.ChipConfig),
     "analog": _fields(analog.CellParams),
     "rails": _fields(analog.SupplyRails),
-    "device": (_fields(device.DotDevice) - {"gate_levers"} | {"levers"})
+    "device": _fields(device.DotDevice)
     | (_fields(device.TankReadout) - {"sample_rate_hz"})
     | {"gate_sources", "axis_gate"},
     "power": _fields(thermal.PowerModel) | {"calibration", "budget"},
