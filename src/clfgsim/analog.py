@@ -19,21 +19,25 @@ with a first-order transient of time constant
     tau = r_switch * c_pulse * c_p / (c_pulse + c_p)
 
 All operations are pure: they take a cell value and return a new one.
-The element values live in a `CellParams` that every state of a cell
-shares, so an event copies only the few state fields.  `apply_fg_run`
-applies a whole playback run in one step; `settle` and `apply_fg`, one
-edge at a time, are its test oracle.  Its RC transient is `one_pole`, the
-first-order recurrence the tank readout in `device` filters with too.
-Likewise `sample_output` reads many states (as their `output_fields`) at
-many times in one array step, and `output_voltage`, one state at one
-time, is its oracle.
+A cell state is a `ClfgCell` NamedTuple, and each transition builds the
+next state directly: by `_replace`, or, on the hold-rail fan-out that
+runs on all 32 cells at each move, by the constructor with every field
+in order.  The element values live in a `CellParams` that every state of
+a cell shares by reference, so an event copies only the few state
+fields.  `apply_fg_run` applies a whole playback run in one step;
+`settle` and `apply_fg`, one edge at a time, are its test oracle.  Its
+RC transient is `one_pole`, the first-order recurrence the tank readout
+in `device` filters with too.  Likewise `sample_output` reads many
+states (as their `output_fields`) at many times in one array step, and
+`output_voltage`, one state at one time, is its oracle.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +106,7 @@ class CellParams:
             raise ValueError("leak_rate must be non-negative")
 
 
-@dataclass(frozen=True)
-class ClfgCell:
+class ClfgCell(NamedTuple):
     """Evolving analog state of one cell, with its element values by reference.
 
     `v_base` is the asymptotic floating voltage (lock value plus injection
@@ -111,7 +114,8 @@ class ClfgCell:
     pulse contribution of the current fast-gate level relative to `fg_ref`,
     the level the charge was referenced to when the lock last opened.
     `v_start` is the instantaneous output at `t_last`, from which any
-    pending RC transient relaxes toward `v_target`.
+    pending RC transient relaxes toward `v_target`.  `couple_hold` and
+    `set_hold` build a state positionally, so they rely on this field order.
     """
 
     params: CellParams = CellParams()
@@ -156,8 +160,7 @@ def lock(cell: ClfgCell, v_hold: float) -> ClfgCell:
     Idempotent; any pending transient is discarded because the rail now
     drives the node directly.
     """
-    return replace(
-        cell,
+    return cell._replace(
         lock_closed=True,
         v_hold_seen=v_hold,
         v_base=v_hold,
@@ -176,8 +179,7 @@ def unlock(cell: ClfgCell) -> ClfgCell:
     if not cell.lock_closed:
         raise AlreadyUnlocked("lock switch is already open")
     v = cell.v_hold_seen + injection_offset(cell.params)
-    return replace(
-        cell,
+    return cell._replace(
         lock_closed=False,
         fg_ref=cell.fg_level,
         v_base=v,
@@ -192,25 +194,24 @@ def couple_hold(cell: ClfgCell, dv_hold: float) -> ClfgCell:
     Exactly linear, so a closed loop in the hold voltage returns the
     output to its starting value (to machine precision).
     """
-    if cell.lock_closed:
+    params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last = cell
+    if locked:
         raise LockClosed("output tracks the hold rail directly while locked")
-    dv = coupling_ratio(cell.params) * dv_hold
-    return replace(
-        cell,
-        v_hold_seen=cell.v_hold_seen + dv_hold,
-        v_base=cell.v_base + dv,
-        v_start=cell.v_start + dv,
-        v_target=cell.v_target + dv,
+    dv = coupling_ratio(params) * dv_hold
+    return ClfgCell(
+        params, locked, fg_level, fg_ref,
+        v_hold_seen + dv_hold, v_base + dv, v_start + dv, v_target + dv, t_last,
     )
 
 
 def set_hold(cell: ClfgCell, v_hold: float) -> ClfgCell:
     """Move the hold rail: locked cells track it, floating cells couple."""
-    if cell.lock_closed:
-        return replace(
-            cell, v_hold_seen=v_hold, v_base=v_hold, v_start=v_hold, v_target=v_hold
+    params, locked, fg_level, fg_ref, v_hold_seen, _, _, _, t_last = cell
+    if locked:
+        return ClfgCell(
+            params, locked, fg_level, fg_ref, v_hold, v_hold, v_hold, v_hold, t_last
         )
-    return couple_hold(cell, v_hold - cell.v_hold_seen)
+    return couple_hold(cell, v_hold - v_hold_seen)
 
 
 def settle(cell: ClfgCell, t: float) -> ClfgCell:
@@ -221,12 +222,11 @@ def settle(cell: ClfgCell, t: float) -> ClfgCell:
     if dt < 0:
         raise ValueError(f"time {t} precedes last event at {cell.t_last}")
     if cell.lock_closed or dt == 0.0:
-        return replace(cell, t_last=t)
+        return cell._replace(t_last=t)
     rc = math.exp(-dt / time_constant(cell.params))
     decay = math.exp(-cell.params.leak_rate * dt)
     v_inst = cell.v_target + (cell.v_start - cell.v_target) * rc
-    return replace(
-        cell,
+    return cell._replace(
         v_base=cell.v_base * decay,
         v_target=cell.v_target * decay,
         v_start=v_inst * decay,
@@ -245,12 +245,12 @@ def apply_fg(cell: ClfgCell, level: Level, t: float, rails: SupplyRails) -> Clfg
     stays pinned.
     """
     if cell.lock_closed:
-        return replace(cell, fg_level=level)
+        return cell._replace(fg_level=level)
     cell = settle(cell, t)
     if level == cell.fg_level:
         return cell
     pulse = pulse_amplitude(cell.params, rails) * (int(level) - int(cell.fg_ref))
-    return replace(cell, fg_level=level, v_target=cell.v_base + pulse)
+    return cell._replace(fg_level=level, v_target=cell.v_base + pulse)
 
 
 def apply_fg_run(
@@ -277,7 +277,7 @@ def apply_fg_run(
     A locked cell only records the last level.
     """
     if cell.lock_closed:
-        return replace(cell, fg_level=Level(int(levels[-1])), t_last=float(times[-1]))
+        return cell._replace(fg_level=Level(int(levels[-1])), t_last=float(times[-1]))
     cell = apply_fg(cell, Level(int(levels[0])), float(times[0]), rails)
     if len(times) == 1:
         return cell
@@ -296,8 +296,7 @@ def apply_fg_run(
     target = anchors[last] * d ** (k - last)
     previous = np.concatenate(([cell.v_target], target[:-1]))
     start = one_pole((1.0 - a) * d, a * d, previous, a * d * cell.v_start)
-    return replace(
-        cell,
+    return cell._replace(
         fg_level=Level(int(levels[-1])),
         v_base=float(base[-1]),
         v_target=float(target[-1]),

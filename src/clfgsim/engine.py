@@ -38,6 +38,11 @@ N_CELLS = fsm.N_CELLS
 # The most samples a run may take (`sample_count`), checked at load: a
 # grid of 2**24 times is 128 MiB of float64, before any trace is made.
 MAX_SAMPLES = 2**24
+# The most fast-gate events (ticks x pulsed cells, one `events` row each)
+# a run may play back, checked in `_expand_schedule` before any tick is
+# made: an event holds 250-330 bytes at the peak of a run and its export,
+# so the budget is about 0.7 GB.
+MAX_FG_EVENTS = 2**21
 
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
 # lock action with the cell as payload; DAC, host DAC moves; FG, a playback
@@ -268,10 +273,11 @@ def _parse_schedule_item(raw, index: int) -> ScheduleItem:
             )
         elif keys == {"read"}:
             frame = protocol.Frame(protocol.Opcode.READ, _parse_register(raw["read"]))
-        elif keys == {"exec"}:
-            frame = protocol.Frame(protocol.Opcode.EXEC)
-        elif keys == {"nop"}:
-            frame = protocol.Frame(protocol.Opcode.NOP)
+        elif keys in ({"exec"}, {"nop"}):
+            (key,) = keys
+            if raw[key] is not True:
+                raise ScenarioError(f"{where}: {key!r} takes only true, got {raw[key]!r}")
+            frame = protocol.Frame(protocol.Opcode[key.upper()])
         elif keys == {"word"}:
             try:
                 frame = protocol.decode_frame(_parse_int(raw["word"]))
@@ -636,7 +642,9 @@ def _expand_schedule(scenario: Scenario):
     WRITE and EXEC split playback: before each (and at the end) the ticks
     or REFRESH slots since the last one go on the timeline, the ticks as
     one columnar `fsm.TickRun`, so no lock action falls inside a run
-    (`run_generic` cuts runs where they are read, `_cut_runs`).  `closed`
+    (`run_generic` cuts runs where they are read, `_cut_runs`).  Each run
+    is counted (`fsm.tick_count` x pulsed cells) before it is made, and a
+    run past `MAX_FG_EVENTS` in all is a ScenarioError.  `closed`
     holds the cells the mode keeps closed, every masked cell under
     LOCKING and the slot's cell under REFRESH; leaving a mode opens them.
     REFRESH re-locks the masked cells one at a time, ascending, round
@@ -662,7 +670,7 @@ def _expand_schedule(scenario: Scenario):
     holds = {c: (("v_hold", v - offset),) for c, v in scenario.cell_targets.items()}
     closed: list[int] = []
     anchor, cells, period, j = 0.0, [], 0, 0  # set on entering REFRESH
-    cursor = 0.0
+    cursor, fg_events = 0.0, 0
     end = ScheduleItem(scenario.duration_s)
     for index, item in enumerate([*scenario.schedule, end]):
         t, frame = item.time_s, item.frame
@@ -671,6 +679,16 @@ def _expand_schedule(scenario: Scenario):
             continue
         if item is end or frame.opcode in (protocol.Opcode.WRITE, protocol.Opcode.EXEC):
             if chip.mode == fsm.Mode.PULSING and t > cursor:
+                where = "duration_s" if item is end else f"schedule[{index}]"
+                with _section(where):  # a tick count past float range
+                    ticks = fsm.tick_count(chip, t - cursor)
+                fg_events += ticks * len(fsm.mask_cells(chip.regs.pulse_mask))
+                if fg_events > MAX_FG_EVENTS:
+                    raise ScenarioError(
+                        f"{where}: playback up to t={t!r} s brings the run to {fg_events}"
+                        f" fast-gate events (ticks x pulsed cells), past the budget of"
+                        f" {MAX_FG_EVENTS}"
+                    )
                 chip, run = fsm.playback(chip, t - cursor, cursor)
                 if len(run):
                     timeline.append((float(run.times[0]), _PRIO["FG"], "FG", run))

@@ -167,6 +167,11 @@ def tick_time(state: ChipState, k: int, start_s: float = 0.0) -> float:
     return start_s + (k << state.regs.divider) / state.master_freq_hz
 
 
+def tick_count(state: ChipState, duration_s: float) -> int:
+    """Divided ticks in `duration_s` of playback from `state`: floor(duration * f_div)."""
+    return math.floor(duration_s * divided_frequency(state))
+
+
 def playback(
     state: ChipState, duration_s: float, start_s: float = 0.0
 ) -> tuple[ChipState, TickRun]:
@@ -184,8 +189,7 @@ def playback(
         raise NotInPlayback(f"mode is {state.mode.name}")
     if duration_s < 0:
         raise ValueError("duration_s must be non-negative")
-    f_div = divided_frequency(state)
-    n_ticks = math.floor(duration_s * f_div)
+    n_ticks = tick_count(state, duration_s)
     plen = state.regs.pattern_len
     cells = tuple(mask_cells(state.regs.pulse_mask))
     k = np.arange(n_ticks if cells else 0, dtype=np.int64)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from clfgsim.analog import (
     apply_fg,
     apply_fg_run,
     couple_hold,
+    coupling_ratio,
     injection_offset,
     lock,
     one_pole,
@@ -435,6 +437,115 @@ class TestSampleOutput:
         cell = ClfgCell()
         with pytest.raises(ValueError, match="one cell state per sample time"):
             sample_output(cell.params, [output_fields(cell)], [0.0, 1.0])
+
+
+# Any state at all, every field drawn on its own, so that two fields a
+# transition copies (or swaps by mistake) hold different values.
+any_cell_states = st.builds(
+    ClfgCell,
+    params=cell_params,
+    lock_closed=st.booleans(),
+    fg_level=st.sampled_from(Level),
+    fg_ref=st.sampled_from(Level),
+    v_hold_seen=finite_volts,
+    v_base=finite_volts,
+    v_start=finite_volts,
+    v_target=finite_volts,
+    t_last=st.floats(0.0, 1e-3),
+)
+
+
+def assert_same_state(got: ClfgCell, want: ClfgCell, cell: ClfgCell) -> None:
+    """`got` is `want` field by field (floats bit for bit, by `repr`), and
+    shares the `params` object of `cell`, the state it was built from."""
+    assert type(got) is ClfgCell
+    assert got.params is cell.params
+    for name in ClfgCell._fields:
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
+class TestStateTransitions:
+    """Each transition against the keyword `_replace` that states it, so a
+    state built positionally with its fields out of order fails."""
+
+    @given(cell=any_cell_states, dv=finite_volts)
+    @settings(max_examples=200, deadline=None)
+    def test_couple_hold(self, cell, dv):
+        if cell.lock_closed:
+            with pytest.raises(LockClosed):
+                couple_hold(cell, dv)
+            return
+        step = coupling_ratio(cell.params) * dv
+        want = cell._replace(
+            v_hold_seen=cell.v_hold_seen + dv,
+            v_base=cell.v_base + step,
+            v_start=cell.v_start + step,
+            v_target=cell.v_target + step,
+        )
+        assert_same_state(couple_hold(cell, dv), want, cell)
+
+    @given(cell=any_cell_states, v=finite_volts)
+    @settings(max_examples=200, deadline=None)
+    def test_set_hold(self, cell, v):
+        if cell.lock_closed:
+            want = cell._replace(v_hold_seen=v, v_base=v, v_start=v, v_target=v)
+        else:
+            dv = v - cell.v_hold_seen
+            step = coupling_ratio(cell.params) * dv
+            want = cell._replace(
+                v_hold_seen=cell.v_hold_seen + dv,
+                v_base=cell.v_base + step,
+                v_start=cell.v_start + step,
+                v_target=cell.v_target + step,
+            )
+        assert_same_state(set_hold(cell, v), want, cell)
+
+    @given(cell=any_cell_states, dt=st.floats(0.0, 1e-3) | st.just(0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_settle(self, cell, dt):
+        t = cell.t_last + dt
+        if cell.lock_closed or t == cell.t_last:
+            want = cell._replace(t_last=t)
+        else:
+            rc = math.exp(-(t - cell.t_last) / time_constant(cell.params))
+            decay = math.exp(-cell.params.leak_rate * (t - cell.t_last))
+            v_inst = cell.v_target + (cell.v_start - cell.v_target) * rc
+            want = cell._replace(
+                v_base=cell.v_base * decay,
+                v_target=cell.v_target * decay,
+                v_start=v_inst * decay,
+                t_last=t,
+            )
+        assert_same_state(settle(cell, t), want, cell)
+
+    @given(cell=any_cell_states, v=finite_volts)
+    @settings(max_examples=200, deadline=None)
+    def test_lock(self, cell, v):
+        want = cell._replace(lock_closed=True, v_hold_seen=v, v_base=v, v_start=v, v_target=v)
+        assert_same_state(lock(cell, v), want, cell)
+
+    @given(cell=any_cell_states)
+    @settings(max_examples=200, deadline=None)
+    def test_unlock(self, cell):
+        if not cell.lock_closed:
+            with pytest.raises(AlreadyUnlocked):
+                unlock(cell)
+            return
+        v = cell.v_hold_seen + injection_offset(cell.params)
+        want = cell._replace(
+            lock_closed=False, fg_ref=cell.fg_level, v_base=v, v_start=v, v_target=v
+        )
+        assert_same_state(unlock(cell), want, cell)
+
+    @given(cell=any_cell_states)
+    @settings(max_examples=50, deadline=None)
+    def test_state_survives_pickle(self, cell):
+        # Plain data, like the points and results `engine.sweep` sends to
+        # worker processes with jobs > 1: a module-level NamedTuple pickles.
+        for protocol_ in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(cell, protocol=protocol_))
+            assert type(back) is ClfgCell
+            assert back == cell and hash(back) == hash(cell)
 
 
 # Inputs of the one-pole filter: ordinary values, and the zeros and

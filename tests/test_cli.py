@@ -280,6 +280,20 @@ class TestValidate:
             assert err.startswith("error: figure_params: " + key)
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["exec", "nop"])
+    @pytest.mark.parametrize("value", [False, "no", "true", 1, 0, None, []])
+    def test_frame_flag_other_than_true_exits_1(self, key, value, tmp_path, capsys):
+        # `{"exec": false}` used to run as an EXEC and close cell 0's lock.
+        doc = _mini()
+        doc["schedule"][2] = {"t": 0.0, key: value}
+        path = tmp_path / "bad.scn"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: schedule[2]: {key!r} takes only true")
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("doc", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())
     def test_wrong_type_exits_1(self, doc, tmp_path, capsys):
         path = tmp_path / "bad.scn"

@@ -640,6 +640,66 @@ class TestExport:
         assert engine._format_column(values) == [engine._format_cell(v) for v in values]
 
 
+def _pulsing(duration_s: float) -> engine.Scenario:
+    """Cells 0 and 1 pulsed at DIVIDER 0 of a 1 kHz clock, from t = 0, with
+    a write at 0.5 s that splits playback in two: 2,000 events per second."""
+    return make_scenario(
+        duration_s=duration_s,
+        chip={"master_freq_hz": 1e3},
+        schedule=[
+            {"t": 0.0, "write": ["CTRL", 7]},
+            {"t": 0.0, "write": ["DIVIDER", 0]},
+            {"t": 0.0, "write": ["PULSE_MASK_LO", 3]},
+            {"t": 0.0, "write": ["PATTERN0", 0xAAAA]},
+            {"t": 0.0, "exec": True},
+            {"t": 0.5, "write": ["PATTERN0", 0xCCCC]},
+        ],
+        traces={"sample_rate_hz": 10.0, "kinds": ["cells"], "cells": [0]},
+    )
+
+
+class TestFgEventBudget:
+    """Ticks x pulsed cells over a run are counted against
+    `engine.MAX_FG_EVENTS` before any tick run is made."""
+
+    def test_run_at_the_budget_plays_back(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_FG_EVENTS", 2000)
+        bundle = engine.run_generic(_pulsing(1.0))
+        assert bundle.tables["events"].columns[2].count("FG") == 2000
+
+    def test_run_past_the_budget_is_refused_before_its_ticks(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_FG_EVENTS", 1999)
+        made = []
+        real = fsm.playback
+        monkeypatch.setattr(
+            fsm, "playback", lambda state, d, s=0.0: made.append(d) or real(state, d, s)
+        )
+        budget = "duration_s: playback up to t=1.0 s brings the run to 2000 fast-gate events"
+        with pytest.raises(ScenarioError, match=budget + r".* past the budget of 1999"):
+            engine.run_generic(_pulsing(1.0))
+        assert made == [0.5]  # the first half only: the second is never made
+
+    def test_run_command_exits_1_quoting_count_and_budget(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(engine, "MAX_FG_EVENTS", 999)
+        scenario = _pulsing(1.0)
+        path = tmp_path / "long.scn"
+        path.write_text(json.dumps(scenario.raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: schedule[5]: playback up to t=0.5 s")
+        assert "1000 fast-gate events" in err and "past the budget of 999" in err
+        assert "Traceback" not in err
+
+    def test_tick_count_past_float_range_is_refused(self):
+        doc = json.loads(json.dumps(_pulsing(1.0).raw))
+        # 10 s at 1e308 Hz is past float range, yet within the sample budget.
+        doc.update(duration_s=1e10, traces={"sample_rate_hz": 1e-3})
+        doc["chip"]["master_freq_hz"] = 1e308
+        doc["schedule"][5]["t"] = 10.0
+        with pytest.raises(ScenarioError, match=r"^schedule\[5\]: "):
+            engine.run_generic(build_scenario(doc))
+
+
 class TestSampleCount:
     """`figures._samples_from`, the closed-form count that `check_sections`
     uses, against the sample grid it stands for."""
