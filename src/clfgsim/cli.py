@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--axis", help="dotted config path (default: scenario sweep block)")
     p.add_argument("--values", help="comma-separated values (default: sweep block)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p = sub.add_parser("replay", help="feed a raw hex command stream to the chip")
     p.add_argument("stream", help="file of 8-hex-digit words, one per line")
@@ -111,7 +110,7 @@ def _cmd_sweep(args) -> int:
         axis, values = scenario.sweep.axis, scenario.sweep.values
     else:
         raise engine.ScenarioError("scenario has no sweep block and no --axis given")
-    bundles = engine.sweep(scenario, axis, values, jobs=args.jobs)
+    bundles = engine.sweep(scenario, axis, values)
     # One column per cell any run traced (a sweep may move them), in
     # first-seen order; a run that did not trace a cell leaves it empty.
     finals = [bundle.summary["v_out_final"] for bundle in bundles]
@@ -172,7 +171,8 @@ def _cmd_budget(args) -> int:
         with engine._section(flag):
             _at_least(0, engine._number)(value)
     result = thermal.feasible(
-        args.cells, args.freq, args.swing, scenario.power, scenario.budget
+        args.cells, args.freq, args.swing, scenario.analog, scenario.power,
+        scenario.budget,
     )
     if not math.isfinite(result.total_watts):
         raise engine.ScenarioError(

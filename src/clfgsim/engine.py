@@ -15,11 +15,9 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import re
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
@@ -38,11 +36,11 @@ N_CELLS = fsm.N_CELLS
 # The most samples a run may take (`sample_count`), checked at load: a
 # grid of 2**24 times is 128 MiB of float64, before any trace is made.
 MAX_SAMPLES = 2**24
-# The most fast-gate events (ticks x pulsed cells, one `events` row each)
-# a run may play back, checked in `_expand_schedule` before any tick is
-# made: an event holds 250-330 bytes at the peak of a run and its export,
-# so the budget is about 0.7 GB.
-MAX_FG_EVENTS = 2**21
+# The most rows a run's `events` table may hold: fast-gate events (ticks x
+# pulsed cells) and lock actions, counted in `_expand_schedule` before the
+# ticks or REFRESH slots are made.  A row holds 250-330 bytes at the peak
+# of a run and its export, so the budget is about 0.7 GB.
+MAX_EVENTS = 2**21
 
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
 # lock action with the cell as payload; DAC, host DAC moves; FG, a playback
@@ -52,6 +50,9 @@ MAX_FG_EVENTS = 2**21
 # host DAC moves, then lock closures, then fast-gate edges, then the new
 # mode; samples observe the post-event state at their own timestamp.
 _PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3, "MODE": 4}
+# The opcodes whose frames `protocol.check_access` checks at load, each with
+# whether its data is a register value; a dict, as `Opcode.WRITE` is slow.
+_ACCESS = {protocol.Opcode.WRITE: True, protocol.Opcode.READ: False}
 
 
 class ScenarioError(SimulationError):
@@ -288,6 +289,11 @@ def _parse_schedule_item(raw, index: int) -> ScheduleItem:
             return ScheduleItem(t, dac=tuple(sorted((str(k), _number(v)) for k, v in moves)))
         else:
             raise ScenarioError(f"{where}: expected one of write/read/exec/nop/word/dac")
+    try:  # a frame the chip refuses whatever its state
+        if (write := _ACCESS.get(frame.opcode)) is not None:
+            protocol.check_access(frame.address, frame.data if write else None)
+    except SimulationError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
     return ScheduleItem(time_s=t, frame=frame)
 
 
@@ -343,10 +349,6 @@ def build_scenario(raw: Mapping) -> Scenario:
         praw = dict(_object(raw["power"], "power"))
         cal_raw = praw.pop("calibration", None)
         bud_raw = praw.pop("budget", None)
-        # The pulsing capacitances default to the analog section's.
-        for key in ("c_pulse", "c_p"):
-            if praw.get(key) is None:
-                praw[key] = getattr(cell, key)
         power = _build_section(thermal.PowerModel, praw, "power")
         if cal_raw is not None:
             cal_raw = dict(_object(cal_raw, "power.calibration"))
@@ -642,11 +644,13 @@ def _expand_schedule(scenario: Scenario):
     WRITE and EXEC split playback: before each (and at the end) the ticks
     or REFRESH slots since the last one go on the timeline, the ticks as
     one columnar `fsm.TickRun`, so no lock action falls inside a run
-    (`run_generic` cuts runs where they are read, `_cut_runs`).  Each run
-    is counted (`fsm.tick_count` x pulsed cells) before it is made, and a
-    run past `MAX_FG_EVENTS` in all is a ScenarioError.  `closed`
-    holds the cells the mode keeps closed, every masked cell under
-    LOCKING and the slot's cell under REFRESH; leaving a mode opens them.
+    (`run_generic` cuts runs where they are read, `_cut_runs`).  The rows
+    of the `events` table are counted before they are made: each run's
+    ticks x pulsed cells (`fsm.tick_count`), each stretch of REFRESH slots
+    (`_first_slot_at`) and each mode change's lock actions; a run past
+    `MAX_EVENTS` rows is a ScenarioError.  `closed` holds the cells the
+    mode keeps closed, every masked cell under LOCKING and the slot's cell
+    under REFRESH; leaving a mode opens them.
     REFRESH re-locks the masked cells one at a time, ascending, round
     robin: slot j starts j * REFRESH_PERIOD / n after the EXEC that
     started it (from the integer period, so slot n lands exactly on the
@@ -670,38 +674,39 @@ def _expand_schedule(scenario: Scenario):
     holds = {c: (("v_hold", v - offset),) for c, v in scenario.cell_targets.items()}
     closed: list[int] = []
     anchor, cells, period, j = 0.0, [], 0, 0  # set on entering REFRESH
-    cursor, fg_events = 0.0, 0
+    cursor, events = 0.0, 0  # `events` counts the rows of the events table
     end = ScheduleItem(scenario.duration_s)
     for index, item in enumerate([*scenario.schedule, end]):
         t, frame = item.time_s, item.frame
         if item is not end and frame is None:
             timeline.append((t, _PRIO["DAC"], "DAC", item.dac))
             continue
+        where = "duration_s" if item is end else f"schedule[{index}]"
         if item is end or frame.opcode in (protocol.Opcode.WRITE, protocol.Opcode.EXEC):
             if chip.mode == fsm.Mode.PULSING and t > cursor:
-                where = "duration_s" if item is end else f"schedule[{index}]"
                 with _section(where):  # a tick count past float range
                     ticks = fsm.tick_count(chip, t - cursor)
-                fg_events += ticks * len(fsm.mask_cells(chip.regs.pulse_mask))
-                if fg_events > MAX_FG_EVENTS:
-                    raise ScenarioError(
-                        f"{where}: playback up to t={t!r} s brings the run to {fg_events}"
-                        f" fast-gate events (ticks x pulsed cells), past the budget of"
-                        f" {MAX_FG_EVENTS}"
-                    )
+                events += ticks * len(fsm.mask_cells(chip.regs.pulse_mask))
+                _check_budget(events, where, "playback", t)
                 chip, run = fsm.playback(chip, t - cursor, cursor)
                 if len(run):
                     timeline.append((float(run.times[0]), _PRIO["FG"], "FG", run))
             elif chip.mode == fsm.Mode.REFRESH:
-                while (slot := anchor + j * period / len(cells)) < t:
+                with _section(where):  # a slot index past float or index range
+                    stop = _first_slot_at(t, anchor, period, len(cells), j)
+                # Each slot closes a cell; each but slot 0 opens the one before.
+                events += stop - j + max(0, stop - max(j, 1))
+                _check_budget(events, where, "refresh", t)
+                for k in range(j, stop):
+                    slot = anchor + k * period / len(cells)
                     for cell in closed:
                         timeline.append((slot, _PRIO["OPEN"], "OPEN", cell))
-                    cell = cells[j % len(cells)]
+                    cell = cells[k % len(cells)]
                     closed = [cell]
                     if cell in holds:
                         timeline.append((slot, _PRIO["DAC"], "DAC", holds[cell]))
                     timeline.append((slot, _PRIO["CLOSE"], "CLOSE", cell))
-                    j += 1
+                j = stop
             cursor = t
         new_chip = chip
         if item is not end:
@@ -714,19 +719,39 @@ def _expand_schedule(scenario: Scenario):
         if new_chip.mode != chip.mode or new_chip.regs != chip.regs:
             modes[t] = (new_chip.mode, new_chip.regs)
         if new_chip.mode != chip.mode:
+            locked = (fsm.mask_cells(new_chip.regs.lock_mask)
+                      if new_chip.mode == fsm.Mode.LOCKING else [])
+            events += len(closed) + len(locked)
+            _check_budget(events, where, "the schedule", t)
             for cell in closed:
                 timeline.append((t, _PRIO["OPEN"], "OPEN", cell))
-            closed = []
-            if new_chip.mode == fsm.Mode.LOCKING:
-                closed = fsm.mask_cells(new_chip.regs.lock_mask)
-                for cell in closed:
-                    timeline.append((t, _PRIO["CLOSE"], "CLOSE", cell))
-            elif new_chip.mode == fsm.Mode.REFRESH:
+            closed = locked
+            for cell in closed:
+                timeline.append((t, _PRIO["CLOSE"], "CLOSE", cell))
+            if new_chip.mode == fsm.Mode.REFRESH:
                 anchor, period, j = t, new_chip.regs.refresh_period, 0
                 cells = fsm.mask_cells(new_chip.regs.lock_mask)
         chip = new_chip
     timeline += [(t, _PRIO["MODE"], "MODE", state) for t, state in modes.items()]
     return sorted(timeline, key=itemgetter(0, 1)), responses
+
+
+def _check_budget(events: int, where: str, what: str, t: float) -> None:
+    """Refuse a run whose `events` table would hold more than `MAX_EVENTS` rows."""
+    if events > MAX_EVENTS:
+        raise ScenarioError(
+            f"{where}: {what} up to t={t!r} s brings the run to {events} fast-gate events"
+            f" and lock actions (rows of the events table), past the budget of {MAX_EVENTS}"
+        )
+
+
+def _first_slot_at(t: float, anchor: float, period: int, n: int, j: int) -> int:
+    """The first REFRESH slot k >= j whose time `anchor + k * period / n` is
+    not before `t`: the times rise with k, so double k past `t`, then bisect."""
+    hi = j + 1
+    while anchor + hi * period / n < t:
+        hi *= 2
+    return bisect_left(range(hi), t, j, hi, key=lambda k: anchor + k * period / n)
 
 
 def _segment_power(scenario: Scenario, state: tuple[fsm.Mode, protocol.RegisterFile]) -> float:
@@ -738,6 +763,7 @@ def _segment_power(scenario: Scenario, state: tuple[fsm.Mode, protocol.RegisterF
         len(fsm.mask_cells(regs.pulse_mask)) if pulsing else 0,
         f_master / (1 << regs.divider),
         scenario.rails.swing,
+        scenario.analog,
         scenario.power,
         f_clock=f_master,
         clock_on=regs.clock_enabled,
@@ -957,20 +983,12 @@ def run_scenario(scenario: Scenario) -> TraceBundle:
 # sweeps
 
 
-def sweep(scenario: Scenario, axis: str, values: Iterable, jobs: int = 1) -> list[TraceBundle]:
-    """Independent generic runs with `axis` set to each value, in order.
-
-    Results depend only on (scenario, axis, value), so parallel execution
-    returns exactly the sequential result.
-    """
+def sweep(scenario: Scenario, axis: str, values: Iterable) -> list[TraceBundle]:
+    """Independent generic runs with `axis` set to each value, in order."""
     # The base scenario already validated, so a build failure here is the
     # axis (or one of its values) breaking the document.
     try:
         points = [build_scenario(set_axis(scenario.raw, axis, v)) for v in values]
     except ScenarioError as exc:
         raise UnknownAxis(f"axis {axis!r}: {exc}") from exc
-    # A fork pool starts all its workers at once, so ask for no more than can run.
-    if (workers := min(jobs, len(points), os.cpu_count() or 1)) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_generic, points))
     return [run_generic(point) for point in points]

@@ -110,12 +110,11 @@ def fig3g(scenario: Scenario) -> TraceBundle:
 def fig4b(scenario: Scenario) -> TraceBundle:
     """Per-cell pulsing cost for 1..6 simultaneously pulsed cells."""
     params = scenario.figure_params
-    model = scenario.power
     swing = params["swing"]
     rows = []
     for n in params["n_cells"]:
         for f in params["f_values"]:
-            watts = n * thermal.pulse_power(model.c_pulse, model.c_p, swing, f)
+            watts = n * thermal.pulse_power(scenario.analog, swing, f)
             rows.append((n, f, watts, watts / n / f * 1e15 if f else 0.0))
     table = Table.from_rows(("n_cells", "f_hz", "cells_watts", "nw_per_mhz_per_cell"), rows)
     return TraceBundle({"fig4b": table}, {"n_points": len(rows)})
@@ -124,11 +123,10 @@ def fig4b(scenario: Scenario) -> TraceBundle:
 def fig4d(scenario: Scenario) -> TraceBundle:
     """Quadratic dependence of pulsing power on drive amplitude."""
     params = scenario.figure_params
-    model = scenario.power
     rows = []
     for swing in params["swing_values"]:
         for f in params["f_values"]:
-            rows.append((swing, f, thermal.pulse_power(model.c_pulse, model.c_p, swing, f)))
+            rows.append((swing, f, thermal.pulse_power(scenario.analog, swing, f)))
     table = Table.from_rows(("swing_volts", "f_hz", "pulse_watts"), rows)
     return TraceBundle({"fig4d": table}, {"n_points": len(rows)})
 
@@ -136,10 +134,10 @@ def fig4d(scenario: Scenario) -> TraceBundle:
 def fig4e(scenario: Scenario) -> TraceBundle:
     """Total-system power vs gate count and frequency, with feasibility."""
     params = scenario.figure_params
-    model = scenario.power
     budget = scenario.budget
     rows = thermal.feasibility_map(
-        params["n_values"], params["f_values"], params["swing"], model, budget
+        params["n_values"], params["f_values"], params["swing"], scenario.analog,
+        scenario.power, budget,
     )
     table = Table.from_rows(("n_cells", "f_hz", "total_watts", "feasible"), rows)
     return TraceBundle(
@@ -165,8 +163,6 @@ _NEEDS = {
     "fig3b": ("sweep",),
     "fig3c": ("sweep",),
     "fig3f": ("device",),
-    "fig4b": ("power",),
-    "fig4d": ("power",),
     "fig4e": ("power", "budget"),
 }
 # Trace kinds each time-domain driver reads from its runs.

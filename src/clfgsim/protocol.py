@@ -4,8 +4,9 @@ Command words are 32 bits, most significant bit first: an 8-bit opcode,
 an 8-bit register address and 16 bits of immediate data.  The register
 map is a behavioural reconstruction of a minimal host interface for this
 kind of control chip (see README.md); real silicon will differ.  It is
-written once, in the table `REGISTERS`, which `RegisterFile.read`,
-`apply_write` and `NAME_TO_ADDRESS` read.
+written once, in the table `REGISTERS`, which `check_access` (for
+`RegisterFile.read`, `apply_write` and a scenario's schedule at load) and
+`NAME_TO_ADDRESS` read.
 """
 from __future__ import annotations
 
@@ -168,28 +169,30 @@ class RegisterFile:
         return (self.pattern_int >> (PATTERN_BITS - 1 - cursor)) & 1
 
     def read(self, address: int) -> int:
-        if address not in REGISTERS:
-            raise UnknownAddress(address)
-        value = getattr(self, REGISTERS[address][0])
+        value = getattr(self, check_access(address))
         return value[address - PATTERN_BASE] if isinstance(value, tuple) else value
 
 
-def _check_range(register: str, value: int, lo: int, hi: int) -> None:
-    if not lo <= value <= hi:
-        raise ValueOutOfRange(register, value, lo, hi)
+def check_access(address: int, data: int | None = None) -> str:
+    """The `RegisterFile` field a READ (`data` None) or a WRITE of `data`
+    reaches at `address`, refusing an unknown address or a value outside
+    the register's range (every range lies within 16 bits).  It needs no
+    register file, so a schedule is checked with it at load."""
+    if address not in REGISTERS:
+        raise UnknownAddress(address)
+    field, lo, hi = REGISTERS[address]
+    if data is not None and not lo <= data <= hi:
+        raise ValueOutOfRange(field.upper(), data, lo, hi)
+    return field
 
 
 def apply_write(regs: RegisterFile, address: int, data: int) -> RegisterFile:
     """Write one register, returning the updated file.
 
-    Unknown addresses and out-of-range values are rejected before any state
-    changes; the input register file is never touched.
+    Unknown addresses and out-of-range values are rejected (`check_access`)
+    before any state changes; the input register file is never touched.
     """
-    _check_range("data", data, 0, 0xFFFF)
-    if address not in REGISTERS:
-        raise UnknownAddress(address)
-    field, lo, hi = REGISTERS[address]
-    _check_range(field.upper(), data, lo, hi)
+    field = check_access(address, data)
     if field == "pattern":
         i = address - PATTERN_BASE
         data = (*regs.pattern[:i], data, *regs.pattern[i + 1:])

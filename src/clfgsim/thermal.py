@@ -2,14 +2,15 @@
 
 Per-cell pulsing dissipation follows the switched-capacitor law
 
-    p_pulse = c_pulse * c_p / (c_p + c_pulse) * swing**2 * f
+    p_pulse = analog.series_capacitance(cell) * swing**2 * f
 
 (the full swing's worth of series-capacitance energy is burned in the
-switch resistance each cycle, independent of its value).  Block powers
-add linearly; power maps to temperature through a measured calibration
-curve rather than a physical conductance model, because interpolating
-measured points is exactly what the underlying measurement procedure
-provides.
+switch resistance each cycle, independent of its value).  The capacitors
+are the cell's own `analog.CellParams`, the one copy that runs, figures
+and `budget` read.  Block powers add linearly; power maps to temperature
+through a measured calibration curve rather than a physical conductance
+model, because interpolating measured points is exactly what the
+underlying measurement procedure provides.
 """
 from __future__ import annotations
 
@@ -17,34 +18,31 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .analog import CellParams, series_capacitance
+
 
 @dataclass(frozen=True)
 class PowerModel:
-    """Coefficients for the dissipation blocks.
+    """Coefficients for the dissipation blocks beside the pulsing cells.
 
-    The cell term is carried as the two capacitances so it scales exactly
-    quadratically with drive swing.  FSM and clock energies default to 0:
-    no trustworthy per-cycle numbers exist for those blocks, so non-zero
-    values must come from configuration.  When `master_freq_hz` is set the
+    The cell term comes from the cell's own `CellParams` (`pulse_power`),
+    so it scales exactly quadratically with drive swing.  FSM and clock
+    energies default to 0: no trustworthy per-cycle numbers exist for
+    those blocks, so non-zero values must come from configuration.  When `master_freq_hz` is set the
     clock block runs at that fixed rate; otherwise it follows the clock
     rate `total_power` is given (a run passes the chip's master clock),
     else the operating frequency.
     """
 
-    c_pulse: float = 1e-12
-    c_p: float = 1e-12
     fsm_energy_per_cycle: float = 0.0
     clock_energy_per_cycle: float = 0.0
     static_floor_w: float = 0.0
     master_freq_hz: float | None = None
 
     def __post_init__(self) -> None:
-        if self.c_pulse <= 0 or self.c_p <= 0:
-            raise ValueError("capacitances must be positive")
         if min(self.fsm_energy_per_cycle, self.clock_energy_per_cycle,
                self.static_floor_w) < 0:
             raise ValueError("power coefficients must be non-negative")
-
 
 
 @dataclass(frozen=True)
@@ -83,26 +81,25 @@ class FeasibilityResult:
     headroom_watts: float
 
 
-def pulse_power(c_pulse: float, c_p: float, swing: float, f: float) -> float:
+def pulse_power(cell: CellParams, swing: float, f: float) -> float:
     """Dissipation of one cell pulsing by `swing` at frequency `f` (exact closed form)."""
-    if c_pulse <= 0 or c_p <= 0:
-        raise ValueError("capacitances must be positive")
     if f < 0:
         raise ValueError("frequency must be non-negative")
-    return c_pulse * c_p / (c_p + c_pulse) * (swing * swing) * f
+    return series_capacitance(cell) * (swing * swing) * f
 
 
 def total_power(
     n_cells: float,
     f: float,
     swing: float,
+    cell: CellParams,
     model: PowerModel,
     *,
     f_clock: float | None = None,
     clock_on: bool = True,
     fsm_on: bool = True,
 ) -> float:
-    """System power: static floor + clock + FSM + n_cells pulsing cells.
+    """System power: static floor + clock + FSM + n_cells pulsing `cell`s.
 
     The cells and the FSM run at `f`.  The clock block runs at
     `model.master_freq_hz` when that is set, else at `f_clock` when given,
@@ -120,7 +117,7 @@ def total_power(
     total += model.clock_energy_per_cycle * (f if f_clock is None else f_clock)
     if fsm_on:
         total += model.fsm_energy_per_cycle * f
-    return total + n_cells * pulse_power(model.c_pulse, model.c_p, swing, f)
+    return total + n_cells * pulse_power(cell, swing, f)
 
 
 def temperature(p_watts: float, cal: ThermalCalibration) -> float:
@@ -144,10 +141,11 @@ def temperature(p_watts: float, cal: ThermalCalibration) -> float:
 
 
 def feasible(
-    n_cells: int, f: float, swing: float, model: PowerModel, budget: CoolingBudget
+    n_cells: int, f: float, swing: float, cell: CellParams, model: PowerModel,
+    budget: CoolingBudget,
 ) -> FeasibilityResult:
     """Does the projected load fit in the refrigerator's cooling power?"""
-    total = total_power(n_cells, f, swing, model)
+    total = total_power(n_cells, f, swing, cell, model)
     return FeasibilityResult(
         total_watts=total,
         budget_watts=budget.budget_watts_at_100mk,
@@ -160,6 +158,7 @@ def feasibility_map(
     n_values: Sequence[int],
     f_values: Sequence[float],
     swing: float,
+    cell: CellParams,
     model: PowerModel,
     budget: CoolingBudget,
 ) -> list[tuple[int, float, float, int]]:
@@ -167,6 +166,6 @@ def feasibility_map(
     rows = []
     for n in n_values:
         for f in f_values:
-            r = feasible(n, f, swing, model, budget)
+            r = feasible(n, f, swing, cell, model, budget)
             rows.append((int(n), float(f), r.total_watts, int(r.feasible)))
     return rows

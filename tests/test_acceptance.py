@@ -81,7 +81,7 @@ def test_02_pulse_power_matches_integrated_dissipation():
             current = c_p * np.gradient(v, dt)  # all switch current flows into c_p
             energy += np.trapezoid(current * current * r, dx=dt)
             t_edge = times[-1]
-        closed_form = thermal.pulse_power(c_pulse, c_p, swing, f)
+        closed_form = thermal.pulse_power(params, swing, f)
         worst = max(worst, abs(energy * f / closed_form - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst <= 5e-3 and elapsed < 10.0
@@ -92,7 +92,7 @@ def test_02_pulse_power_matches_integrated_dissipation():
 
 
 def test_03_default_cell_cost_brackets_measured_coefficient():
-    watts = thermal.pulse_power(1e-12, 1e-12, 0.2, 1e6)
+    watts = thermal.pulse_power(analog.CellParams(c_pulse=1e-12, c_p=1e-12), 0.2, 1e6)
     nw_per_mhz = watts / 1e6 * 1e15  # W at 1 MHz -> nW/MHz
     ok = 18.0 <= nw_per_mhz <= 22.0 and abs(nw_per_mhz - 18.0) / 18.0 <= 0.25
     report(3, "per-cell cost vs measured 18 nW/MHz", ok,
@@ -109,9 +109,8 @@ def test_04_quadratic_amplitude_law_exact():
         c2 = rng.uniform(0.1e-12, 10e-12)
         s = rng.uniform(1e-6, 5.0)
         f = rng.uniform(1.0, 1e8)
-        if thermal.pulse_power(c1, c2, 2 * s, f) != 4.0 * thermal.pulse_power(
-            c1, c2, s, f
-        ):
+        cell = analog.CellParams(c_pulse=c1, c_p=c2)
+        if thermal.pulse_power(cell, 2 * s, f) != 4.0 * thermal.pulse_power(cell, s, f):
             ok = False
             break
     report(4, "quadratic amplitude law (exact)", ok, "2000 random draws")
@@ -277,12 +276,10 @@ def test_07_round_robin_refresh_holds_cells_on_target():
 
 
 def test_08_temperature_calibration_reproduces_anchor():
-    model = thermal.PowerModel(
-        c_pulse=3.6e-12, c_p=3.6e-12,
-        fsm_energy_per_cycle=2e-14, clock_energy_per_cycle=1e-14,
-    )
+    cell = analog.CellParams(c_pulse=3.6e-12, c_p=3.6e-12)
+    model = thermal.PowerModel(fsm_energy_per_cycle=2e-14, clock_energy_per_cycle=1e-14)
     # Full-chip benchmark point: 6 cells pulsing 0.1 V at 5.1 MHz.
-    p_51 = thermal.total_power(6, 5.1e6, 0.1, model)
+    p_51 = thermal.total_power(6, 5.1e6, 0.1, cell, model)
     cal = thermal.ThermalCalibration(
         points=((p_51, 0.096), (5e-6, 0.15), (5e-5, 0.25)),
         base_temperature_k=0.036,
@@ -303,17 +300,15 @@ def test_09_feasibility_projection():
     # The measured 18 nW/MHz per cell at 0.1 V is a 1.8 pF series
     # capacitance, split as two equal capacitors.
     c_series = 18e-15 / 0.1**2
-    model = thermal.PowerModel(
-        c_pulse=2.0 * c_series, c_p=2.0 * c_series,
-        fsm_energy_per_cycle=2e-14, clock_energy_per_cycle=1e-14,
-    )
+    cell = analog.CellParams(c_pulse=2.0 * c_series, c_p=2.0 * c_series)
+    model = thermal.PowerModel(fsm_energy_per_cycle=2e-14, clock_energy_per_cycle=1e-14)
     budget = thermal.CoolingBudget(budget_watts_at_100mk=400e-6)
-    result = thermal.feasible(1000, 1e6, 0.1, model, budget)
+    result = thermal.feasible(1000, 1e6, 0.1, cell, model, budget)
     point_ok = result.feasible and result.headroom_watts >= 350e-6
 
     ns = [1, 10, 100, 1000, 5000, 50000]
     fs = [1e5, 5e5, 1e6, 5e6, 1e7]
-    grid = {(n, f): thermal.feasible(n, f, 0.1, model, budget).feasible
+    grid = {(n, f): thermal.feasible(n, f, 0.1, cell, model, budget).feasible
             for n in ns for f in fs}
     monotone = all(
         grid[(n2, f2)]

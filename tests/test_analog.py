@@ -540,8 +540,7 @@ class TestStateTransitions:
     @given(cell=any_cell_states)
     @settings(max_examples=50, deadline=None)
     def test_state_survives_pickle(self, cell):
-        # Plain data, like the points and results `engine.sweep` sends to
-        # worker processes with jobs > 1: a module-level NamedTuple pickles.
+        # Plain data: a module-level NamedTuple pickles.
         for protocol_ in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(cell, protocol=protocol_))
             assert type(back) is ClfgCell

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clfgsim import cli, figures, protocol
+from clfgsim import analog, cli, engine, figures, protocol, thermal
 
 
 MINIMAL = {
@@ -134,6 +134,9 @@ MALFORMED = {
     "q_inj_numeric_text": _mini(analog={"q_inj": "1"}),
     "v_offset_text": _mini(device=dict(_DOT, v_offset="x"), traces=_traced("conductance")),
     "power_master_freq_list": _mini(power={"master_freq_hz": [1]}, traces=_traced("power")),
+    # The pulsing capacitors are the `analog` section's; `power` has no copy of them.
+    "power_c_pulse_key": _mini(power={"c_pulse": 3.6e-12}, traces=_traced("power")),
+    "power_c_p_key": _mini(power={"c_p": 3.6e-12}, traces=_traced("power")),
     "figure_list": _mini(figure=["fig4b"]),
     # A sample grid past numpy's size limit, which fig3c works out at load.
     "fig3c_duration_past_grid": {
@@ -220,6 +223,23 @@ class TestValidate:
 
     def test_invalid_override(self, mini_scn, capsys):
         assert cli.main(["validate", str(mini_scn), "--override", "nope.x=1"]) == 1
+
+    # Frames the chip refuses on their own, whatever its state: no register
+    # at the address, or a value outside the register's range.
+    @pytest.mark.parametrize("item", [
+        {"write": ["DIVIDER", 16]},
+        {"write": [153, 1]},
+        {"word": 26804225},  # 0x01990001, a write to 0x99
+        {"write": ["PATTERN_LEN", 0]},
+        {"read": 153},
+    ], ids=["divider_16", "write_0x99", "word_0x99", "pattern_len_0", "read_0x99"])
+    def test_frame_the_chip_refuses_exits_1_at_load(self, item, tmp_path):
+        doc = _mini(schedule=[{"t": 0.0, "write": ["CTRL", 2]}, {"t": 0.0, **item}])
+        path = tmp_path / "bad.scn"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            code, _, err = _main(argv)
+            assert code == 1 and err.startswith("error: schedule[1]: "), err
 
     @pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_section_exits_1(self, doc, tmp_path, capsys):
@@ -465,6 +485,33 @@ class TestRun:
         manifest = json.loads((out / "manifest_mini.json").read_text())
         assert manifest["overrides"] == ["analog.c_pulse=2e-12"]
 
+    def test_power_trace_reads_the_analog_capacitors(self, tmp_path):
+        # One cell pulses at DIVIDER 8 from t = 0.5 s; the power trace
+        # charges it with the `analog` section's capacitors.
+        doc = _mini(
+            power={"static_floor_w": 1e-9},
+            schedule=[{"t": 0.0, "write": ["CTRL", 7]}, {"t": 0.0, "write": ["DIVIDER", 8]},
+                      {"t": 0.0, "write": ["PULSE_MASK_LO", 1]}, {"t": 0.5, "exec": True}],
+            duration_s=1.0,
+            traces=_traced("power"),
+        )
+        path, out = tmp_path / "pulse.scn", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        override = ["--override", "analog.c_pulse=2e-12"]
+        assert cli.main(["run", str(path), "--out", str(out), *override]) == 0
+        rows = (out / "power.csv").read_text().splitlines()[1:]
+        watts = dict(map(float, row.split(",")) for row in rows)
+        scenario = engine.load_scenario(path, override[1:])
+        f_master = scenario.chip.master_freq_hz
+
+        def pulsing(cell):
+            return thermal.total_power(1, f_master / 2**8, scenario.rails.swing, cell,
+                                       scenario.power, f_clock=f_master)
+
+        assert scenario.analog.c_pulse == 2e-12
+        assert watts[0.5] == pulsing(scenario.analog)
+        assert watts[0.5] != pulsing(analog.CellParams())
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         doc = dict(MINIMAL)
         doc["device"] = {
@@ -525,12 +572,19 @@ class TestSweepCommand:
         out = tmp_path / "out"
         code = cli.main([
             "sweep", str(mini_scn), "--axis", "rails.v_hold",
-            "--values=-1.2,-1.1,-1.0", "--jobs", "2", "--out", str(out),
+            "--values=-1.2,-1.1,-1.0", "--out", str(out),
         ])
         assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("value,v_out_final_cell0")
         assert len(lines) == 4
+
+    def test_jobs_flag_is_refused(self, mini_scn, tmp_path):
+        # A sweep runs its points in order in one process; there is no pool to size.
+        argv = ["sweep", str(mini_scn), "--axis", "rails.v_hold", "--values=-1.2,-1.1",
+                "--jobs", "2", "--out", str(tmp_path)]
+        code, _, err = _main(argv)
+        assert code == 2 and "--jobs" in err
 
     def test_values_parsed_like_the_axis(self, mini_scn, tmp_path):
         out = tmp_path / "out"
@@ -602,9 +656,12 @@ class TestReplay:
         stream.write_text("zzz")
         assert cli.main(["replay", str(stream)]) == 1
 
-    # An unknown opcode, and an EXEC while fsm-enable is clear: exit 1, as
+    # An unknown opcode, an EXEC while fsm-enable is clear, a write and a
+    # read with no register at 0x99, and writes out of range: exit 1, as
     # under `run`.
-    @pytest.mark.parametrize("word", ["FF000000", "03000000"])
+    @pytest.mark.parametrize(
+        "word", ["FF000000", "03000000", "01990001", "02990000", "01010010", "01200000"]
+    )
     def test_replay_bad_frame_exits_1(self, word, tmp_path, capsys):
         stream = tmp_path / "bad.txt"
         stream.write_text(word + "\n")

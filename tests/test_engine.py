@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -301,7 +302,7 @@ class TestGenericRun:
 
         f_div = 35.84e6 / 2**8
         idle = 1e-9 + 1e-14 * 35.84e6 + 2e-14 * f_div
-        pulsing = idle + 6 * thermal.pulse_power(1e-12, 1e-12, 0.05, f_div)
+        pulsing = idle + 6 * thermal.pulse_power(analog.CellParams(), 0.05, f_div)
         assert power[0.0] == pytest.approx(idle, rel=1e-12)
         assert power[0.5] == pytest.approx(pulsing, rel=1e-12)
         temps = dict(bundle.tables["temperature"].rows)
@@ -568,41 +569,6 @@ class TestSweep:
         assert swept.tables["cells"].rows == direct.tables["cells"].rows
         assert swept.summary == direct.summary
 
-    def test_parallel_matches_sequential(self):
-        scenario = self._scenario()
-        values = [-1.3, -1.2, -1.1, -1.0]
-        seq = engine.sweep(scenario, "rails.v_hold", values, jobs=1)
-        par = engine.sweep(scenario, "rails.v_hold", values, jobs=2)
-        for a, b in zip(seq, par):
-            assert a.tables["cells"].rows == b.tables["cells"].rows
-            assert a.summary == b.summary
-
-    @pytest.mark.parametrize("jobs, cores, workers", [(8, 4, 3), (2, 4, 2), (8, 2, 2)])
-    def test_pool_size_bounded_by_points_and_cores(self, monkeypatch, jobs, cores, workers):
-        asked = []
-
-        class InProcessPool:  # records its size and starts no process
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: cores)
-        scenario = self._scenario()
-        values = [-1.2, -1.1, -1.0]
-        bundles = engine.sweep(scenario, "rails.v_hold", values, jobs=jobs)
-        assert asked == [workers]
-        assert [b.summary for b in bundles] == [
-            b.summary for b in engine.sweep(scenario, "rails.v_hold", values)
-        ]
-
     def test_unknown_axis(self):
         with pytest.raises(UnknownAxis):
             engine.sweep(self._scenario(), "rails.nope", [1.0])
@@ -658,17 +624,17 @@ def _pulsing(duration_s: float) -> engine.Scenario:
     )
 
 
-class TestFgEventBudget:
+class TestEventBudget:
     """Ticks x pulsed cells over a run are counted against
-    `engine.MAX_FG_EVENTS` before any tick run is made."""
+    `engine.MAX_EVENTS` before any tick run is made."""
 
     def test_run_at_the_budget_plays_back(self, monkeypatch):
-        monkeypatch.setattr(engine, "MAX_FG_EVENTS", 2000)
+        monkeypatch.setattr(engine, "MAX_EVENTS", 2000)
         bundle = engine.run_generic(_pulsing(1.0))
         assert bundle.tables["events"].columns[2].count("FG") == 2000
 
     def test_run_past_the_budget_is_refused_before_its_ticks(self, monkeypatch):
-        monkeypatch.setattr(engine, "MAX_FG_EVENTS", 1999)
+        monkeypatch.setattr(engine, "MAX_EVENTS", 1999)
         made = []
         real = fsm.playback
         monkeypatch.setattr(
@@ -680,7 +646,7 @@ class TestFgEventBudget:
         assert made == [0.5]  # the first half only: the second is never made
 
     def test_run_command_exits_1_quoting_count_and_budget(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(engine, "MAX_FG_EVENTS", 999)
+        monkeypatch.setattr(engine, "MAX_EVENTS", 999)
         scenario = _pulsing(1.0)
         path = tmp_path / "long.scn"
         path.write_text(json.dumps(scenario.raw))
@@ -698,6 +664,67 @@ class TestFgEventBudget:
         doc["schedule"][5]["t"] = 10.0
         with pytest.raises(ScenarioError, match=r"^schedule\[5\]: "):
             engine.run_generic(build_scenario(doc))
+
+
+def _refreshing() -> engine.Scenario:
+    """Cells 0 and 1 refreshed with a 1 s period, a slot every 0.5 s, for
+    10 s, with a write at 5 s that splits the slots in two stretches: 10
+    closes and 9 opens, then 10 closes and 10 opens, 39 rows in all."""
+    return make_scenario(
+        duration_s=10.0,
+        schedule=[
+            {"t": 0.0, "write": ["CTRL", 2]},
+            {"t": 0.0, "write": ["LOCK_MASK_LO", 3]},
+            {"t": 0.0, "write": ["REFRESH_PERIOD", 1]},
+            {"t": 0.0, "exec": True},
+            {"t": 5.0, "write": ["PATTERN0", 1]},
+        ],
+        traces={"sample_rate_hz": 1.0, "kinds": ["cells"], "cells": [0]},
+    )
+
+
+class TestLockActionBudget:
+    """Lock actions count against `engine.MAX_EVENTS` with the fast-gate
+    events: a stretch of REFRESH slots before any slot of it is made."""
+
+    @staticmethod
+    def _spy_slots(monkeypatch) -> list:
+        # REFRESH picks slot k's cell as `cells[k % n]`: record each pick.
+        made = []
+        real = fsm.mask_cells
+
+        class Cells(list):
+            def __getitem__(self, k):
+                made.append(k)
+                return super().__getitem__(k)
+
+        monkeypatch.setattr(fsm, "mask_cells", lambda mask: Cells(real(mask)))
+        return made
+
+    def test_refresh_at_the_budget_runs(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_EVENTS", 39)
+        made = self._spy_slots(monkeypatch)
+        log = engine.run_generic(_refreshing()).tables["events"]
+        assert len(log.rows) == 39 and log.columns[2].count("CLOSE") == 20
+        assert len(made) == 20
+
+    def test_refresh_past_the_budget_is_refused_before_its_slots(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_EVENTS", 38)
+        made = self._spy_slots(monkeypatch)
+        budget = ("duration_s: refresh up to t=10.0 s brings the run to 39 fast-gate events"
+                  " and lock actions (rows of the events table), past the budget of 38")
+        with pytest.raises(ScenarioError, match=re.escape(budget)):
+            engine.run_generic(_refreshing())
+        assert len(made) == 10  # the first stretch only
+
+    def test_lock_and_release_count_at_the_mode_change(self, monkeypatch):
+        scenario = make_scenario(schedule=lock_then_open_schedule(0b111, 0.5))
+        monkeypatch.setattr(engine, "MAX_EVENTS", 6)
+        assert len(engine.run_generic(scenario).tables["events"].rows) == 6
+        monkeypatch.setattr(engine, "MAX_EVENTS", 5)
+        with pytest.raises(ScenarioError, match=r"^schedule\[6\]: the schedule up to"
+                           r" t=0.5 s brings the run to 6 .* past the budget of 5"):
+            engine.run_generic(scenario)
 
 
 class TestSampleCount:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clfgsim.analog import CellParams
 from clfgsim.thermal import (
     CoolingBudget,
     PowerModel,
@@ -17,19 +18,25 @@ from clfgsim.thermal import (
 # The measured 18 nW/MHz per cell at 0.1 V is a 1.8 pF series
 # capacitance, split as two equal capacitors.
 C_SERIES_18NW = 18e-15 / 0.1**2
+CELL_18NW = CellParams(c_pulse=2.0 * C_SERIES_18NW, c_p=2.0 * C_SERIES_18NW)
+DEFAULT = CellParams()
+
+
+def cell(c_pulse: float, c_p: float) -> CellParams:
+    return CellParams(c_pulse=c_pulse, c_p=c_p)
 
 
 class TestPulsePower:
     def test_default_point(self):
         # 1 pF against 1 pF at 0.2 V and 1 MHz burns 20 nW.
-        assert pulse_power(1e-12, 1e-12, 0.2, 1e6) == pytest.approx(20e-9, rel=1e-12)
+        assert pulse_power(cell(1e-12, 1e-12), 0.2, 1e6) == pytest.approx(20e-9, rel=1e-12)
 
     def test_zero_frequency(self):
-        assert pulse_power(1e-12, 1e-12, 0.2, 0.0) == 0.0
+        assert pulse_power(cell(1e-12, 1e-12), 0.2, 0.0) == 0.0
 
     def test_doubling_swing_quadruples_power(self):
-        p1 = pulse_power(1e-12, 2e-12, 0.1, 1e6)
-        p2 = pulse_power(1e-12, 2e-12, 0.2, 1e6)
+        p1 = pulse_power(cell(1e-12, 2e-12), 0.1, 1e6)
+        p2 = pulse_power(cell(1e-12, 2e-12), 0.2, 1e6)
         assert p2 == 4.0 * p1
 
     @given(
@@ -40,41 +47,41 @@ class TestPulsePower:
     )
     def test_quadratic_law_exact(self, s, c1, c2, f):
         # Doubling is an exact exponent bump, so the 4x law holds to the bit.
-        assert pulse_power(c1, c2, 2 * s, f) == 4.0 * pulse_power(c1, c2, s, f)
+        assert pulse_power(cell(c1, c2), 2 * s, f) == 4.0 * pulse_power(cell(c1, c2), s, f)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            pulse_power(0.0, 1e-12, 0.1, 1.0)
+            pulse_power(cell(0.0, 1e-12), 0.1, 1.0)
         with pytest.raises(ValueError):
-            pulse_power(1e-12, 1e-12, 0.1, -1.0)
+            pulse_power(cell(1e-12, 1e-12), 0.1, -1.0)
 
 
 class TestTotalPower:
     def test_idle_chip_is_the_static_floor(self):
         model = PowerModel(static_floor_w=3e-9)
-        assert total_power(0, 0.0, 0.1, model) == 3e-9
+        assert total_power(0, 0.0, 0.1, DEFAULT, model) == 3e-9
 
     def test_measured_coefficient_projection(self):
         # 18 nW/MHz per cell at 0.1 V: 1000 cells at 1 MHz cost 18 uW.
-        model = PowerModel(c_pulse=2.0 * C_SERIES_18NW, c_p=2.0 * C_SERIES_18NW)
-        assert total_power(1000, 1e6, 0.1, model) == pytest.approx(18e-6, rel=1e-12)
+        model = PowerModel()
+        assert total_power(1000, 1e6, 0.1, CELL_18NW, model) == pytest.approx(18e-6, rel=1e-12)
 
     def test_cell_staircase_increments_equally(self):
         model = PowerModel()
-        steps = [total_power(n, 1e6, 0.1, model) for n in range(1, 7)]
+        steps = [total_power(n, 1e6, 0.1, DEFAULT, model) for n in range(1, 7)]
         increments = np.diff(steps)
-        p_cell = pulse_power(1e-12, 1e-12, 0.1, 1e6)
+        p_cell = pulse_power(cell(1e-12, 1e-12), 0.1, 1e6)
         assert np.allclose(increments, p_cell, rtol=1e-12)
 
     def test_linear_in_frequency(self):
         model = PowerModel(fsm_energy_per_cycle=2e-14, clock_energy_per_cycle=1e-14)
-        assert total_power(5, 2e6, 0.1, model) == pytest.approx(
-            2.0 * total_power(5, 1e6, 0.1, model), rel=1e-12
+        assert total_power(5, 2e6, 0.1, DEFAULT, model) == pytest.approx(
+            2.0 * total_power(5, 1e6, 0.1, DEFAULT, model), rel=1e-12
         )
 
     def test_fixed_master_clock(self):
         model = PowerModel(clock_energy_per_cycle=1e-14, master_freq_hz=35.84e6)
-        assert total_power(0, 0.0, 0.1, model) == pytest.approx(
+        assert total_power(0, 0.0, 0.1, DEFAULT, model) == pytest.approx(
             1e-14 * 35.84e6, rel=1e-12
         )
 
@@ -86,7 +93,9 @@ class TestTotalPower:
     )
     def test_monotone(self, n, f, dn, df):
         model = PowerModel(fsm_energy_per_cycle=2e-14, static_floor_w=1e-9)
-        assert total_power(n + dn, f + df, 0.1, model) >= total_power(n, f, 0.1, model)
+        assert total_power(n + dn, f + df, 0.1, DEFAULT, model) >= total_power(
+            n, f, 0.1, DEFAULT, model
+        )
 
 
 class TestTemperature:
@@ -134,27 +143,26 @@ class TestTemperature:
 class TestFeasibility:
     def model(self) -> PowerModel:
         return PowerModel(
-            c_pulse=2.0 * C_SERIES_18NW, c_p=2.0 * C_SERIES_18NW,
             fsm_energy_per_cycle=2e-14, clock_energy_per_cycle=1e-14,
         )
 
     def test_thousand_gates_fit_commercial_budget(self):
         budget = CoolingBudget(budget_watts_at_100mk=400e-6)
-        result = feasible(1000, 1e6, 0.1, self.model(), budget)
+        result = feasible(1000, 1e6, 0.1, CELL_18NW, self.model(), budget)
         assert result.feasible
         assert result.headroom_watts >= 350e-6
         assert result.headroom_watts == budget.budget_watts_at_100mk - result.total_watts
 
     def test_tiny_budget_infeasible(self):
         budget = CoolingBudget(budget_watts_at_100mk=1e-12)
-        assert not feasible(1, 1e6, 0.1, self.model(), budget).feasible
+        assert not feasible(1, 1e6, 0.1, CELL_18NW, self.model(), budget).feasible
 
     def test_feasibility_monotone_in_n_and_f(self):
         budget = CoolingBudget(budget_watts_at_100mk=400e-6)
         ns = [1, 10, 100, 1000, 20000, 400000]
         fs = [1e5, 1e6, 1e7]
         grid = {
-            (n, f): feasible(n, f, 0.1, self.model(), budget).feasible
+            (n, f): feasible(n, f, 0.1, CELL_18NW, self.model(), budget).feasible
             for n in ns for f in fs
         }
         for n, f in grid:
@@ -166,7 +174,7 @@ class TestFeasibility:
 
     def test_map_rows(self):
         budget = CoolingBudget(budget_watts_at_100mk=400e-6)
-        rows = feasibility_map([1, 1000], [1e5, 1e6], 0.1, self.model(), budget)
+        rows = feasibility_map([1, 1000], [1e5, 1e6], 0.1, CELL_18NW, self.model(), budget)
         assert len(rows) == 4
         n, f, watts, ok = rows[-1]
         assert (n, f) == (1000, 1e6)

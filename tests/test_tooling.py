@@ -40,6 +40,16 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_process_pools_out():
+    # A sweep runs in one process: the program loads no process machinery.
+    code = ("import sys, clfgsim.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def _fields(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
