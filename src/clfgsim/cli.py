@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 scenario/validation error, 2 runtime error.
+Exit codes: 0 success, 1 an error in the scenario or input (`validate`
+refuses every document that `run` refuses), 2 a fault in the simulator.
 The default output directory comes from --out or the CLFGSIM_OUT
 environment variable (falling back to ./out).
 """

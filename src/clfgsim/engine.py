@@ -2,12 +2,12 @@
 
 A scenario is a JSON document (conventional extension `.scn`) with nested
 config sections, a timed command schedule and trace requests; the schema
-is documented in README.md and versioned through `schema_version`.  A run
-walks the schedule through the controller FSM, expands the resulting
-switch events, applies them to the analog cells in exact time order and
-samples the requested traces.  Everything is pure arithmetic on the
-scenario contents, so two runs of the same scenario produce byte-identical
-output files.
+is documented in README.md and versioned through `schema_version`.  Load
+walks the schedule through the controller FSM into a plan, refusing what
+the chip refuses; a run expands the plan's switch events, applies them to
+the analog cells in exact time order and samples the requested traces.
+Everything is pure arithmetic on the scenario contents, so two runs of the
+same scenario produce byte-identical output files.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ N_CELLS = fsm.N_CELLS
 # grid of 2**24 times is 128 MiB of float64, before any trace is made.
 MAX_SAMPLES = 2**24
 # The most rows a run's `events` table may hold: fast-gate events (ticks x
-# pulsed cells) and lock actions, counted in `_expand_schedule` before the
-# ticks or REFRESH slots are made.  A row holds 250-330 bytes at the peak
+# pulsed cells) and lock actions, counted at load by `_walk_schedule`, which
+# makes no tick and no REFRESH slot.  A row holds 250-330 bytes at the peak
 # of a run and its export, so the budget is about 0.7 GB.
 MAX_EVENTS = 2**21
 
@@ -48,11 +48,9 @@ MAX_EVENTS = 2**21
 # first tick; MODE, the chip's (mode, regs) from then on, for the power
 # and temperature traces.  Coincident entries apply releases first, then
 # host DAC moves, then lock closures, then fast-gate edges, then the new
-# mode; samples observe the post-event state at their own timestamp.
+# mode; samples observe the post-event state at their own timestamp.  A
+# plan holds PLAY and REFRESH stretches in place of FG and slot entries.
 _PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3, "MODE": 4}
-# The opcodes whose frames `protocol.check_access` checks at load, each with
-# whether its data is a register value; a dict, as `Opcode.WRITE` is slow.
-_ACCESS = {protocol.Opcode.WRITE: True, protocol.Opcode.READ: False}
 
 
 class ScenarioError(SimulationError):
@@ -134,6 +132,7 @@ class Scenario:
     `calibration` and `budget` come from `power.calibration` and
     `power.budget`.  For a figure scenario, `figure_params` holds the
     values its driver reads, converted to their types, defaults filled in.
+    `plan` and `responses` are the schedule walked at load (`_walk_schedule`).
     """
 
     name: str
@@ -154,6 +153,8 @@ class Scenario:
     figure: str | None
     figure_params: Mapping
     sweep: SweepConfig | None
+    plan: tuple[tuple[float, int, str, object], ...]
+    responses: tuple[tuple[float, protocol.Frame], ...]
     raw: Mapping  # the document as given, for sweeps and hashing
     overrides: tuple[str, ...] = ()  # the `--override` texts applied to `raw`
 
@@ -165,10 +166,12 @@ _TANK_KEYS = ("bandwidth_hz",)
 
 @contextmanager
 def _section(where: str):
-    """Report a parameter type's own check failing as a ScenarioError."""
+    """Report a parameter type's check or a model's refusal as a ScenarioError."""
     try:
         yield
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError, OverflowError, SimulationError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
@@ -280,20 +283,12 @@ def _parse_schedule_item(raw, index: int) -> ScheduleItem:
                 raise ScenarioError(f"{where}: {key!r} takes only true, got {raw[key]!r}")
             frame = protocol.Frame(protocol.Opcode[key.upper()])
         elif keys == {"word"}:
-            try:
-                frame = protocol.decode_frame(_parse_int(raw["word"]))
-            except SimulationError as exc:
-                raise ScenarioError(f"{where}: {exc}") from exc
+            frame = protocol.decode_frame(_parse_int(raw["word"]))
         elif keys == {"dac"}:
             moves = _object(raw["dac"], where).items()
             return ScheduleItem(t, dac=tuple(sorted((str(k), _number(v)) for k, v in moves)))
         else:
             raise ScenarioError(f"{where}: expected one of write/read/exec/nop/word/dac")
-    try:  # a frame the chip refuses whatever its state
-        if (write := _ACCESS.get(frame.opcode)) is not None:
-            protocol.check_access(frame.address, frame.data if write else None)
-    except SimulationError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
     return ScheduleItem(time_s=t, frame=frame)
 
 
@@ -302,7 +297,8 @@ def build_scenario(raw: Mapping) -> Scenario:
 
     Each section goes through `_build_section` or `_section`, so a
     malformed one is a ScenarioError naming it; so is a run of more than
-    `MAX_SAMPLES` samples.
+    `MAX_SAMPLES` samples, a readout trace the tank cannot take, and a
+    schedule that `_walk_schedule` refuses.
     """
     if not isinstance(raw, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
@@ -367,6 +363,9 @@ def build_scenario(raw: Mapping) -> Scenario:
             raise ScenarioError("conductance/readout traces need a device section")
         if not gate_sources:
             raise ScenarioError("conductance/readout traces need device.gate_sources")
+    if "readout" in traces.kinds:
+        with _section("traces"):
+            devmod.require_sample_rate(tank)
     if {"power", "temperature"} & set(traces.kinds) and power is None:
         raise ScenarioError("power/temperature traces need a power section")
     if "temperature" in traces.kinds and calibration is None:
@@ -396,6 +395,7 @@ def build_scenario(raw: Mapping) -> Scenario:
     name = raw.get("name", "scenario")
     if not isinstance(name, str) or set(name) & set("/\\\0"):
         raise ScenarioError(f"name {name!r} must be a string with no path separator")
+    plan, responses = _walk_schedule(chip, schedule, duration)
     scenario = Scenario(
         name=name,
         chip=chip,
@@ -415,6 +415,8 @@ def build_scenario(raw: Mapping) -> Scenario:
         figure=raw.get("figure"),
         figure_params=_object(raw.get("figure_params", {}), "figure_params"),
         sweep=_build_section(SweepConfig, raw["sweep"], "sweep") if "sweep" in raw else None,
+        plan=plan,
+        responses=responses,
         raw=raw,
     )
     sample_count(scenario)  # refuses a grid past the budget
@@ -637,121 +639,135 @@ def _manifest(scenario: Scenario) -> dict:
 # execution
 
 
-def _expand_schedule(scenario: Scenario):
-    """Walk the schedule through the FSM, expanding all switch activity.
+def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duration_s: float):
+    """The run's plan, in walk order, and READ responses; every refusal of a
+    schedule is made here, as a ScenarioError naming the item or `duration_s`.
 
     One loop over the schedule, then an end item at `duration_s`.  Only
-    WRITE and EXEC split playback: before each (and at the end) the ticks
-    or REFRESH slots since the last one go on the timeline, the ticks as
-    one columnar `fsm.TickRun`, so no lock action falls inside a run
-    (`run_generic` cuts runs where they are read, `_cut_runs`).  The rows
-    of the `events` table are counted before they are made: each run's
-    ticks x pulsed cells (`fsm.tick_count`), each stretch of REFRESH slots
-    (`_first_slot_at`) and each mode change's lock actions; a run past
-    `MAX_EVENTS` rows is a ScenarioError.  `closed` holds the cells the
-    mode keeps closed, every masked cell under LOCKING and the slot's cell
-    under REFRESH; leaving a mode opens them.
-    REFRESH re-locks the masked cells one at a time, ascending, round
-    robin: slot j starts j * REFRESH_PERIOD / n after the EXEC that
-    started it (from the integer period, so slot n lands exactly on the
-    period) and opens the previous cell before closing the next, so at
-    most one lock switch is closed at any instant.  A cell with a
-    `cell_targets` entry gets a DAC entry at its close that moves the hold
-    DAC to the target less the injection offset, so the released voltage
-    lands on the target; LOCKING uses the DAC as it is.  MODE entries hold
-    the chip's (mode, regs): the initial one at -inf, then one per time it changes.
-
-    Returns the timeline entries in the order they apply (by time, then
-    priority; the sort is stable, so ties keep insertion order) and the
-    READ responses.
+    WRITE and EXEC split playback: before each (and at the end) the stretch
+    since the last one is one entry, PLAY at its start with the chip state
+    there and its length, or REFRESH at the EXEC that entered REFRESH with
+    the integer period, the cells and slots j up to `stop`.  Its rows of the
+    `events` table, and each mode change's lock actions, count against
+    `MAX_EVENTS`.  Leaving a mode opens the cells it keeps `closed`: every
+    masked cell under LOCKING, the last slot's under REFRESH.  MODE entries
+    hold the chip's (mode, regs): at -inf, then each time it changes.
     """
-    chip = fsm.ChipState(master_freq_hz=scenario.chip.master_freq_hz)
-    timeline: list[tuple[float, int, str, object]] = []
+    chip = fsm.ChipState(master_freq_hz=config.master_freq_hz)
+    plan: list[tuple[float, int, str, object]] = []
     modes = {-math.inf: (chip.mode, chip.regs)}  # before any item: times may be negative
     responses: list[tuple[float, protocol.Frame]] = []
-    # The hold DAC move that goes before a REFRESH close of a targeted cell.
-    offset = analog.injection_offset(scenario.analog)
-    holds = {c: (("v_hold", v - offset),) for c, v in scenario.cell_targets.items()}
     closed: list[int] = []
     anchor, cells, period, j = 0.0, [], 0, 0  # set on entering REFRESH
     cursor, events = 0.0, 0  # `events` counts the rows of the events table
-    end = ScheduleItem(scenario.duration_s)
-    for index, item in enumerate([*scenario.schedule, end]):
-        t, frame = item.time_s, item.frame
-        if item is not end and frame is None:
-            timeline.append((t, _PRIO["DAC"], "DAC", item.dac))
-            continue
-        where = "duration_s" if item is end else f"schedule[{index}]"
-        if item is end or frame.opcode in (protocol.Opcode.WRITE, protocol.Opcode.EXEC):
-            if chip.mode == fsm.Mode.PULSING and t > cursor:
-                with _section(where):  # a tick count past float range
+    end = ScheduleItem(duration_s)
+    try:
+        for index, item in enumerate([*schedule, end]):
+            t, frame = item.time_s, item.frame
+            if item is not end and frame is None:
+                plan.append((t, _PRIO["DAC"], "DAC", item.dac))
+                continue
+            where = "duration_s" if item is end else f"schedule[{index}]"
+            if item is end or frame.opcode in (protocol.Opcode.WRITE, protocol.Opcode.EXEC):
+                if chip.mode == fsm.Mode.PULSING and t > cursor:
                     ticks = fsm.tick_count(chip, t - cursor)
-                events += ticks * len(fsm.mask_cells(chip.regs.pulse_mask))
-                _check_budget(events, where, "playback", t)
-                chip, run = fsm.playback(chip, t - cursor, cursor)
-                if len(run):
-                    timeline.append((float(run.times[0]), _PRIO["FG"], "FG", run))
-            elif chip.mode == fsm.Mode.REFRESH:
-                with _section(where):  # a slot index past float or index range
+                    events += ticks * len(fsm.mask_cells(chip.regs.pulse_mask))
+                    _check_budget(events, "playback", t)
+                    plan.append((cursor, _PRIO["FG"], "PLAY", (chip, t - cursor)))
+                    chip = fsm.advance(chip, ticks)
+                elif chip.mode == fsm.Mode.REFRESH:
                     stop = _first_slot_at(t, anchor, period, len(cells), j)
-                # Each slot closes a cell; each but slot 0 opens the one before.
-                events += stop - j + max(0, stop - max(j, 1))
-                _check_budget(events, where, "refresh", t)
-                for k in range(j, stop):
-                    slot = anchor + k * period / len(cells)
-                    for cell in closed:
-                        timeline.append((slot, _PRIO["OPEN"], "OPEN", cell))
-                    cell = cells[k % len(cells)]
-                    closed = [cell]
-                    if cell in holds:
-                        timeline.append((slot, _PRIO["DAC"], "DAC", holds[cell]))
-                    timeline.append((slot, _PRIO["CLOSE"], "CLOSE", cell))
-                j = stop
-            cursor = t
-        new_chip = chip
-        if item is not end:
-            try:
+                    # Each slot closes a cell; each but slot 0 opens the one before.
+                    events += stop - j + max(0, stop - max(j, 1))
+                    _check_budget(events, "refresh", t)
+                    plan.append((anchor, _PRIO["OPEN"], "REFRESH", (period, cells, j, stop)))
+                    j = stop
+                cursor = t
+            new_chip = chip
+            if item is not end:
                 new_chip, response = fsm.step(chip, frame)
-            except SimulationError as exc:
-                raise ScenarioError(f"schedule[{index}] at t={t}: {exc}") from exc
-            if response is not None:
-                responses.append((t, response))
-        if new_chip.mode != chip.mode or new_chip.regs != chip.regs:
-            modes[t] = (new_chip.mode, new_chip.regs)
-        if new_chip.mode != chip.mode:
-            locked = (fsm.mask_cells(new_chip.regs.lock_mask)
-                      if new_chip.mode == fsm.Mode.LOCKING else [])
-            events += len(closed) + len(locked)
-            _check_budget(events, where, "the schedule", t)
-            for cell in closed:
-                timeline.append((t, _PRIO["OPEN"], "OPEN", cell))
-            closed = locked
-            for cell in closed:
-                timeline.append((t, _PRIO["CLOSE"], "CLOSE", cell))
-            if new_chip.mode == fsm.Mode.REFRESH:
-                anchor, period, j = t, new_chip.regs.refresh_period, 0
-                cells = fsm.mask_cells(new_chip.regs.lock_mask)
-        chip = new_chip
-    timeline += [(t, _PRIO["MODE"], "MODE", state) for t, state in modes.items()]
-    return sorted(timeline, key=itemgetter(0, 1)), responses
+                if response is not None:
+                    responses.append((t, response))
+            if new_chip.mode != chip.mode or new_chip.regs != chip.regs:
+                modes[t] = (new_chip.mode, new_chip.regs)
+            if new_chip.mode != chip.mode:
+                if chip.mode == fsm.Mode.REFRESH:
+                    closed = [cells[(j - 1) % len(cells)]] if j else []
+                locked = (fsm.mask_cells(new_chip.regs.lock_mask)
+                          if new_chip.mode == fsm.Mode.LOCKING else [])
+                events += len(closed) + len(locked)
+                _check_budget(events, "the schedule", t)
+                for cell in closed:
+                    plan.append((t, _PRIO["OPEN"], "OPEN", cell))
+                closed = locked
+                for cell in closed:
+                    plan.append((t, _PRIO["CLOSE"], "CLOSE", cell))
+                if new_chip.mode == fsm.Mode.REFRESH:
+                    anchor, period, j = t, new_chip.regs.refresh_period, 0
+                    cells = fsm.mask_cells(new_chip.regs.lock_mask)
+            chip = new_chip
+    except (SimulationError, OverflowError) as exc:  # OverflowError: ticks past float range
+        raise ScenarioError(f"{where}: {exc}") from exc
+    plan += [(t, _PRIO["MODE"], "MODE", state) for t, state in modes.items()]
+    return tuple(plan), tuple(responses)
 
 
-def _check_budget(events: int, where: str, what: str, t: float) -> None:
+def _check_budget(events: int, what: str, t: float) -> None:
     """Refuse a run whose `events` table would hold more than `MAX_EVENTS` rows."""
     if events > MAX_EVENTS:
         raise ScenarioError(
-            f"{where}: {what} up to t={t!r} s brings the run to {events} fast-gate events"
+            f"{what} up to t={t!r} s brings the run to {events} fast-gate events"
             f" and lock actions (rows of the events table), past the budget of {MAX_EVENTS}"
         )
 
 
 def _first_slot_at(t: float, anchor: float, period: int, n: int, j: int) -> int:
     """The first REFRESH slot k >= j whose time `anchor + k * period / n` is
-    not before `t`: the times rise with k, so double k past `t`, then bisect."""
-    hi = j + 1
-    while anchor + hi * period / n < t:
-        hi *= 2
-    return bisect_left(range(hi), t, j, hi, key=lambda k: anchor + k * period / n)
+    not before `t`: the times rise with k, so double k past `t`, or past
+    `MAX_EVENTS` slots (where the stretch alone is past the budget), then bisect."""
+    lo, hi = j, j + 1
+    while anchor + hi * period / n < t and hi - j <= MAX_EVENTS:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if anchor + mid * period / n < t else (lo, mid)
+    return lo
+
+
+def _expand_plan(scenario: Scenario) -> list:
+    """The plan sorted by time, then priority (stably), with each PLAY entry
+    made an FG entry holding its `fsm.playback` ticks, if any, and each
+    REFRESH entry its slots.  REFRESH re-locks the masked cells one at a
+    time, round robin: slot k starts k * REFRESH_PERIOD / n after its EXEC
+    (so slot n lands exactly on the period) and opens the previous cell
+    before closing the next.  A cell with a `cell_targets` entry gets a DAC
+    entry at its close, to the target less the injection offset.
+    """
+    offset = analog.injection_offset(scenario.analog)
+    holds = {c: (("v_hold", v - offset),) for c, v in scenario.cell_targets.items()}
+    timeline: list[tuple[float, int, str, object]] = []
+    closed: list[int] = []  # the cell the last slot closed
+    for entry in scenario.plan:
+        start, _prio, kind, payload = entry
+        if kind == "PLAY":
+            run = fsm.playback(*payload, start)[1]
+            if len(run):
+                timeline.append((float(run.times[0]), _PRIO["FG"], "FG", run))
+        elif kind == "REFRESH":
+            period, cells, j, stop = payload
+            closed = closed if j else []  # slot 0 of a REFRESH opens no cell
+            for k in range(j, stop):
+                slot = start + k * period / len(cells)
+                for cell in closed:
+                    timeline.append((slot, _PRIO["OPEN"], "OPEN", cell))
+                cell = cells[k % len(cells)]
+                closed = [cell]
+                if cell in holds:
+                    timeline.append((slot, _PRIO["DAC"], "DAC", holds[cell]))
+                timeline.append((slot, _PRIO["CLOSE"], "CLOSE", cell))
+        else:
+            timeline.append(entry)
+    return sorted(timeline, key=itemgetter(0, 1))
 
 
 def _segment_power(scenario: Scenario, state: tuple[fsm.Mode, protocol.RegisterFile]) -> float:
@@ -840,9 +856,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     carries no manifest: `run_scenario` adds one per top-level run.
     """
     kinds = scenario.traces.kinds
-    if "readout" in kinds:  # fail before simulating anything
-        devmod.require_sample_rate(scenario.tank)
-    timeline, responses = _expand_schedule(scenario)
+    timeline = _expand_plan(scenario)
 
     traced = scenario.traces.cells if "cells" in kinds else ()
     sources = scenario.gate_sources if {"conductance", "readout"} & set(kinds) else {}
@@ -958,10 +972,10 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             temp = {state: thermal.temperature(p, scenario.calibration) for state, p in power.items()}
             kelvin = list(chain.from_iterable(map(repeat, map(temp.get, modes), counts)))
             tables["temperature"] = Table(("time_s", "temperature_k"), (sample_times, kelvin))
-    if responses:
+    if scenario.responses:
         tables["responses"] = Table.from_rows(
             ("time_s", "opcode", "address", "data"),
-            [(t, int(f.opcode), f.address, f.data) for t, f in responses],
+            [(t, int(f.opcode), f.address, f.data) for t, f in scenario.responses],
         )
 
     return TraceBundle(tables=tables, summary=summary)

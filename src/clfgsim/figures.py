@@ -271,6 +271,8 @@ def check_sections(scenario: Scenario) -> dict:
             raise engine.ScenarioError(
                 "figure_params: pulse_start_s and settle_fraction leave no sample to compare"
             )
+        with engine._section("traces"):  # `envelope_check` reads the tank's samples
+            devmod.require_sample_rate(scenario.tank)
     if scenario.figure in ("fig4b", "fig4d", "fig4e"):  # closed form: check what it writes
         run = DRIVERS[scenario.figure](dataclasses.replace(scenario, figure_params=params))
         table = run.tables[scenario.figure]

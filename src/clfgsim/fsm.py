@@ -172,6 +172,11 @@ def tick_count(state: ChipState, duration_s: float) -> int:
     return math.floor(duration_s * divided_frequency(state))
 
 
+def advance(state: ChipState, n_ticks: int) -> ChipState:
+    """`state` after `n_ticks` divided ticks of playback: the cursor wraps modulo PATTERN_LEN."""
+    return replace(state, pattern_cursor=(state.pattern_cursor + n_ticks) % state.regs.pattern_len)
+
+
 def playback(
     state: ChipState, duration_s: float, start_s: float = 0.0
 ) -> tuple[ChipState, TickRun]:
@@ -200,7 +205,7 @@ def playback(
         cells=cells,
         period_s=(1 << state.regs.divider) / state.master_freq_hz,
     )
-    return replace(state, pattern_cursor=(state.pattern_cursor + n_ticks) % plen), run
+    return advance(state, n_ticks), run
 
 
 def event_from_row(time_s: float, cell: int, action: str, level: str) -> SwitchEvent:

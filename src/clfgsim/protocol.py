@@ -5,8 +5,7 @@ an 8-bit register address and 16 bits of immediate data.  The register
 map is a behavioural reconstruction of a minimal host interface for this
 kind of control chip (see README.md); real silicon will differ.  It is
 written once, in the table `REGISTERS`, which `check_access` (for
-`RegisterFile.read`, `apply_write` and a scenario's schedule at load) and
-`NAME_TO_ADDRESS` read.
+`RegisterFile.read` and `apply_write`) and `NAME_TO_ADDRESS` read.
 """
 from __future__ import annotations
 
@@ -176,8 +175,7 @@ class RegisterFile:
 def check_access(address: int, data: int | None = None) -> str:
     """The `RegisterFile` field a READ (`data` None) or a WRITE of `data`
     reaches at `address`, refusing an unknown address or a value outside
-    the register's range (every range lies within 16 bits).  It needs no
-    register file, so a schedule is checked with it at load."""
+    the register's range (every range lies within 16 bits)."""
     if address not in REGISTERS:
         raise UnknownAddress(address)
     field, lo, hi = REGISTERS[address]

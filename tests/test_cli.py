@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clfgsim import analog, cli, engine, figures, protocol, thermal
@@ -58,6 +58,12 @@ _NAN, _INF = float("nan"), float("inf")
 
 def _traced(kind: str) -> dict:
     return {"sample_rate_hz": 10.0, "kinds": [kind]}
+
+
+def _pulse_cell_0(divider: int) -> list[dict]:
+    """Pulse cell 0 from t = 0 at `DIVIDER` `divider` of the default clock."""
+    return [{"t": 0.0, "write": ["CTRL", 7]}, {"t": 0.0, "write": ["DIVIDER", divider]},
+            {"t": 0.0, "write": ["PULSE_MASK_LO", 1]}, {"t": 0.0, "exec": True}]
 
 
 # One malformed section per document; each must be refused at load.
@@ -144,6 +150,19 @@ MALFORMED = {
     },
     # 1e14 samples at 10 Hz: addressable, but past memory and the sample budget.
     "duration_past_sample_budget": _mini(duration_s=1e13),
+    # Schedules the chip refuses only in the state earlier items leave it in.
+    "exec_with_fsm_enable_clear": _mini(schedule=[{"t": 0, "exec": True}]),
+    "clock_stopped_while_pulsing": _mini(
+        schedule=[*_pulse_cell_0(15), {"t": 0.5, "write": ["CTRL", 6]}], duration_s=1.0
+    ),
+    # 35.84e6 ticks a second for 10 s, one cell: 358,400,000 rows of the events table.
+    "pulsing_past_event_budget": _mini(schedule=_pulse_cell_0(0), duration_s=10.0),
+    # Slot indices past Py_ssize_t: 1e300 one-second slots of one cell.
+    "refresh_past_index_range": _mini(
+        schedule=[{"t": 0.0, "write": ["CTRL", 2]}, {"t": 0.0, "write": ["LOCK_MASK_LO", 1]},
+                  {"t": 0.0, "write": ["REFRESH_PERIOD", 1]}, {"t": 0.0, "exec": True}],
+        duration_s=1e300, traces={"sample_rate_hz": 1e-294, "kinds": ["cells"], "cells": [0]},
+    ),
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each
@@ -245,11 +264,31 @@ class TestValidate:
     def test_malformed_section_exits_1(self, doc, tmp_path, capsys):
         path = tmp_path / "bad.scn"
         path.write_text(json.dumps(doc))
+        first_lines = []
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
             assert cli.main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:")
             assert "Traceback" not in err
+            first_lines.append(err.splitlines()[0])
+        assert first_lines[0] == first_lines[1]  # validate refuses what run refuses
+
+    @pytest.mark.parametrize("name, why", [
+        ("exec_with_fsm_enable_clear", "schedule[0]: EXEC not allowed in mode IDLE"),
+        ("clock_stopped_while_pulsing", "duration_s: CTRL clock-enable is clear"),
+        ("pulsing_past_event_budget", "duration_s: playback up to t=10.0 s brings the run"
+         " to 358400000 fast-gate events"),
+        ("refresh_past_index_range", "duration_s: refresh up to t=1e+300 s brings the run"),
+    ])
+    def test_schedule_the_chip_refuses_exits_1_at_load(self, name, why, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_text(json.dumps(MALFORMED[name]))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            code, _, err = _main(argv)
+            assert code == 1 and err.startswith(f"error: {why}"), err
+            if "brings the run" in why:
+                assert f"past the budget of {engine.MAX_EVENTS}" in err
+        assert "index-sized" not in err
 
     @pytest.mark.parametrize(
         "key", ["cell", "pulse_gate", "sweep_gate", "v_sdp_values", "pulse_start_s"]
@@ -413,6 +452,59 @@ class TestDrawnInputContract:
             _assert_contract(code, err, Path(tmp))
 
 
+# Register values for drawn schedules: small masks, slow dividers and short
+# patterns, so a run stays small; every CTRL bit pattern.
+_DRAWN_WRITES = {
+    "CTRL": st.integers(0, 7), "DIVIDER": st.integers(10, 15),
+    "LOCK_MASK_LO": st.integers(0, 7), "PULSE_MASK_LO": st.integers(0, 7),
+    "PATTERN_LEN": st.integers(1, 4), "REFRESH_PERIOD": st.integers(0, 2),
+}
+_DRAWN_WRITE = st.sampled_from(sorted(_DRAWN_WRITES)).flatmap(
+    lambda reg: _DRAWN_WRITES[reg].map(lambda value: {"write": [reg, value]}))
+_DRAWN_ITEM = st.one_of(  # writes most often
+    _DRAWN_WRITE, _DRAWN_WRITE, _DRAWN_WRITE, st.just({"exec": True}),
+    st.sampled_from(sorted(_DRAWN_WRITES)).map(lambda reg: {"read": reg}),
+    st.floats(-1.2, -1.0).map(lambda v: {"dac": {"v_hold": v}}),
+)
+
+
+@st.composite
+def _drawn_schedule(draw) -> list[dict]:
+    """Up to 15 items at times on a 10 ms grid over 0.05 s, so many coincide;
+    most start by setting fsm-enable, a lock mask and a refresh period."""
+    items = draw(st.lists(_DRAWN_ITEM, min_size=2, max_size=12))
+    if draw(st.integers(0, 3)):
+        items[:0] = [{"write": ["CTRL", draw(st.sampled_from([3, 7]))]}] + [
+            {"write": [reg, draw(_DRAWN_WRITES[reg])]} for reg in ("LOCK_MASK_LO", "REFRESH_PERIOD")]
+    times = sorted(draw(st.lists(st.integers(0, 5), min_size=len(items), max_size=len(items))))
+    return [{"t": k * 0.01, **item} for k, item in zip(times, items)]
+
+
+class TestDrawnScheduleContract:
+    """A drawn schedule is refused by `validate` exactly when `run` refuses
+    it, with exit 1 and never 2: every refusal is made at load, and a
+    document that loads runs.  Also with a small events budget."""
+
+    @pytest.mark.parametrize("budget", [engine.MAX_EVENTS, 40])
+    @settings(max_examples=60, deadline=None)
+    @given(schedule=_drawn_schedule())
+    @example(schedule=[{"t": 0.0, "exec": True}])  # fsm-enable clear
+    @example(schedule=[*_pulse_cell_0(15), {"t": 0.02, "write": ["CTRL", 6]}])  # clock stopped
+    def test_validate_and_run_agree(self, budget, schedule):
+        doc = _mini(schedule=schedule, duration_s=0.05,
+                    traces={"sample_rate_hz": 100.0, "kinds": ["cells", "hold"], "cells": [0, 1]})
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "MAX_EVENTS", budget)
+            path = Path(tmp) / "drawn.scn"
+            path.write_text(json.dumps(doc))
+            validated, _, refusal = _main(["validate", str(path)])
+            ran, _, err = _main(["run", str(path), "--out", tmp])
+            assert (validated, refusal) == (ran, err)
+            assert validated in (0, 1) and "Traceback" not in err
+            if validated == 0:
+                engine.run_generic(engine.build_scenario(doc))
+
+
 class TestRefusedText:
     """Override and sweep text that does not parse like the value it
     replaces is exit 1, naming the axis and the text."""
@@ -512,37 +604,34 @@ class TestRun:
         assert watts[0.5] == pulsing(scenario.analog)
         assert watts[0.5] != pulsing(analog.CellParams())
 
-    def test_runtime_error_exit_code(self, tmp_path, capsys):
-        doc = dict(MINIMAL)
-        doc["device"] = {
-            "levers": {"lw": 0.2},
-            "gate_sources": {"lw": {"cell": 0}},
-        }
-        # readout at 10 Hz against a 10 MHz tank: rejected at runtime
-        doc["traces"] = {"sample_rate_hz": 10.0, "kinds": ["readout"]}
-        path = tmp_path / "bad.scn"
-        path.write_text(json.dumps(doc))
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "runtime error" in capsys.readouterr().err
+    def test_runtime_error_exit_code(self, mini_scn, tmp_path, capsys, monkeypatch):
+        # No document error reaches exit 2: only a fault in the model, here
+        # the lock switch refusing mid-run.
+        def fault(cell, v_hold):
+            raise analog.LockClosed("lock switch fault")
+        monkeypatch.setattr(analog, "lock", fault)
+        assert cli.main(["validate", str(mini_scn)]) == 0
+        assert cli.main(["run", str(mini_scn), "--out", str(tmp_path / "o")]) == 2
+        assert "runtime error: lock switch fault" in capsys.readouterr().err
 
-    def test_readout_below_ten_times_bandwidth_exits_2(self, tmp_path, capsys):
+    def test_readout_below_ten_times_bandwidth_exits_1(self, tmp_path, capsys):
         doc = _mini(
             device=dict(_DOT, bandwidth_hz=1e6),
             traces={"sample_rate_hz": 9.9e6, "kinds": ["readout"]},
         )
         path = tmp_path / "slow.scn"
         path.write_text(json.dumps(doc))
-        assert cli.main(["validate", str(path)]) == 0
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "sample rate" in err and "Traceback" not in err
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert "sample rate" in err and "Traceback" not in err
 
-    def test_fig3f_below_ten_times_bandwidth_exits_2(self, tmp_path, capsys):
-        argv = ["run", str(cli.bundled_scenario_path("fig3f")), "--out", str(tmp_path),
-                "--override", "traces.sample_rate_hz=2e7"]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert "sample rate" in err and "Traceback" not in err
+    def test_fig3f_below_ten_times_bandwidth_exits_1(self, tmp_path, capsys):
+        path, override = cli.bundled_scenario_path("fig3f"), "traces.sample_rate_hz=2e7"
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            assert cli.main([*argv, "--override", override]) == 1
+            err = capsys.readouterr().err
+            assert "sample rate" in err and "Traceback" not in err
 
     def test_sample_grid_past_numpy_limit_exits_1(self, mini_scn, tmp_path):
         argv = ["run", str(mini_scn), "--out", str(tmp_path), "--override", "duration_s=1e300"]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from clfgsim import analog, cli, device, engine, figures, fsm
 from clfgsim.engine import ScenarioError, UnknownAxis, build_scenario
+from clfgsim.errors import SimulationError
 
 from conftest import lock_then_open_schedule, make_scenario
 
@@ -50,17 +51,16 @@ class TestValidation:
             make_scenario(traces={"sample_rate_hz": 1e8, "kinds": ["readout"]})
 
     def test_step_errors_carry_schedule_context(self):
-        scenario = make_scenario(
-            schedule=[
-                {"t": 0.0, "write": ["CTRL", 7]},
-                {"t": 0.0, "write": ["DIVIDER", 15]},
-                {"t": 0.0, "write": ["PULSE_MASK_LO", 1]},
-                {"t": 0.0, "exec": True},
-                {"t": 0.5, "exec": True},
-            ],
-        )
         with pytest.raises(ScenarioError, match=r"schedule\[4\]"):
-            engine.run_generic(scenario)
+            make_scenario(
+                schedule=[
+                    {"t": 0.0, "write": ["CTRL", 7]},
+                    {"t": 0.0, "write": ["DIVIDER", 15]},
+                    {"t": 0.0, "write": ["PULSE_MASK_LO", 1]},
+                    {"t": 0.0, "exec": True},
+                    {"t": 0.5, "exec": True},
+                ],
+            )
 
 
 _JSON = st.recursive(
@@ -380,8 +380,7 @@ class TestGenericRun:
             ],
             duration_s=4.0,
         )
-        timeline, _ = engine._expand_schedule(scenario)
-        timeline = [entry for entry in timeline if entry[2] != "MODE"]
+        timeline = [entry for entry in engine._expand_plan(scenario) if entry[2] != "MODE"]
         aim = 0.25 - analog.injection_offset(scenario.analog)
         assert [entry[2:] for entry in timeline] == [
             ("CLOSE", 0),
@@ -626,7 +625,7 @@ def _pulsing(duration_s: float) -> engine.Scenario:
 
 class TestEventBudget:
     """Ticks x pulsed cells over a run are counted against
-    `engine.MAX_EVENTS` before any tick run is made."""
+    `engine.MAX_EVENTS` at load, before any tick run is made."""
 
     def test_run_at_the_budget_plays_back(self, monkeypatch):
         monkeypatch.setattr(engine, "MAX_EVENTS", 2000)
@@ -642,19 +641,20 @@ class TestEventBudget:
         )
         budget = "duration_s: playback up to t=1.0 s brings the run to 2000 fast-gate events"
         with pytest.raises(ScenarioError, match=budget + r".* past the budget of 1999"):
-            engine.run_generic(_pulsing(1.0))
-        assert made == [0.5]  # the first half only: the second is never made
+            _pulsing(1.0)
+        assert made == []  # refused at load: no tick is made
 
     def test_run_command_exits_1_quoting_count_and_budget(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(engine, "MAX_EVENTS", 999)
         scenario = _pulsing(1.0)
+        monkeypatch.setattr(engine, "MAX_EVENTS", 999)
         path = tmp_path / "long.scn"
         path.write_text(json.dumps(scenario.raw))
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: schedule[5]: playback up to t=0.5 s")
-        assert "1000 fast-gate events" in err and "past the budget of 999" in err
-        assert "Traceback" not in err
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: schedule[5]: playback up to t=0.5 s")
+            assert "1000 fast-gate events" in err and "past the budget of 999" in err
+            assert "Traceback" not in err
 
     def test_tick_count_past_float_range_is_refused(self):
         doc = json.loads(json.dumps(_pulsing(1.0).raw))
@@ -663,7 +663,7 @@ class TestEventBudget:
         doc["chip"]["master_freq_hz"] = 1e308
         doc["schedule"][5]["t"] = 10.0
         with pytest.raises(ScenarioError, match=r"^schedule\[5\]: "):
-            engine.run_generic(build_scenario(doc))
+            build_scenario(doc)
 
 
 def _refreshing() -> engine.Scenario:
@@ -685,7 +685,7 @@ def _refreshing() -> engine.Scenario:
 
 class TestLockActionBudget:
     """Lock actions count against `engine.MAX_EVENTS` with the fast-gate
-    events: a stretch of REFRESH slots before any slot of it is made."""
+    events, at load: a stretch of REFRESH slots before any slot of it is made."""
 
     @staticmethod
     def _spy_slots(monkeypatch) -> list:
@@ -704,7 +704,9 @@ class TestLockActionBudget:
     def test_refresh_at_the_budget_runs(self, monkeypatch):
         monkeypatch.setattr(engine, "MAX_EVENTS", 39)
         made = self._spy_slots(monkeypatch)
-        log = engine.run_generic(_refreshing()).tables["events"]
+        scenario = _refreshing()
+        assert made == []  # the slots are made by the run, not at load
+        log = engine.run_generic(scenario).tables["events"]
         assert len(log.rows) == 39 and log.columns[2].count("CLOSE") == 20
         assert len(made) == 20
 
@@ -714,17 +716,36 @@ class TestLockActionBudget:
         budget = ("duration_s: refresh up to t=10.0 s brings the run to 39 fast-gate events"
                   " and lock actions (rows of the events table), past the budget of 38")
         with pytest.raises(ScenarioError, match=re.escape(budget)):
-            engine.run_generic(_refreshing())
-        assert len(made) == 10  # the first stretch only
+            _refreshing()
+        assert made == []  # refused at load: no slot is made
 
     def test_lock_and_release_count_at_the_mode_change(self, monkeypatch):
-        scenario = make_scenario(schedule=lock_then_open_schedule(0b111, 0.5))
+        schedule = lock_then_open_schedule(0b111, 0.5)
         monkeypatch.setattr(engine, "MAX_EVENTS", 6)
+        scenario = make_scenario(schedule=schedule)
         assert len(engine.run_generic(scenario).tables["events"].rows) == 6
         monkeypatch.setattr(engine, "MAX_EVENTS", 5)
         with pytest.raises(ScenarioError, match=r"^schedule\[6\]: the schedule up to"
                            r" t=0.5 s brings the run to 6 .* past the budget of 5"):
-            engine.run_generic(scenario)
+            make_scenario(schedule=schedule)
+
+
+class TestRunHasNoRefusal:
+    """Every refusal of a schedule is made at load: a run only expands the
+    plan, so it steps no FSM and checks no budget."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: _pulsing(1.0),
+        _refreshing,
+        lambda: make_scenario(schedule=lock_then_open_schedule(0b111, 0.5)),
+    ], ids=["pulsing", "refresh", "locking"])
+    def test_run_expands_the_plan_only(self, build, monkeypatch):
+        scenario = build()
+        def refuse(*args):
+            raise SimulationError("refused at run")
+        monkeypatch.setattr(fsm, "step", refuse)
+        monkeypatch.setattr(engine, "_check_budget", refuse)
+        assert engine.run_generic(scenario).tables["events"].rows
 
 
 class TestSampleCount:
@@ -903,15 +924,13 @@ class TestGateSources:
         for got, v in zip(g, holds):
             assert abs(got - device.conductance(scenario.device, {"g": v})) <= SIEMENS_TOL
 
-    def test_slow_readout_rejected_before_simulating(self, monkeypatch):
-        scenario = make_scenario(
-            device={"levers": {"sdp": 1.0}, "bandwidth_hz": 1e6,
-                    "gate_sources": {"sdp": {"const": 0.0}}},
-            traces={"sample_rate_hz": 9.9e6, "kinds": ["readout"]},
-        )
-        monkeypatch.setattr(engine, "_expand_schedule", None)  # never reached
-        with pytest.raises(device.SampleRateTooLow, match="sample rate"):
-            engine.run_generic(scenario)
+    def test_slow_readout_rejected_before_simulating(self):
+        with pytest.raises(ScenarioError, match="sample rate"):
+            make_scenario(
+                device={"levers": {"sdp": 1.0}, "bandwidth_hz": 1e6,
+                        "gate_sources": {"sdp": {"const": 0.0}}},
+                traces={"sample_rate_hz": 9.9e6, "kinds": ["readout"]},
+            )
 
     def test_gate_sources_required(self):
         with pytest.raises(ScenarioError, match="gate_sources"):

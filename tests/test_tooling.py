@@ -1,6 +1,9 @@
 """Checks that tools and documents outside the package stay in step with it:
-the benchmark's trace mode wraps clfgsim functions by name, and README.md
-lists each scenario section's keys and each figure's `figure_params`."""
+the benchmark's trace mode wraps clfgsim functions by name, its workloads'
+closed-form event counts match the load-time walk's, README.md lists each
+scenario section's keys and each figure's `figure_params`; and checks on
+the package's own structure."""
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -16,19 +19,65 @@ from clfgsim import analog, device, engine, figures, thermal
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
+PACKAGE = ROOT / "src" / "clfgsim"
+
+
+def _bench_module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
 
 
 def _traced() -> tuple:
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.TRACED
+    return _bench_module("bench_spans", SPANS).TRACED
 
 
 @pytest.mark.parametrize("pair", _traced(), ids=".".join)
 def test_traced_function_exists(pair):
     module, name = pair
     assert callable(getattr(importlib.import_module(f"clfgsim.{module}"), name, None))
+
+
+def _bench_documents(name: str) -> list[tuple[dict, int]]:
+    """Each document the workload runs, with its closed-form `switch_events`:
+    every variant of a generated workload, and each point of the sweep."""
+    workloads = _bench_module("bench_workloads", WORKLOADS)
+    if name == "sweep":
+        sweep = workloads.make(name, 0)
+        axis, values = sweep.doc["sweep"]["axis"], sweep.doc["sweep"]["values"]
+        return [(engine.set_axis(sweep.doc, axis, v), sweep.switch_events // sweep.runs)
+                for v in values]
+    variants = workloads.VARIANTS if name in ("pulse", "refresh") else 1
+    return [(w.doc, w.switch_events) for w in map(workloads.make, [name] * variants, range(variants))]
+
+
+@pytest.mark.parametrize("name", ["pulse", "refresh", "readout", "sweep"])
+def test_load_counts_the_bench_switch_events(name, monkeypatch):
+    # The walk counts the rows of the events table at load: a budget of
+    # exactly the closed-form count takes the document, one less refuses it.
+    for doc, rows in _bench_documents(name):
+        monkeypatch.setattr(engine, "MAX_EVENTS", rows)
+        engine.build_scenario(doc)
+        monkeypatch.setattr(engine, "MAX_EVENTS", rows - 1)
+        with pytest.raises(engine.ScenarioError, match=f"brings the run to {rows} fast-gate"):
+            engine.build_scenario(doc)
+
+
+def test_engine_defines_no_function_inside_another():
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    tree = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
+    nested = [inner.lineno for outer in ast.walk(tree) if isinstance(outer, functions)
+              for inner in ast.walk(outer) if inner is not outer and isinstance(inner, functions)]
+    assert nested == []
+
+
+def test_register_access_is_checked_only_in_protocol():
+    # The FSM walk checks each frame through `apply_write` and `RegisterFile.read`.
+    users = [path.name for path in PACKAGE.glob("*.py")
+             if path.name != "protocol.py" and "check_access" in path.read_text(encoding="utf-8")]
+    assert users == []
 
 
 def test_cli_import_leaves_scipy_out():
