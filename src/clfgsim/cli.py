@@ -111,16 +111,16 @@ def _cmd_sweep(args) -> int:
         axis, values = scenario.sweep.axis, scenario.sweep.values
     else:
         raise engine.ScenarioError("scenario has no sweep block and no --axis given")
-    bundles = engine.sweep(scenario, axis, values)
+    summaries = [bundle.summary for bundle in engine.sweep(scenario, axis, values)]
     # One column per cell any run traced (a sweep may move them), in
     # first-seen order; a run that did not trace a cell leaves it empty.
-    finals = [bundle.summary["v_out_final"] for bundle in bundles]
+    finals = [summary["v_out_final"] for summary in summaries]
     cells = list(dict.fromkeys(c for final in finals for c in final))
     columns = [list(values)] + [[final.get(c, "") for final in finals] for c in cells]
     header = ["value"] + [f"v_out_final_cell{c}" for c in cells]
-    if any("conductance_final_s" in bundle.summary for bundle in bundles):
+    if any("conductance_final_s" in summary for summary in summaries):
         header.append("conductance_final_s")
-        columns.append([bundle.summary.get("conductance_final_s", "") for bundle in bundles])
+        columns.append([summary.get("conductance_final_s", "") for summary in summaries])
     table = engine.Table(tuple(header), tuple(columns))
     bundle = engine.TraceBundle(
         tables={"sweep": table}, summary={"axis": axis, "n": len(values)},

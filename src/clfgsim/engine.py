@@ -4,10 +4,10 @@ A scenario is a JSON document (conventional extension `.scn`) with nested
 config sections, a timed command schedule and trace requests; the schema
 is documented in README.md and versioned through `schema_version`.  Load
 walks the schedule through the controller FSM into a plan, refusing what
-the chip refuses; a run expands the plan's switch events, applies them to
-the analog cells in exact time order and samples the requested traces.
-Everything is pure arithmetic on the scenario contents, so two runs of the
-same scenario produce byte-identical output files.
+the chip refuses and a run past `MAX_ROWS`; a run expands the plan's switch
+events, applies them to the analog cells in exact time order and samples
+the requested traces.  Everything is pure arithmetic on the scenario
+contents, so two runs of the same scenario produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import json
 import math
 import re
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
@@ -33,23 +33,21 @@ from .errors import SimulationError
 
 SCHEMA_VERSION = 1
 N_CELLS = fsm.N_CELLS
-# The most samples a run may take (`sample_count`), checked at load: a
-# grid of 2**24 times is 128 MiB of float64, before any trace is made.
-MAX_SAMPLES = 2**24
-# The most rows a run's `events` table may hold: fast-gate events (ticks x
-# pulsed cells) and lock actions, counted at load by `_walk_schedule`, which
-# makes no tick and no REFRESH slot.  A row holds 250-330 bytes at the peak
-# of a run and its export, so the budget is about 0.7 GB.
-MAX_EVENTS = 2**21
+# The most rows a run may fill, counted at load by `build_scenario`: the
+# sample grid and each sampled column, the `events` table and the READ
+# responses.  The costliest, an `events` row, holds 320-350 bytes at the
+# peak of a run and its export, so a run at the budget peaks near 0.7 GB.
+MAX_ROWS = 2**21
 
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
 # lock action with the cell as payload; DAC, host DAC moves; FG, a playback
 # run (or, after `_cut_runs`, a slice of one) as one `fsm.TickRun` at its
 # first tick; MODE, the chip's (mode, regs) from then on, for the power
-# and temperature traces.  Coincident entries apply releases first, then
-# host DAC moves, then lock closures, then fast-gate edges, then the new
-# mode; samples observe the post-event state at their own timestamp.  A
-# plan holds PLAY and REFRESH stretches in place of FG and slot entries.
+# and temperature traces.  Coincident entries apply releases first (of
+# cells locked at that instant, after the lock), then host DAC moves, then
+# lock closures, then fast-gate edges, then the new mode; samples observe
+# the post-event state at their own timestamp.  A plan holds PLAY and
+# REFRESH stretches in place of FG and slot entries.
 _PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3, "MODE": 4}
 
 
@@ -132,7 +130,7 @@ class Scenario:
     `calibration` and `budget` come from `power.calibration` and
     `power.budget`.  For a figure scenario, `figure_params` holds the
     values its driver reads, converted to their types, defaults filled in.
-    `plan` and `responses` are the schedule walked at load (`_walk_schedule`).
+    `plan`, `responses` and `rows` (what a run fills) are the walk at load (`_walk_schedule`).
     """
 
     name: str
@@ -155,6 +153,7 @@ class Scenario:
     sweep: SweepConfig | None
     plan: tuple[tuple[float, int, str, object], ...]
     responses: tuple[tuple[float, protocol.Frame], ...]
+    rows: int
     raw: Mapping  # the document as given, for sweeps and hashing
     overrides: tuple[str, ...] = ()  # the `--override` texts applied to `raw`
 
@@ -296,9 +295,9 @@ def build_scenario(raw: Mapping) -> Scenario:
     """Validate a scenario document and build the typed configuration.
 
     Each section goes through `_build_section` or `_section`, so a
-    malformed one is a ScenarioError naming it; so is a run of more than
-    `MAX_SAMPLES` samples, a readout trace the tank cannot take, and a
-    schedule that `_walk_schedule` refuses.
+    malformed one is a ScenarioError naming it; so is a readout trace the
+    tank cannot take, a schedule that `_walk_schedule` refuses, and a run
+    past `MAX_ROWS` rows, which samples x (1 + traced cells + other kinds) seed.
     """
     if not isinstance(raw, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
@@ -395,7 +394,11 @@ def build_scenario(raw: Mapping) -> Scenario:
     name = raw.get("name", "scenario")
     if not isinstance(name, str) or set(name) & set("/\\\0"):
         raise ScenarioError(f"name {name!r} must be a string with no path separator")
-    plan, responses = _walk_schedule(chip, schedule, duration)
+    samples = sample_count(duration, traces.sample_rate_hz)
+    kinds = set(traces.kinds)
+    rows = samples * (1 + len(traces.cells) * ("cells" in kinds) + len(kinds - {"cells"}))
+    _check_budget(rows, f"duration_s: sampling {samples} times", duration)
+    plan, responses, rows = _walk_schedule(chip, schedule, duration, rows)
     scenario = Scenario(
         name=name,
         chip=chip,
@@ -417,9 +420,9 @@ def build_scenario(raw: Mapping) -> Scenario:
         sweep=_build_section(SweepConfig, raw["sweep"], "sweep") if "sweep" in raw else None,
         plan=plan,
         responses=responses,
+        rows=rows,
         raw=raw,
     )
-    sample_count(scenario)  # refuses a grid past the budget
     if scenario.figure is not None:
         from . import figures
 
@@ -639,27 +642,29 @@ def _manifest(scenario: Scenario) -> dict:
 # execution
 
 
-def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duration_s: float):
-    """The run's plan, in walk order, and READ responses; every refusal of a
-    schedule is made here, as a ScenarioError naming the item or `duration_s`.
+def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duration_s: float,
+                   rows: int):
+    """The run's plan, in walk order, READ responses and rows; every refusal
+    of a schedule is made here, as a ScenarioError naming the item or `duration_s`.
 
     One loop over the schedule, then an end item at `duration_s`.  Only
     WRITE and EXEC split playback: before each (and at the end) the stretch
     since the last one is one entry, PLAY at its start with the chip state
     there and its length, or REFRESH at the EXEC that entered REFRESH with
     the integer period, the cells and slots j up to `stop`.  Its rows of the
-    `events` table, and each mode change's lock actions, count against
-    `MAX_EVENTS`.  Leaving a mode opens the cells it keeps `closed`: every
-    masked cell under LOCKING, the last slot's under REFRESH.  MODE entries
-    hold the chip's (mode, regs): at -inf, then each time it changes.
+    `events` table, each mode change's lock actions and each READ response
+    add to `rows`, against `MAX_ROWS`.  Leaving a mode opens the cells it
+    keeps `closed`: every masked cell under LOCKING, the last slot's under
+    REFRESH.  MODE entries hold the chip's (mode, regs): at -inf, then each
+    time it changes.
     """
     chip = fsm.ChipState(master_freq_hz=config.master_freq_hz)
     plan: list[tuple[float, int, str, object]] = []
     modes = {-math.inf: (chip.mode, chip.regs)}  # before any item: times may be negative
     responses: list[tuple[float, protocol.Frame]] = []
     closed: list[int] = []
-    anchor, cells, period, j = 0.0, [], 0, 0  # set on entering REFRESH
-    cursor, events = 0.0, 0  # `events` counts the rows of the events table
+    anchor, cells, period, j = 0.0, [], 0, 0  # when the mode began; the rest only REFRESH reads
+    cursor = 0.0
     end = ScheduleItem(duration_s)
     try:
         for index, item in enumerate([*schedule, end]):
@@ -671,15 +676,15 @@ def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duratio
             if item is end or frame.opcode in (protocol.Opcode.WRITE, protocol.Opcode.EXEC):
                 if chip.mode == fsm.Mode.PULSING and t > cursor:
                     ticks = fsm.tick_count(chip, t - cursor)
-                    events += ticks * len(fsm.mask_cells(chip.regs.pulse_mask))
-                    _check_budget(events, "playback", t)
+                    rows += ticks * len(fsm.mask_cells(chip.regs.pulse_mask))
+                    _check_budget(rows, "playback", t)
                     plan.append((cursor, _PRIO["FG"], "PLAY", (chip, t - cursor)))
                     chip = fsm.advance(chip, ticks)
                 elif chip.mode == fsm.Mode.REFRESH:
                     stop = _first_slot_at(t, anchor, period, len(cells), j)
                     # Each slot closes a cell; each but slot 0 opens the one before.
-                    events += stop - j + max(0, stop - max(j, 1))
-                    _check_budget(events, "refresh", t)
+                    rows += stop - j + max(0, stop - max(j, 1))
+                    _check_budget(rows, "refresh", t, anchor + stop * period / len(cells) < t)
                     plan.append((anchor, _PRIO["OPEN"], "REFRESH", (period, cells, j, stop)))
                     j = stop
                 cursor = t
@@ -688,45 +693,46 @@ def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duratio
                 new_chip, response = fsm.step(chip, frame)
                 if response is not None:
                     responses.append((t, response))
+                    rows += 1
             if new_chip.mode != chip.mode or new_chip.regs != chip.regs:
                 modes[t] = (new_chip.mode, new_chip.regs)
             if new_chip.mode != chip.mode:
                 if chip.mode == fsm.Mode.REFRESH:
                     closed = [cells[(j - 1) % len(cells)]] if j else []
-                locked = (fsm.mask_cells(new_chip.regs.lock_mask)
-                          if new_chip.mode == fsm.Mode.LOCKING else [])
-                events += len(closed) + len(locked)
-                _check_budget(events, "the schedule", t)
+                cells = fsm.mask_cells(new_chip.regs.lock_mask)
+                locked = cells if new_chip.mode == fsm.Mode.LOCKING else []
+                rows += len(closed) + len(locked)
+                release = _PRIO["CLOSE"] if anchor == t else _PRIO["OPEN"]  # after a lock at t
                 for cell in closed:
-                    plan.append((t, _PRIO["OPEN"], "OPEN", cell))
+                    plan.append((t, release, "OPEN", cell))
                 closed = locked
                 for cell in closed:
                     plan.append((t, _PRIO["CLOSE"], "CLOSE", cell))
-                if new_chip.mode == fsm.Mode.REFRESH:
-                    anchor, period, j = t, new_chip.regs.refresh_period, 0
-                    cells = fsm.mask_cells(new_chip.regs.lock_mask)
+                anchor, period, j = t, new_chip.regs.refresh_period, 0
+            _check_budget(rows, "the schedule", t)
             chip = new_chip
     except (SimulationError, OverflowError) as exc:  # OverflowError: ticks past float range
         raise ScenarioError(f"{where}: {exc}") from exc
     plan += [(t, _PRIO["MODE"], "MODE", state) for t, state in modes.items()]
-    return tuple(plan), tuple(responses)
+    return tuple(plan), tuple(responses), rows
 
 
-def _check_budget(events: int, what: str, t: float) -> None:
-    """Refuse a run whose `events` table would hold more than `MAX_EVENTS` rows."""
-    if events > MAX_EVENTS:
+def _check_budget(rows: int, what: str, t: float, at_least: bool = False) -> None:
+    """Refuse a run past `MAX_ROWS` rows; `at_least`: `rows` is a lower bound."""
+    if rows > MAX_ROWS:
         raise ScenarioError(
-            f"{what} up to t={t!r} s brings the run to {events} fast-gate events"
-            f" and lock actions (rows of the events table), past the budget of {MAX_EVENTS}"
+            f"{what} up to t={t!r} s brings the run to {'at least ' * at_least}{rows} rows,"
+            f" past the budget of {MAX_ROWS}"
         )
 
 
 def _first_slot_at(t: float, anchor: float, period: int, n: int, j: int) -> int:
     """The first REFRESH slot k >= j whose time `anchor + k * period / n` is
     not before `t`: the times rise with k, so double k past `t`, or past
-    `MAX_EVENTS` slots (where the stretch alone is past the budget), then bisect."""
+    `MAX_ROWS` slots (where the stretch alone is past the budget, and the
+    slot found is still before `t`), then bisect."""
     lo, hi = j, j + 1
-    while anchor + hi * period / n < t and hi - j <= MAX_EVENTS:
+    while anchor + hi * period / n < t and hi - j <= MAX_ROWS:
         lo, hi = hi + 1, 2 * hi
     while lo < hi:
         mid = (lo + hi) // 2
@@ -787,23 +793,16 @@ def _segment_power(scenario: Scenario, state: tuple[fsm.Mode, protocol.RegisterF
     )
 
 
-def sample_count(scenario: Scenario) -> int:
-    """The length of `sample_grid`, floor(duration_s * rate) + 1; a grid
-    of more than `MAX_SAMPLES` samples is a ScenarioError."""
-    duration, rate = scenario.duration_s, scenario.traces.sample_rate_hz
+def sample_count(duration_s: float, rate: float) -> int:
+    """The length of `sample_grid`, floor(duration_s * rate) + 1."""
     with _section("duration_s"):  # duration_s * rate past float range
-        n = math.floor(duration * rate) + 1
-    if n > MAX_SAMPLES:
-        raise ScenarioError(
-            f"duration_s: {duration!r} s at {rate!r} Hz is {n} samples,"
-            f" past the budget of {MAX_SAMPLES}"
-        )
-    return n
+        return math.floor(duration_s * rate) + 1
 
 
 def sample_grid(scenario: Scenario) -> np.ndarray:
     """The sample times of a run: k / rate for k = 0 ... floor(duration_s * rate)."""
-    return np.arange(sample_count(scenario)) / scenario.traces.sample_rate_hz
+    rate = scenario.traces.sample_rate_hz
+    return np.arange(sample_count(scenario.duration_s, rate)) / rate
 
 
 def _cut_runs(timeline: list, sample_times: np.ndarray, sampled: set[int], v_hold: float):
@@ -997,12 +996,12 @@ def run_scenario(scenario: Scenario) -> TraceBundle:
 # sweeps
 
 
-def sweep(scenario: Scenario, axis: str, values: Iterable) -> list[TraceBundle]:
-    """Independent generic runs with `axis` set to each value, in order."""
-    # The base scenario already validated, so a build failure here is the
-    # axis (or one of its values) breaking the document.
+def sweep(scenario: Scenario, axis: str, values: Iterable) -> Iterator[TraceBundle]:
+    """Generic runs with `axis` set to each value, in order, all built first,
+    each run as it is read, so one point's tables are held at a time."""
+    # The base validated, so a build failure is the axis or a value breaking it.
     try:
         points = [build_scenario(set_axis(scenario.raw, axis, v)) for v in values]
     except ScenarioError as exc:
         raise UnknownAxis(f"axis {axis!r}: {exc}") from exc
-    return [run_generic(point) for point in points]
+    return map(run_generic, points)

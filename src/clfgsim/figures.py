@@ -22,9 +22,7 @@ def fig3b(scenario: Scenario) -> TraceBundle:
     """Coulomb oscillations vs the charge-locked plunger voltage."""
     values = scenario.sweep.values
     bundles = engine.sweep(scenario, scenario.sweep.axis, values)
-    rows = [
-        (float(v), b.summary["conductance_final_s"]) for v, b in zip(values, bundles)
-    ]
+    rows = [(float(v), b.summary["conductance_final_s"]) for v, b in zip(values, bundles)]
     table = Table.from_rows(("v_lp_volts", "g_siemens"), rows)
     return TraceBundle({"fig3b": table}, {"n_points": len(rows)})
 
@@ -43,9 +41,7 @@ def fig3c(scenario: Scenario) -> TraceBundle:
         t1, v1 = pairs[-1]
         drift = v1 - v0
         rate = -(drift / (t1 - t0)) / v0 if v0 else 0.0
-        rows.append(
-            (float(v_hold), v0, drift / (t1 - t0) * 3600.0 * 1e6, rate)
-        )
+        rows.append((float(v_hold), v0, drift / (t1 - t0) * 3600.0 * 1e6, rate))
     table = Table.from_rows(
         ("v_hold_volts", "v_held_volts", "drift_uv_per_hr", "leak_rate_per_s"), rows
     )
@@ -223,16 +219,16 @@ def _samples_from(scenario: Scenario, t: float, bisect) -> int:
     is `bisect_left`) or after it (`bisect_right`), with no array: the
     grid's k / rate rises with k, so bisect over k."""
     rate = scenario.traces.sample_rate_hz
-    n = engine.sample_count(scenario)
+    n = engine.sample_count(scenario.duration_s, rate)
     return n - bisect(range(n), t, key=lambda k: k / rate)
 
 
 def check_sections(scenario: Scenario) -> dict:
     """Reject an unknown figure, one whose driver lacks a section, trace
     kind or `figure_params` key it reads, a `figure_params` key it does not
-    read, and fig4 values whose table would hold a number that is not
-    finite; return the `figure_params` the driver reads, each converted
-    once to its type and range, with defaults filled in."""
+    read, fig3f's envelope past the row budget, and fig4 values that give a
+    table value that is not finite; return the `figure_params` the driver
+    reads, each converted once to its type and range, with defaults filled in."""
     if not isinstance(scenario.figure, str) or scenario.figure not in DRIVERS:
         raise engine.ScenarioError(f"unknown figure {scenario.figure!r}")
     require_sections(scenario, _NEEDS.get(scenario.figure, ()))
@@ -271,6 +267,9 @@ def check_sections(scenario: Scenario) -> dict:
             raise engine.ScenarioError(
                 "figure_params: pulse_start_s and settle_fraction leave no sample to compare"
             )
+        n = len(params["v_sdp_values"])  # the envelope, n x m values built whole, adds to the run
+        engine._check_budget(scenario.rows + n * m, f"figure_params: the envelope of {n} values"
+                             f" x {m} samples", scenario.duration_s)
         with engine._section("traces"):  # `envelope_check` reads the tank's samples
             devmod.require_sample_rate(scenario.tank)
     if scenario.figure in ("fig4b", "fig4d", "fig4e"):  # closed form: check what it writes

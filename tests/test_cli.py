@@ -148,14 +148,15 @@ MALFORMED = {
     "fig3c_duration_past_grid": {
         **json.loads(cli.bundled_scenario_path("fig3c").read_text()), "duration_s": 1e300
     },
-    # 1e14 samples at 10 Hz: addressable, but past memory and the sample budget.
+    # 1e14 samples at 10 Hz: addressable, but past memory and the row budget.
     "duration_past_sample_budget": _mini(duration_s=1e13),
     # Schedules the chip refuses only in the state earlier items leave it in.
     "exec_with_fsm_enable_clear": _mini(schedule=[{"t": 0, "exec": True}]),
     "clock_stopped_while_pulsing": _mini(
         schedule=[*_pulse_cell_0(15), {"t": 0.5, "write": ["CTRL", 6]}], duration_s=1.0
     ),
-    # 35.84e6 ticks a second for 10 s, one cell: 358,400,000 rows of the events table.
+    # 35.84e6 ticks a second for 10 s, one cell: 358,400,000 rows of the events
+    # table, after 202 sample rows (101 samples of the grid and one cell).
     "pulsing_past_event_budget": _mini(schedule=_pulse_cell_0(0), duration_s=10.0),
     # Slot indices past Py_ssize_t: 1e300 one-second slots of one cell.
     "refresh_past_index_range": _mini(
@@ -163,7 +164,16 @@ MALFORMED = {
                   {"t": 0.0, "write": ["REFRESH_PERIOD", 1]}, {"t": 0.0, "exec": True}],
         duration_s=1e300, traces={"sample_rate_hz": 1e-294, "kinds": ["cells"], "cells": [0]},
     ),
+    # 16,777,001 samples of the grid, four cells and the hold rail: 100,662,006
+    # rows, within the old sample budget.  Never run: refused at load.
+    "edge_past_row_budget": _mini(
+        schedule=[{"t": 0.0, "write": ["CTRL", 2]}], duration_s=1.6777,
+        traces={"sample_rate_hz": 1e7, "kinds": ["cells", "hold"], "cells": [0, 1, 2, 3]},
+    ),
 }
+# Documents whose run would fill gigabytes if load let them through:
+# checked with `validate` only.
+VALIDATE_ONLY = {"edge_past_row_budget"}
 
 # A section of the wrong JSON type, or a malformed entry inside one; each
 # must be refused at load with a message, never a traceback.
@@ -260,25 +270,27 @@ class TestValidate:
             code, _, err = _main(argv)
             assert code == 1 and err.startswith("error: schedule[1]: "), err
 
-    @pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
-    def test_malformed_section_exits_1(self, doc, tmp_path, capsys):
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_section_exits_1(self, name, tmp_path, capsys):
         path = tmp_path / "bad.scn"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(MALFORMED[name]))
         first_lines = []
-        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+        run = [] if name in VALIDATE_ONLY else [["run", str(path), "--out", str(tmp_path)]]
+        for argv in (["validate", str(path)], *run):
             assert cli.main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:")
             assert "Traceback" not in err
             first_lines.append(err.splitlines()[0])
-        assert first_lines[0] == first_lines[1]  # validate refuses what run refuses
+        assert first_lines[0] == first_lines[-1]  # validate refuses what run refuses
 
     @pytest.mark.parametrize("name, why", [
         ("exec_with_fsm_enable_clear", "schedule[0]: EXEC not allowed in mode IDLE"),
         ("clock_stopped_while_pulsing", "duration_s: CTRL clock-enable is clear"),
         ("pulsing_past_event_budget", "duration_s: playback up to t=10.0 s brings the run"
-         " to 358400000 fast-gate events"),
-        ("refresh_past_index_range", "duration_s: refresh up to t=1e+300 s brings the run"),
+         " to 358400202 rows"),
+        ("refresh_past_index_range", "duration_s: refresh up to t=1e+300 s brings the run"
+         " to at least "),
     ])
     def test_schedule_the_chip_refuses_exits_1_at_load(self, name, why, tmp_path):
         path = tmp_path / "bad.scn"
@@ -287,8 +299,55 @@ class TestValidate:
             code, _, err = _main(argv)
             assert code == 1 and err.startswith(f"error: {why}"), err
             if "brings the run" in why:
-                assert f"past the budget of {engine.MAX_EVENTS}" in err
+                assert f"past the budget of {engine.MAX_ROWS}" in err
         assert "index-sized" not in err
+
+    def test_edge_document_exits_1_quoting_rows_and_budget(self, tmp_path):
+        path = tmp_path / "edge.scn"
+        path.write_text(json.dumps(MALFORMED["edge_past_row_budget"]))
+        code, _, err = _main(["validate", str(path)])
+        assert code == 1 and err == (
+            "error: duration_s: sampling 16777001 times up to t=1.6777 s brings the run to"
+            f" 100662006 rows, past the budget of {engine.MAX_ROWS}\n"
+        )
+
+    def test_run_refuses_the_edge_shape_at_load(self, tmp_path, monkeypatch):
+        # The edge document's columns at 1,001 samples, one row past a
+        # lowered budget: `run` refuses it as `validate` does, building nothing.
+        doc = dict(MALFORMED["edge_past_row_budget"], duration_s=1e-4)
+        monkeypatch.setattr(engine, "MAX_ROWS", 6 * 1001 - 1)
+        def no_grid(scenario):
+            raise AssertionError("sample_grid called for a refused document")
+
+        monkeypatch.setattr(engine, "sample_grid", no_grid)
+        path, out = tmp_path / "edge.scn", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            code, _, err = _main(argv)
+            assert code == 1 and err == (
+                "error: duration_s: sampling 1001 times up to t=0.0001 s brings the run to"
+                " 6006 rows, past the budget of 6005\n"
+            )
+        assert not out.exists()
+
+    def test_fig3f_envelope_counts_against_the_budget(self, tmp_path, monkeypatch):
+        # 15,000,001 samples at 100 MHz: past the budget at load, never built.
+        path = cli.bundled_scenario_path("fig3f")
+        code, _, err = _main(["validate", str(path), "--override", "duration_s=0.15"])
+        assert code == 1 and err.startswith("error: duration_s: sampling 15000001 times")
+        assert f"past the budget of {engine.MAX_ROWS}" in err
+        # The bundled run's 11,912 rows and its envelope of 81 x 5,751 values.
+        assert engine.load_scenario(path).rows == 11912
+        rows = 11912 + 81 * 5751
+        monkeypatch.setattr(engine, "MAX_ROWS", rows - 1)
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            code, _, err = _main(argv)
+            assert code == 1 and err == (
+                "error: figure_params: the envelope of 81 values x 5751 samples up to"
+                f" t=5.95e-05 s brings the run to {rows} rows, past the budget of {rows - 1}\n"
+            )
+        monkeypatch.setattr(engine, "MAX_ROWS", rows)
+        assert engine.load_scenario(path).figure == "fig3f"
 
     @pytest.mark.parametrize(
         "key", ["cell", "pulse_gate", "sweep_gate", "v_sdp_values", "pulse_start_s"]
@@ -483,18 +542,24 @@ def _drawn_schedule(draw) -> list[dict]:
 class TestDrawnScheduleContract:
     """A drawn schedule is refused by `validate` exactly when `run` refuses
     it, with exit 1 and never 2: every refusal is made at load, and a
-    document that loads runs.  Also with a small events budget."""
+    document that loads runs.  Also with a small row budget."""
 
-    @pytest.mark.parametrize("budget", [engine.MAX_EVENTS, 40])
+    @pytest.mark.parametrize("budget", [engine.MAX_ROWS, 40])
     @settings(max_examples=60, deadline=None)
     @given(schedule=_drawn_schedule())
     @example(schedule=[{"t": 0.0, "exec": True}])  # fsm-enable clear
     @example(schedule=[*_pulse_cell_0(15), {"t": 0.02, "write": ["CTRL", 6]}])  # clock stopped
+    @example(schedule=[  # into LOCKING and out to REFRESH at one instant
+        {"t": 0.0, "write": ["CTRL", 3]}, {"t": 0.0, "write": ["LOCK_MASK_LO", 1]},
+        {"t": 0.0, "write": ["REFRESH_PERIOD", 0]}, {"t": 0.0, "exec": True},
+        {"t": 0.0, "write": ["REFRESH_PERIOD", 1]}, {"t": 0.0, "exec": True}])
     def test_validate_and_run_agree(self, budget, schedule):
         doc = _mini(schedule=schedule, duration_s=0.05,
                     traces={"sample_rate_hz": 100.0, "kinds": ["cells", "hold"], "cells": [0, 1]})
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "MAX_EVENTS", budget)
+            # A small budget is what the schedule may add to the 24 sample
+            # rows (6 samples of the grid, two cells and the hold rail).
+            patch.setattr(engine, "MAX_ROWS", min(engine.MAX_ROWS, 24 + budget))
             path = Path(tmp) / "drawn.scn"
             path.write_text(json.dumps(doc))
             validated, _, refusal = _main(["validate", str(path)])

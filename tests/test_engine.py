@@ -198,6 +198,27 @@ class TestGenericRun:
         actions = [a for _, _, a, _ in bundle.tables["events"].rows]
         assert actions == ["CLOSE", "OPEN"]
 
+    @pytest.mark.parametrize("release, closes_again, v0", [
+        ([{"t": 0.0, "write": ["LOCK_MASK_LO", 0]}, {"t": 0.0, "exec": True}], [], -1.099),
+        ([{"t": 0.0, "write": ["REFRESH_PERIOD", 1]}, {"t": 0.0, "exec": True}], ["CLOSE"], -1.1),
+    ], ids=["to_idle", "to_refresh"])
+    def test_release_at_the_instant_of_its_lock_follows_the_lock(self, release, closes_again, v0):
+        # Two EXECs at t = 0, into LOCKING and out of it: the release goes
+        # after the lock it undoes, though releases go first at one time.
+        # Released to IDLE the cell floats at the rail plus 1 mV of injection;
+        # REFRESH's slot 0 locks it again.
+        scenario = make_scenario(
+            rails={"v_hold": -1.1},
+            schedule=[{"t": 0.0, "write": ["CTRL", 3]}, {"t": 0.0, "write": ["LOCK_MASK_LO", 1]},
+                      {"t": 0.0, "exec": True}, *release],
+            duration_s=1.0,
+            traces={"sample_rate_hz": 10.0, "kinds": ["cells"], "cells": [0]},
+        )
+        bundle = engine.run_generic(scenario)
+        at_zero = [a for t, _, a, _ in bundle.tables["events"].rows if t == 0.0]
+        assert at_zero == ["CLOSE", "OPEN", *closes_again]
+        assert bundle.tables["cells"].rows[0][2] == pytest.approx(v0, rel=1e-9)
+
     def test_hold_staircase_couples_with_ratio_alpha(self):
         steps = [{"t": float(2 + i), "dac": {"v_hold": -1.1 + 0.1 * (i + 1)}}
                  for i in range(3)]
@@ -572,6 +593,23 @@ class TestSweep:
         with pytest.raises(UnknownAxis):
             engine.sweep(self._scenario(), "rails.nope", [1.0])
 
+    def test_points_run_one_at_a_time_as_read(self, monkeypatch):
+        ran = []
+        real = engine.run_generic
+        monkeypatch.setattr(engine, "run_generic", lambda point: ran.append(point) or real(point))
+        bundles = engine.sweep(self._scenario(), "rails.v_hold", [-1.1, -1.0, -0.9])
+        assert ran == []  # every point is built, none run
+        next(bundles)
+        assert len(ran) == 1
+        assert len(list(bundles)) == 2 and len(ran) == 3
+
+    def test_bad_value_is_refused_before_any_run(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(engine, "run_generic", ran.append)
+        with pytest.raises(UnknownAxis, match="axis 'rails.v_hold'"):
+            engine.sweep(self._scenario(), "rails.v_hold", [-1.1, "x"])
+        assert ran == []
+
 
 class TestExport:
     def test_event_csv_format(self, tmp_path):
@@ -623,43 +661,52 @@ def _pulsing(duration_s: float) -> engine.Scenario:
     )
 
 
+# `_pulsing` samples 11 times (10 Hz for 1 s) into the grid and one cell.
+PULSING_SAMPLE_ROWS = 22
+
+
 class TestEventBudget:
     """Ticks x pulsed cells over a run are counted against
-    `engine.MAX_EVENTS` at load, before any tick run is made."""
+    `engine.MAX_ROWS`, after the sample rows, at load, before any tick run
+    is made."""
 
     def test_run_at_the_budget_plays_back(self, monkeypatch):
-        monkeypatch.setattr(engine, "MAX_EVENTS", 2000)
-        bundle = engine.run_generic(_pulsing(1.0))
+        monkeypatch.setattr(engine, "MAX_ROWS", PULSING_SAMPLE_ROWS + 2000)
+        scenario = _pulsing(1.0)
+        assert scenario.rows == PULSING_SAMPLE_ROWS + 2000
+        bundle = engine.run_generic(scenario)
         assert bundle.tables["events"].columns[2].count("FG") == 2000
 
     def test_run_past_the_budget_is_refused_before_its_ticks(self, monkeypatch):
-        monkeypatch.setattr(engine, "MAX_EVENTS", 1999)
+        monkeypatch.setattr(engine, "MAX_ROWS", PULSING_SAMPLE_ROWS + 1999)
         made = []
         real = fsm.playback
         monkeypatch.setattr(
             fsm, "playback", lambda state, d, s=0.0: made.append(d) or real(state, d, s)
         )
-        budget = "duration_s: playback up to t=1.0 s brings the run to 2000 fast-gate events"
-        with pytest.raises(ScenarioError, match=budget + r".* past the budget of 1999"):
+        budget = "duration_s: playback up to t=1.0 s brings the run to 2022 rows"
+        with pytest.raises(ScenarioError, match=budget + r", past the budget of 2021$"):
             _pulsing(1.0)
         assert made == []  # refused at load: no tick is made
 
     def test_run_command_exits_1_quoting_count_and_budget(self, monkeypatch, tmp_path, capsys):
         scenario = _pulsing(1.0)
-        monkeypatch.setattr(engine, "MAX_EVENTS", 999)
+        monkeypatch.setattr(engine, "MAX_ROWS", PULSING_SAMPLE_ROWS + 999)
         path = tmp_path / "long.scn"
         path.write_text(json.dumps(scenario.raw))
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
             assert cli.main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: schedule[5]: playback up to t=0.5 s")
-            assert "1000 fast-gate events" in err and "past the budget of 999" in err
+            assert "1022 rows" in err and "past the budget of 1021" in err
             assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_tick_count_past_float_range_is_refused(self):
         doc = json.loads(json.dumps(_pulsing(1.0).raw))
-        # 10 s at 1e308 Hz is past float range, yet within the sample budget.
-        doc.update(duration_s=1e10, traces={"sample_rate_hz": 1e-3})
+        # 10 s at 1e308 Hz is past float range.  At 1e-5 Hz the 1e10 s take
+        # 100,001 samples, within the row budget, so the ticks are what is refused.
+        doc.update(duration_s=1e10, traces={"sample_rate_hz": 1e-5})
         doc["chip"]["master_freq_hz"] = 1e308
         doc["schedule"][5]["t"] = 10.0
         with pytest.raises(ScenarioError, match=r"^schedule\[5\]: "):
@@ -669,7 +716,8 @@ class TestEventBudget:
 def _refreshing() -> engine.Scenario:
     """Cells 0 and 1 refreshed with a 1 s period, a slot every 0.5 s, for
     10 s, with a write at 5 s that splits the slots in two stretches: 10
-    closes and 9 opens, then 10 closes and 10 opens, 39 rows in all."""
+    closes and 9 opens, then 10 closes and 10 opens, 39 rows in all, after
+    22 sample rows (11 samples of the grid and one cell)."""
     return make_scenario(
         duration_s=10.0,
         schedule=[
@@ -684,8 +732,9 @@ def _refreshing() -> engine.Scenario:
 
 
 class TestLockActionBudget:
-    """Lock actions count against `engine.MAX_EVENTS` with the fast-gate
-    events, at load: a stretch of REFRESH slots before any slot of it is made."""
+    """Lock actions count against `engine.MAX_ROWS` with the sample rows and
+    fast-gate events, at load: a stretch of REFRESH slots before any slot
+    of it is made."""
 
     @staticmethod
     def _spy_slots(monkeypatch) -> list:
@@ -702,7 +751,7 @@ class TestLockActionBudget:
         return made
 
     def test_refresh_at_the_budget_runs(self, monkeypatch):
-        monkeypatch.setattr(engine, "MAX_EVENTS", 39)
+        monkeypatch.setattr(engine, "MAX_ROWS", 22 + 39)
         made = self._spy_slots(monkeypatch)
         scenario = _refreshing()
         assert made == []  # the slots are made by the run, not at load
@@ -711,22 +760,30 @@ class TestLockActionBudget:
         assert len(made) == 20
 
     def test_refresh_past_the_budget_is_refused_before_its_slots(self, monkeypatch):
-        monkeypatch.setattr(engine, "MAX_EVENTS", 38)
+        monkeypatch.setattr(engine, "MAX_ROWS", 22 + 38)
         made = self._spy_slots(monkeypatch)
-        budget = ("duration_s: refresh up to t=10.0 s brings the run to 39 fast-gate events"
-                  " and lock actions (rows of the events table), past the budget of 38")
-        with pytest.raises(ScenarioError, match=re.escape(budget)):
+        budget = "duration_s: refresh up to t=10.0 s brings the run to 61 rows, past the budget of 60"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(budget)}$"):
             _refreshing()
         assert made == []  # refused at load: no slot is made
 
+    def test_refresh_past_the_budget_in_slots_alone_quotes_a_lower_bound(self):
+        # 1e300 s of one-second slots: the count stops once past the budget.
+        schedule = [{"t": 0.0, "write": ["CTRL", 2]}, {"t": 0.0, "write": ["LOCK_MASK_LO", 1]},
+                    {"t": 0.0, "write": ["REFRESH_PERIOD", 1]}, {"t": 0.0, "exec": True}]
+        refusal = (r"^duration_s: refresh up to t=1e\+300 s brings the run to at least \d+ rows,"
+                   f" past the budget of {engine.MAX_ROWS}$")
+        with pytest.raises(ScenarioError, match=refusal):
+            make_scenario(schedule=schedule, duration_s=1e300, traces={"sample_rate_hz": 1e-300})
+
     def test_lock_and_release_count_at_the_mode_change(self, monkeypatch):
         schedule = lock_then_open_schedule(0b111, 0.5)
-        monkeypatch.setattr(engine, "MAX_EVENTS", 6)
+        monkeypatch.setattr(engine, "MAX_ROWS", 11 + 6)  # 11 samples of the grid alone
         scenario = make_scenario(schedule=schedule)
         assert len(engine.run_generic(scenario).tables["events"].rows) == 6
-        monkeypatch.setattr(engine, "MAX_EVENTS", 5)
+        monkeypatch.setattr(engine, "MAX_ROWS", 11 + 5)
         with pytest.raises(ScenarioError, match=r"^schedule\[6\]: the schedule up to"
-                           r" t=0.5 s brings the run to 6 .* past the budget of 5"):
+                           r" t=0.5 s brings the run to 17 rows, past the budget of 16$"):
             make_scenario(schedule=schedule)
 
 
@@ -768,12 +825,15 @@ class TestSampleCount:
         assert figures._samples_from(scenario, t, bisect_left) == np.count_nonzero(grid >= t)
 
     def test_budget_is_checked_at_load(self):
-        # At 1 Hz, duration d gives d + 1 samples; neither grid is built.
-        at = make_scenario(duration_s=engine.MAX_SAMPLES - 1.0, traces={"sample_rate_hz": 1.0})
-        assert engine.sample_count(at) == engine.MAX_SAMPLES
-        budget = f"{engine.MAX_SAMPLES + 1} samples, past the budget of {engine.MAX_SAMPLES}"
-        with pytest.raises(ScenarioError, match=budget):
-            make_scenario(duration_s=float(engine.MAX_SAMPLES), traces={"sample_rate_hz": 1.0})
+        # At 1 Hz, duration d gives d + 1 samples, one row each with no
+        # trace kind; neither grid is built.
+        at = make_scenario(duration_s=engine.MAX_ROWS - 1.0, traces={"sample_rate_hz": 1.0})
+        assert engine.sample_count(at.duration_s, 1.0) == at.rows == engine.MAX_ROWS
+        n = engine.MAX_ROWS + 1
+        budget = (f"duration_s: sampling {n} times up to t={n - 1.0!r} s brings the run to {n}"
+                  f" rows, past the budget of {engine.MAX_ROWS}")
+        with pytest.raises(ScenarioError, match=f"^{re.escape(budget)}$"):
+            make_scenario(duration_s=float(engine.MAX_ROWS), traces={"sample_rate_hz": 1.0})
 
     @pytest.mark.parametrize("name", ["fig3c", "fig3f"])
     def test_figures_validate_without_the_grid(self, name, monkeypatch):

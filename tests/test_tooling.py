@@ -1,12 +1,13 @@
 """Checks that tools and documents outside the package stay in step with it:
 the benchmark's trace mode wraps clfgsim functions by name, its workloads'
-closed-form event counts match the load-time walk's, README.md lists each
+closed-form row counts match the ones counted at load, README.md lists each
 scenario section's keys and each figure's `figure_params`; and checks on
 the package's own structure."""
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -41,28 +42,64 @@ def test_traced_function_exists(pair):
 
 
 def _bench_documents(name: str) -> list[tuple[dict, int]]:
-    """Each document the workload runs, with its closed-form `switch_events`:
-    every variant of a generated workload, and each point of the sweep."""
+    """Each document the workload runs, with the rows its run fills in
+    closed form: `switch_events` + `samples` + the sample grid + the READ
+    items; for every variant of a generated workload, and each point of
+    the sweep."""
     workloads = _bench_module("bench_workloads", WORKLOADS)
+
+    def rows(doc: dict, switch_events: int, samples: int) -> int:
+        reads = sum("read" in item for item in doc["schedule"])
+        return switch_events + samples + workloads._n_times(doc) + reads
+
     if name == "sweep":
         sweep = workloads.make(name, 0)
         axis, values = sweep.doc["sweep"]["axis"], sweep.doc["sweep"]["values"]
-        return [(engine.set_axis(sweep.doc, axis, v), sweep.switch_events // sweep.runs)
-                for v in values]
+        per_point = (sweep.switch_events // sweep.runs, sweep.samples // sweep.runs)
+        return [(doc, rows(doc, *per_point))
+                for doc in (engine.set_axis(sweep.doc, axis, v) for v in values)]
     variants = workloads.VARIANTS if name in ("pulse", "refresh") else 1
-    return [(w.doc, w.switch_events) for w in map(workloads.make, [name] * variants, range(variants))]
+    return [(w.doc, rows(w.doc, w.switch_events, w.samples))
+            for w in map(workloads.make, [name] * variants, range(variants))]
+
+
+def _filled_rows(doc: dict) -> int:
+    """The rows a generic run of `doc` fills, read back from its tables:
+    every table's rows and the sample grid, and for fig3f the envelope,
+    one value per `v_sdp_values` entry and per sample of its cell from
+    `pulse_start_s` on."""
+    scenario = engine.build_scenario(doc)
+    tables = engine.run_generic(scenario).tables
+    rows = sum(len(table.columns[0]) for table in tables.values()) + len(engine.sample_grid(scenario))
+    if scenario.figure == "fig3f":
+        params = scenario.figure_params
+        pulsed = [t for t, c, _ in tables["cells"].rows
+                  if c == params["cell"] and t >= params["pulse_start_s"]]
+        rows += len(params["v_sdp_values"]) * len(pulsed)
+    return rows
+
+
+def _assert_budget_is(doc: dict, rows: int, monkeypatch) -> None:
+    """A budget of exactly `rows` takes `doc`; one less refuses it, quoting `rows`."""
+    monkeypatch.setattr(engine, "MAX_ROWS", rows)
+    engine.build_scenario(doc)
+    monkeypatch.setattr(engine, "MAX_ROWS", rows - 1)
+    with pytest.raises(engine.ScenarioError,
+                       match=f"brings the run to {rows} rows, past the budget of {rows - 1}$"):
+        engine.build_scenario(doc)
 
 
 @pytest.mark.parametrize("name", ["pulse", "refresh", "readout", "sweep"])
 def test_load_counts_the_bench_switch_events(name, monkeypatch):
-    # The walk counts the rows of the events table at load: a budget of
-    # exactly the closed-form count takes the document, one less refuses it.
+    # Load counts every row a run fills, the closed-form count of the bench.
     for doc, rows in _bench_documents(name):
-        monkeypatch.setattr(engine, "MAX_EVENTS", rows)
-        engine.build_scenario(doc)
-        monkeypatch.setattr(engine, "MAX_EVENTS", rows - 1)
-        with pytest.raises(engine.ScenarioError, match=f"brings the run to {rows} fast-gate"):
-            engine.build_scenario(doc)
+        _assert_budget_is(doc, rows, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["fig3b", "fig3c", "fig3e", "fig3f", "fig3g"])
+def test_load_counts_the_rows_a_figure_run_fills(name, monkeypatch):
+    doc = json.loads((PACKAGE / "scenarios" / f"{name}.scn").read_text(encoding="utf-8"))
+    _assert_budget_is(doc, _filled_rows(doc), monkeypatch)
 
 
 def test_engine_defines_no_function_inside_another():
