@@ -131,6 +131,8 @@ class Scenario:
     `power.budget`.  For a figure scenario, `figure_params` holds the
     values its driver reads, converted to their types, defaults filled in.
     `plan`, `responses` and `rows` (what a run fills) are the walk at load (`_walk_schedule`).
+    A sweep point is this base with one leaf swapped where the axis allows
+    it (`_sweep_points`); `build_scenario` of the point's document is its oracle.
     """
 
     name: str
@@ -291,13 +293,15 @@ def _parse_schedule_item(raw, index: int) -> ScheduleItem:
     return ScheduleItem(time_s=t, frame=frame)
 
 
-def build_scenario(raw: Mapping) -> Scenario:
+def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     """Validate a scenario document and build the typed configuration.
 
     Each section goes through `_build_section` or `_section`, so a
     malformed one is a ScenarioError naming it; so is a readout trace the
     tank cannot take, a schedule that `_walk_schedule` refuses, and a run
     past `MAX_ROWS` rows, which samples x (1 + traced cells + other kinds) seed.
+    A sweep point is built without `points`, fig3b's and fig3c's check of
+    their own sweep's points: `run_generic` runs a point, and does not sweep.
     """
     if not isinstance(raw, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
@@ -426,7 +430,7 @@ def build_scenario(raw: Mapping) -> Scenario:
     if scenario.figure is not None:
         from . import figures
 
-        params = figures.check_sections(scenario)
+        params = figures.check_sections(scenario, points)
         scenario = dataclasses.replace(scenario, figure_params=params)
     return scenario
 
@@ -996,12 +1000,51 @@ def run_scenario(scenario: Scenario) -> TraceBundle:
 # sweeps
 
 
-def sweep(scenario: Scenario, axis: str, values: Iterable) -> Iterator[TraceBundle]:
-    """Generic runs with `axis` set to each value, in order, all built first,
-    each run as it is read, so one point's tables are held at a time."""
-    # The base validated, so a build failure is the axis or a value breaking it.
+def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]:
+    """`base` with `axis` set to each value, in order: each point equals
+    `build_scenario(set_axis(base.raw, axis, value))`, the oracle, or is
+    refused with its message, as an UnknownAxis naming the axis.
+
+    Two leaves are read at load only by their own parse and, for a DAC
+    move, by the walk as one DAC entry, which `_walk_schedule` appends in
+    schedule order: `rails.v_hold`, and `schedule.<i>.dac.<name>` where
+    item i of the base is a `dac` item.  A point on either parses the new
+    leaf as a full build does and swaps it into the base (with the item's
+    DAC entry); a point on any other axis is a full build.
+    """
+    parts = axis.split(".")
+    dac = at = None  # the `dac` item that the axis names, if it names one, and its plan entry
+    if len(parts) == 4 and parts[0] == "schedule" and parts[2] == "dac":
+        with suppress(UnknownAxis):  # no such item: the full build refuses the axis
+            i = _key(base.raw.get("schedule"), parts[1], axis) % len(base.schedule)
+            if base.schedule[i].frame is None:
+                dac, at = i, [n for n, entry in enumerate(base.plan) if entry[2] == "DAC"][
+                    sum(item.frame is None for item in base.schedule[:i])]
+    points = []
     try:
-        points = [build_scenario(set_axis(scenario.raw, axis, v)) for v in values]
+        for value in values:
+            doc = set_axis(base.raw, axis, value)
+            if axis == "rails.v_hold":
+                swap = {"rails": _build_section(analog.SupplyRails, doc["rails"], "rails")}
+            elif dac is not None:
+                item = _parse_schedule_item(doc["schedule"][dac], dac)
+                swap = {
+                    "schedule": (*base.schedule[:dac], item, *base.schedule[dac + 1:]),
+                    "plan": (*base.plan[:at], (item.time_s, _PRIO["DAC"], "DAC", item.dac),
+                             *base.plan[at + 1:]),
+                }
+            else:
+                points.append(build_scenario(doc, points=False))
+                continue
+            points.append(dataclasses.replace(base, raw=doc, overrides=(), **swap))
     except ScenarioError as exc:
         raise UnknownAxis(f"axis {axis!r}: {exc}") from exc
-    return map(run_generic, points)
+    return points
+
+
+def sweep(scenario: Scenario, axis: str, values: Iterable) -> Iterator[TraceBundle]:
+    """Generic runs with `axis` set to each value, in order, all built first
+    (`_sweep_points`: a swapped leaf where the axis allows it, else a full
+    build, which is the oracle either way), each run as it is read, so one
+    point's tables are held at a time."""
+    return map(run_generic, _sweep_points(scenario, axis, values))

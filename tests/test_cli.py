@@ -766,6 +766,32 @@ class TestSweepCommand:
         assert second.split(",") == ["1", "", "0.0"]
 
 
+class TestFigureSweepPoints:
+    """`validate` builds each point of fig3b's and fig3c's own sweep, so it
+    refuses a point that `run` refuses, with the same message."""
+
+    @pytest.mark.parametrize("name, sweep", [
+        ("fig3b", {"values": [-0.8, "x"]}),
+        ("fig3b", {"values": [True]}),
+        ("fig3b", {"values": [math.nan]}),
+        ("fig3b", {"axis": "rails.v_hold", "values": ["x"]}),
+        ("fig3b", {"axis": "schedule.4.dac.v_hold", "values": [-0.8]}),
+        ("fig3b", {"axis": "duration_s", "values": [-1.0]}),  # a full build per point
+        ("fig3c", {"values": [-0.5, "x"]}),
+    ], ids=["dac_text", "dac_bool", "dac_nan", "rails_text", "exec_item", "full_build",
+            "fig3c_text"])
+    def test_validate_refuses_what_run_refuses(self, name, sweep, tmp_path):
+        doc = json.loads(cli.bundled_scenario_path(name).read_text())
+        doc["sweep"].update(sweep)
+        path = tmp_path / "swept.scn"
+        path.write_text(json.dumps(doc))
+        validated, _, refusal = _main(["validate", str(path)])
+        ran, _, err = _main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert (validated, refusal) == (ran, err)
+        axis = sweep.get("axis", doc["sweep"]["axis"])
+        assert validated == 1 and refusal.startswith(f"error: axis {axis!r}: ")
+
+
 class TestReplay:
     STREAM = """
     # configure: ctrl=clock|fsm|playback, divider=15, pattern "10"

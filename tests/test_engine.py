@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -609,6 +610,75 @@ class TestSweep:
         with pytest.raises(UnknownAxis, match="axis 'rails.v_hold'"):
             engine.sweep(self._scenario(), "rails.v_hold", [-1.1, "x"])
         assert ran == []
+
+    @staticmethod
+    def _assert_points_are_full_builds(base, axis, values):
+        """Each point equals the full build of its document, field by field,
+        or is refused with the full build's message."""
+        for value in values:
+            try:
+                full = build_scenario(engine.set_axis(base.raw, axis, value))
+            except ScenarioError as exc:
+                with pytest.raises(UnknownAxis) as refused:
+                    engine._sweep_points(base, axis, [value])
+                assert str(refused.value) == f"axis {axis!r}: {exc}"
+                continue
+            [point] = engine._sweep_points(base, axis, [value])
+            for field in dataclasses.fields(engine.Scenario):
+                assert getattr(point, field.name) == getattr(full, field.name), field.name
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("fig3b", []), ("fig3c", []),
+        ("fig3b", ["rails.v_hold=-1.2"]), ("fig3c", ["analog.leak_rate=1e-3"]),
+    ])
+    def test_bundled_points_are_full_builds(self, name, overrides):
+        base = engine.load_scenario(cli.bundled_scenario_path(name), overrides)
+        assert base.overrides == tuple(overrides)
+        self._assert_points_are_full_builds(base, base.sweep.axis, base.sweep.values)
+
+    @given(value=st.floats() | st.integers() | st.booleans() | st.text(max_size=4) | st.none()
+           | st.sampled_from([math.nan, math.inf, -math.inf, 10**400, "1e3", " -1 "])
+           | st.dictionaries(st.text("ab", min_size=1, max_size=2), st.floats(), max_size=2))
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("name, axis", [
+        ("fig3b", "schedule.5.dac.v_hold"),  # the bundled sweep's axis
+        ("fig3b", "schedule.-5.dac.v_hold"),  # the same item, from the end
+        ("fig3b", "schedule.5.dac.v_gate"),  # a DAC the item does not move yet
+        ("fig3b", "rails.v_hold"),
+        ("fig3c", "rails.v_hold"),
+    ])
+    def test_drawn_points_are_full_builds(self, name, axis, value):
+        base = engine.load_scenario(cli.bundled_scenario_path(name))
+        self._assert_points_are_full_builds(base, axis, [value])
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        calls = []
+        real = engine.build_scenario
+        monkeypatch.setattr(engine, "build_scenario",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("name", ["fig3b", "fig3c"])
+    def test_bundled_sweep_makes_no_full_build(self, name, monkeypatch):
+        base = engine.load_scenario(cli.bundled_scenario_path(name))
+        calls = self._count_builds(monkeypatch)
+        engine.run_scenario(base)
+        assert calls == []
+
+    def test_other_axis_builds_each_point(self, monkeypatch):
+        base = self._scenario()
+        calls = self._count_builds(monkeypatch)
+        bundles = list(engine.sweep(base, "traces.cells.0", [0, 1, 2]))
+        assert len(calls) == 3 and len(bundles) == 3
+
+    def test_dac_axis_on_another_item_is_refused(self):
+        base = engine.load_scenario(cli.bundled_scenario_path("fig3b"))
+        assert base.schedule[4].frame is not None  # item 4 is an `exec`
+        with pytest.raises(UnknownAxis) as refused:
+            engine.sweep(base, "schedule.4.dac.v_hold", [-0.8])
+        assert str(refused.value) == ("axis 'schedule.4.dac.v_hold': schedule[4]:"
+                                      " expected one of write/read/exec/nop/word/dac")
 
 
 class TestExport:
