@@ -19,12 +19,13 @@ with a first-order transient of time constant
     tau = r_switch * c_pulse * c_p / (c_pulse + c_p)
 
 All operations are pure: they take a cell value and return a new one.
-A cell state is a `ClfgCell` NamedTuple, and each transition builds the
-next state directly: by `_replace`, or, on the hold-rail fan-out that
-runs on all 32 cells at each move, by the constructor with every field
-in order.  The element values live in a `CellParams` that every state of
-a cell shares by reference, so an event copies only the few state
-fields.  `apply_fg_run` applies a whole playback run in one step;
+A cell state is a `ClfgCell` NamedTuple, and each transition unpacks
+it once and builds the next state in its own frame, by
+`tuple.__new__(ClfgCell, ...)` with every field in order and no call to
+another transition (the hold-rail fan-out runs `set_hold` on all 32
+cells at each move).  The element values live in a `CellParams` that
+every state of a cell shares by reference, so an event copies only the
+few state fields.  `apply_fg_run` applies a whole playback run in one step;
 `settle` and `apply_fg`, one edge at a time, are its test oracle.  Its
 RC transient is `one_pole`, the first-order recurrence the tank readout
 in `device` filters with too.  Likewise `sample_output` reads many
@@ -114,8 +115,8 @@ class ClfgCell(NamedTuple):
     pulse contribution of the current fast-gate level relative to `fg_ref`,
     the level the charge was referenced to when the lock last opened.
     `v_start` is the instantaneous output at `t_last`, from which any
-    pending RC transient relaxes toward `v_target`.  `couple_hold` and
-    `set_hold` build a state positionally, so they rely on this field order.
+    pending RC transient relaxes toward `v_target`.  Every transition
+    builds its state positionally, so each relies on this field order.
     """
 
     params: CellParams = CellParams()
@@ -127,6 +128,10 @@ class ClfgCell(NamedTuple):
     v_start: float = 0.0
     v_target: float = 0.0
     t_last: float = 0.0
+
+
+# A `ClfgCell` from the tuple of its fields in order, with no generated `__new__` frame.
+_new = tuple.__new__
 
 
 def series_capacitance(p: CellParams) -> float:
@@ -160,13 +165,8 @@ def lock(cell: ClfgCell, v_hold: float) -> ClfgCell:
     Idempotent; any pending transient is discarded because the rail now
     drives the node directly.
     """
-    return cell._replace(
-        lock_closed=True,
-        v_hold_seen=v_hold,
-        v_base=v_hold,
-        v_start=v_hold,
-        v_target=v_hold,
-    )
+    params, _, fg_level, fg_ref, _, _, _, _, t_last = cell
+    return _new(ClfgCell, (params, True, fg_level, fg_ref, v_hold, v_hold, v_hold, v_hold, t_last))
 
 
 def unlock(cell: ClfgCell) -> ClfgCell:
@@ -176,81 +176,83 @@ def unlock(cell: ClfgCell) -> ClfgCell:
     the held voltage by `q_inj / (c_p + c_pulse)`.  The current fast-gate
     level becomes the reference level for later pulses.
     """
-    if not cell.lock_closed:
+    params, locked, fg_level, _, v_hold_seen, _, _, _, t_last = cell
+    if not locked:
         raise AlreadyUnlocked("lock switch is already open")
-    v = cell.v_hold_seen + injection_offset(cell.params)
-    return cell._replace(
-        lock_closed=False,
-        fg_ref=cell.fg_level,
-        v_base=v,
-        v_start=v,
-        v_target=v,
-    )
+    v = v_hold_seen + injection_offset(params)
+    return _new(ClfgCell, (params, False, fg_level, fg_level, v_hold_seen, v, v, v, t_last))
 
 
 def couple_hold(cell: ClfgCell, dv_hold: float) -> ClfgCell:
     """Capacitive feedthrough of a hold-rail move onto a floating output.
 
     Exactly linear, so a closed loop in the hold voltage returns the
-    output to its starting value (to machine precision).
+    output to its starting value (to machine precision).  The oracle of
+    `set_hold` on a floating cell, which computes it in its own frame.
     """
     params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last = cell
     if locked:
         raise LockClosed("output tracks the hold rail directly while locked")
     dv = coupling_ratio(params) * dv_hold
-    return ClfgCell(
-        params, locked, fg_level, fg_ref,
-        v_hold_seen + dv_hold, v_base + dv, v_start + dv, v_target + dv, t_last,
-    )
+    return _new(ClfgCell, (params, locked, fg_level, fg_ref, v_hold_seen + dv_hold,
+                           v_base + dv, v_start + dv, v_target + dv, t_last))
 
 
 def set_hold(cell: ClfgCell, v_hold: float) -> ClfgCell:
     """Move the hold rail: locked cells track it, floating cells couple."""
-    params, locked, fg_level, fg_ref, v_hold_seen, _, _, _, t_last = cell
+    params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last = cell
     if locked:
-        return ClfgCell(
-            params, locked, fg_level, fg_ref, v_hold, v_hold, v_hold, v_hold, t_last
-        )
-    return couple_hold(cell, v_hold - v_hold_seen)
+        return _new(ClfgCell, (params, locked, fg_level, fg_ref,
+                               v_hold, v_hold, v_hold, v_hold, t_last))
+    dv_hold = v_hold - v_hold_seen
+    dv = coupling_ratio(params) * dv_hold
+    return _new(ClfgCell, (params, locked, fg_level, fg_ref, v_hold_seen + dv_hold,
+                           v_base + dv, v_start + dv, v_target + dv, t_last))
 
 
 def settle(cell: ClfgCell, t: float) -> ClfgCell:
     """Advance the cell's internal time to `t` (t >= t_last): a floating
     output leaks toward 0 V at `leak_rate` (a semigroup in t) and relaxes
     any RC transient; a locked one only advances its clock."""
-    dt = t - cell.t_last
-    if dt < 0:
-        raise ValueError(f"time {t} precedes last event at {cell.t_last}")
-    if cell.lock_closed or dt == 0.0:
-        return cell._replace(t_last=t)
-    rc = math.exp(-dt / time_constant(cell.params))
-    decay = math.exp(-cell.params.leak_rate * dt)
-    v_inst = cell.v_target + (cell.v_start - cell.v_target) * rc
-    return cell._replace(
-        v_base=cell.v_base * decay,
-        v_target=cell.v_target * decay,
-        v_start=v_inst * decay,
-        t_last=t,
-    )
+    params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last = cell
+    if (dt := t - t_last) < 0:
+        raise ValueError(f"time {t} precedes last event at {t_last}")
+    if not (locked or dt == 0.0):
+        rc = math.exp(-dt / time_constant(params))
+        decay = math.exp(-params.leak_rate * dt)
+        v_inst = v_target + (v_start - v_target) * rc
+        v_base, v_start, v_target = v_base * decay, v_inst * decay, v_target * decay
+    return _new(ClfgCell, (params, locked, fg_level, fg_ref, v_hold_seen,
+                           v_base, v_start, v_target, t))
 
 
 def apply_fg(cell: ClfgCell, level: Level, t: float, rails: SupplyRails) -> ClfgCell:
     """Drive the fast-gate switch to `level` at time `t`.
 
-    On a floating cell the asymptotic output steps by +/- the pulse
-    amplitude and relaxes there with the cell's RC time constant.  The
-    pulse contribution is recomputed from (level - fg_ref) on every edge,
-    never accumulated, so a full HIGH/LOW cycle returns the target to the
-    baseline exactly.  While locked the level is recorded but the output
-    stays pinned.
+    A floating cell is settled to `t`, as `settle` does; its asymptotic
+    output then steps by +/- the pulse amplitude and relaxes there with
+    the cell's RC time constant.  The pulse contribution is recomputed
+    from (level - fg_ref) on every edge, never accumulated, so a full
+    HIGH/LOW cycle returns the target to the baseline exactly.  While
+    locked the level is recorded but the output stays pinned.
     """
-    if cell.lock_closed:
-        return cell._replace(fg_level=level)
-    cell = settle(cell, t)
-    if level == cell.fg_level:
-        return cell
-    pulse = pulse_amplitude(cell.params, rails) * (int(level) - int(cell.fg_ref))
-    return cell._replace(fg_level=level, v_target=cell.v_base + pulse)
+    params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last = cell
+    if locked:
+        fg_level = level
+    else:
+        if (dt := t - t_last) < 0:
+            raise ValueError(f"time {t} precedes last event at {t_last}")
+        if dt != 0.0:
+            rc = math.exp(-dt / time_constant(params))
+            decay = math.exp(-params.leak_rate * dt)
+            v_inst = v_target + (v_start - v_target) * rc
+            v_base, v_start, v_target = v_base * decay, v_inst * decay, v_target * decay
+        t_last = t
+        if level != fg_level:
+            fg_level = level
+            v_target = v_base + pulse_amplitude(params, rails) * (int(level) - int(fg_ref))
+    return _new(ClfgCell, (params, locked, fg_level, fg_ref, v_hold_seen,
+                           v_base, v_start, v_target, t_last))
 
 
 def apply_fg_run(
@@ -276,33 +278,30 @@ def apply_fg_run(
 
     A locked cell only records the last level.
     """
-    if cell.lock_closed:
-        return cell._replace(fg_level=Level(int(levels[-1])), t_last=float(times[-1]))
+    params, locked, _, fg_ref, v_hold_seen, v_base, v_start, v_target, _ = cell
+    if locked:
+        return _new(ClfgCell, (params, locked, Level(int(levels[-1])), fg_ref, v_hold_seen,
+                               v_base, v_start, v_target, float(times[-1])))
     cell = apply_fg(cell, Level(int(levels[0])), float(times[0]), rails)
     if len(times) == 1:
         return cell
-    p = cell.params
-    a = math.exp(-period_s / time_constant(p))
-    d = math.exp(-p.leak_rate * period_s)
+    _, _, _, _, _, v_base, v_start, v_target, _ = cell
+    a = math.exp(-period_s / time_constant(params))
+    d = math.exp(-params.leak_rate * period_s)
     k = np.arange(1, len(times))
     changed = levels[1:] != levels[:-1]
-    base = cell.v_base * d**k
+    base = v_base * d**k
     # Target at each level change, with index 0 standing for the first edge.
     anchors = np.concatenate((
-        [cell.v_target],
-        base + pulse_amplitude(p, rails) * (levels[1:] - float(cell.fg_ref)),
+        [v_target],
+        base + pulse_amplitude(params, rails) * (levels[1:] - float(fg_ref)),
     ))
     last = np.maximum.accumulate(np.where(changed, k, 0))
     target = anchors[last] * d ** (k - last)
-    previous = np.concatenate(([cell.v_target], target[:-1]))
-    start = one_pole((1.0 - a) * d, a * d, previous, a * d * cell.v_start)
-    return cell._replace(
-        fg_level=Level(int(levels[-1])),
-        v_base=float(base[-1]),
-        v_target=float(target[-1]),
-        v_start=float(start[-1]),
-        t_last=float(times[-1]),
-    )
+    previous = np.concatenate(([v_target], target[:-1]))
+    start = one_pole((1.0 - a) * d, a * d, previous, a * d * v_start)
+    return _new(ClfgCell, (params, locked, Level(int(levels[-1])), fg_ref, v_hold_seen,
+                           float(base[-1]), float(start[-1]), float(target[-1]), float(times[-1])))
 
 
 def one_pole(b0: float, c: float, x, z0: float) -> np.ndarray:

@@ -158,6 +158,7 @@ class Scenario:
     rows: int
     raw: Mapping  # the document as given, for sweeps and hashing
     overrides: tuple[str, ...] = ()  # the `--override` texts applied to `raw`
+    points: tuple[Scenario, ...] = ()  # fig3b's and fig3c's own sweep points, made at load
 
 
 # Keys of the `device` section that do not belong to the dot itself.
@@ -177,10 +178,13 @@ def _section(where: str):
 
 
 def _finite(value) -> bool:
-    """Whether `value` holds no bool and no float that is not finite (JSON's
-    NaN and Infinity), at any depth: what a number field may hold."""
-    if isinstance(value, float):
-        return math.isfinite(value)
+    """Whether `value` holds no bool, no float that is not finite (JSON's
+    NaN and Infinity) and no int past float range, at any depth: what a
+    number field may hold."""
+    if isinstance(value, (float, int)) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int that float() cannot hold
+            return math.isfinite(value)
+        return False
     if isinstance(value, (dict, list, tuple)):
         return all(map(_finite, value.values() if isinstance(value, dict) else value))
     return not isinstance(value, bool)
@@ -300,8 +304,9 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     malformed one is a ScenarioError naming it; so is a readout trace the
     tank cannot take, a schedule that `_walk_schedule` refuses, and a run
     past `MAX_ROWS` rows, which samples x (1 + traced cells + other kinds) seed.
-    A sweep point is built without `points`, fig3b's and fig3c's check of
-    their own sweep's points: `run_generic` runs a point, and does not sweep.
+    fig3b and fig3c make their own sweep's `points` here, which refuses a
+    point their run would refuse; a sweep point is built without them:
+    `run_generic` runs a point, and does not sweep.
     """
     if not isinstance(raw, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
@@ -430,8 +435,10 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     if scenario.figure is not None:
         from . import figures
 
-        params = figures.check_sections(scenario, points)
-        scenario = dataclasses.replace(scenario, figure_params=params)
+        scenario = dataclasses.replace(scenario, figure_params=figures.check_sections(scenario))
+        if points and "sweep" in figures._NEEDS.get(scenario.figure, ()):  # fig3b, fig3c
+            made = _sweep_points(scenario, scenario.sweep.axis, scenario.sweep.values)
+            scenario = dataclasses.replace(scenario, points=tuple(made))
     return scenario
 
 
@@ -439,7 +446,7 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int of too many digits
         raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
     return with_overrides(raw, overrides)
 
@@ -817,6 +824,8 @@ def _cut_runs(timeline: list, sample_times: np.ndarray, sampled: set[int], v_hol
     last tick at or before each sample time.  Each slice (views of the
     run's columns) goes on the timeline at its first tick.
     """
+    if not (runs := [entry[3] for entry in timeline if entry[2] == "FG"]):
+        return timeline  # nothing to cut, and already sorted
     moves = []  # times of the hold-rail moves that change the rail
     for t, _prio, kind, payload in timeline:
         if kind == "DAC" and (value := dict(payload).get("v_hold", v_hold)) != v_hold:
@@ -824,7 +833,7 @@ def _cut_runs(timeline: list, sample_times: np.ndarray, sampled: set[int], v_hol
             v_hold = value
     moves = np.asarray(moves, dtype=float)
     out = [entry for entry in timeline if entry[2] != "FG"]
-    for run in (entry[3] for entry in timeline if entry[2] == "FG"):
+    for run in runs:
         # starts[k]: a slice starts at tick k; starts[len] closes the last one.
         starts = np.zeros(len(run.times) + 1, dtype=bool)
         starts[[0, -1]] = True
@@ -903,7 +912,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
         if kind == "DAC":
             for name, value in payload:  # type: ignore[union-attr]
                 if name == "v_hold" and value != dacs[name]:
-                    cells = [analog.set_hold(cell, value) for cell in cells]
+                    cells = list(map(analog.set_hold, cells, repeat(value, N_CELLS)))
                 dacs[name] = value
         elif kind == "FG":
             run: fsm.TickRun = payload  # type: ignore[assignment]
@@ -1036,7 +1045,7 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
             else:
                 points.append(build_scenario(doc, points=False))
                 continue
-            points.append(dataclasses.replace(base, raw=doc, overrides=(), **swap))
+            points.append(dataclasses.replace(base, raw=doc, overrides=(), points=(), **swap))
     except ScenarioError as exc:
         raise UnknownAxis(f"axis {axis!r}: {exc}") from exc
     return points
@@ -1046,5 +1055,7 @@ def sweep(scenario: Scenario, axis: str, values: Iterable) -> Iterator[TraceBund
     """Generic runs with `axis` set to each value, in order, all built first
     (`_sweep_points`: a swapped leaf where the axis allows it, else a full
     build, which is the oracle either way), each run as it is read, so one
-    point's tables are held at a time."""
-    return map(run_generic, _sweep_points(scenario, axis, values))
+    point's tables are held at a time.  On the scenario's own sweep block
+    (its axis and its `values` object) the points made at load are run."""
+    own = scenario.points and axis == scenario.sweep.axis and values is scenario.sweep.values
+    return map(run_generic, scenario.points if own else _sweep_points(scenario, axis, values))

@@ -223,13 +223,12 @@ def _samples_from(scenario: Scenario, t: float, bisect) -> int:
     return n - bisect(range(n), t, key=lambda k: k / rate)
 
 
-def check_sections(scenario: Scenario, points: bool = True) -> dict:
+def check_sections(scenario: Scenario) -> dict:
     """Reject an unknown figure, one whose driver lacks a section, trace
     kind or `figure_params` key it reads, a `figure_params` key it does not
-    read, fig3f's envelope past the row budget, fig4 values that give a
-    table value that is not finite, and, with `points`, a sweep point of
-    fig3b or fig3c that its run would refuse; return the `figure_params` the
-    driver reads, each converted once to its type and range, with defaults filled in."""
+    read, fig3f's envelope past the row budget and fig4 values that give a
+    table value that is not finite; return the `figure_params` the driver
+    reads, each converted once to its type and range, with defaults filled in."""
     if not isinstance(scenario.figure, str) or scenario.figure not in DRIVERS:
         raise engine.ScenarioError(f"unknown figure {scenario.figure!r}")
     require_sections(scenario, _NEEDS.get(scenario.figure, ()))
@@ -273,8 +272,6 @@ def check_sections(scenario: Scenario, points: bool = True) -> dict:
                              f" x {m} samples", scenario.duration_s)
         with engine._section("traces"):  # `envelope_check` reads the tank's samples
             devmod.require_sample_rate(scenario.tank)
-    if points and "sweep" in _NEEDS.get(scenario.figure, ()):  # each point, as its run builds it
-        engine._sweep_points(scenario, scenario.sweep.axis, scenario.sweep.values)
     if scenario.figure in ("fig4b", "fig4d", "fig4e"):  # closed form: check what it writes
         run = DRIVERS[scenario.figure](dataclasses.replace(scenario, figure_params=params))
         table = run.tables[scenario.figure]

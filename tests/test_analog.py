@@ -537,6 +537,36 @@ class TestStateTransitions:
         )
         assert_same_state(unlock(cell), want, cell)
 
+    @given(cell=any_cell_states, v=finite_volts)
+    @settings(max_examples=200, deadline=None)
+    def test_set_hold_couples_as_couple_hold(self, cell, v):
+        # `couple_hold` stays the oracle of the floating branch `set_hold` fuses.
+        cell = cell._replace(lock_closed=False)
+        assert_same_state(set_hold(cell, v), couple_hold(cell, v - cell.v_hold_seen), cell)
+
+    @given(cell=any_cell_states, level=st.sampled_from(Level), dt=st.floats(0.0, 1e-3))
+    @settings(max_examples=200, deadline=None)
+    def test_apply_fg(self, cell, level, dt):
+        rails = SupplyRails(v_high=0.3, v_low=-0.2)
+        t = cell.t_last + dt
+        if cell.lock_closed:
+            want = cell._replace(fg_level=level)
+        else:
+            want = settle(cell, t)
+            if level != want.fg_level:
+                pulse = pulse_amplitude(cell.params, rails) * (int(level) - int(cell.fg_ref))
+                want = want._replace(fg_level=level, v_target=want.v_base + pulse)
+        assert_same_state(apply_fg(cell, level, t, rails), want, cell)
+
+    @given(cell=any_cell_states, levels=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_apply_fg_run_locked(self, cell, levels):
+        cell = cell._replace(lock_closed=True)
+        times = cell.t_last + 1e-6 * np.arange(len(levels))
+        want = cell._replace(fg_level=Level(levels[-1]), t_last=float(times[-1]))
+        got = apply_fg_run(cell, times, np.array(levels), 1e-6, SupplyRails())
+        assert_same_state(got, want, cell)
+
     @given(cell=any_cell_states)
     @settings(max_examples=50, deadline=None)
     def test_state_survives_pickle(self, cell):

@@ -792,6 +792,30 @@ class TestFigureSweepPoints:
         assert validated == 1 and refusal.startswith(f"error: axis {axis!r}: ")
 
 
+class TestIntPastFloatRange:
+    def test_hold_rail_past_float_range_exits_1(self, tmp_path):
+        # It passed `validate`, then `run` overflowed converting it to a float.
+        doc = json.loads(cli.bundled_scenario_path("fig3e").read_text())
+        doc["rails"]["v_hold"] = 10**400
+        path = tmp_path / "big.scn"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+            code, _, err = _main(argv)
+            assert code == 1 and err.startswith("error: rails.v_hold: expected finite numbers")
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_int_past_the_digit_limit_exits_1(self, tmp_path):
+        # json.load itself refuses an int of more than 4,300 digits, with a ValueError.
+        text = cli.bundled_scenario_path("fig3e").read_text()
+        path = tmp_path / "huge.scn"
+        path.write_text(text.replace('"v_hold": ', '"v_hold": ' + "1" * 5000 + ', "x": ', 1))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+            code, _, err = _main(argv)
+            assert code == 1 and err.startswith(f"error: cannot load scenario {path}: ")
+            assert "Traceback" not in err
+
+
 class TestReplay:
     STREAM = """
     # configure: ctrl=clock|fsm|playback, divider=15, pattern "10"

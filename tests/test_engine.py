@@ -182,6 +182,16 @@ class TestGenericRun:
         assert all(v == 0.0 for _, _, v in bundle.tables["cells"].rows)
         assert len(bundle.tables["cells"].rows) == 2 * 11
 
+    def test_timeline_without_tick_runs_is_not_cut(self):
+        # A refresh with hold-rail moves: lock actions and DAC entries, no FG.
+        scenario = dataclasses.replace(_refreshing(), cell_targets={0: -1.0, 1: -0.9})
+        timeline = engine._expand_plan(scenario)
+        kinds = {kind for _, _, kind, _ in timeline}
+        assert "FG" not in kinds and {"DAC", "CLOSE", "OPEN"} <= kinds
+        before = list(timeline)
+        cut = engine._cut_runs(timeline, engine.sample_grid(scenario), {0}, scenario.rails.v_hold)
+        assert cut is timeline and cut == before
+
     def test_bundle_without_events_table_has_no_events(self):
         assert engine.TraceBundle({}, {}).events == []
 
@@ -614,10 +624,11 @@ class TestSweep:
     @staticmethod
     def _assert_points_are_full_builds(base, axis, values):
         """Each point equals the full build of its document, field by field,
-        or is refused with the full build's message."""
+        or is refused with the full build's message; a point is built, as
+        `_sweep_points` builds one, without the sweep points of its own."""
         for value in values:
             try:
-                full = build_scenario(engine.set_axis(base.raw, axis, value))
+                full = build_scenario(engine.set_axis(base.raw, axis, value), points=False)
             except ScenarioError as exc:
                 with pytest.raises(UnknownAxis) as refused:
                     engine._sweep_points(base, axis, [value])
@@ -665,6 +676,27 @@ class TestSweep:
         calls = self._count_builds(monkeypatch)
         engine.run_scenario(base)
         assert calls == []
+
+    @pytest.mark.parametrize("name", ["fig3b", "fig3c"])
+    def test_points_are_made_once_per_command(self, name, monkeypatch):
+        made = []
+        real = engine.set_axis
+        monkeypatch.setattr(engine, "set_axis", lambda *args: made.append(args) or real(*args))
+        base = engine.load_scenario(cli.bundled_scenario_path(name))
+        assert len(made) == len(base.sweep.values) == len(base.points)
+        engine.run_scenario(base)
+        assert len(made) == len(base.sweep.values)  # the run makes none again
+        assert all(point.points == () for point in base.points)
+
+    def test_points_run_only_on_the_own_sweep(self):
+        base = engine.load_scenario(cli.bundled_scenario_path("fig3c"))
+        assert engine.load_scenario(cli.bundled_scenario_path("fig3e")).points == ()
+        axis, values = base.sweep.axis, base.sweep.values
+        own = [b.tables["cells"].rows for b in engine.sweep(base, axis, values)]
+        again = [b.tables["cells"].rows for b in engine.sweep(base, axis, list(values))]
+        assert own == again
+        [last] = engine.sweep(base, axis, values[-1:])  # other values: made as asked
+        assert last.tables["cells"].rows == own[-1]
 
     def test_other_axis_builds_each_point(self, monkeypatch):
         base = self._scenario()
