@@ -99,6 +99,12 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _csv_field(value) -> str:
+    """A sweep value as `export` writes it, quoted where RFC 4180 needs it."""
+    text = engine._format_cell(value)
+    return '"' + text.replace('"', '""') + '"' if set(text) & set(',"\r\n') else text
+
+
 def _cmd_sweep(args) -> int:
     scenario = engine.load_scenario(args.scenario, args.override)
     if args.axis is not None:
@@ -111,12 +117,13 @@ def _cmd_sweep(args) -> int:
         axis, values = scenario.sweep.axis, scenario.sweep.values
     else:
         raise engine.ScenarioError("scenario has no sweep block and no --axis given")
-    summaries = [bundle.summary for bundle in engine.sweep(scenario, axis, values)]
+    summaries = [bundle.summary for bundle in engine.sweep(scenario, args.axis, values)]
     # One column per cell any run traced (a sweep may move them), in
     # first-seen order; a run that did not trace a cell leaves it empty.
     finals = [summary["v_out_final"] for summary in summaries]
     cells = list(dict.fromkeys(c for final in finals for c in final))
-    columns = [list(values)] + [[final.get(c, "") for final in finals] for c in cells]
+    columns = [list(map(_csv_field, values))]
+    columns += [[final.get(c, "") for final in finals] for c in cells]
     header = ["value"] + [f"v_out_final_cell{c}" for c in cells]
     if any("conductance_final_s" in summary for summary in summaries):
         header.append("conductance_final_s")

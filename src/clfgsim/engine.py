@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -46,8 +46,8 @@ MAX_ROWS = 2**21
 # and temperature traces.  Coincident entries apply releases first (of
 # cells locked at that instant, after the lock), then host DAC moves, then
 # lock closures, then fast-gate edges, then the new mode; samples observe
-# the post-event state at their own timestamp.  A plan holds PLAY and
-# REFRESH stretches in place of FG and slot entries.
+# the post-event state at their own timestamp.  A plan holds no DAC entry,
+# and PLAY stretches and REFRESH modes in place of FG and slot entries.
 _PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3, "MODE": 4}
 
 
@@ -131,8 +131,8 @@ class Scenario:
     `power.budget`.  For a figure scenario, `figure_params` holds the
     values its driver reads, converted to their types, defaults filled in.
     `plan`, `responses` and `rows` (what a run fills) are the walk at load (`_walk_schedule`).
-    A sweep point is this base with one leaf swapped where the axis allows
-    it (`_sweep_points`); `build_scenario` of the point's document is its oracle.
+    `points` are its own `sweep` block's, made at load: this base with one leaf
+    swapped where the axis allows it (`_sweep_points`), else a full build.
     """
 
     name: str
@@ -158,7 +158,7 @@ class Scenario:
     rows: int
     raw: Mapping  # the document as given, for sweeps and hashing
     overrides: tuple[str, ...] = ()  # the `--override` texts applied to `raw`
-    points: tuple[Scenario, ...] = ()  # fig3b's and fig3c's own sweep points, made at load
+    points: tuple[Scenario, ...] = ()  # the own `sweep` block's points, made at load
 
 
 # Keys of the `device` section that do not belong to the dot itself.
@@ -304,8 +304,8 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     malformed one is a ScenarioError naming it; so is a readout trace the
     tank cannot take, a schedule that `_walk_schedule` refuses, and a run
     past `MAX_ROWS` rows, which samples x (1 + traced cells + other kinds) seed.
-    fig3b and fig3c make their own sweep's `points` here, which refuses a
-    point their run would refuse; a sweep point is built without them:
+    A `sweep` block makes its `points` here, which refuses a point that a
+    run would refuse; a sweep point is built without them (`points=False`):
     `run_generic` runs a point, and does not sweep.
     """
     if not isinstance(raw, Mapping):
@@ -436,9 +436,11 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
         from . import figures
 
         scenario = dataclasses.replace(scenario, figure_params=figures.check_sections(scenario))
-        if points and "sweep" in figures._NEEDS.get(scenario.figure, ()):  # fig3b, fig3c
-            made = _sweep_points(scenario, scenario.sweep.axis, scenario.sweep.values)
-            scenario = dataclasses.replace(scenario, points=tuple(made))
+    if points and scenario.sweep is not None:
+        made = _sweep_points(scenario, scenario.sweep.axis, scenario.sweep.values)
+        scenario = dataclasses.replace(scenario, points=tuple(made))
+        if scenario.figure is not None:
+            figures.check_sweep_values(scenario)
     return scenario
 
 
@@ -658,30 +660,30 @@ def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duratio
     """The run's plan, in walk order, READ responses and rows; every refusal
     of a schedule is made here, as a ScenarioError naming the item or `duration_s`.
 
-    One loop over the schedule, then an end item at `duration_s`.  Only
-    WRITE and EXEC split playback: before each (and at the end) the stretch
-    since the last one is one entry, PLAY at its start with the chip state
-    there and its length, or REFRESH at the EXEC that entered REFRESH with
-    the integer period, the cells and slots j up to `stop`.  Its rows of the
-    `events` table, each mode change's lock actions and each READ response
-    add to `rows`, against `MAX_ROWS`.  Leaving a mode opens the cells it
-    keeps `closed`: every masked cell under LOCKING, the last slot's under
-    REFRESH.  MODE entries hold the chip's (mode, regs): at -inf, then each
-    time it changes.
+    One loop over the schedule, skipping `dac` items, then a NOP at
+    `duration_s`.  Only WRITE and EXEC split playback: before each (and at
+    the end) the stretch since the last one is one PLAY entry, at its start
+    with the chip state there and its length.  A REFRESH mode is one entry,
+    at the EXEC that entered it with the integer period, the cells and the
+    slot count `stop`, made at the EXEC that leaves it or at the end: no
+    WRITE changes a running refresh.  Their rows of the `events` table,
+    each mode change's lock actions and each READ response add to `rows`,
+    against `MAX_ROWS`.  Leaving a mode opens the cells it keeps `closed`:
+    every masked cell under LOCKING, the last slot's under REFRESH.  MODE
+    entries hold the chip's (mode, regs): at -inf, then each time it changes.
     """
     chip = fsm.ChipState(master_freq_hz=config.master_freq_hz)
     plan: list[tuple[float, int, str, object]] = []
     modes = {-math.inf: (chip.mode, chip.regs)}  # before any item: times may be negative
     responses: list[tuple[float, protocol.Frame]] = []
     closed: list[int] = []
-    anchor, cells, period, j = 0.0, [], 0, 0  # when the mode began; the rest only REFRESH reads
+    anchor, cells, period, stop = 0.0, [], 0, 0  # when the mode began; the rest only REFRESH reads
     cursor = 0.0
-    end = ScheduleItem(duration_s)
+    end = ScheduleItem(duration_s, protocol.Frame(protocol.Opcode.NOP))
     try:
         for index, item in enumerate([*schedule, end]):
             t, frame = item.time_s, item.frame
-            if item is not end and frame is None:
-                plan.append((t, _PRIO["DAC"], "DAC", item.dac))
+            if frame is None:  # a DAC move, which `_expand_plan` reads from the schedule
                 continue
             where = "duration_s" if item is end else f"schedule[{index}]"
             if item is end or frame.opcode in (protocol.Opcode.WRITE, protocol.Opcode.EXEC):
@@ -691,25 +693,21 @@ def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duratio
                     _check_budget(rows, "playback", t)
                     plan.append((cursor, _PRIO["FG"], "PLAY", (chip, t - cursor)))
                     chip = fsm.advance(chip, ticks)
-                elif chip.mode == fsm.Mode.REFRESH:
-                    stop = _first_slot_at(t, anchor, period, len(cells), j)
-                    # Each slot closes a cell; each but slot 0 opens the one before.
-                    rows += stop - j + max(0, stop - max(j, 1))
-                    _check_budget(rows, "refresh", t, anchor + stop * period / len(cells) < t)
-                    plan.append((anchor, _PRIO["OPEN"], "REFRESH", (period, cells, j, stop)))
-                    j = stop
+                elif chip.mode == fsm.Mode.REFRESH and frame.opcode != protocol.Opcode.WRITE:
+                    stop = _first_slot_at(t, anchor, period, cells)
+                    rows += stop + max(0, stop - 1)  # slot k closes a cell; k > 0 opens one
+                    _check_budget(rows, "refresh", t, _slot_time(stop, anchor, period, cells) < t)
+                    plan.append((anchor, _PRIO["OPEN"], "REFRESH", (period, cells, stop)))
                 cursor = t
-            new_chip = chip
-            if item is not end:
-                new_chip, response = fsm.step(chip, frame)
-                if response is not None:
-                    responses.append((t, response))
-                    rows += 1
+            new_chip, response = fsm.step(chip, frame)
+            if response is not None:
+                responses.append((t, response))
+                rows += 1
             if new_chip.mode != chip.mode or new_chip.regs != chip.regs:
                 modes[t] = (new_chip.mode, new_chip.regs)
             if new_chip.mode != chip.mode:
                 if chip.mode == fsm.Mode.REFRESH:
-                    closed = [cells[(j - 1) % len(cells)]] if j else []
+                    closed = [cells[(stop - 1) % len(cells)]] if stop else []
                 cells = fsm.mask_cells(new_chip.regs.lock_mask)
                 locked = cells if new_chip.mode == fsm.Mode.LOCKING else []
                 rows += len(closed) + len(locked)
@@ -719,7 +717,7 @@ def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duratio
                 closed = locked
                 for cell in closed:
                     plan.append((t, _PRIO["CLOSE"], "CLOSE", cell))
-                anchor, period, j = t, new_chip.regs.refresh_period, 0
+                anchor, period = t, new_chip.regs.refresh_period
             _check_budget(rows, "the schedule", t)
             chip = new_chip
     except (SimulationError, OverflowError) as exc:  # OverflowError: ticks past float range
@@ -737,33 +735,33 @@ def _check_budget(rows: int, what: str, t: float, at_least: bool = False) -> Non
         )
 
 
-def _first_slot_at(t: float, anchor: float, period: int, n: int, j: int) -> int:
-    """The first REFRESH slot k >= j whose time `anchor + k * period / n` is
-    not before `t`: the times rise with k, so double k past `t`, or past
-    `MAX_ROWS` slots (where the stretch alone is past the budget, and the
-    slot found is still before `t`), then bisect."""
-    lo, hi = j, j + 1
-    while anchor + hi * period / n < t and hi - j <= MAX_ROWS:
-        lo, hi = hi + 1, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (mid + 1, hi) if anchor + mid * period / n < t else (lo, mid)
-    return lo
+def _slot_time(k: int, anchor: float, period: int, cells: Sequence[int]) -> float:
+    """REFRESH slot k's time: k * REFRESH_PERIOD / n after the EXEC at `anchor`, for n cells."""
+    return anchor + k * period / len(cells)
+
+
+def _first_slot_at(t: float, anchor: float, period: int, cells: Sequence[int]) -> int:
+    """The first REFRESH slot not before `t`, or 2 * `MAX_ROWS` (where the mode
+    alone is past the budget, and that slot is before `t`): the times rise, so bisect."""
+    key = partial(_slot_time, anchor=anchor, period=period, cells=cells)
+    return bisect_left(range(2 * MAX_ROWS), t, key=key)
 
 
 def _expand_plan(scenario: Scenario) -> list:
-    """The plan sorted by time, then priority (stably), with each PLAY entry
+    """The schedule's DAC moves, then the plan, sorted by time, then priority
+    (stably: a schedule move goes before a slot's), with each PLAY entry
     made an FG entry holding its `fsm.playback` ticks, if any, and each
     REFRESH entry its slots.  REFRESH re-locks the masked cells one at a
     time, round robin: slot k starts k * REFRESH_PERIOD / n after its EXEC
-    (so slot n lands exactly on the period) and opens the previous cell
-    before closing the next.  A cell with a `cell_targets` entry gets a DAC
-    entry at its close, to the target less the injection offset.
+    (so slot n lands exactly on the period) and, after slot 0, opens the
+    previous cell before closing the next.  A cell with a `cell_targets`
+    entry gets a DAC entry at its close, to the target less the injection offset.
     """
     offset = analog.injection_offset(scenario.analog)
     holds = {c: (("v_hold", v - offset),) for c, v in scenario.cell_targets.items()}
-    timeline: list[tuple[float, int, str, object]] = []
-    closed: list[int] = []  # the cell the last slot closed
+    timeline: list[tuple[float, int, str, object]] = [
+        (item.time_s, _PRIO["DAC"], "DAC", item.dac) for item in scenario.schedule if item.frame is None
+    ]
     for entry in scenario.plan:
         start, _prio, kind, payload = entry
         if kind == "PLAY":
@@ -771,14 +769,12 @@ def _expand_plan(scenario: Scenario) -> list:
             if len(run):
                 timeline.append((float(run.times[0]), _PRIO["FG"], "FG", run))
         elif kind == "REFRESH":
-            period, cells, j, stop = payload
-            closed = closed if j else []  # slot 0 of a REFRESH opens no cell
-            for k in range(j, stop):
-                slot = start + k * period / len(cells)
-                for cell in closed:
+            period, cells, stop = payload
+            for k in range(stop):
+                slot = _slot_time(k, start, period, cells)
+                if k:
                     timeline.append((slot, _PRIO["OPEN"], "OPEN", cell))
                 cell = cells[k % len(cells)]
-                closed = [cell]
                 if cell in holds:
                     timeline.append((slot, _PRIO["DAC"], "DAC", holds[cell]))
                 timeline.append((slot, _PRIO["CLOSE"], "CLOSE", cell))
@@ -1014,21 +1010,18 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
     `build_scenario(set_axis(base.raw, axis, value))`, the oracle, or is
     refused with its message, as an UnknownAxis naming the axis.
 
-    Two leaves are read at load only by their own parse and, for a DAC
-    move, by the walk as one DAC entry, which `_walk_schedule` appends in
-    schedule order: `rails.v_hold`, and `schedule.<i>.dac.<name>` where
-    item i of the base is a `dac` item.  A point on either parses the new
-    leaf as a full build does and swaps it into the base (with the item's
-    DAC entry); a point on any other axis is a full build.
+    Two leaves are read at load only by their own parse: `rails.v_hold`,
+    and `schedule.<i>.dac.<name>` where item i of the base is a `dac` item,
+    which the walk skips.  A point on either parses the new leaf as a full
+    build does and swaps it into the base, as `rails` or as that schedule
+    item; a point on any other axis is a full build.
     """
     parts = axis.split(".")
-    dac = at = None  # the `dac` item that the axis names, if it names one, and its plan entry
+    dac = None  # the `dac` item that the axis names, if it names one
     if len(parts) == 4 and parts[0] == "schedule" and parts[2] == "dac":
         with suppress(UnknownAxis):  # no such item: the full build refuses the axis
             i = _key(base.raw.get("schedule"), parts[1], axis) % len(base.schedule)
-            if base.schedule[i].frame is None:
-                dac, at = i, [n for n, entry in enumerate(base.plan) if entry[2] == "DAC"][
-                    sum(item.frame is None for item in base.schedule[:i])]
+            dac = i if base.schedule[i].frame is None else None
     points = []
     try:
         for value in values:
@@ -1037,11 +1030,7 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
                 swap = {"rails": _build_section(analog.SupplyRails, doc["rails"], "rails")}
             elif dac is not None:
                 item = _parse_schedule_item(doc["schedule"][dac], dac)
-                swap = {
-                    "schedule": (*base.schedule[:dac], item, *base.schedule[dac + 1:]),
-                    "plan": (*base.plan[:at], (item.time_s, _PRIO["DAC"], "DAC", item.dac),
-                             *base.plan[at + 1:]),
-                }
+                swap = {"schedule": (*base.schedule[:dac], item, *base.schedule[dac + 1:])}
             else:
                 points.append(build_scenario(doc, points=False))
                 continue
@@ -1051,11 +1040,10 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
     return points
 
 
-def sweep(scenario: Scenario, axis: str, values: Iterable) -> Iterator[TraceBundle]:
-    """Generic runs with `axis` set to each value, in order, all built first
-    (`_sweep_points`: a swapped leaf where the axis allows it, else a full
-    build, which is the oracle either way), each run as it is read, so one
-    point's tables are held at a time.  On the scenario's own sweep block
-    (its axis and its `values` object) the points made at load are run."""
-    own = scenario.points and axis == scenario.sweep.axis and values is scenario.sweep.values
-    return map(run_generic, scenario.points if own else _sweep_points(scenario, axis, values))
+def sweep(scenario: Scenario, axis: str | None = None,
+          values: Iterable = ()) -> Iterator[TraceBundle]:
+    """Generic runs of the scenario's own sweep `points`, made at load, or of
+    `axis` set to each of `values`, in order, all built first (`_sweep_points`);
+    each point runs as it is read, so one point's tables are held at a time."""
+    points = scenario.points if axis is None else _sweep_points(scenario, axis, values)
+    return map(run_generic, points)

@@ -20,21 +20,18 @@ from .engine import Scenario, Table, TraceBundle
 
 def fig3b(scenario: Scenario) -> TraceBundle:
     """Coulomb oscillations vs the charge-locked plunger voltage."""
-    values = scenario.sweep.values
-    bundles = engine.sweep(scenario, scenario.sweep.axis, values)
-    rows = [(float(v), b.summary["conductance_final_s"]) for v, b in zip(values, bundles)]
+    bundles = zip(scenario.sweep.values, engine.sweep(scenario))
+    rows = [(float(v), b.summary["conductance_final_s"]) for v, b in bundles]
     table = Table.from_rows(("v_lp_volts", "g_siemens"), rows)
     return TraceBundle({"fig3b": table}, {"n_points": len(rows)})
 
 
 def fig3c(scenario: Scenario) -> TraceBundle:
     """Held-voltage drift over an hour for several hold voltages."""
-    values = scenario.sweep.values
     cell = scenario.figure_params["cell"]
     open_time = scenario.figure_params["open_time_s"]
-    bundles = engine.sweep(scenario, scenario.sweep.axis, values)
     rows = []
-    for v_hold, bundle in zip(values, bundles):
+    for v_hold, bundle in zip(scenario.sweep.values, engine.sweep(scenario)):
         table = bundle.tables["cells"]
         pairs = [(t, v) for t, c, v in table.rows if c == cell and t > open_time]
         t0, v0 = pairs[0]
@@ -281,6 +278,13 @@ def check_sections(scenario: Scenario) -> dict:
                 at = f" at swing={params['swing']!r}" if "swing" in params else ""
                 raise engine.ScenarioError(f"figure_params: {values}{at} is not finite")
     return params
+
+
+def check_sweep_values(scenario: Scenario) -> None:
+    """Refuse a fig3b or fig3c sweep value that its table cannot write as a finite float."""
+    if "sweep" in _NEEDS.get(scenario.figure, ()):
+        with engine._section(f"axis {scenario.sweep.axis!r}: {scenario.figure} writes floats"):
+            list(map(_FLOAT, scenario.sweep.values))
 
 
 def run_figure(scenario: Scenario) -> TraceBundle:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -765,6 +766,35 @@ class TestSweepCommand:
         assert first.split(",")[2] == ""
         assert second.split(",") == ["1", "", "0.0"]
 
+    @pytest.mark.parametrize("axis, values", [
+        ("name", ["a,b", "c\nd", 'say "hi"', "c\r", "plain"]),
+        ("traces.kinds", [["cells"], ["cells", "hold"]]),
+    ])
+    def test_values_are_quoted_as_csv_needs(self, axis, values, tmp_path):
+        # Unquoted, "a,b" made a row of 3 fields under a 2-field header, and
+        # "c\nd" split a row in two.
+        path = tmp_path / "swept.scn"
+        path.write_text(json.dumps(_mini(sweep={"axis": axis, "values": values})))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["value", "v_out_final_cell0"]
+        assert [row[0] for row in rows] == [engine._format_cell(v) for v in values]
+        assert all(len(row) == len(header) for row in rows)
+
+    def test_sweep_block_values_are_built_at_load(self, tmp_path):
+        # A value no point can take was validate 0 and run 0 (a generic run
+        # never read the block), and only `sweep` refused it.
+        path = tmp_path / "swept.scn"
+        path.write_text(json.dumps(_mini(sweep={"axis": "rails.v_hold", "values": ["x"]})))
+        results = [_main([command, str(path), *extra]) for command, extra in (
+            ("validate", []), ("run", ["--out", str(tmp_path / "run")]),
+            ("sweep", ["--out", str(tmp_path / "sweep")]))]
+        assert {(code, err) for code, _, err in results} == {(1, (
+            "error: axis 'rails.v_hold': rails.v_hold: expected finite numbers, got 'x'\n"))}
+        assert not (tmp_path / "run").exists() and not (tmp_path / "sweep").exists()
+
 
 class TestFigureSweepPoints:
     """`validate` builds each point of fig3b's and fig3c's own sweep, so it
@@ -790,6 +820,27 @@ class TestFigureSweepPoints:
         assert (validated, refusal) == (ran, err)
         axis = sweep.get("axis", doc["sweep"]["axis"])
         assert validated == 1 and refusal.startswith(f"error: axis {axis!r}: ")
+
+    @pytest.mark.parametrize("name, sweep", [
+        ("fig3b", {"axis": "name", "values": ["a", "b"]}),
+        ("fig3c", {"axis": "name", "values": ["1", "b"]}),
+        ("fig3b", {"axis": "traces.kinds", "values": [["conductance"]]}),
+        ("fig3b", {"axis": "name", "values": ["0.5", "nan"]}),
+        ("fig3c", {"axis": "seed", "values": [1, "inf"]}),
+    ])
+    def test_values_the_table_cannot_write_are_refused(self, name, sweep, tmp_path):
+        # Every point builds, so `validate` passed them; `run` then died in the
+        # driver's `float(value)` with a ValueError or TypeError traceback, or
+        # wrote `nan` or `inf` into the table.
+        doc = json.loads(cli.bundled_scenario_path(name).read_text())
+        doc["sweep"] = sweep
+        path = tmp_path / "swept.scn"
+        path.write_text(json.dumps(doc))
+        validated, _, refusal = _main(["validate", str(path)])
+        assert (validated, refusal) == _main(["run", str(path), "--out", str(tmp_path / "out")])[::2]
+        axis = sweep["axis"]
+        assert validated == 1 and refusal.startswith(f"error: axis {axis!r}: {name} writes floats: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestIntPastFloatRange:

@@ -817,9 +817,9 @@ class TestEventBudget:
 
 def _refreshing() -> engine.Scenario:
     """Cells 0 and 1 refreshed with a 1 s period, a slot every 0.5 s, for
-    10 s, with a write at 5 s that splits the slots in two stretches: 10
-    closes and 9 opens, then 10 closes and 10 opens, 39 rows in all, after
-    22 sample rows (11 samples of the grid and one cell)."""
+    10 s, with a write at 5 s that leaves the refresh running: 20 closes
+    and 19 opens, 39 rows in all, counted at `duration_s`, after 22 sample
+    rows (11 samples of the grid and one cell)."""
     return make_scenario(
         duration_s=10.0,
         schedule=[
@@ -835,8 +835,8 @@ def _refreshing() -> engine.Scenario:
 
 class TestLockActionBudget:
     """Lock actions count against `engine.MAX_ROWS` with the sample rows and
-    fast-gate events, at load: a stretch of REFRESH slots before any slot
-    of it is made."""
+    fast-gate events, at load: a REFRESH mode's slots before any slot of it
+    is made."""
 
     @staticmethod
     def _spy_slots(monkeypatch) -> list:
@@ -869,6 +869,14 @@ class TestLockActionBudget:
             _refreshing()
         assert made == []  # refused at load: no slot is made
 
+    def test_refresh_is_counted_where_the_mode_ends(self, monkeypatch):
+        # The write at 5 s does not end the refresh, so the count is the
+        # whole mode's, at `duration_s`; it was the first 19 rows', at the write.
+        monkeypatch.setattr(engine, "MAX_ROWS", 40)
+        budget = "duration_s: refresh up to t=10.0 s brings the run to 61 rows, past the budget of 40"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(budget)}$"):
+            _refreshing()
+
     def test_refresh_past_the_budget_in_slots_alone_quotes_a_lower_bound(self):
         # 1e300 s of one-second slots: the count stops once past the budget.
         schedule = [{"t": 0.0, "write": ["CTRL", 2]}, {"t": 0.0, "write": ["LOCK_MASK_LO", 1]},
@@ -887,6 +895,87 @@ class TestLockActionBudget:
         with pytest.raises(ScenarioError, match=r"^schedule\[6\]: the schedule up to"
                            r" t=0.5 s brings the run to 17 rows, past the budget of 16$"):
             make_scenario(schedule=schedule)
+
+
+class TestRefreshPlan:
+    """A REFRESH mode is one plan entry, and the plan holds no DAC move: the
+    run takes the slots from that entry and the moves from the schedule."""
+
+    @staticmethod
+    def _timeline(scenario) -> list:
+        return [entry for entry in engine._expand_plan(scenario) if entry[2] != "MODE"]
+
+    @given(
+        mask=st.integers(1, 15),
+        period=st.integers(1, 3),
+        anchor=st.integers(0, 8).map(lambda k: k / 2),
+        span=st.integers(0, 12).map(lambda k: k / 2),
+        writes=st.lists(st.tuples(st.floats(0, 1), st.sampled_from(
+            [("PATTERN0", 0xBEEF), ("REFRESH_PERIOD", 5), ("LOCK_MASK_LO", 0b1000)])),
+            min_size=1, max_size=3),
+        moves=st.lists(st.tuples(st.integers(0, 24), st.floats(-1.5, -0.5)), max_size=3),
+        targets=st.dictionaries(st.integers(0, 3), st.floats(-1.5, -0.5), max_size=3),
+        leave=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_slots_in_closed_form(self, mask, period, anchor, span, writes, moves, targets, leave):
+        # WRITEs inside the mode, to its own registers too, change nothing of
+        # it: slot k at anchor + k·period/n closes cells[k % n], each slot
+        # after slot 0 opens the cell before it, and a targeted close gets a
+        # DAC entry just before it.  Schedule DAC moves fall on slot times.
+        cells, end = fsm.mask_cells(mask), anchor + span
+        n = len(cells)
+        items = [(anchor + f * span, 0, {"write": list(w)}) for f, w in writes]
+        items += [(min(anchor + k * period / n, end), 0, {"dac": {"v_hold": v}}) for k, v in moves]
+        if leave:
+            items += [(end, 1, {"write": ["LOCK_MASK_LO", 0]}), (end, 1, {"exec": True})]
+        scenario = make_scenario(
+            duration_s=end, cell_targets={str(c): v for c, v in targets.items()},
+            schedule=[{"t": anchor, "write": ["CTRL", 2]}, {"t": anchor, "write": ["LOCK_MASK_LO", mask]},
+                      {"t": anchor, "write": ["REFRESH_PERIOD", period]}, {"t": anchor, "exec": True},
+                      *({"t": t, **item} for t, _, item in sorted(items, key=lambda i: i[:2]))],
+            traces={"sample_rate_hz": 1.0},
+        )
+        slots = [k for k in range(25) if anchor + k * period / n < end]  # 6 s at 4 a second, at most
+        assert [e for e in scenario.plan if e[2] != "MODE"][:1] == [
+            (anchor, engine._PRIO["OPEN"], "REFRESH", (period, cells, len(slots)))]
+        assert "DAC" not in {e[2] for e in scenario.plan}
+        aim = analog.injection_offset(scenario.analog)
+        expected = [(t, engine._PRIO["DAC"], "DAC", (("v_hold", item["dac"]["v_hold"]),))
+                    for t, _, item in sorted(items, key=lambda i: i[:2]) if "dac" in item]
+        for k in slots:
+            slot, cell = anchor + k * period / n, cells[k % n]
+            if k:
+                expected.append((slot, engine._PRIO["OPEN"], "OPEN", cells[(k - 1) % n]))
+            if cell in targets:
+                expected.append((slot, engine._PRIO["DAC"], "DAC", (("v_hold", targets[cell] - aim),)))
+            expected.append((slot, engine._PRIO["CLOSE"], "CLOSE", cell))
+        if leave and slots:
+            expected.append((end, engine._PRIO["OPEN"], "OPEN", cells[slots[-1] % n]))
+        assert self._timeline(scenario) == sorted(expected, key=lambda e: e[:2])
+
+    def test_schedule_move_at_a_targeted_slot_goes_first(self):
+        # Slot 1 (t = 1 s) closes cell 1 onto its target; a host move at
+        # that instant goes before the target's move, so the close uses the target.
+        scenario = make_scenario(
+            cell_targets={"1": 0.25},
+            schedule=[
+                {"t": 0.0, "write": ["CTRL", 2]},
+                {"t": 0.0, "write": ["LOCK_MASK_LO", 0b11]},
+                {"t": 0.0, "write": ["REFRESH_PERIOD", 2]},
+                {"t": 0.0, "exec": True},
+                {"t": 1.0, "dac": {"v_hold": 0.5}},
+            ],
+            duration_s=2.0,
+            traces={"sample_rate_hz": 1.0, "kinds": ["hold"]},
+        )
+        assert "DAC" not in {entry[2] for entry in scenario.plan}
+        aim = 0.25 - analog.injection_offset(scenario.analog)
+        assert [entry[2:] for entry in self._timeline(scenario)] == [
+            ("CLOSE", 0),
+            ("OPEN", 0), ("DAC", (("v_hold", 0.5),)), ("DAC", (("v_hold", aim),)), ("CLOSE", 1),
+        ]
+        assert engine.run_generic(scenario).tables["hold"].columns[1] == [0.0, aim, aim]
 
 
 class TestRunHasNoRefusal:
