@@ -113,6 +113,8 @@ def _cmd_sweep(args) -> int:
             raise engine.ScenarioError("--values required when --axis is given")
         # Parsed like --override: after the value the axis holds now.
         values = [engine._coerce_like(scenario.raw, axis, v) for v in args.values.split(",")]
+    elif args.values is not None:
+        raise engine.ScenarioError("--axis required when --values is given")
     elif scenario.sweep is not None:
         axis, values = scenario.sweep.axis, scenario.sweep.values
     else:

@@ -17,7 +17,7 @@ import json
 import math
 import re
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache, partial
@@ -40,15 +40,14 @@ N_CELLS = fsm.N_CELLS
 MAX_ROWS = 2**21
 
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
-# lock action with the cell as payload; DAC, host DAC moves; FG, a playback
-# run (or, after `_cut_runs`, a slice of one) as one `fsm.TickRun` at its
-# first tick; MODE, the chip's (mode, regs) from then on, for the power
-# and temperature traces.  Coincident entries apply releases first (of
-# cells locked at that instant, after the lock), then host DAC moves, then
-# lock closures, then fast-gate edges, then the new mode; samples observe
-# the post-event state at their own timestamp.  A plan holds no DAC entry,
-# and PLAY stretches and REFRESH modes in place of FG and slot entries.
-_PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3, "MODE": 4}
+# lock action with the cell as payload; DAC, host DAC moves; FG, a slice
+# of a playback run, as one `fsm.TickRun` at its first tick.  Coincident
+# entries apply releases first (of cells locked at that instant, after
+# the lock), then host DAC moves, then lock closures, then fast-gate
+# edges; samples observe the post-event state at their own timestamp.  A
+# plan holds no DAC entry, and PLAY stretches and REFRESH modes in place
+# of FG and slot entries; the chip's modes are `Scenario.modes`.
+_PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3}
 
 
 class ScenarioError(SimulationError):
@@ -130,7 +129,8 @@ class Scenario:
     `calibration` and `budget` come from `power.calibration` and
     `power.budget`.  For a figure scenario, `figure_params` holds the
     values its driver reads, converted to their types, defaults filled in.
-    `plan`, `responses` and `rows` (what a run fills) are the walk at load (`_walk_schedule`).
+    `plan`, `modes` (the chip's (mode, regs) from each time it changes),
+    `responses` and `rows` (what a run fills) are the walk at load (`_walk_schedule`).
     `points` are its own `sweep` block's, made at load: this base with one leaf
     swapped where the axis allows it (`_sweep_points`), else a full build.
     """
@@ -154,6 +154,7 @@ class Scenario:
     figure_params: Mapping
     sweep: SweepConfig | None
     plan: tuple[tuple[float, int, str, object], ...]
+    modes: tuple[tuple[float, tuple[fsm.Mode, protocol.RegisterFile]], ...]
     responses: tuple[tuple[float, protocol.Frame], ...]
     rows: int
     raw: Mapping  # the document as given, for sweeps and hashing
@@ -223,17 +224,21 @@ def _build_section(cls, raw, where: str):
     """Build parameter type `cls` from a section, whose keys are its fields.
 
     A field typed with `float` or `int` holds only what `_finite` accepts,
-    of the JSON types `_number_fields` gives it.
+    of the JSON types `_number_fields` gives it; one that takes a single
+    number gets it as a float, so a JSON 1 is 1.0 wherever it goes.
     """
     unknown = set(_object(raw, where)) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
+    args = dict(raw)
     for key, value in raw.items():
         types = _number_fields(cls).get(key)
         if types and not (_finite(value) and isinstance(value, types)):
             raise ScenarioError(f"{where}.{key}: expected finite numbers, got {value!r}")
+        if types and float in types and value is not None:
+            args[key] = float(value)
     with _section(where):
-        return cls(**raw)
+        return cls(**args)
 
 
 def _gate_source(dot: devmod.DotDevice, gate: str, raw) -> GateSource:
@@ -407,7 +412,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     kinds = set(traces.kinds)
     rows = samples * (1 + len(traces.cells) * ("cells" in kinds) + len(kinds - {"cells"}))
     _check_budget(rows, f"duration_s: sampling {samples} times", duration)
-    plan, responses, rows = _walk_schedule(chip, schedule, duration, rows)
+    plan, modes, responses, rows = _walk_schedule(chip, schedule, duration, rows)
     scenario = Scenario(
         name=name,
         chip=chip,
@@ -428,6 +433,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
         figure_params=_object(raw.get("figure_params", {}), "figure_params"),
         sweep=_build_section(SweepConfig, raw["sweep"], "sweep") if "sweep" in raw else None,
         plan=plan,
+        modes=modes,
         responses=responses,
         rows=rows,
         raw=raw,
@@ -657,8 +663,9 @@ def _manifest(scenario: Scenario) -> dict:
 
 def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duration_s: float,
                    rows: int):
-    """The run's plan, in walk order, READ responses and rows; every refusal
-    of a schedule is made here, as a ScenarioError naming the item or `duration_s`.
+    """The run's plan, in walk order, modes, READ responses and rows; every
+    refusal of a schedule is made here, as a ScenarioError naming the item
+    or `duration_s`.
 
     One loop over the schedule, skipping `dac` items, then a NOP at
     `duration_s`.  Only WRITE and EXEC split playback: before each (and at
@@ -669,8 +676,9 @@ def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duratio
     WRITE changes a running refresh.  Their rows of the `events` table,
     each mode change's lock actions and each READ response add to `rows`,
     against `MAX_ROWS`.  Leaving a mode opens the cells it keeps `closed`:
-    every masked cell under LOCKING, the last slot's under REFRESH.  MODE
-    entries hold the chip's (mode, regs): at -inf, then each time it changes.
+    every masked cell under LOCKING, the last slot's under REFRESH.  The
+    modes are (time, (mode, regs)) pairs in time order: the chip's at -inf,
+    then its state after the last step at each time that changes it.
     """
     chip = fsm.ChipState(master_freq_hz=config.master_freq_hz)
     plan: list[tuple[float, int, str, object]] = []
@@ -722,8 +730,7 @@ def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duratio
             chip = new_chip
     except (SimulationError, OverflowError) as exc:  # OverflowError: ticks past float range
         raise ScenarioError(f"{where}: {exc}") from exc
-    plan += [(t, _PRIO["MODE"], "MODE", state) for t, state in modes.items()]
-    return tuple(plan), tuple(responses), rows
+    return tuple(plan), tuple(modes.items()), tuple(responses), rows
 
 
 def _check_budget(rows: int, what: str, t: float, at_least: bool = False) -> None:
@@ -747,27 +754,34 @@ def _first_slot_at(t: float, anchor: float, period: int, cells: Sequence[int]) -
     return bisect_left(range(2 * MAX_ROWS), t, key=key)
 
 
-def _expand_plan(scenario: Scenario) -> list:
-    """The schedule's DAC moves, then the plan, sorted by time, then priority
-    (stably: a schedule move goes before a slot's), with each PLAY entry
-    made an FG entry holding its `fsm.playback` ticks, if any, and each
-    REFRESH entry its slots.  REFRESH re-locks the masked cells one at a
-    time, round robin: slot k starts k * REFRESH_PERIOD / n after its EXEC
-    (so slot n lands exactly on the period) and, after slot 0, opens the
-    previous cell before closing the next.  A cell with a `cell_targets`
-    entry gets a DAC entry at its close, to the target less the injection offset.
+def _expand_plan(scenario: Scenario, sample_times: np.ndarray, sampled: Collection[int]) -> list:
+    """The timeline a run applies: the schedule's DAC moves, then the plan,
+    expanded, sorted once by time, then priority (stably: a schedule move
+    goes before a slot's).  A PLAY entry becomes its `fsm.playback` ticks,
+    if any, and a REFRESH entry its slots.  REFRESH re-locks the masked
+    cells one at a time, round robin: slot k starts k * REFRESH_PERIOD / n
+    after its EXEC (so slot n lands exactly on the period) and, after slot
+    0, opens the previous cell before closing the next.  A cell with a
+    `cell_targets` entry gets a DAC entry at its close, to the target less
+    the injection offset.
+
+    Each tick run is cut where the cells it pulses are read: before its
+    first tick at or after each hold-rail move that changes the rail (in
+    the DAC entries' time order) and, when it pulses a cell of `sampled`,
+    after its last tick at or before each of `sample_times`.  Each slice
+    (views of the run's columns) is an FG entry at its first tick.
     """
     offset = analog.injection_offset(scenario.analog)
     holds = {c: (("v_hold", v - offset),) for c, v in scenario.cell_targets.items()}
     timeline: list[tuple[float, int, str, object]] = [
         (item.time_s, _PRIO["DAC"], "DAC", item.dac) for item in scenario.schedule if item.frame is None
     ]
+    runs = []
     for entry in scenario.plan:
         start, _prio, kind, payload = entry
         if kind == "PLAY":
-            run = fsm.playback(*payload, start)[1]
-            if len(run):
-                timeline.append((float(run.times[0]), _PRIO["FG"], "FG", run))
+            if len(run := fsm.playback(*payload, start)[1]):
+                runs.append(run)
         elif kind == "REFRESH":
             period, cells, stop = payload
             for k in range(stop):
@@ -780,11 +794,33 @@ def _expand_plan(scenario: Scenario) -> list:
                 timeline.append((slot, _PRIO["CLOSE"], "CLOSE", cell))
         else:
             timeline.append(entry)
+    moves, v_hold = [], scenario.rails.v_hold  # times of the hold-rail moves that change the rail
+    dac_entries = [entry for entry in timeline if entry[2] == "DAC"] if runs else []  # no run to cut
+    for t, _prio, _kind, payload in sorted(dac_entries, key=itemgetter(0)):
+        if (value := dict(payload).get("v_hold", v_hold)) != v_hold:
+            moves.append(t)
+            v_hold = value
+    moves = np.asarray(moves, dtype=float)
+    for run in runs:
+        # starts[k]: a slice starts at tick k; starts[len] closes the last one.
+        starts = np.zeros(len(run.times) + 1, dtype=bool)
+        starts[[0, -1]] = True
+        lo, hi = np.searchsorted(moves, run.times[[0, -1]], "right")
+        starts[np.searchsorted(run.times, moves[lo:hi])] = True
+        if not set(sampled).isdisjoint(run.cells):
+            first = np.searchsorted(sample_times, run.times)  # first sample at or after
+            starts[1:-1] |= first[:-1] < first[1:]
+        bounds = np.flatnonzero(starts).tolist()
+        timeline += [
+            (float(run.times[k]), _PRIO["FG"], "FG",
+             fsm.TickRun(run.times[k:j], run.levels[k:j], run.cells, run.period_s))
+            for k, j in zip(bounds, bounds[1:])
+        ]
     return sorted(timeline, key=itemgetter(0, 1))
 
 
 def _segment_power(scenario: Scenario, state: tuple[fsm.Mode, protocol.RegisterFile]) -> float:
-    """Chip dissipation under one (mode, regs) state, a MODE entry's payload."""
+    """Chip dissipation under one (mode, regs) state of `Scenario.modes`."""
     mode, regs = state
     f_master = scenario.chip.master_freq_hz
     pulsing = mode == fsm.Mode.PULSING
@@ -812,85 +848,53 @@ def sample_grid(scenario: Scenario) -> np.ndarray:
     return np.arange(sample_count(scenario.duration_s, rate)) / rate
 
 
-def _cut_runs(timeline: list, sample_times: np.ndarray, sampled: set[int], v_hold: float):
-    """The timeline with each tick run cut where the cells it pulses are read.
-
-    A run is cut before its first tick at or after each hold-rail move
-    that changes the rail, and, when it pulses a sampled cell, after its
-    last tick at or before each sample time.  Each slice (views of the
-    run's columns) goes on the timeline at its first tick.
-    """
-    if not (runs := [entry[3] for entry in timeline if entry[2] == "FG"]):
-        return timeline  # nothing to cut, and already sorted
-    moves = []  # times of the hold-rail moves that change the rail
-    for t, _prio, kind, payload in timeline:
-        if kind == "DAC" and (value := dict(payload).get("v_hold", v_hold)) != v_hold:
-            moves.append(t)
-            v_hold = value
-    moves = np.asarray(moves, dtype=float)
-    out = [entry for entry in timeline if entry[2] != "FG"]
-    for run in runs:
-        # starts[k]: a slice starts at tick k; starts[len] closes the last one.
-        starts = np.zeros(len(run.times) + 1, dtype=bool)
-        starts[[0, -1]] = True
-        lo, hi = np.searchsorted(moves, run.times[[0, -1]], "right")
-        starts[np.searchsorted(run.times, moves[lo:hi])] = True
-        if sampled.intersection(run.cells):
-            first = np.searchsorted(sample_times, run.times)  # first sample at or after
-            starts[1:-1] |= first[:-1] < first[1:]
-        bounds = np.flatnonzero(starts).tolist()
-        out += [
-            (float(run.times[k]), _PRIO["FG"], "FG",
-             fsm.TickRun(run.times[k:j], run.levels[k:j], run.cells, run.period_s))
-            for k, j in zip(bounds, bounds[1:])
-        ]
-    return sorted(out, key=itemgetter(0, 1))
+def _held(changes: Sequence[tuple[float, float]], times: np.ndarray) -> np.ndarray:
+    """The value of a step-valued trace that each of `times` sees, the last
+    set at or before it, from its `changes`: (time, value) pairs in the
+    order they apply, the first at -inf."""
+    at, values = zip(*changes)
+    return np.array(values, dtype=float)[np.searchsorted(at, times, "right") - 1]
 
 
 def run_generic(scenario: Scenario) -> TraceBundle:
     """Execute a time-domain scenario and collect the requested traces.
 
-    Every timeline entry is applied eagerly, in order.  First `_cut_runs`
-    cuts each tick run where it is read: at each hold-rail move that
-    changes the rail (which couples into all 32 cells) and at each sample
-    of a cell it pulses.  A slice is one `analog.apply_fg_run` call per
-    pulsed cell.  This relies on one invariant: only WRITE and EXEC split
-    playback and lock actions happen only at EXEC, so no lock action falls
-    inside a run.  Before each entry the loop records one block, the
-    samples before that entry: the sampled cells' `output_fields`, the
-    DACs (the hold rail is DAC "v_hold") and the chip's (mode, regs) they
-    see; the traces are then evaluated as arrays, power and temperature
-    once per distinct mode (README, "How a run executes").  The bundle
-    carries no manifest: `run_scenario` adds one per top-level run.
+    Every entry of the timeline (`_expand_plan`, with each tick run cut
+    where it is read) is applied eagerly, in order.  A slice is one
+    `analog.apply_fg_run` call per pulsed cell.  This relies on one
+    invariant: only WRITE and EXEC split playback and lock actions happen
+    only at EXEC, so no lock action falls inside a run.  Before each entry
+    the loop records one block, the samples before that entry, as the
+    sampled cells' `output_fields` they see; it keeps each DAC's (time,
+    value) moves (the hold rail is DAC "v_hold").  The traces are then
+    evaluated as arrays: the hold rail, DAC gates, power and temperature
+    by `_held` from their change points, power and temperature once per
+    distinct mode of `Scenario.modes` (README, "How a run executes").  The
+    bundle carries no manifest: `run_scenario` adds one per top-level run.
     """
     kinds = scenario.traces.kinds
-    timeline = _expand_plan(scenario)
-
     traced = scenario.traces.cells if "cells" in kinds else ()
     sources = scenario.gate_sources if {"conductance", "readout"} & set(kinds) else {}
     cell_gates = [src.value for src in sources.values() if src.kind == "cell"]
-    dac_gates = [src.value for src in sources.values() if src.kind == "dac"]
-    # What the samples read, each once: traced cells or hold rail, then gate sources.
+    # What the samples read, each once: traced cells, then gate sources.
     sampled = list(dict.fromkeys([*traced, *cell_gates]))
-    dac_names = list(dict.fromkeys(["v_hold", *dac_gates]))
 
     times = sample_grid(scenario)
     sample_times = times.tolist()
     n_samples = len(sample_times)
     rails = scenario.rails
-    timeline = _cut_runs(timeline, times, set(sampled), rails.v_hold)
+    timeline = _expand_plan(scenario, times, sampled)
 
     # Cell states are immutable, so all 32 can start as one value: at t = 0,
     # or at the first schedule item if that is earlier (load allows t < 0).
     start = min(0.0, scenario.schedule[0].time_s) if scenario.schedule else 0.0
     cells = [analog.ClfgCell(scenario.analog, t_last=start)] * N_CELLS
-    dacs: dict[str, float] = {"v_hold": rails.v_hold}
-    mode = None  # the chip's (mode, regs); the first MODE entry, at -inf, sets it
-    # What each block of samples sees: the sampled cells' `output_fields`
-    # (floats, so no state outlives its block), the DACs, the mode, and its length.
+    # Each DAC's (time, value) moves, after its value before the run: the
+    # hold rail's own, else 0.0.  The last is the DAC's value now.
+    dacs = {"v_hold": [(-math.inf, rails.v_hold)]}
+    # What each block of samples sees, the sampled cells' `output_fields`
+    # (floats, so no state outlives its block), and its length.
     fields: list[float] = []
-    dac_seen: dict[str, list[float]] = {name: [] for name in dac_names}
-    modes: list[tuple[fsm.Mode, protocol.RegisterFile]] = []
     counts: list[int] = []
     si = 0
     # The events table, built column by column in timeline order.
@@ -900,16 +904,14 @@ def run_generic(scenario: Scenario) -> TraceBundle:
         if (end := bisect_left(sample_times, t, si)) > si:
             for c in sampled:
                 fields.extend(analog.output_fields(cells[c]))
-            for name in dac_names:
-                dac_seen[name].append(dacs.get(name, 0.0))
-            modes.append(mode)
             counts.append(end - si)
             si = end
         if kind == "DAC":
             for name, value in payload:  # type: ignore[union-attr]
-                if name == "v_hold" and value != dacs[name]:
+                moves = dacs.setdefault(name, [(-math.inf, 0.0)])
+                if name == "v_hold" and value != moves[-1][1]:
                     cells = list(map(analog.set_hold, cells, repeat(value, N_CELLS)))
-                dacs[name] = value
+                moves.append((t, value))
         elif kind == "FG":
             run: fsm.TickRun = payload  # type: ignore[assignment]
             for column, values in zip(log, run.csv_columns()):
@@ -918,15 +920,13 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 cells[c] = analog.apply_fg_run(
                     cells[c], run.times, run.levels, run.period_s, rails
                 )
-        elif kind == "MODE":
-            mode = payload
         elif kind != "END":
             i: int = payload  # type: ignore[assignment]
             for column, value in zip(log, (t, i, kind, "")):
                 column.append(value)
             cells[i] = analog.settle(cells[i], t)
             if kind == "CLOSE":
-                cells[i] = analog.lock(cells[i], dacs["v_hold"])
+                cells[i] = analog.lock(cells[i], dacs["v_hold"][-1][1])
             else:  # OPEN
                 cells[i] = analog.unlock(cells[i])
 
@@ -944,7 +944,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             [t for t in sample_times for _ in traced], list(traced) * n_samples, v_out
         ))
     if "hold" in kinds:
-        holds = list(chain.from_iterable(map(repeat, dac_seen["v_hold"], counts)))
+        holds = _held(dacs["v_hold"], times).tolist()
         tables["hold"] = Table(("time_s", "v_hold_volts"), (sample_times, holds))
     summary: dict[str, Any] = {
         "final_time_s": scenario.duration_s,
@@ -957,7 +957,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     if sources:
         gates = {
             gate: volts[:, sampled.index(src.value)] if src.kind == "cell"
-            else np.repeat(dac_seen[src.value], counts) if src.kind == "dac"
+            else _held(dacs.get(src.value, [(-math.inf, 0.0)]), times) if src.kind == "dac"
             else np.full(n_samples, src.value)
             for gate, src in sources.items()
         }
@@ -972,14 +972,15 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 sample_times, gates[axis].tolist() if axis else [0.0] * n_samples, signal
             ))
     if "power" in kinds or "temperature" in kinds:
-        power = {state: _segment_power(scenario, state) for state in dict.fromkeys(modes)}
+        states = dict.fromkeys(state for _, state in scenario.modes)
+        power = {state: _segment_power(scenario, state) for state in states}
         if "power" in kinds:
-            watts = list(chain.from_iterable(map(repeat, map(power.get, modes), counts)))
-            tables["power"] = Table(("time_s", "power_watts"), (sample_times, watts))
+            watts = _held([(t, power[state]) for t, state in scenario.modes], times)
+            tables["power"] = Table(("time_s", "power_watts"), (sample_times, watts.tolist()))
         if "temperature" in kinds:
             temp = {state: thermal.temperature(p, scenario.calibration) for state, p in power.items()}
-            kelvin = list(chain.from_iterable(map(repeat, map(temp.get, modes), counts)))
-            tables["temperature"] = Table(("time_s", "temperature_k"), (sample_times, kelvin))
+            kelvin = _held([(t, temp[state]) for t, state in scenario.modes], times)
+            tables["temperature"] = Table(("time_s", "temperature_k"), (sample_times, kelvin.tolist()))
     if scenario.responses:
         tables["responses"] = Table.from_rows(
             ("time_s", "opcode", "address", "data"),

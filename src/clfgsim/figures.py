@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from bisect import bisect_left, bisect_right
 from functools import partial
 
 import numpy as np
@@ -211,15 +210,6 @@ def require_sections(scenario: Scenario, sections) -> None:
             raise engine.ScenarioError(_MISSING[section])
 
 
-def _samples_from(scenario: Scenario, t: float, bisect) -> int:
-    """How many times of `engine.sample_grid` are at or after `t` (`bisect`
-    is `bisect_left`) or after it (`bisect_right`), with no array: the
-    grid's k / rate rises with k, so bisect over k."""
-    rate = scenario.traces.sample_rate_hz
-    n = engine.sample_count(scenario.duration_s, rate)
-    return n - bisect(range(n), t, key=lambda k: k / rate)
-
-
 def check_sections(scenario: Scenario) -> dict:
     """Reject an unknown figure, one whose driver lacks a section, trace
     kind or `figure_params` key it reads, a `figure_params` key it does not
@@ -247,8 +237,10 @@ def check_sections(scenario: Scenario) -> dict:
             params[key] = default
     if "cell" in params and params["cell"] not in scenario.traces.cells:
         raise engine.ScenarioError(f"figure_params: cell {params['cell']} is not in traces.cells")
+    # The grid is within `MAX_ROWS`: `build_scenario` counts it before this check.
     if scenario.figure == "fig3c":  # its drift needs two samples after open_time_s
-        if _samples_from(scenario, params["open_time_s"], bisect_right) < 2:
+        grid = engine.sample_grid(scenario)
+        if len(grid) - np.searchsorted(grid, params["open_time_s"], "right") < 2:
             raise engine.ScenarioError("figure_params: open_time_s leaves fewer than two samples")
     if scenario.figure == "fig3f":  # its envelope needs both gates, a sweep and a settled sample
         for key in ("pulse_gate", "sweep_gate"):
@@ -259,7 +251,8 @@ def check_sections(scenario: Scenario) -> dict:
         settle = params["settle_fraction"]
         if not 0 <= settle < 1:
             raise engine.ScenarioError("figure_params: settle_fraction must be in [0, 1)")
-        m = _samples_from(scenario, params["pulse_start_s"], bisect_left)
+        grid = engine.sample_grid(scenario)
+        m = len(grid) - int(np.searchsorted(grid, params["pulse_start_s"]))
         if round(settle * m) >= m:
             raise engine.ScenarioError(
                 "figure_params: pulse_start_s and settle_fraction leave no sample to compare"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from clfgsim import analog, engine
 
@@ -39,3 +40,32 @@ def lock_then_open_schedule(cell_mask: int, open_time_s: float) -> list[dict]:
         {"t": open_time_s, "write": ["LOCK_MASK_HI", 0]},
         {"t": open_time_s, "exec": True},
     ]
+
+
+# Register values for drawn schedules: small masks, slow dividers and short
+# patterns, so a run stays small; every CTRL bit pattern.
+DRAWN_WRITES = {
+    "CTRL": st.integers(0, 7), "DIVIDER": st.integers(10, 15),
+    "LOCK_MASK_LO": st.integers(0, 7), "PULSE_MASK_LO": st.integers(0, 7),
+    "PATTERN_LEN": st.integers(1, 4), "REFRESH_PERIOD": st.integers(0, 2),
+}
+_DRAWN_WRITE = st.sampled_from(sorted(DRAWN_WRITES)).flatmap(
+    lambda reg: DRAWN_WRITES[reg].map(lambda value: {"write": [reg, value]}))
+DRAWN_ITEM = st.one_of(  # writes most often
+    _DRAWN_WRITE, _DRAWN_WRITE, _DRAWN_WRITE, st.just({"exec": True}),
+    st.sampled_from(sorted(DRAWN_WRITES)).map(lambda reg: {"read": reg}),
+    st.floats(-1.2, -1.0).map(lambda v: {"dac": {"v_hold": v}}),
+)
+
+
+@st.composite
+def drawn_schedule(draw, item=DRAWN_ITEM) -> list[dict]:
+    """Up to 15 items (of `item`) at times on a 10 ms grid over 0.05 s, so
+    many coincide; most start by setting fsm-enable, a lock mask and a
+    refresh period."""
+    items = draw(st.lists(item, min_size=2, max_size=12))
+    if draw(st.integers(0, 3)):
+        items[:0] = [{"write": ["CTRL", draw(st.sampled_from([3, 7]))]}] + [
+            {"write": [reg, draw(DRAWN_WRITES[reg])]} for reg in ("LOCK_MASK_LO", "REFRESH_PERIOD")]
+    times = sorted(draw(st.lists(st.integers(0, 5), min_size=len(items), max_size=len(items))))
+    return [{"t": k * 0.01, **entry} for k, entry in zip(times, items)]

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from clfgsim import analog, cli, engine, figures, protocol, thermal
 
+from conftest import drawn_schedule
+
 
 MINIMAL = {
     "schema_version": 1,
@@ -512,34 +514,6 @@ class TestDrawnInputContract:
             _assert_contract(code, err, Path(tmp))
 
 
-# Register values for drawn schedules: small masks, slow dividers and short
-# patterns, so a run stays small; every CTRL bit pattern.
-_DRAWN_WRITES = {
-    "CTRL": st.integers(0, 7), "DIVIDER": st.integers(10, 15),
-    "LOCK_MASK_LO": st.integers(0, 7), "PULSE_MASK_LO": st.integers(0, 7),
-    "PATTERN_LEN": st.integers(1, 4), "REFRESH_PERIOD": st.integers(0, 2),
-}
-_DRAWN_WRITE = st.sampled_from(sorted(_DRAWN_WRITES)).flatmap(
-    lambda reg: _DRAWN_WRITES[reg].map(lambda value: {"write": [reg, value]}))
-_DRAWN_ITEM = st.one_of(  # writes most often
-    _DRAWN_WRITE, _DRAWN_WRITE, _DRAWN_WRITE, st.just({"exec": True}),
-    st.sampled_from(sorted(_DRAWN_WRITES)).map(lambda reg: {"read": reg}),
-    st.floats(-1.2, -1.0).map(lambda v: {"dac": {"v_hold": v}}),
-)
-
-
-@st.composite
-def _drawn_schedule(draw) -> list[dict]:
-    """Up to 15 items at times on a 10 ms grid over 0.05 s, so many coincide;
-    most start by setting fsm-enable, a lock mask and a refresh period."""
-    items = draw(st.lists(_DRAWN_ITEM, min_size=2, max_size=12))
-    if draw(st.integers(0, 3)):
-        items[:0] = [{"write": ["CTRL", draw(st.sampled_from([3, 7]))]}] + [
-            {"write": [reg, draw(_DRAWN_WRITES[reg])]} for reg in ("LOCK_MASK_LO", "REFRESH_PERIOD")]
-    times = sorted(draw(st.lists(st.integers(0, 5), min_size=len(items), max_size=len(items))))
-    return [{"t": k * 0.01, **item} for k, item in zip(times, items)]
-
-
 class TestDrawnScheduleContract:
     """A drawn schedule is refused by `validate` exactly when `run` refuses
     it, with exit 1 and never 2: every refusal is made at load, and a
@@ -547,7 +521,7 @@ class TestDrawnScheduleContract:
 
     @pytest.mark.parametrize("budget", [engine.MAX_ROWS, 40])
     @settings(max_examples=60, deadline=None)
-    @given(schedule=_drawn_schedule())
+    @given(schedule=drawn_schedule())
     @example(schedule=[{"t": 0.0, "exec": True}])  # fsm-enable clear
     @example(schedule=[*_pulse_cell_0(15), {"t": 0.02, "write": ["CTRL", 6]}])  # clock stopped
     @example(schedule=[  # into LOCKING and out to REFRESH at one instant
@@ -733,6 +707,17 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("value,v_out_final_cell0")
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--values", "1,2"], "--axis required when --values is given"),
+        (["--axis", "rails.v_hold"], "--values required when --axis is given"),
+    ], ids=["values_alone", "axis_alone"])
+    def test_axis_and_values_go_together(self, flags, message, tmp_path):
+        # Even where the document's own sweep block would give the other.
+        argv = ["sweep", str(cli.bundled_scenario_path("fig3c")), *flags, "--out", str(tmp_path)]
+        code, out, err = _main(argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_jobs_flag_is_refused(self, mini_scn, tmp_path):
         # A sweep runs its points in order in one process; there is no pool to size.

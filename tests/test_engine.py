@@ -3,19 +3,18 @@ import dataclasses
 import json
 import math
 import re
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clfgsim import analog, cli, device, engine, figures, fsm
+from clfgsim import analog, cli, device, engine, figures, fsm, thermal
 from clfgsim.engine import ScenarioError, UnknownAxis, build_scenario
 from clfgsim.errors import SimulationError
 
-from conftest import lock_then_open_schedule, make_scenario
+from conftest import DRAWN_ITEM, drawn_schedule, lock_then_open_schedule, make_scenario
 
 
 class TestValidation:
@@ -50,6 +49,21 @@ class TestValidation:
     def test_readout_needs_device(self):
         with pytest.raises(ScenarioError, match="device"):
             make_scenario(traces={"sample_rate_hz": 1e8, "kinds": ["readout"]})
+
+    def test_integer_in_a_float_field_is_written_as_a_float(self, tmp_path):
+        # The hold rail, the power with the clock off and the temperature at
+        # zero power are the values as given; each is written as a float.
+        scenario = make_scenario(
+            rails={"v_hold": 1},
+            power={"static_floor_w": 0, "calibration": {"base_temperature_k": 1,
+                                                        "points": [[1e-6, 2], [2e-6, 3]]}},
+            traces={"sample_rate_hz": 1.0, "kinds": ["hold", "power", "temperature"]},
+        )
+        assert scenario.rails.v_hold == 1.0 and type(scenario.rails.v_hold) is float
+        engine.export(engine.run_scenario(scenario), tmp_path)
+        for name, value in [("hold", "1.0"), ("power", "0.0"), ("temperature", "1.0")]:
+            rows = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+            assert rows == [f"0.0,{value}", f"1.0,{value}"]
 
     def test_step_errors_carry_schedule_context(self):
         with pytest.raises(ScenarioError, match=r"schedule\[4\]"):
@@ -183,14 +197,15 @@ class TestGenericRun:
         assert len(bundle.tables["cells"].rows) == 2 * 11
 
     def test_timeline_without_tick_runs_is_not_cut(self):
-        # A refresh with hold-rail moves: lock actions and DAC entries, no FG.
+        # A refresh with hold-rail moves: lock actions and DAC entries, no FG,
+        # so a sampled cell and rail moves cut nothing.
         scenario = dataclasses.replace(_refreshing(), cell_targets={0: -1.0, 1: -0.9})
-        timeline = engine._expand_plan(scenario)
+        grid = engine.sample_grid(scenario)
+        timeline = engine._expand_plan(scenario, grid, {0})
         kinds = {kind for _, _, kind, _ in timeline}
         assert "FG" not in kinds and {"DAC", "CLOSE", "OPEN"} <= kinds
-        before = list(timeline)
-        cut = engine._cut_runs(timeline, engine.sample_grid(scenario), {0}, scenario.rails.v_hold)
-        assert cut is timeline and cut == before
+        assert timeline == engine._expand_plan(scenario, grid, ())
+        assert timeline == sorted(timeline, key=lambda e: e[:2])
 
     def test_bundle_without_events_table_has_no_events(self):
         assert engine.TraceBundle({}, {}).events == []
@@ -412,7 +427,7 @@ class TestGenericRun:
             ],
             duration_s=4.0,
         )
-        timeline = [entry for entry in engine._expand_plan(scenario) if entry[2] != "MODE"]
+        timeline = engine._expand_plan(scenario, engine.sample_grid(scenario), ())
         aim = 0.25 - analog.injection_offset(scenario.analog)
         assert [entry[2:] for entry in timeline] == [
             ("CLOSE", 0),
@@ -903,7 +918,7 @@ class TestRefreshPlan:
 
     @staticmethod
     def _timeline(scenario) -> list:
-        return [entry for entry in engine._expand_plan(scenario) if entry[2] != "MODE"]
+        return engine._expand_plan(scenario, engine.sample_grid(scenario), ())
 
     @given(
         mask=st.integers(1, 15),
@@ -937,9 +952,9 @@ class TestRefreshPlan:
             traces={"sample_rate_hz": 1.0},
         )
         slots = [k for k in range(25) if anchor + k * period / n < end]  # 6 s at 4 a second, at most
-        assert [e for e in scenario.plan if e[2] != "MODE"][:1] == [
+        assert list(scenario.plan[:1]) == [
             (anchor, engine._PRIO["OPEN"], "REFRESH", (period, cells, len(slots)))]
-        assert "DAC" not in {e[2] for e in scenario.plan}
+        assert not {"DAC", "MODE"} & {e[2] for e in scenario.plan}
         aim = analog.injection_offset(scenario.analog)
         expected = [(t, engine._PRIO["DAC"], "DAC", (("v_hold", item["dac"]["v_hold"]),))
                     for t, _, item in sorted(items, key=lambda i: i[:2]) if "dac" in item]
@@ -996,24 +1011,99 @@ class TestRunHasNoRefusal:
         assert engine.run_generic(scenario).tables["events"].rows
 
 
+# A host move of the hold rail, of the gate DAC `v_sdp` or of both at once.
+_DAC_MOVE = st.dictionaries(st.sampled_from(["v_hold", "v_sdp"]), st.floats(-1.2, -1.0),
+                            min_size=1).map(lambda moves: {"dac": moves})
+
+
+def _step_reference(scenario: engine.Scenario, t: float) -> tuple[float, float, float, float]:
+    """The hold rail, the `v_sdp` DAC, the power and the temperature that a
+    sample at `t` sees, item by item: the last DAC move at or before `t`,
+    and the power of the chip state that `fsm.step` reaches over the
+    commands at or before it."""
+    dacs = {"v_hold": scenario.rails.v_hold, "v_sdp": 0.0}
+    chip = fsm.ChipState(master_freq_hz=scenario.chip.master_freq_hz)
+    for item in scenario.schedule:
+        if item.time_s > t:
+            break
+        if item.frame is None:
+            dacs.update(item.dac)
+        else:
+            chip = fsm.step(chip, item.frame)[0]
+    power = engine._segment_power(scenario, (chip.mode, chip.regs))
+    return dacs["v_hold"], dacs["v_sdp"], power, thermal.temperature(power, scenario.calibration)
+
+
+class TestStepTraces:
+    """The hold rail, a DAC gate, power and temperature hold the value last
+    set at or before each sample, against an item-by-item reference."""
+
+    @given(schedule=drawn_schedule(st.one_of(DRAWN_ITEM, _DAC_MOVE, _DAC_MOVE)), pulse=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example(schedule=[  # moves inside playback, at a sample and between two, twice at one time
+        {"t": 0.01, "dac": {"v_sdp": -1.1, "v_hold": -1.05}}, {"t": 0.025, "dac": {"v_hold": -1.1}},
+        {"t": 0.025, "dac": {"v_hold": -1.1, "v_sdp": -1.0}}, {"t": 0.03, "write": ["CTRL", 3]},
+        {"t": 0.04, "dac": {"v_hold": -1.0}}], pulse=True)
+    def test_traces_match_the_reference(self, schedule, pulse):
+        if pulse:  # pulse cells 0 and 1 from t = 0, until a drawn EXEC
+            schedule = [{"t": 0.0, "write": ["CTRL", 7]}, {"t": 0.0, "write": ["DIVIDER", 12]},
+                        {"t": 0.0, "write": ["PULSE_MASK_LO", 3]}, {"t": 0.0, "exec": True},
+                        *schedule]
+        try:
+            scenario = make_scenario(
+                schedule=schedule, duration_s=0.05,
+                device={"levers": {"sdp": 1.0}, "gate_sources": {"sdp": {"dac": "v_sdp"}},
+                        "axis_gate": "sdp", "bandwidth_hz": 1.0},
+                power={"fsm_energy_per_cycle": 2e-14, "clock_energy_per_cycle": 1e-14,
+                       "static_floor_w": 1e-9,
+                       "calibration": {"points": [[7.038e-07, 0.096], [5e-06, 0.15]]}},
+                traces={"sample_rate_hz": 100.0, "cells": [0, 1],
+                        "kinds": ["cells", "hold", "readout", "power", "temperature"]},
+            )
+        except ScenarioError:
+            return  # a schedule that the chip refuses
+        tables = engine.run_generic(scenario).tables
+        expected = [_step_reference(scenario, t) for t in engine.sample_grid(scenario).tolist()]
+        hold, gate, watts, kelvin = map(list, zip(*expected))
+        assert tables["hold"].columns[1] == hold
+        assert tables["readout"].columns[1] == gate
+        assert tables["power"].columns[1] == watts
+        assert tables["temperature"].columns[1] == kelvin
+
+
 class TestSampleCount:
-    """`figures._samples_from`, the closed-form count that `check_sections`
-    uses, against the sample grid it stands for."""
+    """The sample grid's size at load: `build_scenario` counts its rows
+    against the budget before `figures.check_sections` reads the grid."""
 
     @given(
-        duration=st.floats(0.0, 10.0),
-        rate=st.floats(0.1, 1e3),
-        t=st.floats(-1.0, 11.0),
-        k=st.integers(0, 10_000),
+        figure=st.sampled_from(["fig3c", "fig3f"]),
+        back=st.integers(0, 3),
+        fraction=st.floats(-0.1, 1.1),
         on_grid=st.booleans(),
+        settle=st.floats(0.0, 0.99),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_count_matches_the_grid(self, duration, rate, t, k, on_grid):
-        scenario = make_scenario(duration_s=duration, traces={"sample_rate_hz": rate})
-        t = k / rate if on_grid else t  # a sample time itself, for the ties
-        grid = engine.sample_grid(scenario)
-        assert figures._samples_from(scenario, t, bisect_right) == np.count_nonzero(grid > t)
-        assert figures._samples_from(scenario, t, bisect_left) == np.count_nonzero(grid >= t)
+    @settings(max_examples=100, deadline=None)
+    def test_figure_refusals_match_the_grid(self, figure, back, fraction, on_grid, settle):
+        # fig3c needs two samples after `open_time_s`; fig3f one to compare
+        # at or after `pulse_start_s`, past the settle fraction.
+        doc = json.loads(cli.bundled_scenario_path(figure).read_text())
+        duration, rate = doc["duration_s"], doc["traces"]["sample_rate_hz"]
+        grid = engine.sample_grid(make_scenario(duration_s=duration, traces={"sample_rate_hz": rate}))
+        t = float(grid[-1 - back]) if on_grid else fraction * duration  # the ties, near the end
+        if figure == "fig3c":
+            doc["figure_params"]["open_time_s"] = t
+            refused = np.count_nonzero(grid > t) < 2
+            message = "open_time_s leaves fewer than two samples"
+        else:
+            doc["figure_params"].update(pulse_start_s=t, settle_fraction=settle)
+            m = np.count_nonzero(grid >= t)
+            refused = round(settle * m) >= m
+            message = "pulse_start_s and settle_fraction leave no sample to compare"
+        if refused:
+            with pytest.raises(ScenarioError, match=f"^figure_params: {message}$"):
+                build_scenario(doc)
+        else:
+            assert build_scenario(doc).figure == figure
 
     def test_budget_is_checked_at_load(self):
         # At 1 Hz, duration d gives d + 1 samples, one row each with no
@@ -1027,13 +1117,16 @@ class TestSampleCount:
             make_scenario(duration_s=float(engine.MAX_ROWS), traces={"sample_rate_hz": 1.0})
 
     @pytest.mark.parametrize("name", ["fig3c", "fig3f"])
-    def test_figures_validate_without_the_grid(self, name, monkeypatch):
+    def test_figures_read_the_grid_only_within_the_budget(self, name, monkeypatch):
         def refuse(scenario):
-            raise AssertionError("sample_grid called at load")
+            raise AssertionError("sample_grid called past the budget")
 
-        monkeypatch.setattr(engine, "sample_grid", refuse)
         doc = json.loads(cli.bundled_scenario_path(name).read_text())
-        assert engine.build_scenario(doc).figure == name
+        samples = engine.sample_count(doc["duration_s"], doc["traces"]["sample_rate_hz"])
+        monkeypatch.setattr(engine, "sample_grid", refuse)
+        monkeypatch.setattr(engine, "MAX_ROWS", samples - 1)
+        with pytest.raises(ScenarioError, match=f"^duration_s: sampling {samples} times"):
+            engine.build_scenario(doc)
 
 
 # Absolute tolerance of the conductance and readout traces against the
