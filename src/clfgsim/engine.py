@@ -40,10 +40,11 @@ N_CELLS = fsm.N_CELLS
 MAX_ROWS = 2**21
 
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
-# lock action with the cell as payload; DAC, host DAC moves; FG, a slice
-# of a playback run, as one `fsm.TickRun` at its first tick.  Coincident
+# lock action with the cell as payload; DAC, a hold-rail move as (value,
+# changes), the only DAC that couples into the cells; FG, a slice of a
+# playback run, as one `fsm.TickRun` at its first tick.  Coincident
 # entries apply releases first (of cells locked at that instant, after
-# the lock), then host DAC moves, then lock closures, then fast-gate
+# the lock), then hold-rail moves, then lock closures, then fast-gate
 # edges; samples observe the post-event state at their own timestamp.  A
 # plan holds no DAC entry, and PLAY stretches and REFRESH modes in place
 # of FG and slot entries; the chip's modes are `Scenario.modes`.
@@ -162,9 +163,16 @@ class Scenario:
     points: tuple[Scenario, ...] = ()  # the own `sweep` block's points, made at load
 
 
+# The keys a scenario document may have at its top level.
+_TOP_LEVEL_KEYS = frozenset({
+    "schema_version", "name", "seed", "chip", "analog", "rails", "device", "power",
+    "schedule", "duration_s", "traces", "cell_targets", "figure", "figure_params", "sweep",
+})
 # Keys of the `device` section that do not belong to the dot itself.
 _DEVICE_WIRING = ("gate_sources", "axis_gate")
 _TANK_KEYS = ("bandwidth_hz",)
+# A `cell_targets` key is a cell's index in plain decimal, as `str` writes it.
+_CELL_KEYS = {str(c): c for c in range(N_CELLS)}
 
 
 @contextmanager
@@ -259,6 +267,12 @@ def _gate_source(dot: devmod.DotDevice, gate: str, raw) -> GateSource:
     return GateSource(kind, value)
 
 
+def _dac_names(gate_sources: Mapping[str, GateSource]) -> set[str]:
+    """The DACs something reads, which a `dac` item may move: the hold rail
+    and the DAC of each `dac` gate source."""
+    return {"v_hold", *(src.value for src in gate_sources.values() if src.kind == "dac")}
+
+
 def _parse_register(ref) -> int:
     if isinstance(ref, str):
         if ref in protocol.NAME_TO_ADDRESS:
@@ -273,7 +287,7 @@ def _parse_int(value) -> int:
     return _number(value, int)
 
 
-def _parse_schedule_item(raw, index: int) -> ScheduleItem:
+def _parse_schedule_item(raw, index: int, dacs: Collection[str]) -> ScheduleItem:
     where = f"schedule[{index}]"
     if "t" not in _object(raw, where):
         raise ScenarioError(f"{where}: missing time key 't'")
@@ -295,8 +309,12 @@ def _parse_schedule_item(raw, index: int) -> ScheduleItem:
         elif keys == {"word"}:
             frame = protocol.decode_frame(_parse_int(raw["word"]))
         elif keys == {"dac"}:
-            moves = _object(raw["dac"], where).items()
-            return ScheduleItem(t, dac=tuple(sorted((str(k), _number(v)) for k, v in moves)))
+            moves = sorted((str(k), _number(v)) for k, v in _object(raw["dac"], where).items())
+            for name, _ in moves:
+                if name not in dacs:
+                    raise ScenarioError(f"{where}: dac {name!r} is neither 'v_hold' nor the dac"
+                                        " of a device.gate_sources entry")
+            return ScheduleItem(t, dac=tuple(moves))
         else:
             raise ScenarioError(f"{where}: expected one of write/read/exec/nop/word/dac")
     return ScheduleItem(time_s=t, frame=frame)
@@ -318,12 +336,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    known = {
-        "schema_version", "name", "seed", "chip", "analog", "rails", "device",
-        "power", "schedule", "duration_s", "traces", "cell_targets", "figure",
-        "figure_params", "sweep",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - _TOP_LEVEL_KEYS
     if unknown:
         raise ScenarioError(f"unknown top-level key(s) {sorted(unknown)}")
 
@@ -387,7 +400,8 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     items = raw.get("schedule", [])
     if not isinstance(items, (list, tuple)):
         raise ScenarioError("schedule: expected a list")
-    schedule = tuple(_parse_schedule_item(item, i) for i, item in enumerate(items))
+    dacs = _dac_names(gate_sources)
+    schedule = tuple(_parse_schedule_item(item, i, dacs) for i, item in enumerate(items))
     for prev, item in zip(schedule, schedule[1:]):
         if item.time_s < prev.time_s:
             raise ScenarioError("schedule times must be nondecreasing")
@@ -399,11 +413,11 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
         raise ScenarioError("schedule extends past duration_s")
 
     targets = _object(raw.get("cell_targets", {}), "cell_targets")
+    for key in targets:
+        if key not in _CELL_KEYS:
+            raise ScenarioError(f"cell_targets: key {key!r} is not a cell index 0..{N_CELLS - 1}")
     with _section("cell_targets"):
-        targets = {int(k): _number(v) for k, v in targets.items()}
-    for c in targets:
-        if not 0 <= c < N_CELLS:
-            raise ScenarioError(f"cell_targets: cell {c} outside 0..{N_CELLS - 1}")
+        targets = {_CELL_KEYS[k]: _number(v) for k, v in targets.items()}
 
     name = raw.get("name", "scenario")
     if not isinstance(name, str) or set(name) & set("/\\\0"):
@@ -754,28 +768,25 @@ def _first_slot_at(t: float, anchor: float, period: int, cells: Sequence[int]) -
     return bisect_left(range(2 * MAX_ROWS), t, key=key)
 
 
-def _expand_plan(scenario: Scenario, sample_times: np.ndarray, sampled: Collection[int]) -> list:
-    """The timeline a run applies: the schedule's DAC moves, then the plan,
-    expanded, sorted once by time, then priority (stably: a schedule move
-    goes before a slot's).  A PLAY entry becomes its `fsm.playback` ticks,
-    if any, and a REFRESH entry its slots.  REFRESH re-locks the masked
-    cells one at a time, round robin: slot k starts k * REFRESH_PERIOD / n
-    after its EXEC (so slot n lands exactly on the period) and, after slot
-    0, opens the previous cell before closing the next.  A cell with a
-    `cell_targets` entry gets a DAC entry at its close, to the target less
-    the injection offset.
-
-    Each tick run is cut where the cells it pulses are read: before its
-    first tick at or after each hold-rail move that changes the rail (in
-    the DAC entries' time order) and, when it pulses a cell of `sampled`,
-    after its last tick at or before each of `sample_times`.  Each slice
-    (views of the run's columns) is an FG entry at its first tick.
+def _expand_plan(scenario: Scenario, sample_times: np.ndarray, sampled: Collection[int]):
+    """The timeline a run applies, sorted once by time, then priority, and
+    each DAC's (time, value) changes from its value before the run
+    (`rails.v_hold` for the hold rail, else 0.0).  A PLAY entry becomes its
+    `fsm.playback` ticks, if any.  A REFRESH entry's slot k, k *
+    REFRESH_PERIOD / n after its EXEC (slot n lands on the period), opens
+    the previous cell after slot 0, moves the hold rail to the closing
+    cell's `cell_targets` entry less the injection offset and closes
+    cells[k % n].  The DAC moves, the schedule's then the slots', are
+    sorted by time once, stably; only the hold rail's reach the timeline,
+    as DAC entries (value, changes), `changes` whether the value differs
+    from the previous move's.  Each tick run is cut before its first tick
+    at or after each move that changes the rail and, when it pulses a cell
+    of `sampled`, after its last tick at or before each of `sample_times`.
+    Each slice (views of the run's columns) is an FG entry at its first tick.
     """
     offset = analog.injection_offset(scenario.analog)
-    holds = {c: (("v_hold", v - offset),) for c, v in scenario.cell_targets.items()}
-    timeline: list[tuple[float, int, str, object]] = [
-        (item.time_s, _PRIO["DAC"], "DAC", item.dac) for item in scenario.schedule if item.frame is None
-    ]
+    moves = [(item.time_s, *move) for item in scenario.schedule for move in item.dac]
+    timeline: list[tuple[float, int, str, object]] = []
     runs = []
     for entry in scenario.plan:
         start, _prio, kind, payload = entry
@@ -789,24 +800,27 @@ def _expand_plan(scenario: Scenario, sample_times: np.ndarray, sampled: Collecti
                 if k:
                     timeline.append((slot, _PRIO["OPEN"], "OPEN", cell))
                 cell = cells[k % len(cells)]
-                if cell in holds:
-                    timeline.append((slot, _PRIO["DAC"], "DAC", holds[cell]))
+                if cell in scenario.cell_targets:
+                    moves.append((slot, "v_hold", scenario.cell_targets[cell] - offset))
                 timeline.append((slot, _PRIO["CLOSE"], "CLOSE", cell))
         else:
             timeline.append(entry)
-    moves, v_hold = [], scenario.rails.v_hold  # times of the hold-rail moves that change the rail
-    dac_entries = [entry for entry in timeline if entry[2] == "DAC"] if runs else []  # no run to cut
-    for t, _prio, _kind, payload in sorted(dac_entries, key=itemgetter(0)):
-        if (value := dict(payload).get("v_hold", v_hold)) != v_hold:
-            moves.append(t)
-            v_hold = value
-    moves = np.asarray(moves, dtype=float)
+    dacs = {name: [(-math.inf, 0.0)] for name in _dac_names(scenario.gate_sources)}
+    dacs["v_hold"] = [(-math.inf, scenario.rails.v_hold)]
+    cuts = []  # times of the hold-rail moves that change the rail
+    for t, name, value in sorted(moves, key=itemgetter(0)):
+        if name == "v_hold":
+            changes = value != dacs[name][-1][1]
+            timeline.append((t, _PRIO["DAC"], "DAC", (value, changes)))
+            if changes:
+                cuts.append(t)
+        dacs[name].append((t, value))
     for run in runs:
         # starts[k]: a slice starts at tick k; starts[len] closes the last one.
         starts = np.zeros(len(run.times) + 1, dtype=bool)
         starts[[0, -1]] = True
-        lo, hi = np.searchsorted(moves, run.times[[0, -1]], "right")
-        starts[np.searchsorted(run.times, moves[lo:hi])] = True
+        lo, hi = np.searchsorted(cuts, run.times[[0, -1]], "right")
+        starts[np.searchsorted(run.times, cuts[lo:hi])] = True
         if not set(sampled).isdisjoint(run.cells):
             first = np.searchsorted(sample_times, run.times)  # first sample at or after
             starts[1:-1] |= first[:-1] < first[1:]
@@ -816,7 +830,7 @@ def _expand_plan(scenario: Scenario, sample_times: np.ndarray, sampled: Collecti
              fsm.TickRun(run.times[k:j], run.levels[k:j], run.cells, run.period_s))
             for k, j in zip(bounds, bounds[1:])
         ]
-    return sorted(timeline, key=itemgetter(0, 1))
+    return sorted(timeline, key=itemgetter(0, 1)), dacs
 
 
 def _segment_power(scenario: Scenario, state: tuple[fsm.Mode, protocol.RegisterFile]) -> float:
@@ -860,17 +874,17 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     """Execute a time-domain scenario and collect the requested traces.
 
     Every entry of the timeline (`_expand_plan`, with each tick run cut
-    where it is read) is applied eagerly, in order.  A slice is one
-    `analog.apply_fg_run` call per pulsed cell.  This relies on one
-    invariant: only WRITE and EXEC split playback and lock actions happen
-    only at EXEC, so no lock action falls inside a run.  Before each entry
-    the loop records one block, the samples before that entry, as the
-    sampled cells' `output_fields` they see; it keeps each DAC's (time,
-    value) moves (the hold rail is DAC "v_hold").  The traces are then
-    evaluated as arrays: the hold rail, DAC gates, power and temperature
-    by `_held` from their change points, power and temperature once per
-    distinct mode of `Scenario.modes` (README, "How a run executes").  The
-    bundle carries no manifest: `run_scenario` adds one per top-level run.
+    where it is read) is applied eagerly, in order: a slice is one
+    `analog.apply_fg_run` call per pulsed cell, and a DAC entry sets the
+    hold rail, which a close locks onto, and fans `set_hold` out to the 32
+    cells if it changes the rail.  This relies on one invariant: only WRITE
+    and EXEC split playback and lock actions happen only at EXEC, so no
+    lock action falls inside a run.  Before each entry the loop records
+    one block, the samples before that entry, as the sampled cells'
+    `output_fields` they see.  The traces are then evaluated as arrays: the
+    hold rail, DAC gates, power and temperature by `_held` from their change
+    points (`_expand_plan`'s, and `Scenario.modes` once per distinct mode).
+    The bundle carries no manifest: `run_scenario` adds one per top-level run.
     """
     kinds = scenario.traces.kinds
     traced = scenario.traces.cells if "cells" in kinds else ()
@@ -883,15 +897,13 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     sample_times = times.tolist()
     n_samples = len(sample_times)
     rails = scenario.rails
-    timeline = _expand_plan(scenario, times, sampled)
+    timeline, dacs = _expand_plan(scenario, times, sampled)
 
     # Cell states are immutable, so all 32 can start as one value: at t = 0,
     # or at the first schedule item if that is earlier (load allows t < 0).
     start = min(0.0, scenario.schedule[0].time_s) if scenario.schedule else 0.0
     cells = [analog.ClfgCell(scenario.analog, t_last=start)] * N_CELLS
-    # Each DAC's (time, value) moves, after its value before the run: the
-    # hold rail's own, else 0.0.  The last is the DAC's value now.
-    dacs = {"v_hold": [(-math.inf, rails.v_hold)]}
+    v_hold = rails.v_hold  # the hold rail now, which a close locks onto
     # What each block of samples sees, the sampled cells' `output_fields`
     # (floats, so no state outlives its block), and its length.
     fields: list[float] = []
@@ -907,11 +919,9 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             counts.append(end - si)
             si = end
         if kind == "DAC":
-            for name, value in payload:  # type: ignore[union-attr]
-                moves = dacs.setdefault(name, [(-math.inf, 0.0)])
-                if name == "v_hold" and value != moves[-1][1]:
-                    cells = list(map(analog.set_hold, cells, repeat(value, N_CELLS)))
-                moves.append((t, value))
+            v_hold, changes = payload  # type: ignore[misc]
+            if changes:
+                cells = list(map(analog.set_hold, cells, repeat(v_hold, N_CELLS)))
         elif kind == "FG":
             run: fsm.TickRun = payload  # type: ignore[assignment]
             for column, values in zip(log, run.csv_columns()):
@@ -926,7 +936,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 column.append(value)
             cells[i] = analog.settle(cells[i], t)
             if kind == "CLOSE":
-                cells[i] = analog.lock(cells[i], dacs["v_hold"][-1][1])
+                cells[i] = analog.lock(cells[i], v_hold)
             else:  # OPEN
                 cells[i] = analog.unlock(cells[i])
 
@@ -957,7 +967,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     if sources:
         gates = {
             gate: volts[:, sampled.index(src.value)] if src.kind == "cell"
-            else _held(dacs.get(src.value, [(-math.inf, 0.0)]), times) if src.kind == "dac"
+            else _held(dacs[src.value], times) if src.kind == "dac"
             else np.full(n_samples, src.value)
             for gate, src in sources.items()
         }
@@ -1030,7 +1040,7 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
             if axis == "rails.v_hold":
                 swap = {"rails": _build_section(analog.SupplyRails, doc["rails"], "rails")}
             elif dac is not None:
-                item = _parse_schedule_item(doc["schedule"][dac], dac)
+                item = _parse_schedule_item(doc["schedule"][dac], dac, _dac_names(base.gate_sources))
                 swap = {"schedule": (*base.schedule[:dac], item, *base.schedule[dac + 1:])}
             else:
                 points.append(build_scenario(doc, points=False))

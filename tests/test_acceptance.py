@@ -203,16 +203,15 @@ def _refresh_scenario(
     }
 
 
-def _closed_intervals(events):
+def _closed_intervals(bundle):
+    """Each cell's (close, open) lock intervals, from the `events` table's rows."""
     opened_at: dict[int, float] = {}
     intervals: dict[int, list[tuple[float, float]]] = {i: [] for i in range(32)}
-    for ev in events:
-        if ev.lock_action is None:
-            continue
-        if ev.lock_action == fsm.LockAction.CLOSE:
-            opened_at[ev.cell] = ev.time_s
-        else:
-            intervals[ev.cell].append((opened_at.pop(ev.cell), ev.time_s))
+    for t, cell, action, _level in bundle.tables["events"].rows:
+        if action == "CLOSE":
+            opened_at[cell] = t
+        elif action == "OPEN":
+            intervals[cell].append((opened_at.pop(cell), t))
     for cell, t in opened_at.items():
         intervals[cell].append((t, math.inf))
     return intervals
@@ -220,7 +219,7 @@ def _closed_intervals(events):
 
 def _worst_floating_error(bundle, t_from: float, target: float) -> float:
     """Largest |v - target| of a cell while floating, from `t_from` on."""
-    intervals = _closed_intervals(bundle.events)
+    intervals = _closed_intervals(bundle)
     worst = 0.0
     for t, c, v in bundle.tables["cells"].rows:
         if t < t_from or any(a <= t < b for a, b in intervals[c]):
@@ -237,7 +236,7 @@ def test_07_round_robin_refresh_holds_cells_on_target():
     # on target; each cell is parked at the compensated DAC value only
     # during its own 3.75 s refresh slot.
     bundle = engine.run_generic(engine.build_scenario(_refresh_scenario(2e-15, -1.101)))
-    intervals = _closed_intervals(bundle.events)
+    intervals = _closed_intervals(bundle)
     flat = sorted(iv for per_cell in intervals.values() for iv in per_cell)
     no_overlap = all(b2 >= a1 for (_, a1), (b2, _) in zip(flat, flat[1:]))
     worst = _worst_floating_error(bundle, 120.0, target)
@@ -249,8 +248,8 @@ def test_07_round_robin_refresh_holds_cells_on_target():
         abs(v - target) for t, c, v in bundle0.tables["cells"].rows if t >= 120.0
     )
 
-    closes = [ev for ev in bundle.events if ev.lock_action == fsm.LockAction.CLOSE]
-    first_pass = [ev.cell for ev in closes if ev.time_s < 120.0]
+    first_pass = [c for t, c, action, _ in bundle.tables["events"].rows
+                  if action == "CLOSE" and t < 120.0]
     fair = sorted(first_pass) == list(range(32)) and len(first_pass) == 32
 
     # Slower refresh: two passes at each period; once every cell has been

@@ -65,6 +65,49 @@ class TestValidation:
             rows = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
             assert rows == [f"0.0,{value}", f"1.0,{value}"]
 
+    def test_a_dac_that_nothing_reads_is_refused(self):
+        # A misspelt hold rail used to move nothing: `hold` read -1.0 throughout.
+        with pytest.raises(ScenarioError, match=r"^schedule\[1\]: dac 'v_hld' is neither 'v_hold'"
+                           r" nor the dac of a device.gate_sources entry$"):
+            make_scenario(rails={"v_hold": -1.0}, traces={"sample_rate_hz": 1.0, "kinds": ["hold"]},
+                          schedule=[{"t": 0.0, "nop": True}, {"t": 0.5, "dac": {"v_hld": -0.5}}])
+
+    @given(wiring=st.dictionaries(st.sampled_from(["a", "b"]), st.sampled_from(["v_hold", "x", "y"])),
+           names=st.sets(st.sampled_from(["v_hold", "x", "y", "z"]), min_size=1))
+    @settings(max_examples=60, deadline=None)
+    def test_load_accepts_exactly_the_dacs_something_reads(self, wiring, names):
+        # The hold rail and the DAC of each `dac` gate source are read; a
+        # sweep point that swaps a `dac` item in is checked as a full build.
+        read = {"v_hold", *wiring.values()}
+        device = {"levers": {"a": 1.0, "b": 1.0},
+                  "gate_sources": {gate: {"dac": dac} for gate, dac in wiring.items()}}
+        item = {"t": 0.5, "dac": dict.fromkeys(sorted(names), -0.5)}
+        if names <= read:
+            assert make_scenario(device=device, schedule=[item]).schedule[0].dac
+        else:
+            with pytest.raises(ScenarioError, match=f"^schedule\\[0\\]: dac '{min(names - read)}'"):
+                make_scenario(device=device, schedule=[item])
+        base = make_scenario(device=device, schedule=[{"t": 0.5, "dac": {"v_hold": -0.5}}])
+        for name in names:
+            axis = f"schedule.0.dac.{name}"
+            TestSweep._assert_points_are_full_builds(base, axis, [-0.4])
+            if name not in read:
+                with pytest.raises(UnknownAxis, match=f"^axis '{axis}': schedule\\[0\\]: dac '{name}'"):
+                    engine._sweep_points(base, axis, [-0.4])
+
+    @pytest.mark.parametrize("key", ["01", "1_0", " 3 ", "-0", "+1", "1.0", "32", "0x1", "", "٣"])
+    def test_a_cell_target_key_is_a_plain_cell_index(self, key):
+        # Each was read by `int`: "01" next to "1" dropped one target, and
+        # "1_0" aimed at cell 10.
+        with pytest.raises(ScenarioError, match=f"^cell_targets: key {re.escape(repr(key))} is not"
+                           " a cell index 0..31$"):
+            make_scenario(cell_targets={"1": -1.0, key: -1.1})
+
+    def test_cell_target_keys_are_the_cell_indices(self):
+        targets = {str(c): -1.0 - c / 100 for c in range(engine.N_CELLS)}
+        assert make_scenario(cell_targets=targets).cell_targets == {
+            c: -1.0 - c / 100 for c in range(engine.N_CELLS)}
+
     def test_step_errors_carry_schedule_context(self):
         with pytest.raises(ScenarioError, match=r"schedule\[4\]"):
             make_scenario(
@@ -192,7 +235,7 @@ class TestGenericRun:
             traces={"sample_rate_hz": 10.0, "kinds": ["cells"], "cells": [0, 7]},
         )
         bundle = engine.run_generic(scenario)
-        assert bundle.events == []
+        assert bundle.tables["events"].rows == []
         assert all(v == 0.0 for _, _, v in bundle.tables["cells"].rows)
         assert len(bundle.tables["cells"].rows) == 2 * 11
 
@@ -201,14 +244,32 @@ class TestGenericRun:
         # so a sampled cell and rail moves cut nothing.
         scenario = dataclasses.replace(_refreshing(), cell_targets={0: -1.0, 1: -0.9})
         grid = engine.sample_grid(scenario)
-        timeline = engine._expand_plan(scenario, grid, {0})
+        timeline, dacs = engine._expand_plan(scenario, grid, {0})
         kinds = {kind for _, _, kind, _ in timeline}
         assert "FG" not in kinds and {"DAC", "CLOSE", "OPEN"} <= kinds
-        assert timeline == engine._expand_plan(scenario, grid, ())
+        assert (timeline, dacs) == engine._expand_plan(scenario, grid, ())
         assert timeline == sorted(timeline, key=lambda e: e[:2])
+        assert list(dacs) == ["v_hold"]
+        assert [(e[0], e[3][0]) for e in timeline if e[2] == "DAC"] == dacs["v_hold"][1:]
 
     def test_bundle_without_events_table_has_no_events(self):
         assert engine.TraceBundle({}, {}).events == []
+
+    def test_events_are_the_events_table_rows(self):
+        # `bench/` reads `TraceBundle.events`: one `fsm.SwitchEvent` per row.
+        scenario = make_scenario(
+            schedule=[*lock_then_open_schedule(0b10, 0.0), {"t": 0.0, "write": ["CTRL", 7]},
+                      {"t": 0.0, "write": ["PULSE_MASK_LO", 1]}, {"t": 0.0, "write": ["DIVIDER", 15]},
+                      {"t": 0.0, "exec": True}],
+            duration_s=3.5 * 2**15 / 35.84e6,
+        )
+        bundle = engine.run_generic(scenario)
+        rows = bundle.tables["events"].rows
+        assert {action for _, _, action, _ in rows} == {"CLOSE", "OPEN", "FG"}
+        assert bundle.events == [fsm.event_from_row(*row) for row in rows]
+        assert [ev.lock_action for ev in bundle.events[:2]] == [fsm.LockAction.CLOSE,
+                                                                  fsm.LockAction.OPEN]
+        assert {ev.fg_level for ev in bundle.events[2:]} == {analog.Level.LOW}  # PATTERN0 0
 
     def test_lock_release_injection_visible(self):
         scenario = make_scenario(
@@ -313,7 +374,7 @@ class TestGenericRun:
 
         def events(extra: list) -> list:
             scenario = make_scenario(schedule=schedule + extra, duration_s=10.5 * tick)
-            return engine.run_generic(scenario).events
+            return engine.run_generic(scenario).tables["events"].rows
 
         plain = events([])
         assert len(plain) == 10
@@ -427,15 +488,17 @@ class TestGenericRun:
             ],
             duration_s=4.0,
         )
-        timeline = engine._expand_plan(scenario, engine.sample_grid(scenario), ())
+        timeline, dacs = engine._expand_plan(scenario, engine.sample_grid(scenario), ())
         aim = 0.25 - analog.injection_offset(scenario.analog)
+        # The second move repeats the rail: a DAC entry that changes nothing.
         assert [entry[2:] for entry in timeline] == [
             ("CLOSE", 0),
-            ("OPEN", 0), ("DAC", (("v_hold", aim),)), ("CLOSE", 1),
+            ("OPEN", 0), ("DAC", (aim, True)), ("CLOSE", 1),
             ("OPEN", 1), ("CLOSE", 0),
-            ("OPEN", 0), ("DAC", (("v_hold", aim),)), ("CLOSE", 1),
+            ("OPEN", 0), ("DAC", (aim, False)), ("CLOSE", 1),
         ]
         assert [entry[0] for entry in timeline] == [0.0] + [1.0] * 3 + [2.0] * 2 + [3.0] * 3
+        assert dacs == {"v_hold": [(-math.inf, 0.0), (1.0, aim), (3.0, aim)]}
 
     def test_one_manifest_per_run(self, monkeypatch):
         made = []
@@ -464,37 +527,35 @@ class TestGenericRun:
 
 
 def replay_cells_edge_by_edge(scenario, bundle, moves) -> list[tuple]:
-    """The `cells` table rebuilt from `bundle.events` and hold-DAC `moves`
-    (time, volts), one scalar call per event, in the engine's order: by
-    time, then `engine._PRIO` (a move before a tick at its own time)."""
+    """The `cells` table rebuilt from the `events` table's rows and hold-DAC
+    `moves` (time, volts), one scalar call per event, in the engine's order:
+    by time, then `engine._PRIO` (a move before a tick at its own time)."""
     cells = [analog.ClfgCell(scenario.analog)] * engine.N_CELLS
-
-    def order(action):
-        t, ev = action
-        if not isinstance(ev, fsm.SwitchEvent):
-            return t, engine._PRIO["DAC"]
-        return t, engine._PRIO["FG" if ev.lock_action is None else ev.lock_action.value]
-
-    actions = sorted([(ev.time_s, ev) for ev in bundle.events] + list(moves), key=order)
+    actions = sorted(
+        [(t, engine._PRIO[action], cell, action, level)
+         for t, cell, action, level in bundle.tables["events"].rows]
+        + [(t, engine._PRIO["DAC"], None, "DAC", volts) for t, volts in moves],
+        key=lambda action: action[:2],
+    )
     v_hold = scenario.rails.v_hold
     rows = []
     i = 0
     for t_sample in bundle.tables["cells"].columns[0][:: len(scenario.traces.cells)]:
         while i < len(actions) and actions[i][0] <= t_sample:
-            t, ev = actions[i]
+            t, _prio, c, action, value = actions[i]
             i += 1
-            if not isinstance(ev, fsm.SwitchEvent):
-                v_hold = ev
+            if action == "DAC":
+                v_hold = value
                 cells = [analog.set_hold(cell, v_hold) for cell in cells]
                 continue
-            cell = analog.settle(cells[ev.cell], t)
-            if ev.lock_action == fsm.LockAction.CLOSE:
+            cell = analog.settle(cells[c], t)
+            if action == "CLOSE":
                 cell = analog.lock(cell, v_hold)
-            elif ev.lock_action == fsm.LockAction.OPEN:
+            elif action == "OPEN":
                 cell = analog.unlock(cell)
             else:
-                cell = analog.apply_fg(cell, ev.fg_level, t, scenario.rails)
-            cells[ev.cell] = cell
+                cell = analog.apply_fg(cell, analog.Level[value], t, scenario.rails)
+            cells[c] = cell
         rows += [(t_sample, c, analog.output_voltage(cells[c], t_sample))
                  for c in scenario.traces.cells]
     return rows
@@ -591,7 +652,7 @@ class TestQueuedEdges:
         )
         bundle = engine.run_generic(scenario)
         pulsed = bin(pulse_mask).count("1")
-        assert len(bundle.events) == n_ticks * pulsed + 2 * bin(lock_mask).count("1")
+        assert len(bundle.tables["events"].rows) == n_ticks * pulsed + 2 * bin(lock_mask).count("1")
         expected = replay_cells_edge_by_edge(scenario, bundle, moves)
         got = bundle.tables["cells"].rows
         assert [(t, c) for t, c, _ in got] == [(t, c) for t, c, _ in expected]
@@ -917,7 +978,8 @@ class TestRefreshPlan:
     run takes the slots from that entry and the moves from the schedule."""
 
     @staticmethod
-    def _timeline(scenario) -> list:
+    def _timeline(scenario) -> tuple[list, dict]:
+        """The timeline and each DAC's changes that `_expand_plan` returns."""
         return engine._expand_plan(scenario, engine.sample_grid(scenario), ())
 
     @given(
@@ -938,6 +1000,7 @@ class TestRefreshPlan:
         # it: slot k at anchor + k·period/n closes cells[k % n], each slot
         # after slot 0 opens the cell before it, and a targeted close gets a
         # DAC entry just before it.  Schedule DAC moves fall on slot times.
+        # Each DAC entry is (value, whether it differs from the move before).
         cells, end = fsm.mask_cells(mask), anchor + span
         n = len(cells)
         items = [(anchor + f * span, 0, {"write": list(w)}) for f, w in writes]
@@ -956,18 +1019,24 @@ class TestRefreshPlan:
             (anchor, engine._PRIO["OPEN"], "REFRESH", (period, cells, len(slots)))]
         assert not {"DAC", "MODE"} & {e[2] for e in scenario.plan}
         aim = analog.injection_offset(scenario.analog)
-        expected = [(t, engine._PRIO["DAC"], "DAC", (("v_hold", item["dac"]["v_hold"]),))
+        expected = [(t, engine._PRIO["DAC"], "DAC", item["dac"]["v_hold"])
                     for t, _, item in sorted(items, key=lambda i: i[:2]) if "dac" in item]
         for k in slots:
             slot, cell = anchor + k * period / n, cells[k % n]
             if k:
                 expected.append((slot, engine._PRIO["OPEN"], "OPEN", cells[(k - 1) % n]))
             if cell in targets:
-                expected.append((slot, engine._PRIO["DAC"], "DAC", (("v_hold", targets[cell] - aim),)))
+                expected.append((slot, engine._PRIO["DAC"], "DAC", targets[cell] - aim))
             expected.append((slot, engine._PRIO["CLOSE"], "CLOSE", cell))
         if leave and slots:
             expected.append((end, engine._PRIO["OPEN"], "OPEN", cells[slots[-1] % n]))
-        assert self._timeline(scenario) == sorted(expected, key=lambda e: e[:2])
+        expected.sort(key=lambda e: e[:2])
+        rail = [(-math.inf, scenario.rails.v_hold)]
+        for i, (t, prio, kind, value) in enumerate(expected):
+            if kind == "DAC":
+                expected[i] = (t, prio, kind, (value, value != rail[-1][1]))
+                rail.append((t, value))
+        assert self._timeline(scenario) == (expected, {"v_hold": rail})
 
     def test_schedule_move_at_a_targeted_slot_goes_first(self):
         # Slot 1 (t = 1 s) closes cell 1 onto its target; a host move at
@@ -986,11 +1055,69 @@ class TestRefreshPlan:
         )
         assert "DAC" not in {entry[2] for entry in scenario.plan}
         aim = 0.25 - analog.injection_offset(scenario.analog)
-        assert [entry[2:] for entry in self._timeline(scenario)] == [
+        timeline, dacs = self._timeline(scenario)
+        assert [entry[2:] for entry in timeline] == [
             ("CLOSE", 0),
-            ("OPEN", 0), ("DAC", (("v_hold", 0.5),)), ("DAC", (("v_hold", aim),)), ("CLOSE", 1),
+            ("OPEN", 0), ("DAC", (0.5, True)), ("DAC", (aim, True)), ("CLOSE", 1),
         ]
+        assert dacs == {"v_hold": [(-math.inf, 0.0), (1.0, 0.5), (1.0, aim)]}
         assert engine.run_generic(scenario).tables["hold"].columns[1] == [0.0, aim, aim]
+
+    # Rail values that repeat, and 0.0 next to -0.0, which compare equal.
+    _VOLTS = st.sampled_from([0.0, -0.0, -1.0, -1.1])
+
+    @given(
+        mask=st.integers(1, 15),
+        period=st.integers(1, 3),
+        moves=st.lists(st.tuples(
+            st.integers(0, 12), st.booleans(),
+            st.dictionaries(st.sampled_from(["v_hold", "v_sdp"]), _VOLTS, min_size=1)), max_size=6),
+        targets=st.dictionaries(st.integers(0, 3), _VOLTS, max_size=4),
+        v_hold=_VOLTS,
+        leave=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dac_changes_match_the_reference(self, mask, period, moves, targets, v_hold, leave):
+        # Host moves of one or two DACs, on slot times or between them, and
+        # REFRESH slots that aim the rail at their cells' targets.  With no
+        # injection charge a slot moves the rail to its target as given.
+        cells, end = fsm.mask_cells(mask), 3.0
+        n = len(cells)
+        items = sorted(((k * period / n + 0.25 * off, {"dac": dac}) for k, off, dac in moves
+                        if k * period / n + 0.25 * off <= end), key=lambda item: item[0])
+        tail = [{"t": end, "write": ["LOCK_MASK_LO", 0]}, {"t": end, "exec": True}] * leave
+        scenario = make_scenario(
+            analog={"q_inj": 0.0}, rails={"v_hold": v_hold}, duration_s=end,
+            cell_targets={str(c): v for c, v in targets.items()},
+            device={"levers": {"sdp": 1.0}, "gate_sources": {"sdp": {"dac": "v_sdp"}}},
+            schedule=[{"t": 0.0, "write": ["CTRL", 2]}, {"t": 0.0, "write": ["LOCK_MASK_LO", mask]},
+                      {"t": 0.0, "write": ["REFRESH_PERIOD", period]}, {"t": 0.0, "exec": True},
+                      *({"t": t, **item} for t, item in items), *tail],
+            traces={"sample_rate_hz": 1.0},
+        )
+        slots = {k * period / n: cells[k % n] for k in range(4 * n) if k * period / n < end}
+        timeline, dacs = self._timeline(scenario)
+        expected = _dac_reference(scenario, slots)
+        assert {name: list(map(repr, changes)) for name, changes in dacs.items()} == {
+            name: list(map(repr, changes)) for name, changes in expected.items()}
+        rail = expected["v_hold"]
+        assert [(e[0], repr(e[3][0]), e[3][1]) for e in timeline if e[2] == "DAC"] == [
+            (t, repr(v), v != u) for (_, u), (t, v) in zip(rail, rail[1:])]
+
+
+def _dac_reference(scenario: engine.Scenario, slots: dict[float, int]) -> dict[str, list]:
+    """Each DAC's (time, value) changes, time by time: the schedule's `dac`
+    items at that time in order, then the move of a REFRESH slot there
+    (`slots`: time -> cell) to its cell's target less the injection offset."""
+    changes = {"v_hold": [(-math.inf, scenario.rails.v_hold)], "v_sdp": [(-math.inf, 0.0)]}
+    offset = analog.injection_offset(scenario.analog)
+    for t in sorted({item.time_s for item in scenario.schedule if item.dac} | set(slots)):
+        for item in scenario.schedule:
+            for name, value in item.dac if item.time_s == t else ():
+                changes[name].append((t, value))
+        if slots.get(t) in scenario.cell_targets:
+            changes["v_hold"].append((t, scenario.cell_targets[slots[t]] - offset))
+    return changes
 
 
 class TestRunHasNoRefusal:

@@ -10,7 +10,6 @@ from clfgsim.fsm import (
     ChipState,
     ClockDisabled,
     IllegalTransition,
-    LockAction,
     Mode,
     NotInPlayback,
     divided_frequency,
@@ -225,7 +224,8 @@ class TestPlayback:
 
 
 def refresh_pass(cells: list[int], period_s: int) -> list:
-    """Lock actions of one round-robin REFRESH pass, run through the engine.
+    """Lock actions of one round-robin REFRESH pass, run through the engine:
+    the run's `events` table rows, (time_s, cell, action, level).
 
     The host starts refresh at t=0 and ends it one period later by clearing
     the lock mask, which opens the last cell's lock.
@@ -245,34 +245,34 @@ def refresh_pass(cells: list[int], period_s: int) -> list:
             {"t": end, "exec": True},
         ],
     )
-    return engine.run_generic(scenario).events
+    return engine.run_generic(scenario).tables["events"].rows
 
 
 class TestRefreshSchedule:
     def test_even_spacing_32_cells(self):
         events = refresh_pass(list(range(32)), 120)
-        closes = [e for e in events if e.lock_action == LockAction.CLOSE]
-        assert [e.cell for e in closes] == list(range(32))
-        for k, e in enumerate(closes):
-            assert e.time_s == k * 3.75
+        closes = [(t, cell) for t, cell, action, _ in events if action == "CLOSE"]
+        assert [cell for _, cell in closes] == list(range(32))
+        for k, (t, _) in enumerate(closes):
+            assert t == k * 3.75
 
     def test_single_cell_uses_whole_period(self):
         events = refresh_pass([0], 120)
-        assert [(e.time_s, e.lock_action) for e in events] == [
-            (0.0, LockAction.CLOSE),
-            (120.0, LockAction.OPEN),
+        assert [(t, action) for t, _, action, _ in events] == [
+            (0.0, "CLOSE"),
+            (120.0, "OPEN"),
         ]
 
     def test_exactly_one_closed_at_any_instant(self):
         events = refresh_pass(list(range(32)), 120)
         closed: set[int] = set()
         seen_nonempty = False
-        for e in events:
-            if e.lock_action == LockAction.OPEN:
-                closed.discard(e.cell)
+        for _, cell, action, _ in events:
+            if action == "OPEN":
+                closed.discard(cell)
             else:
                 assert not closed, "overlapping close intervals"
-                closed.add(e.cell)
+                closed.add(cell)
             seen_nonempty = True
         assert seen_nonempty and len(closed) == 0
 
@@ -290,5 +290,5 @@ class TestRefreshSchedule:
     )
     def test_fairness_one_refresh_per_cell_per_pass(self, cells, period_s):
         events = refresh_pass(cells, period_s)
-        closes = [e.cell for e in events if e.lock_action == LockAction.CLOSE]
+        closes = [cell for _, cell, action, _ in events if action == "CLOSE"]
         assert closes == cells

@@ -144,6 +144,7 @@ def _fields(cls) -> set[str]:
 # fields, with `device` taking the tank's sample rate from `traces` and
 # adding its wiring, and `power` adding its two subsections.
 SCHEMA_KEYS = {
+    "top level": set(engine._TOP_LEVEL_KEYS),
     "chip": _fields(engine.ChipConfig),
     "analog": _fields(analog.CellParams),
     "rails": _fields(analog.SupplyRails),
@@ -159,13 +160,14 @@ SCHEMA_KEYS = {
 
 def _readme_tables() -> dict[str, set[str]]:
     """Backticked keys in the first column of the table under each section:
-    a `### `name`` heading or a line that starts with `name` in backticks."""
+    a `### `name`` (or deeper) heading, or "top level" for the table under
+    `## Scenario schema v1`; any other heading ends a section."""
     tables: dict[str, set[str]] = {}
     section = None
     for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
-        if line.startswith("#") or (line.startswith("`") and not line.startswith("```")):
-            match = re.match(r"(?:#+ )?`([\w.]+)`", line)
-            section = match.group(1) if match else None
+        if line.startswith("#"):
+            match = re.match(r"###+ `([\w.]+)`", line)
+            section = match.group(1) if match else "top level" if line == "## Scenario schema v1" else None
         elif line.startswith("| `") and section is not None:
             first = line.split("|")[1]
             tables.setdefault(section, set()).update(re.findall(r"`([^`]+)`", first))
