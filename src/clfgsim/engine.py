@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import re
+import struct
 from bisect import bisect_left
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
@@ -92,6 +93,8 @@ class TraceConfig:
         for c in self.cells:
             if not (isinstance(c, int) and 0 <= c < N_CELLS):
                 raise ValueError(f"cell {c!r} outside 0..{N_CELLS - 1}")
+            if self.cells.count(c) > 1:
+                raise ValueError(f"cell {c} is listed more than once")
 
 
 @dataclass(frozen=True)
@@ -870,20 +873,31 @@ def _held(changes: Sequence[tuple[float, float]], times: np.ndarray) -> np.ndarr
     return np.array(values, dtype=float)[np.searchsorted(at, times, "right") - 1]
 
 
+# A cell state's fields after `params`, which every state of a run shares,
+# with the floats as their bit patterns (so 0.0 and -0.0 stay apart): two
+# states of a run with one key are bit-equal.
+_state_key = struct.Struct("=?BB5d").pack
+
+
 def run_generic(scenario: Scenario) -> TraceBundle:
     """Execute a time-domain scenario and collect the requested traces.
 
     Every entry of the timeline (`_expand_plan`, with each tick run cut
     where it is read) is applied eagerly, in order: a slice is one
-    `analog.apply_fg_run` call per pulsed cell, and a DAC entry sets the
-    hold rail, which a close locks onto, and fans `set_hold` out to the 32
-    cells if it changes the rail.  This relies on one invariant: only WRITE
-    and EXEC split playback and lock actions happen only at EXEC, so no
-    lock action falls inside a run.  Before each entry the loop records
-    one block, the samples before that entry, as the sampled cells'
-    `output_fields` they see.  The traces are then evaluated as arrays: the
-    hold rail, DAC gates, power and temperature by `_held` from their change
-    points (`_expand_plan`'s, and `Scenario.modes` once per distinct mode).
+    `analog.apply_fg_run` call per distinct state of its pulsed cells, whose
+    result every cell in that state takes, and a DAC entry sets the hold
+    rail, which a close locks onto, and fans `set_hold` out to the 32 cells
+    if it changes the rail.  The slice rule is exact: `apply_fg_run` is pure,
+    every state of a run holds the scenario's one `CellParams`, and states
+    with one `_state_key` (the other eight fields, floats by bit pattern)
+    are bit-equal, so they give bit-equal results.  The loop relies on one
+    invariant: only WRITE and EXEC split playback and lock actions happen
+    only at EXEC, so no lock action falls inside a run.  Before each entry
+    the loop records one block, the samples before that entry, as the
+    sampled cells' `output_fields` they see.  The traces are then evaluated
+    as arrays: the hold rail, DAC gates, power and temperature by `_held`
+    from their change points (`_expand_plan`'s, and `Scenario.modes` once
+    per distinct mode).
     The bundle carries no manifest: `run_scenario` adds one per top-level run.
     """
     kinds = scenario.traces.kinds
@@ -926,10 +940,13 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             run: fsm.TickRun = payload  # type: ignore[assignment]
             for column, values in zip(log, run.csv_columns()):
                 column += values
+            done: dict[bytes, analog.ClfgCell] = {}
             for c in run.cells:
-                cells[c] = analog.apply_fg_run(
-                    cells[c], run.times, run.levels, run.period_s, rails
-                )
+                if (key := _state_key(*cells[c][1:])) not in done:
+                    done[key] = analog.apply_fg_run(
+                        cells[c], run.times, run.levels, run.period_s, rails
+                    )
+                cells[c] = done[key]
         elif kind != "END":
             i: int = payload  # type: ignore[assignment]
             for column, value in zip(log, (t, i, kind, "")):

@@ -273,6 +273,21 @@ class TestValidate:
             code, _, err = _main(argv)
             assert code == 1 and err.startswith("error: schedule[1]: "), err
 
+    @pytest.mark.parametrize("command, cells, message", [
+        (["validate"], [0, 0], "traces: cell 0 is listed more than once"),
+        (["run"], [0, 0], "traces: cell 0 is listed more than once"),
+        (["sweep", "--axis", "traces.cells.0", "--values=1"], [0, 1],
+         "axis 'traces.cells.0': traces: cell 1 is listed more than once"),
+    ], ids=["validate", "run", "sweep_axis"])
+    def test_repeated_trace_cell_exits_1(self, command, cells, message, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_text(json.dumps(_mini(traces={"sample_rate_hz": 10.0, "kinds": ["cells"],
+                                                  "cells": cells})))
+        out = [] if command[0] == "validate" else ["--out", str(tmp_path / "out")]
+        code, _, err = _main([command[0], str(path), *command[1:], *out])
+        assert (code, err) == (1, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", MALFORMED)
     def test_malformed_section_exits_1(self, name, tmp_path, capsys):
         path = tmp_path / "bad.scn"

@@ -46,6 +46,16 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="cell 32"):
             make_scenario(traces={"sample_rate_hz": 10, "kinds": ["cells"], "cells": [32]})
 
+    def test_a_repeated_trace_cell_is_refused(self):
+        # It loaded, counted its rows twice and wrote each `cells` row twice.
+        traces = {"sample_rate_hz": 1.0, "kinds": ["cells"], "cells": [3, 0, 3]}
+        with pytest.raises(ScenarioError, match=r"^traces: cell 3 is listed more than once$"):
+            make_scenario(traces=traces)
+        # A sweep point that repeats another traced index, when the block is read.
+        with pytest.raises(UnknownAxis, match=r"^axis 'traces.cells.1': traces: cell 3 is listed"):
+            make_scenario(traces=dict(traces, cells=[3, 0]),
+                          sweep={"axis": "traces.cells.1", "values": [1, 3]})
+
     def test_readout_needs_device(self):
         with pytest.raises(ScenarioError, match="device"):
             make_scenario(traces={"sample_rate_hz": 1e8, "kinds": ["readout"]})
@@ -658,6 +668,135 @@ class TestQueuedEdges:
         assert [(t, c) for t, c, _ in got] == [(t, c) for t, c, _ in expected]
         for (_, _, v_got), (_, _, v_expected) in zip(got, expected):
             assert abs(v_got - v_expected) <= 1e-12  # volts, as for the run kernel
+
+
+_RAILS = [0.0, -0.0, -1.0, -1.1]
+
+
+def _groups_doc(subject: int, others: list[int], case: str, r0, r1, alone: bool, *,
+                pattern: int = 0xA5C3, length: int = 16, v_hold: float = 0.0,
+                swing: tuple[float, float] = (0.05, 0.0), q_inj: float = 2e-15) -> dict:
+    """Cell `subject` pulsed from 10 ms to 30 ms of a 1 kHz tick, alone or
+    with `others`, after their histories as `case` says: "same", every cell
+    locked at `r0` (None: never) and released; "rail", `others` locked at
+    `r1` and released, then `subject` at `r0`; "ref", `others` pulsed before
+    every cell is locked at `r0` and released, so their reference level is
+    the last one they pulsed.  Only `subject` is traced, at 500 Hz."""
+    def mask(cells) -> int:
+        return sum(1 << c for c in cells)
+
+    items = [{"t": 0.0, "write": ["CTRL", 7]}, {"t": 0.0, "write": ["DIVIDER", 0]},
+             {"t": 0.0, "write": ["PATTERN0", pattern]}, {"t": 0.0, "write": ["PATTERN_LEN", length]}]
+    if case == "ref":
+        items += [{"t": 0.0, "write": ["PULSE_MASK_LO", mask(others)]}, {"t": 0.0, "exec": True}]
+    items.append({"t": 0.005, "write": ["CTRL", 3]})
+    groups = [(r1, others), (r0, [subject])] if case == "rail" else [(r0, [subject, *others])]
+    for k, (rail, cells) in enumerate(groups):
+        if rail is not None:
+            t = 0.005 + 0.002 * k
+            items += [{"t": t, "dac": {"v_hold": rail}}, {"t": t, "write": ["LOCK_MASK_LO", mask(cells)]},
+                      {"t": t, "exec": True}, {"t": t + 0.001, "write": ["LOCK_MASK_LO", 0]},
+                      {"t": t + 0.001, "exec": True}]
+    items += [{"t": 0.01, "write": ["CTRL", 7]},
+              {"t": 0.01, "write": ["PULSE_MASK_LO", mask([subject] if alone else [subject, *others])]},
+              {"t": 0.01, "exec": True}]
+    return {"schema_version": 1, "name": "groups", "duration_s": 0.03,
+            "chip": {"master_freq_hz": 1e3}, "analog": {"q_inj": q_inj},
+            "rails": {"v_high": swing[0], "v_low": swing[1], "v_hold": v_hold}, "schedule": items,
+            "traces": {"sample_rate_hz": 500.0, "kinds": ["cells"], "cells": [subject]}}
+
+
+def _count_fg_runs(monkeypatch) -> list:
+    calls = []
+    real = analog.apply_fg_run
+    monkeypatch.setattr(analog, "apply_fg_run", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _slices(scenario: engine.Scenario) -> int:
+    grid = engine.sample_grid(scenario)
+    timeline, _ = engine._expand_plan(scenario, grid, scenario.traces.cells)
+    return sum(kind == "FG" for _, _, kind, _ in timeline)
+
+
+class TestPulseGroups:
+    """A slice runs `analog.apply_fg_run` once per distinct state of its
+    pulsed cells, and a cell's result does not depend on who pulses with it."""
+
+    @given(
+        subject=st.integers(0, 5),
+        others=st.sets(st.integers(0, 5), min_size=1),
+        case=st.sampled_from(["same", "rail", "ref"]),
+        r0=st.one_of(st.none(), st.sampled_from(_RAILS)),
+        r1=st.sampled_from(_RAILS),
+        pattern=st.integers(0, 0xFFFF),
+        length=st.integers(1, 16),
+        v_hold=st.sampled_from(_RAILS),
+        swing=st.sampled_from([(0.05, 0.0), (0.0, 0.0), (0.1, -0.1)]),
+        q_inj=st.sampled_from([2e-15, 0.0, -0.0]),
+    )
+    # No swing: from the second slice on, the others differ only in `fg_ref`.
+    @example(subject=5, others={0, 1, 2, 3, 4}, case="ref", r0=-1.0, r1=0.0, pattern=0x0F0F,
+             length=12, v_hold=0.0, swing=(0.0, 0.0), q_inj=2e-15)
+    # One rail for both groups: the states differ only in `t_last`.
+    @example(subject=5, others={0}, case="rail", r0=-1.0, r1=-1.0, pattern=0xA5C3,
+             length=16, v_hold=0.0, swing=(0.05, 0.0), q_inj=2e-15)
+    @settings(max_examples=40, deadline=None)
+    def test_a_cell_pulses_alike_alone_and_with_others(
+        self, subject, others, case, r0, r1, pattern, length, v_hold, swing, q_inj
+    ):
+        # "same": the others are in the subject's state; "rail": locked at
+        # another drawn rail and released; "ref": their reference level is
+        # the last one they pulsed, so with no swing, once a slice has set
+        # every level, they differ from the subject only in `fg_ref`.
+        others = sorted(others - {subject}) or [(subject + 1) % 6]
+        if case == "ref" and r0 is None:
+            r0 = r1
+        args = (subject, others, case, r0, r1)
+        kwargs = {"pattern": pattern, "length": length, "v_hold": v_hold, "swing": swing, "q_inj": q_inj}
+        alone = engine.run_generic(build_scenario(_groups_doc(*args, True, **kwargs)))
+        grouped = engine.run_generic(build_scenario(_groups_doc(*args, False, **kwargs)))
+        assert len(grouped.tables["events"].rows) > len(alone.tables["events"].rows)
+        assert list(map(repr, grouped.tables["cells"].rows)) == list(map(repr, alone.tables["cells"].rows))
+        assert repr(grouped.summary["v_out_final"]) == repr(alone.summary["v_out_final"])
+
+    def test_state_key_tells_each_field_apart(self):
+        # Floats by bit pattern: states that differ only in the sign of a
+        # zero have two keys, which `==` on the states would merge.
+        zero = analog.ClfgCell(t_last=0.0)
+        assert engine._state_key(*zero[1:]) == engine._state_key(*analog.ClfgCell(t_last=0.0)[1:])
+        for field in ("v_hold_seen", "v_base", "v_start", "v_target", "t_last"):
+            signed = zero._replace(**{field: -0.0})
+            assert signed == zero
+            assert engine._state_key(*signed[1:]) != engine._state_key(*zero[1:])
+        for field, value in (("lock_closed", True), ("fg_level", analog.Level.HIGH),
+                             ("fg_ref", analog.Level.HIGH)):
+            other = zero._replace(**{field: value})
+            assert engine._state_key(*other[1:]) != engine._state_key(*zero[1:])
+
+    def test_states_apart_only_in_a_zero_sign_run_apart(self, monkeypatch):
+        # Cell 1, locked at -0.0 and released with no injection, floats at
+        # -0.0 beside cell 0's 0.0 from reset: two states, two calls a slice.
+        scenario = build_scenario(_groups_doc(0, [1], "rail", None, -0.0, False, v_hold=-0.0,
+                                              q_inj=-0.0))
+        calls = _count_fg_runs(monkeypatch)
+        engine.run_generic(scenario)
+        assert len(calls) == 2 * _slices(scenario) > 0
+
+    @pytest.mark.parametrize("case, r0, r1, per_slice", [
+        ("same", None, None, 1),
+        ("same", -1.0, None, 1),
+        ("rail", -1.0, -1.1, 2),
+        ("rail", None, -1.1, 2),
+    ], ids=["from_reset", "one_rail", "two_rails", "reset_and_a_rail"])
+    def test_apply_fg_run_runs_once_per_state_and_slice(self, monkeypatch, case, r0, r1, per_slice):
+        # Six pulsed cells: in one state from reset or after one lock, in two
+        # after locks at two rail values.
+        scenario = build_scenario(_groups_doc(5, [0, 1, 2, 3, 4], case, r0, r1, False))
+        calls = _count_fg_runs(monkeypatch)
+        engine.run_generic(scenario)
+        assert _slices(scenario) == 10  # 19 ticks, cut at the 500 Hz samples
+        assert len(calls) == per_slice * 10
 
 
 class TestSweep:
