@@ -130,7 +130,7 @@ def _cmd_sweep(args) -> int:
     if any("conductance_final_s" in summary for summary in summaries):
         header.append("conductance_final_s")
         columns.append([summary.get("conductance_final_s", "") for summary in summaries])
-    table = engine.Table(tuple(header), tuple(columns))
+    table = engine.Table.from_rows(header, list(zip(*columns)))  # object columns
     bundle = engine.TraceBundle(
         tables={"sweep": table}, summary={"axis": axis, "n": len(values)},
         manifest=dict(engine._manifest(scenario), axis=axis),
@@ -153,18 +153,15 @@ def _cmd_replay(args) -> int:
         "duration_s": args.duration,
         "traces": {"sample_rate_hz": 1e3},
     }
-    bundle = engine.run_scenario(engine.with_overrides(raw, args.override))
+    scenario = engine.with_overrides(raw, args.override)
+    bundle = engine.run_scenario(scenario)
     outdir = _out_dir(args)
     written = engine.export(bundle, outdir)
     state = {
         "words": len(words),
         "events": len(bundle.tables["events"].columns[0]),
-        "responses": [
-            {"time_s": t, "address": a, "data": d}
-            for t, _op, a, d in bundle.tables.get(
-                "responses", engine.Table((), ())
-            ).rows
-        ],
+        "responses": [{"time_s": t, "address": f.address, "data": f.data}
+                      for t, f in scenario.responses],
     }
     spath = outdir / "replay_state.json"
     spath.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n", "utf-8")

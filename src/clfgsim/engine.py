@@ -36,8 +36,8 @@ SCHEMA_VERSION = 1
 N_CELLS = fsm.N_CELLS
 # The most rows a run may fill, counted at load by `build_scenario`: the
 # sample grid and each sampled column, the `events` table and the READ
-# responses.  The costliest, an `events` row, holds 320-350 bytes at the
-# peak of a run and its export, so a run at the budget peaks near 0.7 GB.
+# responses.  The costliest, an `events` row, holds about 390 bytes at the
+# peak of a run and its export, so a run at the budget peaks near 0.8 GB.
 MAX_ROWS = 2**21
 
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
@@ -578,19 +578,24 @@ def with_overrides(raw: Mapping, overrides: Sequence[str]) -> Scenario:
 
 @dataclass
 class Table:
-    """A CSV table held column by column: `columns[i]` holds the values under `header[i]`."""
+    """A CSV table held column by column: `columns[i]`, one numpy array from
+    where it is made to `export` (`_format_column`), holds the values under `header[i]`."""
 
     header: tuple[str, ...]
-    columns: tuple[list, ...]
+    columns: tuple[np.ndarray, ...]
 
     @classmethod
     def from_rows(cls, header: Iterable[str], rows: list[tuple]) -> Table:
+        """Object columns of the values as given, so an int past int64, or an int
+        among floats, is written as it is."""
         header = tuple(header)
-        return cls(header, tuple(map(list, zip(*rows))) or tuple([] for _ in header))
+        columns = zip(*rows) if rows else [()] * len(header)
+        return cls(header, tuple(np.array(column, dtype=object) for column in columns))
 
     @property
     def rows(self) -> list[tuple]:
-        return list(zip(*self.columns))
+        """The rows, as tuples of Python scalars."""
+        return list(zip(*(column.tolist() for column in self.columns)))
 
 
 @dataclass
@@ -605,7 +610,7 @@ class TraceBundle:
         per lock action and per tick of each pulsed cell."""
         if "events" not in self.tables:
             return []
-        return list(map(fsm.event_from_row, *self.tables["events"].columns))
+        return list(map(fsm.event_from_row, *(c.tolist() for c in self.tables["events"].columns)))
 
 
 def _format_cell(value) -> str:
@@ -616,29 +621,19 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _format_distinct(bits: np.ndarray, dtype, fmt) -> list[str]:
-    """`fmt` of every value whose int64 bit pattern is in `bits`, called once
-    per distinct pattern (so -0.0 and 0.0 stay apart) and indexed back."""
-    unique, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(list(map(fmt, unique.view(dtype).tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
-def _format_column(values: list) -> list[str]:
-    """`_format_cell` of every value: for a column of floats, or of ints in
-    int64 range, one call per distinct value; for other plain types one
-    pass; else value by value."""
-    kinds = set(map(type, values))
-    if kinds <= {str}:  # an empty column too
-        return values
-    if kinds <= {float}:
-        return _format_distinct(np.array(values, dtype=float).view(np.int64), float, float.__repr__)
-    if kinds <= {int}:
-        try:
-            return _format_distinct(np.array(values, dtype=np.int64), np.int64, int.__repr__)
-        except OverflowError:
-            return list(map(int.__repr__, values))
-    return [_format_cell(v) for v in values]
+def _format_column(column: np.ndarray) -> list[str]:
+    """`_format_cell` of every value of a column, by its dtype: text as it
+    is; float64 and ints and bools (as 0/1) once per distinct int64 or bit
+    pattern (so -0.0 and 0.0 stay apart), indexed back; objects value by value."""
+    kind = column.dtype.kind
+    if kind == "U":
+        return column.tolist()
+    if kind not in "fbi":
+        return list(map(_format_cell, column.tolist()))
+    keys = column.astype(float if kind == "f" else np.int64, copy=False)
+    unique, inverse = np.unique(keys.view(np.int64), return_inverse=True)
+    fmt, values = (float.__repr__, unique.view(float)) if kind == "f" else (str, unique)
+    return np.array(list(map(fmt, values.tolist())), dtype=object)[inverse].tolist()
 
 
 def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
@@ -649,8 +644,7 @@ def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
     for key in sorted(bundle.tables):
         table = bundle.tables[key]
         path = outdir / f"{key}.csv"
-        columns = [_format_column(column) for column in table.columns]
-        lines = [",".join(table.header), *map(",".join, zip(*columns))]
+        lines = [",".join(table.header), *map(",".join, zip(*map(_format_column, table.columns)))]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
     manifest = dict(bundle.manifest)
@@ -687,7 +681,8 @@ def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duratio
     One loop over the schedule, skipping `dac` items, then a NOP at
     `duration_s`.  Only WRITE and EXEC split playback: before each (and at
     the end) the stretch since the last one is one PLAY entry, at its start
-    with the chip state there and its length.  A REFRESH mode is one entry,
+    with the chip state there and its `fsm.tick_count` ticks, which the
+    rows, the cursor and the run take.  A REFRESH mode is one entry,
     at the EXEC that entered it with the integer period, the cells and the
     slot count `stop`, made at the EXEC that leaves it or at the end: no
     WRITE changes a running refresh.  Their rows of the `events` table,
@@ -713,10 +708,10 @@ def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duratio
             where = "duration_s" if item is end else f"schedule[{index}]"
             if item is end or frame.opcode in (protocol.Opcode.WRITE, protocol.Opcode.EXEC):
                 if chip.mode == fsm.Mode.PULSING and t > cursor:
-                    ticks = fsm.tick_count(chip, t - cursor)
+                    ticks = fsm.tick_count(chip, cursor, t)
                     rows += ticks * len(fsm.mask_cells(chip.regs.pulse_mask))
                     _check_budget(rows, "playback", t)
-                    plan.append((cursor, _PRIO["FG"], "PLAY", (chip, t - cursor)))
+                    plan.append((cursor, _PRIO["FG"], "PLAY", (chip, ticks)))
                     chip = fsm.advance(chip, ticks)
                 elif chip.mode == fsm.Mode.REFRESH and frame.opcode != protocol.Opcode.WRITE:
                     stop = _first_slot_at(t, anchor, period, cells)
@@ -873,9 +868,31 @@ def _held(changes: Sequence[tuple[float, float]], times: np.ndarray) -> np.ndarr
     return np.array(values, dtype=float)[np.searchsorted(at, times, "right") - 1]
 
 
+def _events(timeline: Sequence[tuple[float, int, str, object]]) -> Table:
+    """The `events` table from the timeline alone, since each OPEN, CLOSE and
+    FG entry fixes its own rows: the lock actions before each slice (and,
+    at a closing entry, after the last) as one part of float64, int64 and
+    text columns, no level, then the slice's `csv_columns`, joined once."""
+    parts, locks = [], []
+    for t, _prio, kind, payload in chain(timeline, [(math.inf, None, "FG", None)]):
+        if kind in ("OPEN", "CLOSE"):
+            locks.append((t, payload, kind))
+        elif kind == "FG":
+            if locks or payload is None and not parts:  # no part at all: an empty table
+                times, cells, actions = zip(*locks) if locks else ((), (), ())
+                parts.append((np.array(times, dtype=float), np.array(cells, dtype=np.int64),
+                              np.array(actions, dtype=str), np.zeros(len(locks), dtype=str)))
+                locks = []
+            if payload is not None:
+                parts.append(payload.csv_columns())  # type: ignore[attr-defined]
+    columns = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    return Table(("time_s", "cell", "action", "level"), columns)
+
+
 # A cell state's fields after `params`, which every state of a run shares,
 # with the floats as their bit patterns (so 0.0 and -0.0 stay apart): two
-# states of a run with one key are bit-equal.
+# states of a run with one key are bit-equal, so a pure transition gives
+# them bit-equal results.
 _state_key = struct.Struct("=?BB5d").pack
 
 
@@ -884,21 +901,19 @@ def run_generic(scenario: Scenario) -> TraceBundle:
 
     Every entry of the timeline (`_expand_plan`, with each tick run cut
     where it is read) is applied eagerly, in order: a slice is one
-    `analog.apply_fg_run` call per distinct state of its pulsed cells, whose
-    result every cell in that state takes, and a DAC entry sets the hold
-    rail, which a close locks onto, and fans `set_hold` out to the 32 cells
-    if it changes the rail.  The slice rule is exact: `apply_fg_run` is pure,
-    every state of a run holds the scenario's one `CellParams`, and states
-    with one `_state_key` (the other eight fields, floats by bit pattern)
-    are bit-equal, so they give bit-equal results.  The loop relies on one
-    invariant: only WRITE and EXEC split playback and lock actions happen
-    only at EXEC, so no lock action falls inside a run.  Before each entry
-    the loop records one block, the samples before that entry, as the
-    sampled cells' `output_fields` they see.  The traces are then evaluated
-    as arrays: the hold rail, DAC gates, power and temperature by `_held`
-    from their change points (`_expand_plan`'s, and `Scenario.modes` once
-    per distinct mode).
-    The bundle carries no manifest: `run_scenario` adds one per top-level run.
+    `analog.apply_fg_run` call per distinct `_state_key` of its pulsed
+    cells, whose result every cell with that key takes (exact, since
+    `apply_fg_run` is pure), and a DAC entry sets the hold rail, which a
+    close locks onto, and fans `set_hold` out to the 32 cells if it changes
+    the rail.  The loop relies on one invariant: only WRITE and EXEC split
+    playback and lock actions happen only at EXEC, so no lock action falls
+    inside a run.  Before each entry it records one block, the samples
+    before that entry, as the sampled cells' `output_fields` they see; it
+    logs nothing, since `_events` reads the `events` table from the
+    timeline.  The traces are then evaluated as arrays, which the tables
+    hold: the hold rail, DAC gates, power and temperature by `_held` from
+    their change points (`_expand_plan`'s, and `Scenario.modes` once per
+    distinct mode).  The bundle carries no manifest: `run_scenario` adds one.
     """
     kinds = scenario.traces.kinds
     traced = scenario.traces.cells if "cells" in kinds else ()
@@ -909,7 +924,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
 
     times = sample_grid(scenario)
     sample_times = times.tolist()
-    n_samples = len(sample_times)
+    n_samples = len(times)
     rails = scenario.rails
     timeline, dacs = _expand_plan(scenario, times, sampled)
 
@@ -923,8 +938,6 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     fields: list[float] = []
     counts: list[int] = []
     si = 0
-    # The events table, built column by column in timeline order.
-    log: tuple[list, ...] = ([], [], [], [])
     # The last entry only closes the block of the samples after the timeline.
     for t, _prio, kind, payload in chain(timeline, [(math.inf, None, "END", None)]):
         if (end := bisect_left(sample_times, t, si)) > si:
@@ -938,8 +951,6 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 cells = list(map(analog.set_hold, cells, repeat(v_hold, N_CELLS)))
         elif kind == "FG":
             run: fsm.TickRun = payload  # type: ignore[assignment]
-            for column, values in zip(log, run.csv_columns()):
-                column += values
             done: dict[bytes, analog.ClfgCell] = {}
             for c in run.cells:
                 if (key := _state_key(*cells[c][1:])) not in done:
@@ -949,8 +960,6 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 cells[c] = done[key]
         elif kind != "END":
             i: int = payload  # type: ignore[assignment]
-            for column, value in zip(log, (t, i, kind, "")):
-                column.append(value)
             cells[i] = analog.settle(cells[i], t)
             if kind == "CLOSE":
                 cells[i] = analog.lock(cells[i], v_hold)
@@ -963,23 +972,21 @@ def run_generic(scenario: Scenario) -> TraceBundle:
         scenario.analog, per_sample, np.repeat(times, len(sampled))
     ).reshape(n_samples, len(sampled))
 
-    tables: dict[str, Table] = {}
-    tables["events"] = Table(("time_s", "cell", "action", "level"), log)
+    tables = {"events": _events(timeline)}
     if traced:
-        v_out = volts[:, [sampled.index(c) for c in traced]].ravel().tolist()
-        tables["cells"] = Table(("time_s", "cell", "v_out_volts"), (
-            [t for t in sample_times for _ in traced], list(traced) * n_samples, v_out
-        ))
+        cell = np.tile(np.array(traced, dtype=np.int64), n_samples)
+        v_out = volts[:, [sampled.index(c) for c in traced]].ravel()
+        tables["cells"] = Table(("time_s", "cell", "v_out_volts"),
+                                (np.repeat(times, len(traced)), cell, v_out))
     if "hold" in kinds:
-        holds = _held(dacs["v_hold"], times).tolist()
-        tables["hold"] = Table(("time_s", "v_hold_volts"), (sample_times, holds))
+        tables["hold"] = Table(("time_s", "v_hold_volts"), (times, _held(dacs["v_hold"], times)))
     summary: dict[str, Any] = {
         "final_time_s": scenario.duration_s,
         "v_out_final": {
             c: analog.output_voltage(cells[c], scenario.duration_s)
             for c in scenario.traces.cells
         },
-        "n_events": len(log[0]),
+        "n_events": len(tables["events"].columns[0]),
     }
     if sources:
         gates = {
@@ -991,23 +998,23 @@ def run_generic(scenario: Scenario) -> TraceBundle:
         g = devmod.conductance(scenario.device, gates)
         summary["conductance_final_s"] = float(g[-1])
         if "conductance" in kinds:
-            tables["conductance"] = Table(("time_s", "conductance_s"), (sample_times, g.tolist()))
+            tables["conductance"] = Table(("time_s", "conductance_s"), (times, g))
         if "readout" in kinds:
             axis = scenario.axis_gate
-            signal = devmod.tank_signal(scenario.tank, g).tolist()
             tables["readout"] = Table(("time_s", "v_sdp_volts", "signal"), (
-                sample_times, gates[axis].tolist() if axis else [0.0] * n_samples, signal
+                times, gates[axis] if axis else np.zeros(n_samples),
+                devmod.tank_signal(scenario.tank, g),
             ))
     if "power" in kinds or "temperature" in kinds:
         states = dict.fromkeys(state for _, state in scenario.modes)
         power = {state: _segment_power(scenario, state) for state in states}
         if "power" in kinds:
             watts = _held([(t, power[state]) for t, state in scenario.modes], times)
-            tables["power"] = Table(("time_s", "power_watts"), (sample_times, watts.tolist()))
+            tables["power"] = Table(("time_s", "power_watts"), (times, watts))
         if "temperature" in kinds:
             temp = {state: thermal.temperature(p, scenario.calibration) for state, p in power.items()}
             kelvin = _held([(t, temp[state]) for t, state in scenario.modes], times)
-            tables["temperature"] = Table(("time_s", "temperature_k"), (sample_times, kelvin.tolist()))
+            tables["temperature"] = Table(("time_s", "temperature_k"), (times, kelvin))
     if scenario.responses:
         tables["responses"] = Table.from_rows(
             ("time_s", "opcode", "address", "data"),

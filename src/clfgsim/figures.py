@@ -19,10 +19,10 @@ from .engine import Scenario, Table, TraceBundle
 
 def fig3b(scenario: Scenario) -> TraceBundle:
     """Coulomb oscillations vs the charge-locked plunger voltage."""
-    bundles = zip(scenario.sweep.values, engine.sweep(scenario))
-    rows = [(float(v), b.summary["conductance_final_s"]) for v, b in bundles]
-    table = Table.from_rows(("v_lp_volts", "g_siemens"), rows)
-    return TraceBundle({"fig3b": table}, {"n_points": len(rows)})
+    values = np.array([float(v) for v in scenario.sweep.values])
+    g = np.array([bundle.summary["conductance_final_s"] for bundle in engine.sweep(scenario)])
+    table = Table(("v_lp_volts", "g_siemens"), (values, g))
+    return TraceBundle({"fig3b": table}, {"n_points": len(values)})
 
 
 def fig3c(scenario: Scenario) -> TraceBundle:
@@ -31,13 +31,12 @@ def fig3c(scenario: Scenario) -> TraceBundle:
     open_time = scenario.figure_params["open_time_s"]
     rows = []
     for v_hold, bundle in zip(scenario.sweep.values, engine.sweep(scenario)):
-        table = bundle.tables["cells"]
-        pairs = [(t, v) for t, c, v in table.rows if c == cell and t > open_time]
-        t0, v0 = pairs[0]
-        t1, v1 = pairs[-1]
-        drift = v1 - v0
-        rate = -(drift / (t1 - t0)) / v0 if v0 else 0.0
-        rows.append((float(v_hold), v0, drift / (t1 - t0) * 3600.0 * 1e6, rate))
+        times, cells, volts = bundle.tables["cells"].columns
+        after = (cells == cell) & (times > open_time)
+        (t0, t1), (v0, v1) = times[after][[0, -1]], volts[after][[0, -1]]
+        slope = (v1 - v0) / (t1 - t0)
+        rate = -slope / v0 if v0 else 0.0
+        rows.append((float(v_hold), float(v0), float(slope * 3600.0 * 1e6), float(rate)))
     table = Table.from_rows(
         ("v_hold_volts", "v_held_volts", "drift_uv_per_hr", "leak_rate_per_s"), rows
     )
@@ -47,29 +46,24 @@ def fig3c(scenario: Scenario) -> TraceBundle:
 def fig3e(scenario: Scenario) -> TraceBundle:
     """Floating output tracking a swept hold rail through c_ds."""
     run = engine.run_generic(scenario)
-    cell = scenario.figure_params["cell"]
-    hold = {t: v for t, v in run.tables["hold"].rows}
-    rows = [
-        (t, hold[t], v) for t, c, v in run.tables["cells"].rows if c == cell
-    ]
-    table = Table.from_rows(("time_s", "v_hold_volts", "v_out_volts"), rows)
+    times, cells, volts = run.tables["cells"].columns
+    mine = cells == scenario.figure_params["cell"]  # one row per sample, as `hold` has
+    table = Table(("time_s", "v_hold_volts", "v_out_volts"),
+                  (times[mine], run.tables["hold"].columns[1], volts[mine]))
     return TraceBundle({"fig3e": table}, run.summary)
 
 
 def fig3f(scenario: Scenario) -> TraceBundle:
     """Pulsed-readout envelope against the two static reference sweeps."""
     params = scenario.figure_params
-    cell_idx = params["cell"]
     pulse_gate = params["pulse_gate"]
     sweep_gate = params["sweep_gate"]
     v_sweep = np.asarray(params["v_sdp_values"])
-    pulse_start = params["pulse_start_s"]
     settle = params["settle_fraction"]
 
     run = engine.run_generic(scenario)
-    cells_table = run.tables["cells"]
-    pairs = [(t, v) for t, c, v in cells_table.rows if c == cell_idx and t >= pulse_start]
-    v_out = np.asarray([v for _, v in pairs])
+    times, cells, volts = run.tables["cells"].columns
+    v_out = volts[(cells == params["cell"]) & (times >= params["pulse_start_s"])]
 
     dot = scenario.device
 
@@ -84,8 +78,7 @@ def fig3f(scenario: Scenario) -> TraceBundle:
     report = devmod.envelope_check(dot, scenario.tank, pulsed, g_low, g_high, settle)
     table = Table(
         ("v_sdp_volts", "g_low", "g_high", "g_env_min", "g_env_max"),
-        (v_sweep.tolist(), g_low.tolist(), g_high.tolist(),
-         report.env_min.tolist(), report.env_max.tolist()),
+        (v_sweep, g_low, g_high, report.env_min, report.env_max),
     )
     return TraceBundle(
         {"fig3f": table},
@@ -115,10 +108,8 @@ def fig4b(scenario: Scenario) -> TraceBundle:
 def fig4d(scenario: Scenario) -> TraceBundle:
     """Quadratic dependence of pulsing power on drive amplitude."""
     params = scenario.figure_params
-    rows = []
-    for swing in params["swing_values"]:
-        for f in params["f_values"]:
-            rows.append((swing, f, thermal.pulse_power(scenario.analog, swing, f)))
+    rows = [(swing, f, thermal.pulse_power(scenario.analog, swing, f))
+            for swing in params["swing_values"] for f in params["f_values"]]
     table = Table.from_rows(("swing_volts", "f_hz", "pulse_watts"), rows)
     return TraceBundle({"fig4d": table}, {"n_points": len(rows)})
 

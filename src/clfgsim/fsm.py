@@ -69,20 +69,19 @@ class TickRun:
     def __len__(self) -> int:
         return len(self.times) * len(self.cells)
 
-    def csv_columns(self) -> tuple[list, list, list, list]:
+    def csv_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The run's rows of the `time_s,cell,action,level` event table, as
-        columns: tick by tick, cells ascending."""
+        float64, int64 and text columns: tick by tick, cells ascending."""
         n = len(self.cells)
-        levels = np.repeat(self.levels, n).tolist()
         return (
-            np.repeat(self.times, n).tolist(),
-            list(self.cells) * len(self.times),
-            ["FG"] * len(levels),
-            [_LEVEL_NAMES[b] for b in levels],
+            np.repeat(self.times, n),
+            np.tile(np.array(self.cells, dtype=np.int64), len(self.times)),
+            np.full(len(self), "FG"),
+            _LEVEL_NAMES[np.repeat(self.levels, n)],
         )
 
 
-_LEVEL_NAMES = tuple(level.name for level in Level)
+_LEVEL_NAMES = np.array([level.name for level in Level])
 
 
 class IllegalTransition(SimulationError):
@@ -167,9 +166,17 @@ def tick_time(state: ChipState, k: int, start_s: float = 0.0) -> float:
     return start_s + (k << state.regs.divider) / state.master_freq_hz
 
 
-def tick_count(state: ChipState, duration_s: float) -> int:
-    """Divided ticks in `duration_s` of playback from `state`: floor(duration * f_div)."""
-    return math.floor(duration_s * divided_frequency(state))
+def tick_count(state: ChipState, start_s: float, end_s: float) -> int:
+    """Whole divided periods from `start_s` to `end_s` on the tick grid: the
+    largest k with `tick_time(state, k, start_s) <= end_s`, bisected below
+    floor((end_s - start_s) * f_div) or the first doubling of it past `end_s`."""
+    lo, hi = 0, max(1, math.floor((end_s - start_s) * divided_frequency(state)))
+    while tick_time(state, hi, start_s) <= end_s:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tick_time(state, mid, start_s) > end_s else (mid, hi)
+    return lo
 
 
 def advance(state: ChipState, n_ticks: int) -> ChipState:
@@ -177,24 +184,20 @@ def advance(state: ChipState, n_ticks: int) -> ChipState:
     return replace(state, pattern_cursor=(state.pattern_cursor + n_ticks) % state.regs.pattern_len)
 
 
-def playback(
-    state: ChipState, duration_s: float, start_s: float = 0.0
-) -> tuple[ChipState, TickRun]:
-    """Play the loaded pattern for `duration_s`, one bit per divided tick.
+def playback(state: ChipState, n_ticks: int, start_s: float = 0.0) -> tuple[ChipState, TickRun]:
+    """Play the loaded pattern for `n_ticks` divided ticks, one bit per tick.
 
     Returns the new state and the run's ticks in columns: tick k is at
     `tick_time(state, k, start_s)`, bit for bit, and every pulse-enabled
     cell takes the same level on it (the cells share the pattern).  The
     cursor wraps modulo PATTERN_LEN and keeps running across calls, so
     segmented playback is seamless.  Event count (`len` of the run) is
-    floor(duration * f_div) * popcount(mask).  With no cell in the mask the
-    run has no ticks; the cursor still advances by floor(duration * f_div).
+    n_ticks * popcount(mask).  With no cell in the mask the run has no
+    ticks; the cursor still advances by `n_ticks`.  A stretch of playback
+    from one time to another plays `tick_count` ticks.
     """
     if state.mode != Mode.PULSING:
         raise NotInPlayback(f"mode is {state.mode.name}")
-    if duration_s < 0:
-        raise ValueError("duration_s must be non-negative")
-    n_ticks = tick_count(state, duration_s)
     plen = state.regs.pattern_len
     cells = tuple(mask_cells(state.regs.pulse_mask))
     k = np.arange(n_ticks if cells else 0, dtype=np.int64)

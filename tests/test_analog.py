@@ -293,8 +293,7 @@ def playback_run(words, plen: int, divider: int, mask: int, n_ticks: int, start_
     for address, value in frames:
         state, _ = fsm.step(state, protocol.Frame(protocol.Opcode.WRITE, address, value))
     state, _ = fsm.step(state, protocol.Frame(protocol.Opcode.EXEC))
-    period = (1 << divider) / state.master_freq_hz
-    _, run = fsm.playback(state, (n_ticks + 0.5) * period, start_s)
+    _, run = fsm.playback(state, n_ticks, start_s)
     assert len(run.times) == n_ticks
     return run
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -436,7 +437,7 @@ class TestGenericRun:
         )
         bundle = engine.run_generic(scenario)
         on = 1e-9 + 1e-14 * 35.84e6
-        assert bundle.tables["power"].columns[1] == [1e-9, on, 1e-9]
+        assert bundle.tables["power"].columns[1].tolist() == [1e-9, on, 1e-9]
         assert bundle.tables["hold"].columns[1][-1] == -0.5
 
     def test_register_write_before_zero_shows_from_the_first_sample(self):
@@ -447,7 +448,7 @@ class TestGenericRun:
             traces={"sample_rate_hz": 2.0, "kinds": ["power"]},
         )
         on = 1e-9 + 1e-14 * 35.84e6
-        assert engine.run_generic(scenario).tables["power"].columns[1] == [on] * 3
+        assert engine.run_generic(scenario).tables["power"].columns[1].tolist() == [on] * 3
 
     def test_lock_before_zero_holds_from_the_first_sample(self):
         # The cells start at the first schedule time, so a lock there settles.
@@ -458,7 +459,7 @@ class TestGenericRun:
             traces={"sample_rate_hz": 2.0, "kinds": ["cells"], "cells": [0]},
         )
         bundle = engine.run_generic(scenario)
-        assert bundle.tables["cells"].columns[2] == [-1.1] * 3
+        assert bundle.tables["cells"].columns[2].tolist() == [-1.1] * 3
         assert bundle.tables["events"].rows == [(-1.0, 0, "CLOSE", "")]
 
     def test_power_computed_once_per_distinct_mode(self, monkeypatch):
@@ -484,8 +485,8 @@ class TestGenericRun:
             traces={"sample_rate_hz": 2.0, "kinds": ["cells", "hold"], "cells": [0]},
         )
         bundle = engine.run_generic(scenario)
-        assert bundle.tables["hold"].columns[1] == [-1.0, -1.0, -1.0]
-        assert bundle.tables["cells"].columns[2][:2] == [-1.0, -1.0]
+        assert bundle.tables["hold"].columns[1].tolist() == [-1.0, -1.0, -1.0]
+        assert bundle.tables["cells"].columns[2][:2].tolist() == [-1.0, -1.0]
 
     def test_refresh_moves_the_dac_before_each_targeted_close(self):
         scenario = make_scenario(
@@ -795,8 +796,8 @@ class TestPulseGroups:
         scenario = build_scenario(_groups_doc(5, [0, 1, 2, 3, 4], case, r0, r1, False))
         calls = _count_fg_runs(monkeypatch)
         engine.run_generic(scenario)
-        assert _slices(scenario) == 10  # 19 ticks, cut at the 500 Hz samples
-        assert len(calls) == per_slice * 10
+        assert _slices(scenario) == 11  # 20 ticks, cut at the 500 Hz samples
+        assert len(calls) == per_slice * 11
 
 
 class TestSweep:
@@ -947,17 +948,45 @@ class TestExport:
         assert "config_sha256" in manifest
 
 
-    @given(st.data())
+    # A column of each kind, as a dtype and the values it takes: float64 with
+    # both zeros and subnormals, int64 to its edges, bools, text (which
+    # numpy's str dtype holds only without trailing NULs; the program's text
+    # columns hold fixed names), and objects: ints past int64 among floats,
+    # bools and text.
+    _FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308])
+    _KINDS = {
+        "f": (np.float64, _FLOATS),
+        "i": (np.int64, st.integers(-(2**63), 2**63 - 1) | st.sampled_from([2**63 - 1, -(2**63)])),
+        "b": (bool, st.booleans()),
+        "U": (str, st.text(st.characters(exclude_characters="\0"))),
+        "O": (object, _FLOATS | st.booleans() | st.text()
+              | st.integers() | st.sampled_from([2**63, -(2**63) - 1, 2**64])),
+    }
+
+    @given(st.data(), st.sampled_from(sorted(_KINDS)))
     @settings(max_examples=300, deadline=None)
-    def test_format_column_matches_format_cell(self, data):
-        # Repeats, both zeros, subnormals and ints past int64, in columns of
-        # one type and of mixed types.
-        floats = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308])
-        ints = st.integers() | st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1])
-        kind = data.draw(st.sampled_from([floats, ints, floats | ints | st.booleans() | st.text()]))
-        pool = data.draw(st.lists(kind, min_size=1, max_size=6))
+    def test_format_column_matches_format_cell(self, data, kind):
+        # Repeats, so the distinct-value paths index text back.
+        dtype, values = self._KINDS[kind]
+        pool = data.draw(st.lists(values, min_size=1, max_size=6))
         values = data.draw(st.lists(st.sampled_from(pool), max_size=40))
-        assert engine._format_column(values) == [engine._format_cell(v) for v in values]
+        column = np.array(values, dtype=dtype)
+        assert column.dtype.kind == kind
+        assert engine._format_column(column) == [engine._format_cell(v) for v in values]
+
+    def test_from_rows_writes_each_value_as_given(self, tmp_path):
+        # Ints past int64, and an int among floats, written as the values
+        # are: an array that numpy types itself writes 9.223372036854776e+18
+        # and 1.0.
+        rows = [(1, 1, -1, 1, "a"), (2**63, 2**64, 2**63, 2.5, -0.0)]
+        table = engine.Table.from_rows(("a", "b", "c", "d", "e"), rows)
+        assert table.rows == rows
+        assert [list(map(type, row)) for row in table.rows] == [list(map(type, row)) for row in rows]
+        engine.export(engine.TraceBundle({"t": table}, {}, {"name": "t"}), tmp_path)
+        assert (tmp_path / "t.csv").read_text().splitlines() == [
+            "a,b,c,d,e", "1,1,-1,1,a",
+            "9223372036854775808,18446744073709551616,9223372036854775808,2.5,-0.0",
+        ]
 
 
 def _pulsing(duration_s: float) -> engine.Scenario:
@@ -982,6 +1011,32 @@ def _pulsing(duration_s: float) -> engine.Scenario:
 PULSING_SAMPLE_ROWS = 22
 
 
+class TestStretchTicks:
+    """A stretch of playback plays the whole periods on its own tick grid
+    (`fsm.tick_count`): one count for the plan, the rows, the cursor and the run."""
+
+    def test_a_float_difference_loses_no_tick(self):
+        # Cell 0 plays "1011" at 1 kHz from 0.01 s to a write at 0.03 s, then
+        # to 0.05 s.  0.03 - 0.01 is 0.019999999999999997, so a count of
+        # floor(length * f_div) lost the tick at 0.029 s.
+        scenario = make_scenario(
+            duration_s=0.05,
+            chip={"master_freq_hz": 1e3},
+            schedule=[
+                {"t": 0.0, "write": ["CTRL", 7]}, {"t": 0.0, "write": ["DIVIDER", 0]},
+                {"t": 0.0, "write": ["PULSE_MASK_LO", 1]}, {"t": 0.0, "write": ["PATTERN0", 0xB000]},
+                {"t": 0.0, "write": ["PATTERN_LEN", 4]}, {"t": 0.01, "exec": True},
+                {"t": 0.03, "write": ["PATTERN_LEN", 4]},
+            ],
+            traces={"sample_rate_hz": 100.0},
+        )
+        assert scenario.rows == 6 + 40
+        times, cells, _actions, levels = engine.run_generic(scenario).tables["events"].columns
+        assert times.tolist() == [0.01 + k / 1e3 for k in range(20)] + [0.03 + k / 1e3 for k in range(20)]
+        assert cells.tolist() == [0] * 40
+        assert levels.tolist() == ["HIGH", "LOW", "HIGH", "HIGH"] * 10
+
+
 class TestEventBudget:
     """Ticks x pulsed cells over a run are counted against
     `engine.MAX_ROWS`, after the sample rows, at load, before any tick run
@@ -992,7 +1047,7 @@ class TestEventBudget:
         scenario = _pulsing(1.0)
         assert scenario.rows == PULSING_SAMPLE_ROWS + 2000
         bundle = engine.run_generic(scenario)
-        assert bundle.tables["events"].columns[2].count("FG") == 2000
+        assert bundle.tables["events"].columns[2].tolist().count("FG") == 2000
 
     def test_run_past_the_budget_is_refused_before_its_ticks(self, monkeypatch):
         monkeypatch.setattr(engine, "MAX_ROWS", PULSING_SAMPLE_ROWS + 1999)
@@ -1073,7 +1128,7 @@ class TestLockActionBudget:
         scenario = _refreshing()
         assert made == []  # the slots are made by the run, not at load
         log = engine.run_generic(scenario).tables["events"]
-        assert len(log.rows) == 39 and log.columns[2].count("CLOSE") == 20
+        assert len(log.rows) == 39 and log.columns[2].tolist().count("CLOSE") == 20
         assert len(made) == 20
 
     def test_refresh_past_the_budget_is_refused_before_its_slots(self, monkeypatch):
@@ -1200,7 +1255,7 @@ class TestRefreshPlan:
             ("OPEN", 0), ("DAC", (0.5, True)), ("DAC", (aim, True)), ("CLOSE", 1),
         ]
         assert dacs == {"v_hold": [(-math.inf, 0.0), (1.0, 0.5), (1.0, aim)]}
-        assert engine.run_generic(scenario).tables["hold"].columns[1] == [0.0, aim, aim]
+        assert engine.run_generic(scenario).tables["hold"].columns[1].tolist() == [0.0, aim, aim]
 
     # Rail values that repeat, and 0.0 next to -0.0, which compare equal.
     _VOLTS = st.sampled_from([0.0, -0.0, -1.0, -1.1])
@@ -1331,10 +1386,65 @@ class TestStepTraces:
         tables = engine.run_generic(scenario).tables
         expected = [_step_reference(scenario, t) for t in engine.sample_grid(scenario).tolist()]
         hold, gate, watts, kelvin = map(list, zip(*expected))
-        assert tables["hold"].columns[1] == hold
-        assert tables["readout"].columns[1] == gate
-        assert tables["power"].columns[1] == watts
-        assert tables["temperature"].columns[1] == kelvin
+        assert tables["hold"].columns[1].tolist() == hold
+        assert tables["readout"].columns[1].tolist() == gate
+        assert tables["power"].columns[1].tolist() == watts
+        assert tables["temperature"].columns[1].tolist() == kelvin
+
+
+def _logged_events(timeline) -> list[tuple]:
+    """The `events` rows of a timeline as a run loop logs them, entry by
+    entry: a lock action's (time, cell, action, ""), a slice's rows tick by
+    tick with its cells ascending, nothing for a hold-rail move."""
+    rows = []
+    for t, _prio, kind, payload in timeline:
+        if kind == "FG":
+            for time, level in zip(payload.times.tolist(), payload.levels.tolist()):
+                rows += [(time, c, "FG", analog.Level(level).name) for c in payload.cells]
+        elif kind in ("OPEN", "CLOSE"):
+            rows.append((t, payload, kind, ""))
+    return rows
+
+
+# A hold-rail move that often repeats the rail (or gives its zero the other sign).
+_HOLD_REPEAT = st.sampled_from([-1.1, -1.0, 0.0, -0.0]).map(lambda v: {"dac": {"v_hold": v}})
+
+
+class TestEventsTable:
+    """The `events` table, built from the timeline after the run, holds the
+    rows a loop logging each entry would, bit for bit, as float64, int64 and
+    text columns."""
+
+    @given(schedule=drawn_schedule(st.one_of(DRAWN_ITEM, _HOLD_REPEAT, st.just({"exec": True}))))
+    @settings(max_examples=150, deadline=None)
+    @example(schedule=[  # a rail move and a repeat inside a stretch, locks between two
+        {"t": 0.01, "dac": {"v_hold": -1.0}}, {"t": 0.02, "dac": {"v_hold": -1.0}},
+        {"t": 0.03, "exec": True}, {"t": 0.04, "exec": True}])
+    def test_rows_match_the_logged_timeline(self, schedule):
+        # Cells 0 and 1 pulse from t = 0.  Each drawn EXEC follows a CTRL
+        # write, 3 then 7 in turn, so EXECs go from playback to LOCKING or
+        # REFRESH (cells 1 and 2, unless a drawn write moves the masks) and back.
+        ctrl = itertools.cycle([3, 7])
+        items = [{"t": 0.0, "write": ["CTRL", 7]}, {"t": 0.0, "write": ["DIVIDER", 12]},
+                 {"t": 0.0, "write": ["PULSE_MASK_LO", 3]}, {"t": 0.0, "write": ["LOCK_MASK_LO", 6]},
+                 {"t": 0.0, "exec": True}]
+        for item in schedule:
+            if "exec" in item:
+                items.append({"t": item["t"], "write": ["CTRL", next(ctrl)]})
+            items.append(item)
+        try:
+            scenario = make_scenario(schedule=items, duration_s=0.05, rails={"v_hold": -1.1},
+                                     traces={"sample_rate_hz": 100.0, "kinds": ["cells"], "cells": [0]})
+        except ScenarioError:
+            return  # a schedule that the chip refuses
+        timeline, _ = engine._expand_plan(scenario, engine.sample_grid(scenario), [0])
+        bundle = engine.run_generic(scenario)
+        table = bundle.tables["events"]
+        expected = _logged_events(timeline)
+        assert list(map(repr, table.rows)) == list(map(repr, expected))
+        assert [column.dtype.str[1:] for column in table.columns[:2]] == ["f8", "i8"]
+        assert [column.dtype.kind for column in table.columns[2:]] == ["U", "U"]
+        assert bundle.summary["n_events"] == len(expected)
 
 
 class TestSampleCount:
@@ -1467,7 +1577,7 @@ class TestGateSources:
             for t, _, v in cells
         ]
         times, g = bundle.tables["conductance"].columns
-        assert times == [t for t, _, _ in cells]
+        assert times.tolist() == [t for t, _, _ in cells]
         for got, want in zip(g, expected):
             assert abs(got - want) <= SIEMENS_TOL
         assert bundle.summary["conductance_final_s"] == g[-1]
@@ -1478,7 +1588,7 @@ class TestGateSources:
         for x in expected[1:]:
             signal.append((1.0 - a) * signal[-1] + a * x)
         times, v_sdp, got_signal = bundle.tables["readout"].columns
-        assert v_sdp == [sdp] * len(times)
+        assert v_sdp.tolist() == [sdp] * len(times)
         for got, want in zip(got_signal, signal):
             assert abs(got - want) <= SIEMENS_TOL
 
@@ -1491,7 +1601,7 @@ class TestGateSources:
         bundle = engine.run_generic(scenario)
         g = device.conductance(scenario.device, {"sdp": 0.0021})
         n_samples = 1001
-        assert bundle.tables["conductance"].columns[1] == [g] * n_samples
+        assert bundle.tables["conductance"].columns[1].tolist() == [g] * n_samples
         assert len(bundle.tables["readout"].rows) == n_samples
         assert bundle.summary["conductance_final_s"] == g
 
@@ -1527,9 +1637,9 @@ class TestGateSources:
         )
         bundle = engine.run_generic(scenario)
         _, holds = bundle.tables["hold"].columns
-        assert holds == [-1.103, -0.8, -0.8]
+        assert holds.tolist() == [-1.103, -0.8, -0.8]
         _, v_sdp, _ = bundle.tables["readout"].columns
-        assert v_sdp == holds
+        assert v_sdp.tolist() == holds.tolist()
         _, g = bundle.tables["conductance"].columns
         for got, v in zip(g, holds):
             assert abs(got - device.conductance(scenario.device, {"g": v})) <= SIEMENS_TOL

@@ -1,7 +1,8 @@
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clfgsim import engine, protocol
@@ -15,6 +16,7 @@ from clfgsim.fsm import (
     divided_frequency,
     playback,
     step,
+    tick_count,
     tick_time,
 )
 from clfgsim.protocol import Frame, Opcode
@@ -136,43 +138,80 @@ class TestDividedFrequency:
             divided_frequency(state)
 
 
+class TestTickCount:
+    """`tick_count` counts the whole periods on the tick grid itself: the
+    largest k with `tick_time(state, k, start) <= end`."""
+
+    def test_a_float_difference_loses_no_tick(self):
+        state = dataclasses.replace(pulsing(divider=0), master_freq_hz=1e3)
+        assert math.floor((0.03 - 0.01) * 1e3) == 19  # 0.019999999999999997 s
+        assert tick_count(state, 0.01, 0.03) == 20
+        assert tick_time(state, 20, 0.01) == 0.03
+
+    @given(
+        divider=st.integers(0, 15),
+        master=st.sampled_from([1e3, 3.0, 35.84e6, 1e9]),
+        start_s=st.floats(-10.0, 10.0) | st.integers(-100, 100).map(lambda k: k / 100),
+        k=st.integers(1, 10**4),
+        shift=st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=500, deadline=None)
+    @example(divider=0, master=1e3, start_s=-0.32, k=615, shift=-1)  # floor(length * f_div) is 615
+    def test_is_the_last_tick_at_or_before_the_end(self, divider, master, start_s, k, shift):
+        # The end at tick k, or one float below or above it.
+        state = dataclasses.replace(pulsing(divider=divider), master_freq_hz=master)
+        end_s = tick_time(state, k, start_s)
+        end_s = math.nextafter(end_s, shift * math.inf) if shift else end_s
+        n = tick_count(state, start_s, end_s)
+        assert n >= 0
+        assert tick_time(state, n, start_s) <= end_s < tick_time(state, n + 1, start_s)
+
+    def test_ticks_closer_than_the_time_step_are_counted_by_search(self):
+        # At 1e300 Hz, ~1e282 ticks fall on each float near 0.03 s: the count
+        # gallops and bisects to the last of them, not steps through them.
+        state = dataclasses.replace(pulsing(divider=0), master_freq_hz=1e300)
+        n = tick_count(state, 0.01, 0.03)
+        assert tick_time(state, n, 0.01) <= 0.03 < tick_time(state, n + 1, 0.01)
+
+
 class TestPlayback:
     def test_alternating_pattern_counts(self):
         state = pulsing()  # "10", 1 cell, 140 kHz
-        _, run = playback(state, 1e-3)
+        _, run = playback(state, tick_count(state, 0.0, 1e-3))
         assert len(run) == 140
         assert run.levels.tolist() == [Level.HIGH, Level.LOW] * 70
 
     def test_multi_cell_same_level(self):
         state = pulsing(pulse_mask=0b111111)
-        _, run = playback(state, 1e-3)
+        _, run = playback(state, tick_count(state, 0.0, 1e-3))
         assert len(run) == 6 * 140
         assert len(run.times) == len(run.levels) == 140
         # Each tick is one time and one level for all pulsed cells, in order.
         assert run.cells == (0, 1, 2, 3, 4, 5)
         times, cells, actions, levels = run.csv_columns()
-        assert cells[:6] == [0, 1, 2, 3, 4, 5]
+        assert cells[:6].tolist() == [0, 1, 2, 3, 4, 5]
         assert len(set(levels[:6])) == 1
         assert len(set(times[:6])) == 1
         assert set(actions) == {"FG"}
 
     def test_zero_duration(self):
-        _, run = playback(pulsing(), 0.0)
+        state = pulsing()
+        _, run = playback(state, tick_count(state, 0.25, 0.25))
         assert len(run) == 0
 
     def test_empty_mask_builds_no_ticks_but_advances_the_cursor(self):
         state = pulsing(pattern_len=9, divider=0, pulse_mask=0)
-        after, run = playback(state, 1e-3)
+        after, run = playback(state, tick_count(state, 0.0, 1e-3))
         assert len(run.times) == len(run.levels) == 0 and run.cells == ()
         assert after.pattern_cursor == math.floor(1e-3 * state.master_freq_hz) % 9 == 2
 
     def test_not_in_playback(self):
         with pytest.raises(NotInPlayback):
-            playback(configured(), 1.0)
+            playback(configured(), 1)
 
     def test_determinism(self):
-        state_a, a = playback(pulsing(), 1e-3, 0.25)
-        state_b, b = playback(pulsing(), 1e-3, 0.25)
+        state_a, a = playback(pulsing(), 140, 0.25)
+        state_b, b = playback(pulsing(), 140, 0.25)
         assert state_a == state_b
         assert a.times.tobytes() == b.times.tobytes()
         assert a.levels.tobytes() == b.levels.tobytes()
@@ -180,9 +219,9 @@ class TestPlayback:
 
     def test_cursor_continuity_across_calls(self):
         state = pulsing(pattern0=0xB000, pattern_len=4)  # "1011"
-        whole_state, whole = playback(state, 1e-3)
-        state2, part1 = playback(state, 0.5e-3)
-        state2, part2 = playback(state2, 0.5e-3, tick_time(state, len(part1)))
+        whole_state, whole = playback(state, 140)
+        state2, part1 = playback(state, 70)
+        state2, part2 = playback(state2, 70, tick_time(state, len(part1)))
         joined = part1.levels.tolist() + part2.levels.tolist()
         assert joined == whole.levels.tolist()
         assert state2.pattern_cursor == whole_state.pattern_cursor
@@ -190,8 +229,7 @@ class TestPlayback:
     def test_tick_times_are_exact_over_1e6_ticks(self):
         state = pulsing(divider=0)
         n = 10**6
-        duration = (n + 0.5) / state.master_freq_hz
-        _, run = playback(state, duration)
+        _, run = playback(state, n)
         assert len(run) == n
         # Times come from the integer tick index, so the millionth tick is
         # bit-identical to the direct expression, with no accumulated drift.
@@ -216,7 +254,7 @@ class TestPlayback:
         state, _ = step(state, write(protocol.DIVIDER, divider))
         state, _ = step(state, EXEC)
         n = periods * plen
-        _, run = playback(state, (n + 0.5) * (1 << divider) / state.master_freq_hz, start_s)
+        _, run = playback(state, n, start_s)
         levels = run.levels.tolist()
         assert len(levels) == n
         assert levels[plen:] == levels[:-plen]
