@@ -30,7 +30,8 @@ few state fields.  `apply_fg_run` applies a whole playback run in one step;
 RC transient is `one_pole`, the first-order recurrence the tank readout
 in `device` filters with too.  Likewise `sample_output` reads many
 states (as their `output_fields`) at many times in one array step, and
-`output_voltage`, one state at one time, is its oracle.
+`output_voltage`, one state at one time, is its oracle.  Unlocking an
+open switch or coupling into a locked cell raises a SimulationError.
 """
 from __future__ import annotations
 
@@ -58,14 +59,6 @@ class Level(IntEnum):
 
     LOW = 0
     HIGH = 1
-
-
-class AlreadyUnlocked(SimulationError):
-    pass
-
-
-class LockClosed(SimulationError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -178,7 +171,7 @@ def unlock(cell: ClfgCell) -> ClfgCell:
     """
     params, locked, fg_level, _, v_hold_seen, _, _, _, t_last = cell
     if not locked:
-        raise AlreadyUnlocked("lock switch is already open")
+        raise SimulationError("lock switch is already open")
     v = v_hold_seen + injection_offset(params)
     return _new(ClfgCell, (params, False, fg_level, fg_level, v_hold_seen, v, v, v, t_last))
 
@@ -192,7 +185,7 @@ def couple_hold(cell: ClfgCell, dv_hold: float) -> ClfgCell:
     """
     params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last = cell
     if locked:
-        raise LockClosed("output tracks the hold rail directly while locked")
+        raise SimulationError("output tracks the hold rail directly while locked")
     dv = coupling_ratio(params) * dv_hold
     return _new(ClfgCell, (params, locked, fg_level, fg_ref, v_hold_seen + dv_hold,
                            v_base + dv, v_start + dv, v_target + dv, t_last))

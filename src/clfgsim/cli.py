@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 an error in the scenario or input (`validate`
-refuses every document that `run` refuses), 2 a fault in the simulator.
+Exit codes: 0 success, 1 a `ScenarioError`, an error in the scenario or
+input (`validate` refuses every document that `run` refuses), 2 any other
+`SimulationError`, a fault in the simulator.
 The default output directory comes from --out or the CLFGSIM_OUT
 environment variable (falling back to ./out).
 """
@@ -16,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__, engine, protocol, thermal
-from .errors import SimulationError
+from .errors import ScenarioError, SimulationError
 from .figures import DRIVERS, _at_least, require_sections
 
 EXIT_OK = 0
@@ -29,7 +30,7 @@ BUNDLED = sorted(DRIVERS)
 def bundled_scenario_path(name: str) -> Path:
     ref = resources.files("clfgsim").joinpath("scenarios", f"{name}.scn")
     if not ref.is_file():
-        raise engine.ScenarioError(f"no bundled scenario {name!r}")
+        raise ScenarioError(f"no bundled scenario {name!r}")
     return Path(str(ref))
 
 
@@ -110,15 +111,15 @@ def _cmd_sweep(args) -> int:
     if args.axis is not None:
         axis = args.axis
         if args.values is None:
-            raise engine.ScenarioError("--values required when --axis is given")
+            raise ScenarioError("--values required when --axis is given")
         # Parsed like --override: after the value the axis holds now.
         values = [engine._coerce_like(scenario.raw, axis, v) for v in args.values.split(",")]
     elif args.values is not None:
-        raise engine.ScenarioError("--axis required when --values is given")
+        raise ScenarioError("--axis required when --values is given")
     elif scenario.sweep is not None:
         axis, values = scenario.sweep.axis, scenario.sweep.values
     else:
-        raise engine.ScenarioError("scenario has no sweep block and no --axis given")
+        raise ScenarioError("scenario has no sweep block and no --axis given")
     summaries = [bundle.summary for bundle in engine.sweep(scenario, args.axis, values)]
     # One column per cell any run traced (a sweep may move them), in
     # first-seen order; a run that did not trace a cell leaves it empty.
@@ -144,7 +145,7 @@ def _cmd_replay(args) -> int:
     try:
         text = Path(args.stream).read_text(encoding="utf-8")
     except OSError as exc:
-        raise engine.ScenarioError(f"cannot read {args.stream}: {exc}") from exc
+        raise ScenarioError(f"cannot read {args.stream}: {exc}") from exc
     words = protocol.parse_stream(text)
     raw = {
         "schema_version": engine.SCHEMA_VERSION,
@@ -182,7 +183,7 @@ def _cmd_budget(args) -> int:
         scenario.budget,
     )
     if not math.isfinite(result.total_watts):
-        raise engine.ScenarioError(
+        raise ScenarioError(
             f"--cells {args.cells}, --freq {args.freq} and --swing {args.swing}"
             " give a power that is not finite"
         )
@@ -223,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (engine.ScenarioError, engine.UnknownAxis, protocol.StreamFormatError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SimulationError as exc:

@@ -8,8 +8,9 @@ thermally broadened peaks:
 where v_eff = sum_i lever[i] * V_i + v_offset and peaks sit at integer
 multiples of `peak_spacing` in v_eff.  The readout chain is reduced to a
 first-order low-pass at the tank bandwidth; only the bandwidth limit
-matters to the verification signatures this oracle is used for.
-"""
+matters to the verification signatures this oracle is used for.  A gate
+with no lever arm, a sample rate below 10x the tank bandwidth and
+envelope traces whose sweep axes differ raise a SimulationError."""
 from __future__ import annotations
 
 from collections.abc import Mapping
@@ -23,18 +24,6 @@ from .errors import SimulationError
 
 # 2 e^2 / h, the natural conductance scale for a near-open dot.
 CONDUCTANCE_QUANTUM_S = 7.748091729e-5
-
-
-class UnknownGate(SimulationError):
-    pass
-
-
-class SampleRateTooLow(SimulationError):
-    pass
-
-
-class AxisMismatch(SimulationError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -72,7 +61,7 @@ def effective_voltage(device: DotDevice, gate_voltages: Mapping[str, object]):
     """Lever-arm weighted sum of the supplied gate voltages."""
     unknown = set(gate_voltages) - set(device.levers)
     if unknown:
-        raise UnknownGate(f"no lever arm for gate(s) {sorted(unknown)}")
+        raise SimulationError(f"no lever arm for gate(s) {sorted(unknown)}")
     v_eff = device.v_offset
     for gate, voltage in gate_voltages.items():
         v_eff = v_eff + device.levers[gate] * np.asarray(voltage)
@@ -104,12 +93,12 @@ def _low_pass(x: np.ndarray, tank: TankReadout) -> np.ndarray:
 
 
 def require_sample_rate(tank: TankReadout) -> None:
-    """Raise SampleRateTooLow unless traces reach the tank at >= 10x its bandwidth.
+    """Raise a SimulationError unless traces reach the tank at >= 10x its bandwidth.
 
     Below that the sampled one-pole filter no longer has the tank's shape.
     """
     if tank.sample_rate_hz < 10.0 * tank.bandwidth_hz:
-        raise SampleRateTooLow(
+        raise SimulationError(
             f"sample rate {tank.sample_rate_hz:g} Hz < 10 x bandwidth "
             f"{tank.bandwidth_hz:g} Hz"
         )
@@ -158,7 +147,7 @@ def envelope_check(
     if pulsed.ndim != 2:
         raise ValueError("pulsed_trace must be 2-D (sweep x time)")
     if pulsed.shape[0] != s_lo.shape[0] or pulsed.shape[0] != s_hi.shape[0]:
-        raise AxisMismatch(
+        raise SimulationError(
             f"sweep axes differ: pulsed {pulsed.shape[0]}, "
             f"low {s_lo.shape[0]}, high {s_hi.shape[0]}"
         )

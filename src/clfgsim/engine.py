@@ -8,6 +8,8 @@ the chip refuses and a run past `MAX_ROWS`; a run expands the plan's switch
 events, applies them to the analog cells in exact time order and samples
 the requested traces.  Everything is pure arithmetic on the scenario
 contents, so two runs of the same scenario produce byte-identical files.
+Load refuses with a ScenarioError, `_section` turning a model's
+SimulationError into one that names the section; a run raises it as is.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, analog, device as devmod, fsm, protocol, thermal
-from .errors import SimulationError
+from .errors import ScenarioError, SimulationError
 
 SCHEMA_VERSION = 1
 N_CELLS = fsm.N_CELLS
@@ -50,14 +52,6 @@ MAX_ROWS = 2**21
 # plan holds no DAC entry, and PLAY stretches and REFRESH modes in place
 # of FG and slot entries; the chip's modes are `Scenario.modes`.
 _PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3}
-
-
-class ScenarioError(SimulationError):
-    pass
-
-
-class UnknownAxis(SimulationError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +449,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
         rows=rows,
         raw=raw,
     )
-    if scenario.figure is not None:
+    if "figure" in raw or scenario.figure_params:  # a null figure, or params with none, is refused
         from . import figures
 
         scenario = dataclasses.replace(scenario, figure_params=figures.check_sections(scenario))
@@ -483,10 +477,10 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
 def _coerce_like(raw: Mapping, axis: str, text: str):
     """`text` parsed like the value at `axis` in `raw`: as a bool, an int
     (else a float) or a float, or as JSON (else kept as text) where the
-    value is a string or missing.  Text that does not parse is an UnknownAxis."""
+    value is a string or missing.  Text that does not parse is a ScenarioError."""
     existing = _get_axis(raw, axis)
     if isinstance(existing, (dict, list)):
-        raise UnknownAxis(f"axis {axis!r}: cannot override structured value with {text!r}")
+        raise ScenarioError(f"axis {axis!r}: cannot override structured value with {text!r}")
     if isinstance(existing, str) or existing is None:
         try:
             return json.loads(text)
@@ -500,7 +494,7 @@ def _coerce_like(raw: Mapping, axis: str, text: str):
                 return int(text, 0)
         return float(text)
     except (KeyError, ValueError) as exc:
-        raise UnknownAxis(f"axis {axis!r}: cannot parse {text!r} like its value {existing!r}") from exc
+        raise ScenarioError(f"axis {axis!r}: cannot parse {text!r} like its value {existing!r}") from exc
 
 
 def _key(node, part: str, axis: str):
@@ -509,11 +503,11 @@ def _key(node, part: str, axis: str):
         try:
             node[int(part)]
         except (ValueError, IndexError) as exc:
-            raise UnknownAxis(f"axis {axis!r}: bad list index {part!r}") from exc
+            raise ScenarioError(f"axis {axis!r}: bad list index {part!r}") from exc
         return int(part)
     if isinstance(node, dict):
         return part
-    raise UnknownAxis(f"axis {axis!r}: {part!r} is not a container")
+    raise ScenarioError(f"axis {axis!r}: {part!r} is not a container")
 
 
 def _get_axis(raw: Mapping, axis: str):
@@ -560,7 +554,7 @@ def apply_overrides(raw: Mapping, overrides: Iterable[str]) -> Mapping:
     doc = raw
     for text in overrides:
         if "=" not in text:
-            raise UnknownAxis(f"override {text!r} is not KEY=VALUE")
+            raise ScenarioError(f"override {text!r} is not KEY=VALUE")
         axis, value_text = text.split("=", 1)
         doc = set_axis(doc, axis, _coerce_like(doc, axis, value_text))
     return doc
@@ -1043,7 +1037,7 @@ def run_scenario(scenario: Scenario) -> TraceBundle:
 def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]:
     """`base` with `axis` set to each value, in order: each point equals
     `build_scenario(set_axis(base.raw, axis, value))`, the oracle, or is
-    refused with its message, as an UnknownAxis naming the axis.
+    refused with its message, as a ScenarioError naming the axis.
 
     Two leaves are read at load only by their own parse: `rails.v_hold`,
     and `schedule.<i>.dac.<name>` where item i of the base is a `dac` item,
@@ -1054,13 +1048,13 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
     parts = axis.split(".")
     dac = None  # the `dac` item that the axis names, if it names one
     if len(parts) == 4 and parts[0] == "schedule" and parts[2] == "dac":
-        with suppress(UnknownAxis):  # no such item: the full build refuses the axis
+        with suppress(ScenarioError):  # no such item: the full build refuses the axis
             i = _key(base.raw.get("schedule"), parts[1], axis) % len(base.schedule)
             dac = i if base.schedule[i].frame is None else None
+    docs = [set_axis(base.raw, axis, value) for value in values]  # its refusal names the axis
     points = []
     try:
-        for value in values:
-            doc = set_axis(base.raw, axis, value)
+        for doc in docs:
             if axis == "rails.v_hold":
                 swap = {"rails": _build_section(analog.SupplyRails, doc["rails"], "rails")}
             elif dac is not None:
@@ -1071,7 +1065,7 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
                 continue
             points.append(dataclasses.replace(base, raw=doc, overrides=(), points=(), **swap))
     except ScenarioError as exc:
-        raise UnknownAxis(f"axis {axis!r}: {exc}") from exc
+        raise ScenarioError(f"axis {axis!r}: {exc}") from exc
     return points
 
 

@@ -206,7 +206,10 @@ def check_sections(scenario: Scenario) -> dict:
     kind or `figure_params` key it reads, a `figure_params` key it does not
     read, fig3f's envelope past the row budget and fig4 values that give a
     table value that is not finite; return the `figure_params` the driver
-    reads, each converted once to its type and range, with defaults filled in."""
+    reads, each converted once to its type and range, with defaults filled in.
+    Refuse `figure_params` with no `figure`, and a null `figure`, too."""
+    if "figure" not in scenario.raw:
+        raise engine.ScenarioError("figure_params: given with no figure")
     if not isinstance(scenario.figure, str) or scenario.figure not in DRIVERS:
         raise engine.ScenarioError(f"unknown figure {scenario.figure!r}")
     require_sections(scenario, _NEEDS.get(scenario.figure, ()))

@@ -14,7 +14,8 @@ Tick timing is exact: tick k of a playback run happens at
 `start + k * 2**n / master_freq_hz`, computed from the integer tick
 index each time, so a million ticks accumulate no floating-point drift.
 Playback returns its ticks in columns (`TickRun`), not one object per
-edge.
+edge.  A refused EXEC, a stopped clock and playback outside PULSING
+raise a SimulationError.
 """
 from __future__ import annotations
 
@@ -84,24 +85,6 @@ class TickRun:
 _LEVEL_NAMES = np.array([level.name for level in Level])
 
 
-class IllegalTransition(SimulationError):
-    def __init__(self, mode: Mode, opcode: Opcode, detail: str = "") -> None:
-        msg = f"{opcode.name} not allowed in mode {mode.name}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-        self.mode = mode
-        self.opcode = opcode
-
-
-class ClockDisabled(SimulationError):
-    pass
-
-
-class NotInPlayback(SimulationError):
-    pass
-
-
 @dataclass(frozen=True)
 class ChipState:
     """Digital state of the chip; advanced only by the pure functions below."""
@@ -146,10 +129,10 @@ def step(state: ChipState, frame: Frame) -> tuple[ChipState, Frame | None]:
         return state, Frame(opcode=Opcode.READ, address=frame.address, data=value)
     # EXEC
     if not state.regs.fsm_enabled:
-        raise IllegalTransition(state.mode, opcode, "fsm-enable is clear")
+        raise SimulationError(f"EXEC not allowed in mode {state.mode.name} (fsm-enable is clear)")
     target = exec_target(state.regs)
     if target == state.mode and target != Mode.IDLE:
-        raise IllegalTransition(state.mode, opcode, f"already in {target.name}")
+        raise SimulationError(f"EXEC not allowed in mode {state.mode.name} (already in {target.name})")
     cursor = 0 if target == Mode.PULSING else state.pattern_cursor
     return replace(state, mode=target, pattern_cursor=cursor), None
 
@@ -157,7 +140,7 @@ def step(state: ChipState, frame: Frame) -> tuple[ChipState, Frame | None]:
 def divided_frequency(state: ChipState) -> float:
     """Divided clock f_master / 2**n; exact because n is a register value."""
     if not state.regs.clock_enabled:
-        raise ClockDisabled("CTRL clock-enable is clear")
+        raise SimulationError("CTRL clock-enable is clear")
     return state.master_freq_hz / (1 << state.regs.divider)
 
 
@@ -197,7 +180,7 @@ def playback(state: ChipState, n_ticks: int, start_s: float = 0.0) -> tuple[Chip
     from one time to another plays `tick_count` ticks.
     """
     if state.mode != Mode.PULSING:
-        raise NotInPlayback(f"mode is {state.mode.name}")
+        raise SimulationError(f"mode is {state.mode.name}")
     plen = state.regs.pattern_len
     cells = tuple(mask_cells(state.regs.pulse_mask))
     k = np.arange(n_ticks if cells else 0, dtype=np.int64)

@@ -5,14 +5,15 @@ an 8-bit register address and 16 bits of immediate data.  The register
 map is a behavioural reconstruction of a minimal host interface for this
 kind of control chip (see README.md); real silicon will differ.  It is
 written once, in the table `REGISTERS`, which `check_access` (for
-`RegisterFile.read` and `apply_write`) and `NAME_TO_ADDRESS` read.
+`RegisterFile.read` and `apply_write`) and `NAME_TO_ADDRESS` read.  A
+frame the chip refuses raises a SimulationError; a malformed stream line, a ScenarioError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
-from .errors import SimulationError
+from .errors import ScenarioError, SimulationError
 
 
 class Opcode(IntEnum):
@@ -20,29 +21,6 @@ class Opcode(IntEnum):
     WRITE = 0x01
     READ = 0x02
     EXEC = 0x03
-
-
-class UnknownOpcode(SimulationError):
-    def __init__(self, value: int) -> None:
-        super().__init__(f"unknown opcode 0x{value:02x}")
-        self.value = value
-
-
-class UnknownAddress(SimulationError):
-    def __init__(self, address: int) -> None:
-        super().__init__(f"no register at address 0x{address:02x}")
-        self.address = address
-
-
-class ValueOutOfRange(SimulationError):
-    def __init__(self, register: str, value: int, lo: int, hi: int) -> None:
-        super().__init__(f"{register}={value} outside [{lo}..{hi}]")
-        self.register = register
-        self.value = value
-
-
-class StreamFormatError(SimulationError):
-    """Malformed line in a raw command-stream file."""
 
 
 # Register addresses.
@@ -111,7 +89,7 @@ def decode_frame(word: int) -> Frame:
         raise ValueError(f"word 0x{word:x} wider than 32 bits")
     opcode = (word >> 24) & 0xFF
     if opcode not in (Opcode.NOP, Opcode.WRITE, Opcode.READ, Opcode.EXEC):
-        raise UnknownOpcode(opcode)
+        raise SimulationError(f"unknown opcode 0x{opcode:02x}")
     return Frame(opcode=Opcode(opcode), address=(word >> 16) & 0xFF, data=word & 0xFFFF)
 
 
@@ -177,10 +155,10 @@ def check_access(address: int, data: int | None = None) -> str:
     reaches at `address`, refusing an unknown address or a value outside
     the register's range (every range lies within 16 bits)."""
     if address not in REGISTERS:
-        raise UnknownAddress(address)
+        raise SimulationError(f"no register at address 0x{address:02x}")
     field, lo, hi = REGISTERS[address]
     if data is not None and not lo <= data <= hi:
-        raise ValueOutOfRange(field.upper(), data, lo, hi)
+        raise SimulationError(f"{field.upper()}={data} outside [{lo}..{hi}]")
     return field
 
 
@@ -210,9 +188,9 @@ def parse_stream(text: str) -> list[int]:
             continue
         token = line[2:] if line.lower().startswith("0x") else line
         if len(token) != 8:
-            raise StreamFormatError(f"line {lineno}: expected 8 hex digits, got {line!r}")
+            raise ScenarioError(f"line {lineno}: expected 8 hex digits, got {line!r}")
         try:
             words.append(int(token, 16))
         except ValueError as exc:
-            raise StreamFormatError(f"line {lineno}: not hexadecimal: {line!r}") from exc
+            raise ScenarioError(f"line {lineno}: not hexadecimal: {line!r}") from exc
     return words

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from clfgsim import analog, cli, device, engine, fsm, protocol, thermal
+from clfgsim.errors import SimulationError
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -343,13 +344,13 @@ def test_10_protocol_fuzz():
     for word in bad_words:
         try:
             protocol.decode_frame(int(word))
-        except protocol.UnknownOpcode:
-            rejected += 1
+        except SimulationError as exc:
+            rejected += str(exc) == f"unknown opcode 0x{int(word) >> 24:02x}"
     untouched = state == fsm.ChipState()
 
     # A decodable frame with a bad address is rejected without side effects.
     regs_before = state.regs
-    with pytest.raises(protocol.UnknownAddress):
+    with pytest.raises(SimulationError, match=r"^no register at address 0x99$"):
         fsm.step(state, protocol.Frame(protocol.Opcode.WRITE, 0x99, 1))
     untouched = untouched and state.regs == regs_before
 

@@ -9,12 +9,11 @@ from scipy.signal import lfilter
 
 from clfgsim import fsm, protocol
 from clfgsim.device import TankReadout, _low_pass
+from clfgsim.errors import SimulationError
 from clfgsim.analog import (
-    AlreadyUnlocked,
     CellParams,
     ClfgCell,
     Level,
-    LockClosed,
     SupplyRails,
     apply_fg,
     apply_fg_run,
@@ -81,7 +80,7 @@ class TestUnlock:
 
     def test_double_unlock(self, default_cell, rails):
         cell = unlock(lock(default_cell, rails.v_hold))
-        with pytest.raises(AlreadyUnlocked):
+        with pytest.raises(SimulationError, match=r"^lock switch is already open$"):
             unlock(cell)
 
 
@@ -108,7 +107,8 @@ class TestCoupleHold:
         )
 
     def test_rejected_while_locked(self, default_cell, rails):
-        with pytest.raises(LockClosed):
+        with pytest.raises(SimulationError,
+                           match=r"^output tracks the hold rail directly while locked$"):
             couple_hold(lock(default_cell, rails.v_hold), 0.1)
 
     def test_set_hold_tracks_when_locked(self, default_cell, rails):
@@ -471,7 +471,8 @@ class TestStateTransitions:
     @settings(max_examples=200, deadline=None)
     def test_couple_hold(self, cell, dv):
         if cell.lock_closed:
-            with pytest.raises(LockClosed):
+            with pytest.raises(SimulationError,
+                               match=r"^output tracks the hold rail directly while locked$"):
                 couple_hold(cell, dv)
             return
         step = coupling_ratio(cell.params) * dv
@@ -527,7 +528,7 @@ class TestStateTransitions:
     @settings(max_examples=200, deadline=None)
     def test_unlock(self, cell):
         if not cell.lock_closed:
-            with pytest.raises(AlreadyUnlocked):
+            with pytest.raises(SimulationError, match=r"^lock switch is already open$"):
                 unlock(cell)
             return
         v = cell.v_hold_seen + injection_offset(cell.params)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clfgsim import analog, cli, engine, figures, protocol, thermal
+from clfgsim.errors import SimulationError
 
 from conftest import drawn_schedule
 
@@ -173,16 +174,55 @@ MALFORMED = {
         schedule=[{"t": 0.0, "write": ["CTRL", 2]}], duration_s=1.6777,
         traces={"sample_rate_hz": 1e7, "kinds": ["cells", "hold"], "cells": [0, 1, 2, 3]},
     ),
+    # Refusals of the wiring between sections, and of a parameter type's own check.
+    "gate_without_lever": _mini(device={"levers": {"lw": 0.2}, "gate_sources": {"x": {"cell": 0}}}),
+    "gate_two_sources": _mini(
+        device={"levers": {"lw": 0.2}, "gate_sources": {"lw": {"cell": 0, "const": 1.0}}}
+    ),
+    "item_without_t": _mini(schedule=[{"exec": True}]),
+    "document_list": [],
+    "axis_gate_without_source": _mini(device=dict(_DOT, axis_gate="x")),
+    "power_trace_without_power": _mini(traces=_traced("power")),
+    "temperature_without_calibration": _mini(power={}, traces=_traced("temperature")),
+    "sample_rate_zero": _mini(traces={"sample_rate_hz": 0, "kinds": ["cells"], "cells": [0]}),
+    "sweep_axis_number": _mini(sweep={"axis": 5, "values": [1]}),
+    "sweep_axis_bad_index": _mini(sweep={"axis": "traces.cells.9", "values": [1]}),
+    "v_high_below_v_low": _mini(rails={"v_high": -0.2}),
+    "c_ds_negative": _mini(analog={"c_ds": -1e-15}),
+    "r_switch_zero": _mini(analog={"r_switch": 0}),
+    "leak_rate_negative": _mini(analog={"leak_rate": -1e-8}),
+    # `figure_params` that no figure reads: it loaded and ran as a generic run.
+    "figure_params_without_figure": {
+        "schema_version": 1, "duration_s": 1.0, "figure_params": {"cell": "x", "junk": 1}
+    },
 }
 # Documents whose run would fill gigabytes if load let them through:
 # checked with `validate` only.
 VALIDATE_ONLY = {"edge_past_row_budget"}
+# The whole refusal, `error: ` and its message, of some of them.
+REFUSED_AS = {
+    "gate_without_lever": "device: source for gate 'x' has no lever arm",
+    "gate_two_sources": "device: gate 'lw' needs one of cell/dac/const",
+    "item_without_t": "schedule[0]: missing time key 't'",
+    "document_list": "scenario document must be a JSON object",
+    "axis_gate_without_source": "device: axis_gate 'x' has no gate source",
+    "power_trace_without_power": "power/temperature traces need a power section",
+    "temperature_without_calibration": "temperature trace needs power.calibration",
+    "sample_rate_zero": "traces: sample_rate_hz must be positive",
+    "sweep_axis_number": "sweep: expected a string axis and a list of values",
+    "sweep_axis_bad_index": "axis 'traces.cells.9': bad list index '9'",  # named once
+    "v_high_below_v_low": "rails: v_high must be >= v_low",
+    "c_ds_negative": "analog: c_ds must be non-negative",
+    "r_switch_zero": "analog: r_switch must be positive",
+    "leak_rate_negative": "analog: leak_rate must be non-negative",
+    "figure_params_without_figure": "figure_params: given with no figure",
+}
 
 # A section of the wrong JSON type, or a malformed entry inside one; each
 # must be refused at load with a message, never a traceback.
 _SECTIONS = (
     "chip", "analog", "rails", "device", "power", "traces", "schedule",
-    "cell_targets", "figure_params", "sweep",
+    "cell_targets", "figure", "figure_params", "sweep",
 )
 _WRONG = {"number": 5, "text": "x", "null": None}
 WRONG_TYPE = {
@@ -300,6 +340,8 @@ class TestValidate:
             assert err.startswith("error:")
             assert "Traceback" not in err
             first_lines.append(err.splitlines()[0])
+            if name in REFUSED_AS:
+                assert err == f"error: {REFUSED_AS[name]}\n"
         assert first_lines[0] == first_lines[-1]  # validate refuses what run refuses
 
     @pytest.mark.parametrize("name, why", [
@@ -562,7 +604,8 @@ class TestDrawnScheduleContract:
 
 class TestRefusedText:
     """Override and sweep text that does not parse like the value it
-    replaces is exit 1, naming the axis and the text."""
+    replaces, or that would replace an object or a list, is exit 1,
+    naming the axis and the text."""
 
     @pytest.mark.parametrize("argv, axis, text", [
         (["validate", "fig3c", "--override", "rails.v_hold=abc"], "rails.v_hold", "abc"),
@@ -570,6 +613,7 @@ class TestRefusedText:
         (["run", "fig3e", "--override", "rails.v_hold=0x10"], "rails.v_hold", "0x10"),
         (["sweep", "fig3c", "--axis", "rails.v_hold", "--values="], "rails.v_hold", ""),
         (["sweep", "fig3c", "--axis", "traces.cells.0", "--values=abc"], "traces.cells.0", "abc"),
+        (["validate", "fig3c", "--override", "traces.cells=[0]"], "traces.cells", "[0]"),
     ])
     def test_exits_1(self, argv, axis, text, tmp_path):
         command, name, *rest = argv
@@ -577,9 +621,10 @@ class TestRefusedText:
         if command != "validate":
             argv += ["--out", str(tmp_path)]
         code, _, err = _main(argv)
-        assert code == 1
-        assert err.startswith("error:") and repr(axis) in err and repr(text) in err
-        assert "Traceback" not in err
+        value = engine._get_axis(json.loads(Path(argv[1]).read_text()), axis)
+        why = (f"cannot override structured value with {text!r}" if isinstance(value, list)
+               else f"cannot parse {text!r} like its value {value!r}")
+        assert (code, err) == (1, f"error: axis {axis!r}: {why}\n")
 
 
 class TestNonFinitePower:
@@ -663,7 +708,7 @@ class TestRun:
         # No document error reaches exit 2: only a fault in the model, here
         # the lock switch refusing mid-run.
         def fault(cell, v_hold):
-            raise analog.LockClosed("lock switch fault")
+            raise SimulationError("lock switch fault")
         monkeypatch.setattr(analog, "lock", fault)
         assert cli.main(["validate", str(mini_scn)]) == 0
         assert cli.main(["run", str(mini_scn), "--out", str(tmp_path / "o")]) == 2
@@ -723,13 +768,15 @@ class TestSweepCommand:
         assert lines[0].startswith("value,v_out_final_cell0")
         assert len(lines) == 4
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--values", "1,2"], "--axis required when --values is given"),
-        (["--axis", "rails.v_hold"], "--values required when --axis is given"),
-    ], ids=["values_alone", "axis_alone"])
-    def test_axis_and_values_go_together(self, flags, message, tmp_path):
-        # Even where the document's own sweep block would give the other.
-        argv = ["sweep", str(cli.bundled_scenario_path("fig3c")), *flags, "--out", str(tmp_path)]
+    @pytest.mark.parametrize("name, flags, message", [
+        ("fig3c", ["--values", "1,2"], "--axis required when --values is given"),
+        ("fig3c", ["--axis", "rails.v_hold"], "--values required when --axis is given"),
+        ("fig3e", [], "scenario has no sweep block and no --axis given"),
+    ], ids=["values_alone", "axis_alone", "neither"])
+    def test_axis_and_values_go_together(self, name, flags, message, tmp_path):
+        # Even where the document's own sweep block (fig3c's) would give the
+        # other; with neither, the document must have one (fig3e has none).
+        argv = ["sweep", str(cli.bundled_scenario_path(name)), *flags, "--out", str(tmp_path)]
         code, out, err = _main(argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not (tmp_path / "sweep.csv").exists()
@@ -913,15 +960,25 @@ class TestReplay:
 
     # An unknown opcode, an EXEC while fsm-enable is clear, a write and a
     # read with no register at 0x99, and writes out of range: exit 1, as
-    # under `run`.
-    @pytest.mark.parametrize(
-        "word", ["FF000000", "03000000", "01990001", "02990000", "01010010", "01200000"]
-    )
+    # under `run`, with the refusal of each.  None: no stream file at the
+    # path, exit 1 too.
+    REFUSED_AS = {
+        "FF000000": "schedule[0]: unknown opcode 0xff",
+        "03000000": "schedule[0]: EXEC not allowed in mode IDLE (fsm-enable is clear)",
+        "01990001": "schedule[0]: no register at address 0x99",
+        "02990000": "schedule[0]: no register at address 0x99",
+        "01010010": "schedule[0]: DIVIDER=16 outside [0..15]",
+        "01200000": "schedule[0]: PATTERN_LEN=0 outside [1..128]",
+        None: "cannot read {0}: [Errno 2] No such file or directory: {0!r}",
+    }
+
+    @pytest.mark.parametrize("word", REFUSED_AS)
     def test_replay_bad_frame_exits_1(self, word, tmp_path, capsys):
         stream = tmp_path / "bad.txt"
-        stream.write_text(word + "\n")
+        if word is not None:
+            stream.write_text(word + "\n")
         assert cli.main(["replay", str(stream), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == f"error: {self.REFUSED_AS[word].format(str(stream))}\n"
 
 
 class TestBudget:
@@ -945,6 +1002,41 @@ class TestFigures:
         _, _, watts, ok = row.split(",")
         assert ok == "1"
         assert 400e-6 - float(watts) > 0
+
+    @pytest.mark.parametrize("name, keys", [
+        ("fig3f", ["settle_fraction"]), ("fig4b", ["swing", "n_cells"]), ("fig4e", ["swing"]),
+    ])
+    def test_omitted_params_take_their_defaults(self, name, keys, tmp_path):
+        # Each bundled value is its default, so leaving it out changes no table.
+        doc = json.loads(cli.bundled_scenario_path(name).read_text())
+        for key in keys:
+            default = figures._PARAMS[name][key][1]
+            assert doc["figure_params"].pop(key) == (list(default) if isinstance(default, tuple)
+                                                     else default)
+        path = tmp_path / "defaults.scn"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["figures", name, "--out", str(tmp_path / "bundled")]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "defaults")]) == 0
+        tables = sorted(p.name for p in (tmp_path / "bundled").glob("*.csv"))
+        assert tables == sorted(p.name for p in (tmp_path / "defaults").glob("*.csv"))
+        assert f"{name}.csv" in tables
+        for table in tables:
+            assert (tmp_path / "defaults" / table).read_bytes() == (
+                tmp_path / "bundled" / table).read_bytes(), table
+
+    def test_sweep_conductance_column_is_fig3b_conductance(self, tmp_path):
+        # `sweep` writes each point's final conductance as fig3b's driver
+        # writes its `g_siemens`: the same text, row by row.
+        path = cli.bundled_scenario_path("fig3b")
+        assert cli.main(["figures", "fig3b", "--out", str(tmp_path / "figure")]) == 0
+        assert cli.main(["sweep", str(path), "--out", str(tmp_path / "sweep")]) == 0
+        with open(tmp_path / "figure" / "fig3b.csv", newline="") as fh:
+            figure = list(csv.DictReader(fh))
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            swept = list(csv.DictReader(fh))
+        assert len(figure) == len(swept) == 121
+        assert [row["conductance_final_s"] for row in swept] == [row["g_siemens"] for row in figure]
+        assert [row["value"] for row in swept] == [row["v_lp_volts"] for row in figure]
 
 
 class TestHelp:

@@ -6,12 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clfgsim import analog
+from clfgsim.errors import SimulationError
 from clfgsim.device import (
-    AxisMismatch,
     DotDevice,
-    SampleRateTooLow,
     TankReadout,
-    UnknownGate,
     conductance,
     envelope_check,
     tank_signal,
@@ -62,7 +60,7 @@ class TestConductance:
         assert np.all(g >= 0.0) and np.all(g <= dot.g_max)
 
     def test_unknown_gate(self, dot):
-        with pytest.raises(UnknownGate):
+        with pytest.raises(SimulationError, match=r"^no lever arm for gate\(s\) \['nope'\]$"):
             conductance(dot, {"nope": 0.0})
 
 
@@ -75,7 +73,7 @@ class TestReadout:
 
     def test_sample_rate_guard(self, dot):
         slow = TankReadout(bandwidth_hz=10e6, sample_rate_hz=50e6)
-        with pytest.raises(SampleRateTooLow):
+        with pytest.raises(SimulationError, match=r"^sample rate 5e\+07 Hz < 10 x bandwidth 1e\+07 Hz$"):
             tank_signal(slow, conductance(dot, {"sdp": np.zeros(10)}))
 
     def test_edge_rise_time_set_by_bandwidth(self, dot, tank):
@@ -150,7 +148,7 @@ class TestEnvelope:
         assert np.allclose(report.env_max, expected_max, atol=0.01 * dot.g_max)
 
     def test_axis_mismatch(self, dot, tank):
-        with pytest.raises(AxisMismatch):
+        with pytest.raises(SimulationError, match=r"^sweep axes differ: pulsed 5, low 5, high 4$"):
             envelope_check(dot, tank, np.zeros((5, 100)), np.zeros(5), np.zeros(4))
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -5,14 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clfgsim import protocol
+from clfgsim.errors import ScenarioError, SimulationError
 from clfgsim.protocol import (
     Frame,
     Opcode,
     RegisterFile,
-    StreamFormatError,
-    UnknownAddress,
-    UnknownOpcode,
-    ValueOutOfRange,
     apply_write,
     decode_frame,
     encode_frame,
@@ -63,7 +61,7 @@ class TestCodec:
         assert frame.data == 0x0ABC
 
     def test_unknown_opcode(self):
-        with pytest.raises(UnknownOpcode):
+        with pytest.raises(SimulationError, match=r"^unknown opcode 0xff$"):
             decode_frame(0xFF000000)
 
     def test_word_too_wide(self):
@@ -76,7 +74,7 @@ class TestCodec:
 
     @given(st.integers(4, 0xFF), st.integers(0, 0xFFFFFF))
     def test_out_of_set_opcodes_rejected(self, opcode, rest):
-        with pytest.raises(UnknownOpcode):
+        with pytest.raises(SimulationError, match=f"^unknown opcode 0x{opcode:02x}$"):
             decode_frame((opcode << 24) | rest)
 
     def test_field_range_validation(self):
@@ -92,7 +90,7 @@ class TestRegisterFile:
         regs = apply_write(RegisterFile(), protocol.DIVIDER, 3)
         before = replace(regs)
         if address not in REGISTER_SPEC:
-            with pytest.raises(UnknownAddress):
+            with pytest.raises(SimulationError, match=f"^no register at address 0x{address:02x}$"):
                 apply_write(regs, address, 0)
             assert regs == before
             assert address not in protocol.NAME_TO_ADDRESS.values()
@@ -108,7 +106,8 @@ class TestRegisterFile:
             else:
                 assert getattr(written, name.lower()) == value
         for value in (lo - 1, hi + 1):
-            with pytest.raises(ValueOutOfRange):
+            refusal = f"{name.rstrip('0123456789')}={value} outside [{lo}..{hi}]"
+            with pytest.raises(SimulationError, match=f"^{re.escape(refusal)}$"):
                 apply_write(regs, address, value)
             assert regs == before
 
@@ -122,15 +121,15 @@ class TestRegisterFile:
         assert bits == [1, 0] * 64
 
     def test_pattern_len_bounds(self):
-        with pytest.raises(ValueOutOfRange):
+        with pytest.raises(SimulationError, match=r"^PATTERN_LEN=0 outside \[1\.\.128\]$"):
             apply_write(RegisterFile(), protocol.PATTERN_LEN, 0)
-        with pytest.raises(ValueOutOfRange):
+        with pytest.raises(SimulationError, match=r"^PATTERN_LEN=129 outside \[1\.\.128\]$"):
             apply_write(RegisterFile(), protocol.PATTERN_LEN, 129)
         regs = apply_write(RegisterFile(), protocol.PATTERN_LEN, 128)
         assert regs.pattern_len == 128
 
     def test_divider_four_bits(self):
-        with pytest.raises(ValueOutOfRange):
+        with pytest.raises(SimulationError, match=r"^DIVIDER=16 outside \[0\.\.15\]$"):
             apply_write(RegisterFile(), protocol.DIVIDER, 16)
 
     @pytest.mark.parametrize("address", range(256))
@@ -139,9 +138,10 @@ class TestRegisterFile:
             _name, lo, hi = REGISTER_SPEC[address]
             assert lo <= RegisterFile().read(address) <= hi
             return
-        with pytest.raises(UnknownAddress):
+        refusal = f"^no register at address 0x{address:02x}$"
+        with pytest.raises(SimulationError, match=refusal):
             apply_write(RegisterFile(), address, 1)
-        with pytest.raises(UnknownAddress):
+        with pytest.raises(SimulationError, match=refusal):
             RegisterFile().read(address)
 
     def test_masks_combine(self):
@@ -158,9 +158,9 @@ class TestRegisterFile:
     def test_rejected_write_leaves_state_unchanged(self):
         regs = apply_write(RegisterFile(), protocol.DIVIDER, 3)
         before = regs
-        with pytest.raises(UnknownAddress):
+        with pytest.raises(SimulationError, match=r"^no register at address 0x99$"):
             apply_write(regs, 0x99, 1)
-        with pytest.raises(ValueOutOfRange):
+        with pytest.raises(SimulationError, match=r"^PATTERN_LEN=0 outside \[1\.\.128\]$"):
             apply_write(regs, protocol.PATTERN_LEN, 0)
         assert regs == before
 
@@ -176,11 +176,11 @@ class TestStreamParsing:
         assert parse_stream(text) == [0x01000007, 0x0101000F, 0x03000000]
 
     def test_bad_width(self):
-        with pytest.raises(StreamFormatError, match="line 1"):
+        with pytest.raises(ScenarioError, match=r"^line 1: expected 8 hex digits, got '0100007'$"):
             parse_stream("0100007")
 
     def test_not_hex(self):
-        with pytest.raises(StreamFormatError):
+        with pytest.raises(ScenarioError, match=r"^line 1: not hexadecimal: '01zz0007'$"):
             parse_stream("01zz0007")
 
     @given(st.lists(valid_frames, max_size=20))
