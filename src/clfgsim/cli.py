@@ -144,7 +144,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_replay(args) -> int:
     try:
         text = Path(args.stream).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {args.stream}: {exc}") from exc
     words = protocol.parse_stream(text)
     raw = {
@@ -160,7 +160,7 @@ def _cmd_replay(args) -> int:
     written = engine.export(bundle, outdir)
     state = {
         "words": len(words),
-        "events": len(bundle.tables["events"].columns[0]),
+        "events": len(bundle.tables["events"]),
         "responses": [{"time_s": t, "address": f.address, "data": f.data}
                       for t, f in scenario.responses],
     }

@@ -38,9 +38,12 @@ SCHEMA_VERSION = 1
 N_CELLS = fsm.N_CELLS
 # The most rows a run may fill, counted at load by `build_scenario`: the
 # sample grid and each sampled column, the `events` table and the READ
-# responses.  The costliest, an `events` row, holds about 390 bytes at the
-# peak of a run and its export, so a run at the budget peaks near 0.8 GB.
+# responses.  The costliest, an `events` row, holds about 140 bytes at the
+# peak of a run (in `analog.apply_fg_run`; `export` adds nothing to it), so
+# a run at the budget peaks near 0.3 GB.
 MAX_ROWS = 2**21
+# The most rows `export` formats into one string and writes at once.
+CHUNK_ROWS = 2**16
 
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
 # lock action with the cell as payload; DAC, a hold-rail move as (value,
@@ -570,13 +573,18 @@ def with_overrides(raw: Mapping, overrides: Sequence[str]) -> Scenario:
 # results
 
 
-@dataclass
-class Table:
-    """A CSV table held column by column: `columns[i]`, one numpy array from
-    where it is made to `export` (`_format_column`), holds the values under `header[i]`."""
+Block = tuple[np.ndarray, ...] | fsm.TickRun
 
-    header: tuple[str, ...]
-    columns: tuple[np.ndarray, ...]
+
+class Table:
+    """A CSV table held as blocks of rows, in order, from where it is made to
+    `export`: a block is either a tuple of 1-D numpy columns, `block[i]`
+    holding values under `header[i]`, or an `fsm.TickRun`, whose rows are
+    its `csv_columns`.  `Table(header, columns)` is a table of one block."""
+
+    def __init__(self, header: Iterable[str], *blocks: Block) -> None:
+        self.header = tuple(header)
+        self.blocks = blocks
 
     @classmethod
     def from_rows(cls, header: Iterable[str], rows: list[tuple]) -> Table:
@@ -585,6 +593,15 @@ class Table:
         header = tuple(header)
         columns = zip(*rows) if rows else [()] * len(header)
         return cls(header, tuple(np.array(column, dtype=object) for column in columns))
+
+    def __len__(self) -> int:
+        return sum(len(b) if isinstance(b, fsm.TickRun) else len(b[0]) for b in self.blocks)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The blocks' rows as one numpy array per column, made on each read."""
+        parts = [b.csv_columns() if isinstance(b, fsm.TickRun) else b for b in self.blocks]
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     @property
     def rows(self) -> list[tuple]:
@@ -630,16 +647,38 @@ def _format_column(column: np.ndarray) -> list[str]:
     return np.array(list(map(fmt, values.tolist())), dtype=object)[inverse].tolist()
 
 
+def _block_text(block: Block) -> Iterator[str]:
+    """A table block's CSV lines, `CHUNK_ROWS` rows a string (a tick's rows
+    are never split).  A columns block goes through `_format_column`; a
+    `TickRun` block formats each tick time once and makes each tick's rows
+    with one join, the time between the rows' precomputed rest."""
+    if not isinstance(block, fsm.TickRun):
+        for i in range(0, len(block[0]), CHUNK_ROWS):
+            columns = (_format_column(column[i:i + CHUNK_ROWS]) for column in block)
+            yield "\n".join(map(",".join, zip(*columns))) + "\n"
+        return
+    # Per level, "" and then each cell's ",{cell},FG,{LEVEL}\n": joined by a
+    # tick's time, it gives that tick's rows.
+    rests = [["", *(f",{c},FG,{level.name}\n" for c in block.cells)] for level in analog.Level]
+    ticks = max(1, CHUNK_ROWS // len(block.cells))
+    for i in range(0, len(block.times), ticks):
+        times = map(float.__repr__, block.times[i:i + ticks].tolist())
+        yield "".join(map(str.join, times, map(rests.__getitem__, block.levels[i:i + ticks].tolist())))
+
+
 def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
-    """Write one CSV per table plus the JSON run manifest that `run_scenario` set."""
+    """Write one CSV per table, block by block, plus the JSON run manifest
+    that `run_scenario` set."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for key in sorted(bundle.tables):
         table = bundle.tables[key]
         path = outdir / f"{key}.csv"
-        lines = [",".join(table.header), *map(",".join, zip(*map(_format_column, table.columns)))]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(table.header) + "\n")
+            for block in table.blocks:
+                fh.writelines(_block_text(block))
         written.append(path)
     manifest = dict(bundle.manifest)
     manifest["outputs"] = [p.name for p in written]
@@ -865,22 +904,21 @@ def _held(changes: Sequence[tuple[float, float]], times: np.ndarray) -> np.ndarr
 def _events(timeline: Sequence[tuple[float, int, str, object]]) -> Table:
     """The `events` table from the timeline alone, since each OPEN, CLOSE and
     FG entry fixes its own rows: the lock actions before each slice (and,
-    at a closing entry, after the last) as one part of float64, int64 and
-    text columns, no level, then the slice's `csv_columns`, joined once."""
-    parts, locks = [], []
+    at a closing entry, after the last) as one block of float64, int64 and
+    text columns, no level, then the slice itself, a `TickRun` block."""
+    blocks, locks = [], []
     for t, _prio, kind, payload in chain(timeline, [(math.inf, None, "FG", None)]):
         if kind in ("OPEN", "CLOSE"):
             locks.append((t, payload, kind))
         elif kind == "FG":
-            if locks or payload is None and not parts:  # no part at all: an empty table
+            if locks or payload is None and not blocks:  # no block at all: an empty table
                 times, cells, actions = zip(*locks) if locks else ((), (), ())
-                parts.append((np.array(times, dtype=float), np.array(cells, dtype=np.int64),
-                              np.array(actions, dtype=str), np.zeros(len(locks), dtype=str)))
+                blocks.append((np.array(times, dtype=float), np.array(cells, dtype=np.int64),
+                               np.array(actions, dtype=str), np.zeros(len(locks), dtype=str)))
                 locks = []
             if payload is not None:
-                parts.append(payload.csv_columns())  # type: ignore[attr-defined]
-    columns = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-    return Table(("time_s", "cell", "action", "level"), columns)
+                blocks.append(payload)
+    return Table(("time_s", "cell", "action", "level"), *blocks)
 
 
 # A cell state's fields after `params`, which every state of a run shares,
@@ -980,7 +1018,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             c: analog.output_voltage(cells[c], scenario.duration_s)
             for c in scenario.traces.cells
         },
-        "n_events": len(tables["events"].columns[0]),
+        "n_events": len(tables["events"]),
     }
     if sources:
         gates = {

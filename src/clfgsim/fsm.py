@@ -72,7 +72,9 @@ class TickRun:
 
     def csv_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The run's rows of the `time_s,cell,action,level` event table, as
-        float64, int64 and text columns: tick by tick, cells ascending."""
+        float64, int64 and text columns: tick by tick, cells ascending.
+        `engine.Table.columns` reads them; `engine.export` writes the same
+        text from the run without them."""
         n = len(self.cells)
         return (
             np.repeat(self.times, n),

@@ -980,6 +980,16 @@ class TestReplay:
         assert cli.main(["replay", str(stream), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {self.REFUSED_AS[word].format(str(stream))}\n"
 
+    def test_replay_of_bytes_not_utf8_exits_1(self, tmp_path, capsys):
+        stream = tmp_path / "bad.txt"
+        stream.write_bytes(b"\xff\xfe0100\n")
+        assert cli.main(["replay", str(stream), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {stream}: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestBudget:
     def test_thousand_gate_point(self, capsys):

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -1448,6 +1450,63 @@ class TestEventsTable:
         assert [column.dtype.str[1:] for column in table.columns[:2]] == ["f8", "i8"]
         assert [column.dtype.kind for column in table.columns[2:]] == ["U", "U"]
         assert bundle.summary["n_events"] == len(expected)
+
+
+_ANY_TIME = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324])
+
+
+@st.composite
+def _lock_and_tick_timeline(draw) -> list[tuple]:
+    """A timeline of lock actions and tick slices: groups of lock actions
+    (an OPEN and a CLOSE may share an instant), each maybe followed by a
+    slice of 1-32 cells and drawn levels, often of one tick."""
+    timeline = []
+    for _ in range(draw(st.integers(0, 4))):
+        for _ in range(draw(st.integers(0, 3))):
+            t = draw(_ANY_TIME)
+            for kind in draw(st.sampled_from([["CLOSE"], ["OPEN"], ["OPEN", "CLOSE"]])):
+                timeline.append((t, engine._PRIO[kind], kind, draw(st.integers(0, 31))))
+        if draw(st.booleans()):
+            n = draw(st.sampled_from([1, 1, 2, 5, 9]))
+            times = draw(st.lists(_ANY_TIME, min_size=n, max_size=n))
+            levels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+            cells = draw(st.sets(st.integers(0, 31), min_size=1, max_size=32))
+            run = fsm.TickRun(np.array(times), np.array(levels, dtype=np.uint8), tuple(sorted(cells)), 1.0)
+            timeline.append((times[0], engine._PRIO["FG"], "FG", run))
+    return timeline
+
+
+def _exported(table: engine.Table, outdir: Path) -> bytes:
+    engine.export(engine.TraceBundle({"events": table}, {}, {"name": "t"}), outdir)
+    return (outdir / "events.csv").read_bytes()
+
+
+class TestBlockExport:
+    """`export` writes a table block by block, `CHUNK_ROWS` rows a write: the
+    bytes are those of the same rows as one columns block, whose text is
+    `_format_column`'s."""
+
+    @given(timeline=_lock_and_tick_timeline(), chunk=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    @example(timeline=[], chunk=1)  # an empty `events` table
+    def test_blocks_write_the_bytes_of_one_columns_block(self, timeline, chunk):
+        table = engine._events(timeline)
+        assert len(table) == len(table.rows) == len(_logged_events(timeline))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            expected = _exported(engine.Table(table.header, table.columns), Path(tmp, "one"))
+            mp.setattr(engine, "CHUNK_ROWS", chunk)  # chunk ends inside blocks
+            assert _exported(table, Path(tmp, "blocks")) == expected
+
+    def test_run_expands_no_tick_run(self, monkeypatch, tmp_path):
+        def expanded(self):
+            raise AssertionError("a tick run was expanded into columns")
+
+        path = tmp_path / "pulse.scn"
+        path.write_text(json.dumps(_pulsing(1.0).raw))
+        monkeypatch.setattr(fsm.TickRun, "csv_columns", expanded)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "events.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2000 and lines[1] == "0.0,0,FG,HIGH"
 
 
 class TestSampleCount:
