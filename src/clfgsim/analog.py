@@ -26,12 +26,13 @@ another transition (the hold-rail fan-out runs `set_hold` on all 32
 cells at each move).  The element values live in a `CellParams` that
 every state of a cell shares by reference, so an event copies only the
 few state fields.  `apply_fg_run` applies a whole playback run in one step;
-`settle` and `apply_fg`, one edge at a time, are its test oracle.  Its
-RC transient is `one_pole`, the first-order recurrence the tank readout
-in `device` filters with too.  Likewise `sample_output` reads many
-states (as their `output_fields`) at many times in one array step, and
-`output_voltage`, one state at one time, is its oracle.  Unlocking an
-open switch or coupling into a locked cell raises a SimulationError.
+`settle` and `apply_fg`, one edge at a time, are its test oracle.  Its RC
+transient is `one_pole`, the first-order recurrence the tank readout in
+`device` filters with too.  `lock` and `unlock` set the clock to their own
+time, with `settle` before them as their oracle.  Likewise `sample_output`
+reads many states (as their `output_fields`) at many times in one array
+step, and `output_voltage`, one state at one time, is its oracle.  Unlocking
+an open switch or coupling into a locked cell raises a SimulationError.
 """
 from __future__ import annotations
 
@@ -152,28 +153,32 @@ def pulse_amplitude(p: CellParams, rails: SupplyRails) -> float:
     return p.c_pulse / (p.c_p + p.c_pulse) * rails.swing
 
 
-def lock(cell: ClfgCell, v_hold: float) -> ClfgCell:
-    """Close the lock switch: the output is pinned to the hold rail at `v_hold`.
-
-    Idempotent; any pending transient is discarded because the rail now
-    drives the node directly.
-    """
+def lock(cell: ClfgCell, v_hold: float, t: float) -> ClfgCell:
+    """Close the lock switch at time `t >= t_last`: the output is pinned to
+    the hold rail at `v_hold`.  Idempotent; any pending transient and leak
+    is discarded because the rail now drives the node directly, so this
+    is `settle(cell, t)` then the close, its test oracle, in one step."""
     params, _, fg_level, fg_ref, _, _, _, _, t_last = cell
-    return _new(ClfgCell, (params, True, fg_level, fg_ref, v_hold, v_hold, v_hold, v_hold, t_last))
+    if t - t_last < 0:
+        raise ValueError(f"time {t} precedes last event at {t_last}")
+    return _new(ClfgCell, (params, True, fg_level, fg_ref, v_hold, v_hold, v_hold, v_hold, t))
 
 
-def unlock(cell: ClfgCell) -> ClfgCell:
-    """Open the lock switch, leaving the charge floating.
+def unlock(cell: ClfgCell, t: float) -> ClfgCell:
+    """Open the lock switch at time `t >= t_last`, leaving the charge floating:
+    `settle(cell, t)`, which only moves a locked cell's clock, then the open.
 
     The channel charge of the opening switch lands on the node, offsetting
     the held voltage by `q_inj / (c_p + c_pulse)`.  The current fast-gate
     level becomes the reference level for later pulses.
     """
     params, locked, fg_level, _, v_hold_seen, _, _, _, t_last = cell
+    if t - t_last < 0:
+        raise ValueError(f"time {t} precedes last event at {t_last}")
     if not locked:
         raise SimulationError("lock switch is already open")
     v = v_hold_seen + injection_offset(params)
-    return _new(ClfgCell, (params, False, fg_level, fg_level, v_hold_seen, v, v, v, t_last))
+    return _new(ClfgCell, (params, False, fg_level, fg_level, v_hold_seen, v, v, v, t))
 
 
 def couple_hold(cell: ClfgCell, dv_hold: float) -> ClfgCell:
@@ -347,7 +352,7 @@ def sample_output(params: CellParams, fields, times) -> np.ndarray:
     locked, t_last, target, start, hold = fields.T
     locked = locked != 0.0
     dt = np.where(locked, 0.0, times - t_last)
-    if np.any(dt < 0):
+    if (dt < 0).any():
         raise ValueError("sample times precede the cell's last event")
     rc = np.exp(-dt / time_constant(params))
     decay = np.exp(-params.leak_rate * dt)

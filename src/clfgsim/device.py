@@ -59,7 +59,7 @@ class TankReadout:
 
 def effective_voltage(device: DotDevice, gate_voltages: Mapping[str, object]):
     """Lever-arm weighted sum of the supplied gate voltages."""
-    unknown = set(gate_voltages) - set(device.levers)
+    unknown = gate_voltages.keys() - device.levers.keys()
     if unknown:
         raise SimulationError(f"no lever arm for gate(s) {sorted(unknown)}")
     v_eff = device.v_offset
@@ -75,7 +75,7 @@ def conductance(device: DotDevice, gate_voltages: Mapping[str, object]):
     peak and suppressed as cosh**-2 away from it.
     """
     v_eff = effective_voltage(device, gate_voltages)
-    d = v_eff - device.peak_spacing * np.round(v_eff / device.peak_spacing)
+    d = v_eff - device.peak_spacing * np.rint(v_eff / device.peak_spacing)
     return device.g_max / np.cosh(d / device.peak_width) ** 2
 
 

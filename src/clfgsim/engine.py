@@ -422,7 +422,8 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     name = raw.get("name", "scenario")
     if not isinstance(name, str) or set(name) & set("/\\\0"):
         raise ScenarioError(f"name {name!r} must be a string with no path separator")
-    samples = sample_count(duration, traces.sample_rate_hz)
+    with _section("duration_s"):  # duration_s * rate past float range
+        samples = sample_count(duration, traces.sample_rate_hz)
     kinds = set(traces.kinds)
     rows = samples * (1 + len(traces.cells) * ("cells" in kinds) + len(kinds - {"cells"}))
     _check_budget(rows, f"duration_s: sampling {samples} times", duration)
@@ -882,9 +883,9 @@ def _segment_power(scenario: Scenario, state: tuple[fsm.Mode, protocol.RegisterF
 
 
 def sample_count(duration_s: float, rate: float) -> int:
-    """The length of `sample_grid`, floor(duration_s * rate) + 1."""
-    with _section("duration_s"):  # duration_s * rate past float range
-        return math.floor(duration_s * rate) + 1
+    """The length of `sample_grid`, floor(duration_s * rate) + 1; an
+    OverflowError past float range, which only `build_scenario` meets."""
+    return math.floor(duration_s * rate) + 1
 
 
 def sample_grid(scenario: Scenario) -> np.ndarray:
@@ -935,17 +936,18 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     where it is read) is applied eagerly, in order: a slice is one
     `analog.apply_fg_run` call per distinct `_state_key` of its pulsed
     cells, whose result every cell with that key takes (exact, since
-    `apply_fg_run` is pure), and a DAC entry sets the hold rail, which a
-    close locks onto, and fans `set_hold` out to the 32 cells if it changes
-    the rail.  The loop relies on one invariant: only WRITE and EXEC split
-    playback and lock actions happen only at EXEC, so no lock action falls
-    inside a run.  Before each entry it records one block, the samples
-    before that entry, as the sampled cells' `output_fields` they see; it
-    logs nothing, since `_events` reads the `events` table from the
-    timeline.  The traces are then evaluated as arrays, which the tables
-    hold: the hold rail, DAC gates, power and temperature by `_held` from
-    their change points (`_expand_plan`'s, and `Scenario.modes` once per
-    distinct mode).  The bundle carries no manifest: `run_scenario` adds one.
+    `apply_fg_run` is pure), a DAC entry sets the hold rail, which a close
+    locks onto, and fans `set_hold` out to the 32 cells if it changes the
+    rail, and a lock action is one `lock` or `unlock` at its time.  The loop
+    relies on one invariant: only WRITE and EXEC split playback and lock
+    actions happen only at EXEC, so no lock action falls inside a run.
+    Before each entry it records one block, the samples before that entry,
+    as the sampled cells' `output_fields` they see; it logs nothing, since
+    `_events` reads the `events` table from the timeline.  The traces are
+    then evaluated as arrays, which the tables hold: the hold rail, DAC
+    gates, power and temperature by `_held` from their change points
+    (`_expand_plan`'s, and `Scenario.modes` once per distinct mode).  The
+    bundle carries no manifest: `run_scenario` adds one.
     """
     kinds = scenario.traces.kinds
     traced = scenario.traces.cells if "cells" in kinds else ()
@@ -990,18 +992,15 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                         cells[c], run.times, run.levels, run.period_s, rails
                     )
                 cells[c] = done[key]
-        elif kind != "END":
-            i: int = payload  # type: ignore[assignment]
-            cells[i] = analog.settle(cells[i], t)
-            if kind == "CLOSE":
-                cells[i] = analog.lock(cells[i], v_hold)
-            else:  # OPEN
-                cells[i] = analog.unlock(cells[i])
+        elif kind == "CLOSE":
+            cells[payload] = analog.lock(cells[payload], v_hold, t)  # type: ignore[index]
+        elif kind == "OPEN":
+            cells[payload] = analog.unlock(cells[payload], t)  # type: ignore[index]
 
     # The sampled cells' fields sample by sample, evaluated in one call.
-    per_sample = np.repeat(np.reshape(fields, (len(counts), -1)), counts, axis=0)
+    per_sample = np.array(fields).reshape(len(counts), -1).repeat(counts, axis=0)
     volts = analog.sample_output(
-        scenario.analog, per_sample, np.repeat(times, len(sampled))
+        scenario.analog, per_sample, times.repeat(len(sampled))
     ).reshape(n_samples, len(sampled))
 
     tables = {"events": _events(timeline)}
@@ -1009,7 +1008,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
         cell = np.tile(np.array(traced, dtype=np.int64), n_samples)
         v_out = volts[:, [sampled.index(c) for c in traced]].ravel()
         tables["cells"] = Table(("time_s", "cell", "v_out_volts"),
-                                (np.repeat(times, len(traced)), cell, v_out))
+                                (times.repeat(len(traced)), cell, v_out))
     if "hold" in kinds:
         tables["hold"] = Table(("time_s", "v_hold_volts"), (times, _held(dacs["v_hold"], times)))
     summary: dict[str, Any] = {

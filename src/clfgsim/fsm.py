@@ -28,7 +28,7 @@ import numpy as np
 
 from .analog import Level
 from .errors import SimulationError
-from .protocol import Frame, Opcode, RegisterFile, apply_write
+from .protocol import PATTERN_BITS, Frame, Opcode, RegisterFile, apply_write
 
 N_CELLS = 32
 
@@ -186,7 +186,8 @@ def playback(state: ChipState, n_ticks: int, start_s: float = 0.0) -> tuple[Chip
     plen = state.regs.pattern_len
     cells = tuple(mask_cells(state.regs.pulse_mask))
     k = np.arange(n_ticks if cells else 0, dtype=np.int64)
-    pattern = np.array([state.regs.pattern_bit(i) for i in range(plen)], dtype=np.uint8)
+    bits = state.regs.pattern_int  # bit 127 plays first, as `pattern_bit` reads it
+    pattern = np.array([(bits >> (PATTERN_BITS - 1 - i)) & 1 for i in range(plen)], dtype=np.uint8)
     run = TickRun(
         times=start_s + (k << state.regs.divider) / state.master_freq_hz,
         levels=pattern[(state.pattern_cursor + k) % plen],

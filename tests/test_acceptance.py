@@ -66,7 +66,7 @@ def test_02_pulse_power_matches_integrated_dissipation():
         f = rng.uniform(1e5, 1e7)
         params = analog.CellParams(c_pulse=c_pulse, c_p=c_p, r_switch=r,
                                    leak_rate=0.0, q_inj=0.0)
-        cell = analog.unlock(analog.lock(analog.ClfgCell(params), 0.0))
+        cell = analog.unlock(analog.lock(analog.ClfgCell(params), 0.0, 0.0), 0.0)
         rails = analog.SupplyRails(v_high=swing, v_low=0.0)
         tau = analog.time_constant(params)
         dt = tau / 1000.0
@@ -160,7 +160,7 @@ def test_06_leakage_benchmark_and_flank_recovery():
     # Flank-slope recovery of the programmed rate through the dot oracle.
     dot = device.DotDevice(levers={"lw": 1.0}, v_offset=1.1003)
     cell = analog.ClfgCell(analog.CellParams(q_inj=0.0, leak_rate=lam))
-    cell = analog.unlock(analog.lock(cell, -1.1))
+    cell = analog.unlock(analog.lock(cell, -1.1, cell.t_last), cell.t_last)
     times = np.arange(0.0, 201.0, 1.0)
     v = analog.sample_output(cell.params, [analog.output_fields(cell)] * len(times), times)
     g = np.asarray(device.conductance(dot, {"lw": v}))

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
@@ -39,27 +39,27 @@ finite_volts = st.floats(-2.0, 2.0, allow_nan=False)
 def floating_cell(v: float, **params) -> ClfgCell:
     """Cell released at voltage `v` with no injection offset."""
     cell = ClfgCell(CellParams(q_inj=0.0, **params))
-    cell = lock(cell, v)
-    return unlock(cell)
+    cell = lock(cell, v, cell.t_last)
+    return unlock(cell, cell.t_last)
 
 
 class TestLock:
     def test_lock_sets_output_to_hold(self, default_cell):
-        cell = lock(default_cell, -1.1)
+        cell = lock(default_cell, -1.1, default_cell.t_last)
         assert cell.lock_closed
         assert output_voltage(cell, 0.0) == -1.1
 
     def test_lock_at_zero(self, default_cell):
-        cell = lock(default_cell, 0.0)
+        cell = lock(default_cell, 0.0, default_cell.t_last)
         assert output_voltage(cell, 5.0) == 0.0
 
     def test_lock_idempotent(self, default_cell, rails):
-        once = lock(default_cell, rails.v_hold)
-        assert lock(once, rails.v_hold) == once
+        once = lock(default_cell, rails.v_hold, default_cell.t_last)
+        assert lock(once, rails.v_hold, once.t_last) == once
 
     def test_locked_output_ignores_fg_history(self, default_cell, rails):
         cell = apply_fg(default_cell, Level.HIGH, 0.0, rails)
-        cell = lock(cell, rails.v_hold)
+        cell = lock(cell, rails.v_hold, cell.t_last)
         cell = apply_fg(cell, Level.LOW, 1.0, rails)
         cell = apply_fg(cell, Level.HIGH, 2.0, rails)
         assert output_voltage(cell, 3.0) == rails.v_hold
@@ -68,20 +68,20 @@ class TestLock:
 class TestUnlock:
     def test_no_injection_no_offset(self):
         cell = ClfgCell(CellParams(q_inj=0.0))
-        cell = unlock(lock(cell, -1.1))
+        cell = unlock(lock(cell, -1.1, cell.t_last), cell.t_last)
         assert output_voltage(cell, 0.0) == -1.1
 
     def test_injection_offset_value(self):
         # 2 fC onto 2 pF of node capacitance is a 1 mV step.
         params = CellParams(c_pulse=1e-12, c_p=1e-12, q_inj=2e-15)
         assert injection_offset(params) == pytest.approx(1e-3, rel=1e-12)
-        cell = unlock(lock(ClfgCell(params), -1.1))
+        cell = unlock(lock(ClfgCell(params), -1.1, 0.0), 0.0)
         assert output_voltage(cell, 0.0) == pytest.approx(-1.099, rel=1e-12)
 
     def test_double_unlock(self, default_cell, rails):
-        cell = unlock(lock(default_cell, rails.v_hold))
+        cell = unlock(lock(default_cell, rails.v_hold, default_cell.t_last), default_cell.t_last)
         with pytest.raises(SimulationError, match=r"^lock switch is already open$"):
-            unlock(cell)
+            unlock(cell, cell.t_last)
 
 
 class TestCoupleHold:
@@ -109,10 +109,10 @@ class TestCoupleHold:
     def test_rejected_while_locked(self, default_cell, rails):
         with pytest.raises(SimulationError,
                            match=r"^output tracks the hold rail directly while locked$"):
-            couple_hold(lock(default_cell, rails.v_hold), 0.1)
+            couple_hold(lock(default_cell, rails.v_hold, default_cell.t_last), 0.1)
 
     def test_set_hold_tracks_when_locked(self, default_cell, rails):
-        cell = lock(default_cell, rails.v_hold)
+        cell = lock(default_cell, rails.v_hold, default_cell.t_last)
         cell = set_hold(cell, -0.7)
         assert output_voltage(cell, 0.0) == -0.7
 
@@ -144,7 +144,7 @@ class TestLeak:
             settle(floating_cell(0.0), -1.0)
 
     def test_noop_while_locked(self, default_cell, rails):
-        cell = lock(default_cell, rails.v_hold)
+        cell = lock(default_cell, rails.v_hold, default_cell.t_last)
         after = settle(cell, cell.t_last + 1e6)
         assert output_voltage(after, after.t_last) == rails.v_hold
 
@@ -229,7 +229,7 @@ class TestFastGateTransient:
         rails = SupplyRails(v_high=0.1, v_low=-0.1, v_hold=-1.1)
         cell = ClfgCell(CellParams(q_inj=0.0, leak_rate=0.0))
         cell = apply_fg(cell, Level.HIGH, 0.0, rails)
-        cell = unlock(lock(cell, rails.v_hold))
+        cell = unlock(lock(cell, rails.v_hold, cell.t_last), cell.t_last)
         cell = apply_fg(cell, Level.LOW, 1.0, rails)
         v = output_voltage(cell, 1.0 + 1e-6)
         assert v == pytest.approx(-1.1 - pulse_amplitude(cell.params, rails), rel=1e-9)
@@ -342,9 +342,9 @@ class TestRunKernel:
         assert run.cells == tuple(fsm.mask_cells(mask))
         assert run.period_s == period
 
-        cell = lock(ClfgCell(params), v_hold)
+        cell = lock(ClfgCell(params), v_hold, 0.0)
         if not locked:
-            cell = unlock(settle(cell, t_open))
+            cell = unlock(settle(cell, t_open), t_open)
         expected = edge_by_edge(cell, run.times, run.levels, rails)
         # A run flushed at arbitrary cut points and then continued.
         got = cell
@@ -391,7 +391,7 @@ def cell_states(draw, params: CellParams) -> ClfgCell:
             params, lock_closed=True, v_hold_seen=draw(finite_volts),
             v_start=draw(finite_volts), v_target=draw(finite_volts), t_last=t_last,
         )
-    cell = unlock(lock(ClfgCell(params), draw(finite_volts)))
+    cell = unlock(lock(ClfgCell(params), draw(finite_volts), 0.0), 0.0)
     rails = SupplyRails(v_high=draw(st.floats(0.0, 0.5)), v_low=draw(st.floats(-0.5, 0.0)))
     return apply_fg(cell, draw(st.sampled_from(Level)), t_last, rails)
 
@@ -423,7 +423,7 @@ class TestSampleOutput:
             assert abs(v - output_voltage(cell, t)) <= SAMPLE_TOL_V
 
     def test_locked_cell_reads_hold_at_any_time(self):
-        cell = lock(ClfgCell(), -1.1)
+        cell = lock(ClfgCell(), -1.1, 0.0)
         got = sample_output(cell.params, [output_fields(cell)] * 3, [-1.0, 0.0, 5.0])
         assert got.tolist() == [-1.1] * 3
 
@@ -522,20 +522,49 @@ class TestStateTransitions:
     @settings(max_examples=200, deadline=None)
     def test_lock(self, cell, v):
         want = cell._replace(lock_closed=True, v_hold_seen=v, v_base=v, v_start=v, v_target=v)
-        assert_same_state(lock(cell, v), want, cell)
+        assert_same_state(lock(cell, v, cell.t_last), want, cell)
 
     @given(cell=any_cell_states)
     @settings(max_examples=200, deadline=None)
     def test_unlock(self, cell):
         if not cell.lock_closed:
             with pytest.raises(SimulationError, match=r"^lock switch is already open$"):
-                unlock(cell)
+                unlock(cell, cell.t_last)
             return
         v = cell.v_hold_seen + injection_offset(cell.params)
         want = cell._replace(
             lock_closed=False, fg_ref=cell.fg_level, v_base=v, v_start=v, v_target=v
         )
-        assert_same_state(unlock(cell), want, cell)
+        assert_same_state(unlock(cell, cell.t_last), want, cell)
+
+    @given(cell=any_cell_states, v=finite_volts, dt=st.floats(0.0, 1e-3) | st.just(0.0))
+    @example(cell=ClfgCell(lock_closed=True, v_hold_seen=-0.0, v_base=0.0, v_start=-0.0,
+                           v_target=0.0, t_last=1e-4), v=-0.0, dt=0.0)
+    @example(cell=ClfgCell(v_hold_seen=0.0, v_base=-0.0, v_start=-0.0, v_target=-0.0),
+             v=0.0, dt=1e-5)
+    @settings(max_examples=200, deadline=None)
+    def test_lock_actions_are_settle_then_action(self, cell, v, dt):
+        # `lock` and `unlock` at `t` against settling to `t` first, their oracle.
+        t = cell.t_last + dt
+        assert_same_state(lock(cell, v, t), lock(settle(cell, t), v, t), cell)
+        if not cell.lock_closed:
+            with pytest.raises(SimulationError, match=r"^lock switch is already open$"):
+                unlock(cell, t)
+            return
+        assert_same_state(unlock(cell, t), unlock(settle(cell, t), t), cell)
+
+    @given(cell=any_cell_states, back=st.floats(1e-9, 1.0))
+    @example(cell=ClfgCell(lock_closed=False, t_last=0.0), back=1.0)
+    @settings(max_examples=100, deadline=None)
+    def test_lock_actions_refuse_a_time_before_the_last_event(self, cell, back):
+        # Refused as `settle` refuses, before `unlock` looks at the switch.
+        t = cell.t_last - back
+        with pytest.raises(ValueError) as want:
+            settle(cell, t)
+        for action in (lambda: lock(cell, 0.0, t), lambda: unlock(cell, t)):
+            with pytest.raises(ValueError) as got:
+                action()
+            assert str(got.value) == str(want.value)
 
     @given(cell=any_cell_states, v=finite_volts)
     @settings(max_examples=200, deadline=None)

@@ -472,6 +472,15 @@ class TestValidate:
             assert err.startswith(f"error: schedule[2]: {key!r} takes only true")
             assert "Traceback" not in err
 
+    def test_sample_count_past_float_range_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "overflow.scn"
+        path.write_text(json.dumps(_mini(duration_s=1e300, traces={"sample_rate_hz": 1e10})))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "o")]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == "error: duration_s: cannot convert float infinity to integer\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("doc", WRONG_TYPE.values(), ids=WRONG_TYPE.keys())
     def test_wrong_type_exits_1(self, doc, tmp_path, capsys):
         path = tmp_path / "bad.scn"
@@ -707,7 +716,7 @@ class TestRun:
     def test_runtime_error_exit_code(self, mini_scn, tmp_path, capsys, monkeypatch):
         # No document error reaches exit 2: only a fault in the model, here
         # the lock switch refusing mid-run.
-        def fault(cell, v_hold):
+        def fault(cell, v_hold, t):
             raise SimulationError("lock switch fault")
         monkeypatch.setattr(analog, "lock", fault)
         assert cli.main(["validate", str(mini_scn)]) == 0

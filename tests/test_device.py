@@ -159,7 +159,7 @@ class TestDriftRecovery:
         lam = 1e-8
         dot = DotDevice(levers={"lw": 1.0}, v_offset=1.1003)
         cell = analog.ClfgCell(analog.CellParams(q_inj=0.0, leak_rate=lam))
-        cell = analog.unlock(analog.lock(cell, -1.1))
+        cell = analog.unlock(analog.lock(cell, -1.1, cell.t_last), cell.t_last)
         times = np.arange(0.0, 201.0, 1.0)
         v = analog.sample_output(cell.params, [analog.output_fields(cell)] * len(times), times)
         g = np.asarray(conductance(dot, {"lw": v}))

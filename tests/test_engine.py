@@ -563,9 +563,9 @@ def replay_cells_edge_by_edge(scenario, bundle, moves) -> list[tuple]:
                 continue
             cell = analog.settle(cells[c], t)
             if action == "CLOSE":
-                cell = analog.lock(cell, v_hold)
+                cell = analog.lock(cell, v_hold, t)
             elif action == "OPEN":
-                cell = analog.unlock(cell)
+                cell = analog.unlock(cell, t)
             else:
                 cell = analog.apply_fg(cell, analog.Level[value], t, scenario.rails)
             cells[c] = cell
@@ -709,11 +709,18 @@ def _groups_doc(subject: int, others: list[int], case: str, r0, r1, alone: bool,
             "traces": {"sample_rate_hz": 500.0, "kinds": ["cells"], "cells": [subject]}}
 
 
-def _count_fg_runs(monkeypatch) -> list:
-    calls = []
-    real = analog.apply_fg_run
-    monkeypatch.setattr(analog, "apply_fg_run", lambda *args: calls.append(args) or real(*args))
+def _count_calls(monkeypatch, *names: str) -> dict[str, list]:
+    """The arguments of each call to each of `analog`'s functions `names`."""
+    calls: dict[str, list] = {name: [] for name in names}
+    for name in names:
+        real = getattr(analog, name)
+        monkeypatch.setattr(analog, name,
+                            lambda *args, log=calls[name], real=real: log.append(args) or real(*args))
     return calls
+
+
+def _count_fg_runs(monkeypatch) -> list:
+    return _count_calls(monkeypatch, "apply_fg_run")["apply_fg_run"]
 
 
 def _slices(scenario: engine.Scenario) -> int:
@@ -822,6 +829,16 @@ class TestSweep:
         with pytest.raises(ScenarioError,
                            match=r"^axis 'rails.nope': rails: unknown key\(s\) \['nope'\]$"):
             engine.sweep(self._scenario(), "rails.nope", [1.0])
+
+    def test_fig3b_point_makes_one_call_per_lock_action(self, monkeypatch):
+        # Five closes and five opens, each one transition at its own time
+        # with no `settle` first, and the hold rail's 32-cell fan-out once.
+        point = engine.load_scenario(cli.bundled_scenario_path("fig3b")).points[0]
+        calls = _count_calls(monkeypatch, "settle", "lock", "unlock", "set_hold")
+        engine.run_generic(point)
+        assert {name: len(log) for name, log in calls.items()} == {
+            "settle": 0, "lock": 5, "unlock": 5, "set_hold": 32,
+        }
 
     def test_points_run_one_at_a_time_as_read(self, monkeypatch):
         ran = []
@@ -1553,6 +1570,12 @@ class TestSampleCount:
                   f" rows, past the budget of {engine.MAX_ROWS}")
         with pytest.raises(ScenarioError, match=f"^{re.escape(budget)}$"):
             make_scenario(duration_s=float(engine.MAX_ROWS), traces={"sample_rate_hz": 1.0})
+
+    def test_sample_count_past_float_range_is_refused_at_load(self):
+        # duration_s * rate is inf, which `sample_count` cannot floor.
+        with pytest.raises(ScenarioError,
+                           match=r"^duration_s: cannot convert float infinity to integer$"):
+            make_scenario(duration_s=1e300, traces={"sample_rate_hz": 1e10})
 
     @pytest.mark.parametrize("name", ["fig3c", "fig3f"])
     def test_figures_read_the_grid_only_within_the_budget(self, name, monkeypatch):

@@ -260,6 +260,21 @@ class TestPlayback:
         assert levels[plen:] == levels[:-plen]
         assert run.times.tolist() == [tick_time(state, k, start_s) for k in range(n)]
 
+    @given(
+        words=st.lists(st.integers(0, 0xFFFF), min_size=8, max_size=8),
+        plen=st.integers(1, 128),
+        cursor=st.integers(0, 127),
+        n_ticks=st.integers(1, 300),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_levels_are_pattern_bits_at_each_cursor(self, words, plen, cursor, n_ticks):
+        # `playback` reads the pattern once; `pattern_bit` is its oracle.
+        state, start = pulsing(), cursor % plen
+        regs = dataclasses.replace(state.regs, pattern=tuple(words), pattern_len=plen)
+        after, run = playback(dataclasses.replace(state, regs=regs, pattern_cursor=start), n_ticks)
+        assert run.levels.tolist() == [regs.pattern_bit((start + k) % plen) for k in range(n_ticks)]
+        assert after.pattern_cursor == (start + n_ticks) % plen
+
 
 def refresh_pass(cells: list[int], period_s: int) -> list:
     """Lock actions of one round-robin REFRESH pass, run through the engine:
