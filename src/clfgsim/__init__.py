@@ -11,7 +11,8 @@ __version__ = "0.1.0"
 
 from .analog import CellParams, ClfgCell, Level, SupplyRails
 from .device import DotDevice, TankReadout
-from .fsm import ChipState, Mode, SwitchEvent
+from .engine import SwitchEvent
+from .fsm import ChipState, Mode
 from .protocol import Frame, Opcode, RegisterFile
 from .thermal import CoolingBudget, PowerModel, ThermalCalibration
 

@@ -46,13 +46,10 @@ import numpy as np
 
 from .errors import SimulationError
 
-# Leak-rate presets.  Published figures for this class of hardware quote
-# both "one part in 1e7 per second" and "tens of microvolts per hour";
-# at volt-scale holds those differ by roughly 10x, so both are kept as
-# named presets instead of being averaged.  The slower value is the
-# package default.
+# The default leak rate.  Published figures for this class of hardware
+# quote both "one part in 1e7 per second" and "tens of microvolts per hour",
+# about 10x apart at volt-scale holds; the default is the slower of the two.
 LEAK_RATE_TENS_OF_MICROVOLTS_PER_HOUR = 1e-8
-LEAK_RATE_PART_IN_1E7_PER_SECOND = 1e-7
 
 
 class Level(IntEnum):

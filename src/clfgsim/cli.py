@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a `ScenarioError`, an error in the scenario or
-input (`validate` refuses every document that `run` refuses), 2 any other
-`SimulationError`, a fault in the simulator.
+Exit codes: 0 success, 1 a `ScenarioError`, an error in the scenario, input
+or output directory (`validate` refuses every document that `run` refuses),
+2 any other `SimulationError`, a fault in the simulator.
 The default output directory comes from --out or the CLFGSIM_OUT
 environment variable (falling back to ./out).
 """
@@ -142,10 +142,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    try:
+    with engine.refusing(f"cannot read {args.stream}", (OSError, UnicodeDecodeError)):
         text = Path(args.stream).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read {args.stream}: {exc}") from exc
     words = protocol.parse_stream(text)
     raw = {
         "schema_version": engine.SCHEMA_VERSION,
@@ -165,7 +163,8 @@ def _cmd_replay(args) -> int:
                       for t, f in scenario.responses],
     }
     spath = outdir / "replay_state.json"
-    spath.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n", "utf-8")
+    with engine.refusing(f"cannot write {outdir}"):
+        spath.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n", "utf-8")
     for path in [*written, spath]:
         print(path)
     return EXIT_OK

@@ -10,6 +10,7 @@ the requested traces.  Everything is pure arithmetic on the scenario
 contents, so two runs of the same scenario produce byte-identical files.
 Load refuses with a ScenarioError, `_section` turning a model's
 SimulationError into one that names the section; a run raises it as is.
+The `events` table's rows are made, written and read back here only.
 """
 from __future__ import annotations
 
@@ -23,11 +24,12 @@ from bisect import bisect_left
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from enum import Enum
 from functools import cache, partial
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -184,6 +186,15 @@ def _section(where: str):
         raise
     except (TypeError, ValueError, OverflowError, SimulationError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+
+
+@contextmanager
+def refusing(what: str, errors=OSError):
+    """Report `errors` raised inside as a ScenarioError, `what: reason`."""
+    try:
+        yield
+    except errors as exc:
+        raise ScenarioError(f"{what}: {exc}") from exc
 
 
 def _finite(value) -> bool:
@@ -466,11 +477,10 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
 
 
 def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    # ValueError: bad JSON, or an int of too many digits.
+    with refusing(f"cannot load scenario {path}", (OSError, ValueError)):
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int of too many digits
-        raise ScenarioError(f"cannot load scenario {path}: {exc}") from exc
     return with_overrides(raw, overrides)
 
 
@@ -576,12 +586,27 @@ def with_overrides(raw: Mapping, overrides: Sequence[str]) -> Scenario:
 
 Block = tuple[np.ndarray, ...] | fsm.TickRun
 
+# The `level` text of an `events` row, indexed by a tick run's level (0 or 1).
+_LEVEL_NAMES = np.array([level.name for level in analog.Level])
+
+
+def csv_columns(run: fsm.TickRun) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A tick run's `events` rows as float64, int64 and text columns, tick by
+    tick, cells ascending: `Table.columns` reads them, `export` their text."""
+    n = len(run.cells)
+    return (
+        np.repeat(run.times, n),
+        np.tile(np.array(run.cells, dtype=np.int64), len(run.times)),
+        np.full(len(run), "FG"),
+        _LEVEL_NAMES[np.repeat(run.levels, n)],
+    )
+
 
 class Table:
     """A CSV table held as blocks of rows, in order, from where it is made to
     `export`: a block is either a tuple of 1-D numpy columns, `block[i]`
-    holding values under `header[i]`, or an `fsm.TickRun`, whose rows are
-    its `csv_columns`.  `Table(header, columns)` is a table of one block."""
+    holding values under `header[i]`, or an `events` `fsm.TickRun`, whose
+    rows are `csv_columns(block)`.  `Table(header, columns)` is one block."""
 
     def __init__(self, header: Iterable[str], *blocks: Block) -> None:
         self.header = tuple(header)
@@ -601,13 +626,34 @@ class Table:
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
         """The blocks' rows as one numpy array per column, made on each read."""
-        parts = [b.csv_columns() if isinstance(b, fsm.TickRun) else b for b in self.blocks]
+        parts = [csv_columns(b) if isinstance(b, fsm.TickRun) else b for b in self.blocks]
         return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     @property
     def rows(self) -> list[tuple]:
         """The rows, as tuples of Python scalars."""
         return list(zip(*(column.tolist() for column in self.columns)))
+
+
+class LockAction(Enum):
+    CLOSE = "CLOSE"
+    OPEN = "OPEN"
+
+
+class SwitchEvent(NamedTuple):
+    """One switch actuation: either a fast-gate level or a lock action."""
+
+    time_s: float
+    cell: int
+    fg_level: analog.Level | None = None
+    lock_action: LockAction | None = None
+
+
+def event_from_row(time_s: float, cell: int, action: str, level: str) -> SwitchEvent:
+    """The event a row of the `time_s,cell,action,level` `events` table stands for."""
+    if action == "FG":
+        return SwitchEvent(time_s, cell, fg_level=analog.Level[level])
+    return SwitchEvent(time_s, cell, lock_action=LockAction(action))
 
 
 @dataclass
@@ -617,12 +663,12 @@ class TraceBundle:
     manifest: dict | None = None  # set by `run_scenario`, once per run
 
     @property
-    def events(self) -> list[fsm.SwitchEvent]:
+    def events(self) -> list[SwitchEvent]:
         """The run's switch events, one per row of its `events` table: one
         per lock action and per tick of each pulsed cell."""
         if "events" not in self.tables:
             return []
-        return list(map(fsm.event_from_row, *(c.tolist() for c in self.tables["events"].columns)))
+        return list(map(event_from_row, *(c.tolist() for c in self.tables["events"].columns)))
 
 
 def _format_cell(value) -> str:
@@ -660,7 +706,7 @@ def _block_text(block: Block) -> Iterator[str]:
         return
     # Per level, "" and then each cell's ",{cell},FG,{LEVEL}\n": joined by a
     # tick's time, it gives that tick's rows.
-    rests = [["", *(f",{c},FG,{level.name}\n" for c in block.cells)] for level in analog.Level]
+    rests = [["", *(f",{c},FG,{name}\n" for c in block.cells)] for name in _LEVEL_NAMES.tolist()]
     ticks = max(1, CHUNK_ROWS // len(block.cells))
     for i in range(0, len(block.times), ticks):
         times = map(float.__repr__, block.times[i:i + ticks].tolist())
@@ -669,22 +715,23 @@ def _block_text(block: Block) -> Iterator[str]:
 
 def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
     """Write one CSV per table, block by block, plus the JSON run manifest
-    that `run_scenario` set."""
+    that `run_scenario` set, into `outdir` (made if missing), refusing a failed write."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for key in sorted(bundle.tables):
-        table = bundle.tables[key]
-        path = outdir / f"{key}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(table.header) + "\n")
-            for block in table.blocks:
-                fh.writelines(_block_text(block))
-        written.append(path)
-    manifest = dict(bundle.manifest)
-    manifest["outputs"] = [p.name for p in written]
-    mpath = outdir / f"manifest_{manifest['name']}.json"
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+    with refusing(f"cannot write {outdir}"):
+        outdir.mkdir(parents=True, exist_ok=True)
+        for key in sorted(bundle.tables):
+            table = bundle.tables[key]
+            path = outdir / f"{key}.csv"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(",".join(table.header) + "\n")
+                for block in table.blocks:
+                    fh.writelines(_block_text(block))
+            written.append(path)
+        manifest = dict(bundle.manifest)
+        manifest["outputs"] = [p.name for p in written]
+        mpath = outdir / f"manifest_{manifest['name']}.json"
+        mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
     written.append(mpath)
     return written
 
@@ -1090,7 +1137,7 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
             dac = i if base.schedule[i].frame is None else None
     docs = [set_axis(base.raw, axis, value) for value in values]  # its refusal names the axis
     points = []
-    try:
+    with refusing(f"axis {axis!r}", ScenarioError):
         for doc in docs:
             if axis == "rails.v_hold":
                 swap = {"rails": _build_section(analog.SupplyRails, doc["rails"], "rails")}
@@ -1101,8 +1148,6 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
                 points.append(build_scenario(doc, points=False))
                 continue
             points.append(dataclasses.replace(base, raw=doc, overrides=(), points=(), **swap))
-    except ScenarioError as exc:
-        raise ScenarioError(f"axis {axis!r}: {exc}") from exc
     return points
 
 

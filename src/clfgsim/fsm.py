@@ -14,19 +14,17 @@ Tick timing is exact: tick k of a playback run happens at
 `start + k * 2**n / master_freq_hz`, computed from the integer tick
 index each time, so a million ticks accumulate no floating-point drift.
 Playback returns its ticks in columns (`TickRun`), not one object per
-edge.  A refused EXEC, a stopped clock and playback outside PULSING
-raise a SimulationError.
+edge, and `engine` makes them rows of its `events` table.  A refused
+EXEC, a stopped clock and playback outside PULSING raise a SimulationError.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
-from .analog import Level
 from .errors import SimulationError
 from .protocol import PATTERN_BITS, Frame, Opcode, RegisterFile, apply_write
 
@@ -38,20 +36,6 @@ class Mode(Enum):
     LOCKING = "LOCKING"
     PULSING = "PULSING"
     REFRESH = "REFRESH"
-
-
-class LockAction(Enum):
-    CLOSE = "CLOSE"
-    OPEN = "OPEN"
-
-
-class SwitchEvent(NamedTuple):
-    """One switch actuation: either a fast-gate level or a lock action."""
-
-    time_s: float
-    cell: int
-    fg_level: Level | None = None
-    lock_action: LockAction | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,22 +53,6 @@ class TickRun:
 
     def __len__(self) -> int:
         return len(self.times) * len(self.cells)
-
-    def csv_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The run's rows of the `time_s,cell,action,level` event table, as
-        float64, int64 and text columns: tick by tick, cells ascending.
-        `engine.Table.columns` reads them; `engine.export` writes the same
-        text from the run without them."""
-        n = len(self.cells)
-        return (
-            np.repeat(self.times, n),
-            np.tile(np.array(self.cells, dtype=np.int64), len(self.times)),
-            np.full(len(self), "FG"),
-            _LEVEL_NAMES[np.repeat(self.levels, n)],
-        )
-
-
-_LEVEL_NAMES = np.array([level.name for level in Level])
 
 
 @dataclass(frozen=True)
@@ -195,10 +163,3 @@ def playback(state: ChipState, n_ticks: int, start_s: float = 0.0) -> tuple[Chip
         period_s=(1 << state.regs.divider) / state.master_freq_hz,
     )
     return advance(state, n_ticks), run
-
-
-def event_from_row(time_s: float, cell: int, action: str, level: str) -> SwitchEvent:
-    """The event a row of the `time_s,cell,action,level` event table stands for."""
-    if action == "FG":
-        return SwitchEvent(time_s, cell, fg_level=Level[level])
-    return SwitchEvent(time_s, cell, lock_action=LockAction(action))

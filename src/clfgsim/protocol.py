@@ -78,13 +78,8 @@ class Frame:
             raise ValueError(f"data {self.data} not a 16-bit value")
 
 
-def encode_frame(frame: Frame) -> int:
-    """Pack a frame into its 32-bit wire word (MSB first)."""
-    return (frame.opcode << 24) | (frame.address << 16) | frame.data
-
-
 def decode_frame(word: int) -> Frame:
-    """Inverse of :func:`encode_frame`; rejects opcodes outside the command set."""
+    """The frame a 32-bit wire word carries (MSB first); rejects opcodes outside the command set."""
     if not 0 <= word <= 0xFFFFFFFF:
         raise ValueError(f"word 0x{word:x} wider than 32 bits")
     opcode = (word >> 24) & 0xFF

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from clfgsim import analog, engine
+from clfgsim import analog, engine, protocol
 
 
 @pytest.fixture
@@ -15,6 +15,12 @@ def default_cell() -> analog.ClfgCell:
 @pytest.fixture
 def rails() -> analog.SupplyRails:
     return analog.SupplyRails(v_high=0.1, v_low=-0.1, v_hold=-1.1)
+
+
+def encode_frame(frame: protocol.Frame) -> int:
+    """Pack a frame into its 32-bit wire word (MSB first): the inverse of
+    `protocol.decode_frame`, which the program never needs."""
+    return (frame.opcode << 24) | (frame.address << 16) | frame.data
 
 
 def make_scenario(**kwargs) -> engine.Scenario:

@@ -12,6 +12,8 @@ import pytest
 from clfgsim import analog, cli, device, engine, fsm, protocol, thermal
 from clfgsim.errors import SimulationError
 
+from conftest import encode_frame
+
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -333,7 +335,7 @@ def test_10_protocol_fuzz():
     ok = True
     for i in range(n):
         frame = protocol.Frame(int(opcodes[i]), int(addresses[i]), int(data[i]))
-        if protocol.decode_frame(protocol.encode_frame(frame)) != frame:
+        if protocol.decode_frame(encode_frame(frame)) != frame:
             ok = False
             break
 

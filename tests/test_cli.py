@@ -923,6 +923,45 @@ class TestIntPastFloatRange:
             assert "Traceback" not in err
 
 
+class TestUnwritableOut:
+    """An `--out` that cannot be written is exit 1 naming it, not a traceback:
+    a path that is a file, one under a file, or a directory holding a
+    directory where an output file goes."""
+
+    @staticmethod
+    def _argv(command: str, tmp_path: Path) -> list[str]:
+        mini = tmp_path / "mini.scn"
+        mini.write_text(json.dumps(MINIMAL))
+        stream = tmp_path / "cmds.txt"
+        stream.write_text(TestReplay.STREAM)
+        return {
+            "run": ["run", str(mini)],
+            "sweep": ["sweep", str(mini), "--axis", "rails.v_hold", "--values=-1.0,-0.9"],
+            "replay": ["replay", str(stream), "--duration", "0.001"],
+            "figures": ["figures", "fig4d"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "replay", "figures"])
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_out_that_is_not_a_directory_exits_1(self, command, where, tmp_path):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / {"file": "taken", "under-file": "taken/out"}[where]
+        code, stdout, err = _main([*self._argv(command, tmp_path), "--out", str(out)])
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write {out}: [Errno ") and err.count("\n") == 1
+        assert (tmp_path / "taken").read_text() == ""
+
+    @pytest.mark.parametrize("command, taken", [("run", "events.csv"), ("sweep", "sweep.csv"),
+                                                ("replay", "replay_state.json"),
+                                                ("figures", "manifest_fig4d.json")])
+    def test_output_file_that_is_a_directory_exits_1(self, command, taken, tmp_path):
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        code, _, err = _main([*self._argv(command, tmp_path), "--out", str(out)])
+        assert code == 1
+        assert err.startswith(f"error: cannot write {out}: [Errno 21] Is a directory: ")
+
+
 class TestReplay:
     STREAM = """
     # configure: ctrl=clock|fsm|playback, divider=15, pattern "10"

@@ -269,7 +269,7 @@ class TestGenericRun:
         assert engine.TraceBundle({}, {}).events == []
 
     def test_events_are_the_events_table_rows(self):
-        # `bench/` reads `TraceBundle.events`: one `fsm.SwitchEvent` per row.
+        # `bench/` reads `TraceBundle.events`: one `engine.SwitchEvent` per row.
         scenario = make_scenario(
             schedule=[*lock_then_open_schedule(0b10, 0.0), {"t": 0.0, "write": ["CTRL", 7]},
                       {"t": 0.0, "write": ["PULSE_MASK_LO", 1]}, {"t": 0.0, "write": ["DIVIDER", 15]},
@@ -279,9 +279,9 @@ class TestGenericRun:
         bundle = engine.run_generic(scenario)
         rows = bundle.tables["events"].rows
         assert {action for _, _, action, _ in rows} == {"CLOSE", "OPEN", "FG"}
-        assert bundle.events == [fsm.event_from_row(*row) for row in rows]
-        assert [ev.lock_action for ev in bundle.events[:2]] == [fsm.LockAction.CLOSE,
-                                                                  fsm.LockAction.OPEN]
+        assert bundle.events == [engine.event_from_row(*row) for row in rows]
+        assert [ev.lock_action for ev in bundle.events[:2]] == [engine.LockAction.CLOSE,
+                                                                  engine.LockAction.OPEN]
         assert {ev.fg_level for ev in bundle.events[2:]} == {analog.Level.LOW}  # PATTERN0 0
 
     def test_lock_release_injection_visible(self):
@@ -1515,12 +1515,12 @@ class TestBlockExport:
             assert _exported(table, Path(tmp, "blocks")) == expected
 
     def test_run_expands_no_tick_run(self, monkeypatch, tmp_path):
-        def expanded(self):
+        def expanded(run):
             raise AssertionError("a tick run was expanded into columns")
 
         path = tmp_path / "pulse.scn"
         path.write_text(json.dumps(_pulsing(1.0).raw))
-        monkeypatch.setattr(fsm.TickRun, "csv_columns", expanded)
+        monkeypatch.setattr(engine, "csv_columns", expanded)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "events.csv").read_text().splitlines()
         assert len(lines) == 1 + 2000 and lines[1] == "0.0,0,FG,HIGH"

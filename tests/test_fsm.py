@@ -188,7 +188,7 @@ class TestPlayback:
         assert len(run.times) == len(run.levels) == 140
         # Each tick is one time and one level for all pulsed cells, in order.
         assert run.cells == (0, 1, 2, 3, 4, 5)
-        times, cells, actions, levels = run.csv_columns()
+        times, cells, actions, levels = engine.csv_columns(run)
         assert cells[:6].tolist() == [0, 1, 2, 3, 4, 5]
         assert len(set(levels[:6])) == 1
         assert len(set(times[:6])) == 1

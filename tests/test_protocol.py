@@ -13,9 +13,10 @@ from clfgsim.protocol import (
     RegisterFile,
     apply_write,
     decode_frame,
-    encode_frame,
     parse_stream,
 )
+
+from conftest import encode_frame
 
 # The register map as README.md lists it, written out apart from
 # `protocol.REGISTERS`: address -> (name, lowest, highest value).

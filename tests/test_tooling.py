@@ -117,6 +117,19 @@ def test_register_access_is_checked_only_in_protocol():
     assert users == []
 
 
+def test_events_row_is_spelled_only_in_engine():
+    # `engine` makes, writes and reads the `time_s,cell,action,level` table,
+    # so the controller needs nothing of the cell physics.
+    tree = ast.parse((PACKAGE / "fsm.py").read_text(encoding="utf-8"))
+    package = {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+               for name in ([node.module] if node.module else [a.name for a in node.names])}
+    assert package == {"errors", "protocol"}
+    spellers = [(path.name, token) for path in PACKAGE.glob("*.py") if path.name != "engine.py"
+                for token in ('"FG"', "'FG'", "csv_columns", "event_from_row")
+                if token in path.read_text(encoding="utf-8")]
+    assert spellers == []
+
+
 def test_cli_import_leaves_scipy_out():
     # SciPy is a test dependency only: the program must not load it.
     code = "import sys, clfgsim.cli; print('scipy' in sys.modules)"
