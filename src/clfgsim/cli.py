@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -57,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a scenario once per value of an axis")
     p.add_argument("scenario")
-    p.add_argument("--axis", help="dotted config path (default: scenario sweep block)")
-    p.add_argument("--values", help="comma-separated values (default: sweep block)")
+    p.add_argument("--axis", help="dotted config path (default: the scenario's sweep block)")
+    p.add_argument("--values", help="comma-separated values; with --axis, replace the sweep block")
 
     p = sub.add_parser("replay", help="feed a raw hex command stream to the chip")
     p.add_argument("stream", help="file of 8-hex-digit words, one per line")
@@ -108,19 +109,18 @@ def _csv_field(value) -> str:
 
 def _cmd_sweep(args) -> int:
     scenario = engine.load_scenario(args.scenario, args.override)
-    if args.axis is not None:
-        axis = args.axis
-        if args.values is None:
-            raise ScenarioError("--values required when --axis is given")
+    if (args.axis is None) != (args.values is None):
+        given, missing = ("--axis", "--values") if args.values is None else ("--values", "--axis")
+        raise ScenarioError(f"{missing} required when {given} is given")
+    if args.axis is not None:  # the flags replace the sweep block, before its points are made
         # Parsed like --override: after the value the axis holds now.
-        values = [engine._coerce_like(scenario.raw, axis, v) for v in args.values.split(",")]
-    elif args.values is not None:
-        raise ScenarioError("--axis required when --values is given")
-    elif scenario.sweep is not None:
-        axis, values = scenario.sweep.axis, scenario.sweep.values
-    else:
+        values = [engine._coerce_like(scenario.raw, args.axis, v) for v in args.values.split(",")]
+        doc = engine.set_axis(scenario.raw, "sweep", {"axis": args.axis, "values": values})
+        scenario = replace(engine.build_scenario(doc), overrides=scenario.overrides)
+    if scenario.sweep is None:
         raise ScenarioError("scenario has no sweep block and no --axis given")
-    summaries = [bundle.summary for bundle in engine.sweep(scenario, args.axis, values)]
+    axis, values = scenario.sweep.axis, scenario.sweep.values
+    summaries = [bundle.summary for bundle in engine.sweep(scenario)]
     # One column per cell any run traced (a sweep may move them), in
     # first-seen order; a run that did not trace a cell leaves it empty.
     finals = [summary["v_out_final"] for summary in summaries]

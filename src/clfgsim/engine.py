@@ -714,25 +714,27 @@ def _block_text(block: Block) -> Iterator[str]:
 
 
 def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
-    """Write one CSV per table, block by block, plus the JSON run manifest
-    that `run_scenario` set, into `outdir` (made if missing), refusing a failed write."""
+    """Write one CSV per table, block by block, and the manifest `run_scenario` set
+    into `outdir` (made if missing); refuse a failed write, removing this call's files."""
     outdir = Path(outdir)
+    files = [(outdir / f"{key}.csv", chain([",".join(table.header) + "\n"],
+                                           *map(_block_text, table.blocks)))
+             for key, table in sorted(bundle.tables.items())]
+    manifest = dict(bundle.manifest, outputs=[path.name for path, _ in files])
+    files.append((outdir / f"manifest_{manifest['name']}.json",
+                  [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]))
     written = []
     with refusing(f"cannot write {outdir}"):
         outdir.mkdir(parents=True, exist_ok=True)
-        for key in sorted(bundle.tables):
-            table = bundle.tables[key]
-            path = outdir / f"{key}.csv"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(",".join(table.header) + "\n")
-                for block in table.blocks:
-                    fh.writelines(_block_text(block))
-            written.append(path)
-        manifest = dict(bundle.manifest)
-        manifest["outputs"] = [p.name for p in written]
-        mpath = outdir / f"manifest_{manifest['name']}.json"
-        mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
-    written.append(mpath)
+        try:
+            for path, lines in files:
+                with open(path, "w", encoding="utf-8") as fh:
+                    written.append(path)
+                    fh.writelines(lines)
+        except BaseException:  # no output directory holds tables without their manifest
+            for path in written:
+                path.unlink(missing_ok=True)
+            raise
     return written
 
 
@@ -1119,7 +1121,8 @@ def run_scenario(scenario: Scenario) -> TraceBundle:
 
 
 def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]:
-    """`base` with `axis` set to each value, in order: each point equals
+    """The points of `base`'s `sweep` block, made by `build_scenario` only:
+    `base` with `axis` set to each value, in order.  Each point equals
     `build_scenario(set_axis(base.raw, axis, value))`, the oracle, or is
     refused with its message, as a ScenarioError naming the axis.
 
@@ -1151,10 +1154,7 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
     return points
 
 
-def sweep(scenario: Scenario, axis: str | None = None,
-          values: Iterable = ()) -> Iterator[TraceBundle]:
-    """Generic runs of the scenario's own sweep `points`, made at load, or of
-    `axis` set to each of `values`, in order, all built first (`_sweep_points`);
-    each point runs as it is read, so one point's tables are held at a time."""
-    points = scenario.points if axis is None else _sweep_points(scenario, axis, values)
-    return map(run_generic, points)
+def sweep(scenario: Scenario) -> Iterator[TraceBundle]:
+    """Generic runs of the scenario's `sweep` block's points, made at load, in order,
+    each as it is read, so one point's tables are held at a time: the only sweep."""
+    return map(run_generic, scenario.points)

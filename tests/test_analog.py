@@ -566,6 +566,16 @@ class TestStateTransitions:
                 action()
             assert str(got.value) == str(want.value)
 
+    @given(cell=any_cell_states, back=st.floats(1e-9, 1.0), level=st.sampled_from(Level))
+    @settings(max_examples=100, deadline=None)
+    def test_fast_gate_edge_on_a_floating_cell_refuses_a_time_before_the_last_event(
+            self, cell, back, level):
+        # A locked cell only records the level, at any time.
+        cell, t = cell._replace(lock_closed=False), cell.t_last - back
+        with pytest.raises(ValueError) as got:
+            apply_fg(cell, level, t, SupplyRails())
+        assert str(got.value) == f"time {t} precedes last event at {cell.t_last}"
+
     @given(cell=any_cell_states, v=finite_volts)
     @settings(max_examples=200, deadline=None)
     def test_set_hold_couples_as_couple_hold(self, cell, v):

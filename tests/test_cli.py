@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -288,6 +289,11 @@ class TestValidate:
         for name in cli.BUNDLED:
             assert cli.main(["validate", str(cli.bundled_scenario_path(name))]) == 0
         assert "ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["fig9z", "all"])
+    def test_unknown_bundled_name_is_refused(self, name):
+        with pytest.raises(engine.ScenarioError, match=f"^no bundled scenario {re.escape(repr(name))}$"):
+            cli.bundled_scenario_path(name)
 
     def test_missing_file(self, capsys):
         assert cli.main(["validate", "/nonexistent.scn"]) == 1
@@ -839,6 +845,55 @@ class TestSweepCommand:
         assert [row[0] for row in rows] == [engine._format_cell(v) for v in values]
         assert all(len(row) == len(header) for row in rows)
 
+    @pytest.mark.parametrize("name, axis, values, overrides", [
+        ("mini", "traces.cells.0", [0, 1], []),
+        ("mini", "traces.cells.0", [1, 0], ["rails.v_hold=-1.2"]),
+        ("fig3c", "rails.v_hold", [-0.3, -0.9], []),
+        ("fig3c", "rails.v_hold", [-0.6], ["analog.leak_rate=1e-3"]),
+    ])
+    def test_flags_sweep_the_document_with_their_block(self, name, axis, values, overrides,
+                                                       tmp_path):
+        # The flags replace the document's sweep block before its points are
+        # made, so both write the same bytes, the manifest's hash included.
+        doc = _mini() if name == "mini" else json.loads(cli.bundled_scenario_path(name).read_text())
+        plain, block = tmp_path / "plain.scn", tmp_path / "block.scn"
+        plain.write_text(json.dumps(doc))
+        block.write_text(json.dumps(dict(doc, sweep={"axis": axis, "values": values})))
+        flags = [arg for text in overrides for arg in ("--override", text)]
+        argv = ["sweep", str(plain), "--axis", axis, f"--values={','.join(map(str, values))}"]
+        assert cli.main([*argv, *flags, "--out", str(tmp_path / "flags")]) == 0
+        assert cli.main(["sweep", str(block), *flags, "--out", str(tmp_path / "block")]) == 0
+        written = {path.name: path.read_bytes() for path in (tmp_path / "flags").iterdir()}
+        assert written == {path.name: path.read_bytes() for path in (tmp_path / "block").iterdir()}
+        assert sorted(written) == [f"manifest_{doc['name']}.json", "sweep.csv"]
+
+    def test_manifest_hashes_the_swept_values(self, tmp_path):
+        # The flags' values were not in the hashed document: both manifests
+        # were byte-identical while their sweep.csv files differed.
+        path = str(cli.bundled_scenario_path("fig3e"))
+        manifests = []
+        for values in ("-1,-2", "-3,-4"):
+            out = tmp_path / values
+            argv = ["sweep", path, "--axis", "rails.v_hold", f"--values={values}", "--out", str(out)]
+            assert cli.main(argv) == 0
+            manifests.append(json.loads((out / "manifest_fig3e.json").read_text()))
+        first, second = (manifest.pop("config_sha256") for manifest in manifests)
+        assert first != second and manifests[0] == manifests[1]
+
+    @pytest.mark.parametrize("name, axis, text", [
+        ("fig3b", "name", "a,b"), ("fig3c", "name", "1x,b"), ("fig3b", "seed", "nan"),
+        ("fig3c", "seed", "1,inf"),
+    ])
+    def test_flag_values_the_table_cannot_write_are_refused(self, name, axis, text, tmp_path):
+        # They ran as generic points with exit 0, where the same values in the
+        # block are refused; the flags now write that block.
+        out = tmp_path / "out"
+        argv = ["sweep", str(cli.bundled_scenario_path(name)), "--axis", axis, f"--values={text}"]
+        code, stdout, err = _main([*argv, "--out", str(out)])
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: axis {axis!r}: {name} writes floats: ") and "\n" == err[-1]
+        assert not out.exists()
+
     def test_sweep_block_values_are_built_at_load(self, tmp_path):
         # A value no point can take was validate 0 and run 0 (a generic run
         # never read the block), and only `sweep` refused it.
@@ -960,6 +1015,10 @@ class TestUnwritableOut:
         code, _, err = _main([*self._argv(command, tmp_path), "--out", str(out)])
         assert code == 1
         assert err.startswith(f"error: cannot write {out}: [Errno 21] Is a directory: ")
+        # `export` removes what it wrote: `run` left cells.csv and `figures`
+        # fig4d.csv.  `replay` writes its state after `export`, whose files stay.
+        if command != "replay":
+            assert [path.name for path in out.iterdir()] == [taken]
 
 
 class TestReplay:

@@ -76,6 +76,10 @@ class TestReadout:
         with pytest.raises(SimulationError, match=r"^sample rate 5e\+07 Hz < 10 x bandwidth 1e\+07 Hz$"):
             tank_signal(slow, conductance(dot, {"sdp": np.zeros(10)}))
 
+    def test_scalar_conductance_is_refused(self, tank):
+        with pytest.raises(ValueError, match=r"^the conductance trace must be a sampled array$"):
+            tank_signal(tank, 1e-6)
+
     def test_edge_rise_time_set_by_bandwidth(self, dot, tank):
         # A sharp step in conductance comes out with a 10-90% rise of
         # ln(9)/(2 pi BW) ~ 35 ns, regardless of how fast the input edge is.
@@ -150,6 +154,15 @@ class TestEnvelope:
     def test_axis_mismatch(self, dot, tank):
         with pytest.raises(SimulationError, match=r"^sweep axes differ: pulsed 5, low 5, high 4$"):
             envelope_check(dot, tank, np.zeros((5, 100)), np.zeros(5), np.zeros(4))
+
+    @pytest.mark.parametrize("pulsed, settle, message", [
+        (np.zeros(5), 0.5, r"pulsed_trace must be 2-D \(sweep x time\)"),
+        (np.zeros((5, 100)), 1.0, r"settle_fraction must be in \[0, 1\)"),
+        (np.zeros((5, 100)), -0.1, r"settle_fraction must be in \[0, 1\)"),
+    ], ids=["one_d", "settle_one", "settle_negative"])
+    def test_refused_arguments(self, dot, tank, pulsed, settle, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            envelope_check(dot, tank, pulsed, np.zeros(5), np.zeros(5), settle)
 
 
 class TestDriftRecovery:

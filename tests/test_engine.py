@@ -818,9 +818,15 @@ class TestSweep:
             traces={"sample_rate_hz": 10.0, "kinds": ["cells"], "cells": [0]},
         )
 
+    @staticmethod
+    def _swept(base, axis, values):
+        """`base`'s document with the sweep block `{"axis": axis, "values": values}`, built."""
+        return build_scenario(engine.set_axis(base.raw, "sweep", {"axis": axis, "values": values}))
+
     def test_single_point_sweep_equals_run(self):
-        scenario = self._scenario()
-        [swept] = engine.sweep(scenario, "rails.v_hold", [-1.1])
+        assert self._scenario().points == ()  # no block, no points
+        scenario = self._swept(self._scenario(), "rails.v_hold", [-1.1])
+        [swept] = engine.sweep(scenario)
         direct = engine.run_generic(scenario)
         assert swept.tables["cells"].rows == direct.tables["cells"].rows
         assert swept.summary == direct.summary
@@ -828,7 +834,7 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(ScenarioError,
                            match=r"^axis 'rails.nope': rails: unknown key\(s\) \['nope'\]$"):
-            engine.sweep(self._scenario(), "rails.nope", [1.0])
+            self._swept(self._scenario(), "rails.nope", [1.0])
 
     def test_fig3b_point_makes_one_call_per_lock_action(self, monkeypatch):
         # Five closes and five opens, each one transition at its own time
@@ -844,7 +850,7 @@ class TestSweep:
         ran = []
         real = engine.run_generic
         monkeypatch.setattr(engine, "run_generic", lambda point: ran.append(point) or real(point))
-        bundles = engine.sweep(self._scenario(), "rails.v_hold", [-1.1, -1.0, -0.9])
+        bundles = engine.sweep(self._swept(self._scenario(), "rails.v_hold", [-1.1, -1.0, -0.9]))
         assert ran == []  # every point is built, none run
         next(bundles)
         assert len(ran) == 1
@@ -855,7 +861,7 @@ class TestSweep:
         monkeypatch.setattr(engine, "run_generic", ran.append)
         with pytest.raises(ScenarioError, match=r"^axis 'rails.v_hold': rails.v_hold: expected"
                            r" finite numbers, got 'x'$"):
-            engine.sweep(self._scenario(), "rails.v_hold", [-1.1, "x"])
+            engine.sweep(self._swept(self._scenario(), "rails.v_hold", [-1.1, "x"]))
         assert ran == []
 
     @staticmethod
@@ -926,27 +932,18 @@ class TestSweep:
         assert len(made) == len(base.sweep.values)  # the run makes none again
         assert all(point.points == () for point in base.points)
 
-    def test_points_run_only_on_the_own_sweep(self):
-        base = engine.load_scenario(cli.bundled_scenario_path("fig3c"))
-        assert engine.load_scenario(cli.bundled_scenario_path("fig3e")).points == ()
-        axis, values = base.sweep.axis, base.sweep.values
-        own = [b.tables["cells"].rows for b in engine.sweep(base, axis, values)]
-        again = [b.tables["cells"].rows for b in engine.sweep(base, axis, list(values))]
-        assert own == again
-        [last] = engine.sweep(base, axis, values[-1:])  # other values: made as asked
-        assert last.tables["cells"].rows == own[-1]
-
     def test_other_axis_builds_each_point(self, monkeypatch):
         base = self._scenario()
         calls = self._count_builds(monkeypatch)
-        bundles = list(engine.sweep(base, "traces.cells.0", [0, 1, 2]))
+        points = engine._sweep_points(base, "traces.cells.0", [0, 1, 2])
+        bundles = list(map(engine.run_generic, points))
         assert len(calls) == 3 and len(bundles) == 3
 
     def test_dac_axis_on_another_item_is_refused(self):
         base = engine.load_scenario(cli.bundled_scenario_path("fig3b"))
         assert base.schedule[4].frame is not None  # item 4 is an `exec`
         with pytest.raises(ScenarioError) as refused:
-            engine.sweep(base, "schedule.4.dac.v_hold", [-0.8])
+            engine._sweep_points(base, "schedule.4.dac.v_hold", [-0.8])
         assert str(refused.value) == ("axis 'schedule.4.dac.v_hold': schedule[4]:"
                                       " expected one of write/read/exec/nop/word/dac")
 

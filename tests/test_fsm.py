@@ -53,6 +53,11 @@ def pulsing(pattern0=0x8000, pattern_len=2, divider=8, pulse_mask=1) -> ChipStat
 
 
 class TestStep:
+    @pytest.mark.parametrize("hz", [0.0, -1.0])
+    def test_master_clock_must_be_positive(self, hz):
+        with pytest.raises(ValueError, match=r"^master_freq_hz must be positive$"):
+            ChipState(master_freq_hz=hz)
+
     def test_write_never_changes_mode(self):
         state = ChipState()
         state, resp = step(state, write(protocol.DIVIDER, 8))

@@ -121,6 +121,11 @@ class TestRegisterFile:
         bits = [regs.pattern_bit(c) for c in range(protocol.PATTERN_BITS)]
         assert bits == [1, 0] * 64
 
+    @pytest.mark.parametrize("cursor", [-1, protocol.PATTERN_BITS])
+    def test_pattern_bit_outside_the_pattern_is_refused(self, cursor):
+        with pytest.raises(ValueError, match=f"^cursor {cursor} outside 0\\.\\.127$"):
+            RegisterFile().pattern_bit(cursor)
+
     def test_pattern_len_bounds(self):
         with pytest.raises(SimulationError, match=r"^PATTERN_LEN=0 outside \[1\.\.128\]$"):
             apply_write(RegisterFile(), protocol.PATTERN_LEN, 0)

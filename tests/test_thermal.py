@@ -61,6 +61,11 @@ class TestTotalPower:
         model = PowerModel(static_floor_w=3e-9)
         assert total_power(0, 0.0, 0.1, DEFAULT, model) == 3e-9
 
+    @pytest.mark.parametrize("n", [-1, -0.5])
+    def test_negative_cell_count_is_refused(self, n):
+        with pytest.raises(ValueError, match=r"^n_cells must be non-negative$"):
+            total_power(n, 1e6, 0.1, DEFAULT, PowerModel())
+
     def test_measured_coefficient_projection(self):
         # 18 nW/MHz per cell at 0.1 V: 1000 cells at 1 MHz cost 18 uW.
         model = PowerModel()

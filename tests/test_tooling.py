@@ -130,6 +130,33 @@ def test_events_row_is_spelled_only_in_engine():
     assert spellers == []
 
 
+def test_sweep_points_are_made_only_by_build_scenario():
+    # A sweep has one representation, the document's `sweep` block: the
+    # `sweep` command's flags write it, and `engine.sweep` runs its points.
+    tree = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
+    [sweep] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "sweep"]
+    assert [arg.arg for arg in sweep.args.args] == ["scenario"]
+    assert not (sweep.args.vararg or sweep.args.kwonlyargs or sweep.args.kwarg)
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(outer, ast.FunctionDef):
+                callers += [(path.name, outer.name) for node in ast.walk(outer)
+                            if isinstance(node, ast.Call)
+                            and "_sweep_points" in (getattr(node.func, "id", None),
+                                                    getattr(node.func, "attr", None))]
+    assert callers == [("engine.py", "build_scenario")]
+
+
+@pytest.mark.parametrize("path", sorted(
+    path.relative_to(ROOT) for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py")
+), ids=str)
+def test_source_parses_as_python_3_10(path):
+    # The oldest interpreter the package supports: no syntax newer than 3.10.
+    ast.parse((ROOT / path).read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_cli_import_leaves_scipy_out():
     # SciPy is a test dependency only: the program must not load it.
     code = "import sys, clfgsim.cli; print('scipy' in sys.modules)"
