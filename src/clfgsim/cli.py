@@ -108,15 +108,15 @@ def _csv_field(value) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = engine.load_scenario(args.scenario, args.override)
     if (args.axis is None) != (args.values is None):
         given, missing = ("--axis", "--values") if args.values is None else ("--values", "--axis")
         raise ScenarioError(f"{missing} required when {given} is given")
-    if args.axis is not None:  # the flags replace the sweep block, before its points are made
+    raw = engine.apply_overrides(engine.read_document(args.scenario), args.override)
+    if args.axis is not None:  # the flags replace the sweep block, which is never built
         # Parsed like --override: after the value the axis holds now.
-        values = [engine._coerce_like(scenario.raw, args.axis, v) for v in args.values.split(",")]
-        doc = engine.set_axis(scenario.raw, "sweep", {"axis": args.axis, "values": values})
-        scenario = replace(engine.build_scenario(doc), overrides=scenario.overrides)
+        values = [engine._coerce_like(raw, args.axis, v) for v in args.values.split(",")]
+        raw = engine.set_axis(raw, "sweep", {"axis": args.axis, "values": values})
+    scenario = replace(engine.build_scenario(raw), overrides=tuple(args.override))
     if scenario.sweep is None:
         raise ScenarioError("scenario has no sweep block and no --axis given")
     axis, values = scenario.sweep.axis, scenario.sweep.values

@@ -18,14 +18,13 @@ import dataclasses
 import hashlib
 import json
 import math
-import re
 import struct
 from bisect import bisect_left
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, partial
+from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -197,40 +196,46 @@ def refusing(what: str, errors=OSError):
         raise ScenarioError(f"{what}: {exc}") from exc
 
 
-def _finite(value) -> bool:
-    """Whether `value` holds no bool, no float that is not finite (JSON's
-    NaN and Infinity) and no int past float range, at any depth: what a
-    number field may hold."""
-    if isinstance(value, (float, int)) and not isinstance(value, bool):
-        with suppress(OverflowError):  # an int that float() cannot hold
-            return math.isfinite(value)
-        return False
-    if isinstance(value, (dict, list, tuple)):
-        return all(map(_finite, value.values() if isinstance(value, dict) else value))
-    return not isinstance(value, bool)
-
-
 def _number(value, convert=float):
-    """`convert(value)`, for a number parsed outside a parameter type; a
-    value or result that `_finite` refuses, or a float that `convert`
-    changes (5.9 where an int is due), is a ValueError."""
-    if _finite(value) and _finite(number := convert(value)) and (
-        number == value or not isinstance(value, float)
-    ):
-        return number
+    """`convert(value)` for a number a document gives, the one rule in every
+    section: an int or a float, not a bool and not text, finite, an int only
+    within float range and, where `convert` is int, a whole number (5.0
+    reads as 5, 3.7 is refused).  Anything else is a ValueError."""
+    with suppress(OverflowError):  # an int past float range
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value) and (convert is float or value == int(value))):
+            return convert(value)
     raise ValueError(f"expected a finite {convert.__name__}, got {value!r}")
 
 
-@cache
-def _number_fields(cls) -> dict[str, tuple[type, ...]]:
-    """The fields of parameter type `cls` typed with `float` or `int`, each
-    with the types it takes: a sequence or object for a collection, else a
-    number, or None too where the field's type allows it."""
-    return {
-        f.name: (list, tuple, dict) if re.search(r"tuple|Mapping", f.type)
-        else (int, float, type(None)) if "None" in f.type else (int, float)
-        for f in dataclasses.fields(cls) if re.search(r"\b(float|int)\b", f.type)
-    }
+def _list_of(value, read=_number) -> tuple:
+    """Each item of a list through `read`."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(map(read, value))
+
+
+def _floats_by_name(value) -> dict:
+    """Each value of an object through `_number`."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"expected an object, got {value!r}")
+    return {key: _number(v) for key, v in value.items()}
+
+
+def _float_or_none(value) -> float | None:
+    return None if value is None else _number(value)
+
+
+_INT = partial(_number, convert=int)
+# How `_build_section` reads each number field of a parameter type, by its
+# annotation: every number goes through `_number`, one value at a time.
+_READERS = {
+    "float": _number,
+    "float | None": _float_or_none,
+    "tuple[int, ...]": partial(_list_of, read=_INT),
+    "tuple[tuple[float, float], ...]": partial(_list_of, read=_list_of),
+    "Mapping[str, float]": _floats_by_name,
+}
 
 
 def _object(raw, where: str) -> Mapping:
@@ -242,20 +247,19 @@ def _object(raw, where: str) -> Mapping:
 def _build_section(cls, raw, where: str):
     """Build parameter type `cls` from a section, whose keys are its fields.
 
-    A field typed with `float` or `int` holds only what `_finite` accepts,
-    of the JSON types `_number_fields` gives it; one that takes a single
-    number gets it as a float, so a JSON 1 is 1.0 wherever it goes.
+    Each field typed with numbers is read by its annotation's `_READERS`
+    entry, so each number in it goes through `_number`, and a field that
+    holds one float gets a float: a JSON 1 is 1.0 wherever it goes.
     """
-    unknown = set(_object(raw, where)) - {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    unknown = set(_object(raw, where)) - {f.name for f in fields}
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
     args = dict(raw)
-    for key, value in raw.items():
-        types = _number_fields(cls).get(key)
-        if types and not (_finite(value) and isinstance(value, types)):
-            raise ScenarioError(f"{where}.{key}: expected finite numbers, got {value!r}")
-        if types and float in types and value is not None:
-            args[key] = float(value)
+    for field in fields:
+        if field.name in raw and field.type in _READERS:
+            with _section(f"{where}.{field.name}"):
+                args[field.name] = _READERS[field.type](raw[field.name])
     with _section(where):
         return cls(**args)
 
@@ -268,9 +272,8 @@ def _gate_source(dot: devmod.DotDevice, gate: str, raw) -> GateSource:
         raise ScenarioError(f"device: gate {gate!r} needs one of cell/dac/const")
     (kind, value), = raw.items()
     with _section(f"device: gate {gate!r}"):
-        if kind == "cell" and not (isinstance(value, int) and _finite(value)
-                                   and 0 <= value < N_CELLS):
-            raise ValueError(f"cell {value!r} is not an index 0..{N_CELLS - 1}")
+        if kind == "cell" and not 0 <= (value := _INT(value)) < N_CELLS:
+            raise ValueError(f"cell {value} is not an index 0..{N_CELLS - 1}")
         if kind == "dac" and not isinstance(value, str):
             raise TypeError(f"dac {value!r} is not a name")
         if kind == "const":
@@ -289,13 +292,13 @@ def _parse_register(ref) -> int:
         if ref in protocol.NAME_TO_ADDRESS:
             return protocol.NAME_TO_ADDRESS[ref]
         raise ScenarioError(f"unknown register name {ref!r}")
-    return _number(ref, int)
+    return _INT(ref)
 
 
 def _parse_int(value) -> int:
     if isinstance(value, str):
         return int(value, 0)
-    return _number(value, int)
+    return _INT(value)
 
 
 def _parse_schedule_item(raw, index: int, dacs: Collection[str]) -> ScheduleItem:
@@ -384,14 +387,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
         bud_raw = praw.pop("budget", None)
         power = _build_section(thermal.PowerModel, praw, "power")
         if cal_raw is not None:
-            cal_raw = dict(_object(cal_raw, "power.calibration"))
-            with _section("power.calibration"):
-                cal_raw["points"] = tuple(
-                    (_number(p), _number(t)) for p, t in cal_raw.get("points", ())
-                )
-            calibration = _build_section(
-                thermal.ThermalCalibration, cal_raw, "power.calibration"
-            )
+            calibration = _build_section(thermal.ThermalCalibration, cal_raw, "power.calibration")
         if bud_raw is not None:
             budget = _build_section(thermal.CoolingBudget, bud_raw, "power.budget")
 
@@ -476,12 +472,16 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     return scenario
 
 
-def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
+def read_document(path: str | Path):
+    """The JSON document in the file at `path`, not yet built."""
     # ValueError: bad JSON, or an int of too many digits.
     with refusing(f"cannot load scenario {path}", (OSError, ValueError)):
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    return with_overrides(raw, overrides)
+            return json.load(fh)
+
+
+def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
+    return with_overrides(read_document(path), overrides)
 
 
 # ---------------------------------------------------------------------------

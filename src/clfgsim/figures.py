@@ -153,14 +153,6 @@ _TRACES = {"fig3b": ("conductance",), "fig3c": ("cells",), "fig3e": ("cells", "h
            "fig3f": ("cells",), "fig3g": ("readout",)}
 
 
-def _list_of(convert):
-    def convert_list(value) -> list:
-        if not isinstance(value, list):
-            raise TypeError(f"expected a list, got {value!r}")
-        return [convert(v) for v in value]
-    return convert_list
-
-
 def _at_least(low, convert):
     """`convert`, refusing a result below `low` as a float (so past float range too)."""
     def checked(value):
@@ -170,9 +162,9 @@ def _at_least(low, convert):
     return checked
 
 
-_FLOAT, _INT = engine._number, partial(engine._number, convert=int)
-_FLOATS = _list_of(_FLOAT)
-_FREQS, _COUNTS = _list_of(_at_least(0, _FLOAT)), _list_of(_at_least(0, _INT))
+_FLOAT, _INT, _FLOATS = engine._number, engine._INT, engine._list_of
+_FREQS = partial(engine._list_of, read=_at_least(0, _FLOAT))
+_COUNTS = partial(engine._list_of, read=_at_least(0, _INT))
 # `figure_params` each driver reads: key -> (conversion, default); a key
 # with no default (None) must be given, and no other key is read.
 _PARAMS = {
@@ -181,7 +173,8 @@ _PARAMS = {
     "fig3f": {"cell": (_INT, None), "pulse_gate": (str, None), "sweep_gate": (str, None),
               "v_sdp_values": (_FLOATS, None), "pulse_start_s": (_FLOAT, None),
               "settle_fraction": (_FLOAT, 0.5)},
-    "fig4b": {"swing": (_FLOAT, 0.1), "n_cells": (_list_of(_at_least(1, _INT)), (1, 2, 3, 4, 5, 6)),
+    "fig4b": {"swing": (_FLOAT, 0.1),
+              "n_cells": (partial(engine._list_of, read=_at_least(1, _INT)), (1, 2, 3, 4, 5, 6)),
               "f_values": (_FREQS, None)},
     "fig4d": {"swing_values": (_FLOATS, None), "f_values": (_FREQS, None)},
     "fig4e": {"swing": (_FLOAT, 0.1), "n_values": (_COUNTS, None), "f_values": (_FREQS, None)},

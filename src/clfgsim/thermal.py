@@ -49,7 +49,7 @@ class PowerModel:
 class ThermalCalibration:
     """Measured (power, temperature) points above a zero-power base."""
 
-    points: tuple[tuple[float, float], ...]
+    points: tuple[tuple[float, float], ...] = ()
     base_temperature_k: float = 0.036
 
     def __post_init__(self) -> None:

@@ -860,7 +860,7 @@ class TestSweep:
         ran = []
         monkeypatch.setattr(engine, "run_generic", ran.append)
         with pytest.raises(ScenarioError, match=r"^axis 'rails.v_hold': rails.v_hold: expected"
-                           r" finite numbers, got 'x'$"):
+                           r" a finite float, got 'x'$"):
             engine.sweep(self._swept(self._scenario(), "rails.v_hold", [-1.1, "x"]))
         assert ran == []
 

@@ -1,13 +1,17 @@
 """Checks that tools and documents outside the package stay in step with it:
 the benchmark's trace mode wraps clfgsim functions by name, its workloads'
 closed-form row counts match the ones counted at load, README.md lists each
-scenario section's keys and each figure's `figure_params`; and checks on
-the package's own structure."""
+scenario section's keys and each figure's `figure_params`, and every number
+field it lists refuses what is no number; and checks on the package's own
+structure."""
 import ast
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from clfgsim import analog, device, engine, figures, thermal
+from clfgsim import analog, cli, device, engine, figures, thermal
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -219,15 +223,15 @@ def test_readme_schema_table_lists_the_accepted_keys(section):
     assert _readme_tables().get(section) == SCHEMA_KEYS[section]
 
 
-def _readme_figure_params() -> dict[str, dict[str, str]]:
-    """figure -> key -> default column, from the README's `figure_params`
-    table, whose rows start with the figure's name."""
-    listed: dict[str, dict[str, str]] = {}
+def _readme_figure_params() -> dict[str, dict[str, tuple[str, str]]]:
+    """figure -> key -> (type, default) columns, from the README's
+    `figure_params` table, whose rows start with the figure's name."""
+    listed: dict[str, dict[str, tuple[str, str]]] = {}
     for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
         if re.match(r"\| fig\w+ \|", line):
-            _, figure, keys, _type, default, _ = (cell.strip() for cell in line.split("|"))
+            _, figure, keys, type_, default, _ = (cell.strip() for cell in line.split("|"))
             for key in re.findall(r"`([^`]+)`", keys):
-                listed.setdefault(figure, {})[key] = default
+                listed.setdefault(figure, {})[key] = (type_, default)
     return listed
 
 
@@ -238,4 +242,84 @@ def test_readme_figure_params_table_matches_the_drivers():
     }
     for figure, table in figures._PARAMS.items():
         for key, (_convert, default) in table.items():
-            assert (listed[figure][key] == "required") == (default is None), (figure, key)
+            assert (listed[figure][key][1] == "required") == (default is None), (figure, key)
+
+
+# The parameter types each typed section of the README schema is built into.
+SECTION_TYPES = {
+    "chip": (engine.ChipConfig,), "analog": (analog.CellParams,), "rails": (analog.SupplyRails,),
+    "device": (device.DotDevice, device.TankReadout), "power": (thermal.PowerModel,),
+    "power.calibration": (thermal.ThermalCalibration,), "power.budget": (thermal.CoolingBudget,),
+    "traces": (engine.TraceConfig,),
+}
+# How one number sits in a field of each annotation, and what it is due as.
+_ONE, _LIST = (lambda v: v), (lambda v: [v])
+_PLACES = {
+    "float": (_ONE, "float"),
+    "float | None": (_ONE, "float"),
+    "Mapping[str, float]": (lambda v: {"lw": v}, "float"),
+    "tuple[int, ...]": (_LIST, "int"),
+    "tuple[tuple[float, float], ...]": (lambda v: [[v, 0.1], [2e-6, 0.2]], "float"),
+}
+# A document that loads, with every section the number fields need.
+_LOADS = {"schema_version": 1, "duration_s": 1.0,
+          "power": {"calibration": {"points": [[1e-6, 0.1], [2e-6, 0.2]]}}}
+_GATE = {"levers": {"lw": 0.2}, "gate_sources": {"lw": {}}}
+
+
+def _number_places() -> list:
+    """(where, due, doc, axis, wrap) for every number a document gives, `doc`
+    with `wrap(value)` at `axis` putting a value there: each number field of
+    the README schema tables, `duration_s`, the schedule's `t` and `dac`
+    values, `cell_targets`, a gate source's `const` and `cell`, and each
+    number of the README's `figure_params` table."""
+    places = []
+    for section, keys in sorted(_readme_tables().items()):
+        for cls in SECTION_TYPES.get(section, ()):
+            for field in dataclasses.fields(cls):
+                if field.name in keys and re.search(r"\b(float|int)\b", field.type):
+                    wrap, due = _PLACES[field.type]
+                    axis = f"{section}.{field.name}"
+                    places.append(pytest.param(axis, due, _LOADS, axis, wrap, id=axis))
+    for where, due, doc, axis in [
+        ("duration_s", "float", _LOADS, "duration_s"),
+        ("schedule[0]", "float", dict(_LOADS, schedule=[{"t": 0.0, "nop": True}]), "schedule.0.t"),
+        ("schedule[0]", "float", dict(_LOADS, schedule=[{"t": 0.0, "dac": {}}]),
+         "schedule.0.dac.v_hold"),
+        ("cell_targets", "float", _LOADS, "cell_targets.3"),
+        ("device: gate 'lw'", "float", dict(_LOADS, device=_GATE), "device.gate_sources.lw.const"),
+        ("device: gate 'lw'", "int", dict(_LOADS, device=_GATE), "device.gate_sources.lw.cell"),
+    ]:
+        places.append(pytest.param(where, due, doc, axis, _ONE, id=axis))
+    for figure, keys in sorted(_readme_figure_params().items()):
+        doc = json.loads((PACKAGE / "scenarios" / f"{figure}.scn").read_text(encoding="utf-8"))
+        for key, (type_, _default) in keys.items():
+            if type_ != "string":
+                due, wrap = re.search("int|float", type_)[0], _LIST if "list" in type_ else _ONE
+                places.append(pytest.param(f"figure_params: {key}", due, doc,
+                                           f"figure_params.{key}", wrap, id=f"{figure}.{key}"))
+    return places
+
+
+@pytest.mark.parametrize("where, due, doc, axis, wrap", _number_places())
+@pytest.mark.parametrize("value", ["0.5", True, math.nan, math.inf, 10**400, [1]],
+                         ids=["text", "bool", "NaN", "Infinity", "past-float-range", "list"])
+def test_every_number_field_refuses_what_is_no_number(where, due, doc, axis, wrap, value,
+                                                      tmp_path):
+    # `engine._number` decides what a number is, in every section, with one message.
+    path = tmp_path / "refused.scn"
+    path.write_text(json.dumps(engine.set_axis(doc, axis, wrap(value))), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["validate", str(path)])
+    refusal = f"error: {where}: expected a finite {due}, got {value!r}\n"
+    assert (code, err.getvalue()) == (1, refusal)
+
+
+def test_whole_float_reads_as_an_int():
+    # `traces.cells: [5.0]` was refused, as `cell 5.0 outside 0..31`.
+    gate = dict(_GATE, gate_sources={"lw": {"cell": 5.0}})
+    doc = dict(_LOADS, traces={"cells": [5.0]}, device=gate)
+    scenario = engine.build_scenario(doc)
+    assert scenario.traces.cells == (5,) and scenario.gate_sources["lw"].value == 5
+    assert type(scenario.traces.cells[0]) is type(scenario.gate_sources["lw"].value) is int
