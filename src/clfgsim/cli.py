@@ -113,8 +113,7 @@ def _cmd_sweep(args) -> int:
         raise ScenarioError(f"{missing} required when {given} is given")
     raw = engine.apply_overrides(engine.read_document(args.scenario), args.override)
     if args.axis is not None:  # the flags replace the sweep block, which is never built
-        # Parsed like --override: after the value the axis holds now.
-        values = [engine._coerce_like(raw, args.axis, v) for v in args.values.split(",")]
+        values = list(map(engine.flag_value, args.values.split(",")))  # as --override reads
         raw = engine.set_axis(raw, "sweep", {"axis": args.axis, "values": values})
     scenario = replace(engine.build_scenario(raw), overrides=tuple(args.override))
     if scenario.sweep is None:

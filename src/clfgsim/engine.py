@@ -83,13 +83,11 @@ class TraceConfig:
     def __post_init__(self) -> None:
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
-        object.__setattr__(self, "kinds", tuple(self.kinds))
-        object.__setattr__(self, "cells", tuple(self.cells))
         for kind in self.kinds:
             if kind not in _TRACE_KINDS:
                 raise ValueError(f"unknown kind {kind!r}")
         for c in self.cells:
-            if not (isinstance(c, int) and 0 <= c < N_CELLS):
+            if not 0 <= c < N_CELLS:
                 raise ValueError(f"cell {c!r} outside 0..{N_CELLS - 1}")
             if self.cells.count(c) > 1:
                 raise ValueError(f"cell {c} is listed more than once")
@@ -100,11 +98,7 @@ class SweepConfig:
     """The scenario's own sweep: a dotted config path and the values it takes."""
 
     axis: str
-    values: list
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.axis, str) or not isinstance(self.values, list):
-            raise TypeError("expected a string axis and a list of values")
+    values: tuple
 
 
 @dataclass(frozen=True)
@@ -209,10 +203,23 @@ def _number(value, convert=float):
 
 
 def _list_of(value, read=_number) -> tuple:
-    """Each item of a list through `read`."""
+    """Each item of a list through `read` (None: each as it is)."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {value!r}")
-    return tuple(map(read, value))
+    return tuple(value if read is None else map(read, value))
+
+
+def _items(reads, value) -> tuple:
+    """A list of exactly `len(reads)` items, each through its own reader."""
+    if not isinstance(value, list) or len(value) != len(reads):
+        raise TypeError(f"expected a list of {len(reads)}, got {value!r}")
+    return tuple(read(item) for read, item in zip(reads, value))
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected text, got {value!r}")
+    return value
 
 
 def _floats_by_name(value) -> dict:
@@ -227,13 +234,17 @@ def _float_or_none(value) -> float | None:
 
 
 _INT = partial(_number, convert=int)
-# How `_build_section` reads each number field of a parameter type, by its
-# annotation: every number goes through `_number`, one value at a time.
+# How `_build_section` reads each field of a parameter type, by its
+# annotation: every number goes through `_number`, one value at a time, a
+# list or pair is a JSON list, and text is a JSON string.
 _READERS = {
+    "str": _text,
     "float": _number,
     "float | None": _float_or_none,
+    "tuple": partial(_list_of, read=None),
     "tuple[int, ...]": partial(_list_of, read=_INT),
-    "tuple[tuple[float, float], ...]": partial(_list_of, read=_list_of),
+    "tuple[str, ...]": partial(_list_of, read=_text),
+    "tuple[tuple[float, float], ...]": partial(_list_of, read=partial(_items, (_number, _number))),
     "Mapping[str, float]": _floats_by_name,
 }
 
@@ -247,9 +258,11 @@ def _object(raw, where: str) -> Mapping:
 def _build_section(cls, raw, where: str):
     """Build parameter type `cls` from a section, whose keys are its fields.
 
-    Each field typed with numbers is read by its annotation's `_READERS`
-    entry, so each number in it goes through `_number`, and a field that
-    holds one float gets a float: a JSON 1 is 1.0 wherever it goes.
+    Each field is read by its annotation's `_READERS` entry, if it has
+    one: each number in it goes through `_number`, so a field that holds
+    one float gets a float (a JSON 1 is 1.0 wherever it goes), and a list,
+    a pair or text is refused as anything else.  These readers are the one
+    check of what a document or an `--override` or `--values` flag gives.
     """
     fields = dataclasses.fields(cls)
     unknown = set(_object(raw, where)) - {f.name for f in fields}
@@ -272,12 +285,9 @@ def _gate_source(dot: devmod.DotDevice, gate: str, raw) -> GateSource:
         raise ScenarioError(f"device: gate {gate!r} needs one of cell/dac/const")
     (kind, value), = raw.items()
     with _section(f"device: gate {gate!r}"):
-        if kind == "cell" and not 0 <= (value := _INT(value)) < N_CELLS:
+        value = {"cell": _INT, "dac": _text, "const": _number}[kind](value)
+        if kind == "cell" and not 0 <= value < N_CELLS:
             raise ValueError(f"cell {value} is not an index 0..{N_CELLS - 1}")
-        if kind == "dac" and not isinstance(value, str):
-            raise TypeError(f"dac {value!r} is not a name")
-        if kind == "const":
-            value = _number(value)
     return GateSource(kind, value)
 
 
@@ -309,10 +319,8 @@ def _parse_schedule_item(raw, index: int, dacs: Collection[str]) -> ScheduleItem
         t = _number(raw["t"])
         keys = set(raw) - {"t"}
         if keys == {"write"}:
-            reg, value = raw["write"]
-            frame = protocol.Frame(
-                protocol.Opcode.WRITE, _parse_register(reg), _parse_int(value)
-            )
+            frame = protocol.Frame(protocol.Opcode.WRITE,
+                                   *_items((_parse_register, _parse_int), raw["write"]))
         elif keys == {"read"}:
             frame = protocol.Frame(protocol.Opcode.READ, _parse_register(raw["read"]))
         elif keys in ({"exec"}, {"nop"}):
@@ -376,9 +384,10 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
         )
         sources = _object(draw.get("gate_sources", {}), "device.gate_sources")
         gate_sources = {gate: _gate_source(dot, gate, src) for gate, src in sources.items()}
-        axis_gate = draw.get("axis_gate")
-        if not (axis_gate is None or isinstance(axis_gate, str) and axis_gate in gate_sources):
-            raise ScenarioError(f"device: axis_gate {axis_gate!r} has no gate source")
+        if (axis_gate := draw.get("axis_gate")) is not None:
+            with _section("device.axis_gate"):
+                if _text(axis_gate) not in gate_sources:
+                    raise ScenarioError(f"device: axis_gate {axis_gate!r} has no gate source")
 
     power = calibration = budget = None
     if "power" in raw:
@@ -426,8 +435,9 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     with _section("cell_targets"):
         targets = {_CELL_KEYS[k]: _number(v) for k, v in targets.items()}
 
-    name = raw.get("name", "scenario")
-    if not isinstance(name, str) or set(name) & set("/\\\0"):
+    with _section("name"):
+        name = _text(raw.get("name", "scenario"))
+    if set(name) & set("/\\\0"):
         raise ScenarioError(f"name {name!r} must be a string with no path separator")
     with _section("duration_s"):  # duration_s * rate past float range
         samples = sample_count(duration, traces.sample_rate_hz)
@@ -488,27 +498,13 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
 # overrides / sweep axes
 
 
-def _coerce_like(raw: Mapping, axis: str, text: str):
-    """`text` parsed like the value at `axis` in `raw`: as a bool, an int
-    (else a float) or a float, or as JSON (else kept as text) where the
-    value is a string or missing.  Text that does not parse is a ScenarioError."""
-    existing = _get_axis(raw, axis)
-    if isinstance(existing, (dict, list)):
-        raise ScenarioError(f"axis {axis!r}: cannot override structured value with {text!r}")
-    if isinstance(existing, str) or existing is None:
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            return text
+def flag_value(text: str):
+    """An `--override` value or a `--values` item: its text read as JSON, else
+    the text itself.  The document's readers then check it as any value."""
     try:
-        if isinstance(existing, bool):
-            return {"true": True, "1": True, "false": False, "0": False}[text.lower()]
-        if isinstance(existing, int):
-            with suppress(ValueError):
-                return int(text, 0)
-        return float(text)
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError(f"axis {axis!r}: cannot parse {text!r} like its value {existing!r}") from exc
+        return json.loads(text)
+    except ValueError:  # not JSON, or an int of too many digits
+        return text
 
 
 def _key(node, part: str, axis: str):
@@ -522,22 +518,6 @@ def _key(node, part: str, axis: str):
     if isinstance(node, dict):
         return part
     raise ScenarioError(f"axis {axis!r}: {part!r} is not a container")
-
-
-def _get_axis(raw: Mapping, axis: str):
-    """Value at the dotted `axis`, or None where the document leaves it out.
-
-    Integer components index into lists and must exist; other components
-    index into objects.
-    """
-    node = raw
-    for part in axis.split("."):
-        key = _key(node, part, axis)
-        if isinstance(node, list):
-            node = node[key]
-        elif (node := node.get(key)) is None:
-            return None
-    return node
 
 
 def _copy(node):
@@ -565,12 +545,14 @@ def set_axis(raw: Mapping, axis: str, value) -> dict:
 
 
 def apply_overrides(raw: Mapping, overrides: Iterable[str]) -> Mapping:
+    """The document with each `KEY=VALUE` override set, in order, at the
+    dotted axis KEY to `flag_value(VALUE)`; `build_scenario` checks the result."""
     doc = raw
     for text in overrides:
         if "=" not in text:
             raise ScenarioError(f"override {text!r} is not KEY=VALUE")
         axis, value_text = text.split("=", 1)
-        doc = set_axis(doc, axis, _coerce_like(doc, axis, value_text))
+        doc = set_axis(doc, axis, flag_value(value_text))
     return doc
 
 

@@ -162,7 +162,7 @@ def _at_least(low, convert):
     return checked
 
 
-_FLOAT, _INT, _FLOATS = engine._number, engine._INT, engine._list_of
+_FLOAT, _INT, _FLOATS, _TEXT = engine._number, engine._INT, engine._list_of, engine._text
 _FREQS = partial(engine._list_of, read=_at_least(0, _FLOAT))
 _COUNTS = partial(engine._list_of, read=_at_least(0, _INT))
 # `figure_params` each driver reads: key -> (conversion, default); a key
@@ -170,7 +170,7 @@ _COUNTS = partial(engine._list_of, read=_at_least(0, _INT))
 _PARAMS = {
     "fig3c": {"cell": (_INT, 0), "open_time_s": (_FLOAT, 0.0)},
     "fig3e": {"cell": (_INT, 0)},
-    "fig3f": {"cell": (_INT, None), "pulse_gate": (str, None), "sweep_gate": (str, None),
+    "fig3f": {"cell": (_INT, None), "pulse_gate": (_TEXT, None), "sweep_gate": (_TEXT, None),
               "v_sdp_values": (_FLOATS, None), "pulse_start_s": (_FLOAT, None),
               "settle_fraction": (_FLOAT, 0.5)},
     "fig4b": {"swing": (_FLOAT, 0.1),

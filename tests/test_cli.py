@@ -197,6 +197,23 @@ MALFORMED = {
     "figure_params_without_figure": {
         "schema_version": 1, "duration_s": 1.0, "figure_params": {"cell": "x", "junk": 1}
     },
+    # Shapes the readers used to let through or unpack: a list, a pair, text.
+    "kinds_object": _mini(traces={"sample_rate_hz": 10.0, "kinds": {"cells": "no"}, "cells": [0]}),
+    "kinds_text": _mini(traces={"sample_rate_hz": 10.0, "kinds": "cells", "cells": [0]}),
+    "calibration_point_of_3": _mini(power={"calibration": {"points": [[1e-6, 0.1, 3], [2e-6, 0.2]]}},
+                                    traces=_traced("temperature")),
+    "calibration_point_of_1": _mini(power={"calibration": {"points": [[1e-6], [2e-6, 0.2]]}},
+                                    traces=_traced("temperature")),
+    "write_object": _mini(schedule=[{"t": 0.0, "write": {"CTRL": 0, "7": 0}}]),
+    "write_text": _mini(schedule=[{"t": 0.0, "write": "CT"}]),
+    "write_of_3": _mini(schedule=[{"t": 0.0, "write": ["CTRL", 2, 0]}]),
+    "gate_dac_number": _mini(device={"levers": {"lw": 0.2}, "gate_sources": {"lw": {"dac": 5}}}),
+    "axis_gate_number": _mini(device=dict(_DOT, axis_gate=5)),
+    "name_number": _mini(name=5),
+    "fig3f_pulse_gate_number": _with_param("fig3f", "pulse_gate", 5),
+    "fig3f_pulse_gate_list": _with_param("fig3f", "pulse_gate", ["lw"]),
+    "fig3f_sweep_gate_number": _with_param("fig3f", "sweep_gate", 5),
+    "fig3f_sweep_gate_list": _with_param("fig3f", "sweep_gate", ["sdp"]),
 }
 # Documents whose run would fill gigabytes if load let them through:
 # checked with `validate` only.
@@ -212,13 +229,27 @@ REFUSED_AS = {
     "temperature_without_calibration": "temperature trace needs power.calibration",
     "sample_rate_zero": "traces: sample_rate_hz must be positive",
     "calibration_without_points": "power.calibration: calibration needs at least 2 points",
-    "sweep_axis_number": "sweep: expected a string axis and a list of values",
+    "sweep_axis_number": "sweep.axis: expected text, got 5",
     "sweep_axis_bad_index": "axis 'traces.cells.9': bad list index '9'",  # named once
     "v_high_below_v_low": "rails: v_high must be >= v_low",
     "c_ds_negative": "analog: c_ds must be non-negative",
     "r_switch_zero": "analog: r_switch must be positive",
     "leak_rate_negative": "analog: leak_rate must be non-negative",
     "figure_params_without_figure": "figure_params: given with no figure",
+    "kinds_object": "traces.kinds: expected a list, got {'cells': 'no'}",
+    "kinds_text": "traces.kinds: expected a list, got 'cells'",
+    "calibration_point_of_3": "power.calibration.points: expected a list of 2, got [1e-06, 0.1, 3]",
+    "calibration_point_of_1": "power.calibration.points: expected a list of 2, got [1e-06]",
+    "write_object": "schedule[0]: expected a list of 2, got {'CTRL': 0, '7': 0}",
+    "write_text": "schedule[0]: expected a list of 2, got 'CT'",
+    "write_of_3": "schedule[0]: expected a list of 2, got ['CTRL', 2, 0]",
+    "gate_dac_number": "device: gate 'lw': expected text, got 5",
+    "axis_gate_number": "device.axis_gate: expected text, got 5",
+    "name_number": "name: expected text, got 5",
+    "fig3f_pulse_gate_number": "figure_params: pulse_gate: expected text, got 5",
+    "fig3f_pulse_gate_list": "figure_params: pulse_gate: expected text, got ['lw']",
+    "fig3f_sweep_gate_number": "figure_params: sweep_gate: expected text, got 5",
+    "fig3f_sweep_gate_list": "figure_params: sweep_gate: expected text, got ['sdp']",
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each
@@ -620,9 +651,20 @@ class TestDrawnScheduleContract:
 
 
 class TestRefusedText:
-    """Override and sweep text that does not parse like the value it
-    replaces, or that would replace an object or a list, is exit 1,
-    naming the axis and the text."""
+    """Override and sweep text is read as JSON, else as the text itself, and
+    the document's own readers refuse what it gives with their one message,
+    as they refuse the value in a file, whatever the document held there."""
+
+    # The reader's refusal of the value each (axis, text) below gives.
+    REFUSED_AS = {
+        ("rails.v_hold", "abc"): "rails.v_hold: expected a finite float, got 'abc'",
+        ("figure_params.cell", "true"): "figure_params: cell: expected a finite int, got True",
+        ("rails.v_hold", "0x10"): "rails.v_hold: expected a finite float, got '0x10'",
+        ("rails.v_hold", ""): "axis 'rails.v_hold': rails.v_hold: expected a finite float, got ''",
+        ("traces.cells.0", "abc"): "axis 'traces.cells.0': traces.cells: expected a finite int,"
+                                   " got 'abc'",
+        ("traces.cells", "[0]"): "figure_params: cell 5 is not in traces.cells",
+    }
 
     @pytest.mark.parametrize("argv, axis, text", [
         (["validate", "fig3c", "--override", "rails.v_hold=abc"], "rails.v_hold", "abc"),
@@ -638,10 +680,18 @@ class TestRefusedText:
         if command != "validate":
             argv += ["--out", str(tmp_path)]
         code, _, err = _main(argv)
-        value = engine._get_axis(json.loads(Path(argv[1]).read_text()), axis)
-        why = (f"cannot override structured value with {text!r}" if isinstance(value, list)
-               else f"cannot parse {text!r} like its value {value!r}")
-        assert (code, err) == (1, f"error: axis {axis!r}: {why}\n")
+        assert (code, err) == (1, f"error: {self.REFUSED_AS[axis, text]}\n")
+
+    def test_one_message_whether_or_not_the_document_holds_the_key(self, tmp_path):
+        # The message was another where the document spelled the default.
+        left_out, given = _mini(), _mini(traces={"sample_rate_hz": 1000.0})
+        del left_out["traces"]
+        for doc in (left_out, given):
+            path = tmp_path / "doc.scn"
+            path.write_text(json.dumps(doc))
+            code, _, err = _main(["validate", str(path), "--override", "traces.sample_rate_hz=abc"])
+            assert (code, err) == (1, "error: traces.sample_rate_hz: expected a finite float,"
+                                      " got 'abc'\n")
 
 
 class TestNonFinitePower:
@@ -852,6 +902,8 @@ class TestSweepCommand:
         ("mini", "traces.cells.0", [1, 0], ["rails.v_hold=-1.2"]),
         ("fig3c", "rails.v_hold", [-0.3, -0.9], []),
         ("fig3c", "rails.v_hold", [-0.6], ["analog.leak_rate=1e-3"]),
+        ("mini", "rails.v_hold", [-1, -2], []),  # ints on a float axis stay ints
+        ("mini", "traces.kinds", [["cells"]], []),  # a list, which no flag could give
     ])
     def test_flags_sweep_the_document_with_their_block(self, name, axis, values, overrides,
                                                        tmp_path):
@@ -862,7 +914,7 @@ class TestSweepCommand:
         plain.write_text(json.dumps(doc))
         block.write_text(json.dumps(dict(doc, sweep={"axis": axis, "values": values})))
         flags = [arg for text in overrides for arg in ("--override", text)]
-        argv = ["sweep", str(plain), "--axis", axis, f"--values={','.join(map(str, values))}"]
+        argv = ["sweep", str(plain), "--axis", axis, f"--values={','.join(map(json.dumps, values))}"]
         assert cli.main([*argv, *flags, "--out", str(tmp_path / "flags")]) == 0
         assert cli.main(["sweep", str(block), *flags, "--out", str(tmp_path / "block")]) == 0
         written = {path.name: path.read_bytes() for path in (tmp_path / "flags").iterdir()}
