@@ -25,7 +25,9 @@ it once and builds the next state in its own frame, by
 another transition (the hold-rail fan-out runs `set_hold` on all 32
 cells at each move).  The element values live in a `CellParams` that
 every state of a cell shares by reference, so an event copies only the
-few state fields.  `apply_fg_run` applies a whole playback run in one step;
+few state fields; it also holds their `coupling_ratio`, computed once
+when built, as `coupling`, which `set_hold` reads and `couple_hold`, its
+oracle, recomputes.  `apply_fg_run` applies a whole playback run in one step;
 `settle` and `apply_fg`, one edge at a time, are its test oracle.  Its RC
 transient is `one_pole`, the first-order recurrence the tank readout in
 `device` filters with too.  `lock` and `unlock` set the clock to their own
@@ -96,6 +98,13 @@ class CellParams:
             raise ValueError("r_switch must be positive")
         if self.leak_rate < 0:
             raise ValueError("leak_rate must be non-negative")
+        # Not a field: ==, hash, repr and a document's keys stay the six above.
+        object.__setattr__(self, "coupling", coupling_ratio(self))
+
+
+def coupling_ratio(p: CellParams) -> float:
+    """Fraction of a hold-rail move that reaches a floating output."""
+    return p.c_ds / (p.c_ds + p.c_pulse + p.c_p)
 
 
 class ClfgCell(NamedTuple):
@@ -138,11 +147,6 @@ def time_constant(p: CellParams) -> float:
 def injection_offset(p: CellParams) -> float:
     """Voltage step left on the node when the lock switch opens."""
     return p.q_inj / (p.c_p + p.c_pulse)
-
-
-def coupling_ratio(p: CellParams) -> float:
-    """Fraction of a hold-rail move that reaches a floating output."""
-    return p.c_ds / (p.c_ds + p.c_pulse + p.c_p)
 
 
 def pulse_amplitude(p: CellParams, rails: SupplyRails) -> float:
@@ -200,7 +204,7 @@ def set_hold(cell: ClfgCell, v_hold: float) -> ClfgCell:
         return _new(ClfgCell, (params, locked, fg_level, fg_ref,
                                v_hold, v_hold, v_hold, v_hold, t_last))
     dv_hold = v_hold - v_hold_seen
-    dv = coupling_ratio(params) * dv_hold
+    dv = params.coupling * dv_hold
     return _new(ClfgCell, (params, locked, fg_level, fg_ref, v_hold_seen + dv_hold,
                            v_base + dv, v_start + dv, v_target + dv, t_last))
 

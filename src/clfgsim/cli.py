@@ -163,7 +163,7 @@ def _cmd_replay(args) -> int:
     }
     spath = outdir / "replay_state.json"
     with engine.refusing(f"cannot write {outdir}"):
-        spath.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n", "utf-8")
+        spath.write_text(json.dumps(state, indent=2, sort_keys=True, allow_nan=False) + "\n", "utf-8")
     for path in [*written, spath]:
         print(path)
     return EXIT_OK

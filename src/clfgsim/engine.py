@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 from bisect import bisect_left
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
@@ -233,6 +234,16 @@ def _float_or_none(value) -> float | None:
     return None if value is None else _number(value)
 
 
+def _finite_inside(v) -> None:
+    """Refuse, as `_number` does, a non-finite number anywhere inside `v`,
+    walked without recursion, so any depth that JSON loads is walked."""
+    stack = [v]
+    while stack:
+        if isinstance(v := stack.pop(), float):
+            _number(v)
+        stack.extend(v.values() if isinstance(v, Mapping) else v if isinstance(v, list) else ())
+
+
 _INT = partial(_number, convert=int)
 # How `_build_section` reads each field of a parameter type, by its
 # annotation: every number goes through `_number`, one value at a time, a
@@ -306,8 +317,11 @@ def _parse_register(ref) -> int:
 
 
 def _parse_int(value) -> int:
+    """A register value or word: a number, or text of `0x` and hex digits."""
     if isinstance(value, str):
-        return int(value, 0)
+        if not re.fullmatch("0x[0-9a-fA-F]+", value):
+            raise ValueError(f"expected a finite int or text of 0x and hex digits, got {value!r}")
+        return int(value, 16)
     return _INT(value)
 
 
@@ -361,6 +375,8 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     unknown = set(raw) - _TOP_LEVEL_KEYS
     if unknown:
         raise ScenarioError(f"unknown top-level key(s) {sorted(unknown)}")
+    with _section("seed"):  # read by no model, but written into the manifest
+        _finite_inside(raw.get("seed"))
 
     chip = _build_section(ChipConfig, raw.get("chip", {}), "chip")
     cell = _build_section(analog.CellParams, raw.get("analog", {}), "analog")
@@ -704,7 +720,7 @@ def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
              for key, table in sorted(bundle.tables.items())]
     manifest = dict(bundle.manifest, outputs=[path.name for path, _ in files])
     files.append((outdir / f"manifest_{manifest['name']}.json",
-                  [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]))
+                  [json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"]))
     written = []
     with refusing(f"cannot write {outdir}"):
         outdir.mkdir(parents=True, exist_ok=True)
@@ -1029,7 +1045,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             cells[payload] = analog.unlock(cells[payload], t)  # type: ignore[index]
 
     # The sampled cells' fields sample by sample, evaluated in one call.
-    per_sample = np.array(fields).reshape(len(counts), -1).repeat(counts, axis=0)
+    per_sample = np.fromiter(fields, float, len(fields)).reshape(len(counts), -1).repeat(counts, axis=0)
     volts = analog.sample_output(
         scenario.analog, per_sample, times.repeat(len(sampled))
     ).reshape(n_samples, len(sampled))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -115,6 +116,33 @@ class TestCoupleHold:
         cell = lock(default_cell, rails.v_hold, default_cell.t_last)
         cell = set_hold(cell, -0.7)
         assert output_voltage(cell, 0.0) == -0.7
+
+
+_capacitances = st.fixed_dictionaries({
+    "c_pulse": st.floats(1e-16, 1e-9), "c_p": st.floats(1e-16, 1e-9), "c_ds": st.floats(0.0, 1e-9),
+})
+
+
+class TestCachedCoupling:
+    """`CellParams.coupling`, which `set_hold` reads, is `coupling_ratio`
+    computed once when the parameters are built."""
+
+    @given(first=_capacitances, second=_capacitances)
+    @example(first={"c_pulse": 1e-12, "c_p": 1e-12, "c_ds": 0.0},
+             second={"c_pulse": 1e-12, "c_p": 1e-12, "c_ds": 10e-15})
+    def test_is_the_formula_bit_for_bit(self, first, second):
+        params = CellParams(**first)
+        assert repr(params.coupling) == repr(coupling_ratio(params))
+        replaced = dataclasses.replace(params, **second)
+        assert repr(replaced.coupling) == repr(coupling_ratio(replaced))
+
+    def test_is_not_a_field(self):
+        params = CellParams()
+        assert "coupling" not in {field.name for field in dataclasses.fields(CellParams)}
+        assert "coupling" not in repr(params)
+        assert params == CellParams() and hash(params) == hash(CellParams())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.coupling = 0.5
 
 
 class TestLeak:

@@ -214,6 +214,18 @@ MALFORMED = {
     "fig3f_pulse_gate_list": _with_param("fig3f", "pulse_gate", ["lw"]),
     "fig3f_sweep_gate_number": _with_param("fig3f", "sweep_gate", 5),
     "fig3f_sweep_gate_list": _with_param("fig3f", "sweep_gate", ["sdp"]),
+    # Register text other than 0x and hex digits, which loaded as a Python int literal.
+    "write_value_text_underscore": _mini(schedule=[{"t": 0.0, "write": ["DIVIDER", "1_0"]}]),
+    "write_value_text_spaced": _mini(schedule=[{"t": 0.0, "write": ["DIVIDER", " 7 "]}]),
+    "write_value_text_binary": _mini(schedule=[{"t": 0.0, "write": ["DIVIDER", "0b11"]}]),
+    "write_value_text_octal": _mini(schedule=[{"t": 0.0, "write": ["DIVIDER", "0o7"]}]),
+    "word_text_decimal": _mini(schedule=[{"t": 0.0, "word": "16777223"}]),  # 0x01000007
+    # A non-finite `seed`, which the manifest wrote as NaN, and no JSON reads.
+    "seed_nan": _mini(seed=_NAN),
+    "seed_infinity_inside": _mini(seed={"a": [1, -_INF]}),
+    "sweep_seed_nan": _mini(sweep={"axis": "seed", "values": [_NAN, _INF]}),
+    # The cached coupling ratio is no key of the `analog` section.
+    "analog_coupling_key": _mini(analog={"coupling": 0.1}),
 }
 # Documents whose run would fill gigabytes if load let them through:
 # checked with `validate` only.
@@ -250,6 +262,16 @@ REFUSED_AS = {
     "fig3f_pulse_gate_list": "figure_params: pulse_gate: expected text, got ['lw']",
     "fig3f_sweep_gate_number": "figure_params: sweep_gate: expected text, got 5",
     "fig3f_sweep_gate_list": "figure_params: sweep_gate: expected text, got ['sdp']",
+    **{f"write_value_text_{case}": f"schedule[0]: expected a finite int or text of 0x and hex"
+                                   f" digits, got {text!r}"
+       for case, text in (("underscore", "1_0"), ("spaced", " 7 "), ("binary", "0b11"),
+                          ("octal", "0o7"))},
+    "word_text_decimal": "schedule[0]: expected a finite int or text of 0x and hex digits,"
+                         " got '16777223'",
+    "seed_nan": "seed: expected a finite float, got nan",
+    "seed_infinity_inside": "seed: expected a finite float, got -inf",
+    "sweep_seed_nan": "axis 'seed': seed: expected a finite float, got nan",
+    "analog_coupling_key": "analog: unknown key(s) ['coupling']",
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each
@@ -664,6 +686,7 @@ class TestRefusedText:
         ("traces.cells.0", "abc"): "axis 'traces.cells.0': traces.cells: expected a finite int,"
                                    " got 'abc'",
         ("traces.cells", "[0]"): "figure_params: cell 5 is not in traces.cells",
+        ("seed", "NaN"): "seed: expected a finite float, got nan",
     }
 
     @pytest.mark.parametrize("argv, axis, text", [
@@ -673,6 +696,7 @@ class TestRefusedText:
         (["sweep", "fig3c", "--axis", "rails.v_hold", "--values="], "rails.v_hold", ""),
         (["sweep", "fig3c", "--axis", "traces.cells.0", "--values=abc"], "traces.cells.0", "abc"),
         (["validate", "fig3c", "--override", "traces.cells=[0]"], "traces.cells", "[0]"),
+        (["run", "fig4b", "--override", "seed=NaN"], "seed", "NaN"),
     ])
     def test_exits_1(self, argv, axis, text, tmp_path):
         command, name, *rest = argv

@@ -25,6 +25,14 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="schema_version"):
             build_scenario({"name": "x"})
 
+    def test_seed_is_walked_at_any_depth(self):
+        # Deeper than the interpreter's recursion limit: the walk keeps its own stack.
+        seed = [{"a": float("nan")}]
+        for _ in range(5000):
+            seed = [seed]
+        with pytest.raises(ScenarioError, match=r"^seed: expected a finite float, got nan$"):
+            make_scenario(seed=seed)
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ScenarioError, match="unknown top-level"):
             build_scenario({"schema_version": 1, "bogus": 1})
@@ -251,6 +259,39 @@ class TestGenericRun:
         assert bundle.tables["events"].rows == []
         assert all(v == 0.0 for _, _, v in bundle.tables["cells"].rows)
         assert len(bundle.tables["cells"].rows) == 2 * 11
+
+    @pytest.mark.parametrize("cells", [[], [7], list(range(32))], ids=["none", "one", "all"])
+    def test_blocks_record_each_sampled_cell(self, cells):
+        # Cells 0-15 and 16-31 locked and released in turn, at two rail
+        # values, with rail moves that the locked ones track and the others
+        # couple: each block records every sampled cell, or none when no
+        # trace reads one.
+        moves = [(0.15, -1.0), (0.55, -0.8), (0.8, -1.2)]
+        masks = [(0.0, "LO", 0xFFFF), (0.35, "LO", 0), (0.45, "HI", 0xFFFF), (0.7, "HI", 0)]
+        schedule = [{"t": 0.0, "write": ["CTRL", 2]}]
+        schedule += [{"t": t, "dac": {"v_hold": v}} for t, v in moves]
+        for t, half, mask in masks:
+            schedule += [{"t": t, "write": [f"LOCK_MASK_{half}", mask]}, {"t": t, "exec": True}]
+        scenario = make_scenario(
+            rails={"v_hold": -1.1},
+            schedule=sorted(schedule, key=lambda item: item["t"]),
+            traces={"sample_rate_hz": 10.0, "kinds": ["cells", "hold"], "cells": cells}
+            if cells else {"sample_rate_hz": 10.0, "kinds": ["hold"]},
+        )
+        bundle = engine.run_generic(scenario)
+        times = bundle.tables["hold"].columns[0]
+        expected_rail = [-1.1 if t < 0.15 else -1.0 if t < 0.55 else -0.8 if t < 0.8 else -1.2
+                         for t in times.tolist()]
+        assert bundle.tables["hold"].columns[1].tolist() == expected_rail
+        if not cells:
+            assert "cells" not in bundle.tables
+            return
+        got = bundle.tables["cells"].rows
+        expected = replay_cells_edge_by_edge(scenario, bundle, moves)
+        assert len(got) == 11 * len(cells)
+        assert [(t, c) for t, c, _ in got] == [(t, c) for t, c, _ in expected]
+        for (_, _, v_got), (_, _, v_expected) in zip(got, expected):
+            assert abs(v_got - v_expected) <= 1e-12
 
     def test_timeline_without_tick_runs_is_not_cut(self):
         # A refresh with hold-rail moves: lock actions and DAC entries, no FG,

@@ -106,6 +106,31 @@ def test_load_counts_the_rows_a_figure_run_fills(name, monkeypatch):
     _assert_budget_is(doc, _filled_rows(doc), monkeypatch)
 
 
+def _counting(calls: dict, name: str):
+    """`analog.<name>`, counting its calls in `calls[name]`."""
+    original = getattr(analog, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return original(*args)
+    return counted
+
+
+# `bench/smoke.py`'s `counts` pins these on each workload, outside tier-1:
+# `set_hold` runs on all 32 cells at each hold-DAC move, and each lock
+# action is one `lock` or `unlock`.  Neither input pulses a cell.
+@pytest.mark.parametrize("name, seed, set_hold", [("refresh", 21, 61_440), ("sweep", 0, 3_840)])
+def test_run_makes_the_calls_the_bench_pins(name, seed, set_hold, monkeypatch):
+    workloads = _bench_module("bench_workloads", WORKLOADS)
+    workload = workloads.make(name, seed)
+    calls = dict.fromkeys(("set_hold", "lock", "unlock"), 0)
+    for fn in calls:
+        monkeypatch.setattr(analog, fn, _counting(calls, fn))
+    engine.run_scenario(engine.build_scenario(workload.doc))
+    assert calls["set_hold"] == set_hold == workload.dac_moves * workloads.N_CELLS
+    assert calls["lock"] + calls["unlock"] == workload.switch_events
+
+
 def test_engine_defines_no_function_inside_another():
     functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     tree = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
