@@ -19,15 +19,17 @@ with a first-order transient of time constant
     tau = r_switch * c_pulse * c_p / (c_pulse + c_p)
 
 All operations are pure: they take a cell value and return a new one.
-A cell state is a `ClfgCell` NamedTuple, and each transition unpacks
-it once and builds the next state in its own frame, by
-`tuple.__new__(ClfgCell, ...)` with every field in order and no call to
-another transition (the hold-rail fan-out runs `set_hold` on all 32
-cells at each move).  The element values live in a `CellParams` that
-every state of a cell shares by reference, so an event copies only the
-few state fields; it also holds their `coupling_ratio`, computed once
-when built, as `coupling`, which `set_hold` reads and `couple_hold`, its
-oracle, recomputes.  `apply_fg_run` applies a whole playback run in one step;
+A cell state is a plain tuple of the nine fields of `ClfgCell`, in that
+order.  Each transition unpacks it once and returns the next state as a
+tuple display in its own frame, with no call to another transition (the
+hold-rail fan-out runs `set_hold` on all 32 cells at each move); a
+`ClfgCell`, itself such a tuple, builds a first state by keyword and
+names the fields of any state (`ClfgCell._make(state)`).  The element
+values live in a `CellParams` that every state of a cell shares by
+reference, so an event copies only the few state fields; it also holds
+their `coupling_ratio`, computed once when built, as `coupling`, which
+`set_hold` reads and `couple_hold`, its oracle, recomputes.
+`apply_fg_run` applies a whole playback run in one step;
 `settle` and `apply_fg`, one edge at a time, are its test oracle.  Its RC
 transient is `one_pole`, the first-order recurrence the tank readout in
 `device` filters with too.  `lock` and `unlock` set the clock to their own
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -108,7 +110,9 @@ def coupling_ratio(p: CellParams) -> float:
 
 
 class ClfgCell(NamedTuple):
-    """Evolving analog state of one cell, with its element values by reference.
+    """Names and order of the fields of a cell state (one cell's evolving analog
+    values, and its element values by reference), the plain tuple each transition
+    returns: it builds a first state by keyword and names any state's by `_make`.
 
     `v_base` is the asymptotic floating voltage (lock value plus injection
     plus coupling, decayed by leakage); `v_target` additionally carries the
@@ -128,10 +132,6 @@ class ClfgCell(NamedTuple):
     v_start: float = 0.0
     v_target: float = 0.0
     t_last: float = 0.0
-
-
-# A `ClfgCell` from the tuple of its fields in order, with no generated `__new__` frame.
-_new = tuple.__new__
 
 
 def series_capacitance(p: CellParams) -> float:
@@ -154,7 +154,7 @@ def pulse_amplitude(p: CellParams, rails: SupplyRails) -> float:
     return p.c_pulse / (p.c_p + p.c_pulse) * rails.swing
 
 
-def lock(cell: ClfgCell, v_hold: float, t: float) -> ClfgCell:
+def lock(cell: tuple, v_hold: float, t: float) -> tuple:
     """Close the lock switch at time `t >= t_last`: the output is pinned to
     the hold rail at `v_hold`.  Idempotent; any pending transient and leak
     is discarded because the rail now drives the node directly, so this
@@ -162,10 +162,10 @@ def lock(cell: ClfgCell, v_hold: float, t: float) -> ClfgCell:
     params, _, fg_level, fg_ref, _, _, _, _, t_last = cell
     if t - t_last < 0:
         raise ValueError(f"time {t} precedes last event at {t_last}")
-    return _new(ClfgCell, (params, True, fg_level, fg_ref, v_hold, v_hold, v_hold, v_hold, t))
+    return (params, True, fg_level, fg_ref, v_hold, v_hold, v_hold, v_hold, t)
 
 
-def unlock(cell: ClfgCell, t: float) -> ClfgCell:
+def unlock(cell: tuple, t: float) -> tuple:
     """Open the lock switch at time `t >= t_last`, leaving the charge floating:
     `settle(cell, t)`, which only moves a locked cell's clock, then the open.
 
@@ -179,10 +179,10 @@ def unlock(cell: ClfgCell, t: float) -> ClfgCell:
     if not locked:
         raise SimulationError("lock switch is already open")
     v = v_hold_seen + injection_offset(params)
-    return _new(ClfgCell, (params, False, fg_level, fg_level, v_hold_seen, v, v, v, t))
+    return (params, False, fg_level, fg_level, v_hold_seen, v, v, v, t)
 
 
-def couple_hold(cell: ClfgCell, dv_hold: float) -> ClfgCell:
+def couple_hold(cell: tuple, dv_hold: float) -> tuple:
     """Capacitive feedthrough of a hold-rail move onto a floating output.
 
     Exactly linear, so a closed loop in the hold voltage returns the
@@ -193,23 +193,22 @@ def couple_hold(cell: ClfgCell, dv_hold: float) -> ClfgCell:
     if locked:
         raise SimulationError("output tracks the hold rail directly while locked")
     dv = coupling_ratio(params) * dv_hold
-    return _new(ClfgCell, (params, locked, fg_level, fg_ref, v_hold_seen + dv_hold,
-                           v_base + dv, v_start + dv, v_target + dv, t_last))
+    return (params, locked, fg_level, fg_ref, v_hold_seen + dv_hold,
+            v_base + dv, v_start + dv, v_target + dv, t_last)
 
 
-def set_hold(cell: ClfgCell, v_hold: float) -> ClfgCell:
+def set_hold(cell: tuple, v_hold: float) -> tuple:
     """Move the hold rail: locked cells track it, floating cells couple."""
     params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last = cell
     if locked:
-        return _new(ClfgCell, (params, locked, fg_level, fg_ref,
-                               v_hold, v_hold, v_hold, v_hold, t_last))
+        return (params, locked, fg_level, fg_ref, v_hold, v_hold, v_hold, v_hold, t_last)
     dv_hold = v_hold - v_hold_seen
     dv = params.coupling * dv_hold
-    return _new(ClfgCell, (params, locked, fg_level, fg_ref, v_hold_seen + dv_hold,
-                           v_base + dv, v_start + dv, v_target + dv, t_last))
+    return (params, locked, fg_level, fg_ref, v_hold_seen + dv_hold,
+            v_base + dv, v_start + dv, v_target + dv, t_last)
 
 
-def settle(cell: ClfgCell, t: float) -> ClfgCell:
+def settle(cell: tuple, t: float) -> tuple:
     """Advance the cell's internal time to `t` (t >= t_last): a floating
     output leaks toward 0 V at `leak_rate` (a semigroup in t) and relaxes
     any RC transient; a locked one only advances its clock."""
@@ -221,11 +220,10 @@ def settle(cell: ClfgCell, t: float) -> ClfgCell:
         decay = math.exp(-params.leak_rate * dt)
         v_inst = v_target + (v_start - v_target) * rc
         v_base, v_start, v_target = v_base * decay, v_inst * decay, v_target * decay
-    return _new(ClfgCell, (params, locked, fg_level, fg_ref, v_hold_seen,
-                           v_base, v_start, v_target, t))
+    return (params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t)
 
 
-def apply_fg(cell: ClfgCell, level: Level, t: float, rails: SupplyRails) -> ClfgCell:
+def apply_fg(cell: tuple, level: Level, t: float, rails: SupplyRails) -> tuple:
     """Drive the fast-gate switch to `level` at time `t`.
 
     A floating cell is settled to `t`, as `settle` does; its asymptotic
@@ -250,17 +248,16 @@ def apply_fg(cell: ClfgCell, level: Level, t: float, rails: SupplyRails) -> Clfg
         if level != fg_level:
             fg_level = level
             v_target = v_base + pulse_amplitude(params, rails) * (int(level) - int(fg_ref))
-    return _new(ClfgCell, (params, locked, fg_level, fg_ref, v_hold_seen,
-                           v_base, v_start, v_target, t_last))
+    return (params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last)
 
 
 def apply_fg_run(
-    cell: ClfgCell,
+    cell: tuple,
     times: np.ndarray,
     levels: np.ndarray,
     period_s: float,
     rails: SupplyRails,
-) -> ClfgCell:
+) -> tuple:
     """Drive the fast-gate switch to `levels[k]` (0 LOW, 1 HIGH) at `times[k]`.
 
     The result is that of `settle` and `apply_fg` edge by edge.  The
@@ -279,8 +276,8 @@ def apply_fg_run(
     """
     params, locked, _, fg_ref, v_hold_seen, v_base, v_start, v_target, _ = cell
     if locked:
-        return _new(ClfgCell, (params, locked, Level(int(levels[-1])), fg_ref, v_hold_seen,
-                               v_base, v_start, v_target, float(times[-1])))
+        return (params, locked, Level(int(levels[-1])), fg_ref, v_hold_seen,
+                v_base, v_start, v_target, float(times[-1]))
     cell = apply_fg(cell, Level(int(levels[0])), float(times[0]), rails)
     if len(times) == 1:
         return cell
@@ -299,8 +296,8 @@ def apply_fg_run(
     target = anchors[last] * d ** (k - last)
     previous = np.concatenate(([v_target], target[:-1]))
     start = one_pole((1.0 - a) * d, a * d, previous, a * d * v_start)
-    return _new(ClfgCell, (params, locked, Level(int(levels[-1])), fg_ref, v_hold_seen,
-                           float(base[-1]), float(start[-1]), float(target[-1]), float(times[-1])))
+    return (params, locked, Level(int(levels[-1])), fg_ref, v_hold_seen,
+            float(base[-1]), float(start[-1]), float(target[-1]), float(times[-1]))
 
 
 def one_pole(b0: float, c: float, x, z0: float) -> np.ndarray:
@@ -321,21 +318,22 @@ def one_pole(b0: float, c: float, x, z0: float) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def output_voltage(cell: ClfgCell, t: float) -> float:
+def output_voltage(cell: tuple, t: float) -> float:
     """Output voltage at time `t >= t_last`; read-only."""
-    if cell.lock_closed:
-        return cell.v_hold_seen
-    dt = t - cell.t_last
+    params, locked, _, _, v_hold_seen, _, v_start, v_target, t_last = cell
+    if locked:
+        return v_hold_seen
+    dt = t - t_last
     if dt < 0:
-        raise ValueError(f"sample time {t} precedes last event at {cell.t_last}")
-    rc = math.exp(-dt / time_constant(cell.params))
-    decay = math.exp(-cell.params.leak_rate * dt)
-    return (cell.v_target + (cell.v_start - cell.v_target) * rc) * decay
+        raise ValueError(f"sample time {t} precedes last event at {t_last}")
+    rc = math.exp(-dt / time_constant(params))
+    decay = math.exp(-params.leak_rate * dt)
+    return (v_target + (v_start - v_target) * rc) * decay
 
 
 # The state fields `sample_output` reads, in the order of its `fields` rows.
 OUTPUT_FIELDS = ("lock_closed", "t_last", "v_target", "v_start", "v_hold_seen")
-output_fields = attrgetter(*OUTPUT_FIELDS)
+output_fields = itemgetter(*map(ClfgCell._fields.index, OUTPUT_FIELDS))
 
 
 def sample_output(params: CellParams, fields, times) -> np.ndarray:

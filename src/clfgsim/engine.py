@@ -500,8 +500,8 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
 
 def read_document(path: str | Path):
     """The JSON document in the file at `path`, not yet built."""
-    # ValueError: bad JSON, or an int of too many digits.
-    with refusing(f"cannot load scenario {path}", (OSError, ValueError)):
+    # ValueError: bad JSON, or an int of too many digits; RecursionError: nested too deep.
+    with refusing(f"cannot load scenario {path}", (OSError, ValueError, RecursionError)):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
 
@@ -515,12 +515,13 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
 
 
 def flag_value(text: str):
-    """An `--override` value or a `--values` item: its text read as JSON, else
-    the text itself.  The document's readers then check it as any value."""
-    try:
-        return json.loads(text)
-    except ValueError:  # not JSON, or an int of too many digits
-        return text
+    """An `--override` value or a `--values` item: its text read as JSON (refused if
+    nested too deep), else the text itself, which the document's readers check."""
+    with refusing("cannot read flag value", RecursionError):
+        try:
+            return json.loads(text)
+        except ValueError:  # not JSON, or an int of too many digits
+            return text
 
 
 def _key(node, part: str, axis: str):
@@ -677,18 +678,29 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _refuse_non_finite(values) -> None:
+    """Refuse a NaN or an infinity among the floats `values`: no CSV holds one."""
+    values = np.asarray(values, dtype=float)
+    if len(bad := values[~np.isfinite(values)]):
+        raise SimulationError(f"output table value {float(bad[0])!r} is not finite")
+
+
 def _format_column(column: np.ndarray) -> list[str]:
     """`_format_cell` of every value of a column, by its dtype: text as it
     is; float64 and ints and bools (as 0/1) once per distinct int64 or bit
-    pattern (so -0.0 and 0.0 stay apart), indexed back; objects value by value."""
+    pattern (so -0.0 and 0.0 stay apart), indexed back; objects value by
+    value.  A non-finite float is refused."""
     kind = column.dtype.kind
     if kind == "U":
         return column.tolist()
     if kind not in "fbi":
-        return list(map(_format_cell, column.tolist()))
+        cells = column.tolist()
+        _refuse_non_finite([v for v in cells if isinstance(v, (float, np.floating))])
+        return list(map(_format_cell, cells))
     keys = column.astype(float if kind == "f" else np.int64, copy=False)
     unique, inverse = np.unique(keys.view(np.int64), return_inverse=True)
     fmt, values = (float.__repr__, unique.view(float)) if kind == "f" else (str, unique)
+    _refuse_non_finite(values)
     return np.array(list(map(fmt, values.tolist())), dtype=object)[inverse].tolist()
 
 
@@ -1032,7 +1044,7 @@ def run_generic(scenario: Scenario) -> TraceBundle:
                 cells = list(map(analog.set_hold, cells, repeat(v_hold, N_CELLS)))
         elif kind == "FG":
             run: fsm.TickRun = payload  # type: ignore[assignment]
-            done: dict[bytes, analog.ClfgCell] = {}
+            done: dict[bytes, tuple] = {}
             for c in run.cells:
                 if (key := _state_key(*cells[c][1:])) not in done:
                     done[key] = analog.apply_fg_run(

@@ -79,7 +79,7 @@ def test_02_pulse_power_matches_integrated_dissipation():
             cell = analog.apply_fg(cell, level, t_edge, rails)
             times = t_edge + np.arange(half + 1) * dt
             v = analog.sample_output(
-                cell.params, [analog.output_fields(cell)] * len(times), times
+                params, [analog.output_fields(cell)] * len(times), times
             )
             current = c_p * np.gradient(v, dt)  # all switch current flows into c_p
             energy += np.trapezoid(current * current * r, dx=dt)
@@ -161,10 +161,10 @@ def test_06_leakage_benchmark_and_flank_recovery():
 
     # Flank-slope recovery of the programmed rate through the dot oracle.
     dot = device.DotDevice(levers={"lw": 1.0}, v_offset=1.1003)
-    cell = analog.ClfgCell(analog.CellParams(q_inj=0.0, leak_rate=lam))
-    cell = analog.unlock(analog.lock(cell, -1.1, cell.t_last), cell.t_last)
+    params = analog.CellParams(q_inj=0.0, leak_rate=lam)
+    cell = analog.unlock(analog.lock(analog.ClfgCell(params), -1.1, 0.0), 0.0)
     times = np.arange(0.0, 201.0, 1.0)
-    v = analog.sample_output(cell.params, [analog.output_fields(cell)] * len(times), times)
+    v = analog.sample_output(params, [analog.output_fields(cell)] * len(times), times)
     g = np.asarray(device.conductance(dot, {"lw": v}))
     # Flank slope: the fitted dG/dt over dG/dV probed at the -1.1 V bias.
     probe_dv = 1e-6

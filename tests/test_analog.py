@@ -38,16 +38,15 @@ finite_volts = st.floats(-2.0, 2.0, allow_nan=False)
 
 
 def floating_cell(v: float, **params) -> ClfgCell:
-    """Cell released at voltage `v` with no injection offset."""
+    """Cell released at voltage `v` with no injection offset, its fields named."""
     cell = ClfgCell(CellParams(q_inj=0.0, **params))
-    cell = lock(cell, v, cell.t_last)
-    return unlock(cell, cell.t_last)
+    return ClfgCell._make(unlock(lock(cell, v, cell.t_last), cell.t_last))
 
 
 class TestLock:
     def test_lock_sets_output_to_hold(self, default_cell):
         cell = lock(default_cell, -1.1, default_cell.t_last)
-        assert cell.lock_closed
+        assert ClfgCell._make(cell).lock_closed
         assert output_voltage(cell, 0.0) == -1.1
 
     def test_lock_at_zero(self, default_cell):
@@ -56,11 +55,11 @@ class TestLock:
 
     def test_lock_idempotent(self, default_cell, rails):
         once = lock(default_cell, rails.v_hold, default_cell.t_last)
-        assert lock(once, rails.v_hold, once.t_last) == once
+        assert lock(once, rails.v_hold, ClfgCell._make(once).t_last) == once
 
     def test_locked_output_ignores_fg_history(self, default_cell, rails):
         cell = apply_fg(default_cell, Level.HIGH, 0.0, rails)
-        cell = lock(cell, rails.v_hold, cell.t_last)
+        cell = lock(cell, rails.v_hold, ClfgCell._make(cell).t_last)
         cell = apply_fg(cell, Level.LOW, 1.0, rails)
         cell = apply_fg(cell, Level.HIGH, 2.0, rails)
         assert output_voltage(cell, 3.0) == rails.v_hold
@@ -82,7 +81,7 @@ class TestUnlock:
     def test_double_unlock(self, default_cell, rails):
         cell = unlock(lock(default_cell, rails.v_hold, default_cell.t_last), default_cell.t_last)
         with pytest.raises(SimulationError, match=r"^lock switch is already open$"):
-            unlock(cell, cell.t_last)
+            unlock(cell, ClfgCell._make(cell).t_last)
 
 
 class TestCoupleHold:
@@ -152,7 +151,7 @@ class TestLeak:
 
     def test_hour_drift_matches_tens_of_microvolts(self):
         cell = floating_cell(-1.1, leak_rate=1e-8)
-        drifted = settle(cell, cell.t_last + 3600.0)
+        drifted = ClfgCell._make(settle(cell, cell.t_last + 3600.0))
         drift = output_voltage(drifted, drifted.t_last) - (-1.1)
         expected = -1.1 * math.exp(-1e-8 * 3600.0) + 1.1
         assert drift == pytest.approx(expected, rel=1e-12)
@@ -161,8 +160,8 @@ class TestLeak:
     @given(t1=st.floats(0, 1e5), t2=st.floats(0, 1e5))
     def test_semigroup(self, t1, t2):
         cell = floating_cell(-1.1)
-        split = settle(settle(cell, cell.t_last + t1), cell.t_last + t1 + t2)
-        joined = settle(cell, cell.t_last + (t1 + t2))
+        split = ClfgCell._make(settle(settle(cell, cell.t_last + t1), cell.t_last + t1 + t2))
+        joined = ClfgCell._make(settle(cell, cell.t_last + (t1 + t2)))
         assert output_voltage(split, split.t_last) == pytest.approx(
             output_voltage(joined, joined.t_last), rel=1e-12
         )
@@ -172,8 +171,8 @@ class TestLeak:
             settle(floating_cell(0.0), -1.0)
 
     def test_noop_while_locked(self, default_cell, rails):
-        cell = lock(default_cell, rails.v_hold, default_cell.t_last)
-        after = settle(cell, cell.t_last + 1e6)
+        cell = ClfgCell._make(lock(default_cell, rails.v_hold, default_cell.t_last))
+        after = ClfgCell._make(settle(cell, cell.t_last + 1e6))
         assert output_voltage(after, after.t_last) == rails.v_hold
 
 
@@ -211,10 +210,11 @@ class TestFastGateTransient:
         # 10-90% rise of the simulated step is ln(9) tau ~ 2.2 ns.
         cell = floating_cell(0.0, r_switch=2e3)
         rails = SupplyRails(v_high=0.1, v_low=-0.1)
+        params = cell.params
         cell = apply_fg(cell, Level.HIGH, 0.0, rails)
         times = np.linspace(0.0, 10e-9, 10001)
-        v = sample_output(cell.params, [output_fields(cell)] * len(times), times)
-        dv = pulse_amplitude(cell.params, rails)
+        v = sample_output(params, [output_fields(cell)] * len(times), times)
+        dv = pulse_amplitude(params, rails)
         t10 = times[np.searchsorted(v, 0.1 * dv)]
         t90 = times[np.searchsorted(v, 0.9 * dv)]
         assert t90 - t10 == pytest.approx(math.log(9) * 1e-9, abs=0.01e-9)
@@ -223,7 +223,7 @@ class TestFastGateTransient:
         cell = floating_cell(-1.1)
         rails = SupplyRails()
         after = apply_fg(cell, Level.LOW, 0.0, rails)
-        assert after.v_target == cell.v_target
+        assert ClfgCell._make(after).v_target == cell.v_target
         assert output_voltage(after, 1.0) == output_voltage(cell, 1.0)
 
     def test_full_cycle_returns_exactly(self):
@@ -256,11 +256,12 @@ class TestFastGateTransient:
         # afterwards steps the output down by one pulse amplitude.
         rails = SupplyRails(v_high=0.1, v_low=-0.1, v_hold=-1.1)
         cell = ClfgCell(CellParams(q_inj=0.0, leak_rate=0.0))
-        cell = apply_fg(cell, Level.HIGH, 0.0, rails)
+        params = cell.params
+        cell = ClfgCell._make(apply_fg(cell, Level.HIGH, 0.0, rails))
         cell = unlock(lock(cell, rails.v_hold, cell.t_last), cell.t_last)
         cell = apply_fg(cell, Level.LOW, 1.0, rails)
         v = output_voltage(cell, 1.0 + 1e-6)
-        assert v == pytest.approx(-1.1 - pulse_amplitude(cell.params, rails), rel=1e-9)
+        assert v == pytest.approx(-1.1 - pulse_amplitude(params, rails), rel=1e-9)
 
     def test_sample_rejects_times_before_last_event(self):
         cell = settle(floating_cell(0.0), 1.0)
@@ -281,7 +282,8 @@ class TestEnergyOracle:
             cell = floating_cell(0.0, c_pulse=c_pulse, c_p=c_p,
                                  r_switch=r, leak_rate=0.0)
             rails = SupplyRails(v_high=swing, v_low=0.0)
-            tau = time_constant(cell.params)
+            params = cell.params
+            tau = time_constant(params)
             dt = tau / 1000.0
             half = 20000  # 20 tau per half cycle
             energy = 0.0
@@ -289,11 +291,11 @@ class TestEnergyOracle:
             for level in (Level.HIGH, Level.LOW):
                 cell = apply_fg(cell, level, t0, rails)
                 times = t0 + np.arange(half + 1) * dt
-                v = sample_output(cell.params, [output_fields(cell)] * len(times), times)
+                v = sample_output(params, [output_fields(cell)] * len(times), times)
                 i = c_p * np.gradient(v, dt)
                 energy += np.trapezoid(i * i * r, dx=dt)
                 t0 = times[-1]
-            expected = series_capacitance(cell.params) * swing**2
+            expected = series_capacitance(params) * swing**2
             assert energy == pytest.approx(expected, rel=5e-3)
 
 
@@ -380,6 +382,8 @@ class TestRunKernel:
         for a, b in zip(bounds, bounds[1:]):
             got = apply_fg_run(got, run.times[a:b], run.levels[a:b], run.period_s, rails)
 
+        assert type(got) is tuple and got[0] is params
+        got, expected = ClfgCell._make(got), ClfgCell._make(expected)
         assert (got.fg_level, got.fg_ref, got.lock_closed, got.t_last) == (
             expected.fg_level, expected.fg_ref, expected.lock_closed, expected.t_last
         )
@@ -421,7 +425,7 @@ def cell_states(draw, params: CellParams) -> ClfgCell:
         )
     cell = unlock(lock(ClfgCell(params), draw(finite_volts), 0.0), 0.0)
     rails = SupplyRails(v_high=draw(st.floats(0.0, 0.5)), v_low=draw(st.floats(-0.5, 0.0)))
-    return apply_fg(cell, draw(st.sampled_from(Level)), t_last, rails)
+    return ClfgCell._make(apply_fg(cell, draw(st.sampled_from(Level)), t_last, rails))
 
 
 class TestSampleOutput:
@@ -452,13 +456,13 @@ class TestSampleOutput:
 
     def test_locked_cell_reads_hold_at_any_time(self):
         cell = lock(ClfgCell(), -1.1, 0.0)
-        got = sample_output(cell.params, [output_fields(cell)] * 3, [-1.0, 0.0, 5.0])
+        got = sample_output(CellParams(), [output_fields(cell)] * 3, [-1.0, 0.0, 5.0])
         assert got.tolist() == [-1.1] * 3
 
     def test_time_before_last_event_rejected(self):
         cell = settle(floating_cell(-1.1), 1.0)
         with pytest.raises(ValueError, match="precede"):
-            sample_output(cell.params, [output_fields(cell)] * 2, [1.0, 0.5])
+            sample_output(CellParams(q_inj=0.0), [output_fields(cell)] * 2, [1.0, 0.5])
 
     def test_one_state_per_time(self):
         cell = ClfgCell()
@@ -482,10 +486,12 @@ any_cell_states = st.builds(
 )
 
 
-def assert_same_state(got: ClfgCell, want: ClfgCell, cell: ClfgCell) -> None:
-    """`got` is `want` field by field (floats bit for bit, by `repr`), and
-    shares the `params` object of `cell`, the state it was built from."""
-    assert type(got) is ClfgCell
+def assert_same_state(got: tuple, want: tuple, cell: ClfgCell) -> None:
+    """`got` is a plain tuple and `want` field by field (floats bit for bit,
+    by `repr`), and shares the `params` object of `cell`, the state it was
+    built from."""
+    assert type(got) is tuple
+    got, want = ClfgCell._make(got), ClfgCell._make(want)
     assert got.params is cell.params
     for name in ClfgCell._fields:
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
@@ -619,7 +625,7 @@ class TestStateTransitions:
         if cell.lock_closed:
             want = cell._replace(fg_level=level)
         else:
-            want = settle(cell, t)
+            want = ClfgCell._make(settle(cell, t))
             if level != want.fg_level:
                 pulse = pulse_amplitude(cell.params, rails) * (int(level) - int(cell.fg_ref))
                 want = want._replace(fg_level=level, v_target=want.v_base + pulse)
@@ -633,6 +639,15 @@ class TestStateTransitions:
         want = cell._replace(fg_level=Level(levels[-1]), t_last=float(times[-1]))
         got = apply_fg_run(cell, times, np.array(levels), 1e-6, SupplyRails())
         assert_same_state(got, want, cell)
+
+    @given(cell=any_cell_states, level=st.sampled_from([0, 1]), dt=st.floats(0.0, 1e-3))
+    @settings(max_examples=200, deadline=None)
+    def test_apply_fg_run_floating_one_edge(self, cell, level, dt):
+        # Longer runs are checked against the edge-by-edge oracle in `TestRunKernel`.
+        cell, rails = cell._replace(lock_closed=False), SupplyRails(v_high=0.3, v_low=-0.2)
+        t = cell.t_last + dt
+        got = apply_fg_run(cell, np.array([t]), np.array([level]), 1e-6, rails)
+        assert_same_state(got, apply_fg(cell, Level(level), t, rails), cell)
 
     @given(cell=any_cell_states)
     @settings(max_examples=50, deadline=None)

@@ -59,6 +59,9 @@ def _with_param(name: str, key: str, value) -> dict:
 
 _DOT = {"levers": {"lw": 0.2}, "gate_sources": {"lw": {"cell": 0}}}
 _NAN, _INF = float("nan"), float("inf")
+# JSON nested deeper than `json` reads, and how `json` says so.
+_DEEP = "[" * 5000 + "]" * 5000
+_TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 
 
 def _traced(kind: str) -> dict:
@@ -226,6 +229,9 @@ MALFORMED = {
     "sweep_seed_nan": _mini(sweep={"axis": "seed", "values": [_NAN, _INF]}),
     # The cached coupling ratio is no key of the `analog` section.
     "analog_coupling_key": _mini(analog={"coupling": 0.1}),
+    # Document text (not an object to dump): a `seed` nested past what
+    # `json` reads, whose RecursionError ended `cli.main` in a traceback.
+    "seed_nested_past_json_depth": '{"seed": ' + _DEEP + ", " + json.dumps(_mini())[1:],
 }
 # Documents whose run would fill gigabytes if load let them through:
 # checked with `validate` only.
@@ -392,7 +398,8 @@ class TestValidate:
     @pytest.mark.parametrize("name", MALFORMED)
     def test_malformed_section_exits_1(self, name, tmp_path, capsys):
         path = tmp_path / "bad.scn"
-        path.write_text(json.dumps(MALFORMED[name]))
+        doc = MALFORMED[name]
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         first_lines = []
         run = [] if name in VALIDATE_ONLY else [["run", str(path), "--out", str(tmp_path)]]
         for argv in (["validate", str(path)], *run):
@@ -422,6 +429,22 @@ class TestValidate:
             if "brings the run" in why:
                 assert f"past the budget of {engine.MAX_ROWS}" in err
         assert "index-sized" not in err
+
+    def test_document_nested_past_json_depth_exits_1_in_one_line(self, tmp_path):
+        path = tmp_path / "deep.scn"
+        path.write_text(MALFORMED["seed_nested_past_json_depth"])
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+            code, _, err = _main(argv)
+            assert (code, err) == (1, f"error: cannot load scenario {path}: {_TOO_DEEP}\n")
+
+    def test_nesting_json_reads_still_loads(self, tmp_path):
+        # Deep, but within what `json` reads under this test's own stack.
+        deep = "[" * 800 + "1" + "]" * 800
+        path = tmp_path / "deep.scn"
+        path.write_text('{"seed": ' + deep + ", " + json.dumps(_mini())[1:])
+        assert _main(["validate", str(path)])[0] == 0
+        path.write_text(json.dumps(_mini()))
+        assert _main(["validate", str(path), "--override", "seed=" + deep])[0] == 0
 
     def test_edge_document_exits_1_quoting_rows_and_budget(self, tmp_path):
         path = tmp_path / "edge.scn"
@@ -687,6 +710,7 @@ class TestRefusedText:
                                    " got 'abc'",
         ("traces.cells", "[0]"): "figure_params: cell 5 is not in traces.cells",
         ("seed", "NaN"): "seed: expected a finite float, got nan",
+        ("seed", _DEEP): f"cannot read flag value: {_TOO_DEEP}",
     }
 
     @pytest.mark.parametrize("argv, axis, text", [
@@ -697,6 +721,11 @@ class TestRefusedText:
         (["sweep", "fig3c", "--axis", "traces.cells.0", "--values=abc"], "traces.cells.0", "abc"),
         (["validate", "fig3c", "--override", "traces.cells=[0]"], "traces.cells", "[0]"),
         (["run", "fig4b", "--override", "seed=NaN"], "seed", "NaN"),
+        # Text nested past what `json` reads, which fell back to text or a traceback.
+        pytest.param(["run", "fig4b", "--override", "seed=" + _DEEP], "seed", _DEEP,
+                     id="override-seed-too-deep"),
+        pytest.param(["sweep", "fig3c", "--axis", "seed", "--values=" + _DEEP], "seed", _DEEP,
+                     id="values-seed-too-deep"),
     ])
     def test_exits_1(self, argv, axis, text, tmp_path):
         command, name, *rest = argv

@@ -171,10 +171,10 @@ class TestDriftRecovery:
         # gate relaxes: slope / (dG/dV) returns the voltage drift rate.
         lam = 1e-8
         dot = DotDevice(levers={"lw": 1.0}, v_offset=1.1003)
-        cell = analog.ClfgCell(analog.CellParams(q_inj=0.0, leak_rate=lam))
-        cell = analog.unlock(analog.lock(cell, -1.1, cell.t_last), cell.t_last)
+        params = analog.CellParams(q_inj=0.0, leak_rate=lam)
+        cell = analog.unlock(analog.lock(analog.ClfgCell(params), -1.1, 0.0), 0.0)
         times = np.arange(0.0, 201.0, 1.0)
-        v = analog.sample_output(cell.params, [analog.output_fields(cell)] * len(times), times)
+        v = analog.sample_output(params, [analog.output_fields(cell)] * len(times), times)
         g = np.asarray(conductance(dot, {"lw": v}))
         probe_dv = 1e-6
         slope = np.polyfit(times, g, 1)[0]

@@ -1032,7 +1032,25 @@ class TestExport:
         values = data.draw(st.lists(st.sampled_from(pool), max_size=40))
         column = np.array(values, dtype=dtype)
         assert column.dtype.kind == kind
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            with pytest.raises(SimulationError,
+                               match=r"^output table value -?(nan|inf) is not finite$"):
+                engine._format_column(column)
+            return
         assert engine._format_column(column) == [engine._format_cell(v) for v in values]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("table", [
+        lambda value: engine.Table(("t", "v"), (np.array([0.0, 1.0]), np.array([1.5, value]))),
+        # Object columns, with an int and text among the floats.
+        lambda value: engine.Table.from_rows(("t", "v", "w"), [(0, 1.5, "a"), (2**64, value, "b")]),
+    ], ids=["float", "object"])
+    def test_non_finite_value_is_refused_and_nothing_written(self, value, table, tmp_path):
+        table = table(value)
+        with pytest.raises(SimulationError) as refused:
+            engine.export(engine.TraceBundle({"t": table}, {}, {"name": "t"}), tmp_path)
+        assert str(refused.value) == f"output table value {value!r} is not finite"
+        assert list(tmp_path.iterdir()) == []
 
     def test_from_rows_writes_each_value_as_given(self, tmp_path):
         # Ints past int64, and an int among floats, written as the values

@@ -205,6 +205,31 @@ def test_cli_import_leaves_process_pools_out():
     assert result.stdout.strip() == "[]"
 
 
+def test_failing_hypothesis_test_is_reported_under_this_config(tmp_path):
+    # Every warning is an error here; one that hypothesis raises while it
+    # reports a failing example must not end the pytest run.
+    (tmp_path / "test_given.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n"
+        "def test_passes():\n"
+        "    pass\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), str(tmp_path / "test_given.py")],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert re.search(r"^1 failed, 1 passed\b", result.stdout, re.MULTILINE), result.stdout
+
+
+def test_package_builds_no_tuple_by_tuple_new():
+    # A cell state is a plain tuple display, not a `ClfgCell` built field by field.
+    users = [path.name for path in PACKAGE.glob("*.py")
+             if "tuple.__new__" in path.read_text(encoding="utf-8")]
+    assert users == []
+
+
 def _fields(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
