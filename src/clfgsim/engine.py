@@ -686,10 +686,9 @@ def _refuse_non_finite(values) -> None:
 
 
 def _format_column(column: np.ndarray) -> list[str]:
-    """`_format_cell` of every value of a column, by its dtype: text as it
-    is; float64 and ints and bools (as 0/1) once per distinct int64 or bit
-    pattern (so -0.0 and 0.0 stay apart), indexed back; objects value by
-    value.  A non-finite float is refused."""
+    """`_format_cell` of every value of a column, by its dtype, refusing a
+    non-finite float: text as it is; float64 and ints and bools (as 0/1) once per
+    distinct int64 or bit pattern (-0.0 and 0.0 apart), indexed back; objects one by one."""
     kind = column.dtype.kind
     if kind == "U":
         return column.tolist()
@@ -700,7 +699,8 @@ def _format_column(column: np.ndarray) -> list[str]:
     keys = column.astype(float if kind == "f" else np.int64, copy=False)
     unique, inverse = np.unique(keys.view(np.int64), return_inverse=True)
     fmt, values = (float.__repr__, unique.view(float)) if kind == "f" else (str, unique)
-    _refuse_non_finite(values)
+    if kind == "f":  # an int or a bool is always finite
+        _refuse_non_finite(values)
     return np.array(list(map(fmt, values.tolist())), dtype=object)[inverse].tolist()
 
 
