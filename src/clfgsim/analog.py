@@ -21,14 +21,15 @@ with a first-order transient of time constant
 All operations are pure: they take a cell value and return a new one.
 A cell state is a plain tuple of the nine fields of `ClfgCell`, in that
 order.  Each transition unpacks it once and returns the next state as a
-tuple display in its own frame, with no call to another transition (the
-hold-rail fan-out runs `set_hold` on all 32 cells at each move); a
-`ClfgCell`, itself such a tuple, builds a first state by keyword and
-names the fields of any state (`ClfgCell._make(state)`).  The element
-values live in a `CellParams` that every state of a cell shares by
-reference, so an event copies only the few state fields; it also holds
-their `coupling_ratio`, computed once when built, as `coupling`, which
-`set_hold` reads and `couple_hold`, its oracle, recomputes.
+tuple display.  Hot transitions are fused, calling no other: `set_hold`
+(the hold-rail fan-out runs it on all 32 cells), `lock` and `unlock`;
+`apply_fg` composes `settle`.  A `ClfgCell`, itself such a tuple, builds a
+first state by keyword and names the fields of any state
+(`ClfgCell._make(state)`).  The element values live in a `CellParams`
+that every state of a cell shares by reference, so an event copies only
+the few state fields; it also holds their `coupling_ratio`, computed once
+when built, as `coupling`, which `set_hold` reads and `couple_hold`, its
+oracle, recomputes.
 `apply_fg_run` applies a whole playback run in one step;
 `settle` and `apply_fg`, one edge at a time, are its test oracle.  Its RC
 transient is `one_pole`, the first-order recurrence the tank readout in
@@ -226,28 +227,20 @@ def settle(cell: tuple, t: float) -> tuple:
 def apply_fg(cell: tuple, level: Level, t: float, rails: SupplyRails) -> tuple:
     """Drive the fast-gate switch to `level` at time `t`.
 
-    A floating cell is settled to `t`, as `settle` does; its asymptotic
+    A floating cell is settled to `t` by `settle`; its asymptotic
     output then steps by +/- the pulse amplitude and relaxes there with
     the cell's RC time constant.  The pulse contribution is recomputed
     from (level - fg_ref) on every edge, never accumulated, so a full
     HIGH/LOW cycle returns the target to the baseline exactly.  While
     locked the level is recorded but the output stays pinned.
     """
-    params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last = cell
-    if locked:
+    if cell[1]:  # locked
+        params, locked, _, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last = cell
+        return (params, locked, level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last)
+    params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last = settle(cell, t)
+    if level != fg_level:
         fg_level = level
-    else:
-        if (dt := t - t_last) < 0:
-            raise ValueError(f"time {t} precedes last event at {t_last}")
-        if dt != 0.0:
-            rc = math.exp(-dt / time_constant(params))
-            decay = math.exp(-params.leak_rate * dt)
-            v_inst = v_target + (v_start - v_target) * rc
-            v_base, v_start, v_target = v_base * decay, v_inst * decay, v_target * decay
-        t_last = t
-        if level != fg_level:
-            fg_level = level
-            v_target = v_base + pulse_amplitude(params, rails) * (int(level) - int(fg_ref))
+        v_target = v_base + pulse_amplitude(params, rails) * (int(level) - int(fg_ref))
     return (params, locked, fg_level, fg_ref, v_hold_seen, v_base, v_start, v_target, t_last)
 
 

@@ -9,7 +9,6 @@ environment variable (falling back to ./out).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -95,16 +94,8 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     scenario = engine.load_scenario(args.scenario, args.override)
     bundle = engine.run_scenario(scenario)
-    written = engine.export(bundle, _out_dir(args))
-    for path in written:
-        print(path)
+    print(*engine.export(bundle, _out_dir(args)), sep="\n")
     return EXIT_OK
-
-
-def _csv_field(value) -> str:
-    """A sweep value as `export` writes it, quoted where RFC 4180 needs it."""
-    text = engine._format_cell(value)
-    return '"' + text.replace('"', '""') + '"' if set(text) & set(',"\r\n') else text
 
 
 def _cmd_sweep(args) -> int:
@@ -124,7 +115,7 @@ def _cmd_sweep(args) -> int:
     # first-seen order; a run that did not trace a cell leaves it empty.
     finals = [summary["v_out_final"] for summary in summaries]
     cells = list(dict.fromkeys(c for final in finals for c in final))
-    columns = [list(map(_csv_field, values))]
+    columns = [list(values)]
     columns += [[final.get(c, "") for final in finals] for c in cells]
     header = ["value"] + [f"v_out_final_cell{c}" for c in cells]
     if any("conductance_final_s" in summary for summary in summaries):
@@ -135,8 +126,7 @@ def _cmd_sweep(args) -> int:
         tables={"sweep": table}, summary={"axis": axis, "n": len(values)},
         manifest=dict(engine._manifest(scenario), axis=axis),
     )
-    for path in engine.export(bundle, _out_dir(args)):
-        print(path)
+    print(*engine.export(bundle, _out_dir(args)), sep="\n")
     return EXIT_OK
 
 
@@ -162,10 +152,9 @@ def _cmd_replay(args) -> int:
                       for t, f in scenario.responses],
     }
     spath = outdir / "replay_state.json"
-    with engine.refusing(f"cannot write {outdir}"):
-        spath.write_text(json.dumps(state, indent=2, sort_keys=True, allow_nan=False) + "\n", "utf-8")
-    for path in [*written, spath]:
-        print(path)
+    with engine.refusing(f"cannot write {outdir}", OSError):
+        spath.write_text(engine.json_text(state), "utf-8")
+    print(*written, spath, sep="\n")
     return EXIT_OK
 
 
@@ -174,7 +163,7 @@ def _cmd_budget(args) -> int:
     scenario = engine.load_scenario(path, args.override)
     require_sections(scenario, ("power", "budget"))
     for flag, value in (("--cells", args.cells), ("--freq", args.freq)):
-        with engine._section(flag):
+        with engine.refusing(flag):
             _at_least(0, engine._number)(value)
     result = thermal.feasible(
         args.cells, args.freq, args.swing, scenario.analog, scenario.power,
@@ -185,7 +174,7 @@ def _cmd_budget(args) -> int:
             f"--cells {args.cells}, --freq {args.freq} and --swing {args.swing}"
             " give a power that is not finite"
         )
-    print(json.dumps({
+    sys.stdout.write(engine.json_text({
         "n_cells": args.cells,
         "f_hz": args.freq,
         "swing_volts": args.swing,
@@ -193,7 +182,7 @@ def _cmd_budget(args) -> int:
         "budget_watts": result.budget_watts,
         "feasible": result.feasible,
         "headroom_watts": result.headroom_watts,
-    }, indent=2, sort_keys=True))
+    }))
     return EXIT_OK
 
 
@@ -203,8 +192,7 @@ def _cmd_figures(args) -> int:
     for name in names:
         scenario = engine.load_scenario(bundled_scenario_path(name), args.override)
         bundle = engine.run_scenario(scenario)
-        for path in engine.export(bundle, outdir):
-            print(path)
+        print(*engine.export(bundle, outdir), sep="\n")
     return EXIT_OK
 
 

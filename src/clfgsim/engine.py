@@ -8,9 +8,9 @@ the chip refuses and a run past `MAX_ROWS`; a run expands the plan's switch
 events, applies them to the analog cells in exact time order and samples
 the requested traces.  Everything is pure arithmetic on the scenario
 contents, so two runs of the same scenario produce byte-identical files.
-Load refuses with a ScenarioError, `_section` turning a model's
-SimulationError into one that names the section; a run raises it as is.
-The `events` table's rows are made, written and read back here only.
+Load refuses with a ScenarioError, `refusing` naming the section in it; a
+run raises a SimulationError as is.  The `events` table's rows, every CSV
+field (`_format_cell`) and every JSON text (`json_text`) are made here only.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -172,21 +172,13 @@ _CELL_KEYS = {str(c): c for c in range(N_CELLS)}
 
 
 @contextmanager
-def _section(where: str):
-    """Report a parameter type's check or a model's refusal as a ScenarioError."""
+def refusing(what: str, errors=(TypeError, ValueError, OverflowError, SimulationError)):
+    """Report `errors` raised inside (a parameter type's check or a model's refusal)
+    as a ScenarioError, `what: reason`; a ScenarioError passes through as it is."""
     try:
         yield
     except ScenarioError:
         raise
-    except (TypeError, ValueError, OverflowError, SimulationError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-
-
-@contextmanager
-def refusing(what: str, errors=OSError):
-    """Report `errors` raised inside as a ScenarioError, `what: reason`."""
-    try:
-        yield
     except errors as exc:
         raise ScenarioError(f"{what}: {exc}") from exc
 
@@ -282,9 +274,9 @@ def _build_section(cls, raw, where: str):
     args = dict(raw)
     for field in fields:
         if field.name in raw and field.type in _READERS:
-            with _section(f"{where}.{field.name}"):
+            with refusing(f"{where}.{field.name}"):
                 args[field.name] = _READERS[field.type](raw[field.name])
-    with _section(where):
+    with refusing(where):
         return cls(**args)
 
 
@@ -295,7 +287,7 @@ def _gate_source(dot: devmod.DotDevice, gate: str, raw) -> GateSource:
     if not isinstance(raw, Mapping) or set(raw) not in ({"cell"}, {"dac"}, {"const"}):
         raise ScenarioError(f"device: gate {gate!r} needs one of cell/dac/const")
     (kind, value), = raw.items()
-    with _section(f"device: gate {gate!r}"):
+    with refusing(f"device: gate {gate!r}"):
         value = {"cell": _INT, "dac": _text, "const": _number}[kind](value)
         if kind == "cell" and not 0 <= value < N_CELLS:
             raise ValueError(f"cell {value} is not an index 0..{N_CELLS - 1}")
@@ -329,7 +321,7 @@ def _parse_schedule_item(raw, index: int, dacs: Collection[str]) -> ScheduleItem
     where = f"schedule[{index}]"
     if "t" not in _object(raw, where):
         raise ScenarioError(f"{where}: missing time key 't'")
-    with _section(where):
+    with refusing(where):
         t = _number(raw["t"])
         keys = set(raw) - {"t"}
         if keys == {"write"}:
@@ -359,7 +351,7 @@ def _parse_schedule_item(raw, index: int, dacs: Collection[str]) -> ScheduleItem
 def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     """Validate a scenario document and build the typed configuration.
 
-    Each section goes through `_build_section` or `_section`, so a
+    Each section goes through `_build_section` or `refusing`, so a
     malformed one is a ScenarioError naming it; so is a readout trace the
     tank cannot take, a schedule that `_walk_schedule` refuses, and a run
     past `MAX_ROWS` rows, which samples x (1 + traced cells + other kinds) seed.
@@ -375,7 +367,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     unknown = set(raw) - _TOP_LEVEL_KEYS
     if unknown:
         raise ScenarioError(f"unknown top-level key(s) {sorted(unknown)}")
-    with _section("seed"):  # read by no model, but written into the manifest
+    with refusing("seed"):  # read by no model, but written into the manifest
         _finite_inside(raw.get("seed"))
 
     chip = _build_section(ChipConfig, raw.get("chip", {}), "chip")
@@ -401,7 +393,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
         sources = _object(draw.get("gate_sources", {}), "device.gate_sources")
         gate_sources = {gate: _gate_source(dot, gate, src) for gate, src in sources.items()}
         if (axis_gate := draw.get("axis_gate")) is not None:
-            with _section("device.axis_gate"):
+            with refusing("device.axis_gate"):
                 if _text(axis_gate) not in gate_sources:
                     raise ScenarioError(f"device: axis_gate {axis_gate!r} has no gate source")
 
@@ -422,7 +414,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
         if not gate_sources:
             raise ScenarioError("conductance/readout traces need device.gate_sources")
     if "readout" in traces.kinds:
-        with _section("traces"):
+        with refusing("traces"):
             devmod.require_sample_rate(tank)
     if {"power", "temperature"} & set(traces.kinds) and power is None:
         raise ScenarioError("power/temperature traces need a power section")
@@ -437,7 +429,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     for prev, item in zip(schedule, schedule[1:]):
         if item.time_s < prev.time_s:
             raise ScenarioError("schedule times must be nondecreasing")
-    with _section("duration_s"):
+    with refusing("duration_s"):
         duration = _number(raw.get("duration_s", 0.0))
     if duration < 0:
         raise ScenarioError("duration_s must be finite and non-negative")
@@ -448,14 +440,14 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     for key in targets:
         if key not in _CELL_KEYS:
             raise ScenarioError(f"cell_targets: key {key!r} is not a cell index 0..{N_CELLS - 1}")
-    with _section("cell_targets"):
+    with refusing("cell_targets"):
         targets = {_CELL_KEYS[k]: _number(v) for k, v in targets.items()}
 
-    with _section("name"):
+    with refusing("name"):
         name = _text(raw.get("name", "scenario"))
     if set(name) & set("/\\\0"):
         raise ScenarioError(f"name {name!r} must be a string with no path separator")
-    with _section("duration_s"):  # duration_s * rate past float range
+    with refusing("duration_s"):  # duration_s * rate past float range
         samples = sample_count(duration, traces.sample_rate_hz)
     kinds = set(traces.kinds)
     rows = samples * (1 + len(traces.cells) * ("cells" in kinds) + len(kinds - {"cells"}))
@@ -498,12 +490,30 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     return scenario
 
 
+# The deepest that arrays and objects may nest in a document or flag text,
+# counted before parsing: where `json` itself gives up depends on the
+# interpreter and on how deep the caller's stack already is.
+MAX_NESTING = 512
+
+
+def _read_json(text: str, what: str):
+    """`text` read as JSON (a ValueError if it is not), refused as `what: reason`
+    where arrays and objects nest deeper than `MAX_NESTING` (brackets in
+    strings aside), or where `json` runs out of stack all the same."""
+    brackets = re.findall(r"[][{}]", re.sub(r'"[^"\\]*(?:\\.[^"\\]*)*"', "", text))
+    if max(accumulate(1 if b in "[{" else -1 for b in brackets), default=0) > MAX_NESTING:
+        raise ScenarioError(f"{what}: arrays and objects nest deeper than {MAX_NESTING}")
+    with refusing(what, RecursionError):
+        return json.loads(text)
+
+
 def read_document(path: str | Path):
     """The JSON document in the file at `path`, not yet built."""
-    # ValueError: bad JSON, or an int of too many digits; RecursionError: nested too deep.
-    with refusing(f"cannot load scenario {path}", (OSError, ValueError, RecursionError)):
+    what = f"cannot load scenario {path}"
+    # ValueError: bad UTF-8 or JSON, or an int of too many digits.
+    with refusing(what, (OSError, ValueError)):
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return _read_json(fh.read(), what)
 
 
 def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
@@ -517,11 +527,10 @@ def load_scenario(path: str | Path, overrides: Sequence[str] = ()) -> Scenario:
 def flag_value(text: str):
     """An `--override` value or a `--values` item: its text read as JSON (refused if
     nested too deep), else the text itself, which the document's readers check."""
-    with refusing("cannot read flag value", RecursionError):
-        try:
-            return json.loads(text)
-        except ValueError:  # not JSON, or an int of too many digits
-            return text
+    try:
+        return _read_json(text, "cannot read flag value")
+    except ValueError:  # not JSON, or an int of too many digits
+        return text
 
 
 def _key(node, part: str, axis: str):
@@ -613,11 +622,11 @@ class Table:
 
     @classmethod
     def from_rows(cls, header: Iterable[str], rows: list[tuple]) -> Table:
-        """Object columns of the values as given, so an int past int64, or an int
-        among floats, is written as it is."""
+        """1-D object columns of the values as given, so an int past int64, an int
+        among floats, or a list, is written as it is."""
         header = tuple(header)
         columns = zip(*rows) if rows else [()] * len(header)
-        return cls(header, tuple(np.array(column, dtype=object) for column in columns))
+        return cls(header, tuple(np.fromiter(column, object, len(rows)) for column in columns))
 
     def __len__(self) -> int:
         return sum(len(b) if isinstance(b, fsm.TickRun) else len(b[0]) for b in self.blocks)
@@ -671,11 +680,13 @@ class TraceBundle:
 
 
 def _format_cell(value) -> str:
+    """A value's CSV field, any text quoted where RFC 4180 needs it."""
     if isinstance(value, (int, np.integer)):  # bool too, as 0/1
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if set(text) & set(',"\r\n') else text
 
 
 def _refuse_non_finite(values) -> None:
@@ -687,21 +698,21 @@ def _refuse_non_finite(values) -> None:
 
 def _format_column(column: np.ndarray) -> list[str]:
     """`_format_cell` of every value of a column, by its dtype, refusing a
-    non-finite float: text as it is; float64 and ints and bools (as 0/1) once per
-    distinct int64 or bit pattern (-0.0 and 0.0 apart), indexed back; objects one by one."""
+    non-finite float: text, float64 and ints and bools (as 0/1) once per distinct
+    text, int64 or bit pattern (-0.0 and 0.0 apart), indexed back; objects one by one."""
     kind = column.dtype.kind
-    if kind == "U":
-        return column.tolist()
-    if kind not in "fbi":
+    if kind not in "Ufbi":
         cells = column.tolist()
         _refuse_non_finite([v for v in cells if isinstance(v, (float, np.floating))])
         return list(map(_format_cell, cells))
-    keys = column.astype(float if kind == "f" else np.int64, copy=False)
-    unique, inverse = np.unique(keys.view(np.int64), return_inverse=True)
-    fmt, values = (float.__repr__, unique.view(float)) if kind == "f" else (str, unique)
-    if kind == "f":  # an int or a bool is always finite
-        _refuse_non_finite(values)
-    return np.array(list(map(fmt, values.tolist())), dtype=object)[inverse].tolist()
+    if kind != "U":
+        column = column.astype(float if kind == "f" else np.int64, copy=False).view(np.int64)
+    unique, inverse = np.unique(column, return_inverse=True)
+    if kind == "f":  # an int, a bool or text is always finite
+        unique = unique.view(float)
+        _refuse_non_finite(unique)
+    fmt = {"U": _format_cell, "f": float.__repr__}.get(kind, str)
+    return np.array(list(map(fmt, unique.tolist())), dtype=object)[inverse].tolist()
 
 
 def _block_text(block: Block) -> Iterator[str]:
@@ -731,10 +742,9 @@ def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
                                            *map(_block_text, table.blocks)))
              for key, table in sorted(bundle.tables.items())]
     manifest = dict(bundle.manifest, outputs=[path.name for path, _ in files])
-    files.append((outdir / f"manifest_{manifest['name']}.json",
-                  [json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"]))
+    files.append((outdir / f"manifest_{manifest['name']}.json", [json_text(manifest)]))
     written = []
-    with refusing(f"cannot write {outdir}"):
+    with refusing(f"cannot write {outdir}", OSError):
         outdir.mkdir(parents=True, exist_ok=True)
         try:
             for path, lines in files:
@@ -746,6 +756,11 @@ def export(bundle: TraceBundle, outdir: str | Path) -> list[Path]:
                 path.unlink(missing_ok=True)
             raise
     return written
+
+
+def json_text(obj) -> str:
+    """Every JSON text the program writes, a NaN or an infinity refused (ValueError)."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _manifest(scenario: Scenario) -> dict:
@@ -1150,7 +1165,7 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
             dac = i if base.schedule[i].frame is None else None
     docs = [set_axis(base.raw, axis, value) for value in values]  # its refusal names the axis
     points = []
-    with refusing(f"axis {axis!r}", ScenarioError):
+    try:
         for doc in docs:
             if axis == "rails.v_hold":
                 swap = {"rails": _build_section(analog.SupplyRails, doc["rails"], "rails")}
@@ -1161,6 +1176,8 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
                 points.append(build_scenario(doc, points=False))
                 continue
             points.append(dataclasses.replace(base, raw=doc, overrides=(), points=(), **swap))
+    except ScenarioError as exc:
+        raise ScenarioError(f"axis {axis!r}: {exc}") from exc
     return points
 
 

@@ -216,7 +216,7 @@ def check_sections(scenario: Scenario) -> dict:
     params = {}
     for key, (convert, default) in table.items():
         if key in scenario.figure_params:
-            with engine._section(f"figure_params: {key}"):
+            with engine.refusing(f"figure_params: {key}"):
                 params[key] = convert(scenario.figure_params[key])
         elif default is None:
             raise engine.ScenarioError(f"figure_params: {scenario.figure} needs key {key!r}")
@@ -247,7 +247,7 @@ def check_sections(scenario: Scenario) -> dict:
         n = len(params["v_sdp_values"])  # the envelope, n x m values built whole, adds to the run
         engine._check_budget(scenario.rows + n * m, f"figure_params: the envelope of {n} values"
                              f" x {m} samples", scenario.duration_s)
-        with engine._section("traces"):  # `envelope_check` reads the tank's samples
+        with engine.refusing("traces"):  # `envelope_check` reads the tank's samples
             devmod.require_sample_rate(scenario.tank)
     if scenario.figure in ("fig4b", "fig4d", "fig4e"):  # closed form: check what it writes
         run = DRIVERS[scenario.figure](dataclasses.replace(scenario, figure_params=params))
@@ -263,7 +263,7 @@ def check_sections(scenario: Scenario) -> dict:
 def check_sweep_values(scenario: Scenario) -> None:
     """Refuse a fig3b or fig3c sweep value that its table cannot write as a finite float."""
     if "sweep" in _NEEDS.get(scenario.figure, ()):
-        with engine._section(f"axis {scenario.sweep.axis!r}: {scenario.figure} writes floats"):
+        with engine.refusing(f"axis {scenario.sweep.axis!r}: {scenario.figure} writes floats"):
             list(map(_FLOAT, scenario.sweep.values))
 
 

@@ -59,9 +59,21 @@ def _with_param(name: str, key: str, value) -> dict:
 
 _DOT = {"levers": {"lw": 0.2}, "gate_sources": {"lw": {"cell": 0}}}
 _NAN, _INF = float("nan"), float("inf")
-# JSON nested deeper than any Python's `json` reads: its limit, and the text
-# of its RecursionError, differ between versions, so tests match one line.
+# JSON nested far deeper than `engine.MAX_NESTING`, and than any Python's
+# `json` reads, whose limit and RecursionError text differ between versions.
 _DEEP = "[" * 100_000 + "]" * 100_000
+_TOO_DEEP = f"arrays and objects nest deeper than {engine.MAX_NESTING}"
+
+
+def _seed_document(depth: int) -> str:
+    """The minimal document's text with a `seed` of lists, nested `depth` deep
+    with the document's own object."""
+    return '{"seed": ' + "[" * (depth - 1) + "]" * (depth - 1) + ", " + json.dumps(_mini())[1:]
+
+
+def _at_depth(frames: int, call):
+    """`call()`, made `frames` Python frames deeper than this call."""
+    return call() if frames == 0 else _at_depth(frames - 1, call)
 
 
 def _traced(kind: str) -> dict:
@@ -434,21 +446,40 @@ class TestValidate:
         path = tmp_path / "deep.scn"
         path.write_text(MALFORMED["seed_nested_past_json_depth"])
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
-            code, _, err = _main(argv)
-            assert code == 1, err
-            assert re.fullmatch(rf"error: cannot load scenario {re.escape(str(path))}: .+\n", err)
+            assert _main(argv) == (1, "", f"error: cannot load scenario {path}: {_TOO_DEEP}\n")
+        # Counted before `json` parses it, so no RecursionError is raised.
         with pytest.raises(engine.ScenarioError) as refused:
             engine.read_document(path)
-        assert isinstance(refused.value.__cause__, RecursionError)
+        assert refused.value.__cause__ is None
 
     def test_nesting_json_reads_still_loads(self, tmp_path):
-        # Deep, but within what `json` reads under this test's own stack.
-        deep = "[" * 800 + "1" + "]" * 800
+        # The limit itself: the document, and the override text on its own.
         path = tmp_path / "deep.scn"
-        path.write_text('{"seed": ' + deep + ", " + json.dumps(_mini())[1:])
+        path.write_text(_seed_document(engine.MAX_NESTING))
         assert _main(["validate", str(path)])[0] == 0
+        deep = "[" * engine.MAX_NESTING + "1" + "]" * engine.MAX_NESTING
         path.write_text(json.dumps(_mini()))
         assert _main(["validate", str(path), "--override", "seed=" + deep])[0] == 0
+
+    def test_nesting_limit_holds_deep_in_the_caller_stack(self, tmp_path):
+        # `json` counted nesting against the recursion limit that Python
+        # frames share, so a document or flag text nested 513 deep loaded,
+        # and one that loaded at the top of a stack was refused deeper in it.
+        limit = engine.MAX_NESTING
+        shallow, deep = tmp_path / "shallow.scn", tmp_path / "deep.scn"
+        shallow.write_text(_seed_document(limit))
+        deep.write_text(_seed_document(limit + 1))
+        text = "[" * limit + "]" * limit
+        assert _at_depth(400, lambda: engine.load_scenario(shallow)).name == "mini"
+        assert _at_depth(400, lambda: engine.flag_value(text)) == json.loads(text)
+        in_text = json.dumps(["[" * (limit + 1) + '\\"{'])  # brackets in a string do not nest
+        assert engine.flag_value(in_text) == json.loads(in_text)
+        with pytest.raises(engine.ScenarioError) as refused:
+            _at_depth(400, lambda: engine.load_scenario(deep))
+        assert str(refused.value) == f"cannot load scenario {deep}: {_TOO_DEEP}"
+        with pytest.raises(engine.ScenarioError) as refused:
+            _at_depth(400, lambda: engine.flag_value(f"[{text}]"))
+        assert str(refused.value) == f"cannot read flag value: {_TOO_DEEP}"
 
     def test_edge_document_exits_1_quoting_rows_and_budget(self, tmp_path):
         path = tmp_path / "edge.scn"
@@ -743,11 +774,11 @@ class TestRefusedText:
         command, name, *rest = argv
         code, _, err = _main([command, str(cli.bundled_scenario_path(name)), *rest,
                               "--out", str(tmp_path)])
-        assert code == 1, err
-        assert re.fullmatch(r"error: cannot read flag value: .+\n", err)
+        assert (code, err) == (1, f"error: cannot read flag value: {_TOO_DEEP}\n")
+        # Counted before `json` parses it, so no RecursionError is raised.
         with pytest.raises(engine.ScenarioError) as refused:
             engine.flag_value(_DEEP)
-        assert isinstance(refused.value.__cause__, RecursionError)
+        assert refused.value.__cause__ is None
 
     def test_one_message_whether_or_not_the_document_holds_the_key(self, tmp_path):
         # The message was another where the document spelled the default.
@@ -961,8 +992,36 @@ class TestSweepCommand:
         with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["value", "v_out_final_cell0"]
-        assert [row[0] for row in rows] == [engine._format_cell(v) for v in values]
+        assert [row[0] for row in rows] == list(map(str, values))
         assert all(len(row) == len(header) for row in rows)
+
+    @pytest.mark.parametrize("axis, values, written", [
+        ("traces.cells", [[0, 1], [1, 0]],
+         'value,v_out_final_cell0,v_out_final_cell1\n"[0, 1]",-1.0989999967030002,0.0\n'
+         '"[1, 0]",-1.0989999967030002,0.0\n'),
+        ("name", ["a,b", 'say "hi"', "plain"],
+         'value,v_out_final_cell0\n"a,b",-1.0989999967030002\n"say ""hi""",-1.0989999967030002\n'
+         "plain,-1.0989999967030002\n"),
+    ])
+    def test_list_and_text_values_are_written_as_before(self, axis, values, written, tmp_path):
+        # The values reach the table as they are, and `export` quotes them:
+        # each list is one cell of a 1-D object column, not a row of a 2-D one.
+        path = tmp_path / "swept.scn"
+        path.write_text(json.dumps(_mini(sweep={"axis": axis, "values": values})))
+        assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "sweep.csv").read_text() == written
+        column = engine.Table.from_rows(["value"], [(v,) for v in values]).columns[0]
+        assert column.shape == (len(values),) and column.tolist() == values
+
+    def test_non_finite_value_no_point_reads_is_never_written(self, tmp_path):
+        # An axis inside the sweep block itself takes any value unread: its
+        # NaN reached sweep.csv as text, `nan`, with exit 0.
+        path = tmp_path / "swept.scn"
+        path.write_text(json.dumps(_mini(sweep={"axis": "sweep.values.0", "values": [_NAN, 1.0]})))
+        out = tmp_path / "out"
+        code, _, err = _main(["sweep", str(path), "--out", str(out)])
+        assert (code, err) == (2, "runtime error: output table value nan is not finite\n")
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("name, axis, values, overrides", [
         ("mini", "traces.cells.0", [0, 1], []),

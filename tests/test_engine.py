@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -1523,6 +1524,95 @@ class TestEventsTable:
         assert [column.dtype.str[1:] for column in table.columns[:2]] == ["f8", "i8"]
         assert [column.dtype.kind for column in table.columns[2:]] == ["U", "U"]
         assert bundle.summary["n_events"] == len(expected)
+
+
+# Each mask register's low half, which drawn schedules write, and its high half.
+_MASKS = {"LOCK_MASK_LO": "LOCK_MASK_HI", "PULSE_MASK_LO": "PULSE_MASK_HI"}
+# Drawn items, and hold-rail moves, but no READ of a mask: its response is the mask.
+_ANY_CELLS_ITEM = st.one_of(DRAWN_ITEM.filter(lambda item: item.get("read") not in _MASKS),
+                            _HOLD_REPEAT)
+
+
+def _renamed(doc: dict, perm: Sequence[int]) -> dict:
+    """`doc` with each cell c named perm[c]: in each mask write (written as
+    both halves, at its time), the traced cells, the gate sources and the
+    cell targets."""
+    doc = copy.deepcopy(doc)
+    schedule = []
+    for item in doc["schedule"]:
+        reg, value = item.get("write", (None, None))
+        if reg in _MASKS:
+            mask = sum(1 << perm[c] for c in fsm.mask_cells(value))
+            schedule += [{"t": item["t"], "write": [reg, mask & 0xFFFF]},
+                         {"t": item["t"], "write": [_MASKS[reg], mask >> 16]}]
+        else:
+            schedule.append(item)
+    doc["schedule"] = schedule
+    doc["traces"]["cells"] = [perm[c] for c in doc["traces"]["cells"]]
+    for source in doc["device"]["gate_sources"].values():
+        source["cell"] = perm[source["cell"]]
+    doc["cell_targets"] = {str(perm[int(c)]): v for c, v in doc["cell_targets"].items()}
+    return doc
+
+
+def _by_time_and_cell(table: engine.Table, name=lambda c: c) -> list[str]:
+    """The reprs of a table's rows, each `cell` mapped by `name`, sorted
+    stably by time and cell (a cell's rows at one time keep their order)."""
+    if "cell" not in table.header:
+        return list(map(repr, table.rows))
+    i = table.header.index("cell")
+    rows = [(*row[:i], name(row[i]), *row[i + 1:]) for row in table.rows]
+    return list(map(repr, sorted(rows, key=lambda row: (row[0], row[i]))))
+
+
+class TestRenamedCells:
+    """Only the shared hold rail couples cells, and it reaches all 32 alike,
+    so renaming the cells of a document renames them in its run, and changes
+    nothing else, bit for bit.  REFRESH visits its cells in ascending order,
+    so the drawn documents have none: every refresh period is 0."""
+
+    @given(schedule=drawn_schedule(_ANY_CELLS_ITEM), perm=st.permutations(range(engine.N_CELLS)))
+    @settings(max_examples=150, deadline=None)
+    def test_tables_are_the_run_renamed(self, schedule, perm):
+        # Cells 0 and 1 pulse from t = 0.  Each drawn EXEC follows a CTRL
+        # write, 3 then 7 in turn, so EXECs go from playback to LOCKING
+        # (cells 1 and 2, unless a drawn write moves the masks) and back.
+        ctrl = itertools.cycle([3, 7])
+        items = [{"t": 0.0, "write": ["CTRL", 7]}, {"t": 0.0, "write": ["DIVIDER", 12]},
+                 {"t": 0.0, "write": ["PULSE_MASK_LO", 3]}, {"t": 0.0, "write": ["LOCK_MASK_LO", 6]},
+                 {"t": 0.0, "exec": True}]
+        for item in schedule:
+            if "exec" in item:
+                items.append({"t": item["t"], "write": ["CTRL", next(ctrl)]})
+            if item.get("write", [None])[0] == "REFRESH_PERIOD":
+                item = dict(item, write=["REFRESH_PERIOD", 0])
+            items.append(item)
+        doc = {
+            "schema_version": 1, "name": "renamed", "duration_s": 0.05, "rails": {"v_hold": -1.1},
+            "schedule": items,
+            "device": {"levers": {"lw": 0.2, "rw": 0.3}, "axis_gate": "lw", "bandwidth_hz": 1.0,
+                       "gate_sources": {"lw": {"cell": 0}, "rw": {"cell": 2}}},
+            "power": {"fsm_energy_per_cycle": 2e-14, "clock_energy_per_cycle": 1e-14,
+                      "static_floor_w": 1e-9,
+                      "calibration": {"points": [[7.038e-07, 0.096], [5e-06, 0.15]]}},
+            "cell_targets": {"0": -1.0, "2": -1.05},
+            "traces": {"sample_rate_hz": 100.0, "cells": [0, 1, 2, 9],
+                       "kinds": ["cells", "hold", "conductance", "readout", "power", "temperature"]},
+        }
+        try:
+            scenario = build_scenario(doc)
+        except ScenarioError:  # a schedule that the chip refuses, whatever the cells' names
+            with pytest.raises(ScenarioError):
+                build_scenario(_renamed(doc, perm))
+            return
+        assert fsm.Mode.REFRESH not in {mode for _, (mode, _) in scenario.modes}
+        want = engine.run_generic(scenario)
+        got = engine.run_generic(build_scenario(_renamed(doc, perm)))
+        assert sorted(got.tables) == sorted(want.tables)
+        for name, table in want.tables.items():
+            assert _by_time_and_cell(got.tables[name], perm.index) == _by_time_and_cell(table), name
+        finals = {perm.index(c): v for c, v in got.summary["v_out_final"].items()}
+        assert repr(dict(got.summary, v_out_final=finals)) == repr(want.summary)
 
 
 _ANY_TIME = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324])
