@@ -335,7 +335,10 @@ def sample_output(params: CellParams, fields, times) -> np.ndarray:
 
     The array form of `output_voltage`, which stays as its scalar oracle.
     It takes the states' fields, not the states, so a caller that samples
-    many states need not keep them alive until it evaluates them.
+    many states need not keep them alive until it evaluates them.  Each
+    value is computed element by element from its own row and time, so
+    one call can serve many runs' samples (`engine.sweep`'s batch of
+    points) with the bits that each run's own call would give.
     """
     times = np.asarray(times, dtype=float)
     fields = np.asarray(fields, dtype=float).reshape(-1, len(OUTPUT_FIELDS))

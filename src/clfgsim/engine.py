@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import accumulate, chain, repeat
-from operator import itemgetter
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -1003,11 +1003,21 @@ def _events(timeline: Sequence[tuple[float, int, str, object]]) -> Table:
 _state_key = struct.Struct("=?BB5d").pack
 
 
-def run_generic(scenario: Scenario) -> TraceBundle:
-    """Execute a time-domain scenario and collect the requested traces.
+class _Walk(NamedTuple):
+    """A run's timeline walk (`_walk`), which its samples are evaluated from."""
 
-    Every entry of the timeline (`_expand_plan`, with each tick run cut
-    where it is read) is applied eagerly, in order: a slice is one
+    times: np.ndarray  # the sample grid
+    sampled: list[int]  # the cells the samples read: traced cells, then gate cells
+    fields: list[float]  # each block's `output_fields` of the sampled cells, in order
+    counts: list[int]  # each block's samples
+    timeline: list  # `_expand_plan`'s, which `_events` reads
+    dacs: dict  # each DAC's changes, `_expand_plan`'s
+    finals: dict[int, tuple]  # each of `traces.cells`' state after the last entry
+
+
+def _walk(scenario: Scenario) -> _Walk:
+    """Apply every entry of the timeline (`_expand_plan`, with each tick run
+    cut where it is read) eagerly, in order: a slice is one
     `analog.apply_fg_run` call per distinct `_state_key` of its pulsed
     cells, whose result every cell with that key takes (exact, since
     `apply_fg_run` is pure), a DAC entry sets the hold rail, which a close
@@ -1016,23 +1026,17 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     relies on one invariant: only WRITE and EXEC split playback and lock
     actions happen only at EXEC, so no lock action falls inside a run.
     Before each entry it records one block, the samples before that entry,
-    as the sampled cells' `output_fields` they see; it logs nothing, since
-    `_events` reads the `events` table from the timeline.  The traces are
-    then evaluated as arrays, which the tables hold: the hold rail, DAC
-    gates, power and temperature by `_held` from their change points
-    (`_expand_plan`'s, and `Scenario.modes` once per distinct mode).  The
-    bundle carries no manifest: `run_scenario` adds one.
+    as the sampled cells' `output_fields` they see (floats, so no state
+    outlives its block); it logs nothing, since `_events` reads the `events`
+    table from the timeline.
     """
     kinds = scenario.traces.kinds
     traced = scenario.traces.cells if "cells" in kinds else ()
-    sources = scenario.gate_sources if {"conductance", "readout"} & set(kinds) else {}
-    cell_gates = [src.value for src in sources.values() if src.kind == "cell"]
-    # What the samples read, each once: traced cells, then gate sources.
-    sampled = list(dict.fromkeys([*traced, *cell_gates]))
+    cell_gates = [src.value for src in _gate_sources(scenario).values() if src.kind == "cell"]
+    sampled = list(dict.fromkeys([*traced, *cell_gates]))  # each once
 
     times = sample_grid(scenario)
     sample_times = times.tolist()
-    n_samples = len(times)
     rails = scenario.rails
     timeline, dacs = _expand_plan(scenario, times, sampled)
 
@@ -1041,8 +1045,6 @@ def run_generic(scenario: Scenario) -> TraceBundle:
     start = min(0.0, scenario.schedule[0].time_s) if scenario.schedule else 0.0
     cells = [analog.ClfgCell(scenario.analog, t_last=start)] * N_CELLS
     v_hold = rails.v_hold  # the hold rail now, which a close locks onto
-    # What each block of samples sees, the sampled cells' `output_fields`
-    # (floats, so no state outlives its block), and its length.
     fields: list[float] = []
     counts: list[int] = []
     si = 0
@@ -1070,37 +1072,91 @@ def run_generic(scenario: Scenario) -> TraceBundle:
             cells[payload] = analog.lock(cells[payload], v_hold, t)  # type: ignore[index]
         elif kind == "OPEN":
             cells[payload] = analog.unlock(cells[payload], t)  # type: ignore[index]
+    finals = {c: cells[c] for c in scenario.traces.cells}  # not the rest, which a batch would hold
+    return _Walk(times, sampled, fields, counts, timeline, dacs, finals)
 
+
+def _gate_sources(scenario: Scenario) -> Mapping[str, GateSource]:
+    """The dot gates the samples read: every one for a conductance or readout trace, else none."""
+    return scenario.gate_sources if {"conductance", "readout"} & set(scenario.traces.kinds) else {}
+
+
+def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays end to end; one array as it is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _evaluate(points: Sequence[Scenario], walks: Sequence[_Walk]) -> list[tuple]:
+    """Each point's (walk, volts, gates, g), its walk's samples evaluated:
+    the sampled cells' output voltages, samples x `walk.sampled`, each dot
+    gate's voltage and the conductance (None with no gate read).  The points
+    share the objects that this reads as scalars (`_batches`), so one
+    `analog.sample_output` call over every point's samples and one
+    `devmod.conductance` call over their gate voltages, joined in order,
+    evaluate them all, and the results are split back per point.  Each
+    value is computed element by element from contiguous input, as in a
+    batch of one, so it has the bits the point run alone gives.
+    """
+    first, sampled = points[0], walks[0].sampled
+    counts = [n for walk in walks for n in walk.counts]
+    fields = chain.from_iterable(walk.fields for walk in walks)
+    n_fields = sum(len(walk.fields) for walk in walks)
+    times = _joined([walk.times for walk in walks])
     # The sampled cells' fields sample by sample, evaluated in one call.
-    per_sample = np.fromiter(fields, float, len(fields)).reshape(len(counts), -1).repeat(counts, axis=0)
+    per_sample = np.fromiter(fields, float, n_fields).reshape(len(counts), -1).repeat(counts, axis=0)
     volts = analog.sample_output(
-        scenario.analog, per_sample, times.repeat(len(sampled))
-    ).reshape(n_samples, len(sampled))
+        first.analog, per_sample, times.repeat(len(sampled))
+    ).reshape(len(times), len(sampled))
+    gates = {
+        gate: volts[:, sampled.index(src.value)] if src.kind == "cell"
+        else _joined([_held(walk.dacs[src.value], walk.times) for walk in walks]) if src.kind == "dac"
+        else np.full(len(times), src.value)
+        for gate, src in _gate_sources(first).items()
+    }
+    g = devmod.conductance(first.device, gates) if gates else None
+    bounds = [0, *accumulate(len(walk.times) for walk in walks)]
+    return [(walk, volts[i:j], {gate: v[i:j] for gate, v in gates.items()},
+             None if g is None else g[i:j])
+            for walk, i, j in zip(walks, bounds, bounds[1:])]
 
-    tables = {"events": _events(timeline)}
+
+def run_generic(scenario: Scenario, _evaluated: tuple | None = None) -> TraceBundle:
+    """Execute a time-domain scenario and collect the requested traces.
+
+    A run is in two stages: the timeline walk (`_walk`), which applies each
+    entry to the cells and records what each sample sees, then the array
+    evaluation (`_evaluate`) of the samples and the dot's conductance.  A
+    run alone is a batch of one; `sweep` walks a batch of points, evaluates
+    them at once and hands each point's share over as `_evaluated`.  The
+    tables hold the evaluated arrays, and the hold rail, DAC gates, power and
+    temperature by `_held` from their change points (`_expand_plan`'s, and
+    `Scenario.modes` once per distinct mode).  The bundle carries no
+    manifest: `run_scenario` adds one.
+    """
+    if _evaluated is None:
+        [_evaluated] = _evaluate([scenario], [_walk(scenario)])
+    walk, volts, gates, g = _evaluated
+    kinds = scenario.traces.kinds
+    traced = scenario.traces.cells if "cells" in kinds else ()
+    times = walk.times
+    n_samples = len(times)
+
+    tables = {"events": _events(walk.timeline)}
     if traced:
         cell = np.tile(np.array(traced, dtype=np.int64), n_samples)
-        v_out = volts[:, [sampled.index(c) for c in traced]].ravel()
+        v_out = volts[:, [walk.sampled.index(c) for c in traced]].ravel()
         tables["cells"] = Table(("time_s", "cell", "v_out_volts"),
                                 (times.repeat(len(traced)), cell, v_out))
     if "hold" in kinds:
-        tables["hold"] = Table(("time_s", "v_hold_volts"), (times, _held(dacs["v_hold"], times)))
+        tables["hold"] = Table(("time_s", "v_hold_volts"), (times, _held(walk.dacs["v_hold"], times)))
     summary: dict[str, Any] = {
         "final_time_s": scenario.duration_s,
         "v_out_final": {
-            c: analog.output_voltage(cells[c], scenario.duration_s)
-            for c in scenario.traces.cells
+            c: analog.output_voltage(state, scenario.duration_s) for c, state in walk.finals.items()
         },
         "n_events": len(tables["events"]),
     }
-    if sources:
-        gates = {
-            gate: volts[:, sampled.index(src.value)] if src.kind == "cell"
-            else _held(dacs[src.value], times) if src.kind == "dac"
-            else np.full(n_samples, src.value)
-            for gate, src in sources.items()
-        }
-        g = devmod.conductance(scenario.device, gates)
+    if g is not None:
         summary["conductance_final_s"] = float(g[-1])
         if "conductance" in kinds:
             tables["conductance"] = Table(("time_s", "conductance_s"), (times, g))
@@ -1155,9 +1211,12 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
     and `schedule.<i>.dac.<name>` where item i of the base is a `dac` item,
     which the walk skips.  A point on either parses the new leaf as a full
     build does and swaps it into the base, as `rails` or as that schedule
-    item; a point on any other axis is a full build.
+    item; a point on any other axis is a full build.  An axis inside the
+    `sweep` block itself is refused: no point reads its own block.
     """
     parts = axis.split(".")
+    if parts[0] == "sweep":
+        raise ScenarioError(f"axis {axis!r}: a sweep cannot move its own sweep block")
     dac = None  # the `dac` item that the axis names, if it names one
     if len(parts) == 4 and parts[0] == "schedule" and parts[2] == "dac":
         with suppress(ScenarioError):  # no such item: the full build refuses the axis
@@ -1181,7 +1240,42 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
     return points
 
 
+# What `_evaluate` reads of a point as scalars, beyond its walk's arrays.
+_evaluated_from = attrgetter("analog", "device", "gate_sources", "traces")
+
+
+def _batches(points: Iterable[Scenario]) -> Iterator[list[Scenario]]:
+    """`points` in order, in runs of consecutive points that hold the very
+    objects `_evaluated_from` names (swap-axis points share the base's,
+    full builds do not) and whose `rows` sum to at most `MAX_ROWS`, though
+    a point alone may reach it."""
+    batch: list[Scenario] = []
+    rows = 0
+    for point in points:
+        if batch and (rows + point.rows > MAX_ROWS or not all(
+                map(is_, _evaluated_from(batch[0]), _evaluated_from(point)))):
+            yield batch
+            batch, rows = [], 0
+        batch.append(point)
+        rows += point.rows
+    if batch:
+        yield batch
+
+
+def _run_batch(points: list[Scenario]) -> Iterator[TraceBundle]:
+    """Walk each point, evaluate them all at once, then yield one
+    `run_generic` call per point with its share.  A generator of its own,
+    so the batch's walks and arrays go with its frame once the last bundle
+    is read, before the next batch is walked."""
+    walks = list(map(_walk, points))
+    for point, evaluated in zip(points, _evaluate(points, walks)):
+        yield run_generic(point, evaluated)
+
+
 def sweep(scenario: Scenario) -> Iterator[TraceBundle]:
-    """Generic runs of the scenario's `sweep` block's points, made at load, in order,
-    each as it is read, so one point's tables are held at a time: the only sweep."""
-    return map(run_generic, scenario.points)
+    """Generic runs of the scenario's `sweep` block's points, made at load, in
+    order: the only sweep.  The points go in `_batches`, each walked and
+    evaluated at once as its first bundle is read, so one batch's tables
+    are held at a time; each point's bundle is then one `run_generic` call
+    with its share, which gives what the point run alone gives, bit for bit."""
+    return chain.from_iterable(map(_run_batch, _batches(scenario.points)))

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import strategies as st
 
-from clfgsim import analog, engine, protocol
+from clfgsim import analog, cli, engine, protocol
 
 
 @pytest.fixture
@@ -33,6 +35,43 @@ def make_scenario(**kwargs) -> engine.Scenario:
     }
     raw.update(kwargs)
     return engine.build_scenario(raw)
+
+
+def bundled_swept(name: str, axis: str, values, kinds=None) -> engine.Scenario:
+    """Bundled scenario `name` with the sweep block `{"axis": axis, "values":
+    values}` (and `kinds` as its trace kinds, if given), built."""
+    raw = json.loads(cli.bundled_scenario_path(name).read_text(encoding="utf-8"))
+    raw["sweep"] = {"axis": axis, "values": list(values)}
+    if kinds is not None:
+        raw["traces"]["kinds"] = list(kinds)
+    return engine.build_scenario(raw)
+
+
+# fig3g's readout, with its conductance traced too, swept on the hold rail:
+# 22,401 samples a point, the rail value repeated, -0.0 and 0.0.
+FIG3G_SWEEP = ("fig3g", "rails.v_hold", (-0.80, -0.81, -1.101, -1.101, -0.0, 0.0),
+               ("cells", "conductance", "readout"))
+
+
+def assert_sweep_is_each_point_alone(scenario: engine.Scenario) -> None:
+    """Each point's `engine.sweep` bundle equals `engine.run_generic` of the
+    point run alone: every table column bit for bit (`tobytes`; an object
+    column by its values) and the summary exactly (`repr`, so -0.0 and 0.0
+    stay apart)."""
+    swept = list(engine.sweep(scenario))
+    assert len(swept) == len(scenario.points)
+    for point, got in zip(scenario.points, swept):
+        want = engine.run_generic(point)
+        assert repr(got.summary) == repr(want.summary)
+        assert got.tables.keys() == want.tables.keys()
+        for key, table in want.tables.items():
+            assert got.tables[key].header == table.header
+            for a, b in zip(got.tables[key].columns, table.columns, strict=True):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), key
+                if a.dtype == object:
+                    assert a.tolist() == b.tolist(), key
+                else:
+                    assert a.tobytes() == b.tobytes(), key
 
 
 def lock_then_open_schedule(cell_mask: int, open_time_s: float) -> list[dict]:

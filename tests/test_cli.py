@@ -239,6 +239,10 @@ MALFORMED = {
     "seed_nan": _mini(seed=_NAN),
     "seed_infinity_inside": _mini(seed={"a": [1, -_INF]}),
     "sweep_seed_nan": _mini(sweep={"axis": "seed", "values": [_NAN, _INF]}),
+    # An axis inside the sweep block itself, whose values no reader checked:
+    # `validate` and `run` gave 0, `sweep` wrote or refused the value as output.
+    "sweep_axis_own_values": _mini(sweep={"axis": "sweep.values.0", "values": [_NAN, 1.0]}),
+    "sweep_axis_own_axis": _mini(sweep={"axis": "sweep.axis", "values": ["rails.v_hold"]}),
     # The cached coupling ratio is no key of the `analog` section.
     "analog_coupling_key": _mini(analog={"coupling": 0.1}),
     # Document text (not an object to dump): a `seed` nested past what
@@ -289,6 +293,8 @@ REFUSED_AS = {
     "seed_nan": "seed: expected a finite float, got nan",
     "seed_infinity_inside": "seed: expected a finite float, got -inf",
     "sweep_seed_nan": "axis 'seed': seed: expected a finite float, got nan",
+    "sweep_axis_own_values": "axis 'sweep.values.0': a sweep cannot move its own sweep block",
+    "sweep_axis_own_axis": "axis 'sweep.axis': a sweep cannot move its own sweep block",
     "analog_coupling_key": "analog: unknown key(s) ['coupling']",
 }
 
@@ -1014,14 +1020,20 @@ class TestSweepCommand:
         assert column.shape == (len(values),) and column.tolist() == values
 
     def test_non_finite_value_no_point_reads_is_never_written(self, tmp_path):
-        # An axis inside the sweep block itself takes any value unread: its
-        # NaN reached sweep.csv as text, `nan`, with exit 0.
+        # An axis inside the sweep block itself took any value unread: its NaN
+        # reached sweep.csv as `nan` with exit 0, then `export` refused it with
+        # exit 2, while `validate` and `run` gave 0.  Now load refuses the axis,
+        # from the block or from the flags, with one message from all three.
         path = tmp_path / "swept.scn"
-        path.write_text(json.dumps(_mini(sweep={"axis": "sweep.values.0", "values": [_NAN, 1.0]})))
-        out = tmp_path / "out"
-        code, _, err = _main(["sweep", str(path), "--out", str(out)])
-        assert (code, err) == (2, "runtime error: output table value nan is not finite\n")
-        assert not out.exists() or list(out.iterdir()) == []
+        path.write_text(json.dumps(MALFORMED["sweep_axis_own_values"]))
+        flags = ["--axis", "sweep.values.0", "--values=NaN,1"]
+        results = [_main([command, str(path), *extra]) for command, extra in (
+            ("validate", []), ("run", ["--out", str(tmp_path / "run")]),
+            ("sweep", ["--out", str(tmp_path / "sweep")]),
+            ("sweep", [*flags, "--out", str(tmp_path / "flags")]))]
+        assert {(code, out, err) for code, out, err in results} == {(1, "", (
+            "error: axis 'sweep.values.0': a sweep cannot move its own sweep block\n"))}
+        assert not any((tmp_path / name).exists() for name in ("run", "sweep", "flags"))
 
     @pytest.mark.parametrize("name, axis, values, overrides", [
         ("mini", "traces.cells.0", [0, 1], []),

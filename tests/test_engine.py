@@ -3,7 +3,10 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from collections.abc import Sequence
 from pathlib import Path
@@ -18,7 +21,10 @@ from clfgsim import analog, cli, device, engine, figures, fsm, thermal
 from clfgsim.engine import ScenarioError, build_scenario
 from clfgsim.errors import SimulationError
 
-from conftest import DRAWN_ITEM, drawn_schedule, lock_then_open_schedule, make_scenario
+from conftest import (
+    DRAWN_ITEM, FIG3G_SWEEP, assert_sweep_is_each_point_alone, bundled_swept, drawn_schedule,
+    lock_then_open_schedule, make_scenario,
+)
 
 
 class TestValidation:
@@ -891,7 +897,8 @@ class TestSweep:
     def test_points_run_one_at_a_time_as_read(self, monkeypatch):
         ran = []
         real = engine.run_generic
-        monkeypatch.setattr(engine, "run_generic", lambda point: ran.append(point) or real(point))
+        monkeypatch.setattr(engine, "run_generic",
+                            lambda point, *share: ran.append(point) or real(point, *share))
         bundles = engine.sweep(self._swept(self._scenario(), "rails.v_hold", [-1.1, -1.0, -0.9]))
         assert ran == []  # every point is built, none run
         next(bundles)
@@ -988,6 +995,120 @@ class TestSweep:
             engine._sweep_points(base, "schedule.4.dac.v_hold", [-0.8])
         assert str(refused.value) == ("axis 'schedule.4.dac.v_hold': schedule[4]:"
                                       " expected one of write/read/exec/nop/word/dac")
+
+
+# Run in a child process whose numpy skips every dispatch target named in
+# argv: print those still on, then check the fig3b and fig3g sweeps.
+_SECOND_PATH = """
+import sys
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1
+    from numpy.core import _multiarray_umath as umath
+from clfgsim import cli, engine
+from conftest import FIG3G_SWEEP, assert_sweep_is_each_point_alone, bundled_swept
+print(sorted(target for target in sys.argv[1:] if umath.__cpu_features__[target]))
+assert_sweep_is_each_point_alone(engine.load_scenario(cli.bundled_scenario_path("fig3b")))
+assert_sweep_is_each_point_alone(bundled_swept(*FIG3G_SWEEP))
+print("ok")
+"""
+
+
+def _batch_sizes(scenario) -> list[int]:
+    return [len(batch) for batch in engine._batches(scenario.points)]
+
+
+class TestSweepBatches:
+    """`engine.sweep` walks a batch of points, evaluates all their samples
+    at once and splits the arrays back: each point's bundle is still the
+    point run alone, bit for bit."""
+
+    _VALUES = st.lists(st.sampled_from([-0.0, 0.0]) | st.floats(-1.5, 0.5), min_size=1, max_size=6)
+
+    @given(values=_VALUES, repeats=st.integers(0, 2))
+    @example(values=[-0.81, -0.0, 0.0], repeats=2)
+    @settings(max_examples=25, deadline=None)
+    def test_fig3b_dac_axis(self, values, repeats):
+        # The bundled sweep's axis; a value equal to the rail, -0.8, moves nothing.
+        scenario = bundled_swept("fig3b", "schedule.5.dac.v_hold", [*values, *[-0.8] * repeats])
+        assert _batch_sizes(scenario) == [len(scenario.points)]
+        assert_sweep_is_each_point_alone(scenario)
+
+    @given(values=_VALUES, repeats=st.integers(0, 2))
+    @example(values=[-0.5, -0.0, 0.0], repeats=2)
+    @settings(max_examples=25, deadline=None)
+    def test_fig3c_hold_rail(self, values, repeats):
+        scenario = bundled_swept("fig3c", "rails.v_hold", [-1.1] * repeats + values)
+        assert _batch_sizes(scenario) == [len(scenario.points)]
+        assert_sweep_is_each_point_alone(scenario)
+
+    def test_bundled_fig3b(self):
+        assert_sweep_is_each_point_alone(engine.load_scenario(cli.bundled_scenario_path("fig3b")))
+
+    def test_fig3g_readout_and_conductance(self):
+        scenario = bundled_swept(*FIG3G_SWEEP)
+        assert len(engine.sample_grid(scenario)) == 22_401
+        assert _batch_sizes(scenario) == [6]
+        assert_sweep_is_each_point_alone(scenario)
+
+    def test_dac_and_const_gates(self):
+        # Each point's DAC gate and hold trace are its own, joined for one call.
+        locks = lock_then_open_schedule(0b11, 0.02)
+        doc = {
+            "schema_version": 1, "name": "gates", "duration_s": 0.05, "rails": {"v_hold": -1.0},
+            "device": {"levers": {"sdp": 1.0, "lw": 0.2, "bg": 0.5},
+                       "gate_sources": {"sdp": {"dac": "v_sdp"}, "lw": {"cell": 0}, "bg": {"const": -0.1}}},
+            "schedule": [*locks[:4], {"t": 0.01, "dac": {"v_sdp": 0.004}}, *locks[4:],
+                         {"t": 0.03, "dac": {"v_hold": -0.9, "v_sdp": -0.0}}],
+            "traces": {"sample_rate_hz": 1e3, "kinds": ["cells", "hold", "conductance"], "cells": [1, 0]},
+            "sweep": {"axis": "schedule.4.dac.v_sdp", "values": [0.004, -0.0, 0.0, 0.01]},
+        }
+        scenario = build_scenario(doc)
+        assert _batch_sizes(scenario) == [4]
+        assert_sweep_is_each_point_alone(scenario)
+
+    def test_full_build_axis_runs_batches_of_one(self):
+        scenario = bundled_swept("fig3b", "analog.c_ds", [1e-14, 2e-14, 1e-14])
+        assert _batch_sizes(scenario) == [1, 1, 1]
+        assert_sweep_is_each_point_alone(scenario)
+
+    def test_budget_splits_the_batches(self, monkeypatch):
+        scenario = engine.load_scenario(cli.bundled_scenario_path("fig3b"))
+        rows = scenario.points[0].rows
+        monkeypatch.setattr(engine, "MAX_ROWS", 2 * rows + 1)  # after load, which checked each point
+        assert _batch_sizes(scenario) == [2] * 60 + [1]
+        assert_sweep_is_each_point_alone(scenario)
+        monkeypatch.setattr(engine, "MAX_ROWS", rows - 1)  # a point alone past it still runs
+        assert _batch_sizes(scenario) == [1] * 121
+        assert_sweep_is_each_point_alone(scenario)
+
+    @pytest.mark.parametrize("budget, calls", [(None, 1), (41, 61)])
+    def test_one_evaluation_per_batch(self, budget, calls, monkeypatch):
+        scenario = engine.load_scenario(cli.bundled_scenario_path("fig3b"))
+        if budget is not None:
+            monkeypatch.setattr(engine, "MAX_ROWS", budget)
+        sampled = _count_calls(monkeypatch, "sample_output")["sample_output"]
+        conducted = []
+        real = device.conductance
+        monkeypatch.setattr(device, "conductance", lambda *args: conducted.append(args) or real(*args))
+        assert len(list(engine.sweep(scenario))) == 121
+        assert (len(sampled), len(conducted)) == (calls, calls)
+
+    def test_batches_match_on_numpy_second_cpu_path(self):
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1
+            from numpy.core import _multiarray_umath as umath
+        targets = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+        if not targets:
+            pytest.skip(f"this CPU runs no numpy dispatch target above the baseline"
+                        f" {umath.__cpu_baseline__}, so numpy has no second path here")
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets), PYTHONPATH=path)
+        result = subprocess.run([sys.executable, "-c", _SECOND_PATH, *targets], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\nok\n")
 
 
 class TestExport:

@@ -118,17 +118,37 @@ def _counting(calls: dict, name: str):
 
 # `bench/smoke.py`'s `counts` pins these on each workload, outside tier-1:
 # `set_hold` runs on all 32 cells at each hold-DAC move, and each lock
-# action is one `lock` or `unlock`.  Neither input pulses a cell.
-@pytest.mark.parametrize("name, seed, set_hold", [("refresh", 21, 61_440), ("sweep", 0, 3_840)])
-def test_run_makes_the_calls_the_bench_pins(name, seed, set_hold, monkeypatch):
+# action is one `lock` or `unlock`.  Neither input pulses a cell.  The
+# bench counts events and sample rows from each `engine.run_generic`
+# result (`bench/spans.py`), so a sweep makes one call per point, each
+# returning that point's whole bundle.
+@pytest.mark.parametrize("name, seed, set_hold, runs, events, samples", [
+    ("refresh", 21, 61_440, 1, 3_839, 23_072), ("sweep", 0, 3_840, 121, 1_210, 605),
+], ids=["refresh-21-61440", "sweep-0-3840"])
+def test_run_makes_the_calls_the_bench_pins(name, seed, set_hold, runs, events, samples,
+                                            monkeypatch):
     workloads = _bench_module("bench_workloads", WORKLOADS)
     workload = workloads.make(name, seed)
     calls = dict.fromkeys(("set_hold", "lock", "unlock"), 0)
     for fn in calls:
         monkeypatch.setattr(analog, fn, _counting(calls, fn))
+    counters = _bench_module("bench_spans", SPANS).RESULT_COUNTS["engine.run_generic"]
+    counted = dict.fromkeys(["engine.run_generic.calls", *counters], 0)
+    real = engine.run_generic
+
+    def run_generic(*args):
+        bundle = real(*args)
+        counted["engine.run_generic.calls"] += 1
+        for counter, count in counters.items():
+            counted[counter] += count(bundle)
+        return bundle
+    monkeypatch.setattr(engine, "run_generic", run_generic)
     engine.run_scenario(engine.build_scenario(workload.doc))
     assert calls["set_hold"] == set_hold == workload.dac_moves * workloads.N_CELLS
     assert calls["lock"] + calls["unlock"] == workload.switch_events
+    assert (runs, events, samples) == (workload.runs, workload.switch_events, workload.samples)
+    assert counted == {"engine.run_generic.calls": runs, "engine.run_generic.events": events,
+                       "engine.run_generic.samples": samples}
 
 
 def test_engine_defines_no_function_inside_another():
