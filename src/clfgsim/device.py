@@ -47,14 +47,13 @@ class DotDevice:
 
 @dataclass(frozen=True)
 class TankReadout:
-    """First-order stand-in for the LC tank readout chain."""
+    """First-order stand-in for the LC tank readout chain, at its caller's sample rate."""
 
     bandwidth_hz: float = 10e6
-    sample_rate_hz: float = 100e6
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0 or self.sample_rate_hz <= 0:
-            raise ValueError("bandwidth_hz and sample_rate_hz must be positive")
+        if not self.bandwidth_hz > 0:
+            raise ValueError("bandwidth_hz must be positive")
 
 
 def effective_voltage(device: DotDevice, gate_voltages: Mapping[str, object]):
@@ -79,7 +78,7 @@ def conductance(device: DotDevice, gate_voltages: Mapping[str, object]):
     return device.g_max / np.cosh(d / device.peak_width) ** 2
 
 
-def _low_pass(x: np.ndarray, tank: TankReadout) -> np.ndarray:
+def _low_pass(x: np.ndarray, tank: TankReadout, sample_rate_hz: float) -> np.ndarray:
     """One-pole low-pass along the last axis, each row started settled at its x[0].
 
     Discrete form y[n] = (1-a) y[n-1] + a x[n] with a chosen so the
@@ -87,31 +86,31 @@ def _low_pass(x: np.ndarray, tank: TankReadout) -> np.ndarray:
     Each row is one `analog.one_pole` call with b0 = a, c = 1-a and
     z0 = (1-a) x[0].
     """
-    a = 1.0 - float(np.exp(-2.0 * np.pi * tank.bandwidth_hz / tank.sample_rate_hz))
+    a = 1.0 - float(np.exp(-2.0 * np.pi * tank.bandwidth_hz / sample_rate_hz))
     rows = [one_pole(a, 1.0 - a, row, (1.0 - a) * row[0]) for row in x.reshape(-1, x.shape[-1])]
     return np.array(rows).reshape(x.shape)
 
 
-def require_sample_rate(tank: TankReadout) -> None:
+def require_sample_rate(tank: TankReadout, sample_rate_hz: float) -> None:
     """Raise a SimulationError unless traces reach the tank at >= 10x its bandwidth.
 
     Below that the sampled one-pole filter no longer has the tank's shape.
     """
-    if tank.sample_rate_hz < 10.0 * tank.bandwidth_hz:
+    if sample_rate_hz < 10.0 * tank.bandwidth_hz:
         raise SimulationError(
-            f"sample rate {tank.sample_rate_hz:g} Hz < 10 x bandwidth "
+            f"sample rate {sample_rate_hz:g} Hz < 10 x bandwidth "
             f"{tank.bandwidth_hz:g} Hz"
         )
 
 
-def tank_signal(tank: TankReadout, g: np.ndarray) -> np.ndarray:
-    """Readout signal for uniformly sampled conductance traces `g` (one per
-    row): the tank's first-order low-pass, after `require_sample_rate`."""
-    require_sample_rate(tank)
+def tank_signal(tank: TankReadout, sample_rate_hz: float, g: np.ndarray) -> np.ndarray:
+    """Readout signal for conductance traces `g` (one per row) sampled at
+    `sample_rate_hz`: the tank's first-order low-pass, after `require_sample_rate`."""
+    require_sample_rate(tank, sample_rate_hz)
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
         raise ValueError("the conductance trace must be a sampled array")
-    return _low_pass(g, tank)
+    return _low_pass(g, tank, sample_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -126,6 +125,7 @@ class EnvelopeReport:
 def envelope_check(
     device: DotDevice,
     tank: TankReadout,
+    sample_rate_hz: float,
     pulsed_trace: np.ndarray,
     static_low_trace: np.ndarray,
     static_high_trace: np.ndarray,
@@ -134,7 +134,7 @@ def envelope_check(
     """Compare the envelope of a pulsed readout with two static sweeps.
 
     `pulsed_trace` holds one conductance time series per sweep point
-    (shape n_sweep x n_time, uniformly sampled at the tank sample rate);
+    (shape n_sweep x n_time, sampled at `sample_rate_hz`);
     it goes through `tank_signal` here, the first `settle_fraction` of each
     series is discarded as filter settling, and the per-point max/min are
     compared with the pointwise max/min of the two static traces.
@@ -153,7 +153,7 @@ def envelope_check(
         )
     if not 0.0 <= settle_fraction < 1.0:
         raise ValueError("settle_fraction must be in [0, 1)")
-    filtered = tank_signal(tank, pulsed)
+    filtered = tank_signal(tank, sample_rate_hz, pulsed)
     start = int(round(settle_fraction * pulsed.shape[1]))
     settled = filtered[:, start:]
     env_min = settled.min(axis=1)

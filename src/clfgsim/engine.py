@@ -63,15 +63,6 @@ _PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3}
 # configuration
 
 
-@dataclass(frozen=True)
-class ChipConfig:
-    master_freq_hz: float = 35.84e6
-
-    def __post_init__(self) -> None:
-        if not self.master_freq_hz > 0:
-            raise ValueError("master_freq_hz must be positive")
-
-
 _TRACE_KINDS = ("cells", "hold", "conductance", "readout", "power", "temperature")
 
 
@@ -133,7 +124,7 @@ class Scenario:
     """
 
     name: str
-    chip: ChipConfig
+    chip: fsm.ChipConfig
     analog: analog.CellParams
     rails: analog.SupplyRails
     device: devmod.DotDevice | None
@@ -370,7 +361,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     with refusing("seed"):  # read by no model, but written into the manifest
         _finite_inside(raw.get("seed"))
 
-    chip = _build_section(ChipConfig, raw.get("chip", {}), "chip")
+    chip = _build_section(fsm.ChipConfig, raw.get("chip", {}), "chip")
     cell = _build_section(analog.CellParams, raw.get("analog", {}), "analog")
     rails = _build_section(analog.SupplyRails, raw.get("rails", {}), "rails")
     traces = _build_section(TraceConfig, raw.get("traces", {}), "traces")
@@ -385,10 +376,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
             "device",
         )
         tank = _build_section(
-            devmod.TankReadout,
-            {k: v for k, v in draw.items() if k in _TANK_KEYS}
-            | {"sample_rate_hz": traces.sample_rate_hz},
-            "device",
+            devmod.TankReadout, {k: v for k, v in draw.items() if k in _TANK_KEYS}, "device"
         )
         sources = _object(draw.get("gate_sources", {}), "device.gate_sources")
         gate_sources = {gate: _gate_source(dot, gate, src) for gate, src in sources.items()}
@@ -415,7 +403,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
             raise ScenarioError("conductance/readout traces need device.gate_sources")
     if "readout" in traces.kinds:
         with refusing("traces"):
-            devmod.require_sample_rate(tank)
+            devmod.require_sample_rate(tank, traces.sample_rate_hz)
     if {"power", "temperature"} & set(traces.kinds) and power is None:
         raise ScenarioError("power/temperature traces need a power section")
     if "temperature" in traces.kinds and calibration is None:
@@ -780,7 +768,7 @@ def _manifest(scenario: Scenario) -> dict:
 # execution
 
 
-def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duration_s: float,
+def _walk_schedule(config: fsm.ChipConfig, schedule: Sequence[ScheduleItem], duration_s: float,
                    rows: int):
     """The run's plan, in walk order, modes, READ responses and rows; every
     refusal of a schedule is made here, as a ScenarioError naming the item
@@ -800,7 +788,7 @@ def _walk_schedule(config: ChipConfig, schedule: Sequence[ScheduleItem], duratio
     modes are (time, (mode, regs)) pairs in time order: the chip's at -inf,
     then its state after the last step at each time that changes it.
     """
-    chip = fsm.ChipState(master_freq_hz=config.master_freq_hz)
+    chip = fsm.ChipState(config=config)
     plan: list[tuple[float, int, str, object]] = []
     modes = {-math.inf: (chip.mode, chip.regs)}  # before any item: times may be negative
     responses: list[tuple[float, protocol.Frame]] = []
@@ -1164,7 +1152,7 @@ def run_generic(scenario: Scenario, _evaluated: tuple | None = None) -> TraceBun
             axis = scenario.axis_gate
             tables["readout"] = Table(("time_s", "v_sdp_volts", "signal"), (
                 times, gates[axis] if axis else np.zeros(n_samples),
-                devmod.tank_signal(scenario.tank, g),
+                devmod.tank_signal(scenario.tank, scenario.traces.sample_rate_hz, g),
             ))
     if "power" in kinds or "temperature" in kinds:
         states = dict.fromkeys(state for _, state in scenario.modes)

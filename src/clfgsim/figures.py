@@ -75,7 +75,8 @@ def fig3f(scenario: Scenario) -> TraceBundle:
     g_low = devmod.conductance(dot, {sweep_gate: v_sweep, pulse_gate: v_low_ref})
     g_high = devmod.conductance(dot, {sweep_gate: v_sweep, pulse_gate: v_high_ref})
     pulsed = devmod.conductance(dot, {sweep_gate: v_sweep[:, None], pulse_gate: v_out[None, :]})
-    report = devmod.envelope_check(dot, scenario.tank, pulsed, g_low, g_high, settle)
+    report = devmod.envelope_check(dot, scenario.tank, scenario.traces.sample_rate_hz, pulsed,
+                                   g_low, g_high, settle)
     table = Table(
         ("v_sdp_volts", "g_low", "g_high", "g_env_min", "g_env_max"),
         (v_sweep, g_low, g_high, report.env_min, report.env_max),
@@ -248,7 +249,7 @@ def check_sections(scenario: Scenario) -> dict:
         engine._check_budget(scenario.rows + n * m, f"figure_params: the envelope of {n} values"
                              f" x {m} samples", scenario.duration_s)
         with engine.refusing("traces"):  # `envelope_check` reads the tank's samples
-            devmod.require_sample_rate(scenario.tank)
+            devmod.require_sample_rate(scenario.tank, scenario.traces.sample_rate_hz)
     if scenario.figure in ("fig4b", "fig4d", "fig4e"):  # closed form: check what it writes
         run = DRIVERS[scenario.figure](dataclasses.replace(scenario, figure_params=params))
         table = run.tables[scenario.figure]

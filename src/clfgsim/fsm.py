@@ -56,18 +56,24 @@ class TickRun:
 
 
 @dataclass(frozen=True)
-class ChipState:
-    """Digital state of the chip; advanced only by the pure functions below."""
-
-    regs: RegisterFile = RegisterFile()
-    mode: Mode = Mode.IDLE
+class ChipConfig:
     # Default master so the 2**8 divider lands on a 140 kHz switch rate.
     master_freq_hz: float = 35.84e6
-    pattern_cursor: int = 0
 
     def __post_init__(self) -> None:
-        if self.master_freq_hz <= 0:
+        if not self.master_freq_hz > 0:
             raise ValueError("master_freq_hz must be positive")
+
+
+@dataclass(frozen=True)
+class ChipState:
+    """Digital state of the chip, sharing its `config` by reference; advanced only by
+    the pure functions below."""
+
+    config: ChipConfig = ChipConfig()
+    regs: RegisterFile = RegisterFile()
+    mode: Mode = Mode.IDLE
+    pattern_cursor: int = 0
 
 
 def mask_cells(mask: int) -> list[int]:
@@ -111,12 +117,12 @@ def divided_frequency(state: ChipState) -> float:
     """Divided clock f_master / 2**n; exact because n is a register value."""
     if not state.regs.clock_enabled:
         raise SimulationError("CTRL clock-enable is clear")
-    return state.master_freq_hz / (1 << state.regs.divider)
+    return state.config.master_freq_hz / (1 << state.regs.divider)
 
 
 def tick_time(state: ChipState, k: int, start_s: float = 0.0) -> float:
     """Time of tick `k`, from the integer tick index (no accumulation)."""
-    return start_s + (k << state.regs.divider) / state.master_freq_hz
+    return start_s + (k << state.regs.divider) / state.config.master_freq_hz
 
 
 def tick_count(state: ChipState, start_s: float, end_s: float) -> int:
@@ -157,9 +163,9 @@ def playback(state: ChipState, n_ticks: int, start_s: float = 0.0) -> tuple[Chip
     bits = state.regs.pattern_int  # bit 127 plays first, as `pattern_bit` reads it
     pattern = np.array([(bits >> (PATTERN_BITS - 1 - i)) & 1 for i in range(plen)], dtype=np.uint8)
     run = TickRun(
-        times=start_s + (k << state.regs.divider) / state.master_freq_hz,
+        times=start_s + (k << state.regs.divider) / state.config.master_freq_hz,
         levels=pattern[(state.pattern_cursor + k) % plen],
         cells=cells,
-        period_s=(1 << state.regs.divider) / state.master_freq_hz,
+        period_s=(1 << state.regs.divider) / state.config.master_freq_hz,
     )
     return advance(state, n_ticks), run

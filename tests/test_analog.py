@@ -360,7 +360,7 @@ class TestRunKernel:
         self, words, plen, n_ticks, divider, mask, periods_per_tau, c_pulse, c_p,
         leak_rate, v_hold, swing, t_open, at_open, locked, cuts,
     ):
-        period = (1 << divider) / fsm.ChipState().master_freq_hz
+        period = (1 << divider) / fsm.ChipState().config.master_freq_hz
         series = c_pulse * c_p / (c_pulse + c_p)
         params = CellParams(
             c_pulse=c_pulse, c_p=c_p, r_switch=period / periods_per_tau / series,
@@ -694,8 +694,8 @@ class TestOnePole:
     @settings(max_examples=300, deadline=None)
     def test_2d_matches_lfilter_bits_row_by_row(self, ratio, rows):
         # `device._low_pass` on 2-D input: each row settled at its first value.
-        tank = TankReadout(bandwidth_hz=1e6, sample_rate_hz=ratio * 1e6)
+        tank, rate = TankReadout(bandwidth_hz=1e6), ratio * 1e6
         x = np.array(rows, dtype=float)
-        a = 1.0 - float(np.exp(-2.0 * np.pi * tank.bandwidth_hz / tank.sample_rate_hz))
+        a = 1.0 - float(np.exp(-2.0 * np.pi * tank.bandwidth_hz / rate))
         expected, _ = lfilter([a], [1.0, -(1.0 - a)], x, axis=-1, zi=(1.0 - a) * x[:, :1])
-        assert _low_pass(x, tank).tobytes() == expected.tobytes()
+        assert _low_pass(x, tank, rate).tobytes() == expected.tobytes()

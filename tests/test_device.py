@@ -21,9 +21,13 @@ def dot() -> DotDevice:
     return DotDevice(levers={"sdp": 1.0, "lw": 0.2})
 
 
+# The sample rate of the `tank` fixture's traces.
+RATE = 2e8
+
+
 @pytest.fixture
 def tank() -> TankReadout:
-    return TankReadout(bandwidth_hz=10e6, sample_rate_hz=2e8)
+    return TankReadout(bandwidth_hz=10e6)
 
 
 class TestConductance:
@@ -67,27 +71,27 @@ class TestConductance:
 class TestReadout:
     def test_constant_input_passes_unchanged(self, dot, tank):
         v = np.full(1000, 0.0021)
-        y = tank_signal(tank, conductance(dot, {"sdp": v}))
+        y = tank_signal(tank, RATE, conductance(dot, {"sdp": v}))
         g = conductance(dot, {"sdp": 0.0021})
         assert np.allclose(y, g, rtol=1e-12)
 
     def test_sample_rate_guard(self, dot):
-        slow = TankReadout(bandwidth_hz=10e6, sample_rate_hz=50e6)
+        slow = TankReadout(bandwidth_hz=10e6)
         with pytest.raises(SimulationError, match=r"^sample rate 5e\+07 Hz < 10 x bandwidth 1e\+07 Hz$"):
-            tank_signal(slow, conductance(dot, {"sdp": np.zeros(10)}))
+            tank_signal(slow, 50e6, conductance(dot, {"sdp": np.zeros(10)}))
 
     def test_scalar_conductance_is_refused(self, tank):
         with pytest.raises(ValueError, match=r"^the conductance trace must be a sampled array$"):
-            tank_signal(tank, 1e-6)
+            tank_signal(tank, RATE, 1e-6)
 
     def test_edge_rise_time_set_by_bandwidth(self, dot, tank):
         # A sharp step in conductance comes out with a 10-90% rise of
         # ln(9)/(2 pi BW) ~ 35 ns, regardless of how fast the input edge is.
-        fs = tank.sample_rate_hz
+        fs = RATE
         n = 40000
         # Gate jumps from mid-valley to a peak: conductance step 0 -> g_max.
         v = np.where(np.arange(n) < n // 2, dot.peak_spacing / 2, 0.0)
-        y = tank_signal(tank, conductance(dot, {"sdp": v}))
+        y = tank_signal(tank, fs, conductance(dot, {"sdp": v}))
         t = np.arange(n) / fs
         seg = slice(n // 2 - 1, None)
         t10 = np.interp(0.1 * dot.g_max, y[seg], t[seg])
@@ -97,26 +101,26 @@ class TestReadout:
         assert expected == pytest.approx(35e-9, abs=0.1e-9)
 
     def test_fast_pulsing_flattens_to_mean(self, dot):
-        tank = TankReadout(bandwidth_hz=10e6, sample_rate_hz=1e9)
+        tank = TankReadout(bandwidth_hz=10e6)
         n = 100000
         # 100 MHz square in effective gate volts, way above the 10 MHz tank.
         square = np.where((np.arange(n) // 5) % 2 == 0, 0.0, 0.005)
         g = conductance(dot, {"sdp": square})
-        y = tank_signal(tank, g)
+        y = tank_signal(tank, 1e9, g)
         settled = y[n // 2:]
         assert np.ptp(settled) < 0.4 * np.ptp(g)
         assert np.mean(settled) == pytest.approx(np.mean(g[n // 2:]), rel=1e-3)
 
     def test_dc_average_preserved_over_integer_periods(self, dot):
         # 200 kHz square sampled at 100 MHz: 500 samples per period.
-        tank = TankReadout(bandwidth_hz=10e6, sample_rate_hz=1e8)
+        tank = TankReadout(bandwidth_hz=10e6)
         period = 500
         n_periods = 100
         square = np.where(
             (np.arange(period * n_periods) // (period // 2)) % 2 == 0, 0.0, 0.005
         )
         g = conductance(dot, {"sdp": square})
-        y = tank_signal(tank, g)
+        y = tank_signal(tank, 1e8, g)
         tail = slice(period * n_periods // 2, None)  # integer period count
         assert np.mean(y[tail]) == pytest.approx(np.mean(g[tail]), rel=1e-6)
 
@@ -131,20 +135,20 @@ class TestEnvelope:
         v = np.linspace(-0.01, 0.01, 41)
         g_static = np.asarray(conductance(dot, {"sdp": v}))
         pulsed = np.asarray(conductance(dot, {"sdp": self._square_rows(v, 0.0, 2000, 250)}))
-        report = envelope_check(dot, tank, pulsed, g_static, g_static)
+        report = envelope_check(dot, tank, RATE, pulsed, g_static, g_static)
         assert report.max_rel_deviation <= 1e-12
 
     def test_envelope_tracks_statics_at_slow_pulsing(self, dot):
         # Pulse at bandwidth/50 (200 kHz at 10 MHz): each plateau settles,
         # so the envelope traces the two static combs within 1%.
-        tank = TankReadout(bandwidth_hz=10e6, sample_rate_hz=1e8)
+        tank = TankReadout(bandwidth_hz=10e6)
         v = np.linspace(-0.012, 0.012, 49)
         dv = dot.peak_spacing / 2
         rows = self._square_rows(v, dv, 2000, 250)
         pulsed = np.asarray(conductance(dot, {"sdp": rows}))
         g_lo = np.asarray(conductance(dot, {"sdp": v}))
         g_hi = np.asarray(conductance(dot, {"sdp": v + dv}))
-        report = envelope_check(dot, tank, pulsed, g_lo, g_hi)
+        report = envelope_check(dot, tank, 1e8, pulsed, g_lo, g_hi)
         assert report.max_rel_deviation < 0.01
         # Half-spacing offset: the envelope max follows the shifted comb's
         # peaks wherever those exceed the unshifted one.
@@ -153,7 +157,7 @@ class TestEnvelope:
 
     def test_axis_mismatch(self, dot, tank):
         with pytest.raises(SimulationError, match=r"^sweep axes differ: pulsed 5, low 5, high 4$"):
-            envelope_check(dot, tank, np.zeros((5, 100)), np.zeros(5), np.zeros(4))
+            envelope_check(dot, tank, RATE, np.zeros((5, 100)), np.zeros(5), np.zeros(4))
 
     @pytest.mark.parametrize("pulsed, settle, message", [
         (np.zeros(5), 0.5, r"pulsed_trace must be 2-D \(sweep x time\)"),
@@ -162,7 +166,7 @@ class TestEnvelope:
     ], ids=["one_d", "settle_one", "settle_negative"])
     def test_refused_arguments(self, dot, tank, pulsed, settle, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            envelope_check(dot, tank, pulsed, np.zeros(5), np.zeros(5), settle)
+            envelope_check(dot, tank, RATE, pulsed, np.zeros(5), np.zeros(5), settle)
 
 
 class TestDriftRecovery:

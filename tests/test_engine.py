@@ -1543,7 +1543,7 @@ def _step_reference(scenario: engine.Scenario, t: float) -> tuple[float, float, 
     and the power of the chip state that `fsm.step` reaches over the
     commands at or before it."""
     dacs = {"v_hold": scenario.rails.v_hold, "v_sdp": 0.0}
-    chip = fsm.ChipState(master_freq_hz=scenario.chip.master_freq_hz)
+    chip = fsm.ChipState(config=scenario.chip)
     for item in scenario.schedule:
         if item.time_s > t:
             break

@@ -9,6 +9,7 @@ from clfgsim import engine, protocol
 from clfgsim.analog import Level
 from clfgsim.errors import SimulationError
 from clfgsim.fsm import (
+    ChipConfig,
     ChipState,
     Mode,
     divided_frequency,
@@ -56,7 +57,7 @@ class TestStep:
     @pytest.mark.parametrize("hz", [0.0, -1.0])
     def test_master_clock_must_be_positive(self, hz):
         with pytest.raises(ValueError, match=r"^master_freq_hz must be positive$"):
-            ChipState(master_freq_hz=hz)
+            ChipConfig(master_freq_hz=hz)
 
     def test_write_never_changes_mode(self):
         state = ChipState()
@@ -129,7 +130,7 @@ class TestDividedFrequency:
 
     def test_divider_zero_is_identity(self):
         state = configured(DIVIDER=0)
-        assert divided_frequency(state) == state.master_freq_hz
+        assert divided_frequency(state) == state.config.master_freq_hz
 
     def test_consecutive_exponents_halve_exactly(self):
         f4 = divided_frequency(configured(DIVIDER=4))
@@ -148,7 +149,7 @@ class TestTickCount:
     largest k with `tick_time(state, k, start) <= end`."""
 
     def test_a_float_difference_loses_no_tick(self):
-        state = dataclasses.replace(pulsing(divider=0), master_freq_hz=1e3)
+        state = dataclasses.replace(pulsing(divider=0), config=ChipConfig(master_freq_hz=1e3))
         assert math.floor((0.03 - 0.01) * 1e3) == 19  # 0.019999999999999997 s
         assert tick_count(state, 0.01, 0.03) == 20
         assert tick_time(state, 20, 0.01) == 0.03
@@ -164,7 +165,7 @@ class TestTickCount:
     @example(divider=0, master=1e3, start_s=-0.32, k=615, shift=-1)  # floor(length * f_div) is 615
     def test_is_the_last_tick_at_or_before_the_end(self, divider, master, start_s, k, shift):
         # The end at tick k, or one float below or above it.
-        state = dataclasses.replace(pulsing(divider=divider), master_freq_hz=master)
+        state = dataclasses.replace(pulsing(divider=divider), config=ChipConfig(master_freq_hz=master))
         end_s = tick_time(state, k, start_s)
         end_s = math.nextafter(end_s, shift * math.inf) if shift else end_s
         n = tick_count(state, start_s, end_s)
@@ -174,7 +175,7 @@ class TestTickCount:
     def test_ticks_closer_than_the_time_step_are_counted_by_search(self):
         # At 1e300 Hz, ~1e282 ticks fall on each float near 0.03 s: the count
         # gallops and bisects to the last of them, not steps through them.
-        state = dataclasses.replace(pulsing(divider=0), master_freq_hz=1e300)
+        state = dataclasses.replace(pulsing(divider=0), config=ChipConfig(master_freq_hz=1e300))
         n = tick_count(state, 0.01, 0.03)
         assert tick_time(state, n, 0.01) <= 0.03 < tick_time(state, n + 1, 0.01)
 
@@ -208,7 +209,7 @@ class TestPlayback:
         state = pulsing(pattern_len=9, divider=0, pulse_mask=0)
         after, run = playback(state, tick_count(state, 0.0, 1e-3))
         assert len(run.times) == len(run.levels) == 0 and run.cells == ()
-        assert after.pattern_cursor == math.floor(1e-3 * state.master_freq_hz) % 9 == 2
+        assert after.pattern_cursor == math.floor(1e-3 * state.config.master_freq_hz) % 9 == 2
 
     def test_not_in_playback(self):
         with pytest.raises(SimulationError, match=r"^mode is IDLE$"):

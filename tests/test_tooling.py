@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from clfgsim import analog, cli, device, engine, figures, thermal
+from clfgsim import analog, cli, device, engine, figures, fsm, thermal
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -255,16 +255,13 @@ def _fields(cls) -> set[str]:
 
 
 # The keys `build_scenario` accepts in each section: the parameter type's
-# fields, with `device` taking the tank's sample rate from `traces` and
-# adding its wiring, and `power` adding its two subsections.
+# fields, with `device` adding its wiring and `power` its two subsections.
 SCHEMA_KEYS = {
     "top level": set(engine._TOP_LEVEL_KEYS),
-    "chip": _fields(engine.ChipConfig),
+    "chip": _fields(fsm.ChipConfig),
     "analog": _fields(analog.CellParams),
     "rails": _fields(analog.SupplyRails),
-    "device": _fields(device.DotDevice)
-    | (_fields(device.TankReadout) - {"sample_rate_hz"})
-    | {"gate_sources", "axis_gate"},
+    "device": _fields(device.DotDevice) | _fields(device.TankReadout) | {"gate_sources", "axis_gate"},
     "power": _fields(thermal.PowerModel) | {"calibration", "budget"},
     "power.calibration": _fields(thermal.ThermalCalibration),
     "power.budget": _fields(thermal.CoolingBudget),
@@ -317,7 +314,7 @@ def test_readme_figure_params_table_matches_the_drivers():
 
 # The parameter types each typed section of the README schema is built into.
 SECTION_TYPES = {
-    "chip": (engine.ChipConfig,), "analog": (analog.CellParams,), "rails": (analog.SupplyRails,),
+    "chip": (fsm.ChipConfig,), "analog": (analog.CellParams,), "rails": (analog.SupplyRails,),
     "device": (device.DotDevice, device.TankReadout), "power": (thermal.PowerModel,),
     "power.calibration": (thermal.ThermalCalibration,), "power.budget": (thermal.CoolingBudget,),
     "traces": (engine.TraceConfig,),
