@@ -42,6 +42,7 @@ an open switch or coupling into a locked cell raises a SimulationError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import itemgetter
@@ -64,6 +65,14 @@ class Level(IntEnum):
     HIGH = 1
 
 
+def hold_value(v: float) -> float:
+    """`v`, refused (ValueError) unless within half the float range, so that a
+    hold-rail step between any two values it passes is finite."""
+    if not abs(v) <= (limit := sys.float_info.max / 2):
+        raise ValueError(f"hold-rail value {v!r} outside -{limit!r}..{limit!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class SupplyRails:
     """External voltage sources: the two pulse rails and the hold DAC."""
@@ -75,6 +84,9 @@ class SupplyRails:
     def __post_init__(self) -> None:
         if self.v_high < self.v_low:
             raise ValueError("v_high must be >= v_low")
+        if not math.isfinite(self.swing):
+            raise ValueError("v_high - v_low must be finite")
+        hold_value(self.v_hold)
 
     @property
     def swing(self) -> float:
@@ -101,6 +113,8 @@ class CellParams:
             raise ValueError("r_switch must be positive")
         if self.leak_rate < 0:
             raise ValueError("leak_rate must be non-negative")
+        if not 0 < (tau := time_constant(self)) < math.inf:
+            raise ValueError(f"time constant {tau!r} s must be positive and finite")
         # Not a field: ==, hash, repr and a document's keys stay the six above.
         object.__setattr__(self, "coupling", coupling_ratio(self))
 
@@ -108,6 +122,16 @@ class CellParams:
 def coupling_ratio(p: CellParams) -> float:
     """Fraction of a hold-rail move that reaches a floating output."""
     return p.c_ds / (p.c_ds + p.c_pulse + p.c_p)
+
+
+def series_capacitance(p: CellParams) -> float:
+    """Series combination c_pulse*c_p/(c_pulse+c_p) seen by the switch."""
+    return p.c_pulse * p.c_p / (p.c_pulse + p.c_p)
+
+
+def time_constant(p: CellParams) -> float:
+    """RC time constant of a fast-gate transition."""
+    return p.r_switch * series_capacitance(p)
 
 
 class ClfgCell(NamedTuple):
@@ -133,16 +157,6 @@ class ClfgCell(NamedTuple):
     v_start: float = 0.0
     v_target: float = 0.0
     t_last: float = 0.0
-
-
-def series_capacitance(p: CellParams) -> float:
-    """Series combination c_pulse*c_p/(c_pulse+c_p) seen by the switch."""
-    return p.c_pulse * p.c_p / (p.c_pulse + p.c_p)
-
-
-def time_constant(p: CellParams) -> float:
-    """RC time constant of a fast-gate transition."""
-    return p.r_switch * series_capacitance(p)
 
 
 def injection_offset(p: CellParams) -> float:

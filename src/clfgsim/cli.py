@@ -161,7 +161,7 @@ def _cmd_replay(args) -> int:
 def _cmd_budget(args) -> int:
     path = args.scenario or bundled_scenario_path("fig4e")
     scenario = engine.load_scenario(path, args.override)
-    require_sections(scenario, ("power", "budget"))
+    require_sections(scenario, ("power", "budget"), "budget")
     for flag, value in (("--cells", args.cells), ("--freq", args.freq)):
         with engine.refusing(flag):
             _at_least(0, engine._number)(value)

@@ -329,10 +329,12 @@ def _parse_schedule_item(raw, index: int, dacs: Collection[str]) -> ScheduleItem
             frame = protocol.decode_frame(_parse_int(raw["word"]))
         elif keys == {"dac"}:
             moves = sorted((str(k), _number(v)) for k, v in _object(raw["dac"], where).items())
-            for name, _ in moves:
+            for name, value in moves:
                 if name not in dacs:
                     raise ScenarioError(f"{where}: dac {name!r} is neither 'v_hold' nor the dac"
                                         " of a device.gate_sources entry")
+                if name == "v_hold":
+                    analog.hold_value(value)
             return ScheduleItem(t, dac=tuple(moves))
         else:
             raise ScenarioError(f"{where}: expected one of write/read/exec/nop/word/dac")
@@ -429,7 +431,7 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
         if key not in _CELL_KEYS:
             raise ScenarioError(f"cell_targets: key {key!r} is not a cell index 0..{N_CELLS - 1}")
     with refusing("cell_targets"):
-        targets = {_CELL_KEYS[k]: _number(v) for k, v in targets.items()}
+        targets = {_CELL_KEYS[k]: analog.hold_value(_number(v)) for k, v in targets.items()}
 
     with refusing("name"):
         name = _text(raw.get("name", "scenario"))

@@ -181,18 +181,18 @@ _PARAMS = {
     "fig4e": {"swing": (_FLOAT, 0.1), "n_values": (_COUNTS, None), "f_values": (_FREQS, None)},
 }
 _MISSING = {
-    "device": "figure needs a device section",
-    "power": "figure needs a power section",
-    "budget": "figure needs power.budget",
-    "sweep": "figure needs a sweep block with axis and values",
+    "device": "needs a device section",
+    "power": "needs a power section",
+    "budget": "needs power.budget",
+    "sweep": "needs a sweep block with axis and values",
 }
 
 
-def require_sections(scenario: Scenario, sections) -> None:
-    """Raise ScenarioError for the first of `sections` the scenario lacks."""
+def require_sections(scenario: Scenario, sections, caller: str) -> None:
+    """Raise ScenarioError for the first of `sections` the scenario lacks, naming `caller`."""
     for section in sections:
         if getattr(scenario, section) is None:
-            raise engine.ScenarioError(_MISSING[section])
+            raise engine.ScenarioError(f"{caller} {_MISSING[section]}")
 
 
 def check_sections(scenario: Scenario) -> dict:
@@ -206,7 +206,7 @@ def check_sections(scenario: Scenario) -> dict:
         raise engine.ScenarioError("figure_params: given with no figure")
     if not isinstance(scenario.figure, str) or scenario.figure not in DRIVERS:
         raise engine.ScenarioError(f"unknown figure {scenario.figure!r}")
-    require_sections(scenario, _NEEDS.get(scenario.figure, ()))
+    require_sections(scenario, _NEEDS.get(scenario.figure, ()), "figure")
     for kind in _TRACES.get(scenario.figure, ()):
         if kind not in scenario.traces.kinds:
             raise engine.ScenarioError(f"traces: {scenario.figure} needs kind {kind!r}")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -63,6 +64,8 @@ _NAN, _INF = float("nan"), float("inf")
 # `json` reads, whose limit and RecursionError text differ between versions.
 _DEEP = "[" * 100_000 + "]" * 100_000
 _TOO_DEEP = f"arrays and objects nest deeper than {engine.MAX_NESTING}"
+# The range a hold-rail value must lie in: half the float range either way.
+_HALF_RANGE = f"-{sys.float_info.max / 2!r}..{sys.float_info.max / 2!r}"
 
 
 def _seed_document(depth: int) -> str:
@@ -248,6 +251,25 @@ MALFORMED = {
     # Document text (not an object to dump): a `seed` nested past what
     # `json` reads, whose RecursionError ended `cli.main` in a traceback.
     "seed_nested_past_json_depth": '{"seed": ' + _DEEP + ", " + json.dumps(_mini())[1:],
+    # A time constant that underflows to 0 (a ZeroDivisionError traceback in
+    # `run`) or is NaN (exit 2 from `run`); both loaded.
+    "time_constant_zero": {
+        "schema_version": 1, "name": "tau0", "analog": {"c_pulse": 1e-300, "c_p": 1e-300},
+        "duration_s": 0.01, "traces": {"sample_rate_hz": 1000, "kinds": ["cells"], "cells": [0]},
+    },
+    "time_constant_nan": {
+        "schema_version": 1, "name": "tau0", "analog": {"c_pulse": 1e308, "c_p": 1e308},
+        "duration_s": 0.01, "traces": {"sample_rate_hz": 1000, "kinds": ["cells"], "cells": [0]},
+    },
+    # Rail values whose swing or hold-rail step is past float range: `run`
+    # wrote NaN or inf into the cells' outputs (exit 2, or 0 with a warning).
+    "swing_past_float_range": _mini(rails={"v_high": 1e308, "v_low": -1e308},
+                                    schedule=_pulse_cell_0(15)),
+    "dac_hold_moves_past_float_range": _mini(schedule=[
+        *MINIMAL["schedule"], {"t": 0.25, "dac": {"v_hold": -1e308}}, {"t": 0.5, "dac": {"v_hold": 1e308}},
+    ]),
+    "rails_hold_past_half_float_range": _mini(rails={"v_hold": 1e308}),
+    "cell_target_past_half_float_range": _mini(cell_targets={"0": -1e308}),
 }
 # Documents whose run would fill gigabytes if load let them through:
 # checked with `validate` only.
@@ -296,6 +318,12 @@ REFUSED_AS = {
     "sweep_axis_own_values": "axis 'sweep.values.0': a sweep cannot move its own sweep block",
     "sweep_axis_own_axis": "axis 'sweep.axis': a sweep cannot move its own sweep block",
     "analog_coupling_key": "analog: unknown key(s) ['coupling']",
+    "time_constant_zero": "analog: time constant 0.0 s must be positive and finite",
+    "time_constant_nan": "analog: time constant nan s must be positive and finite",
+    "swing_past_float_range": "rails: v_high - v_low must be finite",
+    "dac_hold_moves_past_float_range": f"schedule[5]: hold-rail value -1e+308 outside {_HALF_RANGE}",
+    "rails_hold_past_half_float_range": f"rails: hold-rail value 1e+308 outside {_HALF_RANGE}",
+    "cell_target_past_half_float_range": f"cell_targets: hold-rail value -1e+308 outside {_HALF_RANGE}",
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each
@@ -1318,6 +1346,26 @@ class TestBudget:
         result = json.loads(capsys.readouterr().out)
         assert result["feasible"] is True
         assert result["headroom_watts"] > 350e-6
+
+
+class TestMissingSection:
+    """A figure or `budget` without a section it reads: exit 1, naming the caller."""
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("validate", _without("fig3b", "sweep"), "figure needs a sweep block with axis and values"),
+        ("validate", _without("fig3f", "device"), "figure needs a device section"),
+        ("validate", _without("fig4e", "power"), "figure needs a power section"),
+        ("validate", {**_without("fig4e", "power"), "power": {}}, "figure needs power.budget"),
+        ("budget", _mini(), "budget needs a power section"),
+        ("budget", _mini(power={}), "budget needs power.budget"),
+    ], ids=["fig3b_sweep", "fig3f_device", "fig4e_power", "fig4e_budget", "budget_power",
+            "budget_budget"])
+    def test_exits_1_naming_the_caller(self, command, doc, message, tmp_path):
+        path = tmp_path / "doc.scn"
+        path.write_text(json.dumps(doc))
+        argv = ["validate", str(path)] if command == "validate" else [
+            "budget", "--scenario", str(path), "--cells", "1", "--freq", "1"]
+        assert _main(argv) == (1, "", f"error: {message}\n")
 
 
 class TestFigures:

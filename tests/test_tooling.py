@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from clfgsim import analog, cli, device, engine, figures, fsm, thermal
+from clfgsim import analog, cli, device, engine, figures, fsm, protocol, thermal
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -319,6 +319,22 @@ SECTION_TYPES = {
     "power.calibration": (thermal.ThermalCalibration,), "power.budget": (thermal.CoolingBudget,),
     "traces": (engine.TraceConfig,),
 }
+
+
+def test_no_parameter_is_copied_into_another_type():
+    # One copy of each value: no field of the chip state or of a type that
+    # `build_scenario` builds repeats a field of another such type, but the
+    # power model's clock-block rate, a parameter of its own.
+    types = {fsm.ChipState, engine.SweepConfig, engine.GateSource, engine.ScheduleItem,
+             protocol.Frame, *(cls for classes in SECTION_TYPES.values() for cls in classes)}
+    owners: dict[str, list[str]] = {}
+    for cls in types:
+        for name in _fields(cls):
+            owners.setdefault(name, []).append(f"{cls.__module__.split('.')[-1]}.{cls.__name__}")
+    repeated = {name: sorted(where) for name, where in owners.items() if len(where) > 1}
+    assert repeated == {"master_freq_hz": ["fsm.ChipConfig", "thermal.PowerModel"]}
+
+
 # How one number sits in a field of each annotation, and what it is due as.
 _ONE, _LIST = (lambda v: v), (lambda v: [v])
 _PLACES = {
