@@ -779,6 +779,11 @@ class TestRefusedText:
                                    " got 'abc'",
         ("traces.cells", "[0]"): "figure_params: cell 5 is not in traces.cells",
         ("seed", "NaN"): "seed: expected a finite float, got nan",
+        # A swapped leaf goes through the section's own reader.
+        ("rails.v_hold", "1e308"): f"axis 'rails.v_hold': rails: hold-rail value 1e+308"
+                                   f" outside {_HALF_RANGE}",
+        ("schedule.5.dac.v_hold", "-1e308"): f"axis 'schedule.5.dac.v_hold': schedule[5]:"
+                                             f" hold-rail value -1e+308 outside {_HALF_RANGE}",
     }
 
     @pytest.mark.parametrize("argv, axis, text", [
@@ -789,6 +794,9 @@ class TestRefusedText:
         (["sweep", "fig3c", "--axis", "traces.cells.0", "--values=abc"], "traces.cells.0", "abc"),
         (["validate", "fig3c", "--override", "traces.cells=[0]"], "traces.cells", "[0]"),
         (["run", "fig4b", "--override", "seed=NaN"], "seed", "NaN"),
+        (["sweep", "fig3c", "--axis", "rails.v_hold", "--values=1e308"], "rails.v_hold", "1e308"),
+        (["sweep", "fig3b", "--axis", "schedule.5.dac.v_hold", "--values=-1e308"],
+         "schedule.5.dac.v_hold", "-1e308"),
     ])
     def test_exits_1(self, argv, axis, text, tmp_path):
         command, name, *rest = argv
