@@ -75,7 +75,8 @@ def conductance(device: DotDevice, gate_voltages: Mapping[str, object]):
     """
     v_eff = effective_voltage(device, gate_voltages)
     d = v_eff - device.peak_spacing * np.rint(v_eff / device.peak_spacing)
-    return device.g_max / np.cosh(d / device.peak_width) ** 2
+    with np.errstate(over="ignore"):  # cosh² past float range far off a peak: g is 0.0
+        return device.g_max / np.cosh(d / device.peak_width) ** 2
 
 
 def _low_pass(x: np.ndarray, tank: TankReadout, sample_rate_hz: float) -> np.ndarray:

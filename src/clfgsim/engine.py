@@ -864,62 +864,82 @@ def _first_slot_at(t: float, anchor: float, period: int, cells: Sequence[int]) -
     return bisect_left(range(2 * MAX_ROWS), t, key=key)
 
 
-def _expand_plan(scenario: Scenario, sample_times: np.ndarray, sampled: Collection[int]):
-    """The timeline a run applies, sorted once by time, then priority, and
-    each DAC's (time, value) changes from its value before the run
-    (`rails.v_hold` for the hold rail, else 0.0).  A PLAY entry becomes its
-    `fsm.playback` ticks, if any.  A REFRESH entry's slot k, k *
+class _Shared(NamedTuple):
+    """What the points of a batch (`_batches`) share, made once by `_expand_plan`."""
+
+    times: np.ndarray  # the sample grid
+    sample_times: list[float]  # its `tolist()`
+    sampled: list[int]  # the cells the samples read: traced cells, then gate cells
+    locks: list  # the lock entries, in plan order
+    runs: list  # each tick run, and `starts[k]`: its samples start a slice at tick k
+    moves: list  # the REFRESH slots' (time, "v_hold", value) moves
+
+
+def _expand_plan(scenario: Scenario, sampled: list[int]) -> _Shared:
+    """The part of a run's timeline that no swap axis moves, with the sample
+    grid.  A PLAY entry becomes its `fsm.playback` ticks, if any: one tick
+    run, cut after its last tick at or before each sample time when it
+    pulses a cell of `sampled`.  A REFRESH entry's slot k, k *
     REFRESH_PERIOD / n after its EXEC (slot n lands on the period), opens
     the previous cell after slot 0, moves the hold rail to the closing
     cell's `cell_targets` entry less the injection offset and closes
-    cells[k % n].  The DAC moves, the schedule's then the slots', are
-    sorted by time once, stably; only the hold rail's reach the timeline,
-    as DAC entries (value, changes), `changes` whether the value differs
-    from the previous move's.  Each tick run is cut before its first tick
-    at or after each move that changes the rail and, when it pulses a cell
-    of `sampled`, after its last tick at or before each of `sample_times`.
-    Each slice (views of the run's columns) is an FG entry at its first tick.
+    cells[k % n].  Each point's `_timeline` adds its own DAC moves to this.
     """
+    times = sample_grid(scenario)
     offset = analog.injection_offset(scenario.analog)
-    moves = [(item.time_s, *move) for item in scenario.schedule for move in item.dac]
-    timeline: list[tuple[float, int, str, object]] = []
-    runs = []
+    locks, runs, moves = [], [], []
     for entry in scenario.plan:
         start, _prio, kind, payload = entry
         if kind == "PLAY":
             if len(run := fsm.playback(*payload, start)[1]):
-                runs.append(run)
+                starts = np.zeros(len(run.times) + 1, dtype=bool)
+                starts[[0, -1]] = True
+                if not set(sampled).isdisjoint(run.cells):
+                    first = np.searchsorted(times, run.times)  # first sample at or after
+                    starts[1:-1] |= first[:-1] < first[1:]
+                runs.append((run, starts))  # starts[len] closes the last slice
         elif kind == "REFRESH":
             period, cells, stop = payload
             for k in range(stop):
                 slot = _slot_time(k, start, period, cells)
                 if k:
-                    timeline.append((slot, _PRIO["OPEN"], "OPEN", cell))
+                    locks.append((slot, _PRIO["OPEN"], "OPEN", cell))
                 cell = cells[k % len(cells)]
                 if cell in scenario.cell_targets:
                     moves.append((slot, "v_hold", scenario.cell_targets[cell] - offset))
-                timeline.append((slot, _PRIO["CLOSE"], "CLOSE", cell))
+                locks.append((slot, _PRIO["CLOSE"], "CLOSE", cell))
         else:
-            timeline.append(entry)
+            locks.append(entry)
+    return _Shared(times, times.tolist(), sampled, locks, runs, moves)
+
+
+def _timeline(scenario: Scenario, shared: _Shared):
+    """A point's timeline, sorted by time, then priority, and each DAC's
+    (time, value) changes from its value before the run (`rails.v_hold` for
+    the hold rail, else 0.0): `shared`'s lock entries and slices, and the
+    point's own DAC moves.  The moves, the schedule's then the slots', are
+    sorted by time once, stably; only the hold rail's reach the timeline,
+    as DAC entries (value, changes), `changes` whether the value differs
+    from the previous move's.  A tick run is cut again before its first
+    tick at or after each move that changes the rail; each slice (views of
+    the run's columns) is an FG entry at its first tick.
+    """
     dacs = {name: [(-math.inf, 0.0)] for name in _dac_names(scenario.gate_sources)}
     dacs["v_hold"] = [(-math.inf, scenario.rails.v_hold)]
+    moves = [(item.time_s, *move) for item in scenario.schedule for move in item.dac]
+    timeline = list(shared.locks)
     cuts = []  # times of the hold-rail moves that change the rail
-    for t, name, value in sorted(moves, key=itemgetter(0)):
+    for t, name, value in sorted([*moves, *shared.moves], key=itemgetter(0)):
         if name == "v_hold":
             changes = value != dacs[name][-1][1]
             timeline.append((t, _PRIO["DAC"], "DAC", (value, changes)))
             if changes:
                 cuts.append(t)
         dacs[name].append((t, value))
-    for run in runs:
-        # starts[k]: a slice starts at tick k; starts[len] closes the last one.
-        starts = np.zeros(len(run.times) + 1, dtype=bool)
-        starts[[0, -1]] = True
+    for run, starts in shared.runs:
         lo, hi = np.searchsorted(cuts, run.times[[0, -1]], "right")
+        starts = starts.copy()
         starts[np.searchsorted(run.times, cuts[lo:hi])] = True
-        if not set(sampled).isdisjoint(run.cells):
-            first = np.searchsorted(sample_times, run.times)  # first sample at or after
-            starts[1:-1] |= first[:-1] < first[1:]
         bounds = np.flatnonzero(starts).tolist()
         timeline += [
             (float(run.times[k]), _PRIO["FG"], "FG",
@@ -996,18 +1016,18 @@ _state_key = struct.Struct("=?BB5d").pack
 class _Walk(NamedTuple):
     """A run's timeline walk (`_walk`), which its samples are evaluated from."""
 
-    times: np.ndarray  # the sample grid
-    sampled: list[int]  # the cells the samples read: traced cells, then gate cells
+    times: np.ndarray  # the sample grid, the batch's
+    sampled: list[int]  # the cells the samples read, the batch's
     fields: list[float]  # each block's `output_fields` of the sampled cells, in order
     counts: list[int]  # each block's samples
-    timeline: list  # `_expand_plan`'s, which `_events` reads
-    dacs: dict  # each DAC's changes, `_expand_plan`'s
+    timeline: list  # `_timeline`'s
+    dacs: dict  # each DAC's changes, `_timeline`'s
     finals: dict[int, tuple]  # each of `traces.cells`' state after the last entry
 
 
-def _walk(scenario: Scenario) -> _Walk:
-    """Apply every entry of the timeline (`_expand_plan`, with each tick run
-    cut where it is read) eagerly, in order: a slice is one
+def _walk(scenario: Scenario, shared: _Shared) -> _Walk:
+    """Apply every entry of the point's timeline (`_timeline`, with each
+    tick run cut where it is read) eagerly, in order: a slice is one
     `analog.apply_fg_run` call per distinct `_state_key` of its pulsed
     cells, whose result every cell with that key takes (exact, since
     `apply_fg_run` is pure), a DAC entry sets the hold rail, which a close
@@ -1018,17 +1038,11 @@ def _walk(scenario: Scenario) -> _Walk:
     Before each entry it records one block, the samples before that entry,
     as the sampled cells' `output_fields` they see (floats, so no state
     outlives its block); it logs nothing, since `_events` reads the `events`
-    table from the timeline.
+    table from a timeline.
     """
-    kinds = scenario.traces.kinds
-    traced = scenario.traces.cells if "cells" in kinds else ()
-    cell_gates = [src.value for src in _gate_sources(scenario).values() if src.kind == "cell"]
-    sampled = list(dict.fromkeys([*traced, *cell_gates]))  # each once
-
-    times = sample_grid(scenario)
-    sample_times = times.tolist()
+    sample_times, sampled = shared.sample_times, shared.sampled
     rails = scenario.rails
-    timeline, dacs = _expand_plan(scenario, times, sampled)
+    timeline, dacs = _timeline(scenario, shared)
 
     # Cell states are immutable, so all 32 can start as one value: at t = 0,
     # or at the first schedule item if that is earlier (load allows t < 0).
@@ -1063,7 +1077,7 @@ def _walk(scenario: Scenario) -> _Walk:
         elif kind == "OPEN":
             cells[payload] = analog.unlock(cells[payload], t)  # type: ignore[index]
     finals = {c: cells[c] for c in scenario.traces.cells}  # not the rest, which a batch would hold
-    return _Walk(times, sampled, fields, counts, timeline, dacs, finals)
+    return _Walk(shared.times, sampled, fields, counts, timeline, dacs, finals)
 
 
 def _gate_sources(scenario: Scenario) -> Mapping[str, GateSource]:
@@ -1076,37 +1090,58 @@ def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _evaluate(points: Sequence[Scenario], walks: Sequence[_Walk]) -> list[tuple]:
-    """Each point's (walk, volts, gates, g), its walk's samples evaluated:
+@contextmanager
+def _finite():
+    """numpy's overflow, invalid value and division by zero (not underflow) refused
+    as a SimulationError; `device.conductance` alone lets its cosh² overflow."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise SimulationError(f"arithmetic past float range: {exc}") from exc
+
+
+def _evaluate(points: Sequence[Scenario]) -> list[tuple]:
+    """Each point's (walk, volts, gates, g, events), its walk's samples evaluated:
     the sampled cells' output voltages, samples x `walk.sampled`, each dot
     gate's voltage and the conductance (None with no gate read).  The points
-    share the objects that this reads as scalars (`_batches`), so one
-    `analog.sample_output` call over every point's samples and one
+    share all that this and `_expand_plan` read of the first (`_batches`):
+    under one `_finite`, the plan is expanded once, each point walked, and
+    one `analog.sample_output` call over every point's samples and one
     `devmod.conductance` call over their gate voltages, joined in order,
-    evaluate them all, and the results are split back per point.  Each
-    value is computed element by element from contiguous input, as in a
-    batch of one, so it has the bits the point run alone gives.
+    evaluate them all; the results are split back per point.  Each value is
+    computed element by element from contiguous input, as in a batch of
+    one, so it has the bits the point run alone gives.  The batch has one
+    `events` table, from its first point's timeline: by `_walk`'s invariant
+    a rail move only cuts a slice in two, so every point's rows are alike.
     """
-    first, sampled = points[0], walks[0].sampled
-    counts = [n for walk in walks for n in walk.counts]
-    fields = chain.from_iterable(walk.fields for walk in walks)
-    n_fields = sum(len(walk.fields) for walk in walks)
-    times = _joined([walk.times for walk in walks])
-    # The sampled cells' fields sample by sample, evaluated in one call.
-    per_sample = np.fromiter(fields, float, n_fields).reshape(len(counts), -1).repeat(counts, axis=0)
-    volts = analog.sample_output(
-        first.analog, per_sample, times.repeat(len(sampled))
-    ).reshape(len(times), len(sampled))
-    gates = {
-        gate: volts[:, sampled.index(src.value)] if src.kind == "cell"
-        else _joined([_held(walk.dacs[src.value], walk.times) for walk in walks]) if src.kind == "dac"
-        else np.full(len(times), src.value)
-        for gate, src in _gate_sources(first).items()
-    }
-    g = devmod.conductance(first.device, gates) if gates else None
+    first = points[0]
+    traced = first.traces.cells if "cells" in first.traces.kinds else ()
+    cell_gates = [src.value for src in _gate_sources(first).values() if src.kind == "cell"]
+    sampled = list(dict.fromkeys([*traced, *cell_gates]))  # each once
+    with _finite():
+        shared = _expand_plan(first, sampled)
+        walks = [_walk(point, shared) for point in points]
+        counts = [n for walk in walks for n in walk.counts]
+        fields = chain.from_iterable(walk.fields for walk in walks)
+        n_fields = sum(len(walk.fields) for walk in walks)
+        times = _joined([shared.times] * len(points))
+        # The sampled cells' fields sample by sample, evaluated in one call.
+        per_sample = np.fromiter(fields, float, n_fields).reshape(len(counts), -1).repeat(counts, axis=0)
+        volts = analog.sample_output(
+            first.analog, per_sample, times.repeat(len(sampled))
+        ).reshape(len(times), len(sampled))
+        gates = {
+            gate: volts[:, sampled.index(src.value)] if src.kind == "cell"
+            else _joined([_held(walk.dacs[src.value], walk.times) for walk in walks]) if src.kind == "dac"
+            else np.full(len(times), src.value)
+            for gate, src in _gate_sources(first).items()
+        }
+        g = devmod.conductance(first.device, gates) if gates else None
+    events = _events(walks[0].timeline)
     bounds = [0, *accumulate(len(walk.times) for walk in walks)]
     return [(walk, volts[i:j], {gate: v[i:j] for gate, v in gates.items()},
-             None if g is None else g[i:j])
+             None if g is None else g[i:j], events)
             for walk, i, j in zip(walks, bounds, bounds[1:])]
 
 
@@ -1116,22 +1151,23 @@ def run_generic(scenario: Scenario, _evaluated: tuple | None = None) -> TraceBun
     A run is in two stages: the timeline walk (`_walk`), which applies each
     entry to the cells and records what each sample sees, then the array
     evaluation (`_evaluate`) of the samples and the dot's conductance.  A
-    run alone is a batch of one; `sweep` walks a batch of points, evaluates
-    them at once and hands each point's share over as `_evaluated`.  The
-    tables hold the evaluated arrays, and the hold rail, DAC gates, power and
-    temperature by `_held` from their change points (`_expand_plan`'s, and
+    run alone is a batch of one, by the same code; `sweep` evaluates a batch
+    of points at once and hands each its share as `_evaluated`.  The tables
+    hold the evaluated arrays, the batch's `events` table, and the hold
+    rail, DAC gates, power and temperature by `_held` from their change
+    points (`_timeline`'s, and
     `Scenario.modes` once per distinct mode).  The bundle carries no
     manifest: `run_scenario` adds one.
     """
     if _evaluated is None:
-        [_evaluated] = _evaluate([scenario], [_walk(scenario)])
-    walk, volts, gates, g = _evaluated
+        [_evaluated] = _evaluate([scenario])
+    walk, volts, gates, g, events = _evaluated
     kinds = scenario.traces.kinds
     traced = scenario.traces.cells if "cells" in kinds else ()
     times = walk.times
     n_samples = len(times)
 
-    tables = {"events": _events(walk.timeline)}
+    tables = {"events": events}
     if traced:
         cell = np.tile(np.array(traced, dtype=np.int64), n_samples)
         v_out = volts[:, [walk.sampled.index(c) for c in traced]].ravel()
@@ -1230,15 +1266,17 @@ def _sweep_points(base: Scenario, axis: str, values: Iterable) -> list[Scenario]
     return points
 
 
-# What `_evaluate` reads of a point as scalars, beyond its walk's arrays.
-_evaluated_from = attrgetter("analog", "device", "gate_sources", "traces")
+# What `_evaluate` reads of a batch's first point for all its points: the
+# evaluation's scalars and all that `_expand_plan` reads.
+_evaluated_from = attrgetter("analog", "device", "gate_sources", "traces", "plan", "cell_targets",
+                             "duration_s")
 
 
 def _batches(points: Iterable[Scenario]) -> Iterator[list[Scenario]]:
     """`points` in order, in runs of consecutive points that hold the very
-    objects `_evaluated_from` names (swap-axis points share the base's,
-    full builds do not) and whose `rows` sum to at most `MAX_ROWS`, though
-    a point alone may reach it."""
+    objects `_evaluated_from` names, so the work made from those is made once
+    for them all, and whose `rows` sum to at most `MAX_ROWS`, though a point
+    alone may reach it."""
     batch: list[Scenario] = []
     rows = 0
     for point in points:
@@ -1253,19 +1291,20 @@ def _batches(points: Iterable[Scenario]) -> Iterator[list[Scenario]]:
 
 
 def _run_batch(points: list[Scenario]) -> Iterator[TraceBundle]:
-    """Walk each point, evaluate them all at once, then yield one
+    """Evaluate the batch (`_evaluate`: its shared work once, then each point's
+    own DAC moves, the cuts they add and its walk), then yield one
     `run_generic` call per point with its share.  A generator of its own,
     so the batch's walks and arrays go with its frame once the last bundle
     is read, before the next batch is walked."""
-    walks = list(map(_walk, points))
-    for point, evaluated in zip(points, _evaluate(points, walks)):
+    for point, evaluated in zip(points, _evaluate(points)):
         yield run_generic(point, evaluated)
 
 
 def sweep(scenario: Scenario) -> Iterator[TraceBundle]:
     """Generic runs of the scenario's `sweep` block's points, made at load, in
-    order: the only sweep.  The points go in `_batches`, each walked and
-    evaluated at once as its first bundle is read, so one batch's tables
-    are held at a time; each point's bundle is then one `run_generic` call
-    with its share, which gives what the point run alone gives, bit for bit."""
+    order: the only sweep.  The points go in `_batches`, each run by
+    `_run_batch` as its first bundle is read, so one batch's tables are held
+    at a time; a batch's points share one sample grid, plan expansion and
+    `events` table, and each point's bundle is one `run_generic` call with
+    its share, which gives what the point run alone gives, bit for bit."""
     return chain.from_iterable(map(_run_batch, _batches(scenario.points)))

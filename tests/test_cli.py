@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -920,6 +921,40 @@ class TestRun:
         assert cli.main(["validate", str(mini_scn)]) == 0
         assert cli.main(["run", str(mini_scn), "--out", str(tmp_path / "o")]) == 2
         assert "runtime error: lock switch fault" in capsys.readouterr().err
+
+    # Load bounds none of these yet: the run's arrays leave float range, which
+    # is exit 2 in one line, with no numpy warning and no output.
+    @pytest.mark.parametrize("doc, message", [
+        (_mini(device={"levers": {"sdp": 1e300}, "gate_sources": {"sdp": {"const": 1e300}}},
+               traces=_traced("conductance")), "overflow encountered in multiply"),
+        (_mini(analog={"q_inj": 1e300}), "invalid value encountered in subtract"),
+        # At 1.0 V the reduced detuning would read about g_max, a wrong number.
+        (_mini(device={"levers": {"sdp": 1.0}, "peak_spacing": 1e-320,
+                       "gate_sources": {"sdp": {"const": 1.0}}},
+               traces=_traced("conductance")), "overflow encountered in divide"),
+    ], ids=["lever_1e300", "q_inj_1e300", "peak_spacing_1e-320"])
+    def test_arithmetic_past_float_range_exits_2(self, doc, message, tmp_path):
+        path = tmp_path / "far.scn"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _main(["validate", str(path)])[0] == 0
+            code, out, err = _main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert (code, out, err) == (2, "", f"runtime error: arithmetic past float range: {message}\n")
+        assert caught == [] and not (tmp_path / "o").exists()
+
+    def test_conductance_far_off_a_peak_reads_zero_with_no_warning(self, tmp_path):
+        # 4 mV off a peak at a 1 µV width: cosh² passes float range, and g is 0.0.
+        doc = _mini(device={"levers": {"sdp": 1.0}, "peak_width": 1e-6,
+                            "gate_sources": {"sdp": {"const": 0.004}}}, traces=_traced("conductance"))
+        path = tmp_path / "far.scn"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = _main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert (code, err, caught) == (0, "", [])
+        rows = (tmp_path / "o" / "conductance.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0.0"] * 6
 
     def test_readout_below_ten_times_bandwidth_exits_1(self, tmp_path, capsys):
         doc = _mini(

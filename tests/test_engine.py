@@ -22,9 +22,16 @@ from clfgsim.engine import ScenarioError, build_scenario
 from clfgsim.errors import SimulationError
 
 from conftest import (
-    DRAWN_ITEM, FIG3G_SWEEP, assert_sweep_is_each_point_alone, bundled_swept, drawn_schedule,
-    lock_then_open_schedule, make_scenario,
+    DRAWN_ITEM, FIG3G_SWEEP, assert_sweep_is_each_point_alone, bench_document, bundled_swept,
+    drawn_schedule, lock_then_open_schedule, make_scenario, pulse_dac_document,
 )
+
+
+def _timeline(scenario: engine.Scenario, sampled: Sequence[int] = ()) -> tuple[list, dict]:
+    """A run's timeline and each DAC's changes, with tick runs cut where
+    `sampled` cells are read: the batch's part (`_expand_plan`), then the
+    point's own (`_timeline`)."""
+    return engine._timeline(scenario, engine._expand_plan(scenario, list(sampled)))
 
 
 class TestValidation:
@@ -304,11 +311,10 @@ class TestGenericRun:
         # A refresh with hold-rail moves: lock actions and DAC entries, no FG,
         # so a sampled cell and rail moves cut nothing.
         scenario = dataclasses.replace(_refreshing(), cell_targets={0: -1.0, 1: -0.9})
-        grid = engine.sample_grid(scenario)
-        timeline, dacs = engine._expand_plan(scenario, grid, {0})
+        timeline, dacs = _timeline(scenario, [0])
         kinds = {kind for _, _, kind, _ in timeline}
         assert "FG" not in kinds and {"DAC", "CLOSE", "OPEN"} <= kinds
-        assert (timeline, dacs) == engine._expand_plan(scenario, grid, ())
+        assert (timeline, dacs) == _timeline(scenario)
         assert timeline == sorted(timeline, key=lambda e: e[:2])
         assert list(dacs) == ["v_hold"]
         assert [(e[0], e[3][0]) for e in timeline if e[2] == "DAC"] == dacs["v_hold"][1:]
@@ -549,7 +555,7 @@ class TestGenericRun:
             ],
             duration_s=4.0,
         )
-        timeline, dacs = engine._expand_plan(scenario, engine.sample_grid(scenario), ())
+        timeline, dacs = _timeline(scenario)
         aim = 0.25 - analog.injection_offset(scenario.analog)
         # The second move repeats the rail: a DAC entry that changes nothing.
         assert [entry[2:] for entry in timeline] == [
@@ -772,8 +778,7 @@ def _count_fg_runs(monkeypatch) -> list:
 
 
 def _slices(scenario: engine.Scenario) -> int:
-    grid = engine.sample_grid(scenario)
-    timeline, _ = engine._expand_plan(scenario, grid, scenario.traces.cells)
+    timeline, _ = _timeline(scenario, scenario.traces.cells)
     return sum(kind == "FG" for _, _, kind, _ in timeline)
 
 
@@ -1071,6 +1076,42 @@ class TestSweepBatches:
         scenario = bundled_swept("fig3b", "analog.c_ds", [1e-14, 2e-14, 1e-14])
         assert _batch_sizes(scenario) == [1, 1, 1]
         assert_sweep_is_each_point_alone(scenario)
+
+    @staticmethod
+    def _pulse_dac_swept(axis: str | None = None, values=(-0.1, 0.0, -0.0, 0.05)) -> engine.Scenario:
+        """`pulse_dac_document` swept on `axis`, by default its hold-rail move inside playback."""
+        doc = pulse_dac_document()
+        axis = axis or f"schedule.{len(doc['schedule']) - 2}.dac.v_hold"
+        return build_scenario(dict(doc, sweep={"axis": axis, "values": list(values)}))
+
+    def test_points_cut_their_tick_runs_differently(self):
+        # The rail starts at 0.0: -0.1 cuts the run at 0.005 s, 0.0 and -0.0
+        # change nothing there and the repeat at 0.0075 s cuts it, 0.05 cuts at both.
+        scenario = self._pulse_dac_swept()
+        assert _batch_sizes(scenario) == [4]
+        starts = [[t for t, _, kind, _ in _timeline(point, point.traces.cells)[0] if kind == "FG"]
+                  for point in scenario.points]
+        assert list(map(len, starts)) == [12, 12, 12, 13]
+        assert starts[0] != starts[1] == starts[2]
+        assert_sweep_is_each_point_alone(scenario)
+
+    def test_shared_work_runs_once_per_batch(self, monkeypatch):
+        # The sample grid, the tick runs and the `events` table, per batch.
+        fig3b = engine.load_scenario(cli.bundled_scenario_path("fig3b"))
+        swap, build = self._pulse_dac_swept(), self._pulse_dac_swept("analog.c_ds", [1e-14, 2e-14, 1e-14])
+        shared = ((engine, "sample_grid"), (engine, "_events"), (fsm, "playback"))
+        calls: dict[str, int] = {}
+        for module, name in shared:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real: calls.update(
+                {name: calls.get(name, 0) + 1}) or real(*args))
+        names = [name for _, name in shared]
+        for scenario, per_batch, batches in ((fig3b, {"sample_grid": 1, "_events": 1}, 1),  # no playback
+                                             (swap, dict.fromkeys(names, 1), 1),
+                                             (build, dict.fromkeys(names, 3), 3)):
+            calls.clear()
+            assert len(list(engine.sweep(scenario))) == len(scenario.points)
+            assert (calls, len(_batch_sizes(scenario))) == (per_batch, batches)
 
     def test_budget_splits_the_batches(self, monkeypatch):
         scenario = engine.load_scenario(cli.bundled_scenario_path("fig3b"))
@@ -1373,8 +1414,8 @@ class TestRefreshPlan:
 
     @staticmethod
     def _timeline(scenario) -> tuple[list, dict]:
-        """The timeline and each DAC's changes that `_expand_plan` returns."""
-        return engine._expand_plan(scenario, engine.sample_grid(scenario), ())
+        """The timeline and each DAC's changes, no sampled cell cutting a tick run."""
+        return _timeline(scenario)
 
     @given(
         mask=st.integers(1, 15),
@@ -1637,7 +1678,7 @@ class TestEventsTable:
                                      traces={"sample_rate_hz": 100.0, "kinds": ["cells"], "cells": [0]})
         except ScenarioError:
             return  # a schedule that the chip refuses
-        timeline, _ = engine._expand_plan(scenario, engine.sample_grid(scenario), [0])
+        timeline, _ = _timeline(scenario, [0])
         bundle = engine.run_generic(scenario)
         table = bundle.tables["events"]
         expected = _logged_events(timeline)
@@ -1645,6 +1686,53 @@ class TestEventsTable:
         assert [column.dtype.str[1:] for column in table.columns[:2]] == ["f8", "i8"]
         assert [column.dtype.kind for column in table.columns[2:]] == ["U", "U"]
         assert bundle.summary["n_events"] == len(expected)
+
+
+def _doubled(doc: dict) -> dict:
+    """`doc` with every voltage input doubled: the rails, each `dac` move of
+    the hold rail, each `cell_targets` value and `analog.q_inj`, defaults
+    included."""
+    doc = copy.deepcopy(doc)
+    rails = {**dataclasses.asdict(analog.SupplyRails()), **doc.get("rails", {})}
+    doc["rails"] = {key: 2 * v for key, v in rails.items()}
+    q_inj = doc.setdefault("analog", {}).get("q_inj", analog.CellParams().q_inj)
+    doc["analog"]["q_inj"] = 2 * q_inj
+    doc["cell_targets"] = {c: 2 * v for c, v in doc.get("cell_targets", {}).items()}
+    for item in doc["schedule"]:
+        if "v_hold" in item.get("dac", {}):
+            item["dac"]["v_hold"] *= 2
+    return doc
+
+
+class TestVoltageScaling:
+    """The cell model is linear in voltage, and doubling is exact in binary
+    floating point: doubling every voltage input doubles every `cells` and
+    `hold` value, bit for bit.  A constant term or a nonlinearity in any
+    voltage path breaks it."""
+
+    @staticmethod
+    def _assert_doubles(doc: dict) -> None:
+        doc = dict(doc, traces=dict(doc["traces"], kinds=["cells", "hold"]))
+        once, twice = (engine.run_generic(build_scenario(d)).tables for d in (doc, _doubled(doc)))
+        for key, column in (("cells", 2), ("hold", 1)):
+            assert (2 * once[key].columns[column]).tobytes() == twice[key].columns[column].tobytes(), key
+
+    @pytest.mark.parametrize("name, seed", [("pulse", 7), ("pulse", 21), ("refresh", 7), ("refresh", 21)])
+    def test_bench_inputs(self, name, seed):
+        self._assert_doubles(bench_document(name, seed))
+
+    @given(schedule=drawn_schedule(st.one_of(DRAWN_ITEM, _HOLD_REPEAT)),
+           targets=st.dictionaries(st.sampled_from(["0", "1", "2"]), st.floats(-1.2, -1.0), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_schedules(self, schedule, targets):
+        doc = {"schema_version": 1, "name": "drawn", "duration_s": 0.05, "cell_targets": targets,
+               "rails": {"v_high": 0.1, "v_low": -0.1, "v_hold": -1.1}, "schedule": schedule,
+               "traces": {"sample_rate_hz": 1000.0, "cells": [0, 1, 2]}}
+        try:
+            build_scenario(doc)
+        except ScenarioError:
+            return  # a schedule that the chip refuses
+        self._assert_doubles(doc)
 
 
 # Each mask register's low half, which drawn schedules write, and its high half.
