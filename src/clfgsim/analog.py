@@ -27,9 +27,9 @@ tuple display.  Hot transitions are fused, calling no other: `set_hold`
 first state by keyword and names the fields of any state
 (`ClfgCell._make(state)`).  The element values live in a `CellParams`
 that every state of a cell shares by reference, so an event copies only
-the few state fields; it also holds their `coupling_ratio`, computed once
-when built, as `coupling`, which `set_hold` reads and `couple_hold`, its
-oracle, recomputes.
+the few state fields; it also holds their `coupling_ratio` and
+`injection_offset`, computed once when built, as `coupling` and `offset`,
+which `set_hold` and `unlock` read and their oracles recompute.
 `apply_fg_run` applies a whole playback run in one step;
 `settle` and `apply_fg`, one edge at a time, are its test oracle.  Its RC
 transient is `one_pole`, the first-order recurrence the tank readout in
@@ -65,11 +65,11 @@ class Level(IntEnum):
     HIGH = 1
 
 
-def hold_value(v: float) -> float:
-    """`v`, refused (ValueError) unless within half the float range, so that a
-    hold-rail step between any two values it passes is finite."""
+def hold_value(v: float, what: str = "hold-rail value") -> float:
+    """`v`, refused (ValueError, naming it `what`) unless within half the float
+    range, so that a hold-rail step between any two values it passes is finite."""
     if not abs(v) <= (limit := sys.float_info.max / 2):
-        raise ValueError(f"hold-rail value {v!r} outside -{limit!r}..{limit!r}")
+        raise ValueError(f"{what} {v!r} outside -{limit!r}..{limit!r}")
     return v
 
 
@@ -115,8 +115,11 @@ class CellParams:
             raise ValueError("leak_rate must be non-negative")
         if not 0 < (tau := time_constant(self)) < math.inf:
             raise ValueError(f"time constant {tau!r} s must be positive and finite")
-        # Not a field: ==, hash, repr and a document's keys stay the six above.
+        # Not fields: ==, hash, repr and a document's keys stay the six above.
+        # `unlock` adds the offset to a hold value and a REFRESH slot takes it
+        # from a target, so it is bounded as a hold value is.
         object.__setattr__(self, "coupling", coupling_ratio(self))
+        object.__setattr__(self, "offset", hold_value(injection_offset(self), "injection offset"))
 
 
 def coupling_ratio(p: CellParams) -> float:
@@ -132,6 +135,11 @@ def series_capacitance(p: CellParams) -> float:
 def time_constant(p: CellParams) -> float:
     """RC time constant of a fast-gate transition."""
     return p.r_switch * series_capacitance(p)
+
+
+def injection_offset(p: CellParams) -> float:
+    """Voltage step left on the node when the lock switch opens."""
+    return p.q_inj / (p.c_p + p.c_pulse)
 
 
 class ClfgCell(NamedTuple):
@@ -157,11 +165,6 @@ class ClfgCell(NamedTuple):
     v_start: float = 0.0
     v_target: float = 0.0
     t_last: float = 0.0
-
-
-def injection_offset(p: CellParams) -> float:
-    """Voltage step left on the node when the lock switch opens."""
-    return p.q_inj / (p.c_p + p.c_pulse)
 
 
 def pulse_amplitude(p: CellParams, rails: SupplyRails) -> float:
@@ -193,7 +196,7 @@ def unlock(cell: tuple, t: float) -> tuple:
         raise ValueError(f"time {t} precedes last event at {t_last}")
     if not locked:
         raise SimulationError("lock switch is already open")
-    v = v_hold_seen + injection_offset(params)
+    v = v_hold_seen + params.offset
     return (params, False, fg_level, fg_level, v_hold_seen, v, v, v, t)
 
 

@@ -883,10 +883,10 @@ def _expand_plan(scenario: Scenario, sampled: list[int]) -> _Shared:
     REFRESH_PERIOD / n after its EXEC (slot n lands on the period), opens
     the previous cell after slot 0, moves the hold rail to the closing
     cell's `cell_targets` entry less the injection offset and closes
-    cells[k % n].  Each point's `_timeline` adds its own DAC moves to this.
+    cells[k % n].  Each point's `_moves` adds its own DAC moves to this.
     """
     times = sample_grid(scenario)
-    offset = analog.injection_offset(scenario.analog)
+    offset = scenario.analog.offset
     locks, runs, moves = [], [], []
     for entry in scenario.plan:
         start, _prio, kind, payload = entry
@@ -913,29 +913,36 @@ def _expand_plan(scenario: Scenario, sampled: list[int]) -> _Shared:
     return _Shared(times, times.tolist(), sampled, locks, runs, moves)
 
 
-def _timeline(scenario: Scenario, shared: _Shared):
-    """A point's timeline, sorted by time, then priority, and each DAC's
-    (time, value) changes from its value before the run (`rails.v_hold` for
-    the hold rail, else 0.0): `shared`'s lock entries and slices, and the
-    point's own DAC moves.  The moves, the schedule's then the slots', are
-    sorted by time once, stably; only the hold rail's reach the timeline,
-    as DAC entries (value, changes), `changes` whether the value differs
-    from the previous move's.  A tick run is cut again before its first
-    tick at or after each move that changes the rail; each slice (views of
-    the run's columns) is an FG entry at its first tick.
-    """
+def _moves(scenario: Scenario, shared: _Shared) -> tuple[tuple, list[float], dict]:
+    """A point's own DAC moves, the schedule's then `shared`'s slots', sorted
+    by time once, stably: the hold rail's as their (time, changes) pattern
+    and their values, `changes` whether the value differs from the previous
+    move's, and each DAC's (time, value) changes from its value before the
+    run (`rails.v_hold` for the hold rail, else 0.0)."""
     dacs = {name: [(-math.inf, 0.0)] for name in _dac_names(scenario.gate_sources)}
     dacs["v_hold"] = [(-math.inf, scenario.rails.v_hold)]
     moves = [(item.time_s, *move) for item in scenario.schedule for move in item.dac]
-    timeline = list(shared.locks)
-    cuts = []  # times of the hold-rail moves that change the rail
+    pattern, values = [], []
     for t, name, value in sorted([*moves, *shared.moves], key=itemgetter(0)):
         if name == "v_hold":
-            changes = value != dacs[name][-1][1]
-            timeline.append((t, _PRIO["DAC"], "DAC", (value, changes)))
-            if changes:
-                cuts.append(t)
+            pattern.append((t, value != dacs[name][-1][1]))
+            values.append(value)
         dacs[name].append((t, value))
+    return tuple(pattern), values, dacs
+
+
+def _timeline(shared: _Shared, pattern: tuple) -> list:
+    """The timeline of every point whose hold-rail moves have this (time,
+    changes) `pattern` (`_moves`), sorted by time, then priority:
+    `shared`'s lock entries and slices, and move i as a DAC entry (i,
+    changes), whose value each point reads from its own moves.  A tick run
+    is cut again before its first tick at or after each move that changes
+    the rail; each slice (views of the run's columns) is an FG entry at its
+    first tick.
+    """
+    timeline = [*shared.locks, *((t, _PRIO["DAC"], "DAC", (i, changes))
+                                 for i, (t, changes) in enumerate(pattern))]
+    cuts = [t for t, changes in pattern if changes]
     for run, starts in shared.runs:
         lo, hi = np.searchsorted(cuts, run.times[[0, -1]], "right")
         starts = starts.copy()
@@ -946,7 +953,7 @@ def _timeline(scenario: Scenario, shared: _Shared):
              fsm.TickRun(run.times[k:j], run.levels[k:j], run.cells, run.period_s))
             for k, j in zip(bounds, bounds[1:])
         ]
-    return sorted(timeline, key=itemgetter(0, 1)), dacs
+    return sorted(timeline, key=itemgetter(0, 1))
 
 
 def _segment_power(scenario: Scenario, state: tuple[fsm.Mode, protocol.RegisterFile]) -> float:
@@ -1014,40 +1021,36 @@ _state_key = struct.Struct("=?BB5d").pack
 
 
 class _Walk(NamedTuple):
-    """A run's timeline walk (`_walk`), which its samples are evaluated from."""
+    """A point's timeline walk (`_walk`), which its samples are evaluated from."""
 
-    times: np.ndarray  # the sample grid, the batch's
-    sampled: list[int]  # the cells the samples read, the batch's
     fields: list[float]  # each block's `output_fields` of the sampled cells, in order
     counts: list[int]  # each block's samples
-    timeline: list  # `_timeline`'s
-    dacs: dict  # each DAC's changes, `_timeline`'s
+    dacs: dict  # each DAC's changes, `_moves`'
     finals: dict[int, tuple]  # each of `traces.cells`' state after the last entry
 
 
-def _walk(scenario: Scenario, shared: _Shared) -> _Walk:
-    """Apply every entry of the point's timeline (`_timeline`, with each
-    tick run cut where it is read) eagerly, in order: a slice is one
-    `analog.apply_fg_run` call per distinct `_state_key` of its pulsed
-    cells, whose result every cell with that key takes (exact, since
-    `apply_fg_run` is pure), a DAC entry sets the hold rail, which a close
-    locks onto, and fans `set_hold` out to the 32 cells if it changes the
-    rail, and a lock action is one `lock` or `unlock` at its time.  The loop
-    relies on one invariant: only WRITE and EXEC split playback and lock
-    actions happen only at EXEC, so no lock action falls inside a run.
-    Before each entry it records one block, the samples before that entry,
-    as the sampled cells' `output_fields` they see (floats, so no state
-    outlives its block); it logs nothing, since `_events` reads the `events`
-    table from a timeline.
+def _walk(scenario: Scenario, shared: _Shared, first: tuple, timelines: dict) -> _Walk:
+    """Apply every entry of the point's timeline (`_timeline` of its
+    `_moves` pattern, made once in `timelines` for all points with that
+    pattern) eagerly, in order, from every cell in the `first` state: a
+    slice is one `analog.apply_fg_run` call per distinct `_state_key` of its
+    pulsed cells, whose result every cell with that key takes (exact, since
+    `apply_fg_run` is pure), a DAC entry sets the hold rail to the point's
+    own value, which a close locks onto, and fans `set_hold` out to the 32
+    cells if it changes the rail, and a lock action is one `lock` or
+    `unlock` at its time.  The loop relies on one invariant: only WRITE and
+    EXEC split playback and lock actions happen only at EXEC, so no lock
+    action falls inside a run.  Before each entry it records one block,
+    the samples before that entry, as the sampled cells' `output_fields`
+    they see (floats, so no state outlives its block); it logs nothing,
+    since `_events` reads the `events` table from a timeline.
     """
     sample_times, sampled = shared.sample_times, shared.sampled
     rails = scenario.rails
-    timeline, dacs = _timeline(scenario, shared)
-
-    # Cell states are immutable, so all 32 can start as one value: at t = 0,
-    # or at the first schedule item if that is earlier (load allows t < 0).
-    start = min(0.0, scenario.schedule[0].time_s) if scenario.schedule else 0.0
-    cells = [analog.ClfgCell(scenario.analog, t_last=start)] * N_CELLS
+    pattern, values, dacs = _moves(scenario, shared)
+    if (timeline := timelines.get(pattern)) is None:
+        timeline = timelines[pattern] = _timeline(shared, pattern)
+    cells = [first] * N_CELLS  # states are immutable, so all 32 can start as one
     v_hold = rails.v_hold  # the hold rail now, which a close locks onto
     fields: list[float] = []
     counts: list[int] = []
@@ -1060,7 +1063,8 @@ def _walk(scenario: Scenario, shared: _Shared) -> _Walk:
             counts.append(end - si)
             si = end
         if kind == "DAC":
-            v_hold, changes = payload  # type: ignore[misc]
+            i, changes = payload  # type: ignore[misc]
+            v_hold = values[i]
             if changes:
                 cells = list(map(analog.set_hold, cells, repeat(v_hold, N_CELLS)))
         elif kind == "FG":
@@ -1077,7 +1081,7 @@ def _walk(scenario: Scenario, shared: _Shared) -> _Walk:
         elif kind == "OPEN":
             cells[payload] = analog.unlock(cells[payload], t)  # type: ignore[index]
     finals = {c: cells[c] for c in scenario.traces.cells}  # not the rest, which a batch would hold
-    return _Walk(shared.times, sampled, fields, counts, timeline, dacs, finals)
+    return _Walk(fields, counts, dacs, finals)
 
 
 def _gate_sources(scenario: Scenario) -> Mapping[str, GateSource]:
@@ -1101,15 +1105,27 @@ def _finite():
         raise SimulationError(f"arithmetic past float range: {exc}") from exc
 
 
+class _Evaluated(NamedTuple):
+    """A batch's evaluation (`_evaluate`), whose rows each point's run reads."""
+
+    times: np.ndarray  # the sample grid
+    sampled: list[int]  # the cells the samples read: traced cells, then gate cells
+    volts: np.ndarray  # their output voltages, every point's samples x `sampled`
+    gates: dict[str, np.ndarray]  # each dot gate's voltage, every point's samples
+    g: np.ndarray | None  # the conductance, None with no gate read
+    events: Table  # the batch's one `events` table
+    n_events: int  # its rows
+
+
 def _evaluate(points: Sequence[Scenario]) -> list[tuple]:
-    """Each point's (walk, volts, gates, g, events), its walk's samples evaluated:
-    the sampled cells' output voltages, samples x `walk.sampled`, each dot
-    gate's voltage and the conductance (None with no gate read).  The points
-    share all that this and `_expand_plan` read of the first (`_batches`):
-    under one `_finite`, the plan is expanded once, each point walked, and
-    one `analog.sample_output` call over every point's samples and one
-    `devmod.conductance` call over their gate voltages, joined in order,
-    evaluate them all; the results are split back per point.  Each value is
+    """Each point's share, (walk, batch, rows): its walk, the batch's
+    `_Evaluated` and the slice of the batch's arrays that are its samples.
+    The points share all that this and `_expand_plan` read of the first
+    (`_batches`) and every schedule time, so under one `_finite` the plan
+    is expanded once, each distinct timeline made once (`_walk`), each
+    point walked from one first cell state, and one `analog.sample_output`
+    call over every point's samples and one `devmod.conductance` call over
+    their gate voltages, joined in order, evaluate them all.  Each value is
     computed element by element from contiguous input, as in a batch of
     one, so it has the bits the point run alone gives.  The batch has one
     `events` table, from its first point's timeline: by `_walk`'s invariant
@@ -1119,9 +1135,13 @@ def _evaluate(points: Sequence[Scenario]) -> list[tuple]:
     traced = first.traces.cells if "cells" in first.traces.kinds else ()
     cell_gates = [src.value for src in _gate_sources(first).values() if src.kind == "cell"]
     sampled = list(dict.fromkeys([*traced, *cell_gates]))  # each once
+    # At t = 0, or at the first schedule item if that is earlier (load allows t < 0).
+    start = min(0.0, first.schedule[0].time_s) if first.schedule else 0.0
+    state = analog.ClfgCell(first.analog, t_last=start)
+    timelines: dict[tuple, list] = {}  # by `_moves` pattern, the first point's first
     with _finite():
         shared = _expand_plan(first, sampled)
-        walks = [_walk(point, shared) for point in points]
+        walks = [_walk(point, shared, state, timelines) for point in points]
         counts = [n for walk in walks for n in walk.counts]
         fields = chain.from_iterable(walk.fields for walk in walks)
         n_fields = sum(len(walk.fields) for walk in walks)
@@ -1133,44 +1153,42 @@ def _evaluate(points: Sequence[Scenario]) -> list[tuple]:
         ).reshape(len(times), len(sampled))
         gates = {
             gate: volts[:, sampled.index(src.value)] if src.kind == "cell"
-            else _joined([_held(walk.dacs[src.value], walk.times) for walk in walks]) if src.kind == "dac"
+            else _joined([_held(walk.dacs[src.value], shared.times) for walk in walks]) if src.kind == "dac"
             else np.full(len(times), src.value)
             for gate, src in _gate_sources(first).items()
         }
         g = devmod.conductance(first.device, gates) if gates else None
-    events = _events(walks[0].timeline)
-    bounds = [0, *accumulate(len(walk.times) for walk in walks)]
-    return [(walk, volts[i:j], {gate: v[i:j] for gate, v in gates.items()},
-             None if g is None else g[i:j], events)
-            for walk, i, j in zip(walks, bounds, bounds[1:])]
+    events = _events(next(iter(timelines.values())))
+    batch = _Evaluated(shared.times, sampled, volts, gates, g, events, len(events))
+    n = len(shared.times)
+    return [(walk, batch, slice(k * n, k * n + n)) for k, walk in enumerate(walks)]
 
 
-def run_generic(scenario: Scenario, _evaluated: tuple | None = None) -> TraceBundle:
+def run_generic(scenario: Scenario, _share: tuple | None = None) -> TraceBundle:
     """Execute a time-domain scenario and collect the requested traces.
 
     A run is in two stages: the timeline walk (`_walk`), which applies each
     entry to the cells and records what each sample sees, then the array
     evaluation (`_evaluate`) of the samples and the dot's conductance.  A
     run alone is a batch of one, by the same code; `sweep` evaluates a batch
-    of points at once and hands each its share as `_evaluated`.  The tables
-    hold the evaluated arrays, the batch's `events` table, and the hold
-    rail, DAC gates, power and temperature by `_held` from their change
-    points (`_timeline`'s, and
-    `Scenario.modes` once per distinct mode).  The bundle carries no
-    manifest: `run_scenario` adds one.
+    of points at once and hands each its share as `_share`.  The tables
+    hold the point's rows of the evaluated arrays, the batch's `events`
+    table, and the hold rail, DAC gates, power and temperature by `_held`
+    from their change points (`_moves`', and `Scenario.modes` once per
+    distinct mode).  The bundle carries no manifest: `run_scenario` adds one.
     """
-    if _evaluated is None:
-        [_evaluated] = _evaluate([scenario])
-    walk, volts, gates, g, events = _evaluated
+    if _share is None:
+        [_share] = _evaluate([scenario])
+    walk, batch, rows = _share
     kinds = scenario.traces.kinds
     traced = scenario.traces.cells if "cells" in kinds else ()
-    times = walk.times
+    times = batch.times
     n_samples = len(times)
 
-    tables = {"events": events}
+    tables = {"events": batch.events}
     if traced:
         cell = np.tile(np.array(traced, dtype=np.int64), n_samples)
-        v_out = volts[:, [walk.sampled.index(c) for c in traced]].ravel()
+        v_out = batch.volts[rows, [batch.sampled.index(c) for c in traced]].ravel()
         tables["cells"] = Table(("time_s", "cell", "v_out_volts"),
                                 (times.repeat(len(traced)), cell, v_out))
     if "hold" in kinds:
@@ -1180,16 +1198,17 @@ def run_generic(scenario: Scenario, _evaluated: tuple | None = None) -> TraceBun
         "v_out_final": {
             c: analog.output_voltage(state, scenario.duration_s) for c, state in walk.finals.items()
         },
-        "n_events": len(tables["events"]),
+        "n_events": batch.n_events,
     }
-    if g is not None:
+    if batch.g is not None:
+        g = batch.g[rows]
         summary["conductance_final_s"] = float(g[-1])
         if "conductance" in kinds:
             tables["conductance"] = Table(("time_s", "conductance_s"), (times, g))
         if "readout" in kinds:
             axis = scenario.axis_gate
             tables["readout"] = Table(("time_s", "v_sdp_volts", "signal"), (
-                times, gates[axis] if axis else np.zeros(n_samples),
+                times, batch.gates[axis][rows] if axis else np.zeros(n_samples),
                 devmod.tank_signal(scenario.tank, scenario.traces.sample_rate_hz, g),
             ))
     if "power" in kinds or "temperature" in kinds:
@@ -1274,37 +1293,29 @@ _evaluated_from = attrgetter("analog", "device", "gate_sources", "traces", "plan
 
 def _batches(points: Iterable[Scenario]) -> Iterator[list[Scenario]]:
     """`points` in order, in runs of consecutive points that hold the very
-    objects `_evaluated_from` names, so the work made from those is made once
-    for them all, and whose `rows` sum to at most `MAX_ROWS`, though a point
-    alone may reach it."""
+    objects `_evaluated_from` names (read once a point, and once a batch as
+    its key), so the work made from those is made once for them all, and
+    whose `rows` sum to at most `MAX_ROWS`, though a point alone may reach it."""
     batch: list[Scenario] = []
-    rows = 0
     for point in points:
-        if batch and (rows + point.rows > MAX_ROWS or not all(
-                map(is_, _evaluated_from(batch[0]), _evaluated_from(point)))):
+        own = _evaluated_from(point)
+        if batch and (rows + point.rows > MAX_ROWS or not all(map(is_, key, own))):
             yield batch
-            batch, rows = [], 0
+            batch = []
+        if not batch:
+            key, rows = own, 0
         batch.append(point)
         rows += point.rows
     if batch:
         yield batch
 
 
-def _run_batch(points: list[Scenario]) -> Iterator[TraceBundle]:
-    """Evaluate the batch (`_evaluate`: its shared work once, then each point's
-    own DAC moves, the cuts they add and its walk), then yield one
-    `run_generic` call per point with its share.  A generator of its own,
-    so the batch's walks and arrays go with its frame once the last bundle
-    is read, before the next batch is walked."""
-    for point, evaluated in zip(points, _evaluate(points)):
-        yield run_generic(point, evaluated)
-
-
 def sweep(scenario: Scenario) -> Iterator[TraceBundle]:
     """Generic runs of the scenario's `sweep` block's points, made at load, in
-    order: the only sweep.  The points go in `_batches`, each run by
-    `_run_batch` as its first bundle is read, so one batch's tables are held
-    at a time; a batch's points share one sample grid, plan expansion and
-    `events` table, and each point's bundle is one `run_generic` call with
-    its share, which gives what the point run alone gives, bit for bit."""
-    return chain.from_iterable(map(_run_batch, _batches(scenario.points)))
+    order: the only sweep.  The points go in `_batches`, each evaluated
+    (`_evaluate`) as its first bundle is read, and each point's bundle is
+    one `run_generic` call with its share, which gives what the point run
+    alone gives, bit for bit.  `yield from` drops a batch's shares before
+    the next batch is evaluated, so one batch's arrays are held at a time."""
+    for batch in _batches(scenario.points):
+        yield from map(run_generic, batch, _evaluate(batch))

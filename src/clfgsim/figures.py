@@ -70,7 +70,7 @@ def fig3f(scenario: Scenario) -> TraceBundle:
     # Static references: the output parked at the released hold voltage
     # (fast gate LOW) and one pulse amplitude above it (fast gate HIGH).
     rails = scenario.rails
-    v_low_ref = rails.v_hold + analog.injection_offset(scenario.analog)
+    v_low_ref = rails.v_hold + scenario.analog.offset
     v_high_ref = v_low_ref + analog.pulse_amplitude(scenario.analog, rails)
     g_low = devmod.conductance(dot, {sweep_gate: v_sweep, pulse_gate: v_low_ref})
     g_high = devmod.conductance(dot, {sweep_gate: v_sweep, pulse_gate: v_high_ref})

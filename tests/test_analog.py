@@ -10,7 +10,8 @@ from scipy.signal import lfilter
 
 from clfgsim import fsm, protocol
 from clfgsim.device import TankReadout, _low_pass
-from clfgsim.errors import SimulationError
+from clfgsim.engine import build_scenario
+from clfgsim.errors import ScenarioError, SimulationError
 from clfgsim.analog import (
     CellParams,
     ClfgCell,
@@ -123,25 +124,40 @@ _capacitances = st.fixed_dictionaries({
 
 
 class TestCachedCoupling:
-    """`CellParams.coupling`, which `set_hold` reads, is `coupling_ratio`
-    computed once when the parameters are built."""
+    """`CellParams.coupling` and `CellParams.offset`, which `set_hold` and
+    `unlock` read, are `coupling_ratio` and `injection_offset` computed once
+    when the parameters are built."""
 
-    @given(first=_capacitances, second=_capacitances)
+    @given(first=_capacitances, second=_capacitances,
+           charges=st.tuples(st.floats(-1e-12, 1e-12), st.floats(-1e-12, 1e-12)))
     @example(first={"c_pulse": 1e-12, "c_p": 1e-12, "c_ds": 0.0},
-             second={"c_pulse": 1e-12, "c_p": 1e-12, "c_ds": 10e-15})
-    def test_is_the_formula_bit_for_bit(self, first, second):
-        params = CellParams(**first)
+             second={"c_pulse": 1e-12, "c_p": 1e-12, "c_ds": 10e-15}, charges=(2e-15, -0.0))
+    def test_is_the_formula_bit_for_bit(self, first, second, charges):
+        params = CellParams(**first, q_inj=charges[0])
         assert repr(params.coupling) == repr(coupling_ratio(params))
-        replaced = dataclasses.replace(params, **second)
+        assert repr(params.offset) == repr(injection_offset(params))
+        replaced = dataclasses.replace(params, **second, q_inj=charges[1])
         assert repr(replaced.coupling) == repr(coupling_ratio(replaced))
+        assert repr(replaced.offset) == repr(injection_offset(replaced))
 
     def test_is_not_a_field(self):
         params = CellParams()
-        assert "coupling" not in {field.name for field in dataclasses.fields(CellParams)}
-        assert "coupling" not in repr(params)
         assert params == CellParams() and hash(params) == hash(CellParams())
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            params.coupling = 0.5
+        for name in ("coupling", "offset"):
+            assert name not in {field.name for field in dataclasses.fields(CellParams)}
+            assert name not in repr(params)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(params, name, 0.5)
+            with pytest.raises(ScenarioError, match=rf"^analog: unknown key\(s\) \['{name}'\]$"):
+                build_scenario({"schema_version": 1, "analog": {name: 0.1}})
+
+    @pytest.mark.parametrize("q_inj", [1e300, -1e300, 1.8e296])
+    def test_offset_past_half_float_range_is_refused(self, q_inj):
+        # `unlock` adds the offset to a hold value and a REFRESH slot takes
+        # it from a target, so it is bounded as a hold value is.
+        with pytest.raises(ValueError, match="^injection offset .* outside -8.98"):
+            CellParams(q_inj=q_inj)
+        assert CellParams(q_inj=1.7e296).offset == 1.7e296 / 2e-12
 
 
 class TestLeak:

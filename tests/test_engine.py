@@ -28,10 +28,15 @@ from conftest import (
 
 
 def _timeline(scenario: engine.Scenario, sampled: Sequence[int] = ()) -> tuple[list, dict]:
-    """A run's timeline and each DAC's changes, with tick runs cut where
-    `sampled` cells are read: the batch's part (`_expand_plan`), then the
-    point's own (`_timeline`)."""
-    return engine._timeline(scenario, engine._expand_plan(scenario, list(sampled)))
+    """A run's timeline, each DAC entry as (value, changes), and each DAC's
+    changes, with tick runs cut where `sampled` cells are read: the batch's
+    part (`_expand_plan`), the point's own moves (`_moves`) and the timeline
+    of their pattern (`_timeline`), its DAC entries given the point's values."""
+    shared = engine._expand_plan(scenario, list(sampled))
+    pattern, values, dacs = engine._moves(scenario, shared)
+    timeline = [(t, prio, kind, (values[payload[0]], payload[1]) if kind == "DAC" else payload)
+                for t, prio, kind, payload in engine._timeline(shared, pattern)]
+    return timeline, dacs
 
 
 class TestValidation:
@@ -1032,6 +1037,9 @@ class TestSweepBatches:
 
     @given(values=_VALUES, repeats=st.integers(0, 2))
     @example(values=[-0.81, -0.0, 0.0], repeats=2)
+    # The rail value and ±0.0 between values that change the rail: two
+    # timelines, (A, B, A, B, A, A), whose points keep their own values' bits.
+    @example(values=[-0.81, -0.8, -0.0, -0.8, 0.0, -0.79], repeats=0)
     @settings(max_examples=25, deadline=None)
     def test_fig3b_dac_axis(self, values, repeats):
         # The bundled sweep's axis; a value equal to the rail, -0.8, moves nothing.
@@ -1096,22 +1104,39 @@ class TestSweepBatches:
         assert_sweep_is_each_point_alone(scenario)
 
     def test_shared_work_runs_once_per_batch(self, monkeypatch):
-        # The sample grid, the tick runs and the `events` table, per batch.
+        # The sample grid, the tick runs and the `events` table, per batch,
+        # and one timeline per distinct pattern of rail moves in a batch:
+        # fig3b's -0.8 point (index 60) does not move the rail, and of the
+        # swap's -0.1 | 0.0 and -0.0 | 0.05, 0.0 and -0.0 share one.
         fig3b = engine.load_scenario(cli.bundled_scenario_path("fig3b"))
         swap, build = self._pulse_dac_swept(), self._pulse_dac_swept("analog.c_ds", [1e-14, 2e-14, 1e-14])
-        shared = ((engine, "sample_grid"), (engine, "_events"), (fsm, "playback"))
+        shared = ((engine, "sample_grid"), (engine, "_events"), (fsm, "playback"), (engine, "_timeline"))
         calls: dict[str, int] = {}
         for module, name in shared:
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, name=name, real=real: calls.update(
                 {name: calls.get(name, 0) + 1}) or real(*args))
+        assert [v for v in fig3b.sweep.values if v == fig3b.rails.v_hold] == [fig3b.sweep.values[60]]
         names = [name for _, name in shared]
-        for scenario, per_batch, batches in ((fig3b, {"sample_grid": 1, "_events": 1}, 1),  # no playback
-                                             (swap, dict.fromkeys(names, 1), 1),
-                                             (build, dict.fromkeys(names, 3), 3)):
+        for scenario, per_batch, batches in (
+                (fig3b, {"sample_grid": 1, "_events": 1, "_timeline": 2}, 1),  # no playback
+                (swap, dict(dict.fromkeys(names, 1), _timeline=3), 1),
+                (build, dict.fromkeys(names, 3), 3)):
             calls.clear()
             assert len(list(engine.sweep(scenario))) == len(scenario.points)
             assert (calls, len(_batch_sizes(scenario))) == (per_batch, batches)
+
+    def test_refresh_swept_on_the_hold_rail(self):
+        # One batch of the seed-21 refresh input: 1,920 hold-rail moves a
+        # point, each changing the rail, so the four points share one
+        # timeline; only the rail before the first move is each point's own.
+        doc = bench_document("refresh", 21)
+        scenario = build_scenario(dict(doc, sweep={"axis": "rails.v_hold",
+                                                   "values": [-1.101, -1.1, -0.0, 0.0]}))
+        assert _batch_sizes(scenario) == [4]
+        shared = engine._expand_plan(scenario, [])
+        assert len(engine._moves(scenario.points[0], shared)[0]) == 1920
+        assert_sweep_is_each_point_alone(scenario)
 
     def test_budget_splits_the_batches(self, monkeypatch):
         scenario = engine.load_scenario(cli.bundled_scenario_path("fig3b"))
