@@ -430,8 +430,10 @@ def build_scenario(raw: Mapping, *, points: bool = True) -> Scenario:
     for key in targets:
         if key not in _CELL_KEYS:
             raise ScenarioError(f"cell_targets: key {key!r} is not a cell index 0..{N_CELLS - 1}")
-    with refusing("cell_targets"):
-        targets = {_CELL_KEYS[k]: analog.hold_value(_number(v)) for k, v in targets.items()}
+    with refusing("cell_targets"):  # bounds each REFRESH slot's rail value, target less offset
+        targets = {_CELL_KEYS[k]: _number(v) for k, v in targets.items()}
+        for target in targets.values():
+            analog.hold_value(target - cell.offset)
 
     with refusing("name"):
         name = _text(raw.get("name", "scenario"))

@@ -1,15 +1,13 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from clfgsim import analog, cli, engine, protocol
+from identical import bench_document, pulse_dac_document  # the byte-identity inputs' builders
 
 
 @pytest.fixture
@@ -48,29 +46,6 @@ def bundled_swept(name: str, axis: str, values, kinds=None) -> engine.Scenario:
     if kinds is not None:
         raw["traces"]["kinds"] = list(kinds)
     return engine.build_scenario(raw)
-
-
-def bench_document(name: str, seed: int) -> dict:
-    """The benchmark's generated input `name` at `seed` (bench/workloads.py, only read)."""
-    if (workloads := sys.modules.get("bench_workloads")) is None:
-        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-    return workloads.make(name, seed).doc
-
-
-def pulse_dac_document() -> dict:
-    """The seed-21 bench pulse input with the hold and conductance traces, a dot
-    gate read from DAC `v_sdp`, and inside playback a move of that DAC, a
-    hold-rail move (schedule item `len - 2`, at t = 0.005 s) and a repeat of
-    its value."""
-    doc = bench_document("pulse", 21)
-    doc["traces"]["kinds"] += ["hold", "conductance"]
-    doc["device"] = {"levers": {"sdp": 1.0}, "gate_sources": {"sdp": {"dac": "v_sdp"}}}
-    doc["schedule"] += [{"t": 0.0025, "dac": {"v_sdp": 0.004}}, {"t": 0.005, "dac": {"v_hold": -0.1}},
-                        {"t": 0.0075, "dac": {"v_hold": -0.1}}]
-    return doc
 
 
 # fig3g's readout, with its conductance traced too, swept on the hold rail:

@@ -271,6 +271,16 @@ MALFORMED = {
     ]),
     "rails_hold_past_half_float_range": _mini(rails={"v_hold": 1e308}),
     "cell_target_past_half_float_range": _mini(cell_targets={"0": -1e308}),
+    # A REFRESH slot's rail value, the target less an offset of 8e307 V, past
+    # half the float range, then a host move to 8e307: `validate` passed it
+    # and `run` exited 2 on the step between them.
+    "cell_target_less_offset_past_half_float_range": _mini(
+        analog={"q_inj": 1.6e296}, cell_targets={"0": -8e307}, duration_s=2.0,
+        schedule=[{"t": 0.0, "write": ["CTRL", 2]}, {"t": 0.0, "write": ["LOCK_MASK_LO", 3]},
+                  {"t": 0.0, "write": ["REFRESH_PERIOD", 1]}, {"t": 0.0, "exec": True},
+                  {"t": 1.5, "dac": {"v_hold": 8e307}}],
+        traces={"sample_rate_hz": 10.0, "kinds": ["cells"], "cells": [0, 1]},
+    ),
     # An injection offset q_inj / (c_p + c_pulse) past float range: `validate`
     # passed it and `run` exited 2, the unlocked cell's output NaN.
     "q_inj_offset_past_half_float_range": _mini(analog={"q_inj": 1e300}),
@@ -330,6 +340,8 @@ REFUSED_AS = {
     "dac_hold_moves_past_float_range": f"schedule[5]: hold-rail value -1e+308 outside {_HALF_RANGE}",
     "rails_hold_past_half_float_range": f"rails: hold-rail value 1e+308 outside {_HALF_RANGE}",
     "cell_target_past_half_float_range": f"cell_targets: hold-rail value -1e+308 outside {_HALF_RANGE}",
+    "cell_target_less_offset_past_half_float_range":
+        f"cell_targets: hold-rail value -1.6e+308 outside {_HALF_RANGE}",
 }
 
 # A section of the wrong JSON type, or a malformed entry inside one; each

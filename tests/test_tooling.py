@@ -1,9 +1,10 @@
 """Checks that tools and documents outside the package stay in step with it:
 the benchmark's trace mode wraps clfgsim functions by name, its workloads'
 closed-form row counts match the ones counted at load, README.md lists each
-scenario section's keys and each figure's `figure_params`, and every number
-field it lists refuses what is no number; and checks on the package's own
-structure."""
+scenario section's keys and each figure's `figure_params`, every number
+field it lists refuses what is no number, and each input of
+`tests/identical.py` loads or is refused as its list says; and checks on the
+package's own structure."""
 import ast
 import contextlib
 import dataclasses
@@ -21,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from clfgsim import analog, cli, device, engine, figures, fsm, protocol, thermal
+
+import identical
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
@@ -223,6 +226,43 @@ def test_cli_import_leaves_process_pools_out():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_identical_imports_only_the_standard_library():
+    # `tests/identical.py` runs a tree it never imports, on an install without the test extra.
+    tree = ast.parse((ROOT / "tests" / "identical.py").read_text(encoding="utf-8"))
+    tops = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names}
+    tops |= {node.module.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert tops <= sys.stdlib_module_names, tops - sys.stdlib_module_names
+    assert not tops & {"clfgsim", "pytest", "hypothesis", "numpy"}
+
+
+@pytest.fixture(scope="module")
+def identical_inputs(tmp_path_factory) -> Path:
+    """A directory holding every input of `identical.ENTRIES`, this tree's scenarios among them."""
+    out = tmp_path_factory.mktemp("identical")
+    identical.write_inputs(PACKAGE.parent, out)
+    return out
+
+
+@pytest.mark.parametrize("name, code, command", [
+    pytest.param(*entry, id=entry[0]) for entry in identical.ENTRIES
+    if entry[1] or entry[2][0] in ("run", "sweep")
+])
+def test_identical_entry_is_what_the_list_says(name, code, command, identical_inputs, monkeypatch,
+                                               capsys):
+    # A document that `run` or `sweep` runs loads, under its overrides; a
+    # refusal gives the exit code listed for it.  So a broken input fails here.
+    monkeypatch.chdir(identical_inputs)
+    if code:
+        out = ["--out", f"{name}/out"] if command[0] in identical.WRITERS else []
+        assert cli.main([*command, *out]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+    else:
+        overrides = [arg for flag, value in zip(command, command[1:]) if flag == "--override"
+                     for arg in (flag, value)]
+        assert cli.main(["validate", command[1], *overrides]) == 0
 
 
 def test_failing_hypothesis_test_is_reported_under_this_config(tmp_path):
