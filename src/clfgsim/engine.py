@@ -44,8 +44,11 @@ N_CELLS = fsm.N_CELLS
 # peak of a run (in `analog.apply_fg_run`; `export` adds nothing to it), so
 # a run at the budget peaks near 0.3 GB.
 MAX_ROWS = 2**21
-# The most rows `export` formats into one string and writes at once.
+# The most rows `export` writes, and cell-samples `_evaluate` computes, at once.
 CHUNK_ROWS = 2**16
+# The most sampled `output_fields` `_walk` holds as Python floats before it
+# converts them to float64; `CHUNK_ROWS` of them would hold about 2 MB.
+FLUSH_FIELDS = 4096
 
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
 # lock action with the cell as payload; DAC, a hold-rail move as (value,
@@ -1025,13 +1028,13 @@ _state_key = struct.Struct("=?BB5d").pack
 class _Walk(NamedTuple):
     """A point's timeline walk (`_walk`), which its samples are evaluated from."""
 
-    fields: list[float]  # each block's `output_fields` of the sampled cells, in order
     counts: list[int]  # each block's samples
     dacs: dict  # each DAC's changes, `_moves`'
     finals: dict[int, tuple]  # each of `traces.cells`' state after the last entry
 
 
-def _walk(scenario: Scenario, shared: _Shared, first: tuple, timelines: dict) -> _Walk:
+def _walk(scenario: Scenario, shared: _Shared, first: tuple, timelines: dict,
+          fields: list[float], record: list[np.ndarray]) -> _Walk:
     """Apply every entry of the point's timeline (`_timeline` of its
     `_moves` pattern, made once in `timelines` for all points with that
     pattern) eagerly, in order, from every cell in the `first` state: a
@@ -1044,8 +1047,9 @@ def _walk(scenario: Scenario, shared: _Shared, first: tuple, timelines: dict) ->
     EXEC split playback and lock actions happen only at EXEC, so no lock
     action falls inside a run.  Before each entry it records one block,
     the samples before that entry, as the sampled cells' `output_fields`
-    they see (floats, so no state outlives its block); it logs nothing,
-    since `_events` reads the `events` table from a timeline.
+    they see, appended to the batch's `fields` and moved to its `record` as
+    float64 every `FLUSH_FIELDS` floats, so no state outlives its block; it
+    logs nothing, since `_events` reads the `events` table from a timeline.
     """
     sample_times, sampled = shared.sample_times, shared.sampled
     rails = scenario.rails
@@ -1054,7 +1058,6 @@ def _walk(scenario: Scenario, shared: _Shared, first: tuple, timelines: dict) ->
         timeline = timelines[pattern] = _timeline(shared, pattern)
     cells = [first] * N_CELLS  # states are immutable, so all 32 can start as one
     v_hold = rails.v_hold  # the hold rail now, which a close locks onto
-    fields: list[float] = []
     counts: list[int] = []
     si = 0
     # The last entry only closes the block of the samples after the timeline.
@@ -1062,6 +1065,9 @@ def _walk(scenario: Scenario, shared: _Shared, first: tuple, timelines: dict) ->
         if (end := bisect_left(sample_times, t, si)) > si:
             for c in sampled:
                 fields.extend(analog.output_fields(cells[c]))
+            if len(fields) >= FLUSH_FIELDS:
+                record.append(np.array(fields))
+                fields.clear()
             counts.append(end - si)
             si = end
         if kind == "DAC":
@@ -1083,7 +1089,7 @@ def _walk(scenario: Scenario, shared: _Shared, first: tuple, timelines: dict) ->
         elif kind == "OPEN":
             cells[payload] = analog.unlock(cells[payload], t)  # type: ignore[index]
     finals = {c: cells[c] for c in scenario.traces.cells}  # not the rest, which a batch would hold
-    return _Walk(fields, counts, dacs, finals)
+    return _Walk(counts, dacs, finals)
 
 
 def _gate_sources(scenario: Scenario) -> Mapping[str, GateSource]:
@@ -1125,13 +1131,16 @@ def _evaluate(points: Sequence[Scenario]) -> list[tuple]:
     The points share all that this and `_expand_plan` read of the first
     (`_batches`) and every schedule time, so under one `_finite` the plan
     is expanded once, each distinct timeline made once (`_walk`), each
-    point walked from one first cell state, and one `analog.sample_output`
-    call over every point's samples and one `devmod.conductance` call over
-    their gate voltages, joined in order, evaluate them all.  Each value is
-    computed element by element from contiguous input, as in a batch of
-    one, so it has the bits the point run alone gives.  The batch has one
-    `events` table, from its first point's timeline: by `_walk`'s invariant
-    a rail move only cuts a slice in two, so every point's rows are alike.
+    point walked from one first cell state into one float64 record, and
+    `analog.sample_output` and `devmod.conductance` evaluate every point's
+    samples, joined in order, `CHUNK_ROWS` cell-samples (samples) a call,
+    their chunks then joined into one `volts` and one `g`, so a 32-cell
+    refresh run peaks at about 56 bytes a row.  Each value is computed
+    element by element from contiguous input, as in a batch of one, so it
+    has the bits the point run alone gives, at any chunk size.  The batch
+    has one `events` table, from its first point's timeline: by `_walk`'s
+    invariant a rail move only cuts a slice in two, so every point's rows
+    are alike.
     """
     first = points[0]
     traced = first.traces.cells if "cells" in first.traces.kinds else ()
@@ -1143,23 +1152,28 @@ def _evaluate(points: Sequence[Scenario]) -> list[tuple]:
     timelines: dict[tuple, list] = {}  # by `_moves` pattern, the first point's first
     with _finite():
         shared = _expand_plan(first, sampled)
-        walks = [_walk(point, shared, state, timelines) for point in points]
+        fields, record = [], []  # the walks' `output_fields`: Python floats, float64 arrays
+        walks = [_walk(point, shared, state, timelines, fields, record) for point in points]
         counts = [n for walk in walks for n in walk.counts]
-        fields = chain.from_iterable(walk.fields for walk in walks)
-        n_fields = sum(len(walk.fields) for walk in walks)
         times = _joined([shared.times] * len(points))
-        # The sampled cells' fields sample by sample, evaluated in one call.
-        per_sample = np.fromiter(fields, float, n_fields).reshape(len(counts), -1).repeat(counts, axis=0)
-        volts = analog.sample_output(
-            first.analog, per_sample, times.repeat(len(sampled))
-        ).reshape(len(times), len(sampled))
+        volts = np.empty((len(times), 0))
+        if sampled:  # else no block holds a field
+            blocks = np.concatenate([*record, np.array(fields)]).reshape(len(counts), -1)
+            index = np.repeat(np.arange(len(counts)), counts)  # each sample's block
+            step = max(1, CHUNK_ROWS // len(sampled))
+            volts = _joined([analog.sample_output(
+                first.analog, np.take(blocks, index[s:s + step], axis=0),
+                times[s:s + step].repeat(len(sampled))).reshape(-1, len(sampled))
+                for s in range(0, len(times), step)])
         gates = {
             gate: volts[:, sampled.index(src.value)] if src.kind == "cell"
             else _joined([_held(walk.dacs[src.value], shared.times) for walk in walks]) if src.kind == "dac"
             else np.full(len(times), src.value)
             for gate, src in _gate_sources(first).items()
         }
-        g = devmod.conductance(first.device, gates) if gates else None
+        g = _joined([
+            devmod.conductance(first.device, {gate: v[s:s + CHUNK_ROWS] for gate, v in gates.items()})
+            for s in range(0, len(times), CHUNK_ROWS)]) if gates else None
     events = _events(next(iter(timelines.values())))
     batch = _Evaluated(shared.times, sampled, volts, gates, g, events, len(events))
     n = len(shared.times)

@@ -54,25 +54,28 @@ FIG3G_SWEEP = ("fig3g", "rails.v_hold", (-0.80, -0.81, -1.101, -1.101, -0.0, 0.0
                ("cells", "conductance", "readout"))
 
 
+def assert_same_bundle(got: engine.TraceBundle, want: engine.TraceBundle) -> None:
+    """Every table column bit for bit (`tobytes`; an object column by its
+    values) and the summary exactly (`repr`, so -0.0 and 0.0 stay apart)."""
+    assert repr(got.summary) == repr(want.summary)
+    assert got.tables.keys() == want.tables.keys()
+    for key, table in want.tables.items():
+        assert got.tables[key].header == table.header
+        for a, b in zip(got.tables[key].columns, table.columns, strict=True):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), key
+            if a.dtype == object:
+                assert a.tolist() == b.tolist(), key
+            else:
+                assert a.tobytes() == b.tobytes(), key
+
+
 def assert_sweep_is_each_point_alone(scenario: engine.Scenario) -> None:
-    """Each point's `engine.sweep` bundle equals `engine.run_generic` of the
-    point run alone: every table column bit for bit (`tobytes`; an object
-    column by its values) and the summary exactly (`repr`, so -0.0 and 0.0
-    stay apart)."""
+    """Each point's `engine.sweep` bundle is `engine.run_generic`'s of the
+    point run alone (`assert_same_bundle`)."""
     swept = list(engine.sweep(scenario))
     assert len(swept) == len(scenario.points)
     for point, got in zip(scenario.points, swept):
-        want = engine.run_generic(point)
-        assert repr(got.summary) == repr(want.summary)
-        assert got.tables.keys() == want.tables.keys()
-        for key, table in want.tables.items():
-            assert got.tables[key].header == table.header
-            for a, b in zip(got.tables[key].columns, table.columns, strict=True):
-                assert (a.dtype, a.shape) == (b.dtype, b.shape), key
-                if a.dtype == object:
-                    assert a.tolist() == b.tolist(), key
-                else:
-                    assert a.tobytes() == b.tobytes(), key
+        assert_same_bundle(got, engine.run_generic(point))
 
 
 def lock_then_open_schedule(cell_mask: int, open_time_s: float) -> list[dict]:

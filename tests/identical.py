@@ -32,7 +32,8 @@ WRITERS = ("run", "sweep", "replay", "figures")
 # One entry a line: its name, the exit code it must give, and its command.
 # The seed-21 bench inputs cover what no bundled scenario does (REFRESH to
 # `cell_targets`, host DAC moves inside playback and at slot times, locks in
-# two groups, several `export` chunks of `events`).  The entries that exit 1
+# two groups, several `export` chunks of `events`, several `CHUNK_ROWS`
+# chunks of sampled cells).  The entries that exit 1
 # are refusals, among them one input per exception class the simulator had
 # before its two error types.
 ENTRIES = [(name, int(code), command.split()) for name, code, command in (
@@ -50,6 +51,7 @@ sweep-build-fig3b-device 0 sweep inputs/scenarios/fig3b.scn --axis device.peak_w
 override-fig3e 0 run inputs/scenarios/fig3e.scn --override rails.v_hold=-1.05 --override analog.c_ds=2e-14
 run-pulse 0 run inputs/pulse.scn
 run-refresh 0 run inputs/refresh.scn
+run-refresh-rate1 0 run inputs/refresh.scn --override traces.sample_rate_hz=1
 sweep-refresh-sweep 0 sweep inputs/refresh-sweep.scn
 run-refresh-cell7 0 run inputs/refresh-cell7.scn
 run-refresh-hold 0 run inputs/refresh-hold.scn

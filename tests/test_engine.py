@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -22,8 +23,8 @@ from clfgsim.engine import ScenarioError, build_scenario
 from clfgsim.errors import SimulationError
 
 from conftest import (
-    DRAWN_ITEM, FIG3G_SWEEP, assert_sweep_is_each_point_alone, bench_document, bundled_swept,
-    drawn_schedule, lock_then_open_schedule, make_scenario, pulse_dac_document,
+    DRAWN_ITEM, FIG3G_SWEEP, assert_same_bundle, assert_sweep_is_each_point_alone, bench_document,
+    bundled_swept, drawn_schedule, lock_then_open_schedule, make_scenario, pulse_dac_document,
 )
 
 
@@ -1904,6 +1905,75 @@ class TestBlockExport:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "events.csv").read_text().splitlines()
         assert len(lines) == 1 + 2000 and lines[1] == "0.0,0,FG,HIGH"
+
+
+def _bundles(scenario: engine.Scenario) -> list[engine.TraceBundle]:
+    """Its sweep's bundles, or its run's alone."""
+    return list(engine.sweep(scenario)) if scenario.points else [engine.run_generic(scenario)]
+
+
+class TestChunkedEvaluation:
+    """`_walk` converts the batch's sampled fields to float64 every
+    `FLUSH_FIELDS` of them, and `_evaluate` computes `CHUNK_ROWS`
+    cell-samples (conductance samples) a call: no flush or chunk edge, inside
+    a sample block, on its edge or between the points of a sweep batch,
+    changes a bit of any table or of the summary."""
+
+    @staticmethod
+    def _assert_sizes_change_no_bit(scenario: engine.Scenario, chunk: int, flush: int) -> None:
+        want = _bundles(scenario)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "CHUNK_ROWS", chunk)
+            mp.setattr(engine, "FLUSH_FIELDS", flush)
+            got = _bundles(scenario)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_bundle(a, b)
+
+    @given(schedule=drawn_schedule(st.one_of(DRAWN_ITEM, _HOLD_REPEAT)), swept=st.booleans(),
+           chunk=st.integers(1, 40), flush=st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_schedules(self, schedule, swept, chunk, flush):
+        doc = {"schema_version": 1, "name": "drawn", "duration_s": 0.05, "schedule": schedule,
+               "rails": {"v_high": 0.1, "v_low": -0.1, "v_hold": -1.1},
+               "device": {"levers": {"lw": 0.2}, "gate_sources": {"lw": {"cell": 3}}},
+               "traces": {"sample_rate_hz": 1000.0, "cells": [0, 1, 2],
+                          "kinds": ["cells", "conductance"]}}
+        if swept:
+            doc["sweep"] = {"axis": "rails.v_hold", "values": [-1.1, -1.0, -0.0, 0.0]}
+        try:
+            scenario = build_scenario(doc)
+        except ScenarioError:
+            return  # a schedule that the chip refuses
+        self._assert_sizes_change_no_bit(scenario, chunk, flush)
+
+    @pytest.mark.parametrize("chunk, flush", [(1, 1), (100, 37)])
+    @pytest.mark.parametrize("name, kinds", [
+        ("pulse", None), ("refresh", None),
+        ("refresh", ["hold"]),  # samples no cell
+        ("pulse", []),  # the events table alone
+    ])
+    def test_bench_inputs(self, name, kinds, chunk, flush):
+        doc = bench_document(name, 21)
+        if kinds is not None:
+            doc["traces"]["kinds"] = kinds
+        self._assert_sizes_change_no_bit(build_scenario(doc), chunk, flush)
+
+    def test_bytes_per_row(self):
+        # The seed-21 refresh input at 1 Hz: 7,201 samples of 32 cells,
+        # 241,473 rows.  Chunked, a run peaks at about 56 bytes a row under
+        # tracemalloc, the 24 of its tables included; evaluated in one call
+        # over the whole run, it peaked at about 120.
+        doc = bench_document("refresh", 21)
+        doc["traces"]["sample_rate_hz"] = 1.0
+        scenario = build_scenario(doc)
+        tracemalloc.start()
+        try:
+            engine.run_scenario(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / scenario.rows < 80
 
 
 class TestSampleCount:
