@@ -26,7 +26,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -47,18 +47,22 @@ MAX_ROWS = 2**21
 # The most rows `export` writes, and cell-samples `_evaluate` computes, at once.
 CHUNK_ROWS = 2**16
 # The most sampled `output_fields` `_walk` holds as Python floats before it
-# converts them to float64; `CHUNK_ROWS` of them would hold about 2 MB.
+# converts them to float64 with one `np.fromiter` (a bool as 0.0 or 1.0, the
+# bytes `np.array` gives, at a third of its cost); `CHUNK_ROWS` of them
+# would hold about 2 MB.
 FLUSH_FIELDS = 4096
 
 # A timeline entry is (time, priority, kind, payload): OPEN or CLOSE, a
-# lock action with the cell as payload; DAC, a hold-rail move as (value,
+# lock action with the cell as payload; DAC, a hold-rail move as (i,
 # changes), the only DAC that couples into the cells; FG, a slice of a
-# playback run, as one `fsm.TickRun` at its first tick.  Coincident
-# entries apply releases first (of cells locked at that instant, after
-# the lock), then hold-rail moves, then lock closures, then fast-gate
-# edges; samples observe the post-event state at their own timestamp.  A
-# plan holds no DAC entry, and PLAY stretches and REFRESH modes in place
-# of FG and slot entries; the chip's modes are `Scenario.modes`.
+# playback run, as one `fsm.TickRun` at its first tick; SLOTS, a stretch
+# of REFRESH slots (`_Slots`) that no other entry falls inside, at its
+# first slot.  Coincident entries apply releases first (of cells locked
+# at that instant, after the lock), then hold-rail moves, then lock
+# closures, then fast-gate edges; samples observe the post-event state at
+# their own timestamp.  A plan holds no DAC entry, and PLAY stretches and
+# REFRESH modes in place of FG and SLOTS entries; the chip's modes are
+# `Scenario.modes`.
 _PRIO = {"OPEN": 0, "DAC": 1, "CLOSE": 2, "FG": 3}
 
 
@@ -587,7 +591,27 @@ def with_overrides(raw: Mapping, overrides: Sequence[str]) -> Scenario:
 # results
 
 
-Block = tuple[np.ndarray, ...] | fsm.TickRun
+@dataclass(frozen=True, eq=False)
+class GridBlock:
+    """Rows of a sample table, one per sample and cell: at each of `times`,
+    each of `cells` in turn with its value, `values[sample, cell]`.  `len()`
+    is the row count, samples x cells."""
+
+    times: np.ndarray
+    cells: tuple[int, ...]
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows as float64, int64 and float64 columns, sample by sample."""
+        return (self.times.repeat(len(self.cells)),
+                np.tile(np.array(self.cells, dtype=np.int64), len(self.times)), self.values.ravel())
+
+
+Block = tuple[np.ndarray, ...] | fsm.TickRun | GridBlock
 
 # The `level` text of an `events` row, indexed by a tick run's level (0 or 1).
 _LEVEL_NAMES = np.array([level.name for level in analog.Level])
@@ -607,9 +631,10 @@ def csv_columns(run: fsm.TickRun) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 class Table:
     """A CSV table held as blocks of rows, in order, from where it is made to
-    `export`: a block is either a tuple of 1-D numpy columns, `block[i]`
-    holding values under `header[i]`, or an `events` `fsm.TickRun`, whose
-    rows are `csv_columns(block)`.  `Table(header, columns)` is one block."""
+    `export`: a block is a tuple of 1-D numpy columns, `block[i]` holding
+    values under `header[i]`, an `events` `fsm.TickRun`, whose rows are
+    `csv_columns(block)`, or a sample table's `GridBlock`.  `Table(header,
+    columns)` is one block."""
 
     def __init__(self, header: Iterable[str], *blocks: Block) -> None:
         self.header = tuple(header)
@@ -624,12 +649,13 @@ class Table:
         return cls(header, tuple(np.fromiter(column, object, len(rows)) for column in columns))
 
     def __len__(self) -> int:
-        return sum(len(b) if isinstance(b, fsm.TickRun) else len(b[0]) for b in self.blocks)
+        return sum(len(b[0]) if isinstance(b, tuple) else len(b) for b in self.blocks)
 
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
         """The blocks' rows as one numpy array per column, made on each read."""
-        parts = [csv_columns(b) if isinstance(b, fsm.TickRun) else b for b in self.blocks]
+        parts = [csv_columns(b) if isinstance(b, fsm.TickRun) else b.columns if isinstance(b, GridBlock)
+                 else b for b in self.blocks]
         return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     @property
@@ -711,14 +737,25 @@ def _format_column(column: np.ndarray) -> list[str]:
 
 
 def _block_text(block: Block) -> Iterator[str]:
-    """A table block's CSV lines, `CHUNK_ROWS` rows a string (a tick's rows
-    are never split).  A columns block goes through `_format_column`; a
-    `TickRun` block formats each tick time once and makes each tick's rows
-    with one join, the time between the rows' precomputed rest."""
-    if not isinstance(block, fsm.TickRun):
+    """A table block's CSV lines, `CHUNK_ROWS` rows a string (a tick's or a
+    sample's rows are never split).  A columns block goes through
+    `_format_column`; a `GridBlock` formats each sample time once and each
+    row as that time, then ",{cell},", then its value; a `TickRun` block
+    formats each tick time once and makes each tick's rows with one join,
+    the time between the rows' precomputed rest."""
+    if isinstance(block, tuple):
         for i in range(0, len(block[0]), CHUNK_ROWS):
             columns = (_format_column(column[i:i + CHUNK_ROWS]) for column in block)
             yield "\n".join(map(",".join, zip(*columns))) + "\n"
+        return
+    if isinstance(block, GridBlock):
+        rests = [f",{c}," for c in block.cells]
+        samples = max(1, CHUNK_ROWS // len(rests))
+        for i in range(0, len(block.times), samples):
+            times = _format_column(block.times[i:i + samples])
+            each = chain.from_iterable(map(repeat, times, repeat(len(rests))))
+            values = _format_column(block.values[i:i + samples].ravel())
+            yield "\n".join(map("".join, zip(each, cycle(rests), values))) + "\n"
         return
     # Per level, "" and then each cell's ",{cell},FG,{LEVEL}\n": joined by a
     # tick's time, it gives that tick's rows.
@@ -869,30 +906,55 @@ def _first_slot_at(t: float, anchor: float, period: int, cells: Sequence[int]) -
     return bisect_left(range(2 * MAX_ROWS), t, key=key)
 
 
+class _SlotRun(NamedTuple):
+    """A REFRESH mode's slots in columns, as `_expand_plan` makes them: slot
+    k, at `times[k]`, opens `opened[k]` (-1 at slot 0, which opens none),
+    moves the hold rail to `rails[k]` (None where its cell has no
+    `cell_targets` entry) and closes `closing[k]`."""
+
+    times: np.ndarray
+    opened: list[int]
+    closing: list[int]
+    rails: list[float | None]
+
+
+class _Slots(NamedTuple):
+    """The payload of a SLOTS timeline entry (`_timeline`): consecutive slots
+    of a `_SlotRun`, each slot's time, cells and hold-rail move as (i,
+    changes), an index into the point's moves (`_moves`), or None."""
+
+    times: list[float]
+    opened: list[int]
+    closing: list[int]
+    moves: list[tuple[int, bool] | None]
+
+
 class _Shared(NamedTuple):
     """What the points of a batch (`_batches`) share, made once by `_expand_plan`."""
 
     times: np.ndarray  # the sample grid
-    sample_times: list[float]  # its `tolist()`
     sampled: list[int]  # the cells the samples read: traced cells, then gate cells
-    locks: list  # the lock entries, in plan order
+    locks: list  # the plan's lock entries, in plan order
     runs: list  # each tick run, and `starts[k]`: its samples start a slice at tick k
-    moves: list  # the REFRESH slots' (time, "v_hold", value) moves
+    slots: list[_SlotRun]  # each REFRESH mode's slots, in plan order
+    moves: list  # the slots' (time, "v_hold", value) moves, zipped out of `slots`
 
 
 def _expand_plan(scenario: Scenario, sampled: list[int]) -> _Shared:
     """The part of a run's timeline that no swap axis moves, with the sample
     grid.  A PLAY entry becomes its `fsm.playback` ticks, if any: one tick
     run, cut after its last tick at or before each sample time when it
-    pulses a cell of `sampled`.  A REFRESH entry's slot k, k *
-    REFRESH_PERIOD / n after its EXEC (slot n lands on the period), opens
-    the previous cell after slot 0, moves the hold rail to the closing
-    cell's `cell_targets` entry less the injection offset and closes
-    cells[k % n].  Each point's `_moves` adds its own DAC moves to this.
+    pulses a cell of `sampled`.  A REFRESH entry becomes one `_SlotRun`:
+    slot k, k * REFRESH_PERIOD / n after its EXEC (slot n lands on the
+    period; the arithmetic of `_slot_time`, bit for bit), opens the
+    previous cell after slot 0, moves the hold rail to the closing cell's
+    `cell_targets` entry less the injection offset and closes cells[k %
+    n].  Each point's `_moves` adds its own DAC moves to the slots'.
     """
     times = sample_grid(scenario)
     offset = scenario.analog.offset
-    locks, runs, moves = [], [], []
+    aims = {cell: target - offset for cell, target in scenario.cell_targets.items()}
+    locks, runs, slots, moves = [], [], [], []
     for entry in scenario.plan:
         start, _prio, kind, payload = entry
         if kind == "PLAY":
@@ -905,17 +967,14 @@ def _expand_plan(scenario: Scenario, sampled: list[int]) -> _Shared:
                 runs.append((run, starts))  # starts[len] closes the last slice
         elif kind == "REFRESH":
             period, cells, stop = payload
-            for k in range(stop):
-                slot = _slot_time(k, start, period, cells)
-                if k:
-                    locks.append((slot, _PRIO["OPEN"], "OPEN", cell))
-                cell = cells[k % len(cells)]
-                if cell in scenario.cell_targets:
-                    moves.append((slot, "v_hold", scenario.cell_targets[cell] - offset))
-                locks.append((slot, _PRIO["CLOSE"], "CLOSE", cell))
+            closing = [cells[k % len(cells)] for k in range(stop)]
+            slot = _SlotRun(start + np.arange(stop) * period / len(cells), [-1, *closing][:stop],
+                           closing, list(map(aims.get, closing)))
+            slots.append(slot)
+            moves += [(t, "v_hold", v) for t, v in zip(slot.times.tolist(), slot.rails) if v is not None]
         else:
             locks.append(entry)
-    return _Shared(times, times.tolist(), sampled, locks, runs, moves)
+    return _Shared(times, sampled, locks, runs, slots, moves)
 
 
 def _moves(scenario: Scenario, shared: _Shared) -> tuple[tuple, list[float], dict]:
@@ -936,17 +995,59 @@ def _moves(scenario: Scenario, shared: _Shared) -> tuple[tuple, list[float], dic
     return tuple(pattern), values, dacs
 
 
+def _place_slots(shared: _Shared, pattern: tuple, timeline: list) -> list[int]:
+    """Add `shared`'s slots to `timeline`, which holds every other entry but
+    the DAC entries, as `_timeline` says, and give the DAC entries' move
+    indices, ascending: the host's moves and those of the slots that are
+    their own entries."""
+    at = np.array([t for t, _ in pattern])
+    # Slot move j is pattern entry own[j]: the stable sort in `_moves` puts
+    # the host's moves at its time before it, the slots' after it.
+    slot_at = np.array([t for t, _, _ in shared.moves])
+    own = (np.arange(len(slot_at)) + np.searchsorted(at, slot_at, "right")
+           - np.searchsorted(slot_at, slot_at, "right"))
+    host = np.ones(len(at), dtype=bool)
+    host[own] = False
+    dacs = np.flatnonzero(host).tolist()
+    others = np.sort([*(entry[0] for entry in timeline), *at[host].tolist()])
+    own = iter(own.tolist())
+    for run in shared.slots:
+        t = run.times
+        lo, hi = np.searchsorted(others, t, "left"), np.searchsorted(others, t, "right")
+        alone = lo == hi  # no other entry, and no other slot, at its time
+        alone[1:] &= t[1:] != t[:-1]
+        alone[:-1] &= t[:-1] != t[1:]
+        joined = np.zeros(len(t), dtype=bool)  # in the SLOTS entry of the slot before it
+        joined[1:] = alone[1:] & alone[:-1] & (lo[1:] == hi[:-1])
+        moves = [None if rail is None else (i := next(own), pattern[i][1]) for rail in run.rails]
+        times = t.tolist()
+        bounds = [*np.flatnonzero(~joined).tolist(), len(t)]
+        for a, b in zip(bounds, bounds[1:]):
+            if alone[a]:
+                timeline.append((times[a], _PRIO["OPEN"], "SLOTS", _Slots(
+                    times[a:b], run.opened[a:b], run.closing[a:b], moves[a:b])))
+                continue
+            if run.opened[a] >= 0:
+                timeline.append((times[a], _PRIO["OPEN"], "OPEN", run.opened[a]))
+            if moves[a] is not None:
+                dacs.append(moves[a][0])
+            timeline.append((times[a], _PRIO["CLOSE"], "CLOSE", run.closing[a]))
+    return sorted(dacs)
+
+
 def _timeline(shared: _Shared, pattern: tuple) -> list:
     """The timeline of every point whose hold-rail moves have this (time,
     changes) `pattern` (`_moves`), sorted by time, then priority:
-    `shared`'s lock entries and slices, and move i as a DAC entry (i,
-    changes), whose value each point reads from its own moves.  A tick run
-    is cut again before its first tick at or after each move that changes
-    the rail; each slice (views of the run's columns) is an FG entry at its
-    first tick.
+    `shared`'s lock entries, slices and slots, and move i as a DAC entry
+    (i, changes), whose value each point reads from its own moves.  A tick
+    run is cut again before its first tick at or after each move that
+    changes the rail; each slice (views of the run's columns) is an FG
+    entry at its first tick.  A slot run is cut at each entry that falls
+    between its slots, and its slots between the cuts are one SLOTS entry;
+    a slot that shares its time with another entry or slot is its OPEN,
+    its DAC and its CLOSE entry, which the sort orders as it would any.
     """
-    timeline = [*shared.locks, *((t, _PRIO["DAC"], "DAC", (i, changes))
-                                 for i, (t, changes) in enumerate(pattern))]
+    timeline = [*shared.locks]
     cuts = [t for t, changes in pattern if changes]
     for run, starts in shared.runs:
         lo, hi = np.searchsorted(cuts, run.times[[0, -1]], "right")
@@ -958,6 +1059,8 @@ def _timeline(shared: _Shared, pattern: tuple) -> list:
              fsm.TickRun(run.times[k:j], run.levels[k:j], run.cells, run.period_s))
             for k, j in zip(bounds, bounds[1:])
         ]
+    dacs = _place_slots(shared, pattern, timeline) if shared.slots else range(len(pattern))
+    timeline += [(pattern[i][0], _PRIO["DAC"], "DAC", (i, pattern[i][1])) for i in dacs]
     return sorted(timeline, key=itemgetter(0, 1))
 
 
@@ -998,21 +1101,40 @@ def _held(changes: Sequence[tuple[float, float]], times: np.ndarray) -> np.ndarr
     return np.array(values, dtype=float)[np.searchsorted(at, times, "right") - 1]
 
 
+def _lock_columns(times, cells, actions) -> tuple[np.ndarray, ...]:
+    """Lock actions' `events` rows as float64, int64 and text columns, no level."""
+    return (np.array(times, dtype=float), np.array(cells, dtype=np.int64),
+            np.array(actions, dtype=str), np.zeros(len(times), dtype=str))
+
+
+def _slot_columns(slots: _Slots) -> tuple[np.ndarray, ...]:
+    """A SLOTS entry's `events` rows: each slot's OPEN, but at a mode's slot 0, then its CLOSE."""
+    skip = int(slots.opened[0] < 0)
+    cells = np.array([slots.opened, slots.closing], dtype=np.int64).T.ravel()
+    return _lock_columns(np.repeat(slots.times, 2)[skip:], cells[skip:],
+                         np.tile(["OPEN", "CLOSE"], len(slots.times))[skip:])
+
+
 def _events(timeline: Sequence[tuple[float, int, str, object]]) -> Table:
-    """The `events` table from the timeline alone, since each OPEN, CLOSE and
-    FG entry fixes its own rows: the lock actions before each slice (and,
-    at a closing entry, after the last) as one block of float64, int64 and
-    text columns, no level, then the slice itself, a `TickRun` block."""
-    blocks, locks = [], []
+    """The `events` table from the timeline alone, since each OPEN, CLOSE,
+    SLOTS and FG entry fixes its own rows: the lock actions before each
+    slice (and, at a closing entry, after the last) as one block of
+    float64, int64 and text columns, no level, a SLOTS entry's made
+    straight from its columns, then the slice itself, a `TickRun` block."""
+    blocks, parts, locks = [], [], []
     for t, _prio, kind, payload in chain(timeline, [(math.inf, None, "FG", None)]):
         if kind in ("OPEN", "CLOSE"):
             locks.append((t, payload, kind))
-        elif kind == "FG":
-            if locks or payload is None and not blocks:  # no block at all: an empty table
-                times, cells, actions = zip(*locks) if locks else ((), (), ())
-                blocks.append((np.array(times, dtype=float), np.array(cells, dtype=np.int64),
-                               np.array(actions, dtype=str), np.zeros(len(locks), dtype=str)))
+        elif kind in ("SLOTS", "FG"):
+            if locks:
+                parts.append(_lock_columns(*zip(*locks)))
                 locks = []
+            if kind == "SLOTS":
+                parts.append(_slot_columns(payload))  # type: ignore[arg-type]
+                continue
+            if parts or payload is None and not blocks:  # no block at all: an empty table
+                blocks.append(tuple(map(_joined, zip(*parts))) if parts else _lock_columns((), (), ()))
+                parts = []
             if payload is not None:
                 blocks.append(payload)
     return Table(("time_s", "cell", "action", "level"), *blocks)
@@ -1033,48 +1155,86 @@ class _Walk(NamedTuple):
     finals: dict[int, tuple]  # each of `traces.cells`' state after the last entry
 
 
+def _steps(timeline: list, times: np.ndarray) -> list:
+    """The sample-step list of a timeline: for each entry, and for each slot
+    of a SLOTS entry as a list, the first of `times` at or after it, with
+    one `np.searchsorted`; then `len(times)`, for the end of the run."""
+    at = [s for t, _prio, kind, payload in timeline for s in (payload.times if kind == "SLOTS" else [t])]
+    ends = iter(np.searchsorted(times, at).tolist())
+    return [list(islice(ends, len(payload.times))) if kind == "SLOTS" else next(ends)
+            for _t, _prio, kind, payload in timeline] + [len(times)]
+
+
+def _record(cells: list[tuple], sampled: list[int], fields: list[float], record: list) -> None:
+    """Append the `sampled` cells' `output_fields` to `fields`, moved to
+    `record` as float64 once `FLUSH_FIELDS` floats are held."""
+    for c in sampled:
+        fields.extend(analog.output_fields(cells[c]))
+    if len(fields) >= FLUSH_FIELDS:
+        record.append(np.fromiter(fields, float, len(fields)))
+        fields.clear()
+
+
 def _walk(scenario: Scenario, shared: _Shared, first: tuple, timelines: dict,
           fields: list[float], record: list[np.ndarray]) -> _Walk:
     """Apply every entry of the point's timeline (`_timeline` of its
     `_moves` pattern, made once in `timelines` for all points with that
-    pattern) eagerly, in order, from every cell in the `first` state: a
-    slice is one `analog.apply_fg_run` call per distinct `_state_key` of its
-    pulsed cells, whose result every cell with that key takes (exact, since
-    `apply_fg_run` is pure), a DAC entry sets the hold rail to the point's
-    own value, which a close locks onto, and fans `set_hold` out to the 32
-    cells if it changes the rail, and a lock action is one `lock` or
-    `unlock` at its time.  The loop relies on one invariant: only WRITE and
-    EXEC split playback and lock actions happen only at EXEC, so no lock
-    action falls inside a run.  Before each entry it records one block,
-    the samples before that entry, as the sampled cells' `output_fields`
-    they see, appended to the batch's `fields` and moved to its `record` as
-    float64 every `FLUSH_FIELDS` floats, so no state outlives its block; it
-    logs nothing, since `_events` reads the `events` table from a timeline.
+    pattern, with its `_steps`) eagerly, in order, from every cell in the
+    `first` state: a slice is one `analog.apply_fg_run` call per distinct
+    `_state_key` of its pulsed cells, whose result every cell with that key
+    takes (exact, since `apply_fg_run` is pure), a DAC entry sets the hold
+    rail to the point's own value, which a close locks onto, and fans
+    `set_hold` out to the 32 cells if it changes the rail, and a lock
+    action is one `lock` or `unlock` at its time.  A SLOTS entry is one
+    inner loop, each slot in turn its `unlock`, its move and its `lock`.
+    Every call goes through the `analog` module's attribute, read when the
+    walk starts.  The loop relies on one invariant: only WRITE and EXEC
+    split playback and lock actions happen only at EXEC, so no lock
+    action falls inside a run.  Before each entry and each slot it records
+    one block, the samples before it, as the sampled cells'
+    `output_fields` they see (`_record`), so no state outlives its block;
+    it logs nothing, since `_events` reads the `events` table from a timeline.
     """
-    sample_times, sampled = shared.sample_times, shared.sampled
+    sampled = shared.sampled
     rails = scenario.rails
     pattern, values, dacs = _moves(scenario, shared)
-    if (timeline := timelines.get(pattern)) is None:
-        timeline = timelines[pattern] = _timeline(shared, pattern)
+    if (made := timelines.get(pattern)) is None:
+        timeline = _timeline(shared, pattern)
+        made = timelines[pattern] = (timeline, _steps(timeline, shared.times))
+    timeline, steps = made
+    set_hold, lock, unlock = analog.set_hold, analog.lock, analog.unlock
     cells = [first] * N_CELLS  # states are immutable, so all 32 can start as one
     v_hold = rails.v_hold  # the hold rail now, which a close locks onto
     counts: list[int] = []
     si = 0
     # The last entry only closes the block of the samples after the timeline.
-    for t, _prio, kind, payload in chain(timeline, [(math.inf, None, "END", None)]):
-        if (end := bisect_left(sample_times, t, si)) > si:
-            for c in sampled:
-                fields.extend(analog.output_fields(cells[c]))
-            if len(fields) >= FLUSH_FIELDS:
-                record.append(np.array(fields))
-                fields.clear()
+    for (t, _prio, kind, payload), end in zip(chain(timeline, [(math.inf, None, "END", None)]), steps):
+        if kind == "SLOTS":
+            slots: _Slots = payload  # type: ignore[assignment]
+            # Each slot in turn, with its own time and sample step.
+            for t, end, opened, closing, move in zip(slots.times, end, slots.opened, slots.closing,
+                                                     slots.moves):
+                if end > si:
+                    _record(cells, sampled, fields, record)
+                    counts.append(end - si)
+                    si = end
+                if opened >= 0:
+                    cells[opened] = unlock(cells[opened], t)
+                if move is not None:
+                    v_hold = values[move[0]]
+                    if move[1]:
+                        cells = list(map(set_hold, cells, repeat(v_hold, N_CELLS)))
+                cells[closing] = lock(cells[closing], v_hold, t)
+            continue
+        if end > si:
+            _record(cells, sampled, fields, record)
             counts.append(end - si)
             si = end
         if kind == "DAC":
             i, changes = payload  # type: ignore[misc]
             v_hold = values[i]
             if changes:
-                cells = list(map(analog.set_hold, cells, repeat(v_hold, N_CELLS)))
+                cells = list(map(set_hold, cells, repeat(v_hold, N_CELLS)))
         elif kind == "FG":
             run: fsm.TickRun = payload  # type: ignore[assignment]
             done: dict[bytes, tuple] = {}
@@ -1085,9 +1245,9 @@ def _walk(scenario: Scenario, shared: _Shared, first: tuple, timelines: dict,
                     )
                 cells[c] = done[key]
         elif kind == "CLOSE":
-            cells[payload] = analog.lock(cells[payload], v_hold, t)  # type: ignore[index]
+            cells[payload] = lock(cells[payload], v_hold, t)  # type: ignore[index]
         elif kind == "OPEN":
-            cells[payload] = analog.unlock(cells[payload], t)  # type: ignore[index]
+            cells[payload] = unlock(cells[payload], t)  # type: ignore[index]
     finals = {c: cells[c] for c in scenario.traces.cells}  # not the rest, which a batch would hold
     return _Walk(counts, dacs, finals)
 
@@ -1131,11 +1291,12 @@ def _evaluate(points: Sequence[Scenario]) -> list[tuple]:
     The points share all that this and `_expand_plan` read of the first
     (`_batches`) and every schedule time, so under one `_finite` the plan
     is expanded once, each distinct timeline made once (`_walk`), each
-    point walked from one first cell state into one float64 record, and
-    `analog.sample_output` and `devmod.conductance` evaluate every point's
-    samples, joined in order, `CHUNK_ROWS` cell-samples (samples) a call,
-    their chunks then joined into one `volts` and one `g`, so a 32-cell
-    refresh run peaks at about 56 bytes a row.  Each value is computed
+    point walked from one first cell state into one float64 record, whose
+    arrays go once joined into blocks, and `analog.sample_output` and
+    `devmod.conductance` evaluate every point's samples, joined in order,
+    `CHUNK_ROWS` cell-samples (samples) a call, their chunks then joined
+    into one `volts` and one `g`, so a 32-cell refresh run peaks at about
+    43 bytes a row.  Each value is computed
     element by element from contiguous input, as in a batch of one, so it
     has the bits the point run alone gives, at any chunk size.  The batch
     has one `events` table, from its first point's timeline: by `_walk`'s
@@ -1158,7 +1319,9 @@ def _evaluate(points: Sequence[Scenario]) -> list[tuple]:
         times = _joined([shared.times] * len(points))
         volts = np.empty((len(times), 0))
         if sampled:  # else no block holds a field
-            blocks = np.concatenate([*record, np.array(fields)]).reshape(len(counts), -1)
+            blocks = np.concatenate([*record, np.fromiter(fields, float, len(fields))]).reshape(
+                len(counts), -1)
+            record.clear()  # each array is in `blocks` now
             index = np.repeat(np.arange(len(counts)), counts)  # each sample's block
             step = max(1, CHUNK_ROWS // len(sampled))
             volts = _joined([analog.sample_output(
@@ -1174,7 +1337,7 @@ def _evaluate(points: Sequence[Scenario]) -> list[tuple]:
         g = _joined([
             devmod.conductance(first.device, {gate: v[s:s + CHUNK_ROWS] for gate, v in gates.items()})
             for s in range(0, len(times), CHUNK_ROWS)]) if gates else None
-    events = _events(next(iter(timelines.values())))
+    events = _events(next(iter(timelines.values()))[0])
     batch = _Evaluated(shared.times, sampled, volts, gates, g, events, len(events))
     n = len(shared.times)
     return [(walk, batch, slice(k * n, k * n + n)) for k, walk in enumerate(walks)]
@@ -1202,11 +1365,9 @@ def run_generic(scenario: Scenario, _share: tuple | None = None) -> TraceBundle:
     n_samples = len(times)
 
     tables = {"events": batch.events}
-    if traced:
-        cell = np.tile(np.array(traced, dtype=np.int64), n_samples)
-        v_out = batch.volts[rows, [batch.sampled.index(c) for c in traced]].ravel()
+    if traced:  # the first columns of `sampled`
         tables["cells"] = Table(("time_s", "cell", "v_out_volts"),
-                                (times.repeat(len(traced)), cell, v_out))
+                                GridBlock(times, traced, batch.volts[rows, :len(traced)]))
     if "hold" in kinds:
         tables["hold"] = Table(("time_s", "v_hold_volts"), (times, _held(walk.dacs["v_hold"], times)))
     summary: dict[str, Any] = {

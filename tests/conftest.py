@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from clfgsim import analog, cli, engine, protocol
-from identical import bench_document, pulse_dac_document  # the byte-identity inputs' builders
+from identical import bench_document, documents, pulse_dac_document  # the byte-identity inputs' builders
 
 
 @pytest.fixture
@@ -18,6 +18,11 @@ def default_cell() -> analog.ClfgCell:
 @pytest.fixture
 def rails() -> analog.SupplyRails:
     return analog.SupplyRails(v_high=0.1, v_low=-0.1, v_hold=-1.1)
+
+
+def identical_document(name: str) -> dict:
+    """Input document `name` of `tests/identical.py`'s entries."""
+    return documents(cli.bundled_scenario_path("fig4b").parent)[name]
 
 
 def encode_frame(frame: protocol.Frame) -> int:

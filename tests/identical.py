@@ -57,6 +57,7 @@ run-refresh-cell7 0 run inputs/refresh-cell7.scn
 run-refresh-hold 0 run inputs/refresh-hold.scn
 run-refresh-write 0 run inputs/refresh-write.scn
 run-refresh-dac 0 run inputs/refresh-dac.scn
+run-refresh-slots 0 run inputs/refresh-slots.scn
 run-pulse-dac 0 run inputs/pulse-dac.scn
 sweep-pulse-dac-sweep 0 sweep inputs/pulse-dac-sweep.scn
 run-pulse-groups 0 run inputs/pulse-groups.scn
@@ -156,6 +157,13 @@ def documents(scenarios: Path) -> dict[str, dict]:
         {"t": 37.5, "dac": {"v_hold": -1.0, "v_sdp": 0.004}}, {"t": 3600.5, "dac": {"v_hold": 0.0}},
         {"t": 3601.0, "dac": {"v_hold": -0.0}}, {"t": 3602.0, "write": ["REFRESH_PERIOD", 0]},
         {"t": 3602.0, "exec": True}]
+    # That refresh sampled every 4 s, on every 16th slot (60 s apart), with a
+    # host hold-rail move to -0.0 on slot 480's time and the EXEC that leaves
+    # REFRESH for LOCKING on slot 960's time, t = 3600 s.
+    docs["refresh-slots"] = slots = bench_document("refresh", 21)
+    slots["traces"]["sample_rate_hz"] = 0.25
+    slots["schedule"] += [{"t": 1800.0, "dac": {"v_hold": -0.0}},
+                          {"t": 3600.0, "write": ["REFRESH_PERIOD", 0]}, {"t": 3600.0, "exec": True}]
     # The pulsed cells locked in two groups, at -1.0 V and -1.1 V, and released
     # before playback; and that at DIVIDER 0 for 1 ms: 35,840 ticks of 6 cells,
     # past three `export` chunks, after the lock blocks.

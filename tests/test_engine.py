@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -24,19 +25,33 @@ from clfgsim.errors import SimulationError
 
 from conftest import (
     DRAWN_ITEM, FIG3G_SWEEP, assert_same_bundle, assert_sweep_is_each_point_alone, bench_document,
-    bundled_swept, drawn_schedule, lock_then_open_schedule, make_scenario, pulse_dac_document,
+    bundled_swept, drawn_schedule, identical_document, lock_then_open_schedule, make_scenario,
+    pulse_dac_document,
 )
 
 
 def _timeline(scenario: engine.Scenario, sampled: Sequence[int] = ()) -> tuple[list, dict]:
-    """A run's timeline, each DAC entry as (value, changes), and each DAC's
-    changes, with tick runs cut where `sampled` cells are read: the batch's
-    part (`_expand_plan`), the point's own moves (`_moves`) and the timeline
-    of their pattern (`_timeline`), its DAC entries given the point's values."""
+    """A run's timeline, each DAC entry as (value, changes) and each SLOTS
+    entry as its slots' OPEN, DAC and CLOSE entries, and each DAC's changes,
+    with tick runs cut where `sampled` cells are read: the batch's part
+    (`_expand_plan`), the point's own moves (`_moves`) and the timeline of
+    their pattern (`_timeline`), its DAC entries given the point's values.
+    No other entry falls at a SLOTS entry's times, so this is the timeline
+    with one entry per lock action and per move, sorted."""
     shared = engine._expand_plan(scenario, list(sampled))
     pattern, values, dacs = engine._moves(scenario, shared)
-    timeline = [(t, prio, kind, (values[payload[0]], payload[1]) if kind == "DAC" else payload)
-                for t, prio, kind, payload in engine._timeline(shared, pattern)]
+    timeline = []
+    for t, prio, kind, payload in engine._timeline(shared, pattern):
+        if kind != "SLOTS":
+            timeline.append((t, prio, kind, (values[payload[0]], payload[1]) if kind == "DAC" else payload))
+            continue
+        for slot, opened, closing, move in zip(payload.times, payload.opened, payload.closing,
+                                               payload.moves):
+            if opened >= 0:
+                timeline.append((slot, engine._PRIO["OPEN"], "OPEN", opened))
+            if move is not None:
+                timeline.append((slot, engine._PRIO["DAC"], "DAC", (values[move[0]], move[1])))
+            timeline.append((slot, engine._PRIO["CLOSE"], "CLOSE", closing))
     return timeline, dacs
 
 
@@ -1581,6 +1596,150 @@ def _dac_reference(scenario: engine.Scenario, slots: dict[float, int]) -> dict[s
     return changes
 
 
+def _per_slot_expansion(expand, scenario: engine.Scenario, sampled: list[int]) -> engine._Shared:
+    """`expand` (`engine._expand_plan`) with each REFRESH slot as its own lock
+    entries and hold-rail move, and no slot run: the expansion that a run
+    made before slot runs, which `_timeline`, `_walk` and `_events` still
+    take entry by entry.  Slot k, at `engine._slot_time`, opens the previous
+    cell after slot 0, moves the rail to its cell's target less the
+    injection offset and closes cells[k % n]."""
+    shared = expand(scenario, sampled)
+    offset = scenario.analog.offset
+    locks, moves = [], []
+    for entry in scenario.plan:
+        start, _prio, kind, payload = entry
+        if kind == "REFRESH":
+            period, cells, stop = payload
+            for k in range(stop):
+                slot = engine._slot_time(k, start, period, cells)
+                if k:
+                    locks.append((slot, engine._PRIO["OPEN"], "OPEN", cell))
+                cell = cells[k % len(cells)]
+                if cell in scenario.cell_targets:
+                    moves.append((slot, "v_hold", scenario.cell_targets[cell] - offset))
+                locks.append((slot, engine._PRIO["CLOSE"], "CLOSE", cell))
+        elif kind != "PLAY":
+            locks.append(entry)
+    return shared._replace(locks=locks, slots=[], moves=moves)
+
+
+def _outcome(scenario: engine.Scenario) -> list[engine.TraceBundle] | str:
+    """Each point's bundle (the run's alone, with no sweep), or the run's refusal."""
+    try:
+        return _bundles(scenario)
+    except SimulationError as exc:
+        return str(exc)
+
+
+def _assert_slot_runs_match_the_per_slot_reference(scenario: engine.Scenario) -> None:
+    got = _outcome(scenario)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_expand_plan", functools.partial(_per_slot_expansion, engine._expand_plan))
+        want = _outcome(scenario)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same_bundle(a, b)
+        assert list(map(repr, a.tables["events"].rows)) == list(map(repr, b.tables["events"].rows))
+
+
+# Rail values and targets that repeat, and 0.0 next to -0.0, which compare equal.
+_SLOT_VOLTS = st.sampled_from([0.0, -0.0, -1.0, -1.1])
+
+
+@st.composite
+def _refresh_document(draw) -> dict:
+    """A REFRESH mode from t = 0 over 1-32 masked cells, periods 1-4 s, some
+    cells targeted; host hold-rail moves on slot times and between slots;
+    maybe an EXEC that leaves the mode on a slot time or just after one,
+    then maybe one that enters it again; a sample grid that often hits
+    slot times; maybe a sweep of `rails.v_hold`."""
+    cells = sorted(draw(st.sets(st.integers(0, 31), min_size=1, max_size=32)))
+    n, period = len(cells), draw(st.integers(1, 4))
+    slot = functools.partial(engine._slot_time, anchor=0.0, period=period, cells=cells)
+    mask = sum(1 << c for c in cells)
+    lock = [["LOCK_MASK_LO", mask & 0xFFFF], ["LOCK_MASK_HI", mask >> 16]]
+    items = [(0.0, 0, {"write": ["CTRL", 2]}), *((0.0, 0, {"write": w}) for w in lock),
+             (0.0, 0, {"write": ["REFRESH_PERIOD", period]}), (0.0, 0, {"exec": True})]
+    for k, between, rank, value in draw(st.lists(st.tuples(
+            st.integers(0, 3 * n), st.booleans(), st.sampled_from([0, 2]), _SLOT_VOLTS), max_size=6)):
+        t = (slot(k) + slot(k + 1)) / 2 if between else slot(k)
+        items.append((t, rank, {"dac": {"v_hold": value}}))
+    if draw(st.booleans()):
+        leave = slot(draw(st.integers(1, 3 * n)))
+        leave = math.nextafter(leave, math.inf) if draw(st.booleans()) else leave
+        ends = draw(st.sampled_from([[["REFRESH_PERIOD", 0]], [["LOCK_MASK_LO", 0], ["LOCK_MASK_HI", 0]]]))
+        items += [(leave, 1, {"write": w}) for w in ends] + [(leave, 1, {"exec": True})]
+        if draw(st.booleans()):  # enter again, at once or a slot later
+            back = leave + draw(st.sampled_from([0.0, period / n]))
+            again = [*lock, ["REFRESH_PERIOD", draw(st.integers(1, 4))]]
+            items += [(back, 1, {"write": w}) for w in again] + [(back, 1, {"exec": True})]
+    items.sort(key=lambda item: item[:2])
+    doc = {
+        "schema_version": 1, "name": "slots", "duration_s": max(3.0 * period, items[-1][0]),
+        "analog": {"q_inj": draw(st.sampled_from([0.0, 2e-15]))},
+        "rails": {"v_hold": draw(_SLOT_VOLTS)},
+        "cell_targets": {str(c): v for c, v in draw(st.dictionaries(
+            st.sampled_from(cells), _SLOT_VOLTS, max_size=n)).items()},
+        "schedule": [{"t": t, **item} for t, _, item in items],
+        "traces": {"sample_rate_hz": draw(st.sampled_from([1.0, 2.0, 4.0, 8.0, n / period, 0.7])),
+                   "kinds": ["cells", "hold"],
+                   "cells": sorted(draw(st.sets(st.integers(0, 31), min_size=1, max_size=4)))},
+    }
+    if draw(st.booleans()):
+        doc["sweep"] = {"axis": "rails.v_hold", "values": draw(st.lists(_SLOT_VOLTS, min_size=1, max_size=4))}
+    return doc
+
+
+class TestSlotRuns:
+    """A REFRESH mode is one `engine._SlotRun`, walked as SLOTS entries: every
+    table and summary is, bit for bit, and every `events` row, by `repr`,
+    that of the per-slot expansion (`_per_slot_expansion`), which walks
+    each slot as its OPEN, DAC and CLOSE entries."""
+
+    @given(doc=_refresh_document())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_modes_match_the_per_slot_reference(self, doc):
+        try:
+            scenario = build_scenario(doc)
+        except ScenarioError:
+            return  # a schedule that the chip refuses
+        _assert_slot_runs_match_the_per_slot_reference(scenario)
+
+    def test_refresh_dac_keeps_a_coincident_slot_as_its_entries(self):
+        # The host move at 37.5 s falls on slot 10: that slot is its OPEN, the
+        # host's DAC, its own DAC and its CLOSE; the slots on each side are
+        # one SLOTS entry each.
+        scenario = build_scenario(identical_document("refresh-dac"))
+        shared = engine._expand_plan(scenario, [])
+        timeline = engine._timeline(shared, engine._moves(scenario, shared)[0])
+        assert [(t, kind) for t, _, kind, _ in timeline[:6]] == [
+            (0.0, "SLOTS"), (37.5, "OPEN"), (37.5, "DAC"), (37.5, "DAC"), (37.5, "CLOSE"),
+            (41.25, "SLOTS")]
+        assert [len(entry[3].times) for entry in timeline if entry[2] == "SLOTS"] == [10, 950]
+        _assert_slot_runs_match_the_per_slot_reference(scenario)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_slots_that_round_to_one_time_are_their_entries(self, n):
+        # At t = 2**53 a slot of 1/n s rounds onto its neighbour's time: those
+        # slots keep their own entries, whose order refuses the run as the
+        # per-slot walk does, opening a cell before its close.
+        anchor = 2.0**53
+        scenario = make_scenario(
+            duration_s=anchor + 6, traces={"sample_rate_hz": 2.0**-52, "kinds": ["cells"], "cells": [0]},
+            schedule=[{"t": anchor, "write": ["CTRL", 2]}, {"t": anchor, "write": ["LOCK_MASK_LO", 2**n - 1]},
+                      {"t": anchor, "write": ["REFRESH_PERIOD", 1]}, {"t": anchor, "exec": True}])
+        assert _outcome(scenario) == "lock switch is already open"
+        _assert_slot_runs_match_the_per_slot_reference(scenario)
+
+    @pytest.mark.parametrize("name", ["refresh", "refresh-write", "refresh-sweep", "refresh-slots"])
+    def test_bench_inputs(self, name):
+        _assert_slot_runs_match_the_per_slot_reference(
+            build_scenario(identical_document(name)))
+
+
 class TestRunHasNoRefusal:
     """Every refusal of a schedule is made at load: a run only expands the
     plan, so it steps no FSM and checks no budget."""
@@ -1961,9 +2120,10 @@ class TestChunkedEvaluation:
 
     def test_bytes_per_row(self):
         # The seed-21 refresh input at 1 Hz: 7,201 samples of 32 cells,
-        # 241,473 rows.  Chunked, a run peaks at about 56 bytes a row under
-        # tracemalloc, the 24 of its tables included; evaluated in one call
-        # over the whole run, it peaked at about 120.
+        # 241,473 rows.  Chunked, a run peaks at about 43 bytes a row under
+        # tracemalloc, inside `_evaluate`: the joined blocks, the outputs and
+        # one chunk's arrays; its `cells` table is then a view of `volts`.
+        # Evaluated in one call over the whole run, it peaked at about 120.
         doc = bench_document("refresh", 21)
         doc["traces"]["sample_rate_hz"] = 1.0
         scenario = build_scenario(doc)
@@ -1973,7 +2133,7 @@ class TestChunkedEvaluation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / scenario.rows < 80
+        assert peak / scenario.rows < 48
 
 
 class TestSampleCount:

@@ -154,6 +154,30 @@ def test_run_makes_the_calls_the_bench_pins(name, seed, set_hold, runs, events, 
                        "engine.run_generic.samples": samples}
 
 
+# `tests/identical.py`'s REFRESH inputs, whose slots the walk's slot loop
+# applies: 32 `set_hold` calls per hold-rail move that changes the rail, and
+# one `lock` or `unlock` call per lock row of `events`.  refresh-dac runs
+# ceil(3602 / 3.75) = 961 slots before the EXEC into LOCKING at 3602 s,
+# each moving the rail to a new target; of its host moves, those at 37.5 s
+# and 3600.5 s change the rail, and the -0.0 at 3601 s repeats the 0.0
+# before it.  Its rows: 961 closes and 960 opens, then at 3602 s the last
+# slot's cell opens and LOCKING closes all 32.  Each of refresh-sweep's four
+# points runs the 1,920 slots of 2 h, each a new target: 3,839 rows.
+@pytest.mark.parametrize("name, moves, rows", [
+    ("refresh-dac", 961 + 2, 961 + 960 + 1 + 32), ("refresh-sweep", 4 * 1920, 4 * 3839),
+])
+def test_slot_loop_makes_the_calls_in_closed_form(name, moves, rows, monkeypatch):
+    calls = dict.fromkeys(("set_hold", "lock", "unlock"), 0)
+    for fn in calls:
+        monkeypatch.setattr(analog, fn, _counting(calls, fn))
+    scenario = engine.build_scenario(identical.documents(PACKAGE / "scenarios")[name])
+    bundles = list(engine.sweep(scenario)) if scenario.points else [engine.run_scenario(scenario)]
+    actions = [a for bundle in bundles for a in bundle.tables["events"].columns[2].tolist()]
+    assert calls == {"set_hold": 32 * moves, "lock": actions.count("CLOSE"),
+                     "unlock": actions.count("OPEN")}
+    assert len(actions) == rows
+
+
 def test_engine_defines_no_function_inside_another():
     functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     tree = ast.parse((PACKAGE / "engine.py").read_text(encoding="utf-8"))
